@@ -34,7 +34,7 @@ from .covering import (
     certify_chained,
     verify_certificate,
 )
-from .dynamics import Direction, MapSpec, builtin_map, eval_point
+from .dynamics import MapSpec, builtin_map
 from .errors import (
     BrokenChainError,
     CubeShadowError,
@@ -51,7 +51,6 @@ from .errors import (
     UncertainEdgesError,
     UncertifiedTransitionError,
 )
-from .exact import exact_step, supports_exact
 from .geometry import Box, Space, chi, make_subdivision
 from .oracle import (
     brute_force_fixed_points,
@@ -66,6 +65,7 @@ from .shadowing import (
     ShadowConfig,
     UniformNoise,
     generate_pseudo_orbit,
+    itinerary,
     orbit_csv,
     periodic_shadow,
     pseudo_orbit,
@@ -74,6 +74,7 @@ from .shadowing import (
     shadow_result_from_json,
     specification_splice,
     step_defects,
+    true_orbit,
     verify_shadow,
 )
 from .transition import build_graph, delta_bound
@@ -85,7 +86,6 @@ EXIT_INVALID = 4
 
 _MODES = ("noise", "drift", "grid")
 _SPACES = ("torus", "cube")
-_POLICIES = ("anchored", "centered")
 
 
 @dataclass(frozen=True)
@@ -120,10 +120,8 @@ class RunConfig:
     samples_per_cube: int = 5
     min_margin: float = 1e-9
     fp_tol: float = 1e-9
-    policy: str = "anchored"
     allow_uncertain: bool = False
     out: str = "out"
-    workers: int = 1
 
     def __post_init__(self) -> None:
         checks = [
@@ -147,8 +145,6 @@ class RunConfig:
             (self.samples_per_cube >= 1, "samples_per_cube must be >= 1"),
             (self.min_margin > 0.0, "min_margin must be > 0"),
             (self.fp_tol > 0.0, "fp_tol must be > 0"),
-            (self.policy in _POLICIES, f"policy must be one of {_POLICIES}"),
-            (self.workers >= 1, "workers must be >= 1"),
         ]
         for ok, message in checks:
             if not ok:
@@ -159,7 +155,7 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 _INT_FIELDS = {
     "n", "m", "window", "seed", "grid_order", "period", "grid",
     "segment_length", "gap", "strip_depth", "bisection_depth",
-    "refine_depth", "samples_per_cube", "workers",
+    "refine_depth", "samples_per_cube",
 }
 _FLOAT_FIELDS = {"delta", "eps", "min_margin", "fp_tol"}
 
@@ -295,7 +291,6 @@ def _covering_config(cfg: RunConfig) -> CoveringConfig:
     return CoveringConfig(
         depth=cfg.strip_depth,
         min_margin=cfg.min_margin,
-        policy=cfg.policy,
         allow_uncertain=cfg.allow_uncertain,
     )
 
@@ -413,27 +408,18 @@ def cmd_pseudo(run: Run, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _delta_gate(p: PseudoOrbit, g, allow_uncertain: bool) -> float:
-    bound = delta_bound(g, allow_uncertain=allow_uncertain)
-    if p.known_itinerary is None and not p.delta < bound:
-        raise DeltaTooLargeError(
-            f"delta {p.delta} is not below the graph separation bound {bound}"
-        )
-    return bound
-
-
 def cmd_shadow(run: Run, args: argparse.Namespace) -> int:
     cfg = run.cfg
     f = _make_map(cfg)
     p = _orbit(run, args, f)
     s, g = _graph(cfg, f)
-    _delta_gate(p, g, cfg.allow_uncertain)
+    itin = itinerary(p, s, g, allow_uncertain=cfg.allow_uncertain)
     cert = _certify(run, f, s, g)
     if cert is None:
         return EXIT_CERTIFICATION
     run.write_json("certificate.json", {"certificate": cert.to_json()})
     eps = _eps(cfg, s)
-    result = shadow(f, p, cert, eps, g=g, cfg=_shadow_config(cfg))
+    result = shadow(f, p, cert, eps, g=g, itin=itin, cfg=_shadow_config(cfg))
     report = verify_shadow(f, result.point, p, eps)
     run.write_text("orbit.csv", orbit_csv(f, p, result))
     run.write_json(
@@ -458,27 +444,19 @@ def cmd_shadow(run: Run, args: argparse.Namespace) -> int:
 
 def _closed_cycle(f: MapSpec, x0: tuple, period: int) -> list[tuple]:
     """Iterate x0 for one period and insist the orbit closes up."""
-    if supports_exact(f) and all(isinstance(v, Fraction) for v in x0):
-        step = exact_step(f, Direction.FORWARD)
-        pts: list[tuple] = [x0]
-        for _ in range(period - 1):
-            pts.append(step.apply(pts[-1]))
-        closure = step.apply(pts[-1])
-        if closure != x0:
+    pts = true_orbit(f, x0, 0, period)
+    if isinstance(pts[0][0], Fraction):
+        if pts[-1] != pts[0]:
             raise ValueError(
                 f"x0 {x0} is not periodic with period {period} (exact check)"
             )
-        return pts
-    pts = [tuple(float(v) for v in x0)]
-    for _ in range(period - 1):
-        pts.append(tuple(eval_point(f, Direction.FORWARD, pts[-1])))
-    closure = np.asarray(eval_point(f, Direction.FORWARD, pts[-1]), dtype=float)
-    gap = closure - np.asarray(pts[0], dtype=float)
+        return pts[:-1]
+    gap = np.subtract(pts[-1], pts[0])
     if f.space is Space.TORUS:
         gap -= np.rint(gap)
     if float(np.linalg.norm(gap)) > 1e-9:
         raise ValueError(f"x0 {x0} is not periodic with period {period}")
-    return pts
+    return pts[:-1]
 
 
 def _noisy_cycle(f: MapSpec, cycle: list[tuple], delta: float, seed: int) -> PseudoOrbit:
@@ -517,13 +495,15 @@ def cmd_periodic(run: Run, args: argparse.Namespace) -> int:
         cycle = _closed_cycle(f, _x0(cfg, f), cfg.period)
         p = _noisy_cycle(f, cycle, cfg.delta, cfg.seed)
     s, g = _graph(cfg, f)
-    _delta_gate(p, g, cfg.allow_uncertain)
+    itin = itinerary(p, s, g, allow_uncertain=cfg.allow_uncertain)
     cert = _certify(run, f, s, g)
     if cert is None:
         return EXIT_CERTIFICATION
     run.write_json("certificate.json", {"certificate": cert.to_json()})
     eps = _eps(cfg, s)
-    result = periodic_shadow(f, p, cert, eps, g=g, cfg=_shadow_config(cfg))
+    result = periodic_shadow(
+        f, p, cert, eps, g=g, itin=itin, cfg=_shadow_config(cfg)
+    )
     report = verify_shadow(f, result.point, p, eps)
     run.write_text("orbit.csv", orbit_csv(f, p, result))
     run.write_json(
@@ -563,16 +543,7 @@ def _segments(run: Run, args: argparse.Namespace, f: MapSpec) -> list[list[tuple
         x0 = _parse_point(text)
         if len(x0) != f.n:
             raise ValueError(f"start {text!r} has dimension {len(x0)}, map needs {f.n}")
-        if supports_exact(f) and all(isinstance(v, Fraction) for v in x0):
-            step = exact_step(f, Direction.FORWARD)
-            seg = [x0]
-            for _ in range(cfg.segment_length - 1):
-                seg.append(step.apply(seg[-1]))
-        else:
-            seg = [tuple(float(v) for v in x0)]
-            for _ in range(cfg.segment_length - 1):
-                seg.append(tuple(eval_point(f, Direction.FORWARD, seg[-1])))
-        segments.append(seg)
+        segments.append(true_orbit(f, x0, 0, cfg.segment_length - 1))
     return segments
 
 
@@ -749,16 +720,11 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--samples-per-cube", type=int, help="witness samples per axis")
     g.add_argument("--min-margin", type=float, help="strict inequality margin")
     g.add_argument("--fp-tol", type=float, help="periodic point residual tolerance")
-    g.add_argument("--policy", choices=_POLICIES, help="rectangle placement policy")
     g.add_argument(
         "--allow-uncertain", action=argparse.BooleanOptionalAction, default=None,
         help="treat uncertain transitions as nonempty",
     )
     g.add_argument("--out", help="output directory")
-    g.add_argument(
-        "--workers", type=int,
-        help="concurrency cap, recorded for provenance (execution is sequential)",
-    )
 
 
 def build_parser() -> _Parser:

@@ -154,9 +154,6 @@ def rectangle_from_json(data: dict) -> Rectangle:
 class CoveringConfig:
     depth: int = 6                    # dyadic strip search depth along the exit axis
     min_margin: float = 1e-9          # quantified strictness for every inequality
-    ratios: tuple[float, ...] = (0.5, 0.25, 0.125)
-    eigen_hint: bool = True           # align chained rectangles to the expansion
-    policy: str = "anchored"          # "anchored" per-edge | "centered" per-cube
     allow_uncertain: bool = False
 
 
@@ -441,7 +438,6 @@ class ChainedCertificate:
 
     map_id: str
     subdivision: Subdivision
-    policy: str
     certificates: dict[tuple[int, int], CoveringCertificate]
     excluded_boundary: frozenset[tuple[int, int]]
 
@@ -456,7 +452,6 @@ class ChainedCertificate:
         return {
             "map_id": self.map_id,
             "subdivision": self.subdivision.to_json(),
-            "policy": self.policy,
             "certificates": {
                 f"{i},{j}": c.to_json() for (i, j), c in sorted(self.certificates.items())
             },
@@ -468,7 +463,6 @@ class ChainedCertificate:
 @dataclass(frozen=True)
 class FailureReport:
     map_id: str
-    policy: str
     total_edges: int
     certified: int
     failures: tuple[tuple[int, int, str], ...]
@@ -477,7 +471,6 @@ class FailureReport:
     def to_json(self) -> dict:
         return {
             "map_id": self.map_id,
-            "policy": self.policy,
             "total_edges": self.total_edges,
             "certified": self.certified,
             "failures": [list(f) for f in self.failures],
@@ -539,23 +532,6 @@ def _frame_tuple(frame: np.ndarray | None):
     return tuple(tuple(float(v) for v in row) for row in frame)
 
 
-def _centered_family(
-    s: Subdivision, ratio: float, exit_axis: int, orientation: int,
-    frame: np.ndarray | None,
-) -> list[Rectangle]:
-    tup = _frame_tuple(frame)
-    fit = 1.0 if frame is None else float(np.max(np.sum(np.abs(frame), axis=0)))
-    rects = []
-    for i in range(s.count):
-        box = s.box(i)
-        c = box.center
-        h = 0.5 * ratio * s.cube_width / fit
-        lo = tuple(x - h for x in c)
-        hi = tuple(x + h for x in c)
-        rects.append(Rectangle(Box(lo, hi, s.space), exit_axis, orientation, tup))
-    return rects
-
-
 def certify_chained(
     f: MapSpec,
     s: Subdivision,
@@ -564,12 +540,9 @@ def certify_chained(
 ) -> ChainedCertificate | FailureReport:
     """Attempt a covering certificate for every certifiable nonempty edge.
 
-    Anchored policy (default): each interior-witnessed edge gets its own
-    rectangle pair centered on the witness and its image, shaped by the
-    expansion frame; boundary-only edges are excluded and listed.
-    Centered policy: one rectangle per cube at the configured shrink
-    ratios, every exit axis and orientation, first fully-certifying family
-    wins; edge-anchoring is not used.
+    Each interior-witnessed edge gets its own rectangle pair centered on
+    the witness and its image, shaped by the expansion frame; boundary-only
+    edges are excluded and listed.
     """
     cfg = cfg or CoveringConfig()
     if g.uncertain and not cfg.allow_uncertain:
@@ -577,17 +550,12 @@ def certify_chained(
             f"{len(g.uncertain)} uncertain edges; refine the graph or allow_uncertain"
         )
     edges = sorted(g.witnesses)
-    hint = expansion_frame(f) if cfg.eigen_hint else None
+    hint = expansion_frame(f)
     frame = None
     if hint is not None:
         rows, vals = hint
         if np.abs(vals[0]) > 1.0 + 1e-9 and f.n >= 2:
             frame = rows
-
-    if cfg.policy == "centered":
-        return _certify_centered(f, s, g, cfg, edges, frame)
-    if cfg.policy != "anchored":
-        raise ValueError(f"unknown policy {cfg.policy!r}")
 
     certs: dict[tuple[int, int], CoveringCertificate] = {}
     failures: list[tuple[int, int, str]] = []
@@ -609,7 +577,6 @@ def certify_chained(
             failures = [(-1, -1, "no interior-witnessed edges to certify")]
         return FailureReport(
             map_id=f.descriptor,
-            policy="anchored",
             total_edges=len(edges),
             certified=len(certs),
             failures=tuple(failures),
@@ -618,53 +585,8 @@ def certify_chained(
     return ChainedCertificate(
         map_id=f.descriptor,
         subdivision=s,
-        policy="anchored",
         certificates=certs,
         excluded_boundary=frozenset(excluded),
-    )
-
-
-def _certify_centered(
-    f: MapSpec,
-    s: Subdivision,
-    g: TransitionGraph,
-    cfg: CoveringConfig,
-    edges: list[tuple[int, int]],
-    frame: np.ndarray | None,
-) -> ChainedCertificate | FailureReport:
-    frames = [None] if frame is None else [frame, None]
-    best_failures: tuple[tuple[int, int, str], ...] | None = None
-    best_certified = -1
-    for fr in frames:
-        for ratio in cfg.ratios:
-            for axis in range(s.n):
-                for orient in (1, -1):
-                    rects = _centered_family(s, ratio, axis, orient, fr)
-                    certs: dict[tuple[int, int], CoveringCertificate] = {}
-                    failures: list[tuple[int, int, str]] = []
-                    for (i, j) in edges:
-                        result = check_covering(f, rects[i], rects[j], cfg)
-                        if isinstance(result, CoveringCertificate):
-                            certs[(i, j)] = result
-                        else:
-                            failures.append((i, j, result.reason))
-                    if not failures:
-                        return ChainedCertificate(
-                            map_id=f.descriptor,
-                            subdivision=s,
-                            policy="centered",
-                            certificates=certs,
-                            excluded_boundary=frozenset(),
-                        )
-                    if len(certs) > best_certified:
-                        best_certified = len(certs)
-                        best_failures = tuple(failures)
-    return FailureReport(
-        map_id=f.descriptor,
-        policy="centered",
-        total_edges=len(edges),
-        certified=max(best_certified, 0),
-        failures=best_failures or (),
     )
 
 

@@ -72,6 +72,11 @@ def fraction_inverse(m: FracMat) -> FracMat:
     return tuple(tuple(row[n:]) for row in aug)
 
 
+def fraction_solve(m: FracMat, rhs: FracVec) -> FracVec:
+    """Exact solution x of m x = rhs."""
+    return _mat_vec(fraction_inverse(m), rhs)
+
+
 def torus_reduce(v: FracVec) -> FracVec:
     return tuple(x - math.floor(x) for x in v)
 
@@ -90,6 +95,10 @@ class ExactAffine:
     offset: FracVec
     wrap: bool
 
+    @classmethod
+    def identity(cls, n: int, wrap: bool) -> "ExactAffine":
+        return cls(_identity_mat(n), (Fraction(0),) * n, wrap)
+
     @property
     def n(self) -> int:
         return len(self.offset)
@@ -97,9 +106,6 @@ class ExactAffine:
     def apply(self, x: FracVec) -> FracVec:
         y = tuple(a + b for a, b in zip(_mat_vec(self.matrix, x), self.offset))
         return torus_reduce(y) if self.wrap else y
-
-    def apply_lift(self, x: FracVec) -> FracVec:
-        return tuple(a + b for a, b in zip(_mat_vec(self.matrix, x), self.offset))
 
     def compose(self, inner: "ExactAffine") -> "ExactAffine":
         """self after inner.  Torus offsets are reduced to keep numbers small."""
@@ -112,29 +118,38 @@ class ExactAffine:
             off = torus_reduce(off)
         return ExactAffine(mat, off, self.wrap)
 
+    def inverse(self) -> "ExactAffine":
+        """x -> M^-1 (x - c); NotInvertibleError when M is singular."""
+        inv = fraction_inverse(self.matrix)
+        return ExactAffine(inv, tuple(-v for v in _mat_vec(inv, self.offset)), self.wrap)
+
+    def fixed_point(self) -> FracVec:
+        """The x with M x + c = x, unreduced; NotInvertibleError if M - I is singular."""
+        eye = _identity_mat(self.n)
+        eye_minus = tuple(
+            tuple(a - b for a, b in zip(e, row)) for e, row in zip(eye, self.matrix)
+        )
+        return fraction_solve(eye_minus, self.offset)
+
 
 def exact_step(f: MapSpec, direction: Direction = Direction.FORWARD) -> ExactAffine:
     """The map (or its inverse) as one exact affine step."""
     if not supports_exact(f):
         raise InvalidMapError(f"map kind {f.kind.value!r} has no exact affine form")
-    n = f.n
     wrap = f.space.value == "torus"
     if f.kind is MapKind.IDENTITY:
-        mat, off = _identity_mat(n), tuple([Fraction(0)] * n)
-    elif f.kind is MapKind.TRANSLATION:
-        mat = _identity_mat(n)
-        off = frac_vec(f.offset)
-        if direction is Direction.INVERSE:
-            off = tuple(-v for v in off)
+        return ExactAffine.identity(f.n, wrap)
+    if f.kind is MapKind.TRANSLATION:
+        step = ExactAffine(_identity_mat(f.n), frac_vec(f.offset), wrap)
     else:
         mat = tuple(tuple(Fraction(v) for v in row) for row in f.matrix)
-        off = frac_vec(f.offset) if f.offset is not None else tuple([Fraction(0)] * n)
-        if direction is Direction.INVERSE:
-            if not f.invertible:
-                raise NotInvertibleError(f"{f.descriptor} has no inverse")
-            inv = fraction_inverse(mat)
-            mat, off = inv, tuple(-v for v in _mat_vec(inv, off))
-    return ExactAffine(mat, off, wrap)
+        off = frac_vec(f.offset) if f.offset is not None else (Fraction(0),) * f.n
+        step = ExactAffine(mat, off, wrap)
+    if direction is Direction.INVERSE:
+        if not f.invertible:
+            raise NotInvertibleError(f"{f.descriptor} has no inverse")
+        step = step.inverse()
+    return step
 
 
 def exact_powers(f: MapSpec, lo: int, hi: int) -> dict[int, ExactAffine]:
@@ -143,8 +158,7 @@ def exact_powers(f: MapSpec, lo: int, hi: int) -> dict[int, ExactAffine]:
         raise ValueError("empty power range")
     if lo < 0 and not f.invertible:
         raise NotInvertibleError(f"{f.descriptor} has no inverse")
-    out = {0: ExactAffine(_identity_mat(f.n), tuple([Fraction(0)] * f.n),
-                          f.space.value == "torus")}
+    out = {0: ExactAffine.identity(f.n, f.space.value == "torus")}
     if hi > 0:
         step = exact_step(f, Direction.FORWARD)
         acc = out[0]

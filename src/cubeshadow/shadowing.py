@@ -39,11 +39,12 @@ from .errors import (
     UncertifiedTransitionError,
 )
 from .exact import (
+    ExactAffine,
     eigen_directions,
     exact_step,
     frac,
     frac_vec,
-    fraction_inverse,
+    fraction_solve,
     minimal_period,
     nearest_lift,
     supports_exact,
@@ -343,13 +344,20 @@ class Itinerary:
         }
 
 
-def itinerary(p: PseudoOrbit, s: Subdivision, g: TransitionGraph) -> Itinerary:
+def itinerary(
+    p: PseudoOrbit,
+    s: Subdivision,
+    g: TransitionGraph,
+    allow_uncertain: bool = False,
+) -> Itinerary:
     """Cube sequence of the pseudo-orbit, validated against the graph.
 
     With delta below the graph's separation bound, consecutive cubes
     cannot form a provably-empty pair; if one does anyway the graph is
     unsound and BrokenChainError reports it.  A pseudo-orbit carrying an
     explicit known_itinerary skips the gate and validates membership.
+    ``allow_uncertain`` is passed to delta_bound: uncertain edges then
+    count as nonempty instead of stopping the gate.
     """
     if s.space is not p.space:
         raise ValueError("subdivision and pseudo-orbit live on different spaces")
@@ -361,7 +369,7 @@ def itinerary(p: PseudoOrbit, s: Subdivision, g: TransitionGraph) -> Itinerary:
             if not s.box(i).contains_point(y, tol=1e-12):
                 raise BrokenChainError(f"point {j} is not in its declared cube {i}")
     else:
-        bound = delta_bound(g)
+        bound = delta_bound(g, allow_uncertain=allow_uncertain)
         if not p.delta < bound:
             raise DeltaTooLargeError(
                 f"delta {p.delta} is not below the separation bound {bound}"
@@ -822,76 +830,24 @@ def _integer_shifts(f: MapSpec, p: PseudoOrbit) -> list[np.ndarray]:
     return [np.round(mat @ a + off - b) for a, b in zip(pts, nxt)]
 
 
-def _exact_linear(f: MapSpec):
-    step = exact_step(f, Direction.FORWARD)
-    return step.matrix, step.offset
+def _lift_map(f: MapSpec, p: PseudoOrbit, shifts, a: int, b: int) -> ExactAffine:
+    """Exact map X_a -> X_b (a <= b) along the lift the shifts select.
 
-
-def _mat_vec(m, v):
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
-
-
-def _mat_mat(a, b):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
-    )
-
-
-def _identity_frac(n: int):
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(
-        tuple(one if i == j else zero for j in range(n)) for i in range(n)
-    )
-
-
-def _shifted_powers(f: MapSpec, p: PseudoOrbit, shifts) -> dict:
-    """Exact affine maps x -> lift of f^k(x) aligned with the tubes.
-
-    Composes X_{k+1} = M X_k + c - s_k forward from time 0 and the
-    inverse relation backward, with the integer shifts keeping every
-    image on the lift branch nearest its pseudo-orbit point.  Returns
-    {k: (matrix, offset)} over the whole window.
+    Composes the lift steps X_{k+1} = M X_k + c - s_k unreduced: the
+    integer shifts keep every image on the branch nearest its pseudo-orbit
+    point, and reducing offsets mod 1 (as exact_powers does) would move it.
     """
-    n = p.n
-    mat, off = _exact_linear(f)
-    zero = tuple(Fraction(0) for _ in range(n))
-    out = {0: (_identity_frac(n), zero)}
-    m_cur, c_cur = out[0]
-    for j in range(0, p.hi):
-        s = frac_vec(shifts[j - p.lo])
-        m_cur = _mat_mat(mat, m_cur)
-        c_cur = tuple(
-            a + b - sv for a, b, sv in zip(_mat_vec(mat, c_cur), off, s)
-        )
-        out[j + 1] = (m_cur, c_cur)
-    if p.lo < 0:
-        inv = fraction_inverse(mat)
-        m_cur, c_cur = out[0]
-        for j in range(0, p.lo, -1):
-            s = frac_vec(shifts[j - 1 - p.lo])
-            # X_{j-1} = M^-1 (X_j - c + s_{j-1})
-            m_cur = _mat_mat(inv, m_cur)
-            c_cur = tuple(
-                _mat_vec(inv, tuple(a - b + sv for a, b, sv in zip(c_cur, off, s)))
-            )
-            out[j - 1] = (m_cur, c_cur)
-    return out
+    step = exact_step(f, Direction.FORWARD)
+    acc = ExactAffine.identity(p.n, wrap=False)
+    for k in range(a, b):
+        off = tuple(c - sk for c, sk in zip(step.offset, frac_vec(shifts[k - p.lo])))
+        acc = ExactAffine(step.matrix, off, wrap=False).compose(acc)
+    return acc
 
 
 def _cross_row(v):
     # cross(d, v) == 0 picks out d parallel to v; as a row functional.
     return (v[1], -v[0])
-
-
-def _solve2(rows, rhs):
-    det = rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    if det == 0:
-        raise NotHyperbolicError("boundary-value system is singular")
-    x0 = (rhs[0] * rows[1][1] - rows[0][1] * rhs[1]) / det
-    x1 = (rows[0][0] * rhs[1] - rhs[0] * rows[1][0]) / det
-    return (x0, x1)
 
 
 def _bvp_point(f: MapSpec, p: PseudoOrbit, shifts) -> tuple[Fraction, ...]:
@@ -906,69 +862,67 @@ def _bvp_point(f: MapSpec, p: PseudoOrbit, shifts) -> tuple[Fraction, ...]:
     eig = eigen_directions(f)
     if eig is None:
         raise NotHyperbolicError(f"{f.descriptor} has no rational eigen frame")
-    powers = _shifted_powers(f, p, shifts)
-    m_hi, c_hi = powers[p.hi]
-    m_lo, c_lo = powers[p.lo]
-    y_hi = frac_vec(p.point(p.hi))
-    y_lo = frac_vec(p.point(p.lo))
-    w_u = _cross_row(eig.row_s)   # annihilates the contracting direction
-    w_s = _cross_row(eig.row_u)
-    m_hi_t = tuple(zip(*m_hi))
-    m_lo_t = tuple(zip(*m_lo))
-    row1 = _mat_vec(m_hi_t, w_u)  # w_u^T M_hi
-    row2 = _mat_vec(m_lo_t, w_s)
-    rhs1 = sum(a * (b - c) for a, b, c in zip(w_u, y_hi, c_hi))
-    rhs2 = sum(a * (b - c) for a, b, c in zip(w_s, y_lo, c_lo))
-    return _solve2((row1, row2), (rhs1, rhs2))
+    to_hi = _lift_map(f, p, shifts, 0, p.hi)
+    to_lo = _lift_map(f, p, shifts, p.lo, 0).inverse()
+    # w_u annihilates the contracting direction, w_s the expanding one;
+    # each condition reads w . (M_k x + c_k) = w . y_k.
+    rows, rhs = [], []
+    for w, end, k in (
+        (_cross_row(eig.row_s), to_hi, p.hi),
+        (_cross_row(eig.row_u), to_lo, p.lo),
+    ):
+        rows.append(tuple(sum(a * b for a, b in zip(w, col)) for col in zip(*end.matrix)))
+        y = frac_vec(p.point(k))
+        rhs.append(sum(a * (b - c) for a, b, c in zip(w, y, end.offset)))
+    try:
+        return fraction_solve(tuple(rows), tuple(rhs))
+    except NotInvertibleError:
+        raise NotHyperbolicError("boundary-value system is singular") from None
 
 
-def _exact_point_error(p: PseudoOrbit, y, k: int) -> float:
-    target = p.point(k)
-    d = tuple(a - frac(b) for a, b in zip(y, target))
-    if p.space is Space.TORUS:
-        d = nearest_lift(d)
-    return math.hypot(*[float(v) for v in d])
+# --- true orbits ------------------------------------------------------------
+
+def true_orbit(f: MapSpec, x, lo: int, hi: int) -> list[tuple]:
+    """The orbit of x (at time 0) at every time lo..hi, lo <= 0 <= hi.
+
+    Exact rationals when x is rational and f has an exact affine form,
+    floats through eval_point otherwise; both reduce mod 1 on the torus.
+    Time 0 is x itself, unreduced.
+    """
+    if supports_exact(f) and all(isinstance(v, Fraction) for v in x):
+        start = tuple(x)
+
+        def stepper(direction: Direction):
+            return exact_step(f, direction).apply
+    else:
+        start = tuple(float(v) for v in x)
+
+        def stepper(direction: Direction):
+            return lambda y: tuple(eval_point(f, direction, y).tolist())
+
+    def walk(direction: Direction, steps: int) -> list[tuple]:
+        pts = [start]
+        if steps > 0:
+            step = stepper(direction)
+            for _ in range(steps):
+                pts.append(step(pts[-1]))
+        return pts
+
+    return walk(Direction.INVERSE, -lo)[:0:-1] + walk(Direction.FORWARD, hi)
 
 
-def _exact_window_errors(f: MapSpec, p: PseudoOrbit, x0) -> list[float]:
-    """Error profile of the exact orbit of a time-0 point over the window."""
-    step = exact_step(f, Direction.FORWARD)
-    out = {}
-    y = tuple(x0)
-    for k in range(0, p.hi + 1):
-        out[k] = _exact_point_error(p, y, k)
-        if k < p.hi:
-            y = step.apply(y)
-    if p.lo < 0:
-        back = exact_step(f, Direction.INVERSE)
-        y = tuple(x0)
-        for k in range(-1, p.lo - 1, -1):
-            y = back.apply(y)
-            out[k] = _exact_point_error(p, y, k)
-    return [out[k] for k in range(p.lo, p.hi + 1)]
-
-
-def _float_orbit_point(f: MapSpec, x0, k: int) -> np.ndarray:
-    y = np.asarray(x0, dtype=float)
-    d = Direction.FORWARD if k >= 0 else Direction.INVERSE
-    for _ in range(abs(k)):
-        y = eval_point(f, d, y)
-    return y
-
-
-def _float_window_errors(f: MapSpec, p: PseudoOrbit, x0) -> list[float]:
-    out = {}
-    y = np.asarray(x0, dtype=float)
-    for k in range(0, p.hi + 1):
-        out[k] = _dist(p.space, y, p.point(k))
-        if k < p.hi:
-            y = eval_point(f, Direction.FORWARD, y)
-    if p.lo < 0:
-        y = np.asarray(x0, dtype=float)
-        for k in range(-1, p.lo - 1, -1):
-            y = eval_point(f, Direction.INVERSE, y)
-            out[k] = _dist(p.space, y, p.point(k))
-    return [out[k] for k in range(p.lo, p.hi + 1)]
+def _window_errors(p: PseudoOrbit, orbit: list[tuple]) -> list[float]:
+    """Distance of orbit[j] to the pseudo-orbit point at time p.lo + j."""
+    out = []
+    for k, y in enumerate(orbit, start=p.lo):
+        if isinstance(y[0], Fraction):
+            d = tuple(a - frac(b) for a, b in zip(y, p.point(k)))
+            if p.space is Space.TORUS:
+                d = nearest_lift(d)
+            out.append(math.hypot(*[float(v) for v in d]))
+        else:
+            out.append(_dist(p.space, y, p.point(k)))
+    return out
 
 
 # --- results ----------------------------------------------------------------
@@ -1059,11 +1013,7 @@ def verify_shadow(f: MapSpec, x, p: PseudoOrbit, eps: float) -> VerifyReport:
     exactly-affine maps iterate exactly; everything else in float (whose
     own roundoff growth then honestly shows up in the profile).
     """
-    exact_in = supports_exact(f) and all(isinstance(v, Fraction) for v in x)
-    if exact_in:
-        errors = _exact_window_errors(f, p, tuple(x))
-    else:
-        errors = _float_window_errors(f, p, tuple(float(v) for v in x))
+    errors = _window_errors(p, true_orbit(f, x, p.lo, p.hi))
     ks = list(range(p.lo, p.hi + 1))
     max_err = max(errors)
     argmax = ks[errors.index(max_err)]
@@ -1140,13 +1090,10 @@ def shadow(
             x = tuple(frac(0.5 * (a + b)) for a, b in zip(cell_lo, cell_hi))
         if p.space is Space.TORUS:
             x = torus_reduce(x)
-        errors = _exact_window_errors(f, p, x)
         point: tuple = tuple(x)
     else:
-        center = 0.5 * (cell_lo + cell_hi)
-        point = tuple(float(v) for v in _wrap(p.space, center.copy()))
-        errors = _float_window_errors(f, p, point)
-    eps_achieved = max(errors)
+        point = tuple(_wrap(p.space, 0.5 * (cell_lo + cell_hi)).tolist())
+    eps_achieved = max(_window_errors(p, true_orbit(f, point, p.lo, p.hi)))
     if eps_achieved >= eps:
         raise NoSurvivingCellError(
             f"best orbit achieves eps {eps_achieved}, not below requested {eps}",
@@ -1193,48 +1140,28 @@ def periodic_shadow(
     surviving = Box(tuple(cell_lo), tuple(cell_hi), p.space)
 
     if supports_exact(f):
-        shifts = _integer_shifts(f, p)
-        mat, off = _exact_linear(f)
-        m_cur = _identity_frac(p.n)
-        c_cur = tuple(Fraction(0) for _ in range(p.n))
-        for j in range(P):
-            sft = frac_vec(shifts[j])
-            m_cur = _mat_mat(mat, m_cur)
-            c_cur = tuple(
-                a + b - sv for a, b, sv in zip(_mat_vec(mat, c_cur), off, sft)
-            )
-        eye_minus = tuple(
-            tuple(
-                (Fraction(1) if i == j else Fraction(0)) - m_cur[i][j]
-                for j in range(p.n)
-            )
-            for i in range(p.n)
-        )
         try:
-            x = _mat_vec(fraction_inverse(eye_minus), c_cur)
+            x = _lift_map(f, p, _integer_shifts(f, p), 0, P).fixed_point()
         except NotInvertibleError:
             raise FixedPointTolUnreachedError(
                 f"f^{P} has eigenvalue one; no isolated fixed point to converge to"
             ) from None
         if p.space is Space.TORUS:
             x = torus_reduce(x)
-        errors = [_exact_point_error(p, y, k) for k, y in _exact_cycle(f, x, P)]
-        mp = minimal_period(f, tuple(x), P)
-        point: tuple = tuple(x)
+        cycle = true_orbit(f, x, 0, P - 1)
+        mp = minimal_period(f, x, P)
     else:
         x = 0.5 * (cell_lo + cell_hi)
         for _ in range(80):
-            fx = _float_orbit_point(f, x, P)
-            residual = fx - x
+            orbit = true_orbit(f, x, 0, P)
+            residual = np.subtract(orbit[P], x)
             if p.space is Space.TORUS:
                 residual = (residual + 0.5) % 1.0 - 0.5
             if float(np.linalg.norm(residual)) <= cfg.fp_tol:
                 break
             jac = np.eye(f.n)
-            y = x.copy()
-            for _ in range(P):
-                jac = jacobian(f, tuple(y)) @ jac
-                y = eval_point(f, Direction.FORWARD, y)
+            for y in orbit[:P]:
+                jac = jacobian(f, y) @ jac
             try:
                 dx = np.linalg.solve(jac - np.eye(f.n), -residual)
             except np.linalg.LinAlgError:
@@ -1246,34 +1173,22 @@ def periodic_shadow(
             raise FixedPointTolUnreachedError(
                 f"Newton left residual above fp_tol {cfg.fp_tol}"
             )
-        point = tuple(float(v) for v in x)
-        errors = [
-            _dist(p.space, _float_orbit_point(f, point, k), p.point(k))
-            for k in range(P)
-        ]
+        cycle = orbit[:P]
         mp = None
-    eps_achieved = max(errors)
+    eps_achieved = max(_window_errors(p, cycle))
     if eps_achieved >= eps:
         raise NoSurvivingCellError(
             f"periodic point achieves eps {eps_achieved}, not below {eps}",
             deepest_surviving_depth=splits,
         )
     return ShadowResult(
-        point=point,
+        point=cycle[0],
         window=(0, P - 1),
         eps_achieved=eps_achieved,
         surviving_box=surviving,
         periodic=p.periodic,
         minimal_period=mp,
     )
-
-
-def _exact_cycle(f: MapSpec, x, P: int):
-    step = exact_step(f, Direction.FORWARD)
-    y = tuple(x)
-    for k in range(P):
-        yield k, y
-        y = step.apply(y)
 
 
 # --- specification splicing -------------------------------------------------
@@ -1342,7 +1257,8 @@ def specification_splice(
 
 def orbit_csv(f: MapSpec, p: PseudoOrbit, result: ShadowResult) -> str:
     """CSV profile: time, pseudo-orbit point, shadow orbit point, error."""
-    report = verify_shadow(f, result.point, p, math.inf)
+    orbit = true_orbit(f, result.point, p.lo, p.hi)
+    errors = _window_errors(p, orbit)
     buf = io.StringIO()
     writer = csv.writer(buf)
     n = p.n
@@ -1352,15 +1268,7 @@ def orbit_csv(f: MapSpec, p: PseudoOrbit, result: ShadowResult) -> str:
         + [f"x_{d + 1}" for d in range(n)]
         + ["err"]
     )
-    ks = list(range(p.lo, p.hi + 1))
-    if result.exact and supports_exact(f):
-        orbit = _exact_orbit_table(f, result.point, p)
-    else:
-        orbit = [
-            tuple(float(v) for v in _float_orbit_point(f, result.point_floats, k))
-            for k in ks
-        ]
-    for k, err, x in zip(ks, report.errors, orbit):
+    for k, err, x in zip(range(p.lo, p.hi + 1), errors, orbit):
         writer.writerow(
             [k]
             + [repr(float(v)) for v in p.point(k)]
@@ -1368,20 +1276,3 @@ def orbit_csv(f: MapSpec, p: PseudoOrbit, result: ShadowResult) -> str:
             + [repr(err)]
         )
     return buf.getvalue()
-
-
-def _exact_orbit_table(f: MapSpec, x, p: PseudoOrbit):
-    step = exact_step(f, Direction.FORWARD)
-    rows = {}
-    y = tuple(x)
-    for k in range(0, p.hi + 1):
-        rows[k] = tuple(float(v) for v in y)
-        if k < p.hi:
-            y = step.apply(y)
-    if p.lo < 0:
-        back = exact_step(f, Direction.INVERSE)
-        y = tuple(x)
-        for k in range(-1, p.lo - 1, -1):
-            y = back.apply(y)
-            rows[k] = tuple(float(v) for v in y)
-    return [rows[k] for k in range(p.lo, p.hi + 1)]

@@ -9,6 +9,7 @@ import pytest
 from cubeshadow.cli import main
 
 CAT = "toral [[2,1],[1,1]]"
+PERTURBED = "perturbed [[2,1],[1,1]] eta=0.001 freq=1"
 
 
 def run_json(path):
@@ -118,6 +119,15 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     rc = main(["certify", "--config", str(cfg), "--out", str(tmp_path)])
     assert rc == 4
     assert "bogus_knob" in capsys.readouterr().err
+
+
+def test_removed_knobs_are_unknown_config_keys(tmp_path, capsys):
+    for key, value in (("workers", 1), ("policy", "anchored")):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"map": CAT, key: value}))
+        rc = main(["subdivide", "--config", str(cfg), "--out", str(tmp_path)])
+        assert rc == 4
+        assert key in capsys.readouterr().err
 
 
 def test_pseudo_orbit_file_feeds_shadow(tmp_path):
@@ -232,6 +242,24 @@ def test_delta_bound_uncertain_edges_exhaust(tmp_path, capsys):
     assert "uncertain edges" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command, extra, artifact",
+    [
+        ("shadow", [], "shadow.json"),
+        ("periodic", ["--period", "1", "--x0", "0,0"], "periodic.json"),
+    ],
+    ids=["shadow", "periodic"],
+)
+def test_allow_uncertain_reaches_the_itinerary_gate(tmp_path, command, extra, artifact):
+    # At m=2 the perturbed cat map keeps uncertain edges, so the itinerary's
+    # delta gate exhausts unless the flag lets them count as nonempty.
+    base = [command, "--map", PERTURBED, "--m", "2", *extra]
+    assert main(base + ["--out", str(tmp_path / "strict")]) == 3
+    out = tmp_path / "allowed"
+    assert main(base + ["--allow-uncertain", "--out", str(out)]) == 0
+    assert main(["verify", str(out / artifact), "--out", str(tmp_path / "v")]) == 0
+
+
 def test_subdivide_reports_mesh(tmp_path):
     out = tmp_path / "s"
     rc = main(["subdivide", "--n", "2", "--m", "5", "--out", str(out)])
@@ -270,14 +298,6 @@ def test_verify_rejects_unrecognized_artifact(tmp_path, capsys):
     rc = main(["verify", str(gen / "orbit.json"), "--out", str(tmp_path / "v")])
     assert rc == 4
     assert "unrecognized artifact" in capsys.readouterr().err
-
-
-def test_workers_flag_recorded_not_required(tmp_path):
-    out = tmp_path / "w"
-    rc = main(["subdivide", "--n", "2", "--m", "3", "--workers", "4",
-               "--out", str(out)])
-    assert rc == 0
-    assert run_json(out / "subdivision.json")["config"]["workers"] == 4
 
 
 def test_module_entry_point_runs():

@@ -7,7 +7,6 @@ import pytest
 from cubeshadow.covering import (
     ChainedCertificate,
     CoveringCertificate,
-    CoveringConfig,
     FailureReport,
     Inconclusive,
     Rectangle,
@@ -149,7 +148,6 @@ def test_cat_chained_m3():
     g = build_graph(CAT, s)
     res = certify_chained(CAT, s, g)
     assert isinstance(res, ChainedCertificate)
-    assert res.policy == "anchored"
     assert len(res.certificates) == 256          # 4 interior edges per cube
     assert len(res.excluded_boundary) == 512     # 8 corner-touch edges per cube
     assert set(res.certificates) | set(res.excluded_boundary) == set(g.witnesses)
@@ -167,18 +165,6 @@ def test_cat_chained_certificates_reverify():
     for _pair, cert in sorted(res.certificates.items())[::16]:
         assert verify_certificate(CAT, cert)
     json.dumps(res.to_json())
-
-
-def test_centered_policy_cannot_chain_cat():
-    # Per-cube rectangles centered in their cubes cannot absorb the
-    # half-cube-scale offsets of the cat map's images; the report says so
-    # instead of a weaker certificate being invented.
-    s = make_subdivision(2, 2, Space.TORUS)
-    g = build_graph(CAT, s)
-    res = certify_chained(CAT, s, g, CoveringConfig(policy="centered", depth=3))
-    assert isinstance(res, FailureReport)
-    assert res.certified < res.total_edges
-    assert res.failures
 
 
 @pytest.mark.parametrize("desc", ["identity", "translation [0.25,0.5]"])

@@ -1,10 +1,11 @@
+import hashlib
 import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cubeshadow.covering import certify_chained
+from cubeshadow.covering import CoveringConfig, certify_chained
 from cubeshadow.dynamics import Direction, builtin_map, eval_point, identity_map
 from cubeshadow.errors import (
     BrokenChainError,
@@ -15,6 +16,7 @@ from cubeshadow.exact import exact_step
 from cubeshadow.geometry import Space, cube_of_point, make_subdivision
 from cubeshadow.shadowing import (
     Drift,
+    Itinerary,
     RoundToGrid,
     UniformNoise,
     generate_pseudo_orbit,
@@ -296,3 +298,88 @@ def test_orbit_csv_profiles_every_time():
     assert lines[0] == "k,y_1,y_2,x_1,x_2,err"
     assert len(lines) == 22
     assert lines[1].startswith("-10,")
+
+
+# The digests below were captured from the implementation that walked
+# exact orbits with separate helpers per caller; they pin the exact path.
+
+def test_exact_shadow_artifacts_are_pinned():
+    p = noisy_orbit()
+    res = shadow(CAT, p, CERT3, eps=0.01, g=G3)
+    csv_text = orbit_csv(CAT, p, res)
+    body = json.dumps(res.to_json(), sort_keys=True)
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "7d657438d73e38fd16314ec482fe2181d40076f4e547541b767ae87bf2933c06"
+    )
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "db303aec84284fe29aff9da77b6d540c4870de55fada5cc1deca1bfca31c8047"
+    )
+
+
+# --- the float path (trigonometric kinds) ------------------------------------
+
+PERTURBED = builtin_map("perturbed [[2,1],[1,1]] eta=0.001 freq=1")
+
+
+@pytest.fixture(scope="module")
+def perturbed_m2():
+    # m=2 leaves uncertain edges; certify through them and hand shadow an
+    # explicit itinerary so the run reaches the float bisection and Newton.
+    s = make_subdivision(2, 2, Space.TORUS)
+    g = build_graph(PERTURBED, s)
+    cert = certify_chained(PERTURBED, s, g, CoveringConfig(allow_uncertain=True))
+    return s, g, cert
+
+
+def _explicit_itinerary(s, p):
+    return Itinerary(
+        tuple(s.flat_index(cube_of_point(s, y).index) for y in p.points),
+        s, lo=p.lo, periodic=p.periodic,
+    )
+
+
+def _float_walk(f, x, steps):
+    out = [np.asarray(x, dtype=float)]
+    for _ in range(steps):
+        out.append(eval_point(f, Direction.FORWARD, out[-1]))
+    return out
+
+
+def _csv_columns(text, n):
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    xs = [[float(v) for v in row[1 + n : 1 + 2 * n]] for row in rows]
+    errs = [float(row[-1]) for row in rows]
+    return xs, errs
+
+
+def test_float_shadow_csv_matches_a_stepwise_walk(perturbed_m2):
+    s, g, cert = perturbed_m2
+    p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 20, UniformNoise(3))
+    res = shadow(PERTURBED, p, cert, 0.354, g=g, itin=_explicit_itinerary(s, p))
+    assert not res.exact
+    rep = verify_shadow(PERTURBED, res.point, p, 0.354)
+    assert rep.ok and rep.max_err == res.eps_achieved
+    xs, errs = _csv_columns(orbit_csv(PERTURBED, p, res), 2)
+    walk = _float_walk(PERTURBED, res.point, p.hi - p.lo)
+    assert xs == [list(w) for w in walk]
+    assert errs == list(rep.errors)
+
+
+@pytest.mark.parametrize(
+    "cycle", [[(0.0, 0.0)], [(0.2, 0.4), (0.8, 0.6)]], ids=["fixed", "two-cycle"]
+)
+def test_float_periodic_shadow_closes_the_cycle(perturbed_m2, cycle):
+    s, g, cert = perturbed_m2
+    p = pseudo_orbit(PERTURBED, cycle, 0.01, periodic=len(cycle))
+    res = periodic_shadow(
+        PERTURBED, p, cert, 0.354, g=g, itin=_explicit_itinerary(s, p)
+    )
+    assert not res.exact and res.minimal_period is None
+    walk = _float_walk(PERTURBED, res.point, len(cycle))
+    gap = (walk[-1] - walk[0] + 0.5) % 1.0 - 0.5
+    assert float(np.linalg.norm(gap)) <= 1e-9
+    rep = verify_shadow(PERTURBED, res.point, p, 0.354)
+    assert rep.max_err == res.eps_achieved
+    xs, errs = _csv_columns(orbit_csv(PERTURBED, p, res), 2)
+    assert xs == [list(w) for w in walk[:-1]]
+    assert errs == list(rep.errors)
