@@ -424,6 +424,10 @@ def verify_certificate(
 
 # --- chained certification --------------------------------------------------
 
+# Rectangles are always anchored on edge witnesses; certificates and failure
+# reports still name the placement so their artifact format is unchanged.
+_POLICY = "anchored"
+
 
 @dataclass(frozen=True)
 class ChainedCertificate:
@@ -452,6 +456,7 @@ class ChainedCertificate:
         return {
             "map_id": self.map_id,
             "subdivision": self.subdivision.to_json(),
+            "policy": _POLICY,
             "certificates": {
                 f"{i},{j}": c.to_json() for (i, j), c in sorted(self.certificates.items())
             },
@@ -471,6 +476,7 @@ class FailureReport:
     def to_json(self) -> dict:
         return {
             "map_id": self.map_id,
+            "policy": _POLICY,
             "total_edges": self.total_edges,
             "certified": self.certified,
             "failures": [list(f) for f in self.failures],

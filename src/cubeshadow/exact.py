@@ -72,11 +72,6 @@ def fraction_inverse(m: FracMat) -> FracMat:
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def fraction_solve(m: FracMat, rhs: FracVec) -> FracVec:
-    """Exact solution x of m x = rhs."""
-    return _mat_vec(fraction_inverse(m), rhs)
-
-
 def torus_reduce(v: FracVec) -> FracVec:
     return tuple(x - math.floor(x) for x in v)
 
@@ -129,7 +124,7 @@ class ExactAffine:
         eye_minus = tuple(
             tuple(a - b for a, b in zip(e, row)) for e, row in zip(eye, self.matrix)
         )
-        return fraction_solve(eye_minus, self.offset)
+        return _mat_vec(fraction_inverse(eye_minus), self.offset)
 
 
 def exact_step(f: MapSpec, direction: Direction = Direction.FORWARD) -> ExactAffine:

@@ -44,7 +44,6 @@ from .exact import (
     exact_step,
     frac,
     frac_vec,
-    fraction_solve,
     minimal_period,
     nearest_lift,
     supports_exact,
@@ -874,8 +873,9 @@ def _bvp_point(f: MapSpec, p: PseudoOrbit, shifts) -> tuple[Fraction, ...]:
         rows.append(tuple(sum(a * b for a, b in zip(w, col)) for col in zip(*end.matrix)))
         y = frac_vec(p.point(k))
         rhs.append(sum(a * (b - c) for a, b, c in zip(w, y, end.offset)))
+    system = ExactAffine(tuple(rows), (Fraction(0),) * 2, wrap=False)
     try:
-        return fraction_solve(tuple(rows), tuple(rhs))
+        return system.inverse().apply(tuple(rhs))
     except NotInvertibleError:
         raise NotHyperbolicError("boundary-value system is singular") from None
 

@@ -16,7 +16,6 @@ from cubeshadow.exact import exact_step
 from cubeshadow.geometry import Space, cube_of_point, make_subdivision
 from cubeshadow.shadowing import (
     Drift,
-    Itinerary,
     RoundToGrid,
     UniformNoise,
     generate_pseudo_orbit,
@@ -323,19 +322,12 @@ PERTURBED = builtin_map("perturbed [[2,1],[1,1]] eta=0.001 freq=1")
 
 @pytest.fixture(scope="module")
 def perturbed_m2():
-    # m=2 leaves uncertain edges; certify through them and hand shadow an
-    # explicit itinerary so the run reaches the float bisection and Newton.
+    # m=2 leaves uncertain edges; certify through them so the run reaches
+    # the float bisection and Newton.
     s = make_subdivision(2, 2, Space.TORUS)
     g = build_graph(PERTURBED, s)
     cert = certify_chained(PERTURBED, s, g, CoveringConfig(allow_uncertain=True))
     return s, g, cert
-
-
-def _explicit_itinerary(s, p):
-    return Itinerary(
-        tuple(s.flat_index(cube_of_point(s, y).index) for y in p.points),
-        s, lo=p.lo, periodic=p.periodic,
-    )
 
 
 def _float_walk(f, x, steps):
@@ -355,7 +347,8 @@ def _csv_columns(text, n):
 def test_float_shadow_csv_matches_a_stepwise_walk(perturbed_m2):
     s, g, cert = perturbed_m2
     p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 20, UniformNoise(3))
-    res = shadow(PERTURBED, p, cert, 0.354, g=g, itin=_explicit_itinerary(s, p))
+    itin = itinerary(p, s, g, allow_uncertain=True)
+    res = shadow(PERTURBED, p, cert, 0.354, g=g, itin=itin)
     assert not res.exact
     rep = verify_shadow(PERTURBED, res.point, p, 0.354)
     assert rep.ok and rep.max_err == res.eps_achieved
@@ -370,10 +363,11 @@ def test_float_shadow_csv_matches_a_stepwise_walk(perturbed_m2):
 )
 def test_float_periodic_shadow_closes_the_cycle(perturbed_m2, cycle):
     s, g, cert = perturbed_m2
-    p = pseudo_orbit(PERTURBED, cycle, 0.01, periodic=len(cycle))
-    res = periodic_shadow(
-        PERTURBED, p, cert, 0.354, g=g, itin=_explicit_itinerary(s, p)
-    )
+    # The two-cycle's defect exceeds the m=2 separation bound, so the cycle
+    # declares its cubes and itinerary() checks membership instead.
+    cubes = [s.flat_index(cube_of_point(s, y).index) for y in cycle]
+    p = pseudo_orbit(PERTURBED, cycle, 0.01, periodic=len(cycle), known_itinerary=cubes)
+    res = periodic_shadow(PERTURBED, p, cert, 0.354, g=g, itin=itinerary(p, s, g))
     assert not res.exact and res.minimal_period is None
     walk = _float_walk(PERTURBED, res.point, len(cycle))
     gap = (walk[-1] - walk[0] + 0.5) % 1.0 - 0.5
