@@ -7,6 +7,8 @@ point, so the nudges only matter for genuinely inexact quantities; they are
 one-sided, hence always conservative.
 """
 
+import math
+
 import numpy as np
 
 # Outward inflation applied after inexact arithmetic, in units in the last place.
@@ -36,6 +38,14 @@ def widen(lo, hi, ulps=NUDGE_ULPS):
     return nudge_down(lo, ulps), nudge_up(hi, ulps)
 
 
+def widen_float(lo: float, hi: float, ulps=NUDGE_ULPS) -> tuple[float, float]:
+    """widen for one scalar interval, in Python floats."""
+    for _ in range(ulps):
+        lo = math.nextafter(lo, -math.inf)
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
 def mat_interval(mat, lo, hi):
     """Enclosure of {M x : x in [lo, hi]} as (lo', hi'), outward rounded.
 
@@ -44,11 +54,14 @@ def mat_interval(mat, lo, hi):
     dyadics, outward-nudged otherwise.
     """
     m = np.asarray(mat, dtype=float)
-    pos = np.clip(m, 0.0, None)
-    neg = np.clip(m, None, 0.0)
-    out_lo = pos @ np.asarray(lo, float) + neg @ np.asarray(hi, float)
-    out_hi = pos @ np.asarray(hi, float) + neg @ np.asarray(lo, float)
-    return widen(out_lo, out_hi)
+    return signed_interval(np.clip(m, 0.0, None), np.clip(m, None, 0.0), lo, hi)
+
+
+def signed_interval(pos, neg, lo, hi):
+    """mat_interval for M given as its positive and negative parts."""
+    lo = np.asarray(lo, float)
+    hi = np.asarray(hi, float)
+    return widen(pos @ lo + neg @ hi, pos @ hi + neg @ lo)
 
 
 def sin_range(lo, hi):
@@ -66,4 +79,5 @@ def sin_range(lo, hi):
     k_lo = np.ceil((lo + np.pi / 2.0) / _TWO_PI)
     if -np.pi / 2.0 + _TWO_PI * k_lo <= hi:
         s_lo = -1.0
-    return max(-1.0, float(nudge_down(s_lo))), min(1.0, float(nudge_up(s_hi)))
+    s_lo, s_hi = widen_float(s_lo, s_hi)
+    return max(-1.0, s_lo), min(1.0, s_hi)

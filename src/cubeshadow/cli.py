@@ -461,10 +461,7 @@ def _closed_cycle(f: MapSpec, x0: tuple, period: int) -> list[tuple]:
 
 def _noisy_cycle(f: MapSpec, cycle: list[tuple], delta: float, seed: int) -> PseudoOrbit:
     """Perturb a true cycle into a periodic delta-pseudo-orbit."""
-    if f.matrix is not None:
-        stretch = float(np.linalg.norm(f.matrix_arr, 2))
-    else:
-        stretch = 1.0
+    stretch = float(np.linalg.norm(f.matrix_arr, 2))
     amp = 0.45 * delta / (stretch + 1.0)
     rng = np.random.default_rng(seed)
     noisy = []

@@ -25,9 +25,9 @@ from ._intervals import mat_interval, widen
 from .dynamics import (
     Direction,
     MapSpec,
-    _eval_raw,
     eval_box,
     jacobian,
+    lift_points,
     linear_part,
     residual_range,
 )
@@ -254,7 +254,7 @@ class _ChartImages:
         self.mat = self.fd @ a @ self.fs.T
         c_src = np.array(src.center)
         c_dst = np.array(dst.center)
-        raw_center = _eval_raw(f, Direction.FORWARD, c_src)
+        raw_center = lift_points(f, Direction.FORWARD, c_src[None, :])[0]
         if f.space is Space.TORUS:
             self.shift = np.round(raw_center - c_dst)
         else:

@@ -6,10 +6,11 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
-from ._intervals import mat_interval, sin_range, widen
+from ._intervals import NUDGE_ULPS, signed_interval, sin_range, widen, widen_float
 from .errors import InvalidMapError, NotInvertibleError
 from .geometry import Box, Lift, Space, parse_space
 
@@ -32,37 +33,39 @@ class Direction(str, Enum):
 
 @dataclass(frozen=True)
 class MapSpec:
-    """Immutable description of one builtin map.
+    """Immutable description of one builtin map f(x) = A x + b + r(x).
 
     Parameter fields are stored as tuples so specs hash and compare by value;
-    evaluators convert to arrays on use.
+    every kind carries its matrix A and offset b (zero when absent), and the
+    evaluators read the float arrays derived once in ``map_parts``.
     """
 
     kind: MapKind
     n: int
     space: Space
-    invertible: bool
-    matrix: tuple[tuple[float, ...], ...] | None = None
+    matrix: tuple[tuple[float, ...], ...]
+    offset: tuple[float, ...]
     inverse_matrix: tuple[tuple[float, ...], ...] | None = None
-    offset: tuple[float, ...] | None = None
     kappa: float = 0.0
     eta: float = 0.0
     freq: int = 1
     descriptor: str = ""
 
     @property
+    def invertible(self) -> bool:
+        return self.inverse_matrix is not None
+
+    @property
     def matrix_arr(self) -> np.ndarray:
         return np.array(self.matrix, dtype=float)
 
     @property
-    def inverse_matrix_arr(self) -> np.ndarray:
-        return np.array(self.inverse_matrix, dtype=float)
-
-    @property
     def offset_arr(self) -> np.ndarray:
-        if self.offset is None:
-            return np.zeros(self.n)
         return np.array(self.offset, dtype=float)
+
+    @cached_property
+    def _parts(self) -> dict[Direction, MapParts]:
+        return _derive_parts(self)
 
     def to_json(self) -> dict:
         return {
@@ -104,12 +107,18 @@ def _freeze(matrix) -> tuple[tuple[float, ...], ...]:
     return tuple(tuple(float(v) for v in row) for row in matrix)
 
 
+def _eye(n: int) -> tuple[tuple[float, ...], ...]:
+    return _freeze(np.eye(n))
+
+
 def identity_map(n: int = 2, space: Space = Space.TORUS) -> MapSpec:
     return MapSpec(
         kind=MapKind.IDENTITY,
         n=n,
         space=space,
-        invertible=True,
+        matrix=_eye(n),
+        offset=(0.0,) * n,
+        inverse_matrix=_eye(n),
         descriptor=f"identity n={n}",
     )
 
@@ -120,8 +129,9 @@ def translation_map(vector, space: Space = Space.TORUS) -> MapSpec:
         kind=MapKind.TRANSLATION,
         n=len(vec),
         space=space,
-        invertible=True,
+        matrix=_eye(len(vec)),
         offset=vec,
+        inverse_matrix=_eye(len(vec)),
         descriptor="translation " + _fmt_vector(vec),
     )
 
@@ -141,8 +151,8 @@ def toral_map(matrix, space: Space = Space.TORUS) -> MapSpec:
         kind=MapKind.TORAL,
         n=n,
         space=space,
-        invertible=True,
         matrix=_freeze(rows),
+        offset=(0.0,) * n,
         inverse_matrix=_freeze(inv),
         descriptor="toral " + _fmt_matrix(rows),
     )
@@ -157,17 +167,15 @@ def affine_map(matrix, offset=None, space: Space = Space.CUBE) -> MapSpec:
     if len(off) != n:
         raise InvalidMapError("affine offset dimension mismatch")
     det = np.linalg.det(mat)
-    invertible = abs(det) > 1e-12
-    inv = _freeze(np.linalg.inv(mat)) if invertible else None
+    inv = _freeze(np.linalg.inv(mat)) if abs(det) > 1e-12 else None
     desc = "affine " + _fmt_matrix(mat) + " offset=" + _fmt_vector(off)
     return MapSpec(
         kind=MapKind.AFFINE,
         n=n,
         space=space,
-        invertible=invertible,
         matrix=_freeze(mat),
-        inverse_matrix=inv,
         offset=off,
+        inverse_matrix=inv,
         descriptor=desc,
     )
 
@@ -177,8 +185,8 @@ def standard_map(kappa: float, space: Space = Space.TORUS) -> MapSpec:
         kind=MapKind.STANDARD,
         n=2,
         space=space,
-        invertible=True,
         matrix=((1.0, 1.0), (0.0, 1.0)),
+        offset=(0.0, 0.0),
         inverse_matrix=((1.0, -1.0), (0.0, 1.0)),
         kappa=float(kappa),
         descriptor=f"standard K={float(kappa)!r}",
@@ -201,8 +209,8 @@ def perturbed_map(
         kind=MapKind.PERTURBED,
         n=len(rows),
         space=space,
-        invertible=False,
         matrix=_freeze(rows),
+        offset=(0.0,) * len(rows),
         eta=float(eta),
         freq=int(freq),
         descriptor=desc,
@@ -300,38 +308,129 @@ def builtin_map(descriptor: str, space: Space | str = Space.TORUS) -> MapSpec:
     return built
 
 
-def _shear_term(f: MapSpec, x: np.ndarray) -> np.ndarray:
-    return (f.kappa / TWO_PI) * np.sin(TWO_PI * x)
+@dataclass(frozen=True)
+class SineResidual:
+    """The nonlinear term r(v)_d = coef_d * sin(angular * v[src_d]).
+
+    ``slope`` bounds every partial derivative of every component of r;
+    ``ulps`` outward nudges are applied to each term of its range.
+    """
+
+    coef: tuple[float, ...]
+    src: tuple[int, ...]
+    angular: float
+    slope: float
+    ulps: int
+
+    @cached_property
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.coef), np.array(self.src)
+
+    def at(self, v: np.ndarray) -> np.ndarray:
+        """r at every row of a (k, n) batch."""
+        coef, src = self._columns
+        return coef * np.sin(self.angular * v[:, src])
+
+    def over(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Componentwise range of r over the box [lo, hi]."""
+        r_lo = np.zeros(len(self.coef))
+        r_hi = np.zeros(len(self.coef))
+        ranges: dict[int, tuple[float, float]] = {}
+        for d, (c, s) in enumerate(zip(self.coef, self.src)):
+            if c == 0.0:
+                continue
+            if s not in ranges:
+                ranges[s] = sin_range(self.angular * lo[s], self.angular * hi[s])
+            s_lo, s_hi = ranges[s]
+            term = (c * s_lo, c * s_hi) if c >= 0 else (c * s_hi, c * s_lo)
+            r_lo[d], r_hi[d] = widen_float(*term, self.ulps)
+        return r_lo, r_hi
 
 
-def _eval_raw(f: MapSpec, direction: Direction, p: np.ndarray) -> np.ndarray:
-    """Evaluate without reducing mod 1; callers wrap for Torus."""
+@dataclass(frozen=True, eq=False)
+class MapParts:
+    """One direction of a map as A x + b + r(.), in read-only arrays.
+
+    The forward residual reads the input x; the inverse residual reads the
+    affine image u = A^-1 (y - b), so the inverse is u + r(u).  ``pos`` and
+    ``neg`` split A by sign for interval products.
+    """
+
+    a: np.ndarray
+    b: np.ndarray
+    pos: np.ndarray
+    neg: np.ndarray
+    residual: SineResidual | None
+
+
+def _parts(a, b, residual: SineResidual | None) -> MapParts:
+    arrays = [np.array(a, dtype=float), np.array(b, dtype=float)]
+    arrays += [np.clip(arrays[0], 0.0, None), np.clip(arrays[0], None, 0.0)]
+    for arr in arrays:
+        arr.flags.writeable = False
+    return MapParts(*arrays, residual)
+
+
+def _derive_parts(f: MapSpec) -> dict[Direction, MapParts]:
+    forward_r = inverse_r = None
+    if f.kind is MapKind.STANDARD:
+        # x' = x + y + s(x), y' = y + s(x); the inverse is u = (x - y, y)
+        # followed by y -= s(u_0).
+        c = f.kappa / TWO_PI
+        slope = abs(f.kappa)
+        forward_r = SineResidual((c, c), (0, 0), TWO_PI, slope, NUDGE_ULPS)
+        inverse_r = SineResidual((0.0, -c), (0, 0), TWO_PI, slope, NUDGE_ULPS)
+    elif f.kind is MapKind.PERTURBED:
+        # Component d is perturbed by the cyclically previous coordinate.
+        # Its range goes unnudged into the final widening of eval_box, as
+        # the perturbed maps' stored enclosures always have.
+        forward_r = SineResidual(
+            (f.eta,) * f.n,
+            tuple((d - 1) % f.n for d in range(f.n)),
+            TWO_PI * f.freq,
+            abs(f.eta) * TWO_PI * f.freq,
+            0,
+        )
+    parts = {Direction.FORWARD: _parts(f.matrix, f.offset, forward_r)}
+    if f.invertible:
+        inv = np.array(f.inverse_matrix, dtype=float)
+        parts[Direction.INVERSE] = _parts(inv, -(inv @ f.offset_arr), inverse_r)
+    return parts
+
+
+def map_parts(f: MapSpec, direction: Direction = Direction.FORWARD) -> MapParts:
+    """The cached parts of f (or of its inverse)."""
     if direction is Direction.INVERSE and not f.invertible:
         raise NotInvertibleError(f"{f.descriptor or f.kind.value} has no inverse")
-    if f.kind is MapKind.IDENTITY:
-        return p.copy()
-    if f.kind is MapKind.TRANSLATION:
-        sign = 1.0 if direction is Direction.FORWARD else -1.0
-        return p + sign * f.offset_arr
-    if f.kind in (MapKind.TORAL, MapKind.AFFINE):
-        if direction is Direction.FORWARD:
-            return f.matrix_arr @ p + f.offset_arr
-        return f.inverse_matrix_arr @ (p - f.offset_arr)
-    if f.kind is MapKind.STANDARD:
-        x, y = p
-        if direction is Direction.FORWARD:
-            s = float(_shear_term(f, np.array(x)))
-            return np.array([x + y + s, y + s])
-        # x' = x + y + s(x), y' = y + s(x) inverts in closed form.
-        x0 = x - y
-        s = float(_shear_term(f, np.array(x0)))
-        return np.array([x0, y - s])
-    if f.kind is MapKind.PERTURBED:
-        # Component d is perturbed by the cyclically previous coordinate, so
-        # the leading component reads the last one.
-        wave = f.eta * np.sin(TWO_PI * f.freq * np.roll(p, 1))
-        return f.matrix_arr @ p + wave
-    raise InvalidMapError(f"unhandled map kind {f.kind}")
+    return f._parts[direction]
+
+
+def wrap_points(space: Space, q: np.ndarray) -> np.ndarray:
+    """Reduce a batch mod 1 into [0, 1) on the torus; the cube is left alone."""
+    if space is Space.TORUS:
+        q = q - np.floor(q)
+        q[q == 1.0] = 0.0
+    return q
+
+
+def lift_points(f: MapSpec, direction: Direction, points) -> np.ndarray:
+    """Images of a (k, n) batch under f or its inverse, not reduced mod 1.
+
+    A x is summed column by column rather than by a matrix product, so
+    the bits of each row do not depend on how many rows are evaluated.
+    """
+    parts = map_parts(f, direction)
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] != f.n:
+        raise InvalidMapError(f"batch has shape {x.shape}, expected (k, {f.n})")
+    a = parts.a
+    y = x[:, :1] * a[:, 0]
+    for j in range(1, f.n):
+        y = y + x[:, j : j + 1] * a[:, j]
+    y = y + parts.b
+    if parts.residual is not None:
+        y = y + parts.residual.at(y if direction is Direction.INVERSE else x)
+    return y
 
 
 def eval_point(f: MapSpec, direction: Direction, point) -> np.ndarray:
@@ -339,18 +438,28 @@ def eval_point(f: MapSpec, direction: Direction, point) -> np.ndarray:
     p = np.asarray(point, dtype=float)
     if p.shape != (f.n,):
         raise InvalidMapError(f"point has shape {p.shape}, map expects ({f.n},)")
-    q = _eval_raw(f, direction, p)
-    if f.space is Space.TORUS:
-        q = q - np.floor(q)
-        q[q == 1.0] = 0.0
-    return q
+    return wrap_points(f.space, lift_points(f, direction, p[None, :]))[0]
 
 
-def _interval_shear(f: MapSpec, xlo: float, xhi: float) -> tuple[float, float]:
-    slo, shi = sin_range(TWO_PI * xlo, TWO_PI * xhi)
-    c = f.kappa / TWO_PI
-    lo, hi = (c * slo, c * shi) if c >= 0 else (c * shi, c * slo)
-    return widen(lo, hi)
+def eval_points(f: MapSpec, points: np.ndarray) -> np.ndarray:
+    """Forward-evaluate a (k, n) batch of points, reduced mod 1 on the torus."""
+    return wrap_points(f.space, lift_points(f, Direction.FORWARD, points))
+
+
+def _affine_box(parts: MapParts, lo: np.ndarray, hi: np.ndarray):
+    out_lo, out_hi = signed_interval(parts.pos, parts.neg, lo, hi)
+    return out_lo + parts.b, out_hi + parts.b
+
+
+def _residual_box(parts: MapParts, direction: Direction, lo, hi):
+    """Range of r over the box [lo, hi]; the inverse's r reads the affine image.
+
+    Only the shear has an inverse residual, and its b is zero, so the
+    image it reads is outward-rounded.
+    """
+    if direction is Direction.INVERSE:
+        lo, hi = _affine_box(parts, lo, hi)
+    return parts.residual.over(lo, hi)
 
 
 def eval_box(f: MapSpec, direction: Direction, box: Box) -> Lift:
@@ -359,88 +468,20 @@ def eval_box(f: MapSpec, direction: Direction, box: Box) -> Lift:
     Torus wrapping is deliberately left to the caller (``split_lift``) so the
     enclosure itself stays tight.
     """
-    if direction is Direction.INVERSE and not f.invertible:
-        raise NotInvertibleError(f"{f.descriptor or f.kind.value} has no inverse")
+    parts = map_parts(f, direction)
     lo, hi = box.lo_arr, box.hi_arr
-    if f.kind is MapKind.IDENTITY:
-        out_lo, out_hi = lo.copy(), hi.copy()
-    elif f.kind is MapKind.TRANSLATION:
-        sign = 1.0 if direction is Direction.FORWARD else -1.0
-        out_lo, out_hi = widen(lo + sign * f.offset_arr, hi + sign * f.offset_arr)
-    elif f.kind in (MapKind.TORAL, MapKind.AFFINE):
-        if direction is Direction.FORWARD:
-            out_lo, out_hi = mat_interval(f.matrix_arr, lo, hi)
-            out_lo, out_hi = widen(out_lo + f.offset_arr, out_hi + f.offset_arr)
-        else:
-            out_lo, out_hi = widen(lo - f.offset_arr, hi - f.offset_arr)
-            out_lo, out_hi = mat_interval(f.inverse_matrix_arr, out_lo, out_hi)
-    elif f.kind is MapKind.STANDARD:
-        if direction is Direction.FORWARD:
-            slo, shi = _interval_shear(f, lo[0], hi[0])
-            out_lo = np.array([lo[0] + lo[1] + slo, lo[1] + slo])
-            out_hi = np.array([hi[0] + hi[1] + shi, hi[1] + shi])
-        else:
-            xlo, xhi = widen(lo[0] - hi[1], hi[0] - lo[1])
-            slo, shi = _interval_shear(f, xlo, xhi)
-            out_lo = np.array([xlo, lo[1] - shi])
-            out_hi = np.array([xhi, hi[1] - slo])
-        out_lo, out_hi = widen(out_lo, out_hi)
-    elif f.kind is MapKind.PERTURBED:
-        out_lo, out_hi = mat_interval(f.matrix_arr, lo, hi)
-        wave_lo = np.empty(f.n)
-        wave_hi = np.empty(f.n)
-        for d in range(f.n):
-            src = (d - 1) % f.n
-            slo, shi = sin_range(TWO_PI * f.freq * lo[src], TWO_PI * f.freq * hi[src])
-            wave_lo[d], wave_hi[d] = f.eta * slo, f.eta * shi
-        out_lo, out_hi = widen(out_lo + wave_lo, out_hi + wave_hi)
-    else:
-        raise InvalidMapError(f"unhandled map kind {f.kind}")
+    out_lo, out_hi = _affine_box(parts, lo, hi)
+    if parts.residual is not None:
+        r_lo, r_hi = _residual_box(parts, direction, lo, hi)
+        out_lo, out_hi = out_lo + r_lo, out_hi + r_hi
+    out_lo, out_hi = widen(out_lo, out_hi)
     return Lift(tuple(out_lo), tuple(out_hi), f.space)
-
-
-def eval_points(f: MapSpec, points: np.ndarray) -> np.ndarray:
-    """Forward-evaluate a (k, n) batch of points, reduced mod 1 on the torus."""
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or p.shape[1] != f.n:
-        raise InvalidMapError(f"batch has shape {p.shape}, expected (k, {f.n})")
-    if f.kind is MapKind.IDENTITY:
-        q = p.copy()
-    elif f.kind is MapKind.TRANSLATION:
-        q = p + f.offset_arr
-    elif f.kind in (MapKind.TORAL, MapKind.AFFINE):
-        q = p @ f.matrix_arr.T + f.offset_arr
-    elif f.kind is MapKind.STANDARD:
-        s = (f.kappa / TWO_PI) * np.sin(TWO_PI * p[:, 0])
-        q = np.stack([p[:, 0] + p[:, 1] + s, p[:, 1] + s], axis=1)
-    elif f.kind is MapKind.PERTURBED:
-        wave = f.eta * np.sin(TWO_PI * f.freq * np.roll(p, 1, axis=1))
-        q = p @ f.matrix_arr.T + wave
-    else:
-        raise InvalidMapError(f"unhandled map kind {f.kind}")
-    if f.space is Space.TORUS:
-        q = q - np.floor(q)
-        q[q == 1.0] = 0.0
-    return q
 
 
 def linear_part(f: MapSpec, direction: Direction = Direction.FORWARD) -> tuple[np.ndarray, np.ndarray]:
     """Exact-in-floats linear skeleton (A, b) with f(x) = Ax + b + residual."""
-    if direction is Direction.INVERSE and not f.invertible:
-        raise NotInvertibleError(f"{f.descriptor or f.kind.value} has no inverse")
-    n = f.n
-    if f.kind is MapKind.IDENTITY:
-        return np.eye(n), np.zeros(n)
-    if f.kind is MapKind.TRANSLATION:
-        sign = 1.0 if direction is Direction.FORWARD else -1.0
-        return np.eye(n), sign * f.offset_arr
-    if f.kind in (MapKind.TORAL, MapKind.AFFINE, MapKind.STANDARD):
-        if direction is Direction.FORWARD:
-            return f.matrix_arr, f.offset_arr
-        return f.inverse_matrix_arr, -(f.inverse_matrix_arr @ f.offset_arr)
-    if f.kind is MapKind.PERTURBED:
-        return f.matrix_arr, np.zeros(n)
-    raise InvalidMapError(f"unhandled map kind {f.kind}")
+    parts = map_parts(f, direction)
+    return parts.a, parts.b
 
 
 def residual_range(
@@ -451,37 +492,15 @@ def residual_range(
     Zero for the exactly-affine kinds; a sine range for the shear and
     perturbation terms.
     """
-    n = f.n
-    if f.kind in (MapKind.IDENTITY, MapKind.TRANSLATION, MapKind.TORAL, MapKind.AFFINE):
-        return np.zeros(n), np.zeros(n)
-    if f.kind is MapKind.STANDARD:
-        if direction is Direction.FORWARD:
-            slo, shi = _interval_shear(f, lo[0], hi[0])
-            return np.array([slo, slo]), np.array([shi, shi])
-        xlo, xhi = widen(lo[0] - hi[1], hi[0] - lo[1])
-        slo, shi = _interval_shear(f, xlo, xhi)
-        return np.array([0.0, -shi]), np.array([0.0, -slo])
-    if f.kind is MapKind.PERTURBED:
-        if direction is Direction.INVERSE:
-            raise NotInvertibleError("perturbed maps have no inverse")
-        rlo = np.empty(n)
-        rhi = np.empty(n)
-        for d in range(n):
-            src = (d - 1) % n
-            slo, shi = sin_range(TWO_PI * f.freq * lo[src], TWO_PI * f.freq * hi[src])
-            rlo[d], rhi[d] = f.eta * slo, f.eta * shi
-        return rlo, rhi
-    raise InvalidMapError(f"unhandled map kind {f.kind}")
+    parts = map_parts(f, direction)
+    if parts.residual is None:
+        return np.zeros(f.n), np.zeros(f.n)
+    return _residual_box(parts, direction, lo, hi)
 
 
 def is_exactly_affine(f: MapSpec) -> bool:
     """True when the float evaluation of f is an exact affine map of its inputs."""
-    return f.kind in (
-        MapKind.IDENTITY,
-        MapKind.TRANSLATION,
-        MapKind.TORAL,
-        MapKind.AFFINE,
-    )
+    return map_parts(f).residual is None
 
 
 def jacobian(f: MapSpec, point, step: float = 1e-6) -> np.ndarray:
@@ -490,17 +509,13 @@ def jacobian(f: MapSpec, point, step: float = 1e-6) -> np.ndarray:
     Differences are taken on the un-wrapped evaluation, so points near the
     torus seam are safe.
     """
-    if is_exactly_affine(f):
-        return linear_part(f)[0]
+    parts = map_parts(f)
+    if parts.residual is None:
+        return parts.a
+    e = step * np.eye(f.n)
     p = np.asarray(point, dtype=float)
-    out = np.empty((f.n, f.n))
-    for j in range(f.n):
-        e = np.zeros(f.n)
-        e[j] = step
-        out[:, j] = (
-            _eval_raw(f, Direction.FORWARD, p + e) - _eval_raw(f, Direction.FORWARD, p - e)
-        ) / (2 * step)
-    return out
+    images = lift_points(f, Direction.FORWARD, np.concatenate([p + e, p - e]))
+    return (images[: f.n] - images[f.n :]).T / (2 * step)
 
 
 def map_from_json(data: dict) -> MapSpec:

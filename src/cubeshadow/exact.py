@@ -15,17 +15,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .dynamics import Direction, MapKind, MapSpec
+from .dynamics import Direction, MapSpec, is_exactly_affine
 from .errors import InvalidMapError, NotHyperbolicError, NotInvertibleError
-
-_EXACT_KINDS = (MapKind.IDENTITY, MapKind.TRANSLATION, MapKind.TORAL, MapKind.AFFINE)
 
 FracVec = tuple[Fraction, ...]
 FracMat = tuple[tuple[Fraction, ...], ...]
 
 
-def supports_exact(f: MapSpec) -> bool:
-    return f.kind in _EXACT_KINDS
+supports_exact = is_exactly_affine
 
 
 def frac(x) -> Fraction:
@@ -131,15 +128,8 @@ def exact_step(f: MapSpec, direction: Direction = Direction.FORWARD) -> ExactAff
     """The map (or its inverse) as one exact affine step."""
     if not supports_exact(f):
         raise InvalidMapError(f"map kind {f.kind.value!r} has no exact affine form")
-    wrap = f.space.value == "torus"
-    if f.kind is MapKind.IDENTITY:
-        return ExactAffine.identity(f.n, wrap)
-    if f.kind is MapKind.TRANSLATION:
-        step = ExactAffine(_identity_mat(f.n), frac_vec(f.offset), wrap)
-    else:
-        mat = tuple(tuple(Fraction(v) for v in row) for row in f.matrix)
-        off = frac_vec(f.offset) if f.offset is not None else (Fraction(0),) * f.n
-        step = ExactAffine(mat, off, wrap)
+    mat = tuple(tuple(Fraction(v) for v in row) for row in f.matrix)
+    step = ExactAffine(mat, frac_vec(f.offset), f.space.value == "torus")
     if direction is Direction.INVERSE:
         if not f.invertible:
             raise NotInvertibleError(f"{f.descriptor} has no inverse")
@@ -193,10 +183,7 @@ class EigenDirections:
 
 def eigen_directions(f: MapSpec, digits: int = 60) -> EigenDirections | None:
     """Expanding/contracting directions of a 2x2 exact map, or None."""
-    if not supports_exact(f) or f.n != 2 or f.kind in (
-        MapKind.IDENTITY,
-        MapKind.TRANSLATION,
-    ):
+    if not supports_exact(f) or f.n != 2:
         return None
     m = tuple(tuple(Fraction(v) for v in row) for row in f.matrix)
     tr = m[0][0] + m[1][1]

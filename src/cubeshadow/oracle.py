@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import TWO_PI, Direction, MapKind, MapSpec
+from .dynamics import Direction, MapSpec, eval_points, lift_points, map_parts, wrap_points
 from .errors import NotHyperbolicError
 from .geometry import Box, Space
 from .shadowing import PseudoOrbit
@@ -22,47 +22,11 @@ from .shadowing import PseudoOrbit
 _UNIT_GAP = 1e-9
 
 
-def _wrap(space: Space, pts: np.ndarray) -> np.ndarray:
-    if space is Space.TORUS:
-        pts = pts - np.floor(pts)
-        pts[pts == 1.0] = 0.0
-    return pts
-
-
 def _torus_diff(space: Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     d = a - b
     if space is Space.TORUS:
         d = d - np.rint(d)
     return d
-
-
-def _vector_eval(f: MapSpec, direction: Direction, pts: np.ndarray) -> np.ndarray:
-    """Apply f to every row of pts at once; mirrors the scalar evaluator."""
-    if f.kind is MapKind.IDENTITY:
-        out = pts.copy()
-    elif f.kind is MapKind.TRANSLATION:
-        sign = 1.0 if direction is Direction.FORWARD else -1.0
-        out = pts + sign * f.offset_arr
-    elif f.kind in (MapKind.TORAL, MapKind.AFFINE):
-        if direction is Direction.FORWARD:
-            out = pts @ f.matrix_arr.T + f.offset_arr
-        else:
-            out = (pts - f.offset_arr) @ f.inverse_matrix_arr.T
-    elif f.kind is MapKind.STANDARD:
-        x, y = pts[:, 0], pts[:, 1]
-        if direction is Direction.FORWARD:
-            s = (f.kappa / TWO_PI) * np.sin(TWO_PI * x)
-            out = np.stack([x + y + s, y + s], axis=1)
-        else:
-            x0 = x - y
-            s = (f.kappa / TWO_PI) * np.sin(TWO_PI * x0)
-            out = np.stack([x0, y - s], axis=1)
-    elif f.kind is MapKind.PERTURBED:
-        wave = f.eta * np.sin(TWO_PI * f.freq * np.roll(pts, 1, axis=1))
-        out = pts @ f.matrix_arr.T + wave
-    else:
-        raise NotHyperbolicError(f"unhandled map kind {f.kind}")
-    return _wrap(f.space, out)
 
 
 # --- eigen splitting ---------------------------------------------------------
@@ -106,8 +70,6 @@ class HyperbolicSplitting:
 
 def hyperbolic_splitting(f: MapSpec) -> HyperbolicSplitting:
     """Eigen split of f's linear part; NotHyperbolicError without one."""
-    if f.matrix is None:
-        raise NotHyperbolicError(f"{f.descriptor} has no linear part to split")
     mat = f.matrix_arr
     vals, vecs = np.linalg.eig(mat)
     if np.max(np.abs(vals.imag)) > 1e-12 * (1.0 + np.max(np.abs(vals.real))):
@@ -253,7 +215,7 @@ def linear_shadow(split: HyperbolicSplitting, p: PseudoOrbit) -> LinearShadow:
                 w[k + 1, i] = lam * w[k, i] - ec[k, i]
 
     wv = w @ basis.T
-    x = _wrap(p.space, y + wv)
+    x = wrap_points(p.space, y + wv)
 
     if p.periodic is not None or steps == 0:
         bound = 0.0
@@ -304,7 +266,7 @@ class FixedPointSearch:
 def _power_eval(f: MapSpec, pts: np.ndarray, period: int) -> np.ndarray:
     out = pts
     for _ in range(period):
-        out = _vector_eval(f, Direction.FORWARD, out)
+        out = eval_points(f, out)
     return out
 
 
@@ -315,14 +277,10 @@ def _period_residuals(f: MapSpec, pts: np.ndarray, period: int) -> np.ndarray:
 
 def _stretch_bound(f: MapSpec, period: int) -> float:
     """Crude Lipschitz-style bound on f^period for threshold scaling."""
-    if f.matrix is not None:
-        base = float(np.linalg.norm(f.matrix_arr, 2))
-    else:
-        base = 1.0
-    if f.kind is MapKind.STANDARD:
-        base += abs(f.kappa)
-    elif f.kind is MapKind.PERTURBED:
-        base += abs(f.eta) * TWO_PI * f.freq
+    parts = map_parts(f)
+    base = float(np.linalg.norm(parts.a, 2))
+    if parts.residual is not None:
+        base += parts.residual.slope
     return max(base, 1.0) ** period
 
 
@@ -397,7 +355,7 @@ def brute_force_fixed_points(
     polished = []
     for c in candidates:
         q = _polish(f, period, c, pitch)
-        q = _wrap(f.space, q.copy()) if f.space is Space.TORUS else q
+        q = wrap_points(f.space, q)
         # canonical representative: a zero that polished to 1 - tiny wraps home
         q = np.where(1.0 - q < 1e-7, 0.0, q)
         polished.append(q)
@@ -459,14 +417,14 @@ def brute_force_shadow(
         c - eps + 2.0 * eps * (np.arange(grid) + 0.5) / grid for c in y0
     ]
     cands = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    cands = _wrap(f.space, cands)
+    cands = wrap_points(f.space, cands)
 
     errs = np.linalg.norm(
         _torus_diff(p.space, cands, y0), axis=1
     )
     cur = cands
     for k in range(1, p.hi + 1):
-        cur = _vector_eval(f, Direction.FORWARD, cur)
+        cur = eval_points(f, cur)
         d = np.linalg.norm(
             _torus_diff(p.space, cur, np.asarray(p.point(k))), axis=1
         )
@@ -476,7 +434,7 @@ def brute_force_shadow(
         lo_used = p.lo
         cur = cands
         for k in range(-1, p.lo - 1, -1):
-            cur = _vector_eval(f, Direction.INVERSE, cur)
+            cur = wrap_points(f.space, lift_points(f, Direction.INVERSE, cur))
             d = np.linalg.norm(
                 _torus_diff(p.space, cur, np.asarray(p.point(k))), axis=1
             )

@@ -28,7 +28,17 @@ from .covering import (
     check_covering,
     expansion_frame,
 )
-from .dynamics import Direction, MapSpec, eval_box, eval_point, jacobian
+from .dynamics import (
+    Direction,
+    MapSpec,
+    eval_box,
+    eval_point,
+    eval_points,
+    jacobian,
+    lift_points,
+    map_parts,
+    wrap_points,
+)
 from .errors import (
     BrokenChainError,
     DeltaTooLargeError,
@@ -227,13 +237,6 @@ def _unit(direction) -> np.ndarray:
     return v / norm
 
 
-def _wrap(space: Space, q: np.ndarray) -> np.ndarray:
-    if space is Space.TORUS:
-        q = q - np.floor(q)
-        q[q == 1.0] = 0.0
-    return q
-
-
 def generate_pseudo_orbit(
     f: MapSpec,
     x0,
@@ -280,9 +283,9 @@ def generate_pseudo_orbit(
         if delta == 0.0:
             y = img
         elif isinstance(mode, RoundToGrid):
-            y = _wrap(f.space, snap(img))
+            y = wrap_points(f.space, snap(img))
         else:
-            y = _wrap(f.space, img + noise_vec())
+            y = wrap_points(f.space, img + noise_vec())
         forward.append(tuple(y))
 
     backward: list[tuple[float, ...]] = []
@@ -293,7 +296,7 @@ def generate_pseudo_orbit(
                 prev = snap(eval_point(f, Direction.INVERSE, y))
             else:
                 prev = eval_point(f, Direction.INVERSE, y - noise_vec())
-            prev = _wrap(f.space, np.asarray(prev, dtype=float))
+            prev = wrap_points(f.space, np.asarray(prev, dtype=float))
             backward.append(tuple(prev))
             y = prev
         backward.reverse()
@@ -361,19 +364,34 @@ def itinerary(
     if s.space is not p.space:
         raise ValueError("subdivision and pseudo-orbit live on different spaces")
     if p.known_itinerary is not None:
-        idx = p.known_itinerary
+        return _checked_itinerary(p, s, g, p.known_itinerary, declared=True)
+    bound = delta_bound(g, allow_uncertain=allow_uncertain)
+    if not p.delta < bound:
+        raise DeltaTooLargeError(
+            f"delta {p.delta} is not below the separation bound {bound}"
+        )
+    idx = tuple(_cube_index(s, y) for y in p.points)
+    return _checked_itinerary(p, s, g, idx, declared=False)
+
+
+def _checked_itinerary(
+    p: PseudoOrbit,
+    s: Subdivision,
+    g: TransitionGraph,
+    idx: tuple[int, ...],
+    declared: bool,
+) -> Itinerary:
+    """The itinerary idx of p once no step crosses a certified-empty edge.
+
+    Declared indices (a known itinerary or one a caller supplies) must
+    also name cubes that hold their points; BrokenChainError otherwise.
+    """
+    if declared:
         if len(idx) != len(p.points):
-            raise ValueError("known itinerary length mismatch")
+            raise ValueError("itinerary length mismatch")
         for j, (i, y) in enumerate(zip(idx, p.points)):
             if not s.box(i).contains_point(y, tol=1e-12):
                 raise BrokenChainError(f"point {j} is not in its declared cube {i}")
-    else:
-        bound = delta_bound(g, allow_uncertain=allow_uncertain)
-        if not p.delta < bound:
-            raise DeltaTooLargeError(
-                f"delta {p.delta} is not below the separation bound {bound}"
-            )
-        idx = tuple(_cube_index(s, y) for y in p.points)
     pairs = list(zip(idx, idx[1:]))
     if p.periodic is not None:
         pairs.append((idx[-1], idx[0]))
@@ -415,17 +433,21 @@ class StepChain:
         )
 
 
+def _steps(p: PseudoOrbit) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points y_k, y_{k+1} of every step (cyclic when periodic)."""
+    pts = np.asarray(p.points, dtype=float)
+    if p.periodic is not None:
+        return pts, np.roll(pts, -1, axis=0)
+    return pts[:-1], pts[1:]
+
+
 def _lifted_defects(f: MapSpec, p: PseudoOrbit) -> list[np.ndarray]:
     """Nearest-lift step errors f(y_k) - y_{k+1} (cyclic when periodic)."""
-    pts = [np.asarray(q, dtype=float) for q in p.points]
-    nxt = pts[1:] + ([pts[0]] if p.periodic is not None else [])
-    out = []
-    for a, b in zip(pts, nxt):
-        d = eval_point(f, Direction.FORWARD, a) - b
-        if p.space is Space.TORUS:
-            d = (d + 0.5) % 1.0 - 0.5
-        out.append(d)
-    return out
+    start, end = _steps(p)
+    d = eval_points(f, start) - end
+    if p.space is Space.TORUS:
+        d = (d + 0.5) % 1.0 - 0.5
+    return list(d)
 
 
 def _chain_half_widths(
@@ -524,13 +546,9 @@ def step_chain(
 
 def _make_stepper(f: MapSpec, direction: Direction):
     """Interval step (lo, hi) -> image (lo, hi); fast path for affine kinds."""
-    if f.matrix is not None and f.kind.value in ("toral", "affine"):
-        if direction is Direction.FORWARD:
-            mat, off = f.matrix_arr, f.offset_arr
-        else:
-            mat = f.inverse_matrix_arr
-            off = -(mat @ f.offset_arr)
-        pos, neg = np.maximum(mat, 0.0), np.minimum(mat, 0.0)
+    if supports_exact(f):
+        parts = map_parts(f, direction)
+        pos, neg, off = parts.pos, parts.neg, parts.b
 
         def step(lo: np.ndarray, hi: np.ndarray):
             return pos @ lo + neg @ hi + off, pos @ hi + neg @ lo + off
@@ -819,14 +837,10 @@ def _integer_shifts(f: MapSpec, p: PseudoOrbit) -> list[np.ndarray]:
     far below the rounding threshold of 1/2.  Cyclic orbits get the wrap
     step appended.
     """
-    steps = len(p.points) - 1 + (1 if p.periodic is not None else 0)
+    start, end = _steps(p)
     if p.space is not Space.TORUS:
-        return [np.zeros(p.n) for _ in range(steps)]
-    mat = f.matrix_arr if f.matrix is not None else np.eye(f.n)
-    off = f.offset_arr
-    pts = [np.asarray(q, dtype=float) for q in p.points]
-    nxt = pts[1:] + ([pts[0]] if p.periodic is not None else [])
-    return [np.round(mat @ a + off - b) for a, b in zip(pts, nxt)]
+        return list(np.zeros_like(start))
+    return list(np.round(lift_points(f, Direction.FORWARD, start) - end))
 
 
 def _lift_map(f: MapSpec, p: PseudoOrbit, shifts, a: int, b: int) -> ExactAffine:
@@ -1073,7 +1087,9 @@ def shadow(
     if g is None:
         g = build_graph(f, s)
     if itin is None:
-        itin = itinerary(p, s, g)
+        itinerary(p, s, g)
+    else:
+        _checked_itinerary(p, s, g, itin.indices, declared=True)
     step_chain(f, p, cfg)
     r = cfg.radius_factor * max(p.delta, cfg.delta_floor)
     cell_lo, cell_hi, splits = _bisect_cell(f, p, r, cfg, seed_box)
@@ -1092,7 +1108,7 @@ def shadow(
             x = torus_reduce(x)
         point: tuple = tuple(x)
     else:
-        point = tuple(_wrap(p.space, 0.5 * (cell_lo + cell_hi)).tolist())
+        point = tuple(wrap_points(p.space, 0.5 * (cell_lo + cell_hi)).tolist())
     eps_achieved = max(_window_errors(p, true_orbit(f, point, p.lo, p.hi)))
     if eps_achieved >= eps:
         raise NoSurvivingCellError(
@@ -1132,7 +1148,9 @@ def periodic_shadow(
     if g is None:
         g = build_graph(f, s)
     if itin is None:
-        itin = itinerary(p, s, g)
+        itinerary(p, s, g)
+    else:
+        _checked_itinerary(p, s, g, itin.indices, declared=True)
     step_chain(f, p, cfg)
     P = len(p.points)
     r = cfg.radius_factor * max(p.delta, cfg.delta_floor)
@@ -1168,7 +1186,7 @@ def periodic_shadow(
                 raise FixedPointTolUnreachedError(
                     "degenerate linearization of the period map"
                 ) from None
-            x = _wrap(p.space, x + dx)
+            x = wrap_points(p.space, x + dx)
         else:
             raise FixedPointTolUnreachedError(
                 f"Newton left residual above fp_tol {cfg.fp_tol}"

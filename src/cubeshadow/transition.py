@@ -311,9 +311,7 @@ def _equivariant_index_matrix(f: MapSpec, s: Subdivision) -> np.ndarray | None:
     """Integer index action when f commutes with grid translations exactly."""
     if s.space is not Space.TORUS:
         return None
-    if f.kind in (MapKind.IDENTITY, MapKind.TRANSLATION):
-        return np.eye(s.n, dtype=int)
-    if f.kind is MapKind.TORAL:
+    if f.kind in (MapKind.IDENTITY, MapKind.TRANSLATION, MapKind.TORAL):
         return np.array(f.matrix, dtype=int)
     return None
 

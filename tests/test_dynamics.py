@@ -11,6 +11,7 @@ from cubeshadow.dynamics import (
     builtin_map,
     eval_box,
     eval_point,
+    eval_points,
     identity_map,
     jacobian,
     linear_part,
@@ -133,20 +134,39 @@ def _sample_family():
     ]
 
 
+def _directions(f):
+    return list(Direction) if f.invertible else [Direction.FORWARD]
+
+
 def test_enclosure_soundness():
     rng = np.random.default_rng(17)
     for f in _sample_family():
-        for _ in range(1000 // 6 + 1):
-            lo = rng.random(2) * 0.7
-            box = Box(tuple(lo), tuple(lo + rng.random(2) * 0.3), f.space)
-            lift = eval_box(f, Direction.FORWARD, box)
-            p = box.lo_arr + rng.random(2) * (box.hi_arr - box.lo_arr)
-            q = eval_point(f, Direction.FORWARD, p)
-            assert any(b.contains_point(q) for b in split_lift(lift)), (
-                f.descriptor,
-                p,
-                q,
-            )
+        for direction in _directions(f):
+            for _ in range(1000 // 6 + 1):
+                lo = rng.random(2) * 0.7
+                box = Box(tuple(lo), tuple(lo + rng.random(2) * 0.3), f.space)
+                lift = eval_box(f, direction, box)
+                p = box.lo_arr + rng.random(2) * (box.hi_arr - box.lo_arr)
+                q = eval_point(f, direction, p)
+                assert any(b.contains_point(q) for b in split_lift(lift)), (
+                    f.descriptor,
+                    direction,
+                    p,
+                    q,
+                )
+
+
+def test_batched_rows_match_single_points():
+    rng = np.random.default_rng(5)
+    for f in _sample_family():
+        for k in (1, 2, 8, 1000):
+            pts = rng.random((k, 2))
+            batch = eval_points(f, pts)
+            for row, p in zip(batch, pts):
+                assert row.tobytes() == eval_point(f, Direction.FORWARD, p).tobytes(), (
+                    f.descriptor,
+                    k,
+                )
 
 
 def test_enclosure_monotone():
@@ -201,13 +221,14 @@ def test_jacobian_standard_map():
 def test_linear_plus_residual_covers_map():
     rng = np.random.default_rng(41)
     for f in (standard_map(0.9), perturbed_map(CAT, 0.01, 3)):
-        for _ in range(200):
-            lo = rng.random(2) * 0.7
-            box = Box(tuple(lo), tuple(lo + rng.random(2) * 0.3), f.space)
-            a, b = linear_part(f)
-            rlo, rhi = residual_range(f, Direction.FORWARD, box.lo_arr, box.hi_arr)
-            p = box.lo_arr + rng.random(2) * (box.hi_arr - box.lo_arr)
-            f_cube = builtin_map(f.descriptor, Space.CUBE)
-            q = eval_point(f_cube, Direction.FORWARD, p)
-            resid = q - (a @ p + b)
-            assert np.all(resid >= rlo - 1e-12) and np.all(resid <= rhi + 1e-12)
+        f_cube = builtin_map(f.descriptor, Space.CUBE)
+        for direction in _directions(f):
+            a, b = linear_part(f, direction)
+            for _ in range(200):
+                lo = rng.random(2) * 0.7
+                box = Box(tuple(lo), tuple(lo + rng.random(2) * 0.3), f.space)
+                rlo, rhi = residual_range(f, direction, box.lo_arr, box.hi_arr)
+                p = box.lo_arr + rng.random(2) * (box.hi_arr - box.lo_arr)
+                q = eval_point(f_cube, direction, p)
+                resid = q - (a @ p + b)
+                assert np.all(resid >= rlo - 1e-12) and np.all(resid <= rhi + 1e-12)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
@@ -13,7 +14,7 @@ from cubeshadow.errors import (
     UncertifiedTransitionError,
 )
 from cubeshadow.exact import exact_step
-from cubeshadow.geometry import Space, cube_of_point, make_subdivision
+from cubeshadow.geometry import Space, chi, cube_of_point, make_subdivision
 from cubeshadow.shadowing import (
     Drift,
     RoundToGrid,
@@ -31,7 +32,7 @@ from cubeshadow.shadowing import (
     step_defects,
     verify_shadow,
 )
-from cubeshadow.transition import build_graph
+from cubeshadow.transition import build_graph, delta_bound
 
 CAT = builtin_map("toral [[2,1],[1,1]]")
 S3 = make_subdivision(2, 3, Space.TORUS)
@@ -134,6 +135,25 @@ def test_known_itinerary_membership_is_checked():
     p = pseudo_orbit(CAT, [(0.1, 0.1)], 0.01, known_itinerary=[wrong])
     with pytest.raises(BrokenChainError):
         itinerary(p, S3, G3)
+
+
+def test_supplied_itinerary_is_checked():
+    p = generate_pseudo_orbit(
+        CAT, (0.1, 0.2), 0.5 * delta_bound(G3), 20, UniformNoise(seed=0)
+    )
+    good = itinerary(p, S3, G3)
+    bad = dataclasses.replace(
+        good, indices=tuple((i + 27) % S3.count for i in good.indices)
+    )
+    eps = chi(S3)
+    assert shadow(CAT, p, CERT3, eps, g=G3, itin=good).eps_achieved < eps
+    with pytest.raises(BrokenChainError):
+        shadow(CAT, p, CERT3, eps, g=G3, itin=bad)
+    cycle = pseudo_orbit(CAT, [(0.01, 0.01)], 0.023, periodic=1)
+    good = itinerary(cycle, S3, G3)
+    bad = dataclasses.replace(good, indices=((good.indices[0] + 27) % S3.count,))
+    with pytest.raises(BrokenChainError):
+        periodic_shadow(CAT, cycle, CERT3, eps=0.05, g=G3, itin=bad)
 
 
 # --- covering chains ---------------------------------------------------------
