@@ -27,7 +27,6 @@ from pathlib import Path
 import numpy as np
 
 from .covering import (
-    ChainedCertificate,
     CoveringConfig,
     FailureReport,
     certificate_from_json,
@@ -37,7 +36,6 @@ from .covering import (
 from .dynamics import MapSpec, builtin_map
 from .errors import (
     BrokenChainError,
-    CubeShadowError,
     DeltaTooLargeError,
     FixedPointTolUnreachedError,
     InvalidMapError,
@@ -408,22 +406,26 @@ def cmd_pseudo(run: Run, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_shadow(run: Run, args: argparse.Namespace) -> int:
+def _shadow_tail(
+    run: Run, f: MapSpec, p: PseudoOrbit, s, g, solve, itin, artifact: str, line
+) -> int:
+    """Certify, solve, verify and write one shadow request's artifacts.
+
+    ``solve`` is shadow or periodic_shadow, called with the checked
+    itinerary ``itin`` (or None); ``line(result, report, eps)`` is the
+    command's report line, to which the artifact path is appended.
+    """
     cfg = run.cfg
-    f = _make_map(cfg)
-    p = _orbit(run, args, f)
-    s, g = _graph(cfg, f)
-    itin = itinerary(p, s, g, allow_uncertain=cfg.allow_uncertain)
     cert = _certify(run, f, s, g)
     if cert is None:
         return EXIT_CERTIFICATION
     run.write_json("certificate.json", {"certificate": cert.to_json()})
     eps = _eps(cfg, s)
-    result = shadow(f, p, cert, eps, g=g, itin=itin, cfg=_shadow_config(cfg))
+    result = solve(f, p, cert, eps, g=g, itin=itin, cfg=_shadow_config(cfg))
     report = verify_shadow(f, result.point, p, eps)
     run.write_text("orbit.csv", orbit_csv(f, p, result))
-    run.write_json(
-        "shadow.json",
+    path = run.write_json(
+        artifact,
         {
             "orbit": p.to_json(),
             "result": result.to_json(),
@@ -431,15 +433,26 @@ def cmd_shadow(run: Run, args: argparse.Namespace) -> int:
             "eps": eps,
         },
     )
-    print(
-        f"shadow: eps_achieved {result.eps_achieved:.6g} <= eps {eps:.6g}, "
-        f"verified max error {report.max_err:.6g} at k={report.argmax_k} "
-        f"-> {run.outdir / 'shadow.json'}"
-    )
+    print(f"{line(result, report, eps)} -> {path}")
     if not report.ok:
         print("verification DISAGREES with the certified tracking claim")
         return EXIT_CERTIFICATION
     return EXIT_OK
+
+
+def cmd_shadow(run: Run, args: argparse.Namespace) -> int:
+    cfg = run.cfg
+    f = _make_map(cfg)
+    p = _orbit(run, args, f)
+    s, g = _graph(cfg, f)
+    itin = itinerary(p, s, g, allow_uncertain=cfg.allow_uncertain)
+    return _shadow_tail(
+        run, f, p, s, g, shadow, itin, "shadow.json",
+        lambda res, rep, eps: (
+            f"shadow: eps_achieved {res.eps_achieved:.6g} <= eps {eps:.6g}, "
+            f"verified max error {rep.max_err:.6g} at k={rep.argmax_k}"
+        ),
+    )
 
 
 def _closed_cycle(f: MapSpec, x0: tuple, period: int) -> list[tuple]:
@@ -480,10 +493,8 @@ def _noisy_cycle(f: MapSpec, cycle: list[tuple], delta: float, seed: int) -> Pse
 def cmd_periodic(run: Run, args: argparse.Namespace) -> int:
     cfg = run.cfg
     f = _make_map(cfg)
-    path = getattr(args, "orbit", None)
-    if path:
-        data = run.read_json(path)
-        p = pseudo_orbit_from_json(data.get("orbit", data))
+    if getattr(args, "orbit", None):
+        p = _orbit(run, args, f)
         if p.periodic is None:
             raise ValueError("periodic shadowing needs a periodic pseudo-orbit")
     else:
@@ -493,35 +504,13 @@ def cmd_periodic(run: Run, args: argparse.Namespace) -> int:
         p = _noisy_cycle(f, cycle, cfg.delta, cfg.seed)
     s, g = _graph(cfg, f)
     itin = itinerary(p, s, g, allow_uncertain=cfg.allow_uncertain)
-    cert = _certify(run, f, s, g)
-    if cert is None:
-        return EXIT_CERTIFICATION
-    run.write_json("certificate.json", {"certificate": cert.to_json()})
-    eps = _eps(cfg, s)
-    result = periodic_shadow(
-        f, p, cert, eps, g=g, itin=itin, cfg=_shadow_config(cfg)
+    return _shadow_tail(
+        run, f, p, s, g, periodic_shadow, itin, "periodic.json",
+        lambda res, rep, eps: (
+            f"periodic: period {res.periodic} orbit (minimal {res.minimal_period}), "
+            f"eps_achieved {res.eps_achieved:.6g} <= eps {eps:.6g}"
+        ),
     )
-    report = verify_shadow(f, result.point, p, eps)
-    run.write_text("orbit.csv", orbit_csv(f, p, result))
-    run.write_json(
-        "periodic.json",
-        {
-            "orbit": p.to_json(),
-            "result": result.to_json(),
-            "verify": report.to_json(),
-            "eps": eps,
-        },
-    )
-    print(
-        f"periodic: period {result.periodic} orbit "
-        f"(minimal {result.minimal_period}), eps_achieved "
-        f"{result.eps_achieved:.6g} <= eps {eps:.6g} "
-        f"-> {run.outdir / 'periodic.json'}"
-    )
-    if not report.ok:
-        print("verification DISAGREES with the certified tracking claim")
-        return EXIT_CERTIFICATION
-    return EXIT_OK
 
 
 def _segments(run: Run, args: argparse.Namespace, f: MapSpec) -> list[list[tuple]]:
@@ -558,33 +547,14 @@ def cmd_splice(run: Run, args: argparse.Namespace) -> int:
             "gap": cfg.gap,
         },
     )
-    cert = _certify(run, f, s, g)
-    if cert is None:
-        return EXIT_CERTIFICATION
-    run.write_json("certificate.json", {"certificate": cert.to_json()})
-    eps = _eps(cfg, s)
-    result = periodic_shadow(f, p, cert, eps, g=g, cfg=_shadow_config(cfg))
-    report = verify_shadow(f, result.point, p, eps)
-    run.write_text("orbit.csv", orbit_csv(f, p, result))
-    run.write_json(
-        "periodic.json",
-        {
-            "orbit": p.to_json(),
-            "result": result.to_json(),
-            "verify": report.to_json(),
-            "eps": eps,
-        },
+    return _shadow_tail(
+        run, f, p, s, g, periodic_shadow, None, "periodic.json",
+        lambda res, rep, eps: (
+            f"splice: {len(segments)} segments + bridges -> period {len(p.points)} "
+            f"pseudo-orbit (delta {p.delta:.3g}), shadowed with eps_achieved "
+            f"{res.eps_achieved:.6g} <= eps {eps:.6g}"
+        ),
     )
-    print(
-        f"splice: {len(segments)} segments + bridges -> period {len(p.points)} "
-        f"pseudo-orbit (delta {p.delta:.3g}), shadowed with eps_achieved "
-        f"{result.eps_achieved:.6g} <= eps {eps:.6g} "
-        f"-> {run.outdir / 'periodic.json'}"
-    )
-    if not report.ok:
-        print("verification DISAGREES with the certified tracking claim")
-        return EXIT_CERTIFICATION
-    return EXIT_OK
 
 
 def cmd_oracle(run: Run, args: argparse.Namespace) -> int:

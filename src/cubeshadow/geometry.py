@@ -227,6 +227,8 @@ class Subdivision:
         return 1.0 / self.side
 
     def flat_index(self, multi):
+        if len(multi) != self.n:
+            raise ValueError(f"multi-index length {len(multi)} != dimension {self.n}")
         flat = 0
         for k in multi:
             if not 0 <= k < self.side:

@@ -594,8 +594,9 @@ def _eigen_bands(
     coordinates: no interval wrapping, pruning stays informative at
     every depth.  Forward constraints pin the expanding coordinate,
     backward ones the contracting coordinate; the opposite pullbacks
-    only widen and are dropped.  Returns (basis, u-interval, s-interval,
-    initial eigen cell) or None when the frame is unavailable.
+    only widen and are dropped.  Returns the basis, the feasible box and
+    the initial cell, both as (lo, hi) in (u, s) coordinates, or None when
+    the frame is unavailable; NoSurvivingCellError when nothing is feasible.
     """
     if p.n != 2 or not supports_exact(f):
         return None
@@ -605,7 +606,6 @@ def _eigen_bands(
     basis = np.array(
         [[float(v) for v in eig.row_u], [float(v) for v in eig.row_s]]
     ).T
-    lam_u, lam_s = float(eig.lam_u), float(eig.lam_s)
     functionals = np.linalg.inv(basis)
     defects = _lifted_defects(f, p)
     y0 = np.asarray(p.point(0), dtype=float)
@@ -628,161 +628,50 @@ def _eigen_bands(
             return defects[k % len(defects)]
         return defects[k - p.lo]
 
-    fwd_times, bwd_times = _window_times(f, p)
     g0_lo, g0_hi = tube(0)
+    incompatible = NoSurvivingCellError(
+        "tracking tube constraints are incompatible; no orbit survives",
+        deepest_surviving_depth=0,
+    )
     if np.any(g0_lo > g0_hi):
-        return basis, (1.0, -1.0), (1.0, -1.0), (g0_lo, g0_hi)
-    u_cell = _interval_dot(functionals[0], g0_lo, g0_hi)
-    s_cell = _interval_dot(functionals[1], g0_lo, g0_hi)
-    u_int, s_int = u_cell, s_cell
-
-    # u_k = lam_u^k u_0 + c_k with c_{k+1} = lam_u c_k + <l_u, e_k>
-    coef, c = 1.0, 0.0
-    for k in fwd_times:
-        c = lam_u * c + float(functionals[0] @ defect(k - 1))
-        coef *= lam_u
-        if not math.isfinite(coef) or abs(coef) > 1e120:
-            break
-        g_lo, g_hi = tube(k)
-        b_lo, b_hi = _interval_dot(functionals[0], g_lo, g_hi)
-        lo_k, hi_k = sorted(((b_lo - c) / coef, (b_hi - c) / coef))
-        pad = 1e-12 * (abs(lo_k) + abs(hi_k)) + 1e-17
-        u_int = (max(u_int[0], lo_k - pad), min(u_int[1], hi_k + pad))
-        if u_int[0] > u_int[1]:
-            break
-
+        raise incompatible
+    cell, band = [], []
+    # u_k = lam_u^k u_0 + c_k with c_{k+1} = lam_u c_k + <l_u, e_k>;
     # s_{-k} = lam_s^-k s_0 + c_k with c_{k-1} = (c_k - <l_s, e_{k-1}>)/lam_s
-    coef, c = 1.0, 0.0
-    for k in bwd_times:
-        c = (c - float(functionals[1] @ defect(k))) / lam_s
-        coef /= lam_s
-        if not math.isfinite(coef) or abs(coef) > 1e120:
-            break
-        g_lo, g_hi = tube(k)
-        b_lo, b_hi = _interval_dot(functionals[1], g_lo, g_hi)
-        lo_k, hi_k = sorted(((b_lo - c) / coef, (b_hi - c) / coef))
-        pad = 1e-12 * (abs(lo_k) + abs(hi_k)) + 1e-17
-        s_int = (max(s_int[0], lo_k - pad), min(s_int[1], hi_k + pad))
-        if s_int[0] > s_int[1]:
-            break
-
-    return basis, u_int, s_int, u_cell + s_cell
-
-
-def _bisect_cell(
-    f: MapSpec,
-    p: PseudoOrbit,
-    r: float,
-    cfg: ShadowConfig,
-    seed_box: Box | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Refine the time-0 cell against the window's tracking tubes.
-
-    A cell survives while its orbit enclosure meets every tube
-    [y_k +- r]: forward images for k > 0, inverse images for k < 0
-    (cyclically extended twice over for periodic orbits, which pins both
-    eigendirections around the loop).  Exactly-affine 2D maps get the
-    sharp eigenframe test; other kinds fall back to stepwise interval
-    propagation, whose wrapping blurs but never unsoundly prunes.
-    """
-    bands = _eigen_bands(f, p, r, seed_box)
-    if bands is not None:
-        return _bisect_eigen(p, bands, cfg, r, seed_box)
-    return _bisect_axis(f, p, r, cfg, seed_box)
+    lams = (float(eig.lam_u), float(eig.lam_s))
+    for row, lam, times in zip(functionals, lams, _window_times(f, p)):
+        lo, hi = _interval_dot(row, g0_lo, g0_hi)
+        cell.append((lo, hi))
+        coef, c = 1.0, 0.0
+        for k in times:
+            if k > 0:
+                c = lam * c + float(row @ defect(k - 1))
+                coef *= lam
+            else:
+                c = (c - float(row @ defect(k))) / lam
+                coef /= lam
+            if not math.isfinite(coef) or abs(coef) > 1e120:
+                break
+            b_lo, b_hi = _interval_dot(row, *tube(k))
+            lo_k, hi_k = sorted(((b_lo - c) / coef, (b_hi - c) / coef))
+            pad = 1e-12 * (abs(lo_k) + abs(hi_k)) + 1e-17
+            lo, hi = max(lo, lo_k - pad), min(hi, hi_k + pad)
+            if lo > hi:
+                raise incompatible
+        band.append((lo, hi))
+    return basis, tuple(zip(*band)), tuple(zip(*cell))
 
 
-def _bisect_eigen(
-    p: PseudoOrbit,
-    bands,
-    cfg: ShadowConfig,
-    r: float,
-    seed_box: Box | None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    basis, u_int, s_int, cell0 = bands
-    if u_int[0] > u_int[1] or s_int[0] > s_int[1]:
-        raise NoSurvivingCellError(
-            "tracking tube constraints are incompatible; no orbit survives",
-            deepest_surviving_depth=0,
-        )
-    cell = [list(cell0[:2]), list(cell0[2:])]
-    feasible = (u_int, s_int)
-
-    def survives(c) -> bool:
-        return all(
-            c[i][0] <= feasible[i][1] and c[i][1] >= feasible[i][0]
-            for i in range(2)
-        )
-
-    if not survives(cell):
-        raise NoSurvivingCellError(
-            "tracking tube is empty at the requested radius",
-            deepest_surviving_depth=0,
-        )
-    splits = 0
-    floor = max(cfg.cell_floor, 4e-14)
-    for _ in range(cfg.depth):
-        widths = [c[1] - c[0] for c in cell]
-        axis = widths.index(max(widths))
-        if widths[axis] <= floor:
-            break
-        mid = 0.5 * (cell[axis][0] + cell[axis][1])
-        lower = [list(c) for c in cell]
-        lower[axis][1] = mid
-        if survives(lower):
-            cell = lower
-        else:
-            upper = [list(c) for c in cell]
-            upper[axis][0] = mid
-            cell = upper
-        splits += 1
-    y0 = np.asarray(p.point(0), dtype=float)
-    corners = [
-        y0 + basis @ np.array([u, s])
-        for u in cell[0]
-        for s in cell[1]
-    ]
-    lo = np.min(corners, axis=0)
-    hi = np.max(corners, axis=0)
-    # The eigen cell's axis hull can poke past the constraint boxes it was
-    # carved from; clamp so seeded surviving boxes nest.
-    lo, hi = np.maximum(lo, y0 - r), np.minimum(hi, y0 + r)
-    if seed_box is not None:
-        lo = np.maximum(lo, seed_box.lo_arr)
-        hi = np.minimum(hi, seed_box.hi_arr)
-    if p.space is Space.CUBE:
-        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
-    lo = np.minimum(lo, hi)
-    return lo, hi, splits
-
-
-def _bisect_axis(
-    f: MapSpec,
-    p: PseudoOrbit,
-    r: float,
-    cfg: ShadowConfig,
-    seed_box: Box | None = None,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    y0 = np.asarray(p.point(0), dtype=float)
-    lo, hi = y0 - r, y0 + r
-    if p.space is Space.CUBE:
-        lo, hi = np.maximum(lo, 0.0), np.minimum(hi, 1.0)
-    if seed_box is not None:
-        lo = np.maximum(lo, seed_box.lo_arr)
-        hi = np.minimum(hi, seed_box.hi_arr)
-        if np.any(lo > hi):
-            raise NoSurvivingCellError(
-                "seed box excludes the tracking tube", deepest_surviving_depth=0
-            )
+def _tube_survival(f: MapSpec, p: PseudoOrbit, r: float):
+    """Whether a time-0 cell's interval orbit meets every tube [y_k +- r]."""
     fwd_times, bwd_times = _window_times(f, p)
     fwd = _make_stepper(f, Direction.FORWARD)
     bwd = _make_stepper(f, Direction.INVERSE) if bwd_times else None
     torus = p.space is Space.TORUS
 
-    def survives(cl: np.ndarray, ch: np.ndarray) -> bool:
+    def survives(cl: list[float], ch: list[float]) -> bool:
         for stepper, times in ((fwd, fwd_times), (bwd, bwd_times)):
-            if not times:
-                continue
-            cur_lo, cur_hi = cl, ch
+            cur_lo, cur_hi = np.array(cl), np.array(ch)
             for k in times:
                 img_lo, img_hi = stepper(cur_lo, cur_hi)
                 tgt = np.asarray(p.point(k), dtype=float)
@@ -796,6 +685,11 @@ def _bisect_axis(
                     return False
         return True
 
+    return survives
+
+
+def _bisect(lo: list[float], hi: list[float], survives, cfg: ShadowConfig):
+    """Halve the widest axis of [lo, hi], keeping a half that survives."""
     if not survives(lo, hi):
         raise NoSurvivingCellError(
             "tracking tube is empty at the requested radius",
@@ -804,27 +698,75 @@ def _bisect_axis(
     splits = 0
     floor = max(cfg.cell_floor, 4e-14)
     for _ in range(cfg.depth):
-        widths = hi - lo
-        axis = int(np.argmax(widths))
+        widths = [b - a for a, b in zip(lo, hi)]
+        axis = widths.index(max(widths))
         if widths[axis] <= floor:
             break
         mid = 0.5 * (lo[axis] + hi[axis])
-        left_hi = hi.copy()
-        left_hi[axis] = mid
+        left_hi, right_lo = list(hi), list(lo)
+        left_hi[axis] = right_lo[axis] = mid
         if survives(lo, left_hi):
             hi = left_hi
+        elif survives(right_lo, hi):
+            lo = right_lo
         else:
-            right_lo = lo.copy()
-            right_lo[axis] = mid
-            if survives(right_lo, hi):
-                lo = right_lo
-            else:
-                # Interval wrapping can make a parent cell survive while
-                # both children fail; stop refining at the last honest
-                # level rather than overclaim emptiness.
-                break
+            # Interval wrapping can make a parent cell survive while both
+            # children fail; stop refining at the last honest level rather
+            # than overclaim emptiness.
+            break
         splits += 1
     return lo, hi, splits
+
+
+def _bisect_cell(
+    f: MapSpec,
+    p: PseudoOrbit,
+    r: float,
+    cfg: ShadowConfig,
+    seed_box: Box | None = None,
+) -> tuple[list[float], list[float], int]:
+    """Refine the time-0 cell against the window's tracking tubes.
+
+    A cell survives while its orbit enclosure meets every tube
+    [y_k +- r]: forward images for k > 0, inverse images for k < 0
+    (cyclically extended twice over for periodic orbits, which pins both
+    eigendirections around the loop).  One bisection, two survival
+    tests: exactly-affine 2D maps get the sharp eigenframe test, and the
+    final eigen cell is mapped back to its axis hull; other kinds fall
+    back to stepwise interval propagation, whose wrapping blurs but never
+    unsoundly prunes.
+    """
+    bands = _eigen_bands(f, p, r, seed_box)
+    # the time-0 tube, cut to the seed box and the unit cube
+    y0 = np.asarray(p.point(0), dtype=float)
+    t_lo, t_hi = y0 - r, y0 + r
+    if seed_box is not None:
+        t_lo = np.maximum(t_lo, seed_box.lo_arr)
+        t_hi = np.minimum(t_hi, seed_box.hi_arr)
+    if p.space is Space.CUBE:
+        t_lo, t_hi = np.maximum(t_lo, 0.0), np.minimum(t_hi, 1.0)
+    if bands is None:
+        if seed_box is not None and np.any(t_lo > t_hi):
+            raise NoSurvivingCellError(
+                "seed box excludes the tracking tube", deepest_surviving_depth=0
+            )
+        return _bisect(t_lo.tolist(), t_hi.tolist(), _tube_survival(f, p, r), cfg)
+    basis, (f_lo, f_hi), (lo, hi) = bands
+
+    def meets(c_lo: list[float], c_hi: list[float]) -> bool:
+        return all(a <= b for a, b in zip(c_lo, f_hi)) and all(
+            a >= b for a, b in zip(c_hi, f_lo)
+        )
+
+    lo, hi, splits = _bisect(list(lo), list(hi), meets, cfg)
+    corners = [
+        y0 + basis @ np.array([u, s]) for u in (lo[0], hi[0]) for s in (lo[1], hi[1])
+    ]
+    # The eigen cell's axis hull can poke past the constraint boxes it was
+    # carved from; clamp so seeded surviving boxes nest.
+    lo = np.maximum(np.min(corners, axis=0), t_lo)
+    hi = np.minimum(np.max(corners, axis=0), t_hi)
+    return np.minimum(lo, hi).tolist(), hi.tolist(), splits
 
 
 # --- exact boundary-value solve ---------------------------------------------
@@ -1053,13 +995,39 @@ def _box_holds(box: Box, x) -> bool:
     return True
 
 
-def _check_cert(f: MapSpec, p: PseudoOrbit, cert: ChainedCertificate) -> None:
-    if cert.subdivision.space is not p.space:
+def _localize(
+    f: MapSpec,
+    p: PseudoOrbit,
+    cert: ChainedCertificate,
+    g: TransitionGraph | None,
+    itin: Itinerary | None,
+    cfg: ShadowConfig,
+    seed_box: Box | None = None,
+) -> tuple[Box, int]:
+    """Gate p against the certificate and graph, then bisect its time-0 cell.
+
+    Checks that the certificate is for f on p's space, that p's itinerary
+    (computed, or the supplied itin re-checked as declared) crosses no
+    certified-empty edge, and that the per-step covering chain closes;
+    returns the surviving cell and the number of splits that carved it.
+    """
+    s = cert.subdivision
+    if s.space is not p.space:
         raise ValueError("certificate and pseudo-orbit live on different spaces")
     if cert.map_id != f.descriptor:
         raise ValueError(
             f"certificate is for {cert.map_id!r}, not {f.descriptor!r}"
         )
+    if g is None:
+        g = build_graph(f, s)
+    if itin is None:
+        itinerary(p, s, g)
+    else:
+        _checked_itinerary(p, s, g, itin.indices, declared=True)
+    step_chain(f, p, cfg)
+    r = cfg.radius_factor * max(p.delta, cfg.delta_floor)
+    lo, hi, splits = _bisect_cell(f, p, r, cfg, seed_box)
+    return Box(tuple(lo), tuple(hi), p.space), splits
 
 
 def shadow(
@@ -1082,18 +1050,7 @@ def shadow(
     error profile is measured in rational arithmetic.
     """
     cfg = cfg or ShadowConfig()
-    _check_cert(f, p, cert)
-    s = cert.subdivision
-    if g is None:
-        g = build_graph(f, s)
-    if itin is None:
-        itinerary(p, s, g)
-    else:
-        _checked_itinerary(p, s, g, itin.indices, declared=True)
-    step_chain(f, p, cfg)
-    r = cfg.radius_factor * max(p.delta, cfg.delta_floor)
-    cell_lo, cell_hi, splits = _bisect_cell(f, p, r, cfg, seed_box)
-    surviving = Box(tuple(cell_lo), tuple(cell_hi), p.space)
+    surviving, splits = _localize(f, p, cert, g, itin, cfg, seed_box)
 
     if supports_exact(f) and p.n == 2 and eigen_directions(f) is not None:
         shifts = _integer_shifts(f, p)
@@ -1103,12 +1060,12 @@ def shadow(
             # box inherited from a longer window; the cell center keeps
             # the nesting contract, and its (slightly larger) error
             # profile is measured honestly below.
-            x = tuple(frac(0.5 * (a + b)) for a, b in zip(cell_lo, cell_hi))
+            x = tuple(frac(v) for v in surviving.center)
         if p.space is Space.TORUS:
             x = torus_reduce(x)
         point: tuple = tuple(x)
     else:
-        point = tuple(wrap_points(p.space, 0.5 * (cell_lo + cell_hi)).tolist())
+        point = tuple(wrap_points(p.space, np.array(surviving.center)).tolist())
     eps_achieved = max(_window_errors(p, true_orbit(f, point, p.lo, p.hi)))
     if eps_achieved >= eps:
         raise NoSurvivingCellError(
@@ -1143,19 +1100,8 @@ def periodic_shadow(
     cfg = cfg or ShadowConfig()
     if p.periodic is None:
         raise ValueError("periodic_shadow needs a periodic pseudo-orbit")
-    _check_cert(f, p, cert)
-    s = cert.subdivision
-    if g is None:
-        g = build_graph(f, s)
-    if itin is None:
-        itinerary(p, s, g)
-    else:
-        _checked_itinerary(p, s, g, itin.indices, declared=True)
-    step_chain(f, p, cfg)
+    surviving, splits = _localize(f, p, cert, g, itin, cfg)
     P = len(p.points)
-    r = cfg.radius_factor * max(p.delta, cfg.delta_floor)
-    cell_lo, cell_hi, splits = _bisect_cell(f, p, r, cfg)
-    surviving = Box(tuple(cell_lo), tuple(cell_hi), p.space)
 
     if supports_exact(f):
         try:
@@ -1169,7 +1115,7 @@ def periodic_shadow(
         cycle = true_orbit(f, x, 0, P - 1)
         mp = minimal_period(f, x, P)
     else:
-        x = 0.5 * (cell_lo + cell_hi)
+        x = np.array(surviving.center)
         for _ in range(80):
             orbit = true_orbit(f, x, 0, P)
             residual = np.subtract(orbit[P], x)

@@ -157,6 +157,18 @@ def test_periodic_recovers_the_origin(tmp_path):
     assert data["verify"]["ok"] is True
 
 
+
+@pytest.mark.parametrize("command", ["shadow", "periodic"])
+def test_orbit_file_of_the_wrong_dimension_is_invalid(tmp_path, capsys, command):
+    orbit = tmp_path / "orbit.json"
+    orbit.write_text(json.dumps(
+        {"points": [[0.1, 0.2, 0.3]], "delta": 1e-4, "space": "torus", "periodic": 1}
+    ))
+    rc = main([command, "--map", CAT, "--m", "3", "--orbit", str(orbit),
+               "--out", str(tmp_path / "out")])
+    assert rc == 4
+    assert "pseudo-orbit dimension does not match the map" in capsys.readouterr().err
+
 def test_splice_shadows_periodically_and_reverifies(tmp_path, capsys):
     out = tmp_path / "sp"
     rc = main(

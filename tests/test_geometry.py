@@ -40,6 +40,12 @@ def test_flat_multi_roundtrip():
         assert s.cube(flat) == s.cube(multi)
 
 
+def test_flat_index_rejects_a_wrong_length():
+    s = make_subdivision(2, 3, Space.TORUS)
+    with pytest.raises(ValueError, match="length"):
+        s.flat_index((0, 1, 2))
+
+
 def test_cube_boxes_are_exact_dyadics():
     s = make_subdivision(2, 3, Space.CUBE)
     b = s.box((3, 5))

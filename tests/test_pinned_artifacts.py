@@ -1,10 +1,11 @@
-"""Pinned artifact bits: the map algebra must not move these outputs.
+"""Pinned artifact bits: refactors of the pipeline must not move these outputs.
 
 Hashes cover each JSON artifact with the run-specific ``config.out`` and
-the sha256 digest maps removed.  Maps whose interval evaluation is not
-exact in floats (the shear and translations by non-dyadic vectors) pin
-only the edge statuses, since their stored gaps may move in the last
-digits when an enclosure gains an outward rounding.
+the sha256 digest maps removed; shadow runs also pin ``orbit.csv`` and
+the report line with the output directory stripped.  Maps whose interval
+evaluation is not exact in floats (the shear and translations by
+non-dyadic vectors) pin only the edge statuses, since their stored gaps
+may move in the last digits when an enclosure gains an outward rounding.
 """
 
 import hashlib
@@ -61,3 +62,68 @@ def test_graph_edge_statuses(tmp_path, descriptor, digest):
     assert main(["graph", "--map", descriptor, "--m", "3", "--out", str(tmp_path)]) == 0
     edges = _body(tmp_path / "graph.json")["graph"]["edges"]
     assert _sha([[i, j, status] for i, j, status, _ in edges]) == digest
+
+
+SHADOW_RUNS = {
+    "shadow-cat-m3-seed0": (
+        ["shadow", "--map", CAT, "--m", "3", "--seed", "0", "--window", "100"],
+        "shadow.json",
+        "24afca7c10345f0221a6de946b65c98bd0923709a268f52abfa93fdf7a7e441c",
+        "e3d41ca7a5e09e6336dff96a41079f3c5162aab223cd222af5ab62d176844691",
+        "shadow: eps_achieved 0.000119381 <= eps 0.176777, verified max error "
+        "0.000119381 at k=-18 -> /shadow.json",
+    ),
+    "shadow-cat-m3-seed7": (
+        ["shadow", "--map", CAT, "--m", "3", "--seed", "7", "--window", "100"],
+        "shadow.json",
+        "3c07f8bbbf25ac386d09cb920395f3aca88a26186c3d3fdbbedeeb99d1157518",
+        "54c6eb06aea5a3acf1592621879782545015f31b5815f58dc22f0dfc82d1d192",
+        "shadow: eps_achieved 0.000122099 <= eps 0.176777, verified max error "
+        "0.000122099 at k=28 -> /shadow.json",
+    ),
+    "periodic-cat-m3": (
+        ["periodic", "--map", CAT, "--m", "3", "--period", "2", "--x0", "1/5,2/5"],
+        "periodic.json",
+        "24c5a55feff2470354d4fda1b43bbae0665efc0153ea5a033fe5c585b485b12f",
+        "cfb97426d1e16c279c3af50cdda17f61efdd40c194d1731de97dbe86da8ae0d7",
+        "periodic: period 2 orbit (minimal 2), eps_achieved 1.18828e-05 <= eps "
+        "0.176777 -> /periodic.json",
+    ),
+    "splice-readme": (
+        ["splice", "--map", CAT, "--m", "4", "--eps", "0.2", "--start", "1/7,2/7",
+         "--start", "5/9,7/9", "--segment-length", "5", "--gap", "8"],
+        "periodic.json",
+        "d8599ef82bcfc2041f2090896a42dd5e11628addffcac9b7fd7e64641dc2d1b9",
+        "736c3931ef3c4dd6adf9f6b8eb5dd0aba90203d281e33773f02df32e1f9863f2",
+        "splice: 2 segments + bridges -> period 17 pseudo-orbit (delta 0.156), "
+        "shadowed with eps_achieved 0.107092 <= eps 0.2 -> /periodic.json",
+    ),
+    "shadow-perturbed-m2": (
+        ["shadow", "--map", PERTURBED, "--m", "2", "--allow-uncertain"],
+        "shadow.json",
+        "ab992b13a907890d358728ab2ff2185d979159568ccac2d5f52fdbff14aeecf4",
+        "f6863b5f24f76a1f12f5cb6c6c6c85ed347740297fdb1cafb1f10e8030a60f6e",
+        "shadow: eps_achieved 0.000438453 <= eps 0.353553, verified max error "
+        "0.000438453 at k=20 -> /shadow.json",
+    ),
+    "periodic-perturbed-m2": (
+        ["periodic", "--map", PERTURBED, "--m", "2", "--period", "1", "--x0", "0,0",
+         "--allow-uncertain"],
+        "periodic.json",
+        "c80accd0c3978ff77bca9ac2b76e78a67183eb1d251bb12e10935755460154d7",
+        "031a1cd35361036cf5b5ffa8cc5b7fde0bc5d4f34a3efb1ec1ec5c532cc52e51",
+        "periodic: period 1 orbit (minimal None), eps_achieved 2.51763e-06 <= eps "
+        "0.353553 -> /periodic.json",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHADOW_RUNS))
+def test_shadow_run_bits(tmp_path, capsys, name):
+    # The perturbed runs cover the interval-propagation bisection and Newton.
+    argv, artifact, body_digest, csv_digest, line = SHADOW_RUNS[name]
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path), "") == line + "\n"
+    assert _sha(_body(tmp_path / artifact)) == body_digest
+    csv = (tmp_path / "orbit.csv").read_bytes()
+    assert hashlib.sha256(csv).hexdigest() == csv_digest

@@ -11,13 +11,15 @@ from cubeshadow.dynamics import Direction, builtin_map, eval_point, identity_map
 from cubeshadow.errors import (
     BrokenChainError,
     DeltaTooLargeError,
+    NoSurvivingCellError,
     UncertifiedTransitionError,
 )
 from cubeshadow.exact import exact_step
-from cubeshadow.geometry import Space, chi, cube_of_point, make_subdivision
+from cubeshadow.geometry import Box, Space, chi, cube_of_point, make_subdivision
 from cubeshadow.shadowing import (
     Drift,
     RoundToGrid,
+    ShadowConfig,
     UniformNoise,
     generate_pseudo_orbit,
     itinerary,
@@ -397,3 +399,32 @@ def test_float_periodic_shadow_closes_the_cycle(perturbed_m2, cycle):
     xs, errs = _csv_columns(orbit_csv(PERTURBED, p, res), 2)
     assert xs == [list(w) for w in walk[:-1]]
     assert errs == list(rep.errors)
+
+
+FAR_SEED = Box((0.7, 0.7), (0.71, 0.71), Space.TORUS)
+NARROW = ShadowConfig(radius_factor=0.05)
+
+
+@pytest.mark.parametrize(
+    "kind, kwargs, message",
+    [
+        ("cat", {"seed_box": FAR_SEED}, "tracking tube constraints are incompatible"),
+        ("cat", {"cfg": NARROW}, "tracking tube constraints are incompatible"),
+        ("perturbed", {"seed_box": FAR_SEED}, "seed box excludes the tracking tube"),
+        ("perturbed", {"cfg": NARROW}, "tracking tube is empty at the requested radius"),
+    ],
+    ids=["eigen-seed", "eigen-radius", "axis-seed", "axis-radius"],
+)
+def test_bisection_failures_name_the_empty_tube(perturbed_m2, kind, kwargs, message):
+    # The cat map bisects in its eigenframe, the perturbed map by interval
+    # propagation; both refuse before the first split.
+    if kind == "cat":
+        f, p, cert, g = CAT, noisy_orbit(), CERT3, G3
+    else:
+        s, g, cert = perturbed_m2
+        f = PERTURBED
+        p = generate_pseudo_orbit(f, (0.2, 0.3), 1e-4, 20, UniformNoise(0))
+        kwargs = {**kwargs, "itin": itinerary(p, s, g, allow_uncertain=True)}
+    with pytest.raises(NoSurvivingCellError, match=message) as info:
+        shadow(f, p, cert, 1.0, g=g, **kwargs)
+    assert info.value.deepest_surviving_depth == 0
