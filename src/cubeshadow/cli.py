@@ -26,13 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .covering import (
-    CoveringConfig,
-    FailureReport,
-    certificate_from_json,
-    certify_chained,
-    verify_certificate,
-)
+from .covering import CoveringConfig, FailureReport, audit_chained, certify_chained
 from .dynamics import MapSpec, builtin_map
 from .errors import (
     BrokenChainError,
@@ -382,7 +376,8 @@ def cmd_certify(run: Run, args: argparse.Namespace) -> int:
         return EXIT_CERTIFICATION
     run.write_json("certificate.json", {"certificate": cert.to_json()})
     print(
-        f"certify: {len(cert.certificates)} edges certified for {f.descriptor} "
+        f"certify: {len(cert.certificates)} edges certified "
+        f"({len(cert.classes)} translation classes) for {f.descriptor} "
         f"at m={run.cfg.m}, margin {cert.margin():.3e} "
         f"-> {run.outdir / 'certificate.json'}"
     )
@@ -596,27 +591,37 @@ def cmd_oracle(run: Run, args: argparse.Namespace) -> int:
 
 
 def _verify_chained(run: Run, data: dict) -> int:
+    """Rebuild the graph from the embedded config and audit the certificate on it."""
     cert_data = data.get("certificate", data)
     map_id = cert_data["map_id"]
-    space = Space(cert_data["subdivision"]["space"])
+    sub = cert_data["subdivision"]
+    space = Space(sub["space"])
     f = builtin_map(map_id, space)
     stored = data.get("config", {})
+
+    def knob(name: str):
+        return stored.get(name, getattr(run.cfg, name))
+
+    s = make_subdivision(int(sub["n"]), int(sub["m"]), space)
+    g = build_graph(f, s, int(knob("samples_per_cube")), int(knob("refine_depth")))
     cov = CoveringConfig(
-        depth=int(stored.get("strip_depth", run.cfg.strip_depth)),
-        min_margin=float(stored.get("min_margin", run.cfg.min_margin)),
+        depth=int(knob("strip_depth")),
+        min_margin=float(knob("min_margin")),
+        allow_uncertain=bool(knob("allow_uncertain")),
     )
-    bad = []
-    for key, payload in sorted(cert_data["certificates"].items()):
-        cert = certificate_from_json(payload)
-        if not verify_certificate(f, cert, cov):
-            bad.append(key)
-    total = len(cert_data["certificates"])
-    if bad:
-        print(f"verify: {len(bad)}/{total} certificates FAILED re-checking:")
-        for key in bad:
-            print(f"  edge ({key})")
+    audit = audit_chained(f, g, cert_data, cov)
+    if audit.problems:
+        print(f"verify: certificate for {map_id} REJECTED, {len(audit.problems)} problem(s):")
+        for line in audit.problems[:20]:
+            print(f"  {line}")
+        if len(audit.problems) > 20:
+            print(f"  ... and {len(audit.problems) - 20} more")
         return EXIT_CERTIFICATION
-    print(f"verify: all {total} certificates for {map_id} re-checked from scratch")
+    print(
+        f"verify: {audit.classes} classes re-checked from scratch, "
+        f"{audit.certified} certified edges derived, {audit.excluded} excluded "
+        f"edges checked against the rebuilt graph for {map_id}"
+    )
     return EXIT_OK
 
 

@@ -16,8 +16,10 @@ rather than guessed.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,9 +35,19 @@ from .dynamics import (
 )
 from .errors import MismatchedChainError, NotEndomorphismError, UncertainEdgesError
 from .geometry import Box, Space, Subdivision
-from .transition import TransitionGraph
+from .transition import TransitionGraph, equivariant_index_matrix, translation_keys
 
 _ORTHO_TOL = 1e-9
+
+
+@functools.lru_cache(maxsize=64)
+def _frame_array(frame: tuple[tuple[float, ...], ...]) -> np.ndarray:
+    """A square frame as a read-only array, checked orthonormal once per frame."""
+    m = np.array(frame, dtype=float)
+    if not np.allclose(m @ m.T, np.eye(len(frame)), atol=_ORTHO_TOL):
+        raise ValueError("frame rows must be orthonormal")
+    m.setflags(write=False)
+    return m
 
 
 @dataclass(frozen=True)
@@ -63,11 +75,9 @@ class Rectangle:
         if any(b <= a for a, b in zip(self.box.lo, self.box.hi)):
             raise ValueError("rectangle must have positive volume on every axis")
         if self.frame is not None:
-            m = np.array(self.frame, dtype=float)
-            if m.shape != (n, n):
+            if len(self.frame) != n or any(len(row) != n for row in self.frame):
                 raise ValueError(f"frame must be {n}x{n}")
-            if not np.allclose(m @ m.T, np.eye(n), atol=_ORTHO_TOL):
-                raise ValueError("frame rows must be orthonormal")
+            _frame_array(self.frame)
 
     @classmethod
     def from_box(cls, box: Box, exit_axis: int, orientation: int = 1) -> "Rectangle":
@@ -81,7 +91,12 @@ class Rectangle:
     def frame_arr(self) -> np.ndarray:
         if self.frame is None:
             return np.eye(self.n)
-        return np.array(self.frame, dtype=float)
+        return _frame_array(self.frame)
+
+    def shifted(self, t: np.ndarray) -> "Rectangle":
+        """The same rectangle translated by the ambient vector t."""
+        box = Box(tuple(self.box.lo_arr + t), tuple(self.box.hi_arr + t), self.box.space)
+        return Rectangle(box, self.exit_axis, self.orientation, self.frame)
 
     @property
     def center(self) -> tuple[float, ...]:
@@ -429,9 +444,18 @@ def verify_certificate(
 _POLICY = "anchored"
 
 
+Pair = tuple[int, int]
+
+
 @dataclass(frozen=True)
 class ChainedCertificate:
-    """Per-edge covering certificates over a transition graph.
+    """Covering certificates over a transition graph, one per translation class.
+
+    ``classes`` holds (representative pair, certificate); ``edge_class``
+    maps every certified edge to its class. When f commutes with the grid
+    translations (f(x + t) = f(x) + A t mod 1, A integer), edge (i, j)
+    is the translate of (0, j - A i) and shares its class; otherwise each
+    edge is its own class. ``certificates`` is the per-edge view.
 
     ``excluded_boundary`` lists CertifiedNonempty edges whose cube
     intersection has no interior at this resolution (witness clearance 0,
@@ -442,27 +466,71 @@ class ChainedCertificate:
 
     map_id: str
     subdivision: Subdivision
-    certificates: dict[tuple[int, int], CoveringCertificate]
-    excluded_boundary: frozenset[tuple[int, int]]
+    classes: tuple[tuple[Pair, CoveringCertificate], ...]
+    edge_class: dict[Pair, int]
+    excluded_boundary: frozenset[Pair]
 
     @property
-    def certified_pairs(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.certificates)
+    def certificates(self) -> "EdgeCertificates":
+        return EdgeCertificates(self)
+
+    @property
+    def certified_pairs(self) -> frozenset[Pair]:
+        return frozenset(self.edge_class)
 
     def margin(self) -> float:
-        return min(certificate_margin(c) for c in self.certificates.values())
+        return min(certificate_margin(c) for _, c in self.classes)
 
     def to_json(self) -> dict:
         return {
             "map_id": self.map_id,
             "subdivision": self.subdivision.to_json(),
             "policy": _POLICY,
+            "classes": [
+                {"pair": list(rep), "certificate": c.to_json()} for rep, c in self.classes
+            ],
             "certificates": {
-                f"{i},{j}": c.to_json() for (i, j), c in sorted(self.certificates.items())
+                f"{i},{j}": k for (i, j), k in sorted(self.edge_class.items())
             },
             "excluded_boundary": sorted(list(p) for p in self.excluded_boundary),
             "margin": self.margin(),
         }
+
+
+class EdgeCertificates(Mapping):
+    """Certified edge -> its class certificate translated into the edge's cubes.
+
+    Built on lookup, not stored: the source rectangle moves by the offset
+    from the representative's source cube to cube i, the target by the
+    offset between the target cubes (which is A t mod 1 for the class).
+    """
+
+    def __init__(self, chained: ChainedCertificate):
+        self._chained = chained
+
+    def __getitem__(self, pair: Pair) -> CoveringCertificate:
+        rep, cert = self._chained.classes[self._chained.edge_class[pair]]
+        if rep == pair:
+            return cert
+        s = self._chained.subdivision
+        t_src = s.box(pair[0]).lo_arr - s.box(rep[0]).lo_arr
+        t_dst = s.box(pair[1]).lo_arr - s.box(rep[1]).lo_arr
+        dh = float(t_src[cert.source.exit_axis])
+        return replace(
+            cert,
+            source=cert.source.shifted(t_src),
+            target=cert.target.shifted(t_dst),
+            h_range=(cert.h_range[0] + dh, cert.h_range[1] + dh),
+        )
+
+    def __contains__(self, pair) -> bool:
+        return pair in self._chained.edge_class
+
+    def __iter__(self):
+        return iter(self._chained.edge_class)
+
+    def __len__(self) -> int:
+        return len(self._chained.edge_class)
 
 
 @dataclass(frozen=True)
@@ -538,6 +606,22 @@ def _frame_tuple(frame: np.ndarray | None):
     return tuple(tuple(float(v) for v in row) for row in frame)
 
 
+def _representatives(
+    f: MapSpec, s: Subdivision, g: TransitionGraph, pairs: list[Pair]
+) -> list[Pair]:
+    """The pair whose certificate each edge borrows: its row-0 translate
+    (0, j - A i) when f is translation-equivariant and that edge has an
+    interior witness, else the edge itself."""
+    index_matrix = equivariant_index_matrix(f, s)
+    if index_matrix is None:
+        return list(pairs)
+    reps = []
+    for pair, key in zip(pairs, translation_keys(s, index_matrix, pairs).tolist()):
+        w = g.witnesses.get((0, key))
+        reps.append((0, key) if w is not None and w.interior else pair)
+    return reps
+
+
 def certify_chained(
     f: MapSpec,
     s: Subdivision,
@@ -546,9 +630,13 @@ def certify_chained(
 ) -> ChainedCertificate | FailureReport:
     """Attempt a covering certificate for every certifiable nonempty edge.
 
-    Each interior-witnessed edge gets its own rectangle pair centered on
-    the witness and its image, shaped by the expansion frame; boundary-only
-    edges are excluded and listed.
+    Each class representative gets its own rectangle pair centered on its
+    witness and the witness's image, shaped by the expansion frame, and
+    one strip search; the other edges of its class are its translates, a
+    covering relation being carried over by the conjugating translation.
+    An edge whose class fails gets its own strip search, so a failure
+    report names each edge's own reason. Boundary-only edges are excluded
+    and listed.
     """
     cfg = cfg or CoveringConfig()
     if g.uncertain and not cfg.allow_uncertain:
@@ -563,36 +651,145 @@ def certify_chained(
         if np.abs(vals[0]) > 1.0 + 1e-9 and f.n >= 2:
             frame = rows
 
-    certs: dict[tuple[int, int], CoveringCertificate] = {}
-    failures: list[tuple[int, int, str]] = []
-    excluded: set[tuple[int, int]] = set()
-    for (i, j) in edges:
-        w = g.witnesses[(i, j)]
-        if not w.interior:
-            excluded.add((i, j))
-            continue
-        src, dst = _anchored_pair(f, s, w, frame)
-        result = check_covering(f, src, dst, cfg)
-        if isinstance(result, CoveringCertificate):
-            certs[(i, j)] = result
-        else:
-            failures.append((i, j, result.reason))
+    interior = [p for p in edges if g.witnesses[p].interior]
+    reps = dict(zip(interior, _representatives(f, s, g, interior)))
+    classes: list[tuple[Pair, CoveringCertificate]] = []
+    searched: dict[Pair, int | str] = {}  # class index, or the failure reason
 
-    if failures or not certs:
+    def search(pair: Pair) -> int | str:
+        if pair not in searched:
+            src, dst = _anchored_pair(f, s, g.witnesses[pair], frame)
+            result = check_covering(f, src, dst, cfg)
+            if isinstance(result, CoveringCertificate):
+                searched[pair] = len(classes)
+                classes.append((pair, result))
+            else:
+                searched[pair] = result.reason
+        return searched[pair]
+
+    edge_class: dict[Pair, int] = {}
+    failures: list[tuple[int, int, str]] = []
+    for pair in interior:
+        got = search(reps[pair])
+        if isinstance(got, str) and reps[pair] != pair:
+            got = search(pair)
+        if isinstance(got, str):
+            failures.append((*pair, got))
+        else:
+            edge_class[pair] = got
+    excluded = frozenset(edges) - frozenset(interior)
+
+    if failures or not edge_class:
         if not failures:
             failures = [(-1, -1, "no interior-witnessed edges to certify")]
         return FailureReport(
             map_id=f.descriptor,
             total_edges=len(edges),
-            certified=len(certs),
+            certified=len(edge_class),
             failures=tuple(failures),
-            excluded_boundary=frozenset(excluded),
+            excluded_boundary=excluded,
         )
     return ChainedCertificate(
         map_id=f.descriptor,
         subdivision=s,
-        certificates=certs,
-        excluded_boundary=frozenset(excluded),
+        classes=tuple(classes),
+        edge_class=edge_class,
+        excluded_boundary=excluded,
+    )
+
+
+@dataclass(frozen=True)
+class ChainedAudit:
+    """What ``audit_chained`` re-checked, and every disagreement it found."""
+
+    classes: int
+    certified: int
+    excluded: int
+    problems: tuple[str, ...]
+
+
+def _rect_in_cube(r: Rectangle, cube: Box) -> bool:
+    """Whether the (rotated) rectangle lies in the closed cube, up to a lattice shift."""
+    c = np.array(r.center)
+    if cube.space is Space.TORUS:
+        c -= np.round(c - np.array(cube.center))
+    half = r.ambient_bounding_halfwidths()
+    return bool(np.all(c - half >= cube.lo_arr) and np.all(c + half <= cube.hi_arr))
+
+
+def audit_chained(
+    f: MapSpec, g: TransitionGraph, body: dict, cfg: CoveringConfig | None = None
+) -> ChainedAudit:
+    """Re-check a stored chained certificate (its JSON body) against g.
+
+    Every class certificate is replayed from scratch, and its rectangles
+    must lie in the cubes its representative pair names. Every
+    interior-witnessed edge of g must be certified, and the class each
+    edge names must be its translation class, derived here from the
+    integer index action rather than read from the file. The excluded
+    edges must be exactly the boundary-only edges of g.
+    """
+    cfg = cfg or CoveringConfig()
+    s = g.subdivision
+    problems: list[str] = []
+    if g.uncertain and not cfg.allow_uncertain:
+        problems.append(f"graph has {len(g.uncertain)} uncertain edges")
+
+    reps: list[Pair | None] = []
+    margins = []
+    for k, entry in enumerate(body["classes"]):
+        i, j = (int(v) for v in entry["pair"])
+        cert = certificate_from_json(entry["certificate"])
+        margins.append(certificate_margin(cert))
+        if not (0 <= i < s.count and 0 <= j < s.count):
+            reps.append(None)
+            problems.append(f"class {k}: pair {(i, j)} is not a cube pair")
+            continue
+        reps.append((i, j))
+        if not (_rect_in_cube(cert.source, s.box(i)) and _rect_in_cube(cert.target, s.box(j))):
+            problems.append(f"class {k}: rectangles leave the cubes of pair {(i, j)}")
+        if not verify_certificate(f, cert, cfg):
+            problems.append(f"class {k}: covering fails re-checking")
+    least = min(margins, default=None)
+    if body["margin"] != least:
+        problems.append(f"stored margin {body['margin']!r} != class minimum {least!r}")
+
+    interior = {p for p, w in g.witnesses.items() if w.interior}
+    stored: dict[Pair, int] = {}
+    for key, k in body["certificates"].items():
+        if not isinstance(k, int):
+            raise ValueError(f"certificate entry {key!r} must name a class index")
+        i, j = (int(v) for v in key.split(","))
+        stored[(i, j)] = k
+    for pair in sorted(interior - stored.keys()):
+        problems.append(f"edge {pair}: interior-witnessed but not certified")
+    for pair in sorted(stored.keys() - interior):
+        problems.append(f"edge {pair}: certified but not an interior-witnessed graph edge")
+    named = sorted(
+        (pair, reps[k]) for pair, k in stored.items()
+        if pair in interior and 0 <= k < len(reps) and reps[k] is not None
+    )
+    index_matrix = equivariant_index_matrix(f, s)
+    if index_matrix is not None:
+        own = translation_keys(s, index_matrix, [p for p, _ in named]).tolist()
+        theirs = translation_keys(s, index_matrix, [r for _, r in named]).tolist()
+        agree = {p for (p, _), a, b in zip(named, own, theirs) if a == b}
+    else:
+        agree = {p for p, rep in named if p == rep}
+    for pair in sorted((stored.keys() & interior) - agree):
+        problems.append(f"edge {pair}: class {stored[pair]} is not its translation class")
+
+    boundary = set(g.witnesses) - interior
+    excluded = {tuple(int(v) for v in p) for p in body["excluded_boundary"]}
+    for pair in sorted(excluded - boundary):
+        problems.append(f"edge {pair}: listed as excluded but not a boundary-only graph edge")
+    for pair in sorted(boundary - excluded):
+        problems.append(f"edge {pair}: boundary-only graph edge missing from excluded_boundary")
+    return ChainedAudit(
+        classes=len(reps),
+        certified=len(agree),
+        excluded=len(excluded),
+        problems=tuple(problems),
     )
 
 
@@ -632,10 +829,13 @@ __all__ = [
     "CoveringCertificate",
     "Inconclusive",
     "ChainedCertificate",
+    "ChainedAudit",
+    "EdgeCertificates",
     "FailureReport",
     "ChainValidity",
     "check_covering",
     "certificate_margin",
+    "audit_chained",
     "certify_chained",
     "compose_chain",
     "verify_certificate",

@@ -462,19 +462,28 @@ def _residual_box(parts: MapParts, direction: Direction, lo, hi):
     return parts.residual.over(lo, hi)
 
 
+def enclose(
+    f: MapSpec, direction: Direction, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rigorous enclosure of f over the lifted box [lo, hi], un-wrapped.
+
+    The box may be any lift, wider than one period included.
+    """
+    parts = map_parts(f, direction)
+    out_lo, out_hi = _affine_box(parts, lo, hi)
+    if parts.residual is not None:
+        r_lo, r_hi = _residual_box(parts, direction, lo, hi)
+        out_lo, out_hi = out_lo + r_lo, out_hi + r_hi
+    return widen(out_lo, out_hi)
+
+
 def eval_box(f: MapSpec, direction: Direction, box: Box) -> Lift:
     """Rigorous enclosure of f(box) as an un-wrapped lift.
 
     Torus wrapping is deliberately left to the caller (``split_lift``) so the
     enclosure itself stays tight.
     """
-    parts = map_parts(f, direction)
-    lo, hi = box.lo_arr, box.hi_arr
-    out_lo, out_hi = _affine_box(parts, lo, hi)
-    if parts.residual is not None:
-        r_lo, r_hi = _residual_box(parts, direction, lo, hi)
-        out_lo, out_hi = out_lo + r_lo, out_hi + r_hi
-    out_lo, out_hi = widen(out_lo, out_hi)
+    out_lo, out_hi = enclose(f, direction, box.lo_arr, box.hi_arr)
     return Lift(tuple(out_lo), tuple(out_hi), f.space)
 
 

@@ -31,7 +31,7 @@ from .covering import (
 from .dynamics import (
     Direction,
     MapSpec,
-    eval_box,
+    enclose,
     eval_point,
     eval_points,
     jacobian,
@@ -555,13 +555,9 @@ def _make_stepper(f: MapSpec, direction: Direction):
 
         return step
 
-    space = f.space
-
-    def step(lo: np.ndarray, hi: np.ndarray):
-        img = eval_box(f, direction, Box(tuple(lo), tuple(hi), space))
-        return img.lo_arr, img.hi_arr
-
-    return step
+    # Lifted arrays, not a Box: a tube of radius 1/2 or more spans a full
+    # period of the torus.
+    return lambda lo, hi: enclose(f, direction, lo, hi)
 
 
 def _window_times(f: MapSpec, p: PseudoOrbit) -> tuple[list[int], list[int]]:
@@ -746,6 +742,10 @@ def _bisect_cell(
     if p.space is Space.CUBE:
         t_lo, t_hi = np.maximum(t_lo, 0.0), np.minimum(t_hi, 1.0)
     if bands is None:
+        if p.space is Space.TORUS:
+            # A tube of radius 1/2 or more wraps the circle; one period
+            # around y_0 holds a lift of every point in it.
+            t_lo, t_hi = np.maximum(t_lo, y0 - 0.5), np.minimum(t_hi, y0 + 0.5)
         if seed_box is not None and np.any(t_lo > t_hi):
             raise NoSurvivingCellError(
                 "seed box excludes the tracking tube", deepest_surviving_depth=0

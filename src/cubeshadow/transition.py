@@ -230,7 +230,7 @@ def build_graph(
     empty_gaps: dict[tuple[int, int], float] = {}
     min_empty_gap = math.inf
 
-    index_matrix = _equivariant_index_matrix(f, s)
+    index_matrix = equivariant_index_matrix(f, s)
     rows = [0] if index_matrix is not None else list(range(s.count))
 
     for i in rows:
@@ -307,13 +307,28 @@ def _compute_row(
     return row_wit, row_unc, row_gaps, row_min
 
 
-def _equivariant_index_matrix(f: MapSpec, s: Subdivision) -> np.ndarray | None:
+def equivariant_index_matrix(f: MapSpec, s: Subdivision) -> np.ndarray | None:
     """Integer index action when f commutes with grid translations exactly."""
     if s.space is not Space.TORUS:
         return None
     if f.kind in (MapKind.IDENTITY, MapKind.TRANSLATION, MapKind.TORAL):
         return np.array(f.matrix, dtype=int)
     return None
+
+
+def translation_keys(
+    s: Subdivision, index_matrix: np.ndarray, pairs: list[tuple[int, int]]
+) -> np.ndarray:
+    """Translation class of each cube pair (i, j): the flat index of j - A i.
+
+    Under an equivariant map, (i, j) is the grid translate of (0, key), so
+    two pairs with equal keys have the same geometry.
+    """
+    side = 1 << s.m
+    multis = _all_multi_indices(s)
+    powers = side ** np.arange(s.n - 1, -1, -1)
+    ij = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    return ((multis[ij[:, 1]] - multis[ij[:, 0]] @ index_matrix.T) % side) @ powers
 
 
 def _all_multi_indices(s: Subdivision) -> np.ndarray:

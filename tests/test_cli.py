@@ -51,6 +51,93 @@ def test_certify_translation_fails(tmp_path):
     assert (tmp_path / "failure.json").exists()
 
 
+@pytest.fixture(scope="module")
+def cat_certificate(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cat3")
+    assert main(["certify", "--map", CAT, "--m", "3", "--out", str(out)]) == 0
+    return run_json(out / "certificate.json")
+
+
+def test_verify_accepts_the_written_certificate(tmp_path, capsys, cat_certificate):
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(cat_certificate))
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 0
+    assert capsys.readouterr().out.startswith(
+        "verify: 4 classes re-checked from scratch, 256 certified edges derived, "
+        "512 excluded edges checked"
+    )
+
+
+def _drop_half(cert):
+    for key in sorted(cert["certificates"])[::2]:
+        del cert["certificates"][key]
+
+
+def _drop_one(cert):
+    del cert["certificates"][sorted(cert["certificates"])[0]]
+
+
+def _rekey(cert):
+    key = sorted(cert["certificates"])[0]
+    i, j = cert["excluded_boundary"][0]
+    cert["certificates"][f"{i},{j}"] = cert["certificates"].pop(key)
+
+
+def _swap_class(cert):
+    key = sorted(cert["certificates"])[5]
+    cert["certificates"][key] = (cert["certificates"][key] + 1) % len(cert["classes"])
+
+
+def _move_class(cert):
+    # A genuine covering, translated by one cube (source) and by A t mod 1
+    # (target): only binding the rectangles to their cubes catches it.
+    c = cert["classes"][0]["certificate"]
+    for rect, t in ((c["source"], (0.125, 0.0)), (c["target"], (0.25, 0.125))):
+        for end in ("lo", "hi"):
+            rect["box"][end] = [v + dv for v, dv in zip(rect["box"][end], t)]
+    c["h_range"] = [h + 0.125 for h in c["h_range"]]
+
+
+def _inflate_margin(cert):
+    c = cert["classes"][0]["certificate"]
+    c["exit_margin"] *= 2.0
+    cert["margin"] = min(
+        min(k["certificate"]["exit_margin"], k["certificate"]["confinement_margin"])
+        for k in cert["classes"]
+    )
+
+
+def _drop_excluded(cert):
+    cert["excluded_boundary"].pop()
+
+
+@pytest.mark.parametrize(
+    "tamper, reason",
+    [
+        (_drop_half, "interior-witnessed but not certified"),
+        (_drop_one, "interior-witnessed but not certified"),
+        (_rekey, "certified but not an interior-witnessed graph edge"),
+        (_swap_class, "is not its translation class"),
+        (_move_class, "rectangles leave the cubes"),
+        (_inflate_margin, "covering fails re-checking"),
+        (_drop_excluded, "missing from excluded_boundary"),
+    ],
+    ids=["drop-half", "drop-one", "rekey", "swap-class", "move-class",
+         "inflate-margin", "drop-excluded"],
+)
+def test_verify_rejects_a_tampered_certificate(
+    tmp_path, capsys, cat_certificate, tamper, reason
+):
+    data = json.loads(json.dumps(cat_certificate))
+    tamper(data["certificate"])
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 2
+    out = capsys.readouterr().out
+    assert "REJECTED" in out
+    assert reason in out
+
+
 def test_shadow_rejects_delta_at_separation_bound(tmp_path, capsys):
     rc = main(
         ["shadow", "--map", CAT, "--m", "3", "--delta", "0.2",

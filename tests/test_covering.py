@@ -7,6 +7,7 @@ import pytest
 from cubeshadow.covering import (
     ChainedCertificate,
     CoveringCertificate,
+    CoveringConfig,
     FailureReport,
     Inconclusive,
     Rectangle,
@@ -165,6 +166,38 @@ def test_cat_chained_certificates_reverify():
     for _pair, cert in sorted(res.certificates.items())[::16]:
         assert verify_certificate(CAT, cert)
     json.dumps(res.to_json())
+
+
+def _inside(rect, cube):
+    c = np.array(rect.center)
+    half = rect.ambient_bounding_halfwidths()
+    return bool(np.all(c - half >= cube.lo_arr) and np.all(c + half <= cube.hi_arr))
+
+
+def test_cat_class_translates_verify_in_their_cubes():
+    s = make_subdivision(2, 3, Space.TORUS)
+    g = build_graph(CAT, s)
+    res = certify_chained(CAT, s, g)
+    # One strip search per class: the four interior edges of row 0.
+    assert [rep for rep, _ in res.classes] == [(0, 0), (0, 8), (0, 9), (0, 17)]
+    for (i, j), cert in res.certificates.items():
+        rep, stored = res.classes[res.edge_class[(i, j)]]
+        assert verify_certificate(CAT, cert)
+        assert _inside(cert.source, s.box(i)) and _inside(cert.target, s.box(j))
+        assert (cert.exit_margin, cert.confinement_margin) == (
+            stored.exit_margin, stored.confinement_margin)
+        assert (cert == stored) == ((i, j) == rep)
+
+
+def test_nonequivariant_kinds_have_one_class_per_edge():
+    f = builtin_map("perturbed [[2,1],[1,1]] eta=0.001 freq=1")
+    s = make_subdivision(2, 2, Space.TORUS)
+    g = build_graph(f, s)
+    res = certify_chained(f, s, g, CoveringConfig(allow_uncertain=True))
+    assert isinstance(res, ChainedCertificate)
+    assert [rep for rep, _ in res.classes] == list(res.certificates)
+    for pair, cert in res.certificates.items():
+        assert cert is res.classes[res.edge_class[pair]][1]
 
 
 @pytest.mark.parametrize("desc", ["identity", "translation [0.25,0.5]"])

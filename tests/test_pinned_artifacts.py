@@ -47,7 +47,23 @@ def test_graph_artifact_bits(tmp_path, descriptor, m, digest):
 def test_cat_certificate_bits(tmp_path):
     assert main(["certify", "--map", CAT, "--m", "3", "--out", str(tmp_path)]) == 0
     body = _body(tmp_path / "certificate.json")["certificate"]
-    assert _sha(body) == "cb9f1f098a89ec93ff2d22ada639fd8f26625c29db10fafc093ccf5e152451bb"
+    assert _sha(body) == "e05583028b602bf0d30f939ebe0f31f7423a3ead11d6a50b5a5af818bcd96fe6"
+
+
+@pytest.mark.parametrize(
+    "descriptor, digest",
+    [
+        ("identity", "7235f36456048c25ffa4d8394f8dd382ee78d4b5a0b813e3c164cd963f1fa911"),
+        ("translation [0.3,0.1]",
+         "d7eb5efa063bf1a2bc5c4ad6217cff252317e1d247f1832628cbbeb33ca360bc"),
+    ],
+    ids=["identity", "translation"],
+)
+def test_failure_report_bits(tmp_path, descriptor, digest):
+    # Classes that fail fall back to one strip search per edge, so every
+    # edge keeps its own reason, down to the last printed digit.
+    assert main(["certify", "--map", descriptor, "--m", "3", "--out", str(tmp_path)]) == 2
+    assert _sha(_body(tmp_path / "failure.json")) == digest
 
 
 @pytest.mark.parametrize(

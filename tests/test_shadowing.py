@@ -21,6 +21,7 @@ from cubeshadow.shadowing import (
     RoundToGrid,
     ShadowConfig,
     UniformNoise,
+    _bisect_cell,
     generate_pseudo_orbit,
     itinerary,
     orbit_csv,
@@ -428,3 +429,18 @@ def test_bisection_failures_name_the_empty_tube(perturbed_m2, kind, kwargs, mess
     with pytest.raises(NoSurvivingCellError, match=message) as info:
         shadow(f, p, cert, 1.0, g=g, **kwargs)
     assert info.value.deepest_surviving_depth == 0
+
+
+def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2):
+    # A radius of 1/2 or more once made each interval step build a torus
+    # Box wider than one period and raise ValueError.
+    s, g, cert = perturbed_m2
+    p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 5, UniformNoise(0))
+    lo, hi, splits = _bisect_cell(PERTURBED, p, 0.6, ShadowConfig())
+    assert splits > 0
+    assert all(0.0 <= b - a < 1e-9 for a, b in zip(lo, hi))
+    Box(tuple(lo), tuple(hi), Space.TORUS)
+    wide = ShadowConfig(radius_factor=6000.0)  # r = 0.6 at delta 1e-4
+    itin = itinerary(p, s, g, allow_uncertain=True)
+    with pytest.raises(NoSurvivingCellError, match="best orbit achieves eps"):
+        shadow(PERTURBED, p, cert, 0.3, g=g, itin=itin, cfg=wide)
