@@ -35,7 +35,7 @@ from .dynamics import (
 )
 from .errors import MismatchedChainError, NotEndomorphismError, UncertainEdgesError
 from .geometry import Box, Space, Subdivision
-from .transition import TransitionGraph, equivariant_index_matrix, translation_keys
+from .transition import TransitionGraph, class_representatives
 
 _ORTHO_TOL = 1e-9
 
@@ -474,10 +474,6 @@ class ChainedCertificate:
     def certificates(self) -> "EdgeCertificates":
         return EdgeCertificates(self)
 
-    @property
-    def certified_pairs(self) -> frozenset[Pair]:
-        return frozenset(self.edge_class)
-
     def margin(self) -> float:
         return min(certificate_margin(c) for _, c in self.classes)
 
@@ -552,15 +548,14 @@ class FailureReport:
         }
 
 
-def expansion_frame(f: MapSpec, at=None) -> tuple[np.ndarray, np.ndarray] | None:
+def expansion_frame(f: MapSpec) -> tuple[np.ndarray, np.ndarray] | None:
     """Orthonormal frame rows sorted by decreasing |eigenvalue| of Df.
 
     None when the spectrum is complex: the restricted rectangle charts
     have nothing to align to. For non-symmetric derivatives the rows are
     the orthonormalized eigenbasis, expansion direction kept exact.
     """
-    point = at if at is not None else (0.5,) * f.n
-    d = jacobian(f, point)
+    d = jacobian(f, (0.5,) * f.n)
     vals, vecs = np.linalg.eig(d)
     if np.abs(np.asarray(vals).imag).max() > 1e-12:
         return None
@@ -609,16 +604,13 @@ def _frame_tuple(frame: np.ndarray | None):
 def _representatives(
     f: MapSpec, s: Subdivision, g: TransitionGraph, pairs: list[Pair]
 ) -> list[Pair]:
-    """The pair whose certificate each edge borrows: its row-0 translate
-    (0, j - A i) when f is translation-equivariant and that edge has an
-    interior witness, else the edge itself."""
-    index_matrix = equivariant_index_matrix(f, s)
-    if index_matrix is None:
-        return list(pairs)
+    """The pair whose certificate each edge borrows: its class
+    representative when that edge has an interior witness, else the edge
+    itself."""
     reps = []
-    for pair, key in zip(pairs, translation_keys(s, index_matrix, pairs).tolist()):
-        w = g.witnesses.get((0, key))
-        reps.append((0, key) if w is not None and w.interior else pair)
+    for pair, rep in zip(pairs, class_representatives(f, s, pairs)):
+        w = g.witnesses.get(rep)
+        reps.append(rep if w is not None and w.interior else pair)
     return reps
 
 
@@ -725,9 +717,10 @@ def audit_chained(
     Every class certificate is replayed from scratch, and its rectangles
     must lie in the cubes its representative pair names. Every
     interior-witnessed edge of g must be certified, and the class each
-    edge names must be its translation class, derived here from the
-    integer index action rather than read from the file. The excluded
-    edges must be exactly the boundary-only edges of g.
+    edge names must be its translation class: the edge and the class's
+    pair must share a class representative, derived here rather than read
+    from the file. The excluded edges must be exactly the boundary-only
+    edges of g.
     """
     cfg = cfg or CoveringConfig()
     s = g.subdivision
@@ -769,13 +762,9 @@ def audit_chained(
         (pair, reps[k]) for pair, k in stored.items()
         if pair in interior and 0 <= k < len(reps) and reps[k] is not None
     )
-    index_matrix = equivariant_index_matrix(f, s)
-    if index_matrix is not None:
-        own = translation_keys(s, index_matrix, [p for p, _ in named]).tolist()
-        theirs = translation_keys(s, index_matrix, [r for _, r in named]).tolist()
-        agree = {p for (p, _), a, b in zip(named, own, theirs) if a == b}
-    else:
-        agree = {p for p, rep in named if p == rep}
+    own = class_representatives(f, s, [p for p, _ in named])
+    theirs = class_representatives(f, s, [r for _, r in named])
+    agree = {p for (p, _), a, b in zip(named, own, theirs) if a == b}
     for pair in sorted((stored.keys() & interior) - agree):
         problems.append(f"edge {pair}: class {stored[pair]} is not its translation class")
 

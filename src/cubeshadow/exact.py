@@ -137,28 +137,6 @@ def exact_step(f: MapSpec, direction: Direction = Direction.FORWARD) -> ExactAff
     return step
 
 
-def exact_powers(f: MapSpec, lo: int, hi: int) -> dict[int, ExactAffine]:
-    """f^k as exact affine maps for every k in [lo, hi] (k may be negative)."""
-    if lo > hi:
-        raise ValueError("empty power range")
-    if lo < 0 and not f.invertible:
-        raise NotInvertibleError(f"{f.descriptor} has no inverse")
-    out = {0: ExactAffine.identity(f.n, f.space.value == "torus")}
-    if hi > 0:
-        step = exact_step(f, Direction.FORWARD)
-        acc = out[0]
-        for k in range(1, hi + 1):
-            acc = step.compose(acc)
-            out[k] = acc
-    if lo < 0:
-        back = exact_step(f, Direction.INVERSE)
-        acc = out[0]
-        for k in range(-1, lo - 1, -1):
-            acc = back.compose(acc)
-            out[k] = acc
-    return {k: v for k, v in out.items() if lo <= k <= hi}
-
-
 def _sqrt_fraction(x: Fraction, digits: int) -> Fraction:
     """Rational sqrt(x) with relative error about 10^-digits (x > 0)."""
     scale = 10 ** digits
@@ -211,16 +189,6 @@ def eigen_directions(f: MapSpec, digits: int = 60) -> EigenDirections | None:
     )
 
 
-def decompose(basis_u: FracVec, basis_s: FracVec, v: FracVec) -> tuple[Fraction, Fraction]:
-    """Exact coefficients (a, b) with v = a*basis_u + b*basis_s."""
-    det = basis_u[0] * basis_s[1] - basis_s[0] * basis_u[1]
-    if det == 0:
-        raise NotHyperbolicError("eigen directions are parallel")
-    a = (v[0] * basis_s[1] - basis_s[0] * v[1]) / det
-    b = (basis_u[0] * v[1] - v[0] * basis_u[1]) / det
-    return a, b
-
-
 def periodic_points(f: MapSpec, period: int) -> list[FracVec]:
     """All fixed points of f^period on the torus, as exact rationals.
 
@@ -231,7 +199,10 @@ def periodic_points(f: MapSpec, period: int) -> list[FracVec]:
         raise InvalidMapError("periodic point enumeration requires the torus")
     if period < 1:
         raise ValueError("period must be >= 1")
-    power = exact_powers(f, 0, period)[period]
+    step = exact_step(f, Direction.FORWARD)
+    power = ExactAffine.identity(f.n, wrap=True)
+    for _ in range(period):
+        power = step.compose(power)
     n = f.n
     m = tuple(
         tuple(power.matrix[i][j] - (1 if i == j else 0) for j in range(n))

@@ -83,10 +83,6 @@ class Box:
         return np.array(self.hi, dtype=float)
 
     @property
-    def widths(self):
-        return tuple(b - a for a, b in zip(self.lo, self.hi))
-
-    @property
     def center(self):
         return tuple(0.5 * (a + b) for a, b in zip(self.lo, self.hi))
 
@@ -103,23 +99,6 @@ class Box:
                 if not (a - tol <= x <= b + tol):
                     return False
         return True
-
-    def interior_clearance(self, p):
-        """Distance from p to the box's boundary; negative means outside.
-
-        Measured per axis in the unwrapped chart (adequate for the small
-        boxes this toolkit certifies on)."""
-        worst = math.inf
-        for a, b, x in zip(self.lo, self.hi, p):
-            if self.space is Space.TORUS:
-                x = x - math.floor(x)
-                best = max(
-                    min(x + shift - a, b - x - shift) for shift in (-1.0, 0.0, 1.0)
-                )
-                worst = min(worst, best)
-            else:
-                worst = min(worst, x - a, b - x)
-        return worst
 
 
 @dataclass(frozen=True)
@@ -178,36 +157,12 @@ def split_lift(lift):
 
 
 @dataclass(frozen=True)
-class DyadicCube:
-    """Grid cube of order m: the product of [k_d/2^m, (k_d+1)/2^m]."""
-
-    m: int
-    index: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "index", tuple(int(k) for k in self.index))
-        side = 1 << self.m
-        for k in self.index:
-            if not 0 <= k < side:
-                raise ValueError(f"index {k} out of range for order {self.m}")
-
-    @property
-    def n(self):
-        return len(self.index)
-
-    def box(self, space):
-        scale = float(1 << self.m)
-        lo = tuple(k / scale for k in self.index)
-        hi = tuple((k + 1) / scale for k in self.index)
-        return Box(lo, hi, space)
-
-
-@dataclass(frozen=True)
 class Subdivision:
     """The full order-m dyadic subdivision of the n-cube or n-torus.
 
-    Cubes are materialized on demand from their indices; only counters and
-    conversion helpers are stored.
+    A cube is named by its flat index: the row-major position of its
+    multi-index (k_1, ..., k_n), the cube being the product of the
+    [k_d/2^m, (k_d+1)/2^m].  This class owns the conversions between the two.
     """
 
     n: int
@@ -245,18 +200,23 @@ class Subdivision:
             flat //= self.side
         return tuple(reversed(out))
 
-    def cube(self, key):
-        """Cube by flat index or multi-index."""
-        if isinstance(key, (int, np.integer)):
-            return DyadicCube(self.m, self.multi_index(int(key)))
-        return DyadicCube(self.m, tuple(key))
+    def multi_indices(self):
+        """(count, n) array of every cube's multi-index, in flat-index order."""
+        shape = (self.side,) * self.n
+        return np.stack(np.unravel_index(np.arange(self.count), shape), axis=-1)
 
-    def box(self, key):
-        return self.cube(key).box(self.space)
+    def flat_indices(self, multis):
+        """Flat index of every multi-index along the last axis of ``multis``."""
+        shape = (self.side,) * self.n
+        return np.ravel_multi_index(np.moveaxis(np.asarray(multis), -1, 0), shape)
 
-    def cubes(self):
-        for flat in range(self.count):
-            yield self.cube(flat)
+    def box(self, flat):
+        """The closed cube with this flat index, bounds exact dyadics."""
+        scale = float(self.side)
+        multi = self.multi_index(flat)
+        lo = tuple(k / scale for k in multi)
+        hi = tuple((k + 1) / scale for k in multi)
+        return Box(lo, hi, self.space)
 
     def to_json(self):
         return {"n": self.n, "m": self.m, "space": self.space.value, "count": self.count}
@@ -273,40 +233,19 @@ def make_subdivision(n, m, space, budget=DEFAULT_CUBE_BUDGET):
     return Subdivision(n=n, m=m, space=space)
 
 
-def _axis_cube_index(x, m, space):
-    """Index of the cube containing coordinate x, lowest index on boundaries."""
-    side = 1 << m
-    if space is Space.TORUS:
-        x = x - math.floor(x)
-    t = x * side  # exact: side is a power of two
-    j = math.floor(t)
-    if t == j:
-        # x sits on a grid hyperplane: both neighbors contain it; take the
-        # lexicographically smaller index (wrapping on the torus).
-        if space is Space.TORUS:
-            return min((j - 1) % side, j % side)
-        cands = [c for c in (j - 1, j) if 0 <= c < side]
-        return min(cands)
-    return min(max(int(j), 0), side - 1)
-
-
-def cube_of_point(subdivision, p):
-    """The cube containing p; ties broken toward the smallest multi-index."""
-    idx = tuple(
-        _axis_cube_index(float(x), subdivision.m, subdivision.space) for x in p
-    )
-    return DyadicCube(subdivision.m, idx)
-
-
 def cubes_containing_point(subdivision, p):
-    """All cubes whose closure contains p (up to 2^n on grid boundaries)."""
+    """Flat indices, ascending, of all cubes whose closure contains p.
+
+    A coordinate on a grid hyperplane lies in both neighboring cubes (on
+    the torus 0 and 1 are the same hyperplane), so up to 2^n cubes qualify.
+    """
     side = subdivision.side
     per_axis = []
     for x in p:
         x = float(x)
         if subdivision.space is Space.TORUS:
             x = x - math.floor(x)
-        t = x * side
+        t = x * side  # exact: side is a power of two
         j = math.floor(t)
         if t == j:
             if subdivision.space is Space.TORUS:
@@ -315,7 +254,12 @@ def cubes_containing_point(subdivision, p):
                 per_axis.append([c for c in (j - 1, j) if 0 <= c < side])
         else:
             per_axis.append([min(max(int(j), 0), side - 1)])
-    return [DyadicCube(subdivision.m, combo) for combo in itertools.product(*per_axis)]
+    return [subdivision.flat_index(combo) for combo in itertools.product(*per_axis)]
+
+
+def cube_of_point(subdivision, p):
+    """Flat index of the cube containing p; ties go to the smallest index."""
+    return min(cubes_containing_point(subdivision, p))
 
 
 def chi(subdivision):

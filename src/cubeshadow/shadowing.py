@@ -63,10 +63,6 @@ from .geometry import Box, Space, Subdivision, cube_of_point
 from .transition import EdgeStatus, TransitionGraph, build_graph, delta_bound, find_path
 
 
-def _cube_index(s: Subdivision, y) -> int:
-    return s.flat_index(cube_of_point(s, y).index)
-
-
 # --- perturbation modes -----------------------------------------------------
 
 @dataclass(frozen=True)
@@ -330,21 +326,6 @@ class Itinerary:
     lo: int = 0
     periodic: int | None = None
 
-    def index(self, k: int) -> int:
-        if self.periodic is not None:
-            return self.indices[k % len(self.indices)]
-        return self.indices[k - self.lo]
-
-    def to_json(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "m": self.subdivision.m,
-            "n": self.subdivision.n,
-            "space": self.subdivision.space.value,
-            "lo": self.lo,
-            "periodic": self.periodic,
-        }
-
 
 def itinerary(
     p: PseudoOrbit,
@@ -370,7 +351,7 @@ def itinerary(
         raise DeltaTooLargeError(
             f"delta {p.delta} is not below the separation bound {bound}"
         )
-    idx = tuple(_cube_index(s, y) for y in p.points)
+    idx = tuple(cube_of_point(s, y) for y in p.points)
     return _checked_itinerary(p, s, g, idx, declared=False)
 
 
@@ -790,7 +771,8 @@ def _lift_map(f: MapSpec, p: PseudoOrbit, shifts, a: int, b: int) -> ExactAffine
 
     Composes the lift steps X_{k+1} = M X_k + c - s_k unreduced: the
     integer shifts keep every image on the branch nearest its pseudo-orbit
-    point, and reducing offsets mod 1 (as exact_powers does) would move it.
+    point, and reducing offsets mod 1 (as ExactAffine.compose does on the
+    torus) would move it.
     """
     step = exact_step(f, Direction.FORWARD)
     acc = ExactAffine.identity(p.n, wrap=False)
@@ -1191,11 +1173,11 @@ def specification_splice(
     indices: list[int] = []
     for j, seg in enumerate(segs):
         points.extend(seg)
-        indices.extend(_cube_index(s, q) for q in seg)
+        indices.extend(cube_of_point(s, q) for q in seg)
         nxt = segs[(j + 1) % len(segs)]
         depart = eval_point(f, Direction.FORWARD, seg[-1])
-        start_cube = _cube_index(s, depart)
-        goal_cube = _cube_index(s, nxt[0])
+        start_cube = cube_of_point(s, depart)
+        goal_cube = cube_of_point(s, nxt[0])
         path = find_path(g, start_cube, goal_cube, max_len=gap)
         # The goal cube is represented by the next segment's own first
         # point, so only the earlier path cubes become center waypoints.

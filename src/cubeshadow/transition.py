@@ -69,9 +69,6 @@ class TransitionGraph:
             return EdgeStatus.UNCERTAIN
         return EdgeStatus.EMPTY
 
-    def witness(self, i: int, j: int) -> EdgeWitness | None:
-        return self.witnesses.get((i, j))
-
     def successors(self, i: int) -> list[int]:
         return sorted(j for (a, j) in self.witnesses if a == i)
 
@@ -316,30 +313,22 @@ def equivariant_index_matrix(f: MapSpec, s: Subdivision) -> np.ndarray | None:
     return None
 
 
-def translation_keys(
-    s: Subdivision, index_matrix: np.ndarray, pairs: list[tuple[int, int]]
-) -> np.ndarray:
-    """Translation class of each cube pair (i, j): the flat index of j - A i.
+def class_representatives(
+    f: MapSpec, s: Subdivision, pairs: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The row-0 representative of each cube pair's translation class.
 
-    Under an equivariant map, (i, j) is the grid translate of (0, key), so
-    two pairs with equal keys have the same geometry.
+    When f commutes with the grid translations (f(x + t) = f(x) + A t,
+    A integer), pair (i, j) is the translate of (0, j - A i mod 2^m) and
+    has the same geometry; otherwise each pair is its own class.
     """
-    side = 1 << s.m
-    multis = _all_multi_indices(s)
-    powers = side ** np.arange(s.n - 1, -1, -1)
+    index_matrix = equivariant_index_matrix(f, s)
+    if index_matrix is None:
+        return list(pairs)
+    multis = s.multi_indices()
     ij = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    return ((multis[ij[:, 1]] - multis[ij[:, 0]] @ index_matrix.T) % side) @ powers
-
-
-def _all_multi_indices(s: Subdivision) -> np.ndarray:
-    """(count, n) array of cube multi-indices in flat-index order."""
-    side = 1 << s.m
-    flat = np.arange(s.count)
-    cols = []
-    for _ in range(s.n):
-        cols.append(flat % side)
-        flat = flat // side
-    return np.stack(cols[::-1], axis=1)
+    keys = s.flat_indices((multis[ij[:, 1]] - multis[ij[:, 0]] @ index_matrix.T) % s.side)
+    return [(0, key) for key in keys.tolist()]
 
 
 def _translate_rows(
@@ -357,26 +346,25 @@ def _translate_rows(
     dyadic shifts of row-0 sample points; images and clearances are
     recomputed from scratch so the stored data stays verifiable.
     """
-    side = 1 << s.m
     w = s.cube_width
+    multis = s.multi_indices()  # (count, n)
+    shifts = multis @ index_matrix.T  # A i for every source cube i
+
+    def row_targets(base_j: list[int]) -> np.ndarray:
+        """Multi-indices j0 + A i mod 2^m, shape (count, len(base_j), n):
+        where each row-0 target j0 lands in every row i."""
+        return (multis[base_j][None, :, :] + shifts[:, None, :]) % s.side
+
     base = sorted(witnesses.items())
-    base_j = np.array([j for (_, j), _ in base], dtype=int).reshape(-1)
-    base_pts = np.array([wit.point for _, wit in base]).reshape(-1, s.n)
-    nwit = len(base)
     base_unc = sorted({j for (_, j) in uncertain})
     base_gaps = sorted({j: g for (_, j), g in empty_gaps.items()}.items())
-
-    multis = _all_multi_indices(s)  # (count, n)
-    powers = side ** np.arange(s.n - 1, -1, -1)
-    jshift = (multis @ index_matrix.T) % side  # (count, n)
-
-    if nwit:
-        tgt_multi = (multis[base_j][None, :, :] + jshift[:, None, :]) % side
-        tgt_flat = tgt_multi @ powers  # (count, nwit)
+    if base:
+        tgt_multi = row_targets([j for (_, j), _ in base])
+        tgt_flat = s.flat_indices(tgt_multi)  # (count, nwit)
+        base_pts = np.array([wit.point for _, wit in base])
         # base point + dyadic shift stays in [0, 1]; no wrap on the source.
         pts = base_pts[None, :, :] + (multis * w)[:, None, :]
-        flat_pts = pts.reshape(-1, s.n)
-        images = eval_points(f, flat_pts).reshape(s.count, nwit, s.n)
+        images = eval_points(f, pts.reshape(-1, s.n)).reshape(pts.shape)
 
         src_lo = (multis * w)[:, None, :]
         dst_lo = tgt_multi * w
@@ -388,7 +376,7 @@ def _translate_rows(
         clear = np.minimum(src_clear, img_clear)
 
         for i in range(1, s.count):
-            for k in range(nwit):
+            for k in range(len(base)):
                 pair = (i, int(tgt_flat[i, k]))
                 c = float(clear[i, k])
                 if c < 0.0:
@@ -402,14 +390,13 @@ def _translate_rows(
                     clearance=c,
                 )
 
-    for j0 in base_unc:
-        tgt = ((multis[j0][None, :] + jshift) % side) @ powers
+    unc_flat = s.flat_indices(row_targets(base_unc))
+    for i in range(1, s.count):
+        uncertain.update((i, int(j)) for j in unc_flat[i])
+    gap_flat = s.flat_indices(row_targets([j for j, _ in base_gaps]))
+    for k, (_, gap) in enumerate(base_gaps):
         for i in range(1, s.count):
-            uncertain.add((i, int(tgt[i])))
-    for j0, gap in base_gaps:
-        tgt = ((multis[j0][None, :] + jshift) % side) @ powers
-        for i in range(1, s.count):
-            empty_gaps[(i, int(tgt[i]))] = gap
+            empty_gaps[(i, int(gap_flat[i, k]))] = gap
 
 
 def _sharpen_min_gap(

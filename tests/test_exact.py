@@ -4,7 +4,6 @@ import pytest
 
 from cubeshadow.dynamics import Direction, builtin_map
 from cubeshadow.exact import (
-    decompose,
     eigen_directions,
     exact_step,
     frac,
@@ -78,14 +77,6 @@ def test_eigen_directions_cat():
 
 def test_eigen_directions_none_for_identity():
     assert eigen_directions(builtin_map("identity n=2")) is None
-
-
-def test_decompose_reassembles():
-    eig = eigen_directions(CAT)
-    v = frac_vec((0.3, -0.2))
-    cu, cs = decompose(eig.row_u, eig.row_s, v)
-    back = tuple(cu * a + cs * b for a, b in zip(eig.row_u, eig.row_s))
-    assert back == v
 
 
 def test_fixed_points_of_cat():

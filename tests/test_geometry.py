@@ -37,7 +37,6 @@ def test_flat_multi_roundtrip():
     for flat in range(s.count):
         multi = s.multi_index(flat)
         assert s.flat_index(multi) == flat
-        assert s.cube(flat) == s.cube(multi)
 
 
 def test_flat_index_rejects_a_wrong_length():
@@ -48,36 +47,34 @@ def test_flat_index_rejects_a_wrong_length():
 
 def test_cube_boxes_are_exact_dyadics():
     s = make_subdivision(2, 3, Space.CUBE)
-    b = s.box((3, 5))
+    b = s.box(s.flat_index((3, 5)))
     assert b.lo == (3 / 8, 5 / 8)
     assert b.hi == (4 / 8, 6 / 8)
 
 
 def test_cube_of_point_interior():
     s = make_subdivision(2, 1, Space.CUBE)
-    assert cube_of_point(s, (0.3, 0.7)).index == (0, 1)
+    assert cube_of_point(s, (0.3, 0.7)) == s.flat_index((0, 1))
 
 
 def test_cube_of_point_boundary_tie_break():
     s = make_subdivision(2, 1, Space.CUBE)
     # A grid-hyperplane point belongs to several cubes; the smallest index wins.
-    assert cube_of_point(s, (0.5, 0.5)).index == (0, 0)
+    assert cube_of_point(s, (0.5, 0.5)) == s.flat_index((0, 0))
 
 
 def test_cube_of_point_torus_wrap():
     s = make_subdivision(2, 2, Space.TORUS)
-    assert cube_of_point(s, (0.999, 0.0)).index == (3, 0)
+    assert cube_of_point(s, (0.999, 0.0)) == s.flat_index((3, 0))
     # 1.0 is the same torus point as 0.0: candidates {3, 0}, pick 0.
-    assert cube_of_point(s, (1.0, 0.3)).index == (0, 1)
+    assert cube_of_point(s, (1.0, 0.3)) == s.flat_index((0, 1))
 
 
 def test_cubes_containing_point_corner():
     s = make_subdivision(2, 1, Space.TORUS)
-    cubes = cubes_containing_point(s, (0.5, 0.5))
-    assert {c.index for c in cubes} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert cubes_containing_point(s, (0.5, 0.5)) == [0, 1, 2, 3]
     # Torus corner (0,0) is shared with the wrapped neighbors.
-    cubes = cubes_containing_point(s, (0.0, 0.0))
-    assert {c.index for c in cubes} == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert cubes_containing_point(s, (0.0, 0.0)) == [0, 1, 2, 3]
 
 
 def test_chi_values():
@@ -104,21 +101,30 @@ def test_chi_halves_under_refinement():
 def test_refinement_nesting():
     coarse = make_subdivision(2, 2, Space.CUBE)
     fine = make_subdivision(2, 3, Space.CUBE)
-    for cube in fine.cubes():
-        parent = coarse.cube(tuple(k // 2 for k in cube.index))
-        cb, pb = cube.box(Space.CUBE), parent.box(Space.CUBE)
+    for i in range(fine.count):
+        parent = coarse.flat_index(tuple(k // 2 for k in fine.multi_index(i)))
+        cb, pb = fine.box(i), coarse.box(parent)
         assert all(p <= c for p, c in zip(pb.lo, cb.lo))
         assert all(c <= p for c, p in zip(cb.hi, pb.hi))
 
 
 def test_partition_property():
+    # Random points, points on grid hyperplanes (0 and 1 included), and, on
+    # the torus, lifts one period outside [0, 1): every point lies in the
+    # cube cube_of_point names, which is the least of the cubes holding it.
     rng = np.random.default_rng(7)
     for space in (Space.CUBE, Space.TORUS):
-        s = make_subdivision(2, 3, space)
-        for p in rng.random((200, 2)):
-            cube = cube_of_point(s, p)
-            assert cube.box(space).contains_point(p)
-            assert cube in cubes_containing_point(s, p)
+        for n in (1, 2, 3):
+            s = make_subdivision(n, 3, space)
+            points = list(rng.random((200, n)))
+            grid = rng.integers(0, s.side + 1, size=(100, n)) / s.side
+            points += list(np.where(rng.random((100, n)) < 0.5, grid, rng.random((100, n))))
+            if space is Space.TORUS:
+                points += [q + rng.choice([-1.0, 1.0], size=n) for q in points]
+            for p in points:
+                cube = cube_of_point(s, p)
+                assert cube == min(cubes_containing_point(s, p))
+                assert s.box(cube).contains_point(p)
 
 
 def test_set_distance_axis_gap():

@@ -122,9 +122,9 @@ def test_itinerary_follows_the_cubes():
     p = noisy_orbit()
     itin = itinerary(p, S3, G3)
     assert len(itin.indices) == 61
-    assert itin.index(-30) == itin.indices[0]
+    assert itin.lo == -30
     for y, i in zip(p.points, itin.indices):
-        assert S3.flat_index(cube_of_point(S3, y).index) == i
+        assert cube_of_point(S3, y) == i
 
 
 def test_itinerary_delta_gate():
@@ -134,7 +134,7 @@ def test_itinerary_delta_gate():
 
 
 def test_known_itinerary_membership_is_checked():
-    wrong = S3.flat_index(cube_of_point(S3, (0.9, 0.9)).index)
+    wrong = cube_of_point(S3, (0.9, 0.9))
     p = pseudo_orbit(CAT, [(0.1, 0.1)], 0.01, known_itinerary=[wrong])
     with pytest.raises(BrokenChainError):
         itinerary(p, S3, G3)
@@ -388,7 +388,7 @@ def test_float_periodic_shadow_closes_the_cycle(perturbed_m2, cycle):
     s, g, cert = perturbed_m2
     # The two-cycle's defect exceeds the m=2 separation bound, so the cycle
     # declares its cubes and itinerary() checks membership instead.
-    cubes = [s.flat_index(cube_of_point(s, y).index) for y in cycle]
+    cubes = [cube_of_point(s, y) for y in cycle]
     p = pseudo_orbit(PERTURBED, cycle, 0.01, periodic=len(cycle), known_itinerary=cubes)
     res = periodic_shadow(PERTURBED, p, cert, 0.354, g=g, itin=itinerary(p, s, g))
     assert not res.exact and res.minimal_period is None

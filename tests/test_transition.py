@@ -12,6 +12,7 @@ from cubeshadow.geometry import (
     cubes_containing_point,
     make_subdivision,
 )
+from cubeshadow import transition
 from cubeshadow.transition import (
     EdgeStatus,
     build_graph,
@@ -65,10 +66,8 @@ def test_witnesses_check_out():
     g = cat_graph(3)
     s = g.subdivision
     for (i, j), w in g.witnesses.items():
-        src_cubes = {s.flat_index(c.index) for c in cubes_containing_point(s, w.point)}
-        img_cubes = {s.flat_index(c.index) for c in cubes_containing_point(s, w.image)}
-        assert i in src_cubes
-        assert j in img_cubes
+        assert i in cubes_containing_point(s, w.point)
+        assert j in cubes_containing_point(s, w.image)
         recomputed = eval_point(CAT, Direction.FORWARD, w.point)
         assert np.allclose(recomputed, w.image, atol=1e-12)
         assert w.clearance >= 0.0
@@ -80,10 +79,28 @@ def test_interior_witness_clearance_positive_both_sides():
     for (i, j), w in g.witnesses.items():
         if not w.interior:
             continue
-        assert s.flat_index(cube_of_point(s, w.point).index) == i
-        assert s.flat_index(cube_of_point(s, w.image).index) == j
+        assert cube_of_point(s, w.point) == i
+        assert cube_of_point(s, w.image) == j
         assert len(cubes_containing_point(s, w.point)) == 1
         assert len(cubes_containing_point(s, w.image)) == 1
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["toral [[2,1],[1,1]]", "identity", "translation [0.3,0.1]"]
+)
+def test_derived_rows_equal_computed_rows(monkeypatch, descriptor):
+    # The equivariant kinds compute row 0 and translate it into every other
+    # row; computing every row directly must give the same graph.
+    f = builtin_map(descriptor)
+    s = make_subdivision(2, 3, Space.TORUS)
+    derived = build_graph(f, s)
+    monkeypatch.setattr(transition, "equivariant_index_matrix", lambda f, s: None)
+    direct = build_graph(f, s)
+    assert derived.witnesses and derived.witnesses.keys() == direct.witnesses.keys()
+    assert derived.uncertain == direct.uncertain
+    for pair, w in derived.witnesses.items():
+        assert w.interior == direct.witnesses[pair].interior, pair
+    assert abs(derived.min_empty_gap - direct.min_empty_gap) <= 2.0 ** -12 * s.cube_width
 
 
 # --- brute-force agreement --------------------------------------------------
@@ -96,9 +113,7 @@ def test_cat_m3_sampled_transitions_never_certified_empty():
     imgs = eval_points(CAT, pts)
     seen = set()
     for p, q in zip(pts, imgs):
-        i = s.flat_index(cube_of_point(s, p).index)
-        j = s.flat_index(cube_of_point(s, q).index)
-        seen.add((i, j))
+        seen.add((cube_of_point(s, p), cube_of_point(s, q)))
     assert len(seen) >= 200
     for (i, j) in seen:
         assert g.status(i, j) is not EdgeStatus.EMPTY
