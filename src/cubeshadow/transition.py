@@ -351,8 +351,8 @@ def _translate_rows(
     shifts = multis @ index_matrix.T  # A i for every source cube i
 
     def row_targets(base_j: list[int]) -> np.ndarray:
-        """Multi-indices j0 + A i mod 2^m, shape (count, len(base_j), n):
-        where each row-0 target j0 lands in every row i."""
+        """Where each row-0 target j0 lands in every row i: the
+        multi-indices j0 + A i mod 2^m, shape (count, len(base_j), n)."""
         return (multis[base_j][None, :, :] + shifts[:, None, :]) % s.side
 
     base = sorted(witnesses.items())
@@ -390,13 +390,13 @@ def _translate_rows(
                     clearance=c,
                 )
 
-    unc_flat = s.flat_indices(row_targets(base_unc))
-    for i in range(1, s.count):
-        uncertain.update((i, int(j)) for j in unc_flat[i])
-    gap_flat = s.flat_indices(row_targets([j for j, _ in base_gaps]))
-    for k, (_, gap) in enumerate(base_gaps):
-        for i in range(1, s.count):
-            empty_gaps[(i, int(gap_flat[i, k]))] = gap
+    # One row-0 target at a time keeps the index temporaries at (count, n).
+    for j0 in base_unc:
+        targets = s.flat_indices(row_targets([j0]))[:, 0].tolist()
+        uncertain.update((i, targets[i]) for i in range(1, s.count))
+    for j0, gap in base_gaps:
+        targets = s.flat_indices(row_targets([j0]))[:, 0].tolist()
+        empty_gaps.update(((i, targets[i]), gap) for i in range(1, s.count))
 
 
 def _sharpen_min_gap(
