@@ -264,7 +264,11 @@ def _x0(cfg: RunConfig, f: MapSpec) -> tuple:
 
 
 def _orbit(run: Run, args: argparse.Namespace, f: MapSpec) -> PseudoOrbit:
-    """Load the pseudo-orbit from --orbit, or generate one per the config."""
+    """Load the pseudo-orbit from --orbit, or generate one per the config.
+
+    A loaded orbit is rebuilt through ``pseudo_orbit``, so every step's
+    defect is checked against the file's delta instead of trusted.
+    """
     path = getattr(args, "orbit", None)
     if path:
         data = run.read_json(path)
@@ -273,7 +277,10 @@ def _orbit(run: Run, args: argparse.Namespace, f: MapSpec) -> PseudoOrbit:
             raise ValueError("pseudo-orbit and map live on different spaces")
         if p.n != f.n:
             raise ValueError("pseudo-orbit dimension does not match the map")
-        return p
+        return pseudo_orbit(
+            f, p.points, p.delta, lo=p.lo, periodic=p.periodic,
+            known_itinerary=p.known_itinerary,
+        )
     cfg = run.cfg
     x0 = tuple(float(v) for v in _x0(cfg, f))
     return generate_pseudo_orbit(f, x0, cfg.delta, cfg.window, _make_mode(cfg, f))
@@ -590,26 +597,28 @@ def cmd_oracle(run: Run, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# The RunConfig fields that shape a certificate; verify reads them from
+# the certificate's embedded config.
+_CERTIFY_KNOBS = (
+    "samples_per_cube", "refine_depth", "strip_depth", "min_margin", "allow_uncertain",
+)
+
+
 def _verify_chained(run: Run, data: dict) -> int:
     """Rebuild the graph from the embedded config and audit the certificate on it."""
     cert_data = data.get("certificate", data)
     map_id = cert_data["map_id"]
     sub = cert_data["subdivision"]
-    space = Space(sub["space"])
-    f = builtin_map(map_id, space)
     stored = data.get("config", {})
-
-    def knob(name: str):
-        return stored.get(name, getattr(run.cfg, name))
-
-    s = make_subdivision(int(sub["n"]), int(sub["m"]), space)
-    g = build_graph(f, s, int(knob("samples_per_cube")), int(knob("refine_depth")))
-    cov = CoveringConfig(
-        depth=int(knob("strip_depth")),
-        min_margin=float(knob("min_margin")),
-        allow_uncertain=bool(knob("allow_uncertain")),
+    cfg = dataclasses.replace(
+        run.cfg, map=map_id, space=sub["space"], m=int(sub["m"]),
+        **{k: stored[k] for k in _CERTIFY_KNOBS if k in stored},
     )
-    audit = audit_chained(f, g, cert_data, cov)
+    f = _make_map(cfg)
+    if int(sub["n"]) != f.n:
+        raise ValueError(f"subdivision dimension {sub['n']} != map dimension {f.n}")
+    _, g = _graph(cfg, f)
+    audit = audit_chained(f, g, cert_data, _covering_config(cfg))
     if audit.problems:
         print(f"verify: certificate for {map_id} REJECTED, {len(audit.problems)} problem(s):")
         for line in audit.problems[:20]:

@@ -289,8 +289,9 @@ class _ChartImages:
 
 def _check_strip(
     chart: _ChartImages, h0: float, h1: float, min_margin: float
-):
-    """Margins of one strip, or None when the criterion fails on it."""
+) -> CoveringCertificate | float:
+    """The covering certificate of one strip, or its margin shortfall when
+    the criterion fails on it."""
     src, dst = chart.src, chart.dst
     e, e2 = src.exit_axis, dst.exit_axis
     c_src = np.array(src.center)
@@ -325,8 +326,7 @@ def _check_strip(
     else:
         exit_margin, geo = crossed, -1
     if exit_margin < min_margin:
-        return None, float(exit_margin)
-    orientation = geo * dst.orientation
+        return float(exit_margin)
 
     strip_lo, strip_hi = chart.image_interval(u_lo, u_hi, amb_lo, amb_hi)
     conf = math.inf
@@ -337,8 +337,12 @@ def _check_strip(
     if math.isinf(conf):
         conf = exit_margin
     if conf < min_margin:
-        return None, float(min(exit_margin, conf))
-    return (float(exit_margin), float(conf), orientation), float(min(exit_margin, conf))
+        return float(min(exit_margin, conf))
+    return CoveringCertificate(
+        source=src, target=dst, h_range=(h0, h1),
+        exit_margin=float(exit_margin), confinement_margin=float(conf),
+        orientation=geo * dst.orientation,
+    )
 
 
 def check_covering(
@@ -377,17 +381,10 @@ def check_covering(
         h0, h1 = float(strip[0]), float(strip[1])
         if not (lo_e <= h0 < h1 <= hi_e):
             raise ValueError("strip must be a nondegenerate sub-range of the exit side")
-        result, score = _check_strip(chart, h0, h1, cfg.min_margin)
-        if result is None:
-            return Inconclusive(
-                f"prescribed strip failed; margin shortfall {score:.3e}"
-            )
-        exit_margin, conf, orientation = result
-        return CoveringCertificate(
-            source=src, target=dst, h_range=(h0, h1),
-            exit_margin=exit_margin, confinement_margin=conf,
-            orientation=orientation,
-        )
+        result = _check_strip(chart, h0, h1, cfg.min_margin)
+        if isinstance(result, CoveringCertificate):
+            return result
+        return Inconclusive(f"prescribed strip failed; margin shortfall {result:.3e}")
 
     best = -math.inf
     best_at = None
@@ -397,19 +394,11 @@ def check_covering(
         for k in range(pieces):
             h0 = lo_e + k * step
             h1 = hi_e if k == pieces - 1 else lo_e + (k + 1) * step
-            result, score = _check_strip(chart, h0, h1, cfg.min_margin)
-            if result is not None:
-                exit_margin, conf, orientation = result
-                return CoveringCertificate(
-                    source=src,
-                    target=dst,
-                    h_range=(h0, h1),
-                    exit_margin=exit_margin,
-                    confinement_margin=conf,
-                    orientation=orientation,
-                )
-            if score > best:
-                best = score
+            result = _check_strip(chart, h0, h1, cfg.min_margin)
+            if isinstance(result, CoveringCertificate):
+                return result
+            if result > best:
+                best = result
                 best_at = (d, k)
     return Inconclusive(
         f"no strip certified to depth {cfg.depth}; best margin shortfall "
@@ -423,17 +412,14 @@ def verify_certificate(
     """Re-check a stored certificate from scratch on its recorded strip."""
     cfg = cfg or CoveringConfig()
     chart = _ChartImages(f, cert.source, cert.target)
-    result, _score = _check_strip(
-        chart, cert.h_range[0], cert.h_range[1], cfg.min_margin
-    )
-    if result is None:
+    result = _check_strip(chart, cert.h_range[0], cert.h_range[1], cfg.min_margin)
+    if not isinstance(result, CoveringCertificate):
         return False
-    exit_margin, conf, orientation = result
     tol = 1e-12
     return (
-        orientation == cert.orientation
-        and exit_margin >= cert.exit_margin - tol
-        and conf >= cert.confinement_margin - tol
+        result.orientation == cert.orientation
+        and result.exit_margin >= cert.exit_margin - tol
+        and result.confinement_margin >= cert.confinement_margin - tol
     )
 
 

@@ -189,13 +189,7 @@ def _dist(space: Space, a, b) -> float:
 
 def step_defects(f: MapSpec, p: PseudoOrbit) -> list[float]:
     """dist(f(y_k), y_{k+1}) for every stored step (cyclic if periodic)."""
-    pts = list(p.points)
-    pairs = list(zip(pts, pts[1:]))
-    if p.periodic is not None:
-        pairs.append((pts[-1], pts[0]))
-    return [
-        _dist(p.space, eval_point(f, Direction.FORWARD, a), b) for a, b in pairs
-    ]
+    return [float(np.linalg.norm(d)) for d in _lifted_defects(f, p)]
 
 
 def pseudo_orbit(
@@ -391,12 +385,14 @@ def _checked_itinerary(
 @dataclass(frozen=True)
 class ShadowConfig:
     depth: int = 96               # max bisection splits at the window center
-    cell_floor: float = 1e-12     # stop splitting below this cell width
     fp_tol: float = 1e-9          # periodic fixed-point residual tolerance
     radius_factor: float = 2.5    # tracking tube radius in units of delta
-    delta_floor: float = 1e-7     # effective delta for near-exact orbits
-    margin_pad: float = 0.2       # chain margin in units of the worst defect
-    min_margin: float = 1e-12
+
+
+_CELL_FLOOR = 1e-12    # stop splitting below this cell width
+_DELTA_FLOOR = 1e-7    # effective delta for near-exact orbits
+_MARGIN_PAD = 0.2      # chain margin in units of the worst defect
+_MIN_MARGIN = 1e-12    # strictness of every step-chain covering inequality
 
 
 @dataclass(frozen=True)
@@ -466,16 +462,13 @@ def _chain_half_widths(
     return hu, hs
 
 
-def step_chain(
-    f: MapSpec, p: PseudoOrbit, cfg: ShadowConfig | None = None
-) -> StepChain:
+def step_chain(f: MapSpec, p: PseudoOrbit) -> StepChain:
     """Build and verify the covering chain along the pseudo-orbit.
 
     Rectangle k is eigen-aligned and centered at y_k; every consecutive
     pair (cyclically for periodic orbits) is re-checked with interval
     arithmetic rather than trusted from the sizing recursion.
     """
-    cfg = cfg or ShadowConfig()
     frame_info = expansion_frame(f)
     if frame_info is None:
         raise UncertifiedTransitionError(
@@ -491,7 +484,7 @@ def step_chain(
     row_u, row_s = np.asarray(rows[0]), np.asarray(rows[-1])
     du = [abs(float(row_u @ d)) for d in defects]
     ds = [abs(float(row_s @ d)) for d in defects]
-    pad = cfg.margin_pad * max(max(du + ds, default=0.0), cfg.delta_floor)
+    pad = _MARGIN_PAD * max(max(du + ds, default=0.0), _DELTA_FLOOR)
     hu, hs = _chain_half_widths(
         lam_u, lam_s, du, ds, pad, cyclic=p.periodic is not None
     )
@@ -506,7 +499,7 @@ def step_chain(
         lo = tuple(float(c - h) for c, h in zip(y, half))
         hi = tuple(float(c + h) for c, h in zip(y, half))
         rects.append(Rectangle(Box(lo, hi, p.space), 0, 1, frame))
-    ccfg = CoveringConfig(min_margin=cfg.min_margin)
+    ccfg = CoveringConfig(min_margin=_MIN_MARGIN)
     pairs = list(zip(rects, rects[1:]))
     if p.periodic is not None:
         pairs.append((rects[-1], rects[0]))
@@ -673,11 +666,10 @@ def _bisect(lo: list[float], hi: list[float], survives, cfg: ShadowConfig):
             deepest_surviving_depth=0,
         )
     splits = 0
-    floor = max(cfg.cell_floor, 4e-14)
     for _ in range(cfg.depth):
         widths = [b - a for a, b in zip(lo, hi)]
         axis = widths.index(max(widths))
-        if widths[axis] <= floor:
+        if widths[axis] <= _CELL_FLOOR:
             break
         mid = 0.5 * (lo[axis] + hi[axis])
         left_hi, right_lo = list(hi), list(lo)
@@ -1006,8 +998,8 @@ def _localize(
         itinerary(p, s, g)
     else:
         _checked_itinerary(p, s, g, itin.indices, declared=True)
-    step_chain(f, p, cfg)
-    r = cfg.radius_factor * max(p.delta, cfg.delta_floor)
+    step_chain(f, p)
+    r = cfg.radius_factor * max(p.delta, _DELTA_FLOOR)
     lo, hi, splits = _bisect_cell(f, p, r, cfg, seed_box)
     return Box(tuple(lo), tuple(hi), p.space), splits
 
@@ -1034,7 +1026,7 @@ def shadow(
     cfg = cfg or ShadowConfig()
     surviving, splits = _localize(f, p, cert, g, itin, cfg, seed_box)
 
-    if supports_exact(f) and p.n == 2 and eigen_directions(f) is not None:
+    if eigen_directions(f) is not None:
         shifts = _integer_shifts(f, p)
         x = _bvp_point(f, p, shifts)
         if seed_box is not None and not _box_holds(seed_box, x):

@@ -11,6 +11,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +26,10 @@ from .geometry import (
     space_diameter,
     split_lift,
 )
+
+
+# Empty pairs within this many cube widths keep their gap in ``empty_gaps``.
+_NEAR_BAND = 2.0
 
 
 class EdgeStatus(str, Enum):
@@ -69,8 +74,16 @@ class TransitionGraph:
             return EdgeStatus.UNCERTAIN
         return EdgeStatus.EMPTY
 
-    def successors(self, i: int) -> list[int]:
-        return sorted(j for (a, j) in self.witnesses if a == i)
+    @cached_property
+    def _adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Each source cube's CertifiedNonempty targets, ascending; built once."""
+        succ: dict[int, list[int]] = {}
+        for i, j in sorted(self.witnesses):
+            succ.setdefault(i, []).append(j)
+        return {i: tuple(js) for i, js in succ.items()}
+
+    def successors(self, i: int) -> tuple[int, ...]:
+        return self._adjacency.get(i, ())
 
     @property
     def nonempty_count(self) -> int:
@@ -232,14 +245,16 @@ def build_graph(
 
     for i in rows:
         row_wit, row_unc, row_gaps, row_min = _compute_row(f, s, i, offsets)
-        if refine_depth > 0 and row_unc:
-            pairs = sorted((i, j) for j in row_unc)
-            resolved = _refine_uncertain(f, s, pairs, offsets, row_wit, refine_depth)
-            for (_, j), gap in resolved.items():
-                row_unc.discard(j)
-                row_gaps[j] = gap
-                row_min = min(row_min, gap)
-            row_unc.difference_update(j for (a, j) in row_wit if a == i)
+        for j in sorted(row_unc):
+            result = _refine_uncertain(f, s, i, j, offsets, refine_depth)
+            if result is None:
+                continue
+            row_unc.discard(j)
+            if isinstance(result, EdgeWitness):
+                row_wit[(i, j)] = result
+            else:
+                row_gaps[j] = result
+                row_min = min(row_min, result)
         witnesses.update(row_wit)
         uncertain.update((i, j) for j in row_unc)
         empty_gaps.update({(i, j): gap for j, gap in row_gaps.items()})
@@ -262,11 +277,31 @@ def build_graph(
     )
 
 
+def _witness(
+    pts: np.ndarray, images: np.ndarray, src_box: Box, jbox: Box, space: Space
+) -> EdgeWitness | None:
+    """The best sample witnessing C_i -> C_j, or None when no image lands in C_j.
+
+    A sample counts when its image lies in the closed target cube; the
+    winner maximizes min(source clearance, image clearance), and a
+    boundary-only winner is recorded with clearance 0.
+    """
+    img_clear = _cube_clearances(images, jbox, space)
+    inside = img_clear >= 0.0
+    if not np.any(inside):
+        return None
+    src_clear = _cube_clearances(pts, src_box, space)
+    score = np.where(inside, np.minimum(src_clear, img_clear), -np.inf)
+    k = int(np.argmax(score))
+    return EdgeWitness(
+        point=tuple(pts[k]), image=tuple(images[k]), clearance=max(float(score[k]), 0.0)
+    )
+
+
 def _compute_row(
     f: MapSpec, s: Subdivision, i: int, offsets: np.ndarray
 ) -> tuple[dict[tuple[int, int], EdgeWitness], set[int], dict[int, float], float]:
     """One source cube: witnesses, uncertain targets, near-miss gaps, min gap."""
-    near_band = 2.0 * s.cube_width
     box = s.box(i)
     pieces = split_lift(eval_box(f, Direction.FORWARD, box))
     gaps = _row_gap_field(s, pieces)
@@ -279,28 +314,19 @@ def _compute_row(
     empties = np.flatnonzero(gaps > 0.0)
     if empties.size:
         row_min = float(gaps[empties].min())
-        for j in empties[gaps[empties] <= near_band]:
+        for j in empties[gaps[empties] <= _NEAR_BAND * s.cube_width]:
             row_gaps[int(j)] = float(gaps[j])
 
     candidates = np.flatnonzero(gaps == 0.0)
     if candidates.size:
         pts = box.lo_arr + offsets * (box.hi_arr - box.lo_arr)
-        src_clear = _cube_clearances(pts, box, s.space)
         images = eval_points(f, pts)
-        for j in candidates:
-            jbox = s.box(int(j))
-            img_clear = _cube_clearances(images, jbox, s.space)
-            inside = img_clear >= 0.0
-            if not np.any(inside):
-                row_unc.add(int(j))
-                continue
-            score = np.where(inside, np.minimum(src_clear, img_clear), -np.inf)
-            k = int(np.argmax(score))
-            row_wit[(i, int(j))] = EdgeWitness(
-                point=tuple(pts[k]),
-                image=tuple(eval_point(f, Direction.FORWARD, pts[k])),
-                clearance=max(float(score[k]), 0.0),
-            )
+        for j in candidates.tolist():
+            wit = _witness(pts, images, box, s.box(j), s.space)
+            if wit is None:
+                row_unc.add(j)
+            else:
+                row_wit[(i, j)] = wit
     return row_wit, row_unc, row_gaps, row_min
 
 
@@ -415,9 +441,9 @@ def _sharpen_min_gap(
     if not empty_gaps:
         return min_empty_gap
     tol = s.cube_width * rel_tol
-    # Pairs beyond the stored near band all have gap > near_band, so any
+    # Pairs beyond the stored near band all have a larger gap, so any
     # refined value is capped there to keep the minimum a true lower bound.
-    near_band = 2.0 * s.cube_width
+    near_band = _NEAR_BAND * s.cube_width
     best = math.inf
     for pair, coarse in sorted(empty_gaps.items(), key=lambda kv: (kv[1], kv[0])):
         if coarse >= best:
@@ -444,70 +470,42 @@ def _split_box(box: Box, space: Space) -> list[Box]:
 def _refine_uncertain(
     f: MapSpec,
     s: Subdivision,
-    pairs: list[tuple[int, int]],
+    i: int,
+    j: int,
     offsets: np.ndarray,
-    witnesses: dict[tuple[int, int], EdgeWitness],
     depth: int,
-) -> dict[tuple[int, int], float]:
-    """Subdivide source cubes of uncertain pairs; returns pairs proven empty.
+) -> EdgeWitness | float | None:
+    """Subdivide source cube i to settle the uncertain pair (i, j).
 
-    Status phase: a pair becomes empty when every child piece of the source
-    cube keeps a positive enclosure gap to the target, and nonempty when a
-    child's sample grid finds a witness. Gap phase: proven-empty pairs get a
-    branch-and-bound distance lower bound so the recorded gap is close to the
-    true set distance, not just the first positive number encountered.
+    Status phase: the pair is nonempty when a child's sample grid finds a
+    witness, and empty when every child piece keeps a positive enclosure
+    gap to the target. Gap phase: an empty pair gets a branch-and-bound
+    distance lower bound, so the recorded gap is close to the true set
+    distance, not just the first positive number encountered. Returns the
+    witness, the certified gap, or None when depth runs out first.
     """
-    resolved: dict[tuple[int, int], float] = {}
-    by_source: dict[int, list[int]] = {}
-    for i, j in pairs:
-        by_source.setdefault(i, []).append(j)
-
-    for i, targets in sorted(by_source.items()):
-        src_box = s.box(i)
-        for j in sorted(targets):
-            jbox = s.box(j)
-            cells = [src_box]
-            found = False
-            for _level in range(depth):
-                surviving: list[Box] = []
-                for cell in cells:
-                    for child in _split_box(cell, s.space):
-                        pieces = split_lift(eval_box(f, Direction.FORWARD, child))
-                        if _pieces_to_box_gap(pieces, jbox) > 0.0:
-                            continue
-                        pts = child.lo_arr + offsets * (child.hi_arr - child.lo_arr)
-                        images = eval_points(f, pts)
-                        img_clear = _cube_clearances(images, jbox, s.space)
-                        inside = img_clear >= 0.0
-                        if np.any(inside):
-                            src_clear = _cube_clearances(pts, src_box, s.space)
-                            score = np.where(
-                                inside, np.minimum(src_clear, img_clear), -np.inf
-                            )
-                            k = int(np.argmax(score))
-                            witnesses[(i, j)] = EdgeWitness(
-                                point=tuple(pts[k]),
-                                image=tuple(eval_point(f, Direction.FORWARD, pts[k])),
-                                clearance=max(float(score[k]), 0.0),
-                            )
-                            found = True
-                            break
-                        surviving.append(child)
-                    if found:
-                        break
-                if found or not surviving:
-                    break
-                cells = surviving
-            if found:
-                continue
-            if not surviving:
-                tol = s.cube_width / (1 << depth)
-                resolved[(i, j)] = _pair_distance_lb(f, src_box, jbox, s, tol)
-
-    return resolved
+    src_box, jbox = s.box(i), s.box(j)
+    cells = [src_box]
+    for _level in range(depth):
+        surviving: list[Box] = []
+        for cell in cells:
+            for child in _split_box(cell, s.space):
+                if _image_gap(f, child, jbox) > 0.0:
+                    continue
+                pts = child.lo_arr + offsets * (child.hi_arr - child.lo_arr)
+                wit = _witness(pts, eval_points(f, pts), src_box, jbox, s.space)
+                if wit is not None:
+                    return wit
+                surviving.append(child)
+        if not surviving:
+            return _pair_distance_lb(f, src_box, jbox, s, s.cube_width / (1 << depth))
+        cells = surviving
+    return None
 
 
-def _pieces_to_box_gap(pieces: list[Box], target: Box) -> float:
+def _image_gap(f: MapSpec, cell: Box, target: Box) -> float:
+    """Certified lower bound on dist(f(cell), target) from one enclosure."""
+    pieces = split_lift(eval_box(f, Direction.FORWARD, cell))
     return min(set_distance_lb(p, target) for p in pieces)
 
 
@@ -527,8 +525,7 @@ def _pair_distance_lb(
     """
 
     def bounds(cell: Box) -> tuple[float, float]:
-        pieces = split_lift(eval_box(f, Direction.FORWARD, cell))
-        lb = _pieces_to_box_gap(pieces, target)
+        lb = _image_gap(f, cell, target)
         center = eval_point(f, Direction.FORWARD, cell.center)
         ub = point_box_distance_lb(center, target) + 1e-15
         return lb, ub

@@ -138,6 +138,27 @@ def test_verify_rejects_a_tampered_certificate(
     assert reason in out
 
 
+def test_verify_rejects_an_invalid_embedded_knob(tmp_path, capsys, cat_certificate):
+    data = json.loads(json.dumps(cat_certificate))
+    data["config"]["refine_depth"] = -1
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 4
+    assert "refine_depth must be >= 0" in capsys.readouterr().err
+
+
+def test_verify_rebuilds_with_the_embedded_knobs(tmp_path, capsys):
+    out = tmp_path / "c"
+    rc = main(["certify", "--map", CAT, "--m", "3", "--samples-per-cube", "6",
+               "--strip-depth", "4", "--out", str(out)])
+    assert rc == 0
+    config = run_json(out / "certificate.json")["config"]
+    assert (config["samples_per_cube"], config["strip_depth"]) == (6, 4)
+    capsys.readouterr()
+    assert main(["verify", str(out / "certificate.json"), "--out", str(tmp_path / "v")]) == 0
+    assert capsys.readouterr().out.startswith("verify: ")
+
+
 def test_shadow_rejects_delta_at_separation_bound(tmp_path, capsys):
     rc = main(
         ["shadow", "--map", CAT, "--m", "3", "--delta", "0.2",
@@ -243,6 +264,24 @@ def test_periodic_recovers_the_origin(tmp_path):
     assert min(abs(x[0]), 1 - x[0]) < 1e-6 and min(abs(x[1]), 1 - x[1]) < 1e-6
     assert data["verify"]["ok"] is True
 
+
+
+@pytest.mark.parametrize("command", ["shadow", "oracle"])
+def test_orbit_file_is_checked_against_its_delta(tmp_path, capsys, command):
+    gen = tmp_path / "gen"
+    rc = main(["pseudo", "--map", CAT, "--delta", "0.02", "--window", "20",
+               "--out", str(gen)])
+    assert rc == 0
+    data = run_json(gen / "orbit.json")
+    data["orbit"]["delta"] = 1e-4  # far below the orbit's actual defects
+    orbit = tmp_path / "orbit.json"
+    orbit.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    rc = main([command, "--map", CAT, "--m", "3", "--orbit", str(orbit),
+               "--out", str(out)])
+    assert rc == 4
+    assert "is not below the stated delta 0.0001" in capsys.readouterr().err
+    assert not (out / "certificate.json").exists()
 
 
 @pytest.mark.parametrize("command", ["shadow", "periodic"])

@@ -220,6 +220,17 @@ def test_find_path_respects_max_len():
         find_path(g, 0, non_neighbors[0], max_len=1)
 
 
+@pytest.mark.parametrize(
+    "descriptor, m",
+    [("toral [[2,1],[1,1]]", 4), ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 2)],
+    ids=["cat-m4", "perturbed-m2"],
+)
+def test_successors_are_the_witnessed_targets_ascending(descriptor, m):
+    g = build_graph(builtin_map(descriptor), make_subdivision(2, m, Space.TORUS))
+    for i in range(g.subdivision.count):
+        assert g.successors(i) == tuple(sorted(j for (a, j) in g.witnesses if a == i))
+
+
 def test_find_path_bad_index():
     g = cat_graph(2)
     with pytest.raises(ValueError):
