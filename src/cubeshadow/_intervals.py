@@ -7,8 +7,6 @@ point, so the nudges only matter for genuinely inexact quantities; they are
 one-sided, hence always conservative.
 """
 
-import math
-
 import numpy as np
 
 # Outward inflation applied after inexact arithmetic, in units in the last place.
@@ -38,14 +36,6 @@ def widen(lo, hi, ulps=NUDGE_ULPS):
     return nudge_down(lo, ulps), nudge_up(hi, ulps)
 
 
-def widen_float(lo: float, hi: float, ulps=NUDGE_ULPS) -> tuple[float, float]:
-    """widen for one scalar interval, in Python floats."""
-    for _ in range(ulps):
-        lo = math.nextafter(lo, -math.inf)
-        hi = math.nextafter(hi, math.inf)
-    return lo, hi
-
-
 def mat_interval(mat, lo, hi):
     """Enclosure of {M x : x in [lo, hi]} as (lo', hi'), outward rounded.
 
@@ -65,19 +55,19 @@ def signed_interval(pos, neg, lo, hi):
 
 
 def sin_range(lo, hi):
-    """Enclosure of {sin(t) : t in [lo, hi]} (scalar interval, radians)."""
-    lo = float(lo)
-    hi = float(hi)
-    if hi - lo >= _TWO_PI:
-        return -1.0, 1.0
-    s_lo = min(np.sin(lo), np.sin(hi))
-    s_hi = max(np.sin(lo), np.sin(hi))
+    """Enclosure of {sin(t) : t in [lo, hi]} for every interval of two arrays (radians)."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    s_a, s_b = np.sin(lo), np.sin(hi)
     # Peak at pi/2 + 2*pi*k inside [lo, hi] forces the max to 1; trough likewise.
-    k_hi = np.ceil((lo - np.pi / 2.0) / _TWO_PI)
-    if np.pi / 2.0 + _TWO_PI * k_hi <= hi:
-        s_hi = 1.0
-    k_lo = np.ceil((lo + np.pi / 2.0) / _TWO_PI)
-    if -np.pi / 2.0 + _TWO_PI * k_lo <= hi:
-        s_lo = -1.0
-    s_lo, s_hi = widen_float(s_lo, s_hi)
-    return max(-1.0, s_lo), min(1.0, s_hi)
+    peak = np.pi / 2.0 + _TWO_PI * np.ceil((lo - np.pi / 2.0) / _TWO_PI) <= hi
+    trough = -np.pi / 2.0 + _TWO_PI * np.ceil((lo + np.pi / 2.0) / _TWO_PI) <= hi
+    s_lo, s_hi = widen(
+        np.where(trough, -1.0, np.minimum(s_a, s_b)),
+        np.where(peak, 1.0, np.maximum(s_a, s_b)),
+    )
+    full = hi - lo >= _TWO_PI
+    return (
+        np.where(full, -1.0, np.maximum(s_lo, -1.0)),
+        np.where(full, 1.0, np.minimum(s_hi, 1.0)),
+    )

@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._intervals import NUDGE_ULPS, signed_interval, sin_range, widen, widen_float
+from ._intervals import NUDGE_ULPS, sin_range, widen
 from .errors import InvalidMapError, NotInvertibleError
 from .geometry import Box, Lift, Space, parse_space
 
@@ -332,19 +332,17 @@ class SineResidual:
         return coef * np.sin(self.angular * v[:, src])
 
     def over(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Componentwise range of r over the box [lo, hi]."""
-        r_lo = np.zeros(len(self.coef))
-        r_hi = np.zeros(len(self.coef))
-        ranges: dict[int, tuple[float, float]] = {}
-        for d, (c, s) in enumerate(zip(self.coef, self.src)):
-            if c == 0.0:
-                continue
-            if s not in ranges:
-                ranges[s] = sin_range(self.angular * lo[s], self.angular * hi[s])
-            s_lo, s_hi = ranges[s]
-            term = (c * s_lo, c * s_hi) if c >= 0 else (c * s_hi, c * s_lo)
-            r_lo[d], r_hi[d] = widen_float(*term, self.ulps)
-        return r_lo, r_hi
+        """Componentwise range of r over every box [lo, hi] along the last axis."""
+        coef, src = self._columns
+        s_lo, s_hi = sin_range(self.angular * lo[..., src], self.angular * hi[..., src])
+        up = coef >= 0.0
+        r_lo, r_hi = widen(
+            np.where(up, coef * s_lo, coef * s_hi),
+            np.where(up, coef * s_hi, coef * s_lo),
+            self.ulps,
+        )
+        zero = coef == 0.0
+        return np.where(zero, 0.0, r_lo), np.where(zero, 0.0, r_hi)
 
 
 @dataclass(frozen=True, eq=False)
@@ -413,21 +411,26 @@ def wrap_points(space: Space, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def lift_points(f: MapSpec, direction: Direction, points) -> np.ndarray:
-    """Images of a (k, n) batch under f or its inverse, not reduced mod 1.
+def _apply_matrix(m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """m x for every vector along the last axis of x.
 
-    A x is summed column by column rather than by a matrix product, so
-    the bits of each row do not depend on how many rows are evaluated.
+    The product is summed column by column rather than by a matrix
+    product, so the bits of each row do not depend on how many rows are
+    evaluated.
     """
+    y = x[..., :1] * m[:, 0]
+    for j in range(1, m.shape[1]):
+        y = y + x[..., j : j + 1] * m[:, j]
+    return y
+
+
+def lift_points(f: MapSpec, direction: Direction, points) -> np.ndarray:
+    """Images of a (k, n) batch under f or its inverse, not reduced mod 1."""
     parts = map_parts(f, direction)
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[1] != f.n:
         raise InvalidMapError(f"batch has shape {x.shape}, expected (k, {f.n})")
-    a = parts.a
-    y = x[:, :1] * a[:, 0]
-    for j in range(1, f.n):
-        y = y + x[:, j : j + 1] * a[:, j]
-    y = y + parts.b
+    y = _apply_matrix(parts.a, x) + parts.b
     if parts.residual is not None:
         y = y + parts.residual.at(y if direction is Direction.INVERSE else x)
     return y
@@ -447,7 +450,11 @@ def eval_points(f: MapSpec, points: np.ndarray) -> np.ndarray:
 
 
 def _affine_box(parts: MapParts, lo: np.ndarray, hi: np.ndarray):
-    out_lo, out_hi = signed_interval(parts.pos, parts.neg, lo, hi)
+    """Outward enclosure of A [lo, hi] + b, per box along the last axis."""
+    out_lo, out_hi = widen(
+        _apply_matrix(parts.pos, lo) + _apply_matrix(parts.neg, hi),
+        _apply_matrix(parts.pos, hi) + _apply_matrix(parts.neg, lo),
+    )
     return out_lo + parts.b, out_hi + parts.b
 
 
@@ -465,9 +472,11 @@ def _residual_box(parts: MapParts, direction: Direction, lo, hi):
 def enclose(
     f: MapSpec, direction: Direction, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Rigorous enclosure of f over the lifted box [lo, hi], un-wrapped.
+    """Rigorous enclosure of f over lifted boxes [lo, hi], un-wrapped.
 
-    The box may be any lift, wider than one period included.
+    ``lo`` and ``hi`` hold one box per row of a (k, n) batch, or a single
+    (n,) box; each may be any lift, wider than one period included.  A
+    row's bounds do not depend on the other rows.
     """
     parts = map_parts(f, direction)
     out_lo, out_hi = _affine_box(parts, lo, hi)
@@ -480,8 +489,8 @@ def enclose(
 def eval_box(f: MapSpec, direction: Direction, box: Box) -> Lift:
     """Rigorous enclosure of f(box) as an un-wrapped lift.
 
-    Torus wrapping is deliberately left to the caller (``split_lift``) so the
-    enclosure itself stays tight.
+    Torus wrapping is deliberately left to the caller so the enclosure
+    itself stays tight.
     """
     out_lo, out_hi = enclose(f, direction, box.lo_arr, box.hi_arr)
     return Lift(tuple(out_lo), tuple(out_hi), f.space)

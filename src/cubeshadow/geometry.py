@@ -14,7 +14,6 @@ import math
 
 import numpy as np
 
-from ._intervals import nudge_down
 from .errors import ResourceLimitError
 
 # Hard ceiling on 2^(n*m) unless the caller raises it explicitly.
@@ -44,8 +43,6 @@ class Box:
     Torus boxes are stored unwrapped (lo <= hi) and may sit on a lift one
     unit outside canonical range when a small box straddles a glued face;
     wrap-aware operations reduce modulo 1.  Cube boxes must stay in range.
-    Enclosures spanning a glued face are alternatively represented as
-    several canonical boxes via split_lift().
     """
 
     lo: tuple
@@ -105,8 +102,7 @@ class Box:
 class Lift:
     """Un-wrapped image enclosure: bounds may leave [0,1]^n.
 
-    Produced by enclosure evaluation; callers reduce it to canonical boxes
-    with split_lift()."""
+    Produced by enclosure evaluation; callers reduce it onto the space."""
 
     lo: tuple
     hi: tuple
@@ -123,37 +119,6 @@ class Lift:
     @property
     def hi_arr(self):
         return np.array(self.hi, dtype=float)
-
-
-def split_lift(lift):
-    """Reduce a Lift to canonical boxes: at most 2 pieces per axis, 2^n total.
-
-    On the cube the lift is clipped to [0,1]^n (sound for endomorphisms: the
-    image lies in the space, so intersecting the enclosure with it loses no
-    image point).  On the torus each axis is reduced modulo 1 and split where
-    it crosses a glued face; an axis spanning width >= 1 becomes [0,1].
-    """
-    per_axis = []
-    for a, b in zip(lift.lo, lift.hi):
-        if lift.space is Space.CUBE:
-            per_axis.append([(min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0))])
-            continue
-        if b - a >= 1.0:
-            per_axis.append([(0.0, 1.0)])
-            continue
-        base = math.floor(a)
-        lo = a - base
-        hi = b - base
-        if hi <= 1.0:
-            per_axis.append([(lo, hi)])
-        else:
-            per_axis.append([(lo, 1.0), (0.0, hi - 1.0)])
-    boxes = []
-    for combo in itertools.product(*per_axis):
-        lo = tuple(c[0] for c in combo)
-        hi = tuple(c[1] for c in combo)
-        boxes.append(Box(lo, hi, lift.space))
-    return boxes
 
 
 @dataclass(frozen=True)
@@ -277,55 +242,3 @@ def space_diameter(n, space):
     if space is Space.TORUS:
         return math.sqrt(n) * 0.5
     return math.sqrt(n)
-
-
-def _axis_gap(alo, ahi, blo, bhi):
-    return max(0.0, blo - ahi, alo - bhi)
-
-
-def set_distance_lb(a, b):
-    """Certified lower bound on the distance between two boxes.
-
-    Exact per-axis gaps (wrapped on the torus) combined in the Euclidean
-    norm; the result is nudged down a couple of ULPs so it never exceeds the
-    true infimum.  Returns 0 exactly when the boxes may intersect.
-    """
-    if a.space is not b.space or a.n != b.n:
-        raise ValueError("boxes must share a space and dimension")
-    total = 0.0
-    for d in range(a.n):
-        if a.space is Space.TORUS:
-            g = min(
-                _axis_gap(a.lo[d] + s, a.hi[d] + s, b.lo[d], b.hi[d])
-                for s in (-1.0, 0.0, 1.0)
-            )
-        else:
-            g = _axis_gap(a.lo[d], a.hi[d], b.lo[d], b.hi[d])
-        total += g * g
-    if total == 0.0:
-        return 0.0
-    return float(nudge_down(math.sqrt(total), 2))
-
-
-def point_distance(p, q, space):
-    """Euclidean distance, per-axis wrapped on the torus."""
-    total = 0.0
-    for x, y in zip(p, q):
-        d = abs(float(x) - float(y))
-        if space is Space.TORUS:
-            d = d - math.floor(d)
-            d = min(d, 1.0 - d)
-        total += d * d
-    return math.sqrt(total)
-
-
-def point_box_distance_lb(p, b):
-    """Lower bound on dist(p, box): per-axis gaps like set_distance_lb."""
-    coords = []
-    for x in p:
-        x = float(x)
-        if b.space is Space.TORUS:
-            x = x - math.floor(x)
-        coords.append(min(max(x, 0.0), 1.0))
-    degenerate = Box(tuple(coords), tuple(coords), b.space)
-    return set_distance_lb(degenerate, b)

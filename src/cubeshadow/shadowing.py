@@ -420,9 +420,15 @@ def _steps(p: PseudoOrbit) -> tuple[np.ndarray, np.ndarray]:
 
 def _lifted_defects(f: MapSpec, p: PseudoOrbit) -> list[np.ndarray]:
     """Nearest-lift step errors f(y_k) - y_{k+1} (cyclic when periodic)."""
-    start, end = _steps(p)
+    return _step_errors(f, p.space, *_steps(p))
+
+
+def _step_errors(
+    f: MapSpec, space: Space, start: np.ndarray, end: np.ndarray
+) -> list[np.ndarray]:
+    """Nearest-lift errors f(start_k) - end_k, in one batch evaluation."""
     d = eval_points(f, start) - end
-    if p.space is Space.TORUS:
+    if space is Space.TORUS:
         d = (d + 0.5) % 1.0 - 0.5
     return list(d)
 
@@ -1152,15 +1158,17 @@ def specification_splice(
     if not segs:
         raise ValueError("need at least one segment")
     s = g.subdivision
-    for seg in segs:
-        if not seg:
-            raise ValueError("segments must be nonempty")
-        for a, b in zip(seg, seg[1:]):
-            d = _dist(f.space, eval_point(f, Direction.FORWARD, a), b)
-            if d > 1e-9:
-                raise ValueError(
-                    f"segment step defect {d}; segments must be true orbit pieces"
-                )
+    if not all(segs):
+        raise ValueError("segments must be nonempty")
+    no_steps = np.empty((0, f.n))
+    start = np.array([a for seg in segs for a in seg[:-1]] or no_steps)
+    end = np.array([b for seg in segs for b in seg[1:]] or no_steps)
+    for err in _step_errors(f, f.space, start, end):
+        d = float(np.linalg.norm(err))
+        if d > 1e-9:
+            raise ValueError(
+                f"segment step defect {d}; segments must be true orbit pieces"
+            )
     points: list[tuple[float, ...]] = []
     indices: list[int] = []
     for j, seg in enumerate(segs):
@@ -1176,11 +1184,8 @@ def specification_splice(
         for cube in path[:-1]:
             points.append(s.box(cube).center)
             indices.append(cube)
-    defects = [
-        _dist(f.space, eval_point(f, Direction.FORWARD, a), b)
-        for a, b in zip(points, points[1:] + points[:1])
-    ]
-    delta = max(defects) * (1.0 + 1e-9) + 1e-15
+    cycle = PseudoOrbit(tuple(points), 0.0, f.space, periodic=len(points))
+    delta = max(step_defects(f, cycle)) * (1.0 + 1e-9) + 1e-15
     return pseudo_orbit(
         f,
         points,

@@ -9,23 +9,17 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
 import numpy as np
 
-from .dynamics import Direction, MapKind, MapSpec, eval_box, eval_point, eval_points
+from ._intervals import nudge_down
+from .dynamics import Direction, MapKind, MapSpec, enclose, eval_box, eval_points
 from .errors import NoPathError, NotEndomorphismError, UncertainEdgesError
-from .geometry import (
-    Box,
-    Space,
-    Subdivision,
-    point_box_distance_lb,
-    set_distance_lb,
-    space_diameter,
-    split_lift,
-)
+from .geometry import Box, Space, Subdivision, space_diameter
 
 
 # Empty pairs within this many cube widths keep their gap in ``empty_gaps``.
@@ -144,57 +138,85 @@ def _sample_offsets(n: int, samples_per_cube: int) -> np.ndarray:
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _axis_gap_table(side: int, width: float, lo: float, hi: float, space: Space) -> np.ndarray:
-    """Per-axis distance from interval [lo, hi] to every grid cell of the axis."""
-    starts = np.arange(side) * width
-    ends = starts + width
-    gap = np.maximum(np.maximum(starts - hi, lo - ends), 0.0)
+def _cube_bounds(s: Subdivision) -> tuple[np.ndarray, np.ndarray]:
+    """(count, n) lower and upper corners of every cube, in flat-index order."""
+    lo = s.multi_indices() * s.cube_width
+    return lo, lo + s.cube_width
+
+
+def _axis_gaps(lo, hi, t_lo, t_hi, space: Space) -> np.ndarray:
+    """Per-axis distance between intervals [lo, hi] and [t_lo, t_hi].
+
+    On the torus each axis takes the best of the shifts -1, 0 and 1.
+    """
+    gap = np.maximum(np.maximum(t_lo - hi, lo - t_hi), 0.0)
     if space is Space.TORUS:
         for shift in (-1.0, 1.0):
-            gap = np.minimum(
-                gap, np.maximum(np.maximum(starts - (hi + shift), (lo + shift) - ends), 0.0)
-            )
+            moved = np.maximum(np.maximum(t_lo - (hi + shift), (lo + shift) - t_hi), 0.0)
+            gap = np.minimum(gap, moved)
     return gap
 
 
-def _row_gap_field(s: Subdivision, pieces: list[Box]) -> np.ndarray:
-    """Euclidean distance lower bound from the image enclosure to every cube.
+def _norm_lb(gaps: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, nudged down 2 ulps so it stays a
+    lower bound under rounding; exactly 0 where every axis gap is 0."""
+    total = gaps[..., 0] * gaps[..., 0]
+    for axis in range(1, gaps.shape[-1]):
+        total = total + gaps[..., axis] * gaps[..., axis]
+    return np.where(total > 0.0, nudge_down(np.sqrt(total), 2), 0.0)
 
-    Returns a flat array over all cubes (row-major), nudged down so it stays
-    a valid lower bound under accumulated rounding.
+
+def _lift_gaps(e_lo, e_hi, t_lo, t_hi, space: Space) -> np.ndarray:
+    """Per-axis gap from a lifted enclosure [e_lo, e_hi] to target boxes.
+
+    The lift is reduced onto the space one axis at a time: clipped to
+    [0, 1] on the cube (sound for endomorphisms); on the torus shifted by
+    floor(e_lo), split where it crosses the glued face, and the whole
+    circle when it spans width >= 1.  The minimum over an axis's pieces,
+    taken before the norm, equals the minimum over all product pieces,
+    because rounded squares and sums are monotone.
     """
-    side = 1 << s.m
-    width = s.cube_width
-    total = np.full((side,) * s.n, np.inf)
-    for piece in pieces:
-        sq = np.zeros((side,) * s.n)
-        for axis in range(s.n):
-            g = _axis_gap_table(side, width, piece.lo[axis], piece.hi[axis], s.space)
-            shape = [1] * s.n
-            shape[axis] = side
-            sq = sq + (g.reshape(shape)) ** 2
-        total = np.minimum(total, sq)
-    field = np.sqrt(total).ravel()
-    positive = field > 0
-    field[positive] = np.nextafter(np.nextafter(field[positive], 0.0), 0.0)
-    return field
+    if space is Space.CUBE:
+        return _axis_gaps(np.clip(e_lo, 0.0, 1.0), np.clip(e_hi, 0.0, 1.0), t_lo, t_hi, space)
+    base = np.floor(e_lo)
+    lo, hi = e_lo - base, e_hi - base
+    gap = _axis_gaps(lo, np.minimum(hi, 1.0), t_lo, t_hi, space)
+    wrapped = _axis_gaps(0.0, hi - 1.0, t_lo, t_hi, space)
+    gap = np.where(hi > 1.0, np.minimum(gap, wrapped), gap)
+    return np.where(e_hi - e_lo >= 1.0, 0.0, gap)
 
 
-def _cube_clearances(points: np.ndarray, box: Box, space: Space) -> np.ndarray:
-    """Min distance of each point to the boundary of ``box``; negative outside.
+def _image_gaps(f: MapSpec, lo: np.ndarray, hi: np.ndarray, t_lo, t_hi) -> np.ndarray:
+    """Certified lower bound on dist(f(cell), target) for every row of a
+    (k, n) batch of cells [lo, hi], from one enclosure of the batch."""
+    e_lo, e_hi = enclose(f, Direction.FORWARD, lo, hi)
+    return _norm_lb(_lift_gaps(e_lo, e_hi, t_lo, t_hi, f.space))
+
+
+def _center_bounds(f: MapSpec, lo: np.ndarray, hi: np.ndarray, t_lo, t_hi) -> np.ndarray:
+    """Upper bound on dist(f(cell), target) for every row: the distance
+    from the image of the cell's center to the target, plus 1e-15."""
+    x = eval_points(f, 0.5 * (lo + hi))
+    if f.space is Space.TORUS:
+        x = x - np.floor(x)
+    x = np.clip(x, 0.0, 1.0)
+    return _norm_lb(_axis_gaps(x, x, t_lo, t_hi, f.space)) + 1e-15
+
+
+def _cube_clearances(points: np.ndarray, lo, hi, space: Space) -> np.ndarray:
+    """Min distance of each point to the boundary of box [lo, hi]; negative outside.
 
     On the torus a point can sit in the box only after an integer shift, so
-    each axis takes the best shift.
+    each axis takes the best shift.  The box bounds broadcast against the
+    points along the last axis.
     """
-    lo = box.lo_arr
-    hi = box.hi_arr
     best = np.full(points.shape, -np.inf)
     shifts = (-1.0, 0.0, 1.0) if space is Space.TORUS else (0.0,)
     for shift in shifts:
         q = points + shift
         clear = np.minimum(q - lo, hi - q)
         best = np.maximum(best, clear)
-    return best.min(axis=1)
+    return best.min(axis=-1)
 
 
 def _endomorphism_check(f: MapSpec, s: Subdivision) -> None:
@@ -221,8 +243,9 @@ def build_graph(
 
     Per source cube: one rigorous image enclosure decides emptiness with a
     gap; a closed sample grid hunts for witnesses among the surviving
-    candidates; still-open pairs go through a bounded refinement pass that
-    subdivides the source cube up to ``refine_depth`` times.
+    candidates; the still-open pairs of all rows then go through one
+    bounded refinement pass that subdivides their source cubes up to
+    ``refine_depth`` times, all pairs in lockstep.
 
     Toral-linear maps on the torus commute with the grid translations, so
     their rows are exact translates of row 0; that single row is computed in
@@ -235,6 +258,7 @@ def build_graph(
     _endomorphism_check(f, s)
 
     offsets = _sample_offsets(s.n, samples_per_cube)
+    cubes = _cube_bounds(s)
     witnesses: dict[tuple[int, int], EdgeWitness] = {}
     uncertain: set[tuple[int, int]] = set()
     empty_gaps: dict[tuple[int, int], float] = {}
@@ -242,11 +266,15 @@ def build_graph(
 
     index_matrix = equivariant_index_matrix(f, s)
     rows = [0] if index_matrix is not None else list(range(s.count))
+    computed = [(i, *_compute_row(f, s, i, offsets, cubes)) for i in rows]
+    open_pairs = [(i, j) for i, _, row_unc, _, _ in computed for j in sorted(row_unc)]
+    refined = dict(
+        zip(open_pairs, _refine_uncertain(f, s, open_pairs, offsets, refine_depth, cubes))
+    )
 
-    for i in rows:
-        row_wit, row_unc, row_gaps, row_min = _compute_row(f, s, i, offsets)
+    for i, row_wit, row_unc, row_gaps, row_min in computed:
         for j in sorted(row_unc):
-            result = _refine_uncertain(f, s, i, j, offsets, refine_depth)
+            result = refined[(i, j)]
             if result is None:
                 continue
             row_unc.discard(j)
@@ -260,7 +288,7 @@ def build_graph(
         empty_gaps.update({(i, j): gap for j, gap in row_gaps.items()})
         min_empty_gap = min(min_empty_gap, row_min)
 
-    min_empty_gap = _sharpen_min_gap(f, s, empty_gaps, min_empty_gap)
+    min_empty_gap = _sharpen_min_gap(f, s, empty_gaps, min_empty_gap, cubes)
 
     if index_matrix is not None:
         _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps)
@@ -277,34 +305,42 @@ def build_graph(
     )
 
 
-def _witness(
-    pts: np.ndarray, images: np.ndarray, src_box: Box, jbox: Box, space: Space
-) -> EdgeWitness | None:
-    """The best sample witnessing C_i -> C_j, or None when no image lands in C_j.
+def _witnesses(
+    pts: np.ndarray, images: np.ndarray, src_lo, src_hi, t_lo, t_hi, space: Space
+) -> list[EdgeWitness | None]:
+    """The best sample witnessing C_i -> C_j for each target row of
+    [t_lo, t_hi], or None when no image lands in that target.
 
-    A sample counts when its image lies in the closed target cube; the
-    winner maximizes min(source clearance, image clearance), and a
-    boundary-only winner is recorded with clearance 0.
+    ``pts`` are the samples of one source cell [src_lo, src_hi] and
+    ``images`` their images.  A sample counts when its image lies in the
+    closed target cube; the winner maximizes min(source clearance, image
+    clearance), and a boundary-only winner is recorded with clearance 0.
     """
-    img_clear = _cube_clearances(images, jbox, space)
+    img_clear = _cube_clearances(images, t_lo[:, None, :], t_hi[:, None, :], space)
     inside = img_clear >= 0.0
-    if not np.any(inside):
-        return None
-    src_clear = _cube_clearances(pts, src_box, space)
+    src_clear = _cube_clearances(pts, src_lo, src_hi, space)
     score = np.where(inside, np.minimum(src_clear, img_clear), -np.inf)
-    k = int(np.argmax(score))
-    return EdgeWitness(
-        point=tuple(pts[k]), image=tuple(images[k]), clearance=max(float(score[k]), 0.0)
-    )
+    best = np.argmax(score, axis=1).tolist()
+    return [
+        EdgeWitness(
+            point=tuple(pts[k]), image=tuple(images[k]), clearance=max(float(score[t, k]), 0.0)
+        )
+        if inside[t, k] else None
+        for t, k in enumerate(best)
+    ]
 
 
 def _compute_row(
-    f: MapSpec, s: Subdivision, i: int, offsets: np.ndarray
+    f: MapSpec,
+    s: Subdivision,
+    i: int,
+    offsets: np.ndarray,
+    cubes: tuple[np.ndarray, np.ndarray],
 ) -> tuple[dict[tuple[int, int], EdgeWitness], set[int], dict[int, float], float]:
     """One source cube: witnesses, uncertain targets, near-miss gaps, min gap."""
     box = s.box(i)
-    pieces = split_lift(eval_box(f, Direction.FORWARD, box))
-    gaps = _row_gap_field(s, pieces)
+    lift = eval_box(f, Direction.FORWARD, box)
+    gaps = _norm_lb(_lift_gaps(lift.lo_arr, lift.hi_arr, *cubes, s.space))
 
     row_wit: dict[tuple[int, int], EdgeWitness] = {}
     row_unc: set[int] = set()
@@ -319,10 +355,13 @@ def _compute_row(
 
     candidates = np.flatnonzero(gaps == 0.0)
     if candidates.size:
+        lo_all, hi_all = cubes
         pts = box.lo_arr + offsets * (box.hi_arr - box.lo_arr)
         images = eval_points(f, pts)
-        for j in candidates.tolist():
-            wit = _witness(pts, images, box, s.box(j), s.space)
+        found = _witnesses(
+            pts, images, lo_all[i], hi_all[i], lo_all[candidates], hi_all[candidates], s.space
+        )
+        for j, wit in zip(candidates.tolist(), found):
             if wit is None:
                 row_unc.add(j)
             else:
@@ -430,6 +469,7 @@ def _sharpen_min_gap(
     s: Subdivision,
     empty_gaps: dict[tuple[int, int], float],
     min_empty_gap: float,
+    cubes: tuple[np.ndarray, np.ndarray],
     rel_tol: float = 2.0 ** -12,
 ) -> float:
     """Tighten the minimum certified gap to within rel_tol * cube_width.
@@ -437,6 +477,10 @@ def _sharpen_min_gap(
     Pairs are revisited in ascending order of their coarse bound; a pair
     whose coarse bound already beats the best refined value cannot lower
     the minimum and is skipped, so only a handful get the deep search.
+    Candidates are searched in waves of 1, 2, 4, ... pairs, each wave in
+    one lockstep search, and the skip rule is replayed over each wave's
+    results, so the stored gaps are those of one pair at a time and the
+    speculative work is at most the rule's own.
     """
     if not empty_gaps:
         return min_empty_gap
@@ -444,108 +488,231 @@ def _sharpen_min_gap(
     # Pairs beyond the stored near band all have a larger gap, so any
     # refined value is capped there to keep the minimum a true lower bound.
     near_band = _NEAR_BAND * s.cube_width
+    order = sorted(empty_gaps.items(), key=lambda kv: (kv[1], kv[0]))
     best = math.inf
-    for pair, coarse in sorted(empty_gaps.items(), key=lambda kv: (kv[1], kv[0])):
-        if coarse >= best:
-            continue
-        fine = _pair_distance_lb(f, s.box(pair[0]), s.box(pair[1]), s, tol)
-        fine = min(fine, near_band)
-        if fine > coarse:
-            empty_gaps[pair] = fine
-        best = min(best, empty_gaps[pair])
+    start, size = 0, 1
+    while start < len(order) and order[start][1] < best:
+        wave = [(pair, coarse) for pair, coarse in order[start : start + size] if coarse < best]
+        fines = _distance_lbs(f, s, [pair for pair, _ in wave], tol, cubes)
+        for (pair, coarse), fine in zip(wave, fines):
+            if coarse >= best:
+                break
+            fine = min(fine, near_band)
+            if fine > coarse:
+                empty_gaps[pair] = fine
+            best = min(best, empty_gaps[pair])
+        start += size
+        size *= 2
     return best
 
 
-def _split_box(box: Box, space: Space) -> list[Box]:
-    mids = [(l + h) / 2.0 for l, h in zip(box.lo, box.hi)]
-    out = []
-    n = len(box.lo)
-    for mask in range(1 << n):
-        lo = [box.lo[a] if not (mask >> a) & 1 else mids[a] for a in range(n)]
-        hi = [mids[a] if not (mask >> a) & 1 else box.hi[a] for a in range(n)]
-        out.append(Box(tuple(lo), tuple(hi), space))
-    return out
+# Live cells the refinement keeps at once, over all pairs, and the pops one
+# branch and bound may make.
+_MAX_CELLS = 4096
+
+# A branch-and-bound cell is packed into one int: its depth in the low
+# _DEPTH_BITS, then one _FIELD_BITS field per axis holding its dyadic
+# address k inside the source cube, the cell being lo + [k, k + 1] w / 2^depth.
+_DEPTH_BITS = 16
+_FIELD_BITS = 64
+
+
+def _child_bits(n: int) -> np.ndarray:
+    """(2^n, n) offsets of a cell's children: child ``mask`` takes the upper
+    half on axis a when bit a of ``mask`` is set."""
+    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+
+
+def _split_cells(cubes, src, tgt, level, k: np.ndarray, width: float):
+    """The children of dyadic cells, one level down, 2^n rows per cell in
+    ``_child_bits`` order.
+
+    Cell r is address k[r] at depth level[r] inside source cube src[r],
+    the box lo + [k, k + 1] width / 2^level; its target is cube tgt[r].
+    Returns the children's addresses, their bounds, and their targets'
+    bounds.  Dyadic bounds make every step exact.
+    """
+    lo_all, hi_all = cubes
+    n = k.shape[1]
+    fan = 1 << n
+    kids = (2 * k[:, None, :] + _child_bits(n)).reshape(-1, n)
+    size = np.ldexp(width, -1 - np.repeat(level, fan))[:, None]
+    lo = lo_all[np.repeat(src, fan)] + kids * size
+    tgt = np.repeat(tgt, fan)
+    return kids, lo, lo + size, lo_all[tgt], hi_all[tgt]
 
 
 def _refine_uncertain(
     f: MapSpec,
     s: Subdivision,
-    i: int,
-    j: int,
+    pairs: list[tuple[int, int]],
     offsets: np.ndarray,
     depth: int,
-) -> EdgeWitness | float | None:
-    """Subdivide source cube i to settle the uncertain pair (i, j).
+    cubes: tuple[np.ndarray, np.ndarray],
+) -> list[EdgeWitness | float | None]:
+    """Subdivide source cube i to settle each uncertain pair (i, j).
 
-    Status phase: the pair is nonempty when a child's sample grid finds a
-    witness, and empty when every child piece keeps a positive enclosure
-    gap to the target. Gap phase: an empty pair gets a branch-and-bound
-    distance lower bound, so the recorded gap is close to the true set
-    distance, not just the first positive number encountered. Returns the
-    witness, the certified gap, or None when depth runs out first.
+    Status phase: all pairs advance level by level in lockstep, each round
+    splitting every open cell of every admitted pair in one enclosure
+    call.  A pair is nonempty when a child's sample grid finds a witness
+    (the first such child in split order wins), and empty when every
+    child keeps a positive enclosure gap to the target; children with gap
+    0 and no witness are the next level's cells.  Gap phase: the empty
+    pairs get a branch-and-bound distance lower bound (``_distance_lbs``),
+    so the recorded gap is close to the true set distance, not just the
+    first positive number encountered.  Returns, per pair, the witness,
+    the certified gap, or None when depth runs out first.
     """
-    src_box, jbox = s.box(i), s.box(j)
-    cells = [src_box]
-    for _level in range(depth):
-        surviving: list[Box] = []
-        for cell in cells:
-            for child in _split_box(cell, s.space):
-                if _image_gap(f, child, jbox) > 0.0:
-                    continue
-                pts = child.lo_arr + offsets * (child.hi_arr - child.lo_arr)
-                wit = _witness(pts, eval_points(f, pts), src_box, jbox, s.space)
-                if wit is not None:
-                    return wit
-                surviving.append(child)
-        if not surviving:
-            return _pair_distance_lb(f, src_box, jbox, s, s.cube_width / (1 << depth))
-        cells = surviving
-    return None
+    results: list[EdgeWitness | float | None] = [None] * len(pairs)
+    if depth == 0:
+        return results
+    lo_all, hi_all = cubes
+    n = s.n
+    root = np.zeros((1, n), dtype=int)
+    empty: list[int] = []
+    fresh = deque(range(len(pairs)))
+    # (pair index, level, (c, n) dyadic addresses of the open cells)
+    queue: deque[tuple[int, int, np.ndarray]] = deque()
+    while queue or fresh:
+        # Pairs in progress first, then new ones, while the round's
+        # children stay within _MAX_CELLS (one pair always goes).
+        active: list[tuple[int, int, np.ndarray]] = []
+        cost = 0
+        while queue or fresh:
+            p, level, k = queue[0] if queue else (fresh[0], 0, root)
+            if active and cost + (len(k) << n) > _MAX_CELLS:
+                break
+            (queue if queue else fresh).popleft()
+            active.append((p, level, k))
+            cost += len(k) << n
+        cells = [len(k) for _, _, k in active]
+        kids, lo, hi, t_lo, t_hi = _split_cells(
+            cubes,
+            np.repeat([pairs[p][0] for p, _, _ in active], cells),
+            np.repeat([pairs[p][1] for p, _, _ in active], cells),
+            np.repeat([level for _, level, _ in active], cells),
+            np.concatenate([k for _, _, k in active]),
+            s.cube_width,
+        )
+        open_rows = np.flatnonzero(_image_gaps(f, lo, hi, t_lo, t_hi) == 0.0)
+        lo, hi = lo[open_rows, None, :], hi[open_rows, None, :]
+        t_lo, t_hi = t_lo[open_rows], t_hi[open_rows]
+        pts = lo + offsets * (hi - lo)
+        images = eval_points(f, pts.reshape(-1, n)).reshape(pts.shape)
+        clear = _cube_clearances(images, t_lo[:, None, :], t_hi[:, None, :], s.space)
+        hit = np.any(clear >= 0.0, axis=1)
+        cuts = np.searchsorted(open_rows, np.cumsum([0] + cells) << n).tolist()
+        for a, (p, level, _) in enumerate(active):
+            first, stop = cuts[a], cuts[a + 1]
+            hits = np.flatnonzero(hit[first:stop])
+            if hits.size:
+                r = first + int(hits[0])
+                i = pairs[p][0]
+                (results[p],) = _witnesses(
+                    pts[r], images[r], lo_all[i], hi_all[i],
+                    t_lo[r : r + 1], t_hi[r : r + 1], s.space,
+                )
+            elif first == stop:
+                empty.append(p)
+            elif level + 1 < depth:
+                queue.append((p, level + 1, kids[open_rows[first:stop]]))
+    gaps = _distance_lbs(f, s, [pairs[p] for p in empty], s.cube_width / (1 << depth), cubes)
+    for p, gap in zip(empty, gaps):
+        results[p] = gap
+    return results
 
 
-def _image_gap(f: MapSpec, cell: Box, target: Box) -> float:
-    """Certified lower bound on dist(f(cell), target) from one enclosure."""
-    pieces = split_lift(eval_box(f, Direction.FORWARD, cell))
-    return min(set_distance_lb(p, target) for p in pieces)
+@dataclass(slots=True)
+class _Search:
+    """One pair's branch and bound: its heap of (lower bound, counter, cell)."""
+
+    index: int
+    heap: list[tuple[float, int, int]]
+    best_ub: float
+    counter: int = 0
+    processed: int = 0
 
 
-def _pair_distance_lb(
+def _distance_lbs(
     f: MapSpec,
-    src: Box,
-    target: Box,
     s: Subdivision,
+    pairs: list[tuple[int, int]],
     tol: float,
-    max_cells: int = 4096,
-) -> float:
-    """Certified lower bound on dist(f(src), target), within ``tol`` of truth.
+    cubes: tuple[np.ndarray, np.ndarray],
+) -> list[float]:
+    """Certified lower bound on dist(f(C_i), C_j) for each pair (i, j),
+    within ``tol`` of the truth.
 
-    Branch and bound: cells of src are scored by the enclosure gap of their
-    image (a lower bound) against the gap at their center point (an upper
-    bound); the smallest lower bound is refined until the two meet.
+    Branch and bound: cells of C_i are scored by the enclosure gap of
+    their image (a lower bound) against the gap at their center point (an
+    upper bound); each pair refines its smallest lower bound until the two
+    meet, or until it has split _MAX_CELLS cells.  The pairs run in
+    lockstep: each round pops one cell per pair, exactly the cell its own
+    search would pop next, and bounds the children of all popped cells in
+    one call.  One pair is admitted per round while the cells held in all
+    heaps stay under _MAX_CELLS.
     """
-
-    def bounds(cell: Box) -> tuple[float, float]:
-        lb = _image_gap(f, cell, target)
-        center = eval_point(f, Direction.FORWARD, cell.center)
-        ub = point_box_distance_lb(center, target) + 1e-15
-        return lb, ub
-
-    lb0, ub0 = bounds(src)
-    best_ub = ub0
-    counter = 0
-    heap = [(lb0, counter, src)]
-    processed = 0
-    while heap and processed < max_cells:
-        lb, _, cell = heapq.heappop(heap)
-        if best_ub - lb <= tol:
-            return lb
-        processed += 1
-        for child in _split_box(cell, s.space):
-            clb, cub = bounds(child)
-            best_ub = min(best_ub, cub)
-            counter += 1
-            heapq.heappush(heap, (clb, counter, child))
-    return heap[0][0] if heap else lb0
+    lo_all, hi_all = cubes
+    n = s.n
+    spread = [
+        sum(int(b) << (_DEPTH_BITS + _FIELD_BITS * a) for a, b in enumerate(row))
+        for row in _child_bits(n)
+    ]
+    depth_mask = (1 << _DEPTH_BITS) - 1
+    field_mask = (1 << _FIELD_BITS) - 1
+    out = [0.0] * len(pairs)
+    pending = iter(range(len(pairs)))
+    active: list[_Search] = []
+    while True:
+        if sum(len(search.heap) for search in active) < _MAX_CELLS:
+            p = next(pending, None)
+            if p is not None:
+                i, j = pairs[p]
+                lo, hi, t_lo, t_hi = lo_all[[i]], hi_all[[i]], lo_all[[j]], hi_all[[j]]
+                (lower,) = _image_gaps(f, lo, hi, t_lo, t_hi).tolist()
+                (upper,) = _center_bounds(f, lo, hi, t_lo, t_hi).tolist()
+                active.append(_Search(p, [(lower, 0, 0)], upper))
+        if not active:
+            break
+        popped: list[tuple[_Search, int]] = []
+        for search in active:
+            if search.processed >= _MAX_CELLS:
+                out[search.index] = search.heap[0][0]
+                continue
+            lb, _, cell = heapq.heappop(search.heap)
+            if search.best_ub - lb <= tol:
+                out[search.index] = lb
+                continue
+            search.processed += 1
+            popped.append((search, cell))
+        active = [search for search, _ in popped]
+        if not popped:
+            continue
+        levels = [cell & depth_mask for _, cell in popped]
+        k = np.array(
+            [[(cell >> (_DEPTH_BITS + _FIELD_BITS * a)) & field_mask for a in range(n)]
+             for _, cell in popped],
+            dtype=float,
+        )
+        _, lo, hi, t_lo, t_hi = _split_cells(
+            cubes,
+            [pairs[search.index][0] for search, _ in popped],
+            [pairs[search.index][1] for search, _ in popped],
+            levels,
+            k,
+            s.cube_width,
+        )
+        lower = _image_gaps(f, lo, hi, t_lo, t_hi).tolist()
+        upper = _center_bounds(f, lo, hi, t_lo, t_hi).tolist()
+        row = 0
+        for (search, cell), level in zip(popped, levels):
+            base = ((cell >> _DEPTH_BITS) << (_DEPTH_BITS + 1)) | (level + 1)
+            for offset in spread:
+                search.best_ub = min(search.best_ub, upper[row])
+                search.counter += 1
+                heapq.heappush(search.heap, (lower[row], search.counter, base | offset))
+                row += 1
+    return out
 
 
 def delta_bound(g: TransitionGraph, allow_uncertain: bool = False) -> float:

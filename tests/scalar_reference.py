@@ -1,0 +1,257 @@
+"""Scalar reference for the batched interval kernels and the graph refinement.
+
+One box at a time in Python floats: an enclosure summed column by column
+with the same outward nudges, lifts reduced to canonical ``Box`` pieces,
+one ``set_distance_lb`` per piece, and one sequential search per pair.
+This is how the graph refinement worked before its kernels were batched;
+the tests compare the array kernels in ``cubeshadow.dynamics`` and
+``cubeshadow.transition`` with it row for row, bit for bit, and check its
+own soundness.
+"""
+
+from __future__ import annotations
+
+import heapq
+import itertools
+import math
+
+import numpy as np
+
+from cubeshadow.dynamics import Direction, eval_point, eval_points, map_parts
+from cubeshadow.geometry import Box, Lift, Space
+from cubeshadow.transition import _NEAR_BAND, EdgeWitness, _witnesses
+
+TWO_PI = 2.0 * math.pi
+NUDGE_ULPS = 4
+
+
+def widen_float(lo: float, hi: float, ulps: int = NUDGE_ULPS) -> tuple[float, float]:
+    for _ in range(ulps):
+        lo = math.nextafter(lo, -math.inf)
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+def sin_range(lo: float, hi: float) -> tuple[float, float]:
+    """Enclosure of {sin(t) : t in [lo, hi]} for one interval."""
+    lo = float(lo)
+    hi = float(hi)
+    if hi - lo >= TWO_PI:
+        return -1.0, 1.0
+    s_lo = min(np.sin(lo), np.sin(hi))
+    s_hi = max(np.sin(lo), np.sin(hi))
+    k_hi = np.ceil((lo - np.pi / 2.0) / TWO_PI)
+    if np.pi / 2.0 + TWO_PI * k_hi <= hi:
+        s_hi = 1.0
+    k_lo = np.ceil((lo + np.pi / 2.0) / TWO_PI)
+    if -np.pi / 2.0 + TWO_PI * k_lo <= hi:
+        s_lo = -1.0
+    s_lo, s_hi = widen_float(s_lo, s_hi)
+    return max(-1.0, s_lo), min(1.0, s_hi)
+
+
+def _product(m: np.ndarray, x: list[float]) -> list[float]:
+    out = []
+    for row in m.tolist():
+        acc = x[0] * row[0]
+        for j in range(1, len(x)):
+            acc = acc + x[j] * row[j]
+        out.append(acc)
+    return out
+
+
+def enclose(f, direction: Direction, lo, hi) -> tuple[list[float], list[float]]:
+    """Outward enclosure of f over one lifted box [lo, hi]."""
+    parts = map_parts(f, direction)
+    lo = [float(v) for v in lo]
+    hi = [float(v) for v in hi]
+    a_lo = [p + q for p, q in zip(_product(parts.pos, lo), _product(parts.neg, hi))]
+    a_hi = [p + q for p, q in zip(_product(parts.pos, hi), _product(parts.neg, lo))]
+    pairs = [widen_float(a, b) for a, b in zip(a_lo, a_hi)]
+    b = parts.b.tolist()
+    a_lo = [p[0] + c for p, c in zip(pairs, b)]
+    a_hi = [p[1] + c for p, c in zip(pairs, b)]
+    out_lo, out_hi = a_lo, a_hi
+    r = parts.residual
+    if r is not None:
+        x_lo, x_hi = (a_lo, a_hi) if direction is Direction.INVERSE else (lo, hi)
+        r_lo = [0.0] * f.n
+        r_hi = [0.0] * f.n
+        for d, (c, src) in enumerate(zip(r.coef, r.src)):
+            if c == 0.0:
+                continue
+            s_lo, s_hi = sin_range(r.angular * x_lo[src], r.angular * x_hi[src])
+            term = (c * s_lo, c * s_hi) if c >= 0 else (c * s_hi, c * s_lo)
+            r_lo[d], r_hi[d] = widen_float(*term, r.ulps)
+        out_lo = [a + e for a, e in zip(a_lo, r_lo)]
+        out_hi = [a + e for a, e in zip(a_hi, r_hi)]
+    widened = [widen_float(a, b) for a, b in zip(out_lo, out_hi)]
+    return [w[0] for w in widened], [w[1] for w in widened]
+
+
+def split_lift(lift: Lift) -> list[Box]:
+    """Reduce a Lift to canonical boxes: at most 2 pieces per axis, 2^n total.
+
+    On the cube the lift is clipped to [0,1]^n.  On the torus each axis is
+    reduced modulo 1 and split where it crosses a glued face; an axis
+    spanning width >= 1 becomes [0,1].
+    """
+    per_axis = []
+    for a, b in zip(lift.lo, lift.hi):
+        if lift.space is Space.CUBE:
+            per_axis.append([(min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0))])
+            continue
+        if b - a >= 1.0:
+            per_axis.append([(0.0, 1.0)])
+            continue
+        base = math.floor(a)
+        lo = a - base
+        hi = b - base
+        if hi <= 1.0:
+            per_axis.append([(lo, hi)])
+        else:
+            per_axis.append([(lo, 1.0), (0.0, hi - 1.0)])
+    boxes = []
+    for combo in itertools.product(*per_axis):
+        boxes.append(Box(tuple(c[0] for c in combo), tuple(c[1] for c in combo), lift.space))
+    return boxes
+
+
+def _axis_gap(alo, ahi, blo, bhi):
+    return max(0.0, blo - ahi, alo - bhi)
+
+
+def set_distance_lb(a: Box, b: Box) -> float:
+    """Certified lower bound on the distance between two boxes.
+
+    Exact per-axis gaps (wrapped on the torus) combined in the Euclidean
+    norm, nudged down 2 ulps; 0 exactly when the boxes may intersect.
+    """
+    if a.space is not b.space or a.n != b.n:
+        raise ValueError("boxes must share a space and dimension")
+    total = 0.0
+    for d in range(a.n):
+        if a.space is Space.TORUS:
+            g = min(
+                _axis_gap(a.lo[d] + s, a.hi[d] + s, b.lo[d], b.hi[d])
+                for s in (-1.0, 0.0, 1.0)
+            )
+        else:
+            g = _axis_gap(a.lo[d], a.hi[d], b.lo[d], b.hi[d])
+        total += g * g
+    if total == 0.0:
+        return 0.0
+    return widen_float(math.sqrt(total), math.sqrt(total), 2)[0]
+
+
+def point_distance(p, q, space: Space) -> float:
+    """Euclidean distance, per-axis wrapped on the torus."""
+    total = 0.0
+    for x, y in zip(p, q):
+        d = abs(float(x) - float(y))
+        if space is Space.TORUS:
+            d = d - math.floor(d)
+            d = min(d, 1.0 - d)
+        total += d * d
+    return math.sqrt(total)
+
+
+def point_box_distance_lb(p, b: Box) -> float:
+    """Lower bound on dist(p, box): per-axis gaps like set_distance_lb."""
+    coords = []
+    for x in p:
+        x = float(x)
+        if b.space is Space.TORUS:
+            x = x - math.floor(x)
+        coords.append(min(max(x, 0.0), 1.0))
+    return set_distance_lb(Box(tuple(coords), tuple(coords), b.space), b)
+
+
+def image_gap(f, cell: Box, target: Box) -> float:
+    """Certified lower bound on dist(f(cell), target) from one enclosure."""
+    lo, hi = enclose(f, Direction.FORWARD, cell.lo, cell.hi)
+    pieces = split_lift(Lift(tuple(lo), tuple(hi), f.space))
+    return min(set_distance_lb(p, target) for p in pieces)
+
+
+def center_bound(f, cell: Box, target: Box) -> float:
+    """Distance from the image of the cell's center to the target, + 1e-15."""
+    center = eval_point(f, Direction.FORWARD, cell.center)
+    return point_box_distance_lb(center, target) + 1e-15
+
+
+def split_box(box: Box) -> list[Box]:
+    """The 2^n halves of a box; child ``mask`` is upper on axis a when bit a is set."""
+    mids = [(lo + hi) / 2.0 for lo, hi in zip(box.lo, box.hi)]
+    out = []
+    n = len(box.lo)
+    for mask in range(1 << n):
+        lo = [box.lo[a] if not (mask >> a) & 1 else mids[a] for a in range(n)]
+        hi = [mids[a] if not (mask >> a) & 1 else box.hi[a] for a in range(n)]
+        out.append(Box(tuple(lo), tuple(hi), box.space))
+    return out
+
+
+def pair_distance_lb(f, src: Box, target: Box, tol: float, max_cells: int = 4096) -> float:
+    """One pair's best-first branch and bound on dist(f(src), target)."""
+    best_ub = center_bound(f, src, target)
+    counter = 0
+    heap = [(image_gap(f, src, target), counter, src)]
+    processed = 0
+    while heap and processed < max_cells:
+        lb, _, cell = heapq.heappop(heap)
+        if best_ub - lb <= tol:
+            return lb
+        processed += 1
+        for child in split_box(cell):
+            best_ub = min(best_ub, center_bound(f, child, target))
+            counter += 1
+            heapq.heappush(heap, (image_gap(f, child, target), counter, child))
+    return heap[0][0]
+
+
+def refine_pair(f, s, i: int, j: int, offsets: np.ndarray, depth: int):
+    """Settle one uncertain pair: the witness, the certified gap, or None."""
+    src_box, jbox = s.box(i), s.box(j)
+    cells = [src_box]
+    for _level in range(depth):
+        surviving = []
+        for cell in cells:
+            for child in split_box(cell):
+                if image_gap(f, child, jbox) > 0.0:
+                    continue
+                pts = child.lo_arr + offsets * (child.hi_arr - child.lo_arr)
+                (wit,) = _witnesses(
+                    pts, eval_points(f, pts), src_box.lo_arr, src_box.hi_arr,
+                    jbox.lo_arr[None, :], jbox.hi_arr[None, :], s.space,
+                )
+                if wit is not None:
+                    return wit
+                surviving.append(child)
+        if not surviving:
+            return pair_distance_lb(f, src_box, jbox, s.cube_width / (1 << depth))
+        cells = surviving
+    return None
+
+
+def refine_uncertain(f, s, pairs, offsets, depth, cubes) -> list[EdgeWitness | float | None]:
+    """Drop-in for ``transition._refine_uncertain``: one pair after another."""
+    return [refine_pair(f, s, i, j, offsets, depth) for i, j in pairs]
+
+
+def sharpen_min_gap(f, s, empty_gaps, min_empty_gap, cubes, rel_tol=2.0 ** -12) -> float:
+    """Drop-in for ``transition._sharpen_min_gap``: the skip rule, one pair at a time."""
+    if not empty_gaps:
+        return min_empty_gap
+    tol = s.cube_width * rel_tol
+    near_band = _NEAR_BAND * s.cube_width
+    best = math.inf
+    for pair, coarse in sorted(empty_gaps.items(), key=lambda kv: (kv[1], kv[0])):
+        if coarse >= best:
+            continue
+        fine = pair_distance_lb(f, s.box(pair[0]), s.box(pair[1]), tol)
+        fine = min(fine, near_band)
+        if fine > coarse:
+            empty_gaps[pair] = fine
+        best = min(best, empty_gaps[pair])
+    return best

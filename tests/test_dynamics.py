@@ -23,7 +23,8 @@ from cubeshadow.dynamics import (
     translation_map,
 )
 from cubeshadow.errors import InvalidMapError, NotInvertibleError
-from cubeshadow.geometry import Box, Space, split_lift
+from cubeshadow.geometry import Box, Space
+from scalar_reference import split_lift
 
 CAT = ((2, 1), (1, 1))
 

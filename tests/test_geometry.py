@@ -14,11 +14,9 @@ from cubeshadow.geometry import (
     cube_of_point,
     cubes_containing_point,
     make_subdivision,
-    point_distance,
-    set_distance_lb,
     space_diameter,
-    split_lift,
 )
+from scalar_reference import point_distance, set_distance_lb, split_lift
 
 
 def test_subdivision_counts():

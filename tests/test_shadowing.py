@@ -282,6 +282,19 @@ def test_splice_builds_a_periodic_pseudo_orbit():
     res = periodic_shadow(CAT, p, certify_chained(CAT, s4, g4), eps=0.2, g=g4)
     assert res.minimal_period == p.periodic
     assert verify_shadow(CAT, res.point, p, 0.2).ok
+    assert p.delta == max(step_defects(CAT, p)) * (1.0 + 1e-9) + 1e-15
+
+
+def test_splice_checks_every_segment_step():
+    g3 = build_graph(CAT, make_subdivision(2, 3, Space.TORUS))
+    x = (0.1, 0.2)
+    seg = [x, tuple(eval_point(CAT, Direction.FORWARD, x))]
+    bent = [x, (0.4, 0.2)]
+    with pytest.raises(ValueError, match="segment step defect 0.1"):
+        specification_splice(CAT, g3, [seg, bent], gap=8)
+    # One-point segments have no steps to check.
+    p = specification_splice(CAT, g3, [[x], [(0.6, 0.7)]], gap=8)
+    assert p.points[0] == x and (0.6, 0.7) in p.points
 
 
 # --- serialization and determinism -------------------------------------------

@@ -13,6 +13,7 @@ from cubeshadow.geometry import (
     make_subdivision,
 )
 from cubeshadow import transition
+from scalar_reference import point_box_distance_lb
 from cubeshadow.transition import (
     EdgeStatus,
     build_graph,
@@ -159,8 +160,6 @@ def test_delta_bound_never_exceeds_sampled_minimum():
         pts = box.lo_arr + rng.random((500, 2)) * (box.hi_arr - box.lo_arr)
         imgs = eval_points(CAT, pts)
         tgt = s.box(j)
-        from cubeshadow.geometry import point_box_distance_lb
-
         observed = min(point_box_distance_lb(p, tgt) for p in imgs)
         assert db <= observed + 1e-12
 
