@@ -535,10 +535,10 @@ def _split_cells(cubes, src, tgt, level, k: np.ndarray, width: float):
     lo_all, hi_all = cubes
     n = k.shape[1]
     fan = 1 << n
+    src, tgt, level = (np.repeat(np.asarray(v, dtype=int), fan) for v in (src, tgt, level))
     kids = (2 * k[:, None, :] + _child_bits(n)).reshape(-1, n)
-    size = np.ldexp(width, -1 - np.repeat(level, fan))[:, None]
-    lo = lo_all[np.repeat(src, fan)] + kids * size
-    tgt = np.repeat(tgt, fan)
+    size = np.ldexp(width, -1 - level)[:, None]
+    lo = lo_all[src] + kids * size
     return kids, lo, lo + size, lo_all[tgt], hi_all[tgt]
 
 
@@ -649,8 +649,8 @@ def _distance_lbs(
     meet, or until it has split _MAX_CELLS cells.  The pairs run in
     lockstep: each round pops one cell per pair, exactly the cell its own
     search would pop next, and bounds the children of all popped cells in
-    one call.  One pair is admitted per round while the cells held in all
-    heaps stay under _MAX_CELLS.
+    one call.  One pair starts per round while the cells held in all heaps
+    stay under _MAX_CELLS.
     """
     lo_all, hi_all = cubes
     n = s.n
@@ -664,16 +664,6 @@ def _distance_lbs(
     pending = iter(range(len(pairs)))
     active: list[_Search] = []
     while True:
-        if sum(len(search.heap) for search in active) < _MAX_CELLS:
-            p = next(pending, None)
-            if p is not None:
-                i, j = pairs[p]
-                lo, hi, t_lo, t_hi = lo_all[[i]], hi_all[[i]], lo_all[[j]], hi_all[[j]]
-                (lower,) = _image_gaps(f, lo, hi, t_lo, t_hi).tolist()
-                (upper,) = _center_bounds(f, lo, hi, t_lo, t_hi).tolist()
-                active.append(_Search(p, [(lower, 0, 0)], upper))
-        if not active:
-            break
         popped: list[tuple[_Search, int]] = []
         for search in active:
             if search.processed >= _MAX_CELLS:
@@ -686,14 +676,19 @@ def _distance_lbs(
             search.processed += 1
             popped.append((search, cell))
         active = [search for search, _ in popped]
-        if not popped:
-            continue
+        admitted = None
+        if sum(len(search.heap) for search in active) < _MAX_CELLS:
+            admitted = next(pending, None)
+        if not popped and admitted is None:
+            break
+        # The children of every popped cell, then the source cube of the
+        # admitted pair, bounded in one call.
         levels = [cell & depth_mask for _, cell in popped]
         k = np.array(
             [[(cell >> (_DEPTH_BITS + _FIELD_BITS * a)) & field_mask for a in range(n)]
              for _, cell in popped],
             dtype=float,
-        )
+        ).reshape(-1, n)
         _, lo, hi, t_lo, t_hi = _split_cells(
             cubes,
             [pairs[search.index][0] for search, _ in popped],
@@ -702,6 +697,10 @@ def _distance_lbs(
             k,
             s.cube_width,
         )
+        if admitted is not None:
+            i, j = pairs[admitted]
+            lo, hi = np.vstack([lo, lo_all[i]]), np.vstack([hi, hi_all[i]])
+            t_lo, t_hi = np.vstack([t_lo, lo_all[j]]), np.vstack([t_hi, hi_all[j]])
         lower = _image_gaps(f, lo, hi, t_lo, t_hi).tolist()
         upper = _center_bounds(f, lo, hi, t_lo, t_hi).tolist()
         row = 0
@@ -712,6 +711,8 @@ def _distance_lbs(
                 search.counter += 1
                 heapq.heappush(search.heap, (lower[row], search.counter, base | offset))
                 row += 1
+        if admitted is not None:
+            active.append(_Search(admitted, [(lower[row], 0, 0)], upper[row]))
     return out
 
 
