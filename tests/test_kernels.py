@@ -216,6 +216,29 @@ def test_sin_range_contains_the_60_digit_sine(data):
                 assert mpmath.mpf(float(s_lo)) <= mpmath.sin(v) <= mpmath.mpf(float(s_hi))
 
 
+@pytest.mark.parametrize(
+    "descriptor, n, m, space",
+    [
+        ("perturbed [[1]] eta=0.02 freq=3", 1, 4, Space.TORUS),
+        ("perturbed [[2,1,0],[1,1,0],[0,0,1]] eta=0.01 freq=2", 3, 2, Space.TORUS),
+        ("affine [[0.3,0.1,0.2],[0.1,0.2,0.3],[0.1,0.3,0.1]]", 3, 2, Space.CUBE),
+    ],
+    ids=["1d", "3d", "3d-cube"],
+)
+def test_lockstep_gap_search_matches_one_pair_at_a_time(descriptor, n, m, space):
+    # Packed cell addresses for n != 2: every pair's bound must be the one
+    # its own search finds.
+    f = builtin_map(descriptor, space)
+    s = make_subdivision(n, m, space)
+    rng = np.random.default_rng(0)
+    pairs = [tuple(int(v) for v in rng.integers(0, s.count, 2)) for _ in range(12)]
+    tol = s.cube_width / 64
+    got = transition._distance_lbs(f, s, pairs, tol, transition._cube_bounds(s))
+    want = [ref.pair_distance_lb(f, s.box(i), s.box(j), tol) for i, j in pairs]
+    assert _bits(got) == _bits(want)
+    assert any(g > 0.0 for g in got)
+
+
 @pytest.mark.parametrize("descriptor", ["standard K=0.3", "translation [0.3,0.1]"])
 def test_build_graph_matches_the_sequential_reference(monkeypatch, descriptor):
     # Refinement and the sharpened minimum run one pair after another in
