@@ -44,11 +44,7 @@ def mat_interval(mat, lo, hi):
     dyadics, outward-nudged otherwise.
     """
     m = np.asarray(mat, dtype=float)
-    return signed_interval(np.clip(m, 0.0, None), np.clip(m, None, 0.0), lo, hi)
-
-
-def signed_interval(pos, neg, lo, hi):
-    """mat_interval for M given as its positive and negative parts."""
+    pos, neg = np.clip(m, 0.0, None), np.clip(m, None, 0.0)
     lo = np.asarray(lo, float)
     hi = np.asarray(hi, float)
     return widen(pos @ lo + neg @ hi, pos @ hi + neg @ lo)

@@ -30,7 +30,7 @@ from .dynamics import (
     eval_box,
     jacobian,
     lift_points,
-    linear_part,
+    map_parts,
     residual_range,
 )
 from .errors import MismatchedChainError, NotEndomorphismError, UncertainEdgesError
@@ -242,10 +242,9 @@ def _local_endomorphism_check(f: MapSpec, src: Rectangle) -> None:
     if f.space is not Space.CUBE:
         return
     lo, hi = _strip_ambient_box(src, src.box.lo[src.exit_axis], src.box.hi[src.exit_axis])
-    lift = eval_box(f, Direction.FORWARD, Box(
-        tuple(np.clip(lo, 0.0, 1.0)), tuple(np.clip(hi, 0.0, 1.0)), Space.CUBE))
+    lo, hi = eval_box(f, Direction.FORWARD, np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0))
     slack = 1e-9
-    if any(v < -slack for v in lift.lo) or any(v > 1.0 + slack for v in lift.hi):
+    if np.any(lo < -slack) or np.any(hi > 1.0 + slack):
         raise NotEndomorphismError(
             f"{f.descriptor} maps the source rectangle outside the unit cube"
         )
@@ -265,7 +264,8 @@ class _ChartImages:
         self.dst = dst
         self.fs = src.frame_arr
         self.fd = dst.frame_arr
-        a, b = linear_part(f, Direction.FORWARD)
+        parts = map_parts(f)
+        a, b = parts.a, parts.b
         self.mat = self.fd @ a @ self.fs.T
         c_src = np.array(src.center)
         c_dst = np.array(dst.center)

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._intervals import NUDGE_ULPS, sin_range, widen
 from .errors import InvalidMapError, NotInvertibleError
-from .geometry import Box, Lift, Space, parse_space
+from .geometry import Space, parse_space
 
 TWO_PI = 2.0 * math.pi
 
@@ -469,14 +469,15 @@ def _residual_box(parts: MapParts, direction: Direction, lo, hi):
     return parts.residual.over(lo, hi)
 
 
-def enclose(
+def eval_box(
     f: MapSpec, direction: Direction, lo: np.ndarray, hi: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rigorous enclosure of f over lifted boxes [lo, hi], un-wrapped.
 
     ``lo`` and ``hi`` hold one box per row of a (k, n) batch, or a single
     (n,) box; each may be any lift, wider than one period included.  A
-    row's bounds do not depend on the other rows.
+    row's bounds do not depend on the other rows.  Torus wrapping is left
+    to the caller so the enclosure itself stays tight.
     """
     parts = map_parts(f, direction)
     out_lo, out_hi = _affine_box(parts, lo, hi)
@@ -484,22 +485,6 @@ def enclose(
         r_lo, r_hi = _residual_box(parts, direction, lo, hi)
         out_lo, out_hi = out_lo + r_lo, out_hi + r_hi
     return widen(out_lo, out_hi)
-
-
-def eval_box(f: MapSpec, direction: Direction, box: Box) -> Lift:
-    """Rigorous enclosure of f(box) as an un-wrapped lift.
-
-    Torus wrapping is deliberately left to the caller so the enclosure
-    itself stays tight.
-    """
-    out_lo, out_hi = enclose(f, direction, box.lo_arr, box.hi_arr)
-    return Lift(tuple(out_lo), tuple(out_hi), f.space)
-
-
-def linear_part(f: MapSpec, direction: Direction = Direction.FORWARD) -> tuple[np.ndarray, np.ndarray]:
-    """Exact-in-floats linear skeleton (A, b) with f(x) = Ax + b + residual."""
-    parts = map_parts(f, direction)
-    return parts.a, parts.b
 
 
 def residual_range(

@@ -208,10 +208,12 @@ def periodic_points(f: MapSpec, period: int) -> list[FracVec]:
         tuple(power.matrix[i][j] - (1 if i == j else 0) for j in range(n))
         for i in range(n)
     )
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0] if n == 2 else None
-    if n == 2 and det == 0:
-        raise NotHyperbolicError("f^period - identity is singular; fixed set is not finite")
-    inv = fraction_inverse(m)
+    try:
+        inv = fraction_inverse(m)
+    except NotInvertibleError:
+        raise NotHyperbolicError(
+            "f^period - identity is singular; fixed set is not finite"
+        ) from None
     ranges = []
     for i in range(n):
         lo = -power.offset[i] + sum(min(v, 0) for v in m[i])

@@ -99,29 +99,6 @@ class Box:
 
 
 @dataclass(frozen=True)
-class Lift:
-    """Un-wrapped image enclosure: bounds may leave [0,1]^n.
-
-    Produced by enclosure evaluation; callers reduce it onto the space."""
-
-    lo: tuple
-    hi: tuple
-    space: Space
-
-    @property
-    def n(self):
-        return len(self.lo)
-
-    @property
-    def lo_arr(self):
-        return np.array(self.lo, dtype=float)
-
-    @property
-    def hi_arr(self):
-        return np.array(self.hi, dtype=float)
-
-
-@dataclass(frozen=True)
 class Subdivision:
     """The full order-m dyadic subdivision of the n-cube or n-torus.
 

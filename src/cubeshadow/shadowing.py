@@ -31,12 +31,11 @@ from .covering import (
 from .dynamics import (
     Direction,
     MapSpec,
-    enclose,
+    eval_box,
     eval_point,
     eval_points,
     jacobian,
     lift_points,
-    map_parts,
     wrap_points,
 )
 from .errors import (
@@ -524,22 +523,6 @@ def step_chain(f: MapSpec, p: PseudoOrbit) -> StepChain:
 
 # --- bisection localizer ----------------------------------------------------
 
-def _make_stepper(f: MapSpec, direction: Direction):
-    """Interval step (lo, hi) -> image (lo, hi); fast path for affine kinds."""
-    if supports_exact(f):
-        parts = map_parts(f, direction)
-        pos, neg, off = parts.pos, parts.neg, parts.b
-
-        def step(lo: np.ndarray, hi: np.ndarray):
-            return pos @ lo + neg @ hi + off, pos @ hi + neg @ lo + off
-
-        return step
-
-    # Lifted arrays, not a Box: a tube of radius 1/2 or more spans a full
-    # period of the torus.
-    return lambda lo, hi: enclose(f, direction, lo, hi)
-
-
 def _window_times(f: MapSpec, p: PseudoOrbit) -> tuple[list[int], list[int]]:
     """Constraint times for localization around time 0 (cyclic twice over)."""
     if p.periodic is not None:
@@ -639,17 +622,21 @@ def _eigen_bands(
 
 
 def _tube_survival(f: MapSpec, p: PseudoOrbit, r: float):
-    """Whether a time-0 cell's interval orbit meets every tube [y_k +- r]."""
+    """Whether a time-0 cell's interval orbit meets every tube [y_k +- r].
+
+    The cell is stepped as lifted arrays, not a Box: a tube of radius 1/2
+    or more spans a full period of the torus.
+    """
     fwd_times, bwd_times = _window_times(f, p)
-    fwd = _make_stepper(f, Direction.FORWARD)
-    bwd = _make_stepper(f, Direction.INVERSE) if bwd_times else None
     torus = p.space is Space.TORUS
 
     def survives(cl: list[float], ch: list[float]) -> bool:
-        for stepper, times in ((fwd, fwd_times), (bwd, bwd_times)):
+        for direction, times in (
+            (Direction.FORWARD, fwd_times), (Direction.INVERSE, bwd_times)
+        ):
             cur_lo, cur_hi = np.array(cl), np.array(ch)
             for k in times:
-                img_lo, img_hi = stepper(cur_lo, cur_hi)
+                img_lo, img_hi = eval_box(f, direction, cur_lo, cur_hi)
                 tgt = np.asarray(p.point(k), dtype=float)
                 if torus:
                     shift = np.round(0.5 * (img_lo + img_hi) - tgt)

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from cubeshadow.dynamics import Direction, eval_point, eval_points, map_parts
-from cubeshadow.geometry import Box, Lift, Space
+from cubeshadow.geometry import Box, Space
 from cubeshadow.transition import _NEAR_BAND, EdgeWitness, _witnesses
 
 TWO_PI = 2.0 * math.pi
@@ -89,16 +89,16 @@ def enclose(f, direction: Direction, lo, hi) -> tuple[list[float], list[float]]:
     return [w[0] for w in widened], [w[1] for w in widened]
 
 
-def split_lift(lift: Lift) -> list[Box]:
-    """Reduce a Lift to canonical boxes: at most 2 pieces per axis, 2^n total.
+def split_lift(lift_lo, lift_hi, space: Space) -> list[Box]:
+    """Reduce a lifted box to canonical boxes: at most 2 pieces per axis, 2^n total.
 
     On the cube the lift is clipped to [0,1]^n.  On the torus each axis is
     reduced modulo 1 and split where it crosses a glued face; an axis
     spanning width >= 1 becomes [0,1].
     """
     per_axis = []
-    for a, b in zip(lift.lo, lift.hi):
-        if lift.space is Space.CUBE:
+    for a, b in zip(lift_lo, lift_hi):
+        if space is Space.CUBE:
             per_axis.append([(min(max(a, 0.0), 1.0), min(max(b, 0.0), 1.0))])
             continue
         if b - a >= 1.0:
@@ -113,7 +113,7 @@ def split_lift(lift: Lift) -> list[Box]:
             per_axis.append([(lo, 1.0), (0.0, hi - 1.0)])
     boxes = []
     for combo in itertools.product(*per_axis):
-        boxes.append(Box(tuple(c[0] for c in combo), tuple(c[1] for c in combo), lift.space))
+        boxes.append(Box(tuple(c[0] for c in combo), tuple(c[1] for c in combo), space))
     return boxes
 
 
@@ -170,7 +170,7 @@ def point_box_distance_lb(p, b: Box) -> float:
 def image_gap(f, cell: Box, target: Box) -> float:
     """Certified lower bound on dist(f(cell), target) from one enclosure."""
     lo, hi = enclose(f, Direction.FORWARD, cell.lo, cell.hi)
-    pieces = split_lift(Lift(tuple(lo), tuple(hi), f.space))
+    pieces = split_lift(lo, hi, f.space)
     return min(set_distance_lb(p, target) for p in pieces)
 
 

@@ -1,11 +1,14 @@
 """End-to-end CLI runs: exit codes, artifacts, provenance, re-verification."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cubeshadow
 from cubeshadow.cli import main
 
 CAT = "toral [[2,1],[1,1]]"
@@ -431,9 +434,12 @@ def test_verify_rejects_unrecognized_artifact(tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    # The child imports the package this test imported, installed or not.
+    src = str(Path(cubeshadow.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cubeshadow.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "subdivide" in proc.stdout and "verify" in proc.stdout

@@ -14,8 +14,8 @@ from cubeshadow.dynamics import (
     eval_points,
     identity_map,
     jacobian,
-    linear_part,
     map_from_json,
+    map_parts,
     perturbed_map,
     residual_range,
     standard_map,
@@ -50,28 +50,26 @@ def test_identity_point():
 
 def test_cat_map_box_enclosure():
     f = toral_map(CAT)
-    lift = eval_box(f, Direction.FORWARD, Box((0.0, 0.0), (0.25, 0.25), Space.TORUS))
-    assert lift.lo == pytest.approx([0.0, 0.0], abs=1e-14)
-    assert lift.hi == pytest.approx([0.75, 0.5], abs=1e-14)
+    lo, hi = eval_box(f, Direction.FORWARD, np.array([0.0, 0.0]), np.array([0.25, 0.25]))
+    assert lo == pytest.approx([0.0, 0.0], abs=1e-14)
+    assert hi == pytest.approx([0.75, 0.5], abs=1e-14)
 
 
 def test_translation_box_enclosure():
     f = translation_map((0.5, 0.0))
-    lift = eval_box(f, Direction.FORWARD, Box((0.0, 0.0), (0.1, 0.1), Space.TORUS))
-    assert lift.lo == pytest.approx([0.5, 0.0], abs=1e-14)
-    assert lift.hi == pytest.approx([0.6, 0.1], abs=1e-14)
+    lo, hi = eval_box(f, Direction.FORWARD, np.array([0.0, 0.0]), np.array([0.1, 0.1]))
+    assert lo == pytest.approx([0.5, 0.0], abs=1e-14)
+    assert hi == pytest.approx([0.6, 0.1], abs=1e-14)
 
 
 def test_pure_shear_box_enclosure():
     f = standard_map(0.0)
     box = Box((0.0, 0.2), (0.1, 0.3), Space.TORUS)
-    lift = eval_box(f, Direction.FORWARD, box)
-    assert lift.lo == pytest.approx([0.2, 0.2], abs=1e-14)
-    assert lift.hi == pytest.approx([0.4, 0.3], abs=1e-14)
+    lo, hi = eval_box(f, Direction.FORWARD, box.lo_arr, box.hi_arr)
+    assert lo == pytest.approx([0.2, 0.2], abs=1e-14)
+    assert hi == pytest.approx([0.4, 0.3], abs=1e-14)
     rng = np.random.default_rng(3)
     pts = box.lo_arr + rng.random((10_000, 2)) * (box.hi_arr - box.lo_arr)
-    lo = np.array(lift.lo)
-    hi = np.array(lift.hi)
     for p in pts:
         q = np.array([p[0] + p[1], p[1]])
         assert np.all(q >= lo) and np.all(q <= hi)
@@ -146,10 +144,10 @@ def test_enclosure_soundness():
             for _ in range(1000 // 6 + 1):
                 lo = rng.random(2) * 0.7
                 box = Box(tuple(lo), tuple(lo + rng.random(2) * 0.3), f.space)
-                lift = eval_box(f, direction, box)
+                lo, hi = eval_box(f, direction, box.lo_arr, box.hi_arr)
                 p = box.lo_arr + rng.random(2) * (box.hi_arr - box.lo_arr)
                 q = eval_point(f, direction, p)
-                assert any(b.contains_point(q) for b in split_lift(lift)), (
+                assert any(b.contains_point(q) for b in split_lift(lo, hi, f.space)), (
                     f.descriptor,
                     direction,
                     p,
@@ -180,10 +178,10 @@ def test_enclosure_monotone():
             inner_lo = outer.lo_arr + 0.3 * mid * (outer.hi_arr - outer.lo_arr)
             inner_hi = outer.hi_arr - 0.3 * (1 - mid) * (outer.hi_arr - outer.lo_arr)
             inner = Box(tuple(inner_lo), tuple(inner_hi), f.space)
-            el = eval_box(f, Direction.FORWARD, inner)
-            eo = eval_box(f, Direction.FORWARD, outer)
-            assert all(a >= b for a, b in zip(el.lo, eo.lo))
-            assert all(a <= b for a, b in zip(el.hi, eo.hi))
+            el_lo, el_hi = eval_box(f, Direction.FORWARD, inner.lo_arr, inner.hi_arr)
+            eo_lo, eo_hi = eval_box(f, Direction.FORWARD, outer.lo_arr, outer.hi_arr)
+            assert all(a >= b for a, b in zip(el_lo, eo_lo))
+            assert all(a <= b for a, b in zip(el_hi, eo_hi))
 
 
 def test_inverse_round_trip():
@@ -224,7 +222,8 @@ def test_linear_plus_residual_covers_map():
     for f in (standard_map(0.9), perturbed_map(CAT, 0.01, 3)):
         f_cube = builtin_map(f.descriptor, Space.CUBE)
         for direction in _directions(f):
-            a, b = linear_part(f, direction)
+            parts = map_parts(f, direction)
+            a, b = parts.a, parts.b
             for _ in range(200):
                 lo = rng.random(2) * 0.7
                 box = Box(tuple(lo), tuple(lo + rng.random(2) * 0.3), f.space)

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from cubeshadow.dynamics import Direction, builtin_map
+from cubeshadow.errors import NotHyperbolicError
 from cubeshadow.exact import (
     eigen_directions,
     exact_step,
@@ -103,3 +104,12 @@ def test_period_two_points_of_cat():
 def test_period_three_count_matches_determinant():
     # |det(A^3 - I)| counts period-3 lattice classes
     assert len(periodic_points(CAT, 3)) == 16
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["identity n=2", "identity n=3", "toral [[1,1,0],[0,1,0],[0,0,1]]"]
+)
+def test_singular_power_minus_identity_is_not_hyperbolic(descriptor):
+    # f - I is singular, so the fixed set is a continuum in every dimension.
+    with pytest.raises(NotHyperbolicError, match="singular"):
+        periodic_points(builtin_map(descriptor), 1)

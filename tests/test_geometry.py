@@ -8,7 +8,6 @@ import pytest
 from cubeshadow.errors import ResourceLimitError
 from cubeshadow.geometry import (
     Box,
-    Lift,
     Space,
     chi,
     cube_of_point,
@@ -159,14 +158,12 @@ def test_set_distance_is_sound_lower_bound():
 
 
 def test_split_lift_identity_piece():
-    lift = Lift((0.2, 0.3), (0.4, 0.5), Space.TORUS)
-    (box,) = split_lift(lift)
+    (box,) = split_lift((0.2, 0.3), (0.4, 0.5), Space.TORUS)
     assert box.lo == (0.2, 0.3) and box.hi == (0.4, 0.5)
 
 
 def test_split_lift_wraps_and_splits():
-    lift = Lift((0.75, -0.25), (1.25, 0.25), Space.TORUS)
-    boxes = split_lift(lift)
+    boxes = split_lift((0.75, -0.25), (1.25, 0.25), Space.TORUS)
     assert len(boxes) == 4
     # Total width per axis is preserved by the splitting.
     for d in range(2):
@@ -178,8 +175,7 @@ def test_split_lift_wraps_and_splits():
 
 
 def test_split_lift_full_axis():
-    lift = Lift((-0.2, 0.0), (1.1, 0.5), Space.TORUS)
-    boxes = split_lift(lift)
+    boxes = split_lift((-0.2, 0.0), (1.1, 0.5), Space.TORUS)
     assert all(b.lo[0] == 0.0 and b.hi[0] == 1.0 for b in boxes)
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from cubeshadow import transition
 from cubeshadow._intervals import sin_range
-from cubeshadow.dynamics import Direction, builtin_map, enclose, map_parts
+from cubeshadow.dynamics import Direction, builtin_map, eval_box, map_parts
 from cubeshadow.geometry import Box, Space, make_subdivision
 
 MAPS = [
@@ -84,12 +84,12 @@ def test_enclosure_rows_match_scalar_reference(descriptor, space, data):
     f = builtin_map(descriptor, space)
     lo, hi = data.draw(_lifts(f.n))
     for direction in _directions(f):
-        out_lo, out_hi = enclose(f, direction, lo, hi)
+        out_lo, out_hi = eval_box(f, direction, lo, hi)
         for r in range(len(lo)):
             want_lo, want_hi = ref.enclose(f, direction, lo[r], hi[r])
             assert _bits(out_lo[r]) == _bits(want_lo)
             assert _bits(out_hi[r]) == _bits(want_hi)
-            one_lo, one_hi = enclose(f, direction, lo[r], hi[r])
+            one_lo, one_hi = eval_box(f, direction, lo[r], hi[r])
             assert _bits(one_lo) == _bits(want_lo) and _bits(one_hi) == _bits(want_hi)
 
 
@@ -184,7 +184,7 @@ def test_enclosure_contains_the_60_digit_image(descriptor, space):
     lo, hi = _random_lifts(rng, f.n)
     with mpmath.workdps(60):
         for direction in _directions(f):
-            out_lo, out_hi = enclose(f, direction, lo, hi)
+            out_lo, out_hi = eval_box(f, direction, lo, hi)
             for r in range(len(lo)):
                 corners = [
                     [hi[r][a] if (mask >> a) & 1 else lo[r][a] for a in range(f.n)]

@@ -22,6 +22,8 @@ from cubeshadow.shadowing import (
     ShadowConfig,
     UniformNoise,
     _bisect_cell,
+    _eigen_bands,
+    _tube_survival,
     generate_pseudo_orbit,
     itinerary,
     orbit_csv,
@@ -442,6 +444,20 @@ def test_bisection_failures_name_the_empty_tube(perturbed_m2, kind, kwargs, mess
     with pytest.raises(NoSurvivingCellError, match=message) as info:
         shadow(f, p, cert, 1.0, g=g, **kwargs)
     assert info.value.deepest_surviving_depth == 0
+
+
+@pytest.mark.parametrize("n_steps", [30, 100])
+@pytest.mark.parametrize("seed", range(7))
+def test_eigen_cell_survives_interval_propagation(n_steps, seed):
+    # The two survival tests of one bisection agree: the cell carved in
+    # the cat map's eigenframe also survives stepwise interval propagation
+    # of the same window through eval_box.
+    p = noisy_orbit(n_steps, seed=seed)
+    r = ShadowConfig().radius_factor * p.delta
+    assert _eigen_bands(CAT, p, r, None) is not None
+    lo, hi, splits = _bisect_cell(CAT, p, r, ShadowConfig())
+    assert splits > 0
+    assert _tube_survival(CAT, p, r)(lo, hi)
 
 
 def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2):
