@@ -41,13 +41,19 @@ def mat_interval(mat, lo, hi):
 
     Splits M into positive and negative parts so each output bound is a
     single dot product; exact when M and the bounds are small integers or
-    dyadics, outward-nudged otherwise.
+    dyadics, outward-nudged otherwise.  ``mat`` may also be a stack with
+    one matrix per row of the bounds: each product is then one stacked
+    matrix-vector product per row, which gives a row the bits of its
+    own ``M @ x`` (a single ``X @ M.T`` would not).
     """
     m = np.asarray(mat, dtype=float)
     pos, neg = np.clip(m, 0.0, None), np.clip(m, None, 0.0)
-    lo = np.asarray(lo, float)
-    hi = np.asarray(hi, float)
-    return widen(pos @ lo + neg @ hi, pos @ hi + neg @ lo)
+    lo = np.asarray(lo, float)[..., None]
+    hi = np.asarray(hi, float)[..., None]
+    return widen(
+        (np.matmul(pos, lo) + np.matmul(neg, hi))[..., 0],
+        (np.matmul(pos, hi) + np.matmul(neg, lo))[..., 0],
+    )
 
 
 def sin_range(lo, hi):

@@ -224,125 +224,212 @@ def certificate_margin(c: CoveringCertificate) -> float:
     return min(c.exit_margin, c.confinement_margin)
 
 
-def _strip_ambient_box(src: Rectangle, h0: float, h1: float) -> tuple[np.ndarray, np.ndarray]:
-    """Ambient bounding box of the strip (for residual enclosures)."""
-    c = np.array(src.center)
-    half = src.half_widths.copy()
-    mid = c.copy()
-    e = src.exit_axis
-    mid[e] = 0.5 * (h0 + h1)
-    half[e] = 0.5 * (h1 - h0)
-    # Chart center of the strip, then rotate out to ambient extents.
-    amb_mid = c + (mid - c) @ src.frame_arr
-    amb_half = np.abs(src.frame_arr.T) @ half
-    return amb_mid - amb_half, amb_mid + amb_half
-
-
-def _local_endomorphism_check(f: MapSpec, src: Rectangle) -> None:
-    if f.space is not Space.CUBE:
-        return
-    lo, hi = _strip_ambient_box(src, src.box.lo[src.exit_axis], src.box.hi[src.exit_axis])
-    lo, hi = eval_box(f, Direction.FORWARD, np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0))
-    slack = 1e-9
-    if np.any(lo < -slack) or np.any(hi > 1.0 + slack):
-        raise NotEndomorphismError(
-            f"{f.descriptor} maps the source rectangle outside the unit cube"
-        )
+def _mv(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x for every row of x, M one matrix or one per row (see mat_interval)."""
+    return np.matmul(mat, x[..., None])[..., 0]
 
 
 class _ChartImages:
-    """Interval images of strip pieces in the target's centered chart.
+    """Interval images of strip pieces in the targets' centered charts, for a
+    batch of source/target rectangle pairs.
 
     v = M u + o + Fd r, with u the source chart offsets, M = Fd A Fs^T,
     o covering the affine offset and the integer lift shift, r the
-    nonlinearity residual over the strip's ambient bounding box.
+    nonlinearity residual over the strip's ambient bounding box.  Every
+    product is one matrix product per pair (stacked matmul), so a pair's
+    bits do not depend on the batch it is checked in.
     """
 
-    def __init__(self, f: MapSpec, src: Rectangle, dst: Rectangle):
-        self.f = f
-        self.src = src
-        self.dst = dst
-        self.fs = src.frame_arr
-        self.fd = dst.frame_arr
+    def __init__(self, f: MapSpec, srcs: list[Rectangle], dsts: list[Rectangle]):
+        self.f, self.srcs, self.dsts = f, srcs, dsts
+
+        def rows(rects, key) -> np.ndarray:
+            return np.array([key(r) for r in rects])
+
+        self.fs, self.fd = (rows(rs, lambda r: r.frame_arr) for rs in (srcs, dsts))
+        lo, dst_lo = (rows(rs, lambda r: r.box.lo) for rs in (srcs, dsts))
+        hi, dst_hi = (rows(rs, lambda r: r.box.hi) for rs in (srcs, dsts))
+        # Rectangle.center and .half_widths, row by row.
+        self.c_src, c_dst = 0.5 * (lo + hi), 0.5 * (dst_lo + dst_hi)
+        self.half, self.dst_half = 0.5 * (hi - lo), 0.5 * (dst_hi - dst_lo)
+        self.exit, self.dst_exit = (rows(rs, lambda r: r.exit_axis) for rs in (srcs, dsts))
+        self.flip = rows(srcs, lambda r: r.orientation < 0)
+        at = (np.arange(len(srcs)), self.exit)
+        self.lo_e, self.hi_e = lo[at], hi[at]
         parts = map_parts(f)
-        a, b = parts.a, parts.b
-        self.mat = self.fd @ a @ self.fs.T
-        c_src = np.array(src.center)
-        c_dst = np.array(dst.center)
-        raw_center = lift_points(f, Direction.FORWARD, c_src[None, :])[0]
-        if f.space is Space.TORUS:
-            self.shift = np.round(raw_center - c_dst)
-        else:
-            self.shift = np.zeros(f.n)
-        self.offset = self.fd @ (a @ c_src + b - self.shift - c_dst)
+        self.mat = np.matmul(np.matmul(self.fd, parts.a), self.fs.transpose(0, 2, 1))
+        shift = lift_points(f, Direction.FORWARD, self.c_src) - c_dst
+        shift = np.round(shift) if f.space is Space.TORUS else np.zeros_like(shift)
+        self.offset = _mv(self.fd, _mv(parts.a, self.c_src) + parts.b - shift - c_dst)
 
-    def image_interval(self, u_lo: np.ndarray, u_hi: np.ndarray,
-                       amb_lo: np.ndarray, amb_hi: np.ndarray):
-        lo, hi = mat_interval(self.mat, u_lo, u_hi)
+    def strip_box(self, rows, h0, h1) -> tuple[np.ndarray, np.ndarray]:
+        """Ambient bounding boxes of strips [h0, h1] of sources ``rows``."""
+        at = (np.arange(len(rows)), self.exit[rows])
+        c = self.c_src[rows]
+        mid, half = c.copy(), self.half[rows].copy()
+        mid[at] = 0.5 * (h0 + h1)
+        half[at] = 0.5 * (h1 - h0)
+        # Chart center of the strip, then rotate out to ambient extents.
+        fs = self.fs[rows]
+        amb_mid = c + np.matmul((mid - c)[:, None, :], fs)[:, 0, :]
+        amb_half = _mv(np.abs(fs).transpose(0, 2, 1), half)
+        return amb_mid - amb_half, amb_mid + amb_half
+
+    def image_interval(self, rows, u_lo, u_hi, amb_lo, amb_hi):
+        lo, hi = mat_interval(self.mat[rows], u_lo, u_hi)
         r_lo, r_hi = residual_range(self.f, Direction.FORWARD, amb_lo, amb_hi)
-        if np.any(r_lo != 0.0) or np.any(r_hi != 0.0):
-            d_lo, d_hi = mat_interval(self.fd, r_lo, r_hi)
-            lo = lo + d_lo
-            hi = hi + d_hi
-        return widen(lo + self.offset, hi + self.offset)
+        moved = np.any((r_lo != 0.0) | (r_hi != 0.0), axis=-1)
+        if np.any(moved):
+            d_lo, d_hi = mat_interval(self.fd[rows], r_lo, r_hi)
+            lo = np.where(moved[:, None], lo + d_lo, lo)
+            hi = np.where(moved[:, None], hi + d_hi, hi)
+        return widen(lo + self.offset[rows], hi + self.offset[rows])
+
+    def verdicts(self, rows, h0, h1, min_margin: float):
+        """Check strip [h0[j], h1[j]] of source rows[j] across its target, for
+        every j: whether it certifies, its margin shortfall (the exit margin
+        when the exit fails, else the smaller margin), and a maker of the
+        certificate of strip j."""
+        at = (np.arange(len(rows)), self.exit[rows])
+        c_e = self.c_src[rows][at]
+        u_hi = self.half[rows].copy()
+        u_lo = -u_hi
+        u_lo[at] = h0 - c_e
+        u_hi[at] = h1 - c_e
+        amb_lo, amb_hi = self.strip_box(rows, h0, h1)
+
+        def face(val: np.ndarray):
+            lo, hi = u_lo.copy(), u_hi.copy()
+            lo[at] = hi[at] = val
+            return self.image_interval(rows, lo, hi, amb_lo, amb_hi)
+
+        out = (np.arange(len(rows)), self.dst_exit[rows])
+        low, high = (b[out] for b in face(u_lo[at])), (b[out] for b in face(u_hi[at]))
+        # The minus face is the low end of the strip unless the source is flipped.
+        flip = self.flip[rows]
+        (minus_lo, plus_lo), (minus_hi, plus_hi) = (
+            (np.where(flip, h, l), np.where(flip, l, h)) for l, h in zip(low, high)
+        )
+        dst_half = self.dst_half[rows]
+        tgt = dst_half[out]
+        # straight: minus face strictly below the target, plus face above
+        straight = np.minimum(-tgt - minus_hi, plus_lo - tgt)
+        crossed = np.minimum(minus_lo - tgt, -tgt - plus_hi)
+        geo = np.where(straight >= crossed, 1, -1)
+        exit_margin = np.where(geo > 0, straight, crossed)
+
+        strip_lo, strip_hi = self.image_interval(rows, u_lo, u_hi, amb_lo, amb_hi)
+        sides = np.minimum(strip_lo + dst_half, dst_half - strip_hi)
+        sides[out] = math.inf
+        conf = sides.min(axis=1)
+        conf = np.where(np.isinf(conf), exit_margin, conf)
+        exits = ~(exit_margin < min_margin)
+        shortfall = np.where(exits, np.minimum(exit_margin, conf), exit_margin)
+
+        def cert(j: int) -> CoveringCertificate:
+            dst = self.dsts[rows[j]]
+            return CoveringCertificate(
+                source=self.srcs[rows[j]], target=dst,
+                h_range=(float(h0[j]), float(h1[j])),
+                exit_margin=float(exit_margin[j]), confinement_margin=float(conf[j]),
+                orientation=int(geo[j]) * dst.orientation,
+            )
+
+        return exits & ~(conf < min_margin), shortfall, cert
 
 
-def _check_strip(
-    chart: _ChartImages, h0: float, h1: float, min_margin: float
-) -> CoveringCertificate | float:
-    """The covering certificate of one strip, or its margin shortfall when
-    the criterion fails on it."""
-    src, dst = chart.src, chart.dst
-    e, e2 = src.exit_axis, dst.exit_axis
-    c_src = np.array(src.center)
-    half = src.half_widths
-    dst_half = dst.half_widths
-
-    u_lo = -half.copy()
-    u_hi = half.copy()
-    u_lo[e] = h0 - c_src[e]
-    u_hi[e] = h1 - c_src[e]
-    amb_lo, amb_hi = _strip_ambient_box(src, h0, h1)
-
-    def face(val: float):
-        lo = u_lo.copy()
-        hi = u_hi.copy()
-        lo[e] = hi[e] = val
-        return chart.image_interval(lo, hi, amb_lo, amb_hi)
-
-    lo_face = face(u_lo[e])
-    hi_face = face(u_hi[e])
-    minus, plus = (lo_face, hi_face) if src.orientation > 0 else (hi_face, lo_face)
-
-    tgt = dst_half[e2]
-    below_minus = -tgt - minus[1][e2]   # minus face strictly below the target
-    above_minus = minus[0][e2] - tgt
-    below_plus = -tgt - plus[1][e2]
-    above_plus = plus[0][e2] - tgt
-    straight = min(below_minus, above_plus)
-    crossed = min(above_minus, below_plus)
-    if straight >= crossed:
-        exit_margin, geo = straight, 1
+def _check_inputs(f: MapSpec, srcs: list[Rectangle], dsts: list[Rectangle]) -> _ChartImages:
+    """The chart of the pairs, once each pair is fit for a covering check."""
+    for src, dst in zip(srcs, dsts):
+        if not (f.n == src.n == dst.n):
+            raise ValueError("map and rectangles must share a dimension")
+        if src.box.space is not dst.box.space:
+            raise ValueError("rectangles must live in the same space")
+    chart = _ChartImages(f, srcs, dsts)
+    if f.space is Space.TORUS:
+        for frames, half in ((chart.fs, chart.half), (chart.fd, chart.dst_half)):
+            if np.any(2.0 * _mv(np.abs(frames).transpose(0, 2, 1), half) >= 0.5):
+                raise ValueError("rectangle too large for a single torus chart")
     else:
-        exit_margin, geo = crossed, -1
-    if exit_margin < min_margin:
-        return float(exit_margin)
+        lo, hi = chart.strip_box(np.arange(len(srcs)), chart.lo_e, chart.hi_e)
+        lo, hi = eval_box(
+            f, Direction.FORWARD, np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+        )
+        slack = 1e-9
+        if np.any(lo < -slack) or np.any(hi > 1.0 + slack):
+            raise NotEndomorphismError(
+                f"{f.descriptor} maps the source rectangle outside the unit cube"
+            )
+    return chart
 
-    strip_lo, strip_hi = chart.image_interval(u_lo, u_hi, amb_lo, amb_hi)
-    conf = math.inf
-    for a2 in range(dst.n):
-        if a2 == e2:
-            continue
-        conf = min(conf, strip_lo[a2] + dst_half[a2], dst_half[a2] - strip_hi[a2])
-    if math.isinf(conf):
-        conf = exit_margin
-    if conf < min_margin:
-        return float(min(exit_margin, conf))
-    return CoveringCertificate(
-        source=src, target=dst, h_range=(h0, h1),
-        exit_margin=float(exit_margin), confinement_margin=float(conf),
-        orientation=geo * dst.orientation,
-    )
+
+def check_coverings(
+    f: MapSpec,
+    srcs: list[Rectangle],
+    dsts: list[Rectangle],
+    cfg: CoveringConfig | None = None,
+    strip: tuple[float, float] | None = None,
+) -> list[CoveringCertificate | Inconclusive]:
+    """Search dyadic strips of every srcs[k] for a certified covering of dsts[k].
+
+    Strips are visited by increasing depth, left to right; the first one
+    satisfying both the exit and the confinement condition wins, so the
+    result is deterministic. Failure is Inconclusive, never a disproof:
+    a chart outside the restricted family might still certify the pair.
+    All pairs still open at a depth are checked in one batch, and a
+    pair's verdict is the one it gets alone.
+
+    ``strip`` pins the check to one given h-range instead of searching,
+    e.g. to re-certify a nearby map on the strip a certificate recorded.
+    """
+    cfg = cfg or CoveringConfig()
+    if not srcs:
+        return []
+    chart = _check_inputs(f, srcs, dsts)
+    if strip is not None:
+        h0, h1 = np.full(len(srcs), float(strip[0])), np.full(len(srcs), float(strip[1]))
+        if not np.all((chart.lo_e <= h0) & (h0 < h1) & (h1 <= chart.hi_e)):
+            raise ValueError("strip must be a nondegenerate sub-range of the exit side")
+        ok, shortfall, cert = chart.verdicts(np.arange(len(srcs)), h0, h1, cfg.min_margin)
+        return [
+            cert(j) if ok[j] else
+            Inconclusive(f"prescribed strip failed; margin shortfall {shortfall[j]:.3e}")
+            for j in range(len(srcs))
+        ]
+    found: list[CoveringCertificate | None] = [None] * len(srcs)
+    best = [(-math.inf, 0, 0)] * len(srcs)
+    open_rows = np.arange(len(srcs))
+    for d in range(cfg.depth + 1):
+        if not len(open_rows):
+            break
+        pieces = 1 << d
+        ks = np.arange(pieces)
+        lo_e = chart.lo_e[open_rows, None]
+        step = (chart.hi_e[open_rows, None] - lo_e) / pieces
+        h0 = lo_e + ks * step
+        h1 = lo_e + (ks + 1) * step
+        h1[:, -1] = chart.hi_e[open_rows]
+        ok, shortfall, cert = chart.verdicts(
+            np.repeat(open_rows, pieces), h0.ravel(), h1.ravel(), cfg.min_margin
+        )
+        ok, shortfall = ok.reshape(-1, pieces), shortfall.reshape(-1, pieces)
+        done, first = ok.any(axis=1), ok.argmax(axis=1)
+        for j in np.flatnonzero(done):
+            found[open_rows[j]] = cert(j * pieces + int(first[j]))
+        # The first strip of the row with the largest shortfall so far.
+        worst = shortfall.argmax(axis=1)
+        for j in np.flatnonzero(~done):
+            r, k = open_rows[j], int(worst[j])
+            if shortfall[j, k] > best[r][0]:
+                best[r] = (float(shortfall[j, k]), d, k)
+        open_rows = open_rows[~done]
+    return [
+        cert or Inconclusive(
+            f"no strip certified to depth {cfg.depth}; best margin shortfall "
+            f"{shortfall:.3e} at depth {d} piece {k}"
+        )
+        for cert, (shortfall, d, k) in zip(found, best)
+    ]
 
 
 def check_covering(
@@ -352,58 +439,8 @@ def check_covering(
     cfg: CoveringConfig | None = None,
     strip: tuple[float, float] | None = None,
 ) -> CoveringCertificate | Inconclusive:
-    """Search dyadic strips of src for a certified covering of dst.
-
-    Strips are visited by increasing depth, left to right; the first one
-    satisfying both the exit and the confinement condition wins, so the
-    result is deterministic. Failure is Inconclusive, never a disproof:
-    a chart outside the restricted family might still certify the pair.
-
-    ``strip`` pins the check to one given h-range instead of searching,
-    e.g. to re-certify a nearby map on the strip a certificate recorded.
-    """
-    cfg = cfg or CoveringConfig()
-    if not (f.n == src.n == dst.n):
-        raise ValueError("map and rectangles must share a dimension")
-    if src.box.space is not dst.box.space:
-        raise ValueError("rectangles must live in the same space")
-    if f.space is Space.TORUS:
-        for r in (src, dst):
-            if np.any(2.0 * r.ambient_bounding_halfwidths() >= 0.5):
-                raise ValueError("rectangle too large for a single torus chart")
-    _local_endomorphism_check(f, src)
-
-    chart = _ChartImages(f, src, dst)
-    e = src.exit_axis
-    lo_e, hi_e = src.box.lo[e], src.box.hi[e]
-
-    if strip is not None:
-        h0, h1 = float(strip[0]), float(strip[1])
-        if not (lo_e <= h0 < h1 <= hi_e):
-            raise ValueError("strip must be a nondegenerate sub-range of the exit side")
-        result = _check_strip(chart, h0, h1, cfg.min_margin)
-        if isinstance(result, CoveringCertificate):
-            return result
-        return Inconclusive(f"prescribed strip failed; margin shortfall {result:.3e}")
-
-    best = -math.inf
-    best_at = None
-    for d in range(cfg.depth + 1):
-        pieces = 1 << d
-        step = (hi_e - lo_e) / pieces
-        for k in range(pieces):
-            h0 = lo_e + k * step
-            h1 = hi_e if k == pieces - 1 else lo_e + (k + 1) * step
-            result = _check_strip(chart, h0, h1, cfg.min_margin)
-            if isinstance(result, CoveringCertificate):
-                return result
-            if result > best:
-                best = result
-                best_at = (d, k)
-    return Inconclusive(
-        f"no strip certified to depth {cfg.depth}; best margin shortfall "
-        f"{best:.3e} at depth {best_at[0]} piece {best_at[1]}"
-    )
+    """check_coverings for one pair."""
+    return check_coverings(f, [src], [dst], cfg, strip)[0]
 
 
 def verify_certificate(
@@ -411,10 +448,11 @@ def verify_certificate(
 ) -> bool:
     """Re-check a stored certificate from scratch on its recorded strip."""
     cfg = cfg or CoveringConfig()
-    chart = _ChartImages(f, cert.source, cert.target)
-    result = _check_strip(chart, cert.h_range[0], cert.h_range[1], cfg.min_margin)
-    if not isinstance(result, CoveringCertificate):
+    chart = _ChartImages(f, [cert.source], [cert.target])
+    ok, _, again = chart.verdicts([0], *np.array([cert.h_range]).T, cfg.min_margin)
+    if not ok[0]:
         return False
+    result = again(0)
     tol = 1e-12
     return (
         result.orientation == cert.orientation
@@ -809,6 +847,7 @@ __all__ = [
     "FailureReport",
     "ChainValidity",
     "check_covering",
+    "check_coverings",
     "certificate_margin",
     "audit_chained",
     "certify_chained",

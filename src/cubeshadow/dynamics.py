@@ -10,7 +10,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._intervals import NUDGE_ULPS, sin_range, widen
+from ._intervals import NUDGE_ULPS, nudge_down, nudge_up, sin_range, widen
 from .errors import InvalidMapError, NotInvertibleError
 from .geometry import Space, parse_space
 
@@ -89,6 +89,21 @@ def _int_det(rows: list[list[int]]) -> int:
     return total
 
 
+def adjugate(m) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """adj(m) and det(m) of an integer matrix, so that m^-1 = adj(m) / det(m)."""
+    n = len(m)
+    if n == 1:
+        return ((1,),), m[0][0]
+
+    def minor(i: int, j: int):
+        return [list(r[:j]) + list(r[j + 1:]) for k, r in enumerate(m) if k != i]
+
+    adj = tuple(
+        tuple((-1) ** (i + j) * _int_det(minor(j, i)) for j in range(n)) for i in range(n)
+    )
+    return adj, sum(a * b for a, b in zip(m[0], (row[0] for row in adj)))
+
+
 def _as_int_matrix(matrix) -> list[list[int]]:
     rows = []
     for row in matrix:
@@ -139,14 +154,10 @@ def translation_map(vector, space: Space = Space.TORUS) -> MapSpec:
 def toral_map(matrix, space: Space = Space.TORUS) -> MapSpec:
     rows = _as_int_matrix(matrix)
     n = len(rows)
-    det = _int_det(rows)
+    adj, det = adjugate(rows)
     if det not in (1, -1):
         raise InvalidMapError(f"toral matrix must have determinant +-1, got {det}")
-    # adj(A)/det is the exact integer inverse; recover it by rounding the
-    # float inverse and verifying the product exactly.
-    inv = np.rint(np.linalg.inv(np.array(rows, dtype=float))).astype(int)
-    if not np.array_equal(np.array(rows) @ inv, np.eye(n, dtype=int)):
-        raise InvalidMapError("failed to recover exact integer inverse")
+    inv = [[det * v for v in row] for row in adj]  # adj(A) / det, exactly
     return MapSpec(
         kind=MapKind.TORAL,
         n=n,
@@ -313,7 +324,8 @@ class SineResidual:
     """The nonlinear term r(v)_d = coef_d * sin(angular * v[src_d]).
 
     ``slope`` bounds every partial derivative of every component of r;
-    ``ulps`` outward nudges are applied to each term of its range.
+    ``ulps`` outward nudges are applied to each term of its range.  The
+    sine's argument is rounded to nearest, so it is nudged one ulp outward.
     """
 
     coef: tuple[float, ...]
@@ -334,7 +346,10 @@ class SineResidual:
     def over(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Componentwise range of r over every box [lo, hi] along the last axis."""
         coef, src = self._columns
-        s_lo, s_hi = sin_range(self.angular * lo[..., src], self.angular * hi[..., src])
+        s_lo, s_hi = sin_range(
+            nudge_down(self.angular * lo[..., src], 1),
+            nudge_up(self.angular * hi[..., src], 1),
+        )
         up = coef >= 0.0
         r_lo, r_hi = widen(
             np.where(up, coef * s_lo, coef * s_hi),

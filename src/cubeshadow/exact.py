@@ -1,140 +1,174 @@
-"""Exact rational iteration for the affine map kinds.
+"""Exact rational iteration for the affine map kinds, on integers.
 
 Hyperbolic linear maps amplify coordinate error by the expanding
 eigenvalue at every step, so a float orbit of length 100 carries no
-information about its starting point.  Shadow points are therefore
-represented as exact rationals and iterated with Fraction arithmetic;
-every map whose data is a finite float matrix/offset (identity,
-translation, toral, affine) supports this, since floats are rationals.
-Trigonometric kinds do not and fall back to float pipelines.
+information about its starting point.  Shadow points are therefore exact
+rationals; every map whose data is a finite float matrix/offset
+(identity, translation, toral, affine) has an exact affine form, since
+floats are rationals.  Trigonometric kinds do not and fall back to float
+pipelines.
+
+A step x -> (M x + c) / D holds an integer matrix M, an integer offset c
+and one denominator D > 0; an orbit point is integer numerators over one
+denominator, and torus reduction is ``% denominator``.  Unlike
+``Fraction`` this pays no gcd per operation.  Fractions appear only at
+the edges (``apply`` on a ``FracVec``, the rationals handed to callers),
+and ``int / int`` rounds correctly, as ``float(Fraction)`` does.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .dynamics import Direction, MapSpec, is_exactly_affine
+from .dynamics import Direction, MapSpec, adjugate, is_exactly_affine
 from .errors import InvalidMapError, NotHyperbolicError, NotInvertibleError
 
 FracVec = tuple[Fraction, ...]
-FracMat = tuple[tuple[Fraction, ...], ...]
+IntVec = tuple[int, ...]
+IntMat = tuple[IntVec, ...]
 
 
 supports_exact = is_exactly_affine
-
-
-def frac(x) -> Fraction:
-    return Fraction(x)
 
 
 def frac_vec(values) -> FracVec:
     return tuple(Fraction(v) for v in values)
 
 
-def _identity_mat(n: int) -> FracMat:
-    return tuple(
-        tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-    )
+def to_ints(values) -> tuple[IntVec, int]:
+    """Rationals (or floats) as integer numerators over their least common denominator."""
+    fr = frac_vec(values)
+    den = math.lcm(*(v.denominator for v in fr))
+    return tuple(v.numerator * (den // v.denominator) for v in fr), den
 
 
-def _mat_vec(m: FracMat, v: FracVec) -> FracVec:
-    return tuple(sum(a * b for a, b in zip(row, v)) for row in m)
+def to_fracs(nums: IntVec, den: int) -> FracVec:
+    return tuple(Fraction(v, den) for v in nums)
 
 
-def _mat_mat(a: FracMat, b: FracMat) -> FracMat:
+def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
     cols = list(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
 
 
-def fraction_inverse(m: FracMat) -> FracMat:
-    """Exact inverse by Gauss-Jordan elimination."""
-    n = len(m)
-    aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(m)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise NotInvertibleError("matrix is singular over the rationals")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [v - factor * w for v, w in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
+def _apply(m: IntMat, v: IntVec) -> IntVec:
+    return tuple(sum(map(mul, row, v)) for row in m)
 
 
-def torus_reduce(v: FracVec) -> FracVec:
-    return tuple(x - math.floor(x) for x in v)
-
-
-def nearest_lift(v: FracVec) -> FracVec:
-    """Representative of v modulo Z^n with every coordinate in [-1/2, 1/2)."""
-    half = Fraction(1, 2)
-    return tuple(x - math.floor(x + half) for x in v)
+def solve(m: IntMat, rhs: IntVec) -> tuple[IntVec, int]:
+    """Numerators and positive denominator of the x with m x = rhs;
+    NotInvertibleError when m is singular."""
+    adj, det = adjugate(m)
+    if det == 0:
+        raise NotInvertibleError("matrix is singular over the rationals")
+    sign = 1 if det > 0 else -1
+    return tuple(sign * v for v in _apply(adj, rhs)), sign * det
 
 
 @dataclass(frozen=True)
 class ExactAffine:
-    """One exact affine step x -> M x + c, reduced mod 1 when wrap is set."""
+    """One exact affine step x -> (M x + c) / D, reduced mod 1 when wrap is set.
 
-    matrix: FracMat
-    offset: FracVec
+    ``matrix`` and ``offset`` hold integers and ``denom`` is positive.
+    """
+
+    matrix: IntMat
+    offset: IntVec
+    denom: int
     wrap: bool
 
     @classmethod
     def identity(cls, n: int, wrap: bool) -> "ExactAffine":
-        return cls(_identity_mat(n), (Fraction(0),) * n, wrap)
-
-    @property
-    def n(self) -> int:
-        return len(self.offset)
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return cls(eye, (0,) * n, 1, wrap)
 
     def apply(self, x: FracVec) -> FracVec:
-        y = tuple(a + b for a, b in zip(_mat_vec(self.matrix, x), self.offset))
-        return torus_reduce(y) if self.wrap else y
+        nums, dens = self.orbit(*to_ints(x), 1)
+        return to_fracs(nums[-1], dens[-1])
+
+    def orbit(self, x: IntVec, den: int, steps: int) -> tuple[list[IntVec], list[int]]:
+        """x / den and its next ``steps`` images, as numerators and denominators.
+
+        An integral matrix keeps one denominator, a multiple of D, along
+        the whole orbit; otherwise every step multiplies it by D.
+        """
+        m, c, d = self.matrix, self.offset, self.denom
+        integral = all(v % d == 0 for row in m for v in row)
+        if integral:  # rescale x / den to a denominator that D divides
+            g = d // math.gcd(den, d)
+            x, den = tuple(v * g for v in x), den * g
+            m = tuple(tuple(v // d for v in row) for row in m)
+            c = tuple(v * (den // d) for v in c)
+        nums, dens = [x], [den]
+        for _ in range(steps):
+            if not integral:
+                c, den = tuple(v * den for v in self.offset), den * d
+            x = tuple(sum(map(mul, row, x)) + b for row, b in zip(m, c))
+            if self.wrap:
+                x = tuple(v % den for v in x)
+            nums.append(x)
+            dens.append(den)
+        return nums, dens
 
     def compose(self, inner: "ExactAffine") -> "ExactAffine":
         """self after inner.  Torus offsets are reduced to keep numbers small."""
-        mat = _mat_mat(self.matrix, inner.matrix)
-        off = tuple(
-            a + b
-            for a, b in zip(_mat_vec(self.matrix, inner.offset), self.offset)
-        )
+        d = self.denom * inner.denom
+        off = _apply(self.matrix, inner.offset)
+        off = tuple(a + b * inner.denom for a, b in zip(off, self.offset))
         if self.wrap:
-            off = torus_reduce(off)
-        return ExactAffine(mat, off, self.wrap)
+            off = tuple(v % d for v in off)
+        return ExactAffine(_mat_mul(self.matrix, inner.matrix), off, d, self.wrap)
 
     def inverse(self) -> "ExactAffine":
-        """x -> M^-1 (x - c); NotInvertibleError when M is singular."""
-        inv = fraction_inverse(self.matrix)
-        return ExactAffine(inv, tuple(-v for v in _mat_vec(inv, self.offset)), self.wrap)
+        """y -> M^-1 (D y - c) = adj(M) (D y - c) / det(M); NotInvertibleError
+        when M is singular."""
+        adj, det = adjugate(self.matrix)
+        if det == 0:
+            raise NotInvertibleError("matrix is singular over the rationals")
+        sign = 1 if det > 0 else -1
+        mat = tuple(tuple(sign * self.denom * v for v in row) for row in adj)
+        off = tuple(-sign * v for v in _apply(adj, self.offset))
+        return ExactAffine(mat, off, sign * det, self.wrap)
 
-    def fixed_point(self) -> FracVec:
-        """The x with M x + c = x, unreduced; NotInvertibleError if M - I is singular."""
-        eye = _identity_mat(self.n)
+    def fixed_point(self) -> tuple[IntVec, int]:
+        """Numerators and denominator of the x with M x + c = D x, unreduced;
+        NotInvertibleError if M - D I is singular."""
         eye_minus = tuple(
-            tuple(a - b for a, b in zip(e, row)) for e, row in zip(eye, self.matrix)
+            tuple(self.denom * (i == j) - v for j, v in enumerate(row))
+            for i, row in enumerate(self.matrix)
         )
-        return _mat_vec(fraction_inverse(eye_minus), self.offset)
+        return solve(eye_minus, self.offset)
 
 
 def exact_step(f: MapSpec, direction: Direction = Direction.FORWARD) -> ExactAffine:
     """The map (or its inverse) as one exact affine step."""
     if not supports_exact(f):
         raise InvalidMapError(f"map kind {f.kind.value!r} has no exact affine form")
-    mat = tuple(tuple(Fraction(v) for v in row) for row in f.matrix)
-    step = ExactAffine(mat, frac_vec(f.offset), f.space.value == "torus")
+    n = f.n
+    flat, den = to_ints([v for row in f.matrix for v in row] + list(f.offset))
+    mat = tuple(flat[i * n:(i + 1) * n] for i in range(n))
+    step = ExactAffine(mat, flat[n * n:], den, f.space.value == "torus")
     if direction is Direction.INVERSE:
         if not f.invertible:
             raise NotInvertibleError(f"{f.descriptor} has no inverse")
         step = step.inverse()
     return step
+
+
+def exact_orbit(f: MapSpec, x, lo: int, hi: int) -> tuple[list[IntVec], list[int]]:
+    """The orbit of the rational x (at time 0) at every time lo..hi, lo <= 0 <= hi,
+    as integer numerators and denominators; reduced mod 1 on the torus except
+    at time 0, which is x itself."""
+    start, den = to_ints(x)
+    nums, dens = exact_step(f).orbit(start, den, hi)
+    if lo < 0:
+        back, back_dens = exact_step(f, Direction.INVERSE).orbit(start, den, -lo)
+        nums, dens = back[:0:-1] + nums, back_dens[:0:-1] + dens
+    return nums, dens
 
 
 def _sqrt_fraction(x: Fraction, digits: int) -> Fraction:
@@ -163,15 +197,14 @@ def eigen_directions(f: MapSpec, digits: int = 60) -> EigenDirections | None:
     """Expanding/contracting directions of a 2x2 exact map, or None."""
     if not supports_exact(f) or f.n != 2:
         return None
-    m = tuple(tuple(Fraction(v) for v in row) for row in f.matrix)
+    m = tuple(frac_vec(row) for row in f.matrix)
     tr = m[0][0] + m[1][1]
     det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
     disc = tr * tr - 4 * det
     if disc <= 0:
         return None
     root = _sqrt_fraction(disc, digits)
-    lam_u = (tr + root) / 2
-    lam_s = (tr - root) / 2
+    lam_u, lam_s = sorted(((tr + root) / 2, (tr - root) / 2), key=abs, reverse=True)
     if abs(lam_u) <= 1 or abs(lam_s) >= 1:
         return None
 
@@ -192,8 +225,9 @@ def eigen_directions(f: MapSpec, digits: int = 60) -> EigenDirections | None:
 def periodic_points(f: MapSpec, period: int) -> list[FracVec]:
     """All fixed points of f^period on the torus, as exact rationals.
 
-    Solves (M - I) x = z - c over every integer vector z that can place x
-    in [0,1)^n; the solution count equals |det(M - I)|.
+    With f^period = (M x + c) / D, solves (M - D I) x = D z - c over every
+    integer vector z that can place x in [0,1)^n; the solution count
+    equals |det(f^period - I)|.
     """
     if f.space.value != "torus":
         raise InvalidMapError("periodic point enumeration requires the torus")
@@ -203,34 +237,26 @@ def periodic_points(f: MapSpec, period: int) -> list[FracVec]:
     power = ExactAffine.identity(f.n, wrap=True)
     for _ in range(period):
         power = step.compose(power)
-    n = f.n
+    d = power.denom
     m = tuple(
-        tuple(power.matrix[i][j] - (1 if i == j else 0) for j in range(n))
-        for i in range(n)
+        tuple(v - d * (i == j) for j, v in enumerate(row))
+        for i, row in enumerate(power.matrix)
     )
-    try:
-        inv = fraction_inverse(m)
-    except NotInvertibleError:
+    adj, det = adjugate(m)
+    if det == 0:
         raise NotHyperbolicError(
             "f^period - identity is singular; fixed set is not finite"
-        ) from None
+        )
+    # z_i = ((M - D I) x + c)_i / D for x in [0,1]^n
     ranges = []
-    for i in range(n):
-        lo = -power.offset[i] + sum(min(v, 0) for v in m[i])
-        hi = -power.offset[i] + sum(max(v, 0) for v in m[i])
-        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
-
-    def _each(prefix, remaining):
-        if not remaining:
-            yield tuple(prefix)
-            return
-        for z in remaining[0]:
-            yield from _each(prefix + [z], remaining[1:])
+    for row, c in zip(m, power.offset):
+        lo = c + sum(min(v, 0) for v in row)
+        hi = c + sum(max(v, 0) for v in row)
+        ranges.append(range(-(-lo // d), hi // d + 1))
 
     found = []
-    for z in _each([], ranges):
-        rhs = tuple(Fraction(zi) - ci for zi, ci in zip(z, power.offset))
-        x = _mat_vec(inv, rhs)
+    for z in itertools.product(*ranges):
+        x = to_fracs(_apply(adj, tuple(d * zi - c for zi, c in zip(z, power.offset))), det)
         if all(0 <= xi < 1 for xi in x):
             found.append(x)
     return sorted(set(found))
@@ -238,13 +264,11 @@ def periodic_points(f: MapSpec, period: int) -> list[FracVec]:
 
 def minimal_period(f: MapSpec, x: FracVec, period: int) -> int:
     """Smallest q >= 1 dividing period with f^q(x) = x exactly."""
-    step = exact_step(f, Direction.FORWARD)
+    start, den = to_ints(x)
+    nums, dens = exact_step(f, Direction.FORWARD).orbit(start, den, period)
     for q in range(1, period + 1):
-        if period % q:
-            continue
-        y = x
-        for _ in range(q):
-            y = step.apply(y)
-        if y == x:
+        if period % q == 0 and all(
+            a * den == b * dens[q] for a, b in zip(nums[q], start)
+        ):
             return q
     raise ValueError("x is not periodic with the stated period")

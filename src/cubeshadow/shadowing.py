@@ -25,7 +25,7 @@ from .covering import (
     CoveringCertificate,
     CoveringConfig,
     Rectangle,
-    check_covering,
+    check_coverings,
     expansion_frame,
 )
 from .dynamics import (
@@ -36,6 +36,7 @@ from .dynamics import (
     eval_points,
     jacobian,
     lift_points,
+    map_parts,
     wrap_points,
 )
 from .errors import (
@@ -49,17 +50,18 @@ from .errors import (
 )
 from .exact import (
     ExactAffine,
+    IntVec,
     eigen_directions,
+    exact_orbit,
     exact_step,
-    frac,
-    frac_vec,
     minimal_period,
-    nearest_lift,
+    solve,
     supports_exact,
-    torus_reduce,
+    to_fracs,
+    to_ints,
 )
 from .geometry import Box, Space, Subdivision, cube_of_point
-from .transition import EdgeStatus, TransitionGraph, build_graph, delta_bound, find_path
+from .transition import TransitionGraph, build_graph, delta_bound, find_path
 
 
 # --- perturbation modes -----------------------------------------------------
@@ -360,23 +362,38 @@ def _checked_itinerary(
     Declared indices (a known itinerary or one a caller supplies) must
     also name cubes that hold their points; BrokenChainError otherwise.
     """
+    cubes = np.asarray(idx, dtype=int)
     if declared:
         if len(idx) != len(p.points):
             raise ValueError("itinerary length mismatch")
-        for j, (i, y) in enumerate(zip(idx, p.points)):
-            if not s.box(i).contains_point(y, tol=1e-12):
-                raise BrokenChainError(f"point {j} is not in its declared cube {i}")
-    pairs = list(zip(idx, idx[1:]))
-    if p.periodic is not None:
-        pairs.append((idx[-1], idx[0]))
-    for j, (a, b) in enumerate(pairs):
-        if g.status(a, b) is EdgeStatus.EMPTY:
-            raise BrokenChainError(
-                f"itinerary step {j} crosses edge ({a}, {b}) certified empty"
-            )
+        outside = ~_in_cubes(s, cubes, np.asarray(p.points, dtype=float), tol=1e-12)
+        if outside.any():
+            j = int(np.argmax(outside))
+            raise BrokenChainError(f"point {j} is not in its declared cube {idx[j]}")
+    ends = np.roll(cubes, -1) if p.periodic is not None else cubes[1:]
+    empty = g.certified_empty(cubes[: len(ends)], ends)
+    if empty.any():
+        j = int(np.argmax(empty))
+        raise BrokenChainError(
+            f"itinerary step {j} crosses edge ({idx[j]}, {ends[j]}) certified empty"
+        )
     return Itinerary(
         indices=tuple(idx), subdivision=s, lo=p.lo, periodic=p.periodic
     )
+
+
+def _in_cubes(s: Subdivision, cubes: np.ndarray, points: np.ndarray, tol: float):
+    """Whether each point lies in its closed cube (mod 1 on the torus), up to tol."""
+    bad = cubes[(cubes < 0) | (cubes >= s.count)]
+    if bad.size:
+        raise ValueError(f"flat index {bad[0]} out of range")
+    lo = np.stack(np.unravel_index(cubes, (s.side,) * s.n), axis=-1) / float(s.side)
+    hi = lo + s.cube_width
+    if s.space is Space.CUBE:
+        return np.all((lo - tol <= points) & (points <= hi + tol), axis=1)
+    points = points - np.floor(points)
+    inside = [(lo - tol <= points + t) & (points + t <= hi + tol) for t in (-1.0, 0.0, 1.0)]
+    return np.all(np.logical_or.reduce(inside), axis=1)
 
 
 # --- per-step covering chains -----------------------------------------------
@@ -435,6 +452,7 @@ def _step_errors(
 def _chain_half_widths(
     lam_u: float,
     lam_s: float,
+    coupling: float,
     du: list[float],
     ds: list[float],
     pad: float,
@@ -442,9 +460,11 @@ def _chain_half_widths(
 ) -> tuple[list[float], list[float]]:
     """Per-step strip half-widths leaving every covering margin >= pad.
 
-    Exit wants lam_u*hu[k] - du[k] >= hu[k+1] + pad; confinement wants
-    lam_s*hs[k] + ds[k] <= hs[k+1] - pad.  The sweeps meet both with
-    equality-plus-pad and converge geometrically in the cyclic case.
+    Exit wants lam_u*hu[k] - c*hs[k] - du[k] >= hu[k+1] + pad, where c is
+    the |u <- s| coupling of the (Schur) frame, zero for a normal matrix;
+    confinement wants lam_s*hs[k] + ds[k] <= hs[k+1] - pad.  The sweeps
+    meet both with equality-plus-pad and converge geometrically in the
+    cyclic case.
     """
     steps = len(du)
     count = steps if cyclic else steps + 1
@@ -453,7 +473,7 @@ def _chain_half_widths(
     for _ in range(200):
         changed = False
         for k in range(steps - 1, -1, -1):
-            need = (hu[(k + 1) % count] + du[k] + pad) / lam_u
+            need = (hu[(k + 1) % count] + du[k] + coupling * hs[k] + pad) / lam_u
             if need > hu[k] * (1.0 + 1e-15):
                 hu[k] = need
                 changed = True
@@ -490,32 +510,28 @@ def step_chain(f: MapSpec, p: PseudoOrbit) -> StepChain:
     du = [abs(float(row_u @ d)) for d in defects]
     ds = [abs(float(row_s @ d)) for d in defects]
     pad = _MARGIN_PAD * max(max(du + ds, default=0.0), _DELTA_FLOOR)
+    coupling = abs(float(row_u @ map_parts(f).a @ row_s))
     hu, hs = _chain_half_widths(
-        lam_u, lam_s, du, ds, pad, cyclic=p.periodic is not None
+        lam_u, lam_s, coupling, du, ds, pad, cyclic=p.periodic is not None
     )
     frame = tuple(tuple(float(v) for v in row) for row in np.asarray(rows))
-    rects = []
-    for y, a, b in zip(p.points, hu, hs):
-        # Exit axis first: expansion_frame orders rows by |eigenvalue| desc.
-        half = np.empty(len(y))
-        half[0], half[-1] = a, b
-        if len(y) > 2:
-            half[1:-1] = max(a, b)
-        lo = tuple(float(c - h) for c, h in zip(y, half))
-        hi = tuple(float(c + h) for c, h in zip(y, half))
-        rects.append(Rectangle(Box(lo, hi, p.space), 0, 1, frame))
-    ccfg = CoveringConfig(min_margin=_MIN_MARGIN)
-    pairs = list(zip(rects, rects[1:]))
+    # Exit axis first: expansion_frame orders rows by |eigenvalue| desc.
+    pts, hu, hs = np.asarray(p.points, dtype=float), np.array(hu), np.array(hs)
+    half = np.repeat(np.maximum(hu, hs)[:, None], p.n, axis=1)
+    half[:, 0], half[:, -1] = hu, hs
+    rects = [
+        Rectangle(Box(tuple(lo), tuple(hi), p.space), 0, 1, frame)
+        for lo, hi in zip((pts - half).tolist(), (pts + half).tolist())
+    ]
+    srcs, dsts = rects[:-1], rects[1:]
     if p.periodic is not None:
-        pairs.append((rects[-1], rects[0]))
-    certs = []
-    for k, (src, dst) in enumerate(pairs):
-        res = check_covering(f, src, dst, ccfg)
+        srcs, dsts = rects, rects[1:] + rects[:1]
+    certs = check_coverings(f, srcs, dsts, CoveringConfig(min_margin=_MIN_MARGIN))
+    for k, res in enumerate(certs):
         if not isinstance(res, CoveringCertificate):
             raise UncertifiedTransitionError(
                 f"step {p.lo + k}: covering of the next strip failed ({res.reason})"
             )
-        certs.append(res)
     return StepChain(
         rectangles=tuple(rects), certificates=tuple(certs), frame=frame
     )
@@ -762,8 +778,10 @@ def _lift_map(f: MapSpec, p: PseudoOrbit, shifts, a: int, b: int) -> ExactAffine
     step = exact_step(f, Direction.FORWARD)
     acc = ExactAffine.identity(p.n, wrap=False)
     for k in range(a, b):
-        off = tuple(c - sk for c, sk in zip(step.offset, frac_vec(shifts[k - p.lo])))
-        acc = ExactAffine(step.matrix, off, wrap=False).compose(acc)
+        off = tuple(
+            c - int(sk) * step.denom for c, sk in zip(step.offset, shifts[k - p.lo])
+        )
+        acc = ExactAffine(step.matrix, off, step.denom, wrap=False).compose(acc)
     return acc
 
 
@@ -772,8 +790,13 @@ def _cross_row(v):
     return (v[1], -v[0])
 
 
-def _bvp_point(f: MapSpec, p: PseudoOrbit, shifts) -> tuple[Fraction, ...]:
-    """Exact time-0 shadow point for 2D exactly-affine hyperbolic maps.
+def _dot(a, b) -> int:
+    return sum(x * y for x, y in zip(a, b))
+
+
+def _bvp_point(f: MapSpec, p: PseudoOrbit, shifts) -> tuple[IntVec, int]:
+    """Exact time-0 shadow point for 2D exactly-affine hyperbolic maps,
+    as integer numerators over one denominator.
 
     Kills the expanding component of the deviation at the window's far
     end and the contracting component at its start: the finite-window
@@ -787,23 +810,45 @@ def _bvp_point(f: MapSpec, p: PseudoOrbit, shifts) -> tuple[Fraction, ...]:
     to_hi = _lift_map(f, p, shifts, 0, p.hi)
     to_lo = _lift_map(f, p, shifts, p.lo, 0).inverse()
     # w_u annihilates the contracting direction, w_s the expanding one;
-    # each condition reads w . (M_k x + c_k) = w . y_k.
+    # each condition reads w . (M_k x + c_k) / D_k = w . y_k, y_k = a / b,
+    # with w scaled to integers (which keeps its kernel).
     rows, rhs = [], []
     for w, end, k in (
         (_cross_row(eig.row_s), to_hi, p.hi),
         (_cross_row(eig.row_u), to_lo, p.lo),
     ):
-        rows.append(tuple(sum(a * b for a, b in zip(w, col)) for col in zip(*end.matrix)))
-        y = frac_vec(p.point(k))
-        rhs.append(sum(a * (b - c) for a, b, c in zip(w, y, end.offset)))
-    system = ExactAffine(tuple(rows), (Fraction(0),) * 2, wrap=False)
+        w = to_ints(w)[0]
+        a, b = to_ints(p.point(k))
+        rows.append(tuple(b * _dot(w, col) for col in zip(*end.matrix)))
+        rhs.append(end.denom * _dot(w, a) - b * _dot(w, end.offset))
     try:
-        return system.inverse().apply(tuple(rhs))
+        return solve(tuple(rows), tuple(rhs))
     except NotInvertibleError:
         raise NotHyperbolicError("boundary-value system is singular") from None
 
 
 # --- true orbits ------------------------------------------------------------
+
+def _orbit(f: MapSpec, x, lo: int, hi: int) -> tuple[list[tuple], list[int] | None]:
+    """The orbit of x at every time lo..hi and, for exact points, its denominators.
+
+    A rational x on an exactly-affine map walks in integers: the points
+    are numerators over the returned denominators.  Anything else walks
+    in floats through eval_point, with no denominators.  Both reduce mod
+    1 on the torus; time 0 is x itself.
+    """
+    if supports_exact(f) and all(isinstance(v, Fraction) for v in x):
+        return exact_orbit(f, x, lo, hi)
+    start = tuple(float(v) for v in x)
+
+    def walk(direction: Direction, steps: int) -> list[tuple]:
+        pts = [start]
+        for _ in range(steps):
+            pts.append(tuple(eval_point(f, direction, pts[-1]).tolist()))
+        return pts
+
+    return walk(Direction.INVERSE, -lo)[:0:-1] + walk(Direction.FORWARD, hi), None
+
 
 def true_orbit(f: MapSpec, x, lo: int, hi: int) -> list[tuple]:
     """The orbit of x (at time 0) at every time lo..hi, lo <= 0 <= hi.
@@ -812,39 +857,32 @@ def true_orbit(f: MapSpec, x, lo: int, hi: int) -> list[tuple]:
     floats through eval_point otherwise; both reduce mod 1 on the torus.
     Time 0 is x itself, unreduced.
     """
-    if supports_exact(f) and all(isinstance(v, Fraction) for v in x):
-        start = tuple(x)
-
-        def stepper(direction: Direction):
-            return exact_step(f, direction).apply
-    else:
-        start = tuple(float(v) for v in x)
-
-        def stepper(direction: Direction):
-            return lambda y: tuple(eval_point(f, direction, y).tolist())
-
-    def walk(direction: Direction, steps: int) -> list[tuple]:
-        pts = [start]
-        if steps > 0:
-            step = stepper(direction)
-            for _ in range(steps):
-                pts.append(step(pts[-1]))
-        return pts
-
-    return walk(Direction.INVERSE, -lo)[:0:-1] + walk(Direction.FORWARD, hi)
+    orbit, dens = _orbit(f, x, lo, hi)
+    if dens is None:
+        return orbit
+    return [to_fracs(y, d) for y, d in zip(orbit, dens)]
 
 
-def _window_errors(p: PseudoOrbit, orbit: list[tuple]) -> list[float]:
-    """Distance of orbit[j] to the pseudo-orbit point at time p.lo + j."""
+def _window_errors(p: PseudoOrbit, orbit: list[tuple], dens=None) -> list[float]:
+    """Distance of orbit[j] to the pseudo-orbit point at time p.lo + j.
+
+    With ``dens``, orbit[j] holds integer numerators over dens[j]: the
+    difference is exact (a float point is a/b with b a power of two) and
+    each coordinate rounds once, by int / int.
+    """
+    if dens is None:
+        return [_dist(p.space, y, p.point(k)) for k, y in enumerate(orbit, start=p.lo)]
+    torus = p.space is Space.TORUS
     out = []
-    for k, y in enumerate(orbit, start=p.lo):
-        if isinstance(y[0], Fraction):
-            d = tuple(a - frac(b) for a, b in zip(y, p.point(k)))
-            if p.space is Space.TORUS:
-                d = nearest_lift(d)
-            out.append(math.hypot(*[float(v) for v in d]))
-        else:
-            out.append(_dist(p.space, y, p.point(k)))
+    for k, (y, q) in enumerate(zip(orbit, dens), start=p.lo):
+        d = []
+        for v, c in zip(y, p.point(k)):
+            a, b = c.as_integer_ratio()
+            num, den = v * b - a * q, q * b
+            if torus:  # nearest lift: subtract floor(num / den + 1/2)
+                num -= (2 * num + den) // (2 * den) * den
+            d.append(num / den)
+        out.append(math.hypot(*d))
     return out
 
 
@@ -936,7 +974,7 @@ def verify_shadow(f: MapSpec, x, p: PseudoOrbit, eps: float) -> VerifyReport:
     exactly-affine maps iterate exactly; everything else in float (whose
     own roundoff growth then honestly shows up in the profile).
     """
-    errors = _window_errors(p, true_orbit(f, x, p.lo, p.hi))
+    errors = _window_errors(p, *_orbit(f, x, p.lo, p.hi))
     ks = list(range(p.lo, p.hi + 1))
     max_err = max(errors)
     argmax = ks[errors.index(max_err)]
@@ -950,11 +988,10 @@ def verify_shadow(f: MapSpec, x, p: PseudoOrbit, eps: float) -> VerifyReport:
 
 # --- the shadow operations --------------------------------------------------
 
-def _box_holds(box: Box, x) -> bool:
-    """Whether the exact point (possibly a lift) lies in the float box."""
+def _box_holds(box: Box, x: list[float]) -> bool:
+    """Whether the point (possibly a lift) lies in the float box."""
     ctr = 0.5 * (box.lo_arr + box.hi_arr)
-    for v, lo, hi, c in zip(x, box.lo_arr, box.hi_arr, ctr):
-        vf = float(v)
+    for vf, lo, hi, c in zip(x, box.lo_arr, box.hi_arr, ctr):
         if box.space is Space.TORUS:
             vf -= round(vf - c)
         if not (lo - 1e-15 <= vf <= hi + 1e-15):
@@ -1020,20 +1057,19 @@ def shadow(
     surviving, splits = _localize(f, p, cert, g, itin, cfg, seed_box)
 
     if eigen_directions(f) is not None:
-        shifts = _integer_shifts(f, p)
-        x = _bvp_point(f, p, shifts)
-        if seed_box is not None and not _box_holds(seed_box, x):
+        nums, den = _bvp_point(f, p, _integer_shifts(f, p))
+        if seed_box is not None and not _box_holds(seed_box, [v / den for v in nums]):
             # The free boundary-value point can sit a hair outside a seed
             # box inherited from a longer window; the cell center keeps
             # the nesting contract, and its (slightly larger) error
             # profile is measured honestly below.
-            x = tuple(frac(v) for v in surviving.center)
+            nums, den = to_ints(surviving.center)
         if p.space is Space.TORUS:
-            x = torus_reduce(x)
-        point: tuple = tuple(x)
+            nums = tuple(v % den for v in nums)
+        point: tuple = to_fracs(nums, den)
     else:
         point = tuple(wrap_points(p.space, np.array(surviving.center)).tolist())
-    eps_achieved = max(_window_errors(p, true_orbit(f, point, p.lo, p.hi)))
+    eps_achieved = max(_window_errors(p, *_orbit(f, point, p.lo, p.hi)))
     if eps_achieved >= eps:
         raise NoSurvivingCellError(
             f"best orbit achieves eps {eps_achieved}, not below requested {eps}",
@@ -1072,15 +1108,15 @@ def periodic_shadow(
 
     if supports_exact(f):
         try:
-            x = _lift_map(f, p, _integer_shifts(f, p), 0, P).fixed_point()
+            nums, den = _lift_map(f, p, _integer_shifts(f, p), 0, P).fixed_point()
         except NotInvertibleError:
             raise FixedPointTolUnreachedError(
                 f"f^{P} has eigenvalue one; no isolated fixed point to converge to"
             ) from None
         if p.space is Space.TORUS:
-            x = torus_reduce(x)
-        cycle = true_orbit(f, x, 0, P - 1)
-        mp = minimal_period(f, x, P)
+            nums = tuple(v % den for v in nums)
+        point = to_fracs(nums, den)
+        mp = minimal_period(f, point, P)
     else:
         x = np.array(surviving.center)
         for _ in range(80):
@@ -1104,16 +1140,16 @@ def periodic_shadow(
             raise FixedPointTolUnreachedError(
                 f"Newton left residual above fp_tol {cfg.fp_tol}"
             )
-        cycle = orbit[:P]
+        point = orbit[0]
         mp = None
-    eps_achieved = max(_window_errors(p, cycle))
+    eps_achieved = max(_window_errors(p, *_orbit(f, point, p.lo, p.hi)))
     if eps_achieved >= eps:
         raise NoSurvivingCellError(
             f"periodic point achieves eps {eps_achieved}, not below {eps}",
             deepest_surviving_depth=splits,
         )
     return ShadowResult(
-        point=cycle[0],
+        point=point,
         window=(0, P - 1),
         eps_achieved=eps_achieved,
         surviving_box=surviving,
@@ -1187,8 +1223,10 @@ def specification_splice(
 
 def orbit_csv(f: MapSpec, p: PseudoOrbit, result: ShadowResult) -> str:
     """CSV profile: time, pseudo-orbit point, shadow orbit point, error."""
-    orbit = true_orbit(f, result.point, p.lo, p.hi)
-    errors = _window_errors(p, orbit)
+    orbit, dens = _orbit(f, result.point, p.lo, p.hi)
+    errors = _window_errors(p, orbit, dens)
+    if dens is not None:
+        orbit = [tuple(v / d for v in y) for y, d in zip(orbit, dens)]
     buf = io.StringIO()
     writer = csv.writer(buf)
     n = p.n
@@ -1202,7 +1240,7 @@ def orbit_csv(f: MapSpec, p: PseudoOrbit, result: ShadowResult) -> str:
         writer.writerow(
             [k]
             + [repr(float(v)) for v in p.point(k)]
-            + [repr(float(v)) for v in x]
+            + [repr(v) for v in x]
             + [repr(err)]
         )
     return buf.getvalue()

@@ -79,6 +79,16 @@ class TransitionGraph:
     def successors(self, i: int) -> tuple[int, ...]:
         return self._adjacency.get(i, ())
 
+    @cached_property
+    def _live_codes(self) -> np.ndarray:
+        """Sorted codes i * count + j of the pairs not certified empty."""
+        count = self.subdivision.count
+        return np.sort([i * count + j for i, j in (*self.witnesses, *self.uncertain)])
+
+    def certified_empty(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """Whether each pair (i[k], j[k]) is certified empty, in one array pass."""
+        return ~np.isin(i * self.subdivision.count + j, self._live_codes)
+
     @property
     def nonempty_count(self) -> int:
         return len(self.witnesses)
@@ -228,7 +238,7 @@ def _endomorphism_check(f: MapSpec, s: Subdivision) -> None:
     if np.any(lo < -slack) or np.any(hi > 1.0 + slack):
         raise NotEndomorphismError(
             f"{f.descriptor} maps the cube outside itself: enclosure "
-            f"{list(lo)}..{list(hi)}"
+            f"{lo.tolist()}..{hi.tolist()}"
         )
 
 

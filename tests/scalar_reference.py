@@ -80,7 +80,10 @@ def enclose(f, direction: Direction, lo, hi) -> tuple[list[float], list[float]]:
         for d, (c, src) in enumerate(zip(r.coef, r.src)):
             if c == 0.0:
                 continue
-            s_lo, s_hi = sin_range(r.angular * x_lo[src], r.angular * x_hi[src])
+            s_lo, s_hi = sin_range(
+                math.nextafter(r.angular * x_lo[src], -math.inf),
+                math.nextafter(r.angular * x_hi[src], math.inf),
+            )
             term = (c * s_lo, c * s_hi) if c >= 0 else (c * s_hi, c * s_lo)
             r_lo[d], r_hi[d] = widen_float(*term, r.ulps)
         out_lo = [a + e for a, e in zip(a_lo, r_lo)]

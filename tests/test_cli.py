@@ -424,6 +424,15 @@ def test_usage_and_validation_errors_exit_four(tmp_path, capsys):
     assert "not periodic" in err
 
 
+def test_endomorphism_error_prints_plain_floats(tmp_path, capsys):
+    rc = main(["graph", "--map", "translation [0.3,0.1]", "--space", "cube", "--m", "2",
+               "--out", str(tmp_path)])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "maps the cube outside itself: enclosure [0.29999999999999977, " in err
+    assert "np.float64" not in err
+
+
 def test_verify_rejects_unrecognized_artifact(tmp_path, capsys):
     gen = tmp_path / "gen"
     assert main(["pseudo", "--map", CAT, "--delta", "1e-4", "--window", "5",

@@ -1,20 +1,33 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubeshadow.dynamics import Direction, builtin_map
+import fraction_reference as ref
+from cubeshadow.dynamics import Direction, affine_map, builtin_map
 from cubeshadow.errors import NotHyperbolicError
 from cubeshadow.exact import (
+    ExactAffine,
+    adjugate,
     eigen_directions,
+    exact_orbit,
     exact_step,
-    frac,
     frac_vec,
-    fraction_inverse,
     minimal_period,
-    nearest_lift,
     periodic_points,
     supports_exact,
-    torus_reduce,
+    to_fracs,
+    to_ints,
+)
+from cubeshadow.geometry import Space
+from cubeshadow.shadowing import (
+    PseudoOrbit,
+    _orbit,
+    _window_errors,
+    pseudo_orbit,
+    true_orbit,
 )
 
 CAT = builtin_map("toral [[2,1],[1,1]]")
@@ -29,19 +42,19 @@ def test_supports_exact_kinds():
 
 def test_frac_round_trip_is_exact():
     x = 0.1
-    assert float(frac(x)) == x
-    assert frac(Fraction(1, 3)) == Fraction(1, 3)
+    assert float(frac_vec([x])[0]) == x
+    assert to_ints([Fraction(1, 3), 0.5]) == ((2, 3), 6)
+    assert to_fracs(*to_ints([Fraction(1, 3), x])) == (Fraction(1, 3), Fraction(x))
 
 
-def test_torus_reduce_and_nearest_lift():
-    assert torus_reduce((Fraction(7, 5), Fraction(-1, 5))) == (
-        Fraction(2, 5),
-        Fraction(4, 5),
-    )
-    assert nearest_lift((Fraction(9, 10), Fraction(-2, 5))) == (
-        Fraction(-1, 10),
-        Fraction(-2, 5),
-    )
+def test_integer_walk_reduces_mod_one_and_errors_take_the_nearest_lift():
+    shift = ExactAffine(((1, 0), (0, 1)), (0, 0), 1, wrap=True)
+    nums, dens = shift.orbit((7, -1), 5, 1)
+    assert to_fracs(nums[1], dens[1]) == (Fraction(2, 5), Fraction(4, 5))
+    # 9/10 - 0 and -2/5 - 0 lie nearest to -1/10 and -2/5 mod 1
+    p = pseudo_orbit(builtin_map("identity n=2"), [(0.0, 0.0)], 0.0)
+    assert p.space is Space.TORUS
+    assert _window_errors(p, [(9, -4)], [10]) == [math.hypot(-0.1, -0.4)]
 
 
 def test_exact_step_applies_matrix_mod_one():
@@ -55,13 +68,13 @@ def test_exact_inverse_round_trips():
     fwd = exact_step(CAT, Direction.FORWARD)
     inv = exact_step(CAT, Direction.INVERSE)
     x = frac_vec((0.37, 0.81))
-    assert inv.apply(fwd.apply(x)) == torus_reduce(x)
+    assert inv.apply(fwd.apply(x)) == tuple(v - math.floor(v) for v in x)
+    assert exact_orbit(CAT, x, -2, 2)[0][2] == to_ints(x)[0]
 
 
-def test_fraction_inverse_identity():
-    m = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
-    inv = fraction_inverse(m)
-    assert inv == ((Fraction(1), Fraction(-1)), (Fraction(-1), Fraction(2)))
+def test_adjugate_inverts_the_cat_matrix():
+    assert adjugate(((2, 1), (1, 1))) == (((1, -1), (-1, 2)), 1)
+    assert adjugate(((2, 0, 0), (0, 3, 0), (0, 0, 4)))[1] == 24
 
 
 def test_eigen_directions_cat():
@@ -113,3 +126,41 @@ def test_singular_power_minus_identity_is_not_hyperbolic(descriptor):
     # f - I is singular, so the fixed set is a continuum in every dimension.
     with pytest.raises(NotHyperbolicError, match="singular"):
         periodic_points(builtin_map(descriptor), 1)
+
+
+# Integer matrices of determinant +-1, hyperbolic or not.
+_UNIMODULAR = [((2, 1), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, 1)),
+               ((-2, -1), (-1, -1)), ((3, 2), (4, 3)), ((1, -2), (0, -1))]
+
+
+@st.composite
+def _walks(draw):
+    """An exactly-affine map, a rational start and a pseudo-orbit over a window:
+    unimodular matrices with dyadic offsets on the torus, or a non-integer
+    matrix with a non-dyadic offset on the cube."""
+    if draw(st.booleans()):
+        offset = [draw(st.integers(0, 255)) / 256 for _ in range(2)]
+        f = affine_map(draw(st.sampled_from(_UNIMODULAR)), offset, Space.TORUS)
+    else:
+        entry = st.sampled_from([0.5, 0.1, -0.3, 0.45, 0.05, 1.25, 0.0])
+        matrix = [[draw(entry) for _ in range(2)] for _ in range(2)]
+        f = affine_map(matrix, [draw(st.sampled_from([0.2, 0.3, 0.0]))] * 2, Space.CUBE)
+    x = tuple(Fraction(draw(st.integers(-50, 99)), draw(st.integers(1, 97))) for _ in range(2))
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    point = st.tuples(unit, unit)
+    if draw(st.booleans()):
+        points = draw(st.lists(point, min_size=1, max_size=6))
+        return f, x, PseudoOrbit(tuple(points), 1.0, f.space, periodic=len(points))
+    lo = -draw(st.integers(0, 4)) if f.invertible else 0
+    points = draw(st.lists(point, min_size=1 - lo, max_size=9 - lo))
+    return f, x, PseudoOrbit(tuple(points), 1.0, f.space, lo=lo)
+
+
+@settings(max_examples=60)
+@given(case=_walks())
+def test_integer_walk_matches_the_fraction_reference(case):
+    f, x, p = case
+    want = ref.true_orbit(f, x, p.lo, p.hi)
+    assert true_orbit(f, x, p.lo, p.hi) == want
+    assert _window_errors(p, *_orbit(f, x, p.lo, p.hi)) == ref.window_errors(p, want)
+    assert exact_step(f).apply(x) == ref.step(f, Direction.FORWARD)(x)

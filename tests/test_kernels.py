@@ -162,21 +162,13 @@ def _random_lifts(rng, n: int, k: int = 150) -> tuple[np.ndarray, np.ndarray]:
     return lo, lo + rng.random((k, n)) * scale
 
 
-# The enclosure rounds the sine argument omega * x to nearest and nudges
-# only the sine's value by 4 ulps.  Where that value is small the
-# argument's rounding error (up to half an ulp of omega * x) is larger
-# than the nudge, and where the image coordinate is small too the final
-# 4-ulp widening does not cover it either: for standard K=0.3 the box
-# corner (-0.9990234375, -0.00390625) has y' = -0.0036132830883536039...
-# above the enclosure's upper bound -0.0036132830883536119.  Nudging the
-# argument one ulp outward makes all five maps pass, but it moves the
-# last bits of every nonlinear enclosure and with them the pinned graph
-# and shadow artifacts, so the fix is left to the enclosure work of
-# ROADMAP item 4; the strict mark turns the fix into a failure here until
-# the mark is removed.
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError, reason="sine argument is not outward-rounded"
-)
+# The sine argument omega * x is rounded to nearest, so the enclosure
+# nudges it one ulp outward: where the sine is small, half an ulp of the
+# argument outweighs the nudges of the sine's value and of the image.  For
+# standard K=0.3 the box corner (-0.9990234375, -0.00390625), with
+# y' = -0.0036132830883536039..., escaped the unnudged upper bound
+# -0.0036132830883536119.  The perturbed kinds add their sine term
+# unnudged (ulps=0) and rely on the final widening, which this checks too.
 @pytest.mark.parametrize("descriptor, space", NONLINEAR, ids=[m[0] for m in NONLINEAR])
 def test_enclosure_contains_the_60_digit_image(descriptor, space):
     f = builtin_map(descriptor, space)

@@ -35,7 +35,7 @@ def _sha(obj) -> str:
     "descriptor, m, digest",
     [
         (CAT, 3, "0c6bfd54f060857020bf4c2f9986b215377a408a7a3eb365af3a2118cbaf852a"),
-        (PERTURBED, 2, "9476ae61e8371063b584b1b776012da9dfac756e92da69493dcbe531faf59cd3"),
+        (PERTURBED, 2, "e67d558178c78eebffd835f2f0da1567ad95c2fa19683c843b00fd5e9870d46a"),
     ],
     ids=["cat-m3", "perturbed-m2"],
 )

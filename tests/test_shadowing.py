@@ -3,11 +3,21 @@ import hashlib
 import json
 from fractions import Fraction
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cubeshadow.covering import CoveringConfig, certify_chained
-from cubeshadow.dynamics import Direction, builtin_map, eval_point, identity_map
+from cubeshadow.covering import (
+    ChainedCertificate,
+    CoveringConfig,
+    certify_chained,
+    check_covering,
+    check_coverings,
+)
+from cubeshadow.dynamics import Direction, builtin_map, eval_point, identity_map, toral_map
 from cubeshadow.errors import (
     BrokenChainError,
     DeltaTooLargeError,
@@ -171,6 +181,64 @@ def test_step_chain_certifies_every_step():
     for cert in chain.certificates:
         assert cert.exit_margin > 0.0
         assert cert.confinement_margin > 0.0
+
+
+@settings(max_examples=12)
+@given(
+    kind=st.sampled_from(["cat", "perturbed"]),
+    periodic=st.booleans(),
+    seed=st.integers(0, 2**16),
+    steps=st.integers(1, 12),
+)
+def test_batched_step_chain_rows_match_single_checks(kind, periodic, seed, steps):
+    # Each row of the one batched covering call must get the margins,
+    # strip and orientation its pair gets when checked alone.
+    f = CAT if kind == "cat" else PERTURBED
+    rng = np.random.default_rng(seed)
+    if periodic:
+        cycle = [(0.2, 0.4), (0.8, 0.6)]  # a 2-cycle of the cat map
+        points = [tuple(v + 1e-4 * rng.random() for v in q) for q in cycle]
+        p = pseudo_orbit(f, points, 0.01, periodic=2)
+    else:
+        p = generate_pseudo_orbit(f, tuple(rng.random(2)), 1e-4, steps, UniformNoise(seed))
+    chain = step_chain(f, p)
+    rects = chain.rectangles
+    pairs = list(zip(rects, rects[1:] + rects[:1] if periodic else rects[1:]))
+    cfg = CoveringConfig(min_margin=1e-12)
+    assert list(chain.certificates) == [check_covering(f, a, b, cfg) for a, b in pairs]
+    # ... and the same in any other batch.
+    flipped = check_coverings(f, [b for _, b in pairs][::-1] + [a for a, _ in pairs],
+                              [a for a, _ in pairs][::-1] + [b for _, b in pairs], cfg)
+    assert flipped[len(pairs):] == list(chain.certificates)
+
+
+# Hyperbolic SL(2, Z) matrices with entries in 0..4, most of them not normal:
+# the chain's exit sizing must carry the Schur coupling of the frame.
+_SL2 = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(5), repeat=4)
+        if a * d - b * c == 1 and a + d > 2]
+
+
+@settings(max_examples=6)
+@given(matrix=st.sampled_from(_SL2), seed=st.integers(0, 2**16))
+def test_hyperbolic_sl2z_maps_certify_and_shadow(matrix, seed):
+    f = toral_map(matrix)
+    s = make_subdivision(2, 4, Space.TORUS)
+    g = build_graph(f, s)
+    cert = certify_chained(f, s, g)
+    assert isinstance(cert, ChainedCertificate)
+    p = generate_pseudo_orbit(f, (0.2, 0.3), 1e-4, 20, UniformNoise(seed))
+    res = shadow(f, p, cert, chi(s), g=g)
+    assert verify_shadow(f, res.point, p, chi(s)).ok
+
+
+def test_negative_trace_maps_shadow_exactly():
+    # The expanding eigenvalue is the larger in magnitude, here negative.
+    f = toral_map(((-2, -1), (-1, -1)))
+    s = make_subdivision(2, 3, Space.TORUS)
+    g = build_graph(f, s)
+    p = generate_pseudo_orbit(f, (0.2, 0.3), 1e-4, 30, UniformNoise(0))
+    res = shadow(f, p, certify_chained(f, s, g), 0.01, g=g)
+    assert res.exact and res.eps_achieved < 3 * p.delta
 
 
 def test_step_chain_needs_hyperbolicity():
