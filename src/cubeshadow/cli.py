@@ -43,6 +43,7 @@ from .errors import (
     UncertainEdgesError,
     UncertifiedTransitionError,
 )
+from .exact import minimal_period, supports_exact
 from .geometry import Box, Space, chi, make_subdivision
 from .oracle import (
     brute_force_fixed_points,
@@ -458,19 +459,28 @@ def cmd_shadow(run: Run, args: argparse.Namespace) -> int:
 
 
 def _closed_cycle(f: MapSpec, x0: tuple, period: int) -> list[tuple]:
-    """Iterate x0 for one period and insist the orbit closes up."""
-    pts = true_orbit(f, x0, 0, period)
-    if isinstance(pts[0][0], Fraction):
-        if pts[-1] != pts[0]:
+    """Iterate x0 for one period and insist the orbit closes up.
+
+    A rational x0 on an exactly-affine map is checked exactly, by
+    minimal_period, and on the torus its cycle starts from x0 mod 1.
+    """
+    text = ",".join(str(v) for v in x0)
+    if supports_exact(f) and isinstance(x0[0], Fraction):
+        if f.space is Space.TORUS:
+            x0 = tuple(v % 1 for v in x0)
+        try:
+            minimal_period(f, x0, period)
+        except ValueError:
             raise ValueError(
-                f"x0 {x0} is not periodic with period {period} (exact check)"
-            )
-        return pts[:-1]
+                f"x0 {text} is not periodic with period {period} (exact check)"
+            ) from None
+        return true_orbit(f, x0, 0, period - 1)
+    pts = true_orbit(f, x0, 0, period)
     gap = np.subtract(pts[-1], pts[0])
     if f.space is Space.TORUS:
         gap -= np.rint(gap)
     if float(np.linalg.norm(gap)) > 1e-9:
-        raise ValueError(f"x0 {x0} is not periodic with period {period}")
+        raise ValueError(f"x0 {text} is not periodic with period {period}")
     return pts[:-1]
 
 

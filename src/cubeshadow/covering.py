@@ -262,6 +262,11 @@ class _ChartImages:
         shift = np.round(shift) if f.space is Space.TORUS else np.zeros_like(shift)
         self.offset = _mv(self.fd, _mv(parts.a, self.c_src) + parts.b - shift - c_dst)
 
+    def strips_on_exit_sides(self, h0, h1) -> bool:
+        """Whether every [h0[k], h1[k]] is a nondegenerate sub-range of the
+        exit side of source k."""
+        return bool(np.all((self.lo_e <= h0) & (h0 < h1) & (h1 <= self.hi_e)))
+
     def strip_box(self, rows, h0, h1) -> tuple[np.ndarray, np.ndarray]:
         """Ambient bounding boxes of strips [h0, h1] of sources ``rows``."""
         at = (np.arange(len(rows)), self.exit[rows])
@@ -388,7 +393,7 @@ def check_coverings(
     chart = _check_inputs(f, srcs, dsts)
     if strip is not None:
         h0, h1 = np.full(len(srcs), float(strip[0])), np.full(len(srcs), float(strip[1]))
-        if not np.all((chart.lo_e <= h0) & (h0 < h1) & (h1 <= chart.hi_e)):
+        if not chart.strips_on_exit_sides(h0, h1):
             raise ValueError("strip must be a nondegenerate sub-range of the exit side")
         ok, shortfall, cert = chart.verdicts(np.arange(len(srcs)), h0, h1, cfg.min_margin)
         return [
@@ -446,10 +451,14 @@ def check_covering(
 def verify_certificate(
     f: MapSpec, cert: CoveringCertificate, cfg: CoveringConfig | None = None
 ) -> bool:
-    """Re-check a stored certificate from scratch on its recorded strip."""
+    """Re-check a stored certificate from scratch on its recorded strip,
+    which must lie on the source's exit side."""
     cfg = cfg or CoveringConfig()
     chart = _ChartImages(f, [cert.source], [cert.target])
-    ok, _, again = chart.verdicts([0], *np.array([cert.h_range]).T, cfg.min_margin)
+    h0, h1 = np.array([cert.h_range]).T
+    if not chart.strips_on_exit_sides(h0, h1):
+        return False
+    ok, _, again = chart.verdicts([0], h0, h1, cfg.min_margin)
     if not ok[0]:
         return False
     result = again(0)

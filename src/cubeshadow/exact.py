@@ -159,18 +159,6 @@ def exact_step(f: MapSpec, direction: Direction = Direction.FORWARD) -> ExactAff
     return step
 
 
-def exact_orbit(f: MapSpec, x, lo: int, hi: int) -> tuple[list[IntVec], list[int]]:
-    """The orbit of the rational x (at time 0) at every time lo..hi, lo <= 0 <= hi,
-    as integer numerators and denominators; reduced mod 1 on the torus except
-    at time 0, which is x itself."""
-    start, den = to_ints(x)
-    nums, dens = exact_step(f).orbit(start, den, hi)
-    if lo < 0:
-        back, back_dens = exact_step(f, Direction.INVERSE).orbit(start, den, -lo)
-        nums, dens = back[:0:-1] + nums, back_dens[:0:-1] + dens
-    return nums, dens
-
-
 def _sqrt_fraction(x: Fraction, digits: int) -> Fraction:
     """Rational sqrt(x) with relative error about 10^-digits (x > 0)."""
     scale = 10 ** digits
@@ -263,9 +251,12 @@ def periodic_points(f: MapSpec, period: int) -> list[FracVec]:
 
 
 def minimal_period(f: MapSpec, x: FracVec, period: int) -> int:
-    """Smallest q >= 1 dividing period with f^q(x) = x exactly."""
+    """Smallest q >= 1 dividing period with f^q(x) = x exactly (mod 1 on the torus)."""
+    step = exact_step(f, Direction.FORWARD)
     start, den = to_ints(x)
-    nums, dens = exact_step(f, Direction.FORWARD).orbit(start, den, period)
+    if step.wrap:  # a lift of a periodic point closes up only mod 1
+        start = tuple(v % den for v in start)
+    nums, dens = step.orbit(start, den, period)
     for q in range(1, period + 1):
         if period % q == 0 and all(
             a * den == b * dens[q] for a, b in zip(nums[q], start)

@@ -199,9 +199,28 @@ def cubes_containing_point(subdivision, p):
     return [subdivision.flat_index(combo) for combo in itertools.product(*per_axis)]
 
 
+def cubes_of_points(subdivision, points):
+    """Flat index of the cube containing each row of a (k, n) batch.
+
+    A point on grid hyperplanes gets the smallest index of the cubes
+    holding it, min(cubes_containing_point): per axis the lower neighbor,
+    and on the torus cube 0 for the hyperplane where 0 and 1 meet.
+    """
+    side = subdivision.side
+    x = np.asarray(points, dtype=float)
+    if subdivision.space is Space.TORUS:
+        x = x - np.floor(x)
+    t = x * side  # exact: side is a power of two
+    j = np.floor(t)
+    k = np.where(t == j, j - 1, j)
+    if subdivision.space is Space.TORUS:
+        k[(t == j) & (j % side == 0)] = 0
+    return subdivision.flat_indices(np.clip(k, 0, side - 1).astype(int))
+
+
 def cube_of_point(subdivision, p):
     """Flat index of the cube containing p; ties go to the smallest index."""
-    return min(cubes_containing_point(subdivision, p))
+    return int(cubes_of_points(subdivision, [p])[0])
 
 
 def chi(subdivision):

@@ -49,10 +49,10 @@ from .errors import (
     UncertifiedTransitionError,
 )
 from .exact import (
+    EigenDirections,
     ExactAffine,
     IntVec,
     eigen_directions,
-    exact_orbit,
     exact_step,
     minimal_period,
     solve,
@@ -60,7 +60,7 @@ from .exact import (
     to_fracs,
     to_ints,
 )
-from .geometry import Box, Space, Subdivision, cube_of_point
+from .geometry import Box, Space, Subdivision, cubes_of_points
 from .transition import TransitionGraph, build_graph, delta_bound, find_path
 
 
@@ -181,16 +181,25 @@ def pseudo_orbit_from_json(data: dict) -> PseudoOrbit:
     )
 
 
-def _dist(space: Space, a, b) -> float:
-    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+def _nearest_lift(space: Space, d: np.ndarray) -> np.ndarray:
+    """The differences d as errors: on the torus every coordinate is taken
+    mod 1 in [-1/2, 1/2), the difference to the nearest lift."""
     if space is Space.TORUS:
-        d = (d + 0.5) % 1.0 - 0.5
-    return float(np.linalg.norm(d))
+        return (d + 0.5) % 1.0 - 0.5
+    return d
+
+
+def _step_errors(f: MapSpec, p: PseudoOrbit) -> np.ndarray:
+    """Nearest-lift errors f(y_k) - y_{k+1} of every stored step (cyclic
+    when periodic), one row per step, in one batch evaluation."""
+    pts = np.asarray(p.points, dtype=float)
+    ends = np.roll(pts, -1, axis=0)[: len(pts) - (p.periodic is None)]
+    return _nearest_lift(p.space, eval_points(f, pts[: len(ends)]) - ends)
 
 
 def step_defects(f: MapSpec, p: PseudoOrbit) -> list[float]:
     """dist(f(y_k), y_{k+1}) for every stored step (cyclic if periodic)."""
-    return [float(np.linalg.norm(d)) for d in _lifted_defects(f, p)]
+    return [float(np.linalg.norm(d)) for d in _step_errors(f, p)]
 
 
 def pseudo_orbit(
@@ -346,7 +355,7 @@ def itinerary(
         raise DeltaTooLargeError(
             f"delta {p.delta} is not below the separation bound {bound}"
         )
-    idx = tuple(cube_of_point(s, y) for y in p.points)
+    idx = tuple(cubes_of_points(s, p.points).tolist())
     return _checked_itinerary(p, s, g, idx, declared=False)
 
 
@@ -426,29 +435,6 @@ class StepChain:
         )
 
 
-def _steps(p: PseudoOrbit) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end points y_k, y_{k+1} of every step (cyclic when periodic)."""
-    pts = np.asarray(p.points, dtype=float)
-    if p.periodic is not None:
-        return pts, np.roll(pts, -1, axis=0)
-    return pts[:-1], pts[1:]
-
-
-def _lifted_defects(f: MapSpec, p: PseudoOrbit) -> list[np.ndarray]:
-    """Nearest-lift step errors f(y_k) - y_{k+1} (cyclic when periodic)."""
-    return _step_errors(f, p.space, *_steps(p))
-
-
-def _step_errors(
-    f: MapSpec, space: Space, start: np.ndarray, end: np.ndarray
-) -> list[np.ndarray]:
-    """Nearest-lift errors f(start_k) - end_k, in one batch evaluation."""
-    d = eval_points(f, start) - end
-    if space is Space.TORUS:
-        d = (d + 0.5) % 1.0 - 0.5
-    return list(d)
-
-
 def _chain_half_widths(
     lam_u: float,
     lam_s: float,
@@ -505,7 +491,7 @@ def step_chain(f: MapSpec, p: PseudoOrbit) -> StepChain:
         raise UncertifiedTransitionError(
             f"{f.descriptor} is not hyperbolic, covering chains cannot close"
         )
-    defects = _lifted_defects(f, p)
+    defects = _step_errors(f, p)
     row_u, row_s = np.asarray(rows[0]), np.asarray(rows[-1])
     du = [abs(float(row_u @ d)) for d in defects]
     ds = [abs(float(row_s @ d)) for d in defects]
@@ -555,12 +541,23 @@ def _interval_dot(row: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return a, b
 
 
+def _tube(p: PseudoOrbit, r: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Deviation bounds from y_k at time k: [-r, r], cut to the unit cube."""
+    g_lo, g_hi = np.full(p.n, -r), np.full(p.n, r)
+    if p.space is Space.CUBE:
+        tgt = np.asarray(p.point(k), dtype=float)
+        g_lo, g_hi = np.maximum(g_lo, -tgt), np.minimum(g_hi, 1.0 - tgt)
+    return g_lo, g_hi
+
+
 def _eigen_bands(
     f: MapSpec,
     p: PseudoOrbit,
     r: float,
-    seed_box: Box | None,
-) -> tuple | None:
+    eig: EigenDirections,
+    g0_lo: np.ndarray,
+    g0_hi: np.ndarray,
+) -> tuple:
     """Sharp survival test in the eigenframe of an exactly-affine 2D map.
 
     In eigen coordinates the deviation from the pseudo-orbit obeys two
@@ -569,33 +566,16 @@ def _eigen_bands(
     coordinates: no interval wrapping, pruning stays informative at
     every depth.  Forward constraints pin the expanding coordinate,
     backward ones the contracting coordinate; the opposite pullbacks
-    only widen and are dropped.  Returns the basis, the feasible box and
-    the initial cell, both as (lo, hi) in (u, s) coordinates, or None when
-    the frame is unavailable; NoSurvivingCellError when nothing is feasible.
+    only widen and are dropped.  [g0_lo, g0_hi] is the time-0 tube as
+    deviations from y_0.  Returns the basis, the feasible box and the
+    initial cell, both as (lo, hi) in (u, s) coordinates;
+    NoSurvivingCellError when nothing is feasible.
     """
-    if p.n != 2 or not supports_exact(f):
-        return None
-    eig = eigen_directions(f)
-    if eig is None:
-        return None
     basis = np.array(
         [[float(v) for v in eig.row_u], [float(v) for v in eig.row_s]]
     ).T
     functionals = np.linalg.inv(basis)
-    defects = _lifted_defects(f, p)
-    y0 = np.asarray(p.point(0), dtype=float)
-
-    def tube(k: int) -> tuple[np.ndarray, np.ndarray]:
-        # deviation bounds at time k, axis coordinates
-        g_lo, g_hi = np.full(p.n, -r), np.full(p.n, r)
-        if k == 0 and seed_box is not None:
-            g_lo = np.maximum(g_lo, seed_box.lo_arr - y0)
-            g_hi = np.minimum(g_hi, seed_box.hi_arr - y0)
-        if p.space is Space.CUBE:
-            tgt = np.asarray(p.point(k), dtype=float)
-            g_lo = np.maximum(g_lo, -tgt)
-            g_hi = np.minimum(g_hi, 1.0 - tgt)
-        return g_lo, g_hi
+    defects = _step_errors(f, p)
 
     def defect(k: int) -> np.ndarray:
         # step defect e_k for the step k -> k+1, window- or cycle-indexed
@@ -603,7 +583,6 @@ def _eigen_bands(
             return defects[k % len(defects)]
         return defects[k - p.lo]
 
-    g0_lo, g0_hi = tube(0)
     incompatible = NoSurvivingCellError(
         "tracking tube constraints are incompatible; no orbit survives",
         deepest_surviving_depth=0,
@@ -627,7 +606,7 @@ def _eigen_bands(
                 coef /= lam
             if not math.isfinite(coef) or abs(coef) > 1e120:
                 break
-            b_lo, b_hi = _interval_dot(row, *tube(k))
+            b_lo, b_hi = _interval_dot(row, *_tube(p, r, k))
             lo_k, hi_k = sorted(((b_lo - c) / coef, (b_hi - c) / coef))
             pad = 1e-12 * (abs(lo_k) + abs(hi_k)) + 1e-17
             lo, hi = max(lo, lo_k - pad), min(hi, hi_k + pad)
@@ -700,6 +679,7 @@ def _bisect_cell(
     f: MapSpec,
     p: PseudoOrbit,
     r: float,
+    eig: EigenDirections | None,
     cfg: ShadowConfig,
     seed_box: Box | None = None,
 ) -> tuple[list[float], list[float], int]:
@@ -709,31 +689,30 @@ def _bisect_cell(
     [y_k +- r]: forward images for k > 0, inverse images for k < 0
     (cyclically extended twice over for periodic orbits, which pins both
     eigendirections around the loop).  One bisection, two survival
-    tests: exactly-affine 2D maps get the sharp eigenframe test, and the
-    final eigen cell is mapped back to its axis hull; other kinds fall
-    back to stepwise interval propagation, whose wrapping blurs but never
-    unsoundly prunes.
+    tests: maps with an eigen frame ``eig`` (the exactly-affine 2D maps)
+    get the sharp eigenframe test, and the final eigen cell is mapped back
+    to its axis hull; other kinds fall back to stepwise interval
+    propagation, whose wrapping blurs but never unsoundly prunes.
     """
-    bands = _eigen_bands(f, p, r, seed_box)
-    # the time-0 tube, cut to the seed box and the unit cube
+    # The time-0 tube as deviations from y_0, cut to the seed box and the
+    # unit cube once for both tests.
     y0 = np.asarray(p.point(0), dtype=float)
-    t_lo, t_hi = y0 - r, y0 + r
+    g_lo, g_hi = _tube(p, r, 0)
     if seed_box is not None:
-        t_lo = np.maximum(t_lo, seed_box.lo_arr)
-        t_hi = np.minimum(t_hi, seed_box.hi_arr)
-    if p.space is Space.CUBE:
-        t_lo, t_hi = np.maximum(t_lo, 0.0), np.minimum(t_hi, 1.0)
-    if bands is None:
+        g_lo = np.maximum(g_lo, seed_box.lo_arr - y0)
+        g_hi = np.minimum(g_hi, seed_box.hi_arr - y0)
+    if eig is None:
         if p.space is Space.TORUS:
             # A tube of radius 1/2 or more wraps the circle; one period
             # around y_0 holds a lift of every point in it.
-            t_lo, t_hi = np.maximum(t_lo, y0 - 0.5), np.minimum(t_hi, y0 + 0.5)
+            g_lo, g_hi = np.maximum(g_lo, -0.5), np.minimum(g_hi, 0.5)
+        t_lo, t_hi = y0 + g_lo, y0 + g_hi
         if seed_box is not None and np.any(t_lo > t_hi):
             raise NoSurvivingCellError(
                 "seed box excludes the tracking tube", deepest_surviving_depth=0
             )
         return _bisect(t_lo.tolist(), t_hi.tolist(), _tube_survival(f, p, r), cfg)
-    basis, (f_lo, f_hi), (lo, hi) = bands
+    basis, (f_lo, f_hi), (lo, hi) = _eigen_bands(f, p, r, eig, g_lo, g_hi)
 
     def meets(c_lo: list[float], c_hi: list[float]) -> bool:
         return all(a <= b for a, b in zip(c_lo, f_hi)) and all(
@@ -746,14 +725,14 @@ def _bisect_cell(
     ]
     # The eigen cell's axis hull can poke past the constraint boxes it was
     # carved from; clamp so seeded surviving boxes nest.
-    lo = np.maximum(np.min(corners, axis=0), t_lo)
-    hi = np.minimum(np.max(corners, axis=0), t_hi)
+    lo = np.maximum(np.min(corners, axis=0), y0 + g_lo)
+    hi = np.minimum(np.max(corners, axis=0), y0 + g_hi)
     return np.minimum(lo, hi).tolist(), hi.tolist(), splits
 
 
 # --- exact boundary-value solve ---------------------------------------------
 
-def _integer_shifts(f: MapSpec, p: PseudoOrbit) -> list[np.ndarray]:
+def _integer_shifts(f: MapSpec, p: PseudoOrbit) -> np.ndarray:
     """Lattice shift of each lifted step: s_k = round(M y_k + c - y_{k+1}).
 
     The true shadow satisfies M x_k + c - x_{k+1} = s_k exactly with the
@@ -761,10 +740,11 @@ def _integer_shifts(f: MapSpec, p: PseudoOrbit) -> list[np.ndarray]:
     far below the rounding threshold of 1/2.  Cyclic orbits get the wrap
     step appended.
     """
-    start, end = _steps(p)
+    pts = np.asarray(p.points, dtype=float)
+    ends = np.roll(pts, -1, axis=0)[: len(pts) - (p.periodic is None)]
     if p.space is not Space.TORUS:
-        return list(np.zeros_like(start))
-    return list(np.round(lift_points(f, Direction.FORWARD, start) - end))
+        return np.zeros_like(ends)
+    return np.round(lift_points(f, Direction.FORWARD, pts[: len(ends)]) - ends)
 
 
 def _lift_map(f: MapSpec, p: PseudoOrbit, shifts, a: int, b: int) -> ExactAffine:
@@ -794,9 +774,11 @@ def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _bvp_point(f: MapSpec, p: PseudoOrbit, shifts) -> tuple[IntVec, int]:
-    """Exact time-0 shadow point for 2D exactly-affine hyperbolic maps,
-    as integer numerators over one denominator.
+def _bvp_point(
+    f: MapSpec, p: PseudoOrbit, shifts, eig: EigenDirections
+) -> tuple[IntVec, int]:
+    """Exact time-0 shadow point for 2D exactly-affine hyperbolic maps with
+    eigen frame eig, as integer numerators over one denominator.
 
     Kills the expanding component of the deviation at the window's far
     end and the contracting component at its start: the finite-window
@@ -804,9 +786,6 @@ def _bvp_point(f: MapSpec, p: PseudoOrbit, shifts) -> tuple[IntVec, int]:
     d_{k+1} = M d_k + e_k stays geometrically bounded both ways.  Two
     linear conditions on two unknown coordinates; one exact solve.
     """
-    eig = eigen_directions(f)
-    if eig is None:
-        raise NotHyperbolicError(f"{f.descriptor} has no rational eigen frame")
     to_hi = _lift_map(f, p, shifts, 0, p.hi)
     to_lo = _lift_map(f, p, shifts, p.lo, 0).inverse()
     # w_u annihilates the contracting direction, w_s the expanding one;
@@ -830,15 +809,21 @@ def _bvp_point(f: MapSpec, p: PseudoOrbit, shifts) -> tuple[IntVec, int]:
 # --- true orbits ------------------------------------------------------------
 
 def _orbit(f: MapSpec, x, lo: int, hi: int) -> tuple[list[tuple], list[int] | None]:
-    """The orbit of x at every time lo..hi and, for exact points, its denominators.
+    """The orbit of x at every time lo..hi (lo <= 0 <= hi) and, for exact
+    points, its denominators: the one two-sided walk.
 
-    A rational x on an exactly-affine map walks in integers: the points
-    are numerators over the returned denominators.  Anything else walks
-    in floats through eval_point, with no denominators.  Both reduce mod
-    1 on the torus; time 0 is x itself.
+    A rational x on an exactly-affine map walks in integers through
+    ExactAffine.orbit: the points are numerators over the returned
+    denominators.  Anything else walks in floats through eval_point, with
+    no denominators.  Both reduce mod 1 on the torus; time 0 is x itself.
     """
     if supports_exact(f) and all(isinstance(v, Fraction) for v in x):
-        return exact_orbit(f, x, lo, hi)
+        start, den = to_ints(x)
+        nums, dens = exact_step(f).orbit(start, den, hi)
+        if lo < 0:  # a non-invertible map has no inverse step to build
+            back, back_dens = exact_step(f, Direction.INVERSE).orbit(start, den, -lo)
+            nums, dens = back[:0:-1] + nums, back_dens[:0:-1] + dens
+        return nums, dens
     start = tuple(float(v) for v in x)
 
     def walk(direction: Direction, steps: int) -> list[tuple]:
@@ -871,7 +856,8 @@ def _window_errors(p: PseudoOrbit, orbit: list[tuple], dens=None) -> list[float]
     each coordinate rounds once, by int / int.
     """
     if dens is None:
-        return [_dist(p.space, y, p.point(k)) for k, y in enumerate(orbit, start=p.lo)]
+        errors = _nearest_lift(p.space, np.subtract(orbit, p.points))
+        return [float(np.linalg.norm(d)) for d in errors]
     torus = p.space is Space.TORUS
     out = []
     for k, (y, q) in enumerate(zip(orbit, dens), start=p.lo):
@@ -988,17 +974,6 @@ def verify_shadow(f: MapSpec, x, p: PseudoOrbit, eps: float) -> VerifyReport:
 
 # --- the shadow operations --------------------------------------------------
 
-def _box_holds(box: Box, x: list[float]) -> bool:
-    """Whether the point (possibly a lift) lies in the float box."""
-    ctr = 0.5 * (box.lo_arr + box.hi_arr)
-    for vf, lo, hi, c in zip(x, box.lo_arr, box.hi_arr, ctr):
-        if box.space is Space.TORUS:
-            vf -= round(vf - c)
-        if not (lo - 1e-15 <= vf <= hi + 1e-15):
-            return False
-    return True
-
-
 def _localize(
     f: MapSpec,
     p: PseudoOrbit,
@@ -1007,13 +982,14 @@ def _localize(
     itin: Itinerary | None,
     cfg: ShadowConfig,
     seed_box: Box | None = None,
-) -> tuple[Box, int]:
+) -> tuple[Box, int, EigenDirections | None]:
     """Gate p against the certificate and graph, then bisect its time-0 cell.
 
     Checks that the certificate is for f on p's space, that p's itinerary
     (computed, or the supplied itin re-checked as declared) crosses no
     certified-empty edge, and that the per-step covering chain closes;
-    returns the surviving cell and the number of splits that carved it.
+    returns the surviving cell, the number of splits that carved it, and
+    f's eigen frame (None without one), which decides the exact path.
     """
     s = cert.subdivision
     if s.space is not p.space:
@@ -1029,9 +1005,25 @@ def _localize(
     else:
         _checked_itinerary(p, s, g, itin.indices, declared=True)
     step_chain(f, p)
+    eig = eigen_directions(f)
     r = cfg.radius_factor * max(p.delta, _DELTA_FLOOR)
-    lo, hi, splits = _bisect_cell(f, p, r, cfg, seed_box)
-    return Box(tuple(lo), tuple(hi), p.space), splits
+    lo, hi, splits = _bisect_cell(f, p, r, eig, cfg, seed_box)
+    return Box(tuple(lo), tuple(hi), p.space), splits, eig
+
+
+def _measured(
+    f: MapSpec, p: PseudoOrbit, point: tuple, eps: float, miss: str, splits: int,
+    surviving: Box, periodic: int | None = None, minimal: int | None = None
+) -> ShadowResult:
+    """The result for point, whose errors over p's window must stay below
+    eps: else NoSurvivingCellError, its message ``miss`` formatted with
+    the achieved and the requested eps."""
+    eps_achieved = max(_window_errors(p, *_orbit(f, point, p.lo, p.hi)))
+    if eps_achieved >= eps:
+        raise NoSurvivingCellError(
+            miss.format(eps_achieved, eps), deepest_surviving_depth=splits
+        )
+    return ShadowResult(point, p.window, eps_achieved, surviving, periodic, minimal)
 
 
 def shadow(
@@ -1054,11 +1046,13 @@ def shadow(
     error profile is measured in rational arithmetic.
     """
     cfg = cfg or ShadowConfig()
-    surviving, splits = _localize(f, p, cert, g, itin, cfg, seed_box)
+    surviving, splits, eig = _localize(f, p, cert, g, itin, cfg, seed_box)
 
-    if eigen_directions(f) is not None:
-        nums, den = _bvp_point(f, p, _integer_shifts(f, p))
-        if seed_box is not None and not _box_holds(seed_box, [v / den for v in nums]):
+    if eig is not None:
+        nums, den = _bvp_point(f, p, _integer_shifts(f, p), eig)
+        if seed_box is not None and not seed_box.contains_point(
+            [v / den for v in nums], tol=1e-15
+        ):
             # The free boundary-value point can sit a hair outside a seed
             # box inherited from a longer window; the cell center keeps
             # the nesting contract, and its (slightly larger) error
@@ -1069,17 +1063,9 @@ def shadow(
         point: tuple = to_fracs(nums, den)
     else:
         point = tuple(wrap_points(p.space, np.array(surviving.center)).tolist())
-    eps_achieved = max(_window_errors(p, *_orbit(f, point, p.lo, p.hi)))
-    if eps_achieved >= eps:
-        raise NoSurvivingCellError(
-            f"best orbit achieves eps {eps_achieved}, not below requested {eps}",
-            deepest_surviving_depth=splits,
-        )
-    return ShadowResult(
-        point=point,
-        window=p.window,
-        eps_achieved=eps_achieved,
-        surviving_box=surviving,
+    return _measured(
+        f, p, point, eps, "best orbit achieves eps {}, not below requested {}",
+        splits, surviving,
     )
 
 
@@ -1103,7 +1089,7 @@ def periodic_shadow(
     cfg = cfg or ShadowConfig()
     if p.periodic is None:
         raise ValueError("periodic_shadow needs a periodic pseudo-orbit")
-    surviving, splits = _localize(f, p, cert, g, itin, cfg)
+    surviving, splits, _ = _localize(f, p, cert, g, itin, cfg)
     P = len(p.points)
 
     if supports_exact(f):
@@ -1121,9 +1107,7 @@ def periodic_shadow(
         x = np.array(surviving.center)
         for _ in range(80):
             orbit = true_orbit(f, x, 0, P)
-            residual = np.subtract(orbit[P], x)
-            if p.space is Space.TORUS:
-                residual = (residual + 0.5) % 1.0 - 0.5
+            residual = _nearest_lift(p.space, np.subtract(orbit[P], x))
             if float(np.linalg.norm(residual)) <= cfg.fp_tol:
                 break
             jac = np.eye(f.n)
@@ -1142,19 +1126,9 @@ def periodic_shadow(
             )
         point = orbit[0]
         mp = None
-    eps_achieved = max(_window_errors(p, *_orbit(f, point, p.lo, p.hi)))
-    if eps_achieved >= eps:
-        raise NoSurvivingCellError(
-            f"periodic point achieves eps {eps_achieved}, not below {eps}",
-            deepest_surviving_depth=splits,
-        )
-    return ShadowResult(
-        point=point,
-        window=(0, P - 1),
-        eps_achieved=eps_achieved,
-        surviving_box=surviving,
-        periodic=p.periodic,
-        minimal_period=mp,
+    return _measured(
+        f, p, point, eps, "periodic point achieves eps {}, not below {}",
+        splits, surviving, p.periodic, mp,
     )
 
 
@@ -1186,22 +1160,23 @@ def specification_splice(
     no_steps = np.empty((0, f.n))
     start = np.array([a for seg in segs for a in seg[:-1]] or no_steps)
     end = np.array([b for seg in segs for b in seg[1:]] or no_steps)
-    for err in _step_errors(f, f.space, start, end):
+    for err in _nearest_lift(f.space, eval_points(f, start) - end):
         d = float(np.linalg.norm(err))
         if d > 1e-9:
             raise ValueError(
                 f"segment step defect {d}; segments must be true orbit pieces"
             )
+    cubes = cubes_of_points(s, [q for seg in segs for q in seg]).tolist()
+    firsts = np.cumsum([0] + [len(seg) for seg in segs]).tolist()
+    departs = eval_points(f, np.array([seg[-1] for seg in segs]))
+    depart_cubes = cubes_of_points(s, departs).tolist()
     points: list[tuple[float, ...]] = []
     indices: list[int] = []
     for j, seg in enumerate(segs):
         points.extend(seg)
-        indices.extend(cube_of_point(s, q) for q in seg)
-        nxt = segs[(j + 1) % len(segs)]
-        depart = eval_point(f, Direction.FORWARD, seg[-1])
-        start_cube = cube_of_point(s, depart)
-        goal_cube = cube_of_point(s, nxt[0])
-        path = find_path(g, start_cube, goal_cube, max_len=gap)
+        indices.extend(cubes[firsts[j] : firsts[j + 1]])
+        goal_cube = cubes[firsts[(j + 1) % len(segs)]]
+        path = find_path(g, depart_cubes[j], goal_cube, max_len=gap)
         # The goal cube is represented by the next segment's own first
         # point, so only the earlier path cubes become center waypoints.
         for cube in path[:-1]:

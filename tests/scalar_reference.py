@@ -6,7 +6,8 @@ one ``set_distance_lb`` per piece, and one sequential search per pair.
 This is how the graph refinement worked before its kernels were batched;
 the tests compare the array kernels in ``cubeshadow.dynamics`` and
 ``cubeshadow.transition`` with it row for row, bit for bit, and check its
-own soundness.
+own soundness.  ``step_error`` is the one-pair form of shadowing's step
+and window errors.
 """
 
 from __future__ import annotations
@@ -157,6 +158,15 @@ def point_distance(p, q, space: Space) -> float:
             d = min(d, 1.0 - d)
         total += d * d
     return math.sqrt(total)
+
+
+def step_error(space: Space, a, b) -> float:
+    """Length of a - b for one pair of points, to the nearest lift of a on
+    the torus: the rule shadowing's batched step and window errors apply."""
+    d = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    if space is Space.TORUS:
+        d = (d + 0.5) % 1.0 - 0.5
+    return float(np.linalg.norm(d))
 
 
 def point_box_distance_lb(p, b: Box) -> float:

@@ -114,6 +114,13 @@ def _drop_excluded(cert):
     cert["excluded_boundary"].pop()
 
 
+def _widen_strip(cert):
+    # A strip running past both ends of the source's exit side.
+    c = cert["classes"][0]["certificate"]
+    lo, hi = c["h_range"]
+    c["h_range"] = [lo - (hi - lo) / 2, hi + (hi - lo) / 2]
+
+
 @pytest.mark.parametrize(
     "tamper, reason",
     [
@@ -124,9 +131,10 @@ def _drop_excluded(cert):
         (_move_class, "rectangles leave the cubes"),
         (_inflate_margin, "covering fails re-checking"),
         (_drop_excluded, "missing from excluded_boundary"),
+        (_widen_strip, "covering fails re-checking"),
     ],
     ids=["drop-half", "drop-one", "rekey", "swap-class", "move-class",
-         "inflate-margin", "drop-excluded"],
+         "inflate-margin", "drop-excluded", "widen-strip"],
 )
 def test_verify_rejects_a_tampered_certificate(
     tmp_path, capsys, cat_certificate, tamper, reason
@@ -422,6 +430,25 @@ def test_usage_and_validation_errors_exit_four(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid choice" in err
     assert "not periodic" in err
+
+
+def test_periodic_accepts_a_lift_of_a_periodic_point(tmp_path):
+    # 6/5,2/5 is 1/5,2/5 mod 1, so both starts give the same periodic shadow.
+    runs = []
+    for name, x0 in (("reduced", "1/5,2/5"), ("lift", "6/5,2/5")):
+        out = tmp_path / name
+        assert main(["periodic", "--map", CAT, "--m", "3", "--period", "2",
+                     "--x0", x0, "--out", str(out)]) == 0
+        runs.append(((out / "orbit.csv").read_text(),
+                     run_json(out / "periodic.json")["result"]))
+    assert runs[0] == runs[1]
+
+
+def test_non_periodic_rational_start_is_printed_as_typed(tmp_path, capsys):
+    assert main(["periodic", "--map", CAT, "--m", "3", "--period", "2",
+                 "--x0", "6/5,3/5", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "x0 6/5,3/5 is not periodic with period 2 (exact check)" in err
 
 
 def test_endomorphism_error_prints_plain_floats(tmp_path, capsys):

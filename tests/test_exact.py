@@ -12,7 +12,6 @@ from cubeshadow.exact import (
     ExactAffine,
     adjugate,
     eigen_directions,
-    exact_orbit,
     exact_step,
     frac_vec,
     minimal_period,
@@ -69,7 +68,14 @@ def test_exact_inverse_round_trips():
     inv = exact_step(CAT, Direction.INVERSE)
     x = frac_vec((0.37, 0.81))
     assert inv.apply(fwd.apply(x)) == tuple(v - math.floor(v) for v in x)
-    assert exact_orbit(CAT, x, -2, 2)[0][2] == to_ints(x)[0]
+    assert _orbit(CAT, x, -2, 2)[0][2] == to_ints(x)[0]
+
+
+def test_minimal_period_accepts_torus_lifts():
+    # A lift of a periodic point closes up mod 1, not as a rational.
+    assert minimal_period(CAT, (Fraction(6, 5), Fraction(2, 5)), 2) == 2
+    assert minimal_period(CAT, (Fraction(-4, 5), Fraction(7, 5)), 2) == 2
+    assert minimal_period(CAT, (Fraction(1), Fraction(-2)), 4) == 1
 
 
 def test_adjugate_inverts_the_cat_matrix():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cubeshadow.errors import ResourceLimitError
 from cubeshadow.geometry import (
@@ -12,6 +14,7 @@ from cubeshadow.geometry import (
     chi,
     cube_of_point,
     cubes_containing_point,
+    cubes_of_points,
     make_subdivision,
     space_diameter,
 )
@@ -122,6 +125,31 @@ def test_partition_property():
                 cube = cube_of_point(s, p)
                 assert cube == min(cubes_containing_point(s, p))
                 assert s.box(cube).contains_point(p)
+
+
+@given(data=st.data())
+@pytest.mark.parametrize("space", list(Space))
+def test_batched_cube_lookup_is_the_smallest_containing_cube(space, data):
+    # Grid hyperplanes (0 and 1 included) are where the smallest of several
+    # containing cubes must be picked; on the torus so are tiny negative
+    # coordinates, whose reduction mod 1 rounds to 1, and lifts one period out.
+    n, m = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+    s = make_subdivision(n, m, space)
+    coord = st.one_of(
+        st.integers(0, s.side).map(lambda k: k / s.side),
+        st.sampled_from([0.0, 1.0]),
+        st.floats(0.0, 1.0),
+    )
+    if space is Space.TORUS:
+        coord = st.one_of(
+            coord,
+            st.sampled_from([-5e-324, -1e-300, -1e-17]),
+            st.tuples(coord, st.sampled_from([-1.0, 1.0])).map(sum),
+        )
+    points = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=20))
+    cubes = cubes_of_points(s, points).tolist()
+    assert cubes == [min(cubes_containing_point(s, q)) for q in points]
+    assert cubes == [cube_of_point(s, q) for q in points]
 
 
 def test_set_distance_axis_gap():

@@ -17,23 +17,32 @@ from cubeshadow.covering import (
     check_covering,
     check_coverings,
 )
-from cubeshadow.dynamics import Direction, builtin_map, eval_point, identity_map, toral_map
+import scalar_reference as ref
+from cubeshadow.dynamics import (
+    Direction,
+    affine_map,
+    builtin_map,
+    eval_point,
+    identity_map,
+    toral_map,
+)
 from cubeshadow.errors import (
     BrokenChainError,
     DeltaTooLargeError,
     NoSurvivingCellError,
     UncertifiedTransitionError,
 )
-from cubeshadow.exact import exact_step
+from cubeshadow.exact import eigen_directions, exact_step
 from cubeshadow.geometry import Box, Space, chi, cube_of_point, make_subdivision
 from cubeshadow.shadowing import (
     Drift,
     RoundToGrid,
     ShadowConfig,
     UniformNoise,
+    PseudoOrbit,
     _bisect_cell,
-    _eigen_bands,
     _tube_survival,
+    _window_errors,
     generate_pseudo_orbit,
     itinerary,
     orbit_csv,
@@ -87,6 +96,56 @@ def test_window_indexing_is_inclusive():
     assert p.point(30) == p.points[-1]
     with pytest.raises(IndexError):
         p.point(31)
+
+
+_ERROR_MAPS = {
+    "cat": CAT,
+    "perturbed": builtin_map("perturbed [[2,1],[1,1]] eta=0.001 freq=1"),
+    "cube-affine": affine_map([[0.5, 0.1], [0.05, 0.45]], [0.2, 0.3], Space.CUBE),
+}
+# Differences at and within a few ulps of +-1/2, where the nearest lift
+# flips, and some anywhere in (-1, 1).
+_DIFFERENCES = st.one_of(
+    st.sampled_from([0.5, -0.5]),
+    st.floats(0.5 - 1e-15, 0.5 + 1e-15),
+    st.floats(-0.5 - 1e-15, -0.5 + 1e-15),
+    st.floats(-1.0, 1.0),
+)
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+@pytest.mark.parametrize("name", sorted(_ERROR_MAPS))
+def test_step_and_window_errors_follow_the_one_pair_rule(name, data):
+    # step_defects and the float window errors are the batched form of one
+    # nearest-lift rule; every row must have the bits of the pair alone.
+    f = _ERROR_MAPS[name]
+    unit = st.floats(0.0, 1.0, exclude_max=True)
+    k = data.draw(st.integers(1, 8))
+    diffs = data.draw(st.lists(st.tuples(_DIFFERENCES, _DIFFERENCES), min_size=k, max_size=k))
+    periodic = data.draw(st.booleans())
+
+    ys = [data.draw(st.tuples(unit, unit))]
+    for d in diffs[: k - 1]:
+        image = eval_point(f, Direction.FORWARD, ys[-1])
+        ys.append(tuple(float(v) for v in image - np.array(d)))
+    p = PseudoOrbit(tuple(ys), 1.0, f.space, periodic=k if periodic else None)
+    ends = ys[1:] + ys[:1] if periodic else ys[1:]
+    want = [
+        ref.step_error(f.space, eval_point(f, Direction.FORWARD, y), z)
+        for y, z in zip(ys, ends)
+    ]
+    assert _hex(step_defects(f, p)) == _hex(want)
+
+    orbit = [tuple(float(v) for v in np.add(y, d)) for y, d in zip(ys, diffs)]
+    lo = -data.draw(st.integers(0, k - 1)) if not periodic else 0
+    window = dataclasses.replace(p, lo=lo)
+    want = [ref.step_error(f.space, x, y) for x, y in zip(orbit, ys)]
+    assert _hex(_window_errors(window, orbit)) == _hex(want)
 
 
 # --- generation modes --------------------------------------------------------
@@ -522,8 +581,9 @@ def test_eigen_cell_survives_interval_propagation(n_steps, seed):
     # of the same window through eval_box.
     p = noisy_orbit(n_steps, seed=seed)
     r = ShadowConfig().radius_factor * p.delta
-    assert _eigen_bands(CAT, p, r, None) is not None
-    lo, hi, splits = _bisect_cell(CAT, p, r, ShadowConfig())
+    eig = eigen_directions(CAT)
+    assert eig is not None
+    lo, hi, splits = _bisect_cell(CAT, p, r, eig, ShadowConfig())
     assert splits > 0
     assert _tube_survival(CAT, p, r)(lo, hi)
 
@@ -533,7 +593,7 @@ def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2):
     # Box wider than one period and raise ValueError.
     s, g, cert = perturbed_m2
     p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 5, UniformNoise(0))
-    lo, hi, splits = _bisect_cell(PERTURBED, p, 0.6, ShadowConfig())
+    lo, hi, splits = _bisect_cell(PERTURBED, p, 0.6, None, ShadowConfig())
     assert splits > 0
     assert all(0.0 <= b - a < 1e-9 for a, b in zip(lo, hi))
     Box(tuple(lo), tuple(hi), Space.TORUS)
