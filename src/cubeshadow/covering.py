@@ -17,8 +17,9 @@ rather than guessed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
-from collections.abc import Mapping
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,7 +36,7 @@ from .dynamics import (
 )
 from .errors import MismatchedChainError, NotEndomorphismError, UncertainEdgesError
 from .geometry import Box, Space, Subdivision
-from .transition import TransitionGraph, class_representatives
+from .transition import PairRows, TransitionGraph, code_pairs
 
 _ORTHO_TOL = 1e-9
 
@@ -480,12 +481,13 @@ _POLICY = "anchored"
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainedCertificate:
     """Covering certificates over a transition graph, one per translation class.
 
-    ``classes`` holds (representative pair, certificate); ``edge_class``
-    maps every certified edge to its class. When f commutes with the grid
+    ``classes`` holds (representative pair, certificate); certified edge k
+    is code ``edge_codes[k]`` = i * count + j, of class ``edge_classes[k]``
+    (``edge_class`` maps pairs to classes). When f commutes with the grid
     translations (f(x + t) = f(x) + A t mod 1, A integer), edge (i, j)
     is the translate of (0, j - A i) and shares its class; otherwise each
     edge is its own class. ``certificates`` is the per-edge view.
@@ -500,17 +502,42 @@ class ChainedCertificate:
     map_id: str
     subdivision: Subdivision
     classes: tuple[tuple[Pair, CoveringCertificate], ...]
-    edge_class: dict[Pair, int]
-    excluded_boundary: frozenset[Pair]
+    edge_codes: np.ndarray
+    edge_classes: np.ndarray
+    excluded_boundary: AbstractSet[Pair]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ChainedCertificate) and self.to_json() == other.to_json()
 
     @property
-    def certificates(self) -> "EdgeCertificates":
-        return EdgeCertificates(self)
+    def edge_class(self) -> PairRows:
+        return PairRows(self.edge_codes, self.subdivision.count, self.edge_classes.item)
+
+    @property
+    def certificates(self) -> PairRows:
+        """Certified edge -> its class certificate translated into the edge's
+        cubes, built on lookup: the source rectangle moves by the offset from
+        the representative's source cube to cube i, the target by the offset
+        between the target cubes (which is A t mod 1 for the class)."""
+        return PairRows(self.edge_codes, self.subdivision.count, self._certificate)
+
+    def _certificate(self, k: int) -> CoveringCertificate:
+        s = self.subdivision
+        pair = divmod(self.edge_codes.item(k), s.count)
+        rep, cert = self.classes[self.edge_classes[k]]
+        if rep == pair:
+            return cert
+        t_src = s.box(pair[0]).lo_arr - s.box(rep[0]).lo_arr
+        t_dst = s.box(pair[1]).lo_arr - s.box(rep[1]).lo_arr
+        dh = float(t_src[cert.source.exit_axis])
+        return replace(cert, source=cert.source.shifted(t_src), target=cert.target.shifted(t_dst),
+                       h_range=(cert.h_range[0] + dh, cert.h_range[1] + dh))
 
     def margin(self) -> float:
         return min(certificate_margin(c) for _, c in self.classes)
 
     def to_json(self) -> dict:
+        ij = code_pairs(self.edge_codes, self.subdivision.count)
         return {
             "map_id": self.map_id,
             "subdivision": self.subdivision.to_json(),
@@ -518,48 +545,10 @@ class ChainedCertificate:
             "classes": [
                 {"pair": list(rep), "certificate": c.to_json()} for rep, c in self.classes
             ],
-            "certificates": {
-                f"{i},{j}": k for (i, j), k in sorted(self.edge_class.items())
-            },
-            "excluded_boundary": sorted(list(p) for p in self.excluded_boundary),
+            "certificates": {f"{i},{j}": k for (i, j), k in zip(ij, self.edge_classes.tolist())},
+            "excluded_boundary": [[i, j] for i, j in self.excluded_boundary],
             "margin": self.margin(),
         }
-
-
-class EdgeCertificates(Mapping):
-    """Certified edge -> its class certificate translated into the edge's cubes.
-
-    Built on lookup, not stored: the source rectangle moves by the offset
-    from the representative's source cube to cube i, the target by the
-    offset between the target cubes (which is A t mod 1 for the class).
-    """
-
-    def __init__(self, chained: ChainedCertificate):
-        self._chained = chained
-
-    def __getitem__(self, pair: Pair) -> CoveringCertificate:
-        rep, cert = self._chained.classes[self._chained.edge_class[pair]]
-        if rep == pair:
-            return cert
-        s = self._chained.subdivision
-        t_src = s.box(pair[0]).lo_arr - s.box(rep[0]).lo_arr
-        t_dst = s.box(pair[1]).lo_arr - s.box(rep[1]).lo_arr
-        dh = float(t_src[cert.source.exit_axis])
-        return replace(
-            cert,
-            source=cert.source.shifted(t_src),
-            target=cert.target.shifted(t_dst),
-            h_range=(cert.h_range[0] + dh, cert.h_range[1] + dh),
-        )
-
-    def __contains__(self, pair) -> bool:
-        return pair in self._chained.edge_class
-
-    def __iter__(self):
-        return iter(self._chained.edge_class)
-
-    def __len__(self) -> int:
-        return len(self._chained.edge_class)
 
 
 @dataclass(frozen=True)
@@ -568,7 +557,7 @@ class FailureReport:
     total_edges: int
     certified: int
     failures: tuple[tuple[int, int, str], ...]
-    excluded_boundary: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    excluded_boundary: AbstractSet[Pair] = field(default_factory=frozenset)
 
     def to_json(self) -> dict:
         return {
@@ -634,19 +623,6 @@ def _frame_tuple(frame: np.ndarray | None):
     return tuple(tuple(float(v) for v in row) for row in frame)
 
 
-def _representatives(
-    f: MapSpec, s: Subdivision, g: TransitionGraph, pairs: list[Pair]
-) -> list[Pair]:
-    """The pair whose certificate each edge borrows: its class
-    representative when that edge has an interior witness, else the edge
-    itself."""
-    reps = []
-    for pair, rep in zip(pairs, class_representatives(f, s, pairs)):
-        w = g.witnesses.get(rep)
-        reps.append(rep if w is not None and w.interior else pair)
-    return reps
-
-
 def certify_chained(
     f: MapSpec,
     s: Subdivision,
@@ -664,11 +640,10 @@ def certify_chained(
     and listed.
     """
     cfg = cfg or CoveringConfig()
-    if g.uncertain and not cfg.allow_uncertain:
+    if g.uncertain_count and not cfg.allow_uncertain:
         raise UncertainEdgesError(
-            f"{len(g.uncertain)} uncertain edges; refine the graph or allow_uncertain"
+            f"{g.uncertain_count} uncertain edges; refine the graph or allow_uncertain"
         )
-    edges = sorted(g.witnesses)
     hint = expansion_frame(f)
     frame = None
     if hint is not None:
@@ -676,41 +651,48 @@ def certify_chained(
         if np.abs(vals[0]) > 1.0 + 1e-9 and f.n >= 2:
             frame = rows
 
-    interior = [p for p in edges if g.witnesses[p].interior]
-    reps = dict(zip(interior, _representatives(f, s, g, interior)))
+    count = s.count
+    is_interior = g.clearances > 0.0
+    interior = g.witness_codes[is_interior]
+    # The edge whose certificate each edge borrows: its class
+    # representative when that has an interior witness, else itself.
+    reps = g.class_codes(interior)
+    reps = np.where(np.isin(reps, interior), reps, interior)
     classes: list[tuple[Pair, CoveringCertificate]] = []
-    searched: dict[Pair, int | str] = {}  # class index, or the failure reason
+    searched: dict[int, int | str] = {}  # class index, or the failure reason
 
-    def search(pair: Pair) -> int | str:
-        if pair not in searched:
+    def search(code: int) -> int | str:
+        if code not in searched:
+            pair = divmod(code, count)
             src, dst = _anchored_pair(f, s, g.witnesses[pair], frame)
             result = check_covering(f, src, dst, cfg)
             if isinstance(result, CoveringCertificate):
-                searched[pair] = len(classes)
+                searched[code] = len(classes)
                 classes.append((pair, result))
             else:
-                searched[pair] = result.reason
-        return searched[pair]
+                searched[code] = result.reason
+        return searched[code]
 
-    edge_class: dict[Pair, int] = {}
+    edge_codes, edge_classes = [], []
     failures: list[tuple[int, int, str]] = []
-    for pair in interior:
-        got = search(reps[pair])
-        if isinstance(got, str) and reps[pair] != pair:
-            got = search(pair)
+    for pair, code, rep in zip(code_pairs(interior, count), interior.tolist(), reps.tolist()):
+        got = search(rep)
+        if isinstance(got, str) and rep != code:
+            got = search(code)
         if isinstance(got, str):
             failures.append((*pair, got))
         else:
-            edge_class[pair] = got
-    excluded = frozenset(edges) - frozenset(interior)
+            edge_codes.append(code)
+            edge_classes.append(got)
+    excluded = PairRows(g.witness_codes[~is_interior], count).keys()
 
-    if failures or not edge_class:
+    if failures or not edge_codes:
         if not failures:
             failures = [(-1, -1, "no interior-witnessed edges to certify")]
         return FailureReport(
             map_id=f.descriptor,
-            total_edges=len(edges),
-            certified=len(edge_class),
+            total_edges=g.nonempty_count,
+            certified=len(edge_codes),
             failures=tuple(failures),
             excluded_boundary=excluded,
         )
@@ -718,7 +700,8 @@ def certify_chained(
         map_id=f.descriptor,
         subdivision=s,
         classes=tuple(classes),
-        edge_class=edge_class,
+        edge_codes=np.array(edge_codes, dtype=np.int64),
+        edge_classes=np.array(edge_classes, dtype=np.int64),
         excluded_boundary=excluded,
     )
 
@@ -742,6 +725,19 @@ def _rect_in_cube(r: Rectangle, cube: Box) -> bool:
     return bool(np.all(c - half >= cube.lo_arr) and np.all(c + half <= cube.hi_arr))
 
 
+def _pair_codes(pairs: list, count: int, what: str) -> tuple[np.ndarray, list[Pair]]:
+    """Sorted unique codes i * count + j of stored cube pairs, and the sorted
+    pairs that name no cube.  Each pair must be two integers: JSON true,
+    false or 1.0 is not an index."""
+    if (set(map(type, pairs)) - {list, tuple} or set(map(len, pairs)) - {2}
+            or set(map(type, itertools.chain.from_iterable(pairs))) - {int}):
+        raise ValueError(f"{what} must hold pairs of integer indices")
+    cube = [0 <= i < count and 0 <= j < count for i, j in pairs]
+    strays = sorted({tuple(p) for p, ok in zip(pairs, cube) if not ok})
+    ij = np.array([p for p, ok in zip(pairs, cube) if ok], dtype=np.int64).reshape(-1, 2)
+    return np.unique(ij[:, 0] * count + ij[:, 1]), strays
+
+
 def audit_chained(
     f: MapSpec, g: TransitionGraph, body: dict, cfg: CoveringConfig | None = None
 ) -> ChainedAudit:
@@ -753,25 +749,27 @@ def audit_chained(
     edge names must be its translation class: the edge and the class's
     pair must share a class representative, derived here rather than read
     from the file. The excluded edges must be exactly the boundary-only
-    edges of g.
+    edges of g. Edges are compared as sorted pair codes.
     """
     cfg = cfg or CoveringConfig()
     s = g.subdivision
+    count = s.count
     problems: list[str] = []
-    if g.uncertain and not cfg.allow_uncertain:
-        problems.append(f"graph has {len(g.uncertain)} uncertain edges")
+    if g.uncertain_count and not cfg.allow_uncertain:
+        problems.append(f"graph has {g.uncertain_count} uncertain edges")
 
-    reps: list[Pair | None] = []
+    reps: list[int] = []  # each class's pair code; -1 when it is not a cube pair
     margins = []
     for k, entry in enumerate(body["classes"]):
-        i, j = (int(v) for v in entry["pair"])
+        _pair_codes([entry["pair"]], count, f"class {k}")
+        i, j = entry["pair"]
         cert = certificate_from_json(entry["certificate"])
         margins.append(certificate_margin(cert))
-        if not (0 <= i < s.count and 0 <= j < s.count):
-            reps.append(None)
+        if not (0 <= i < count and 0 <= j < count):
+            reps.append(-1)
             problems.append(f"class {k}: pair {(i, j)} is not a cube pair")
             continue
-        reps.append((i, j))
+        reps.append(i * count + j)
         if not (_rect_in_cube(cert.source, s.box(i)) and _rect_in_cube(cert.target, s.box(j))):
             problems.append(f"class {k}: rectangles leave the cubes of pair {(i, j)}")
         if not verify_certificate(f, cert, cfg):
@@ -780,37 +778,37 @@ def audit_chained(
     if body["margin"] != least:
         problems.append(f"stored margin {body['margin']!r} != class minimum {least!r}")
 
-    interior = {p for p, w in g.witnesses.items() if w.interior}
+    is_interior = g.clearances > 0.0
+    interior, boundary = g.witness_codes[is_interior], g.witness_codes[~is_interior]
     stored: dict[Pair, int] = {}
     for key, k in body["certificates"].items():
-        if not isinstance(k, int):
+        if type(k) is not int:  # JSON true, false and 1.0 are not class indices
             raise ValueError(f"certificate entry {key!r} must name a class index")
-        i, j = (int(v) for v in key.split(","))
+        i, j = map(int, key.split(","))
         stored[(i, j)] = k
-    for pair in sorted(interior - stored.keys()):
+    codes, strays = _pair_codes(list(stored), count, "certificates")
+    for pair in code_pairs(np.setdiff1d(interior, codes, assume_unique=True), count):
         problems.append(f"edge {pair}: interior-witnessed but not certified")
-    for pair in sorted(stored.keys() - interior):
+    unknown = code_pairs(np.setdiff1d(codes, interior, assume_unique=True), count)
+    for pair in sorted([*unknown, *strays]):
         problems.append(f"edge {pair}: certified but not an interior-witnessed graph edge")
-    named = sorted(
-        (pair, reps[k]) for pair, k in stored.items()
-        if pair in interior and 0 <= k < len(reps) and reps[k] is not None
-    )
-    own = class_representatives(f, s, [p for p, _ in named])
-    theirs = class_representatives(f, s, [r for _, r in named])
-    agree = {p for (p, _), a, b in zip(named, own, theirs) if a == b}
-    for pair in sorted((stored.keys() & interior) - agree):
+    edges = np.intersect1d(codes, interior, assume_unique=True)
+    ks = [stored[p] for p in code_pairs(edges, count)]
+    named = np.array(reps + [-1])[[k if 0 <= k < len(reps) else -1 for k in ks]]
+    agree = (named >= 0) & (g.class_codes(edges) == g.class_codes(np.maximum(named, 0)))
+    for pair in code_pairs(edges[~agree], count):
         problems.append(f"edge {pair}: class {stored[pair]} is not its translation class")
 
-    boundary = set(g.witnesses) - interior
-    excluded = {tuple(int(v) for v in p) for p in body["excluded_boundary"]}
-    for pair in sorted(excluded - boundary):
+    listed, strays = _pair_codes(body["excluded_boundary"], count, "excluded_boundary")
+    unknown = code_pairs(np.setdiff1d(listed, boundary, assume_unique=True), count)
+    for pair in sorted([*unknown, *strays]):
         problems.append(f"edge {pair}: listed as excluded but not a boundary-only graph edge")
-    for pair in sorted(boundary - excluded):
+    for pair in code_pairs(np.setdiff1d(boundary, listed, assume_unique=True), count):
         problems.append(f"edge {pair}: boundary-only graph edge missing from excluded_boundary")
     return ChainedAudit(
         classes=len(reps),
-        certified=len(agree),
-        excluded=len(excluded),
+        certified=int(agree.sum()),
+        excluded=len(listed) + len(strays),
         problems=tuple(problems),
     )
 
@@ -852,7 +850,6 @@ __all__ = [
     "Inconclusive",
     "ChainedCertificate",
     "ChainedAudit",
-    "EdgeCertificates",
     "FailureReport",
     "ChainValidity",
     "check_covering",

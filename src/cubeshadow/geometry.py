@@ -9,7 +9,6 @@ outward rounding.
 
 from dataclasses import dataclass
 from enum import Enum
-import itertools
 import math
 
 import numpy as np
@@ -175,36 +174,12 @@ def make_subdivision(n, m, space, budget=DEFAULT_CUBE_BUDGET):
     return Subdivision(n=n, m=m, space=space)
 
 
-def cubes_containing_point(subdivision, p):
-    """Flat indices, ascending, of all cubes whose closure contains p.
-
-    A coordinate on a grid hyperplane lies in both neighboring cubes (on
-    the torus 0 and 1 are the same hyperplane), so up to 2^n cubes qualify.
-    """
-    side = subdivision.side
-    per_axis = []
-    for x in p:
-        x = float(x)
-        if subdivision.space is Space.TORUS:
-            x = x - math.floor(x)
-        t = x * side  # exact: side is a power of two
-        j = math.floor(t)
-        if t == j:
-            if subdivision.space is Space.TORUS:
-                per_axis.append(sorted({(j - 1) % side, j % side}))
-            else:
-                per_axis.append([c for c in (j - 1, j) if 0 <= c < side])
-        else:
-            per_axis.append([min(max(int(j), 0), side - 1)])
-    return [subdivision.flat_index(combo) for combo in itertools.product(*per_axis)]
-
-
 def cubes_of_points(subdivision, points):
     """Flat index of the cube containing each row of a (k, n) batch.
 
     A point on grid hyperplanes gets the smallest index of the cubes
-    holding it, min(cubes_containing_point): per axis the lower neighbor,
-    and on the torus cube 0 for the hyperplane where 0 and 1 meet.
+    whose closures hold it: per axis the lower neighbor, and on the torus
+    cube 0 for the hyperplane where 0 and 1 meet.
     """
     side = subdivision.side
     x = np.asarray(points, dtype=float)

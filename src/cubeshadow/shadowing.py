@@ -202,6 +202,14 @@ def step_defects(f: MapSpec, p: PseudoOrbit) -> list[float]:
     return [float(np.linalg.norm(d)) for d in _step_errors(f, p)]
 
 
+def _worst_defect_above(f: MapSpec, p: PseudoOrbit, delta: float) -> float | None:
+    """p's worst step defect when it breaks the bound delta (every defect
+    below delta, or exactly 0 when delta is 0), else None."""
+    worst = max(step_defects(f, p), default=0.0)
+    ok = worst == 0.0 if delta == 0.0 else worst < delta
+    return None if ok else worst
+
+
 def pseudo_orbit(
     f: MapSpec,
     points,
@@ -219,10 +227,8 @@ def pseudo_orbit(
         periodic=periodic,
         known_itinerary=None if known_itinerary is None else tuple(known_itinerary),
     )
-    defects = step_defects(f, p)
-    worst = max(defects, default=0.0)
-    ok = worst == 0.0 if p.delta == 0.0 else worst < p.delta
-    if defects and not ok:
+    worst = _worst_defect_above(f, p, p.delta)
+    if worst is not None:
         raise ValueError(
             f"step defect {worst} is not below the stated delta {p.delta}"
         )
@@ -307,10 +313,8 @@ def generate_pseudo_orbit(
         space=f.space,
         lo=-len(backward),
     )
-    defects = step_defects(f, p)
-    worst = max(defects, default=0.0)
-    ok = worst == 0.0 if delta == 0.0 else worst < delta
-    if not ok:
+    worst = _worst_defect_above(f, p, delta)
+    if worst is not None:
         raise ValueError(
             f"mode {mode!r} produced step defect {worst}, not below delta {delta}; "
             "grid snapping needs delta above the grid half-diagonal times the "

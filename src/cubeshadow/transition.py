@@ -10,9 +10,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from collections.abc import Callable, KeysView, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -50,16 +51,94 @@ class EdgeWitness:
         return self.clearance > 0.0
 
 
-@dataclass(frozen=True)
+def code_pairs(codes: np.ndarray, count: int) -> list[tuple[int, int]]:
+    """The cube pairs (i, j) of the codes i * count + j, in order."""
+    i, j = np.divmod(codes, count)
+    return list(zip(i.tolist(), j.tolist()))
+
+
+class PairRows(Mapping):
+    """Cube pair -> its row's value, over sorted codes i * count + j;
+    ``value(k)`` builds row k's value on lookup, ``keys()`` is the pair set."""
+
+    def __init__(self, codes: np.ndarray, count: int, value: Callable[[int], object] = int):
+        self.codes, self.count, self._value = codes, count, value
+
+    def __getitem__(self, pair):
+        i, j = pair
+        if 0 <= i < self.count and 0 <= j < self.count:
+            code = i * self.count + j
+            k = int(np.searchsorted(self.codes, code))
+            if k < len(self.codes) and self.codes[k] == code:
+                return self._value(k)
+        raise KeyError(pair)
+
+    def __iter__(self):
+        return iter(code_pairs(self.codes, self.count))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+
+@dataclass(frozen=True, eq=False)
 class TransitionGraph:
+    """Every ordered cube pair's status, held as columns.
+
+    CertifiedNonempty pairs are the sorted codes i * count + j in
+    ``witness_codes``, with their witness ``points``, ``images`` and
+    ``clearances``; Uncertain pairs are ``uncertain_codes``; near-miss
+    CertifiedEmpty pairs are ``gap_codes``, each sharing the gap of the
+    computed pair at position ``gap_rows`` of ``computed_gaps``; every other
+    pair is CertifiedEmpty.  ``index_matrix`` is the index action of a map
+    that commutes with the grid translations.  The gaps stay coarse until
+    the first read of ``min_empty_gap`` or of a gap runs ``sharpen``.
+    """
+
     subdivision: Subdivision
     map_id: str
     samples_per_cube: int
     refine_depth: int
-    witnesses: dict[tuple[int, int], EdgeWitness]
-    uncertain: frozenset[tuple[int, int]]
-    min_empty_gap: float  # min over CertifiedEmpty pairs; +inf when none exist
-    empty_gaps: dict[tuple[int, int], float]  # gaps for near-miss pairs only
+    index_matrix: np.ndarray | None
+    witness_codes: np.ndarray
+    points: np.ndarray
+    images: np.ndarray
+    clearances: np.ndarray
+    uncertain_codes: np.ndarray
+    gap_codes: np.ndarray
+    gap_rows: np.ndarray
+    computed_gaps: dict[tuple[int, int], float]
+    sharpen: Callable[[], float]
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TransitionGraph) and self.to_json() == other.to_json()
+
+    @cached_property
+    def witnesses(self) -> PairRows:
+        """CertifiedNonempty pair -> its EdgeWitness, built on lookup."""
+        p, q, c = self.points, self.images, self.clearances
+        return PairRows(
+            self.witness_codes, self.subdivision.count,
+            lambda k: EdgeWitness(tuple(p[k].tolist()), tuple(q[k].tolist()), float(c[k])),
+        )
+
+    @cached_property
+    def uncertain(self) -> KeysView[tuple[int, int]]:
+        return PairRows(self.uncertain_codes, self.subdivision.count).keys()
+
+    @cached_property
+    def min_empty_gap(self) -> float:
+        """Min over CertifiedEmpty pairs (+inf if none); the first read sharpens."""
+        return self.sharpen()
+
+    @cached_property
+    def _gap_values(self) -> list[float]:
+        self.min_empty_gap
+        return np.array(list(self.computed_gaps.values()), dtype=float)[self.gap_rows].tolist()
+
+    @property
+    def empty_gaps(self) -> PairRows:
+        """Near-miss CertifiedEmpty pair -> its gap; reading a gap sharpens first."""
+        return PairRows(self.gap_codes, self.subdivision.count, lambda k: self._gap_values[k])
 
     def status(self, i: int, j: int) -> EdgeStatus:
         if (i, j) in self.witnesses:
@@ -72,7 +151,7 @@ class TransitionGraph:
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
         """Each source cube's CertifiedNonempty targets, ascending; built once."""
         succ: dict[int, list[int]] = {}
-        for i, j in sorted(self.witnesses):
+        for i, j in self.witnesses:
             succ.setdefault(i, []).append(j)
         return {i: tuple(js) for i, js in succ.items()}
 
@@ -82,36 +161,41 @@ class TransitionGraph:
     @cached_property
     def _live_codes(self) -> np.ndarray:
         """Sorted codes i * count + j of the pairs not certified empty."""
-        count = self.subdivision.count
-        return np.sort([i * count + j for i, j in (*self.witnesses, *self.uncertain)])
+        return np.union1d(self.witness_codes, self.uncertain_codes)
 
     def certified_empty(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Whether each pair (i[k], j[k]) is certified empty, in one array pass."""
         return ~np.isin(i * self.subdivision.count + j, self._live_codes)
 
+    def class_codes(self, codes: np.ndarray) -> np.ndarray:
+        """The code of each pair's translation-class representative: when
+        f(x + t) = f(x) + A t (A = ``index_matrix``), pair (i, j) is the
+        translate of (0, j - A i mod 2^m); otherwise its own class."""
+        if self.index_matrix is None:
+            return codes
+        s = self.subdivision
+        multis = s.multi_indices()
+        i, j = np.divmod(codes, s.count)
+        return s.flat_indices((multis[j] - multis[i] @ self.index_matrix.T) % s.side)
+
     @property
     def nonempty_count(self) -> int:
-        return len(self.witnesses)
+        return len(self.witness_codes)
 
     @property
     def uncertain_count(self) -> int:
-        return len(self.uncertain)
+        return len(self.uncertain_codes)
 
     def to_json(self) -> dict:
         # Empty pairs are implicit: at order m there are 2^{2nm} ordered
         # pairs, almost all of them empty, so only the exceptions are listed.
-        edges = []
-        for (i, j), w in sorted(self.witnesses.items()):
-            edges.append(
-                [i, j, EdgeStatus.NONEMPTY.value, {
-                    "witness": list(w.point),
-                    "image": list(w.image),
-                    "clearance": w.clearance,
-                }]
-            )
-        for (i, j) in sorted(self.uncertain):
-            edges.append([i, j, EdgeStatus.UNCERTAIN.value, None])
-        near = {f"{i},{j}": g for (i, j), g in sorted(self.empty_gaps.items())}
+        rows = zip(self.points.tolist(), self.images.tolist(), self.clearances.tolist())
+        edges = [
+            [i, j, EdgeStatus.NONEMPTY.value, {"witness": p, "image": q, "clearance": c}]
+            for (i, j), (p, q, c) in zip(self.witnesses, rows)
+        ]
+        edges += [[i, j, EdgeStatus.UNCERTAIN.value, None] for i, j in self.uncertain]
+        near = {f"{i},{j}": g for (i, j), g in zip(self.empty_gaps, self._gap_values)}
         return {
             "map_id": self.map_id,
             "n": self.subdivision.n,
@@ -126,11 +210,9 @@ class TransitionGraph:
         }
 
     def to_dot(self) -> str:
-        lines = ["digraph transitions {"]
-        for (i, j) in sorted(self.witnesses):
-            lines.append(f"  {i} -> {j};")
-        lines.append("}")
-        return "\n".join(lines)
+        return "\n".join(
+            ["digraph transitions {", *(f"  {i} -> {j};" for i, j in self.witnesses), "}"]
+        )
 
 
 def _sample_offsets(n: int, samples_per_cube: int) -> np.ndarray:
@@ -258,8 +340,8 @@ def build_graph(
     in lockstep.
 
     Toral-linear maps on the torus commute with the grid translations, so
-    their rows are exact translates of row 0; that single row is computed in
-    full and the rest derived, with every derived witness re-checked.
+    their rows are exact translates of row 0, the one row computed; the rest
+    are derived in one array pass.  The minimum gap is sharpened on read.
     """
     if samples_per_cube < 1:
         raise ValueError("samples_per_cube must be >= 1")
@@ -269,61 +351,86 @@ def build_graph(
 
     offsets = _sample_offsets(s.n, samples_per_cube)
     cubes = _cube_bounds(s)
-    witnesses: dict[tuple[int, int], EdgeWitness] = {}
-    uncertain: set[tuple[int, int]] = set()
-    empty_gaps: dict[tuple[int, int], float] = {}
-    min_empty_gap = math.inf
-
+    count = s.count
     index_matrix = equivariant_index_matrix(f, s)
-    rows = [0] if index_matrix is not None else list(range(s.count))
+    rows = [0] if index_matrix is not None else list(range(count))
     e_lo, e_hi = eval_box(f, Direction.FORWARD, cubes[0][rows], cubes[1][rows])
     computed = [
-        (i, *_compute_row(f, s, i, offsets, cubes, e_lo[r], e_hi[r]))
-        for r, i in enumerate(rows)
+        _compute_row(f, s, i, offsets, cubes, e_lo[r], e_hi[r]) for r, i in enumerate(rows)
     ]
-    open_pairs = [(i, j) for i, _, row_unc, _, _ in computed for j in sorted(row_unc)]
-    refined = dict(
-        zip(open_pairs, _refine_uncertain(f, s, open_pairs, offsets, refine_depth, cubes))
-    )
-
-    for i, row_wit, row_unc, row_gaps, row_min in computed:
-        for j in sorted(row_unc):
-            result = refined[(i, j)]
-            if result is None:
-                continue
-            row_unc.discard(j)
-            if isinstance(result, EdgeWitness):
-                row_wit[(i, j)] = result
-            else:
-                row_gaps[j] = result
-                row_min = min(row_min, result)
-        witnesses.update(row_wit)
-        uncertain.update((i, j) for j in row_unc)
-        empty_gaps.update({(i, j): gap for j, gap in row_gaps.items()})
-        min_empty_gap = min(min_empty_gap, row_min)
-
-    min_empty_gap = _sharpen_min_gap(f, s, empty_gaps, min_empty_gap, cubes)
+    witnesses = [tuple(np.concatenate(col) for col in zip(*(wit for wit, *_ in computed)))]
+    open_pairs = [(i, j) for i, (_, unc, _, _) in zip(rows, computed) for j in unc]
+    gaps = {pair: gap for _, _, row_gaps, _ in computed for pair, gap in row_gaps.items()}
+    coarse_min = min((row_min for *_, row_min in computed), default=math.inf)
+    del computed  # its row arrays would stay alive through the refinement, the peak
+    uncertain = []
+    refined = _refine_uncertain(f, s, open_pairs, offsets, refine_depth, cubes)
+    for (i, j), result in zip(open_pairs, refined):
+        if result is None:
+            uncertain.append(i * count + j)
+        elif isinstance(result, EdgeWitness):
+            witnesses.append(([i * count + j], [result.point], [result.image], [result.clearance]))
+        else:
+            gaps[(i, j)] = result
+            coarse_min = min(coarse_min, result)
+    # Witness columns: codes i * count + j, points, images, clearances.
+    cols = [np.concatenate(col) for col in zip(*witnesses)]
+    uncertain = np.array(uncertain, dtype=np.int64)
+    gaps = dict(sorted(gaps.items()))
+    gap_codes = np.array([i * count + j for i, j in gaps], dtype=np.int64)
+    gap_rows = np.arange(len(gaps))
 
     if index_matrix is not None:
-        _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps)
+        # Pair (i, j) has the geometry of (0, j - A i).  Derived witness
+        # points are exact dyadic shifts of row 0's; their images and
+        # clearances are recomputed, so the stored data stays verifiable.
+        order = np.argsort(cols[0])
+        cols = [c[order] for c in cols]
+        translate = partial(_translates, s, index_matrix)
+        moved = translate(cols[0])
+        lo = s.multi_indices() * s.cube_width
+        pts = cols[1][None, :, :] + lo[:, None, :]  # stays in [0, 1]: no wrap
+        imgs = eval_points(f, pts.reshape(-1, s.n)).reshape(pts.shape)
+        dst = lo[moved % count]
+        clear = np.minimum(
+            _cube_clearances(pts, lo[:, None, :], lo[:, None, :] + s.cube_width, s.space),
+            _cube_clearances(imgs, dst, dst + s.cube_width, s.space),
+        )
+        # Rounding can push a boundary witness out of its cube: demote it
+        # rather than store an invalid witness.
+        bad = clear[1:] < 0.0
+        derived = (moved, pts, imgs, clear)
+        cols = [np.concatenate([c, d[1:][~bad]]) for c, d in zip(cols, derived)]
+        uncertain = np.concatenate([translate(uncertain).ravel(), moved[1:][bad]])
+        gap_codes = translate(gap_codes).ravel()
+        gap_rows = np.tile(gap_rows, count)
 
+    order = np.argsort(cols[0])
+    codes, points, images, clearances = (c[order] for c in cols)
+    by_gap = np.argsort(gap_codes)
     return TransitionGraph(
         subdivision=s,
         map_id=f.descriptor,
         samples_per_cube=samples_per_cube,
         refine_depth=refine_depth,
-        witnesses=witnesses,
-        uncertain=frozenset(uncertain),
-        min_empty_gap=min_empty_gap,
-        empty_gaps=empty_gaps,
+        index_matrix=index_matrix,
+        witness_codes=codes,
+        points=points,
+        images=images,
+        clearances=clearances,
+        uncertain_codes=np.sort(uncertain),
+        gap_codes=gap_codes[by_gap],
+        gap_rows=gap_rows[by_gap],
+        computed_gaps=gaps,
+        sharpen=partial(_sharpen_min_gap, f, s, gaps, coarse_min, cubes),
     )
 
 
 def _witnesses(
     pts: np.ndarray, images: np.ndarray, src_lo, src_hi, t_lo, t_hi, space: Space
-) -> list[EdgeWitness | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The best sample witnessing C_i -> C_j for each target row of
-    [t_lo, t_hi], or None when no image lands in that target.
+    [t_lo, t_hi]: whether any image lands there, its index, its clearance.
 
     ``pts`` are the samples of one source cell [src_lo, src_hi] and
     ``images`` their images.  A sample counts when its image lies in the
@@ -334,54 +441,31 @@ def _witnesses(
     inside = img_clear >= 0.0
     src_clear = _cube_clearances(pts, src_lo, src_hi, space)
     score = np.where(inside, np.minimum(src_clear, img_clear), -np.inf)
-    best = np.argmax(score, axis=1).tolist()
-    return [
-        EdgeWitness(
-            point=tuple(pts[k]), image=tuple(images[k]), clearance=max(float(score[t, k]), 0.0)
-        )
-        if inside[t, k] else None
-        for t, k in enumerate(best)
-    ]
+    best = np.argmax(score, axis=1)
+    rows = np.arange(len(best))
+    clear = score[rows, best]
+    return inside[rows, best], best, np.where(0.0 > clear, 0.0, clear)
 
 
-def _compute_row(
-    f: MapSpec,
-    s: Subdivision,
-    i: int,
-    offsets: np.ndarray,
-    cubes: tuple[np.ndarray, np.ndarray],
-    e_lo: np.ndarray,
-    e_hi: np.ndarray,
-) -> tuple[dict[tuple[int, int], EdgeWitness], set[int], dict[int, float], float]:
-    """One source cube, given its image enclosure [e_lo, e_hi]: witnesses,
-    uncertain targets, near-miss gaps, min gap."""
+def _compute_row(f: MapSpec, s: Subdivision, i: int, offsets, cubes, e_lo, e_hi) -> tuple:
+    """One source cube, given its image enclosure [e_lo, e_hi]: its witness
+    columns (codes, points, images, clearances), uncertain targets,
+    near-miss gaps and min gap."""
     gaps = _norm_lb(_lift_gaps(e_lo, e_hi, *cubes, s.space))
-
-    row_wit: dict[tuple[int, int], EdgeWitness] = {}
-    row_unc: set[int] = set()
-    row_gaps: dict[int, float] = {}
-    row_min = math.inf
-
     empties = np.flatnonzero(gaps > 0.0)
-    if empties.size:
-        row_min = float(gaps[empties].min())
-        for j in empties[gaps[empties] <= _NEAR_BAND * s.cube_width]:
-            row_gaps[int(j)] = float(gaps[j])
+    row_min = float(gaps[empties].min()) if empties.size else math.inf
+    near = empties[gaps[empties] <= _NEAR_BAND * s.cube_width]
+    row_gaps = {(i, j): g for j, g in zip(near.tolist(), gaps[near].tolist())}
 
     candidates = np.flatnonzero(gaps == 0.0)
-    if candidates.size:
-        lo_all, hi_all = cubes
-        pts = lo_all[i] + offsets * (hi_all[i] - lo_all[i])
-        images = eval_points(f, pts)
-        found = _witnesses(
-            pts, images, lo_all[i], hi_all[i], lo_all[candidates], hi_all[candidates], s.space
-        )
-        for j, wit in zip(candidates.tolist(), found):
-            if wit is None:
-                row_unc.add(j)
-            else:
-                row_wit[(i, j)] = wit
-    return row_wit, row_unc, row_gaps, row_min
+    lo_all, hi_all = cubes
+    pts = lo_all[i] + offsets * (hi_all[i] - lo_all[i])
+    images = eval_points(f, pts)
+    hit, best, clear = _witnesses(
+        pts, images, lo_all[i], hi_all[i], lo_all[candidates], hi_all[candidates], s.space
+    )
+    wit = (i * s.count + candidates[hit], pts[best[hit]], images[best[hit]], clear[hit])
+    return wit, candidates[~hit].tolist(), row_gaps, row_min
 
 
 def equivariant_index_matrix(f: MapSpec, s: Subdivision) -> np.ndarray | None:
@@ -393,88 +477,11 @@ def equivariant_index_matrix(f: MapSpec, s: Subdivision) -> np.ndarray | None:
     return None
 
 
-def class_representatives(
-    f: MapSpec, s: Subdivision, pairs: list[tuple[int, int]]
-) -> list[tuple[int, int]]:
-    """The row-0 representative of each cube pair's translation class.
-
-    When f commutes with the grid translations (f(x + t) = f(x) + A t,
-    A integer), pair (i, j) is the translate of (0, j - A i mod 2^m) and
-    has the same geometry; otherwise each pair is its own class.
-    """
-    index_matrix = equivariant_index_matrix(f, s)
-    if index_matrix is None:
-        return list(pairs)
+def _translates(s: Subdivision, index_matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """(count, len(targets)) codes of the translates (i, j0 + A i mod 2^m) of (0, j0)."""
     multis = s.multi_indices()
-    ij = np.asarray(pairs, dtype=int).reshape(-1, 2)
-    keys = s.flat_indices((multis[ij[:, 1]] - multis[ij[:, 0]] @ index_matrix.T) % s.side)
-    return [(0, key) for key in keys.tolist()]
-
-
-def _translate_rows(
-    f: MapSpec,
-    s: Subdivision,
-    index_matrix: np.ndarray,
-    witnesses: dict[tuple[int, int], EdgeWitness],
-    uncertain: set[tuple[int, int]],
-    empty_gaps: dict[tuple[int, int], float],
-) -> None:
-    """Populate rows 1.. from row 0 by exact grid translation.
-
-    f(x + t) = f(x) + At for the equivariant kinds, so cube pair (i, j)
-    has the same geometry as (0, j - Ai). Derived witness points are exact
-    dyadic shifts of row-0 sample points; images and clearances are
-    recomputed from scratch so the stored data stays verifiable.
-    """
-    w = s.cube_width
-    multis = s.multi_indices()  # (count, n)
-    shifts = multis @ index_matrix.T  # A i for every source cube i
-
-    def row_targets(base_j: list[int]) -> np.ndarray:
-        """Where each row-0 target j0 lands in every row i: the
-        multi-indices j0 + A i mod 2^m, shape (count, len(base_j), n)."""
-        return (multis[base_j][None, :, :] + shifts[:, None, :]) % s.side
-
-    base = sorted(witnesses.items())
-    base_unc = sorted({j for (_, j) in uncertain})
-    base_gaps = sorted({j: g for (_, j), g in empty_gaps.items()}.items())
-    if base:
-        tgt_multi = row_targets([j for (_, j), _ in base])
-        tgt_flat = s.flat_indices(tgt_multi)  # (count, nwit)
-        base_pts = np.array([wit.point for _, wit in base])
-        # base point + dyadic shift stays in [0, 1]; no wrap on the source.
-        pts = base_pts[None, :, :] + (multis * w)[:, None, :]
-        images = eval_points(f, pts.reshape(-1, s.n)).reshape(pts.shape)
-
-        src_lo = (multis * w)[:, None, :]
-        dst_lo = tgt_multi * w
-        clear = np.minimum(
-            _cube_clearances(pts, src_lo, src_lo + w, s.space),
-            _cube_clearances(images, dst_lo, dst_lo + w, s.space),
-        )
-
-        for i in range(1, s.count):
-            for k in range(len(base)):
-                pair = (i, int(tgt_flat[i, k]))
-                c = float(clear[i, k])
-                if c < 0.0:
-                    # Rounding pushed a boundary witness out of its cube;
-                    # demote rather than store an invalid witness.
-                    uncertain.add(pair)
-                    continue
-                witnesses[pair] = EdgeWitness(
-                    point=tuple(pts[i, k]),
-                    image=tuple(images[i, k]),
-                    clearance=c,
-                )
-
-    # One row-0 target at a time keeps the index temporaries at (count, n).
-    for j0 in base_unc:
-        targets = s.flat_indices(row_targets([j0]))[:, 0].tolist()
-        uncertain.update((i, targets[i]) for i in range(1, s.count))
-    for j0, gap in base_gaps:
-        targets = s.flat_indices(row_targets([j0]))[:, 0].tolist()
-        empty_gaps.update(((i, targets[i]), gap) for i in range(1, s.count))
+    moved = (multis[targets][None, :, :] + (multis @ index_matrix.T)[:, None, :]) % s.side
+    return np.arange(s.count)[:, None] * s.count + s.flat_indices(moved)
 
 
 def _sharpen_min_gap(
@@ -626,9 +633,12 @@ def _refine_uncertain(
             if hits.size:
                 r = first + int(hits[0])
                 i = pairs[p][0]
-                (results[p],) = _witnesses(
+                _, (k,), (c,) = _witnesses(
                     pts[r], images[r], lo_all[i], hi_all[i],
                     t_lo[r : r + 1], t_hi[r : r + 1], s.space,
+                )
+                results[p] = EdgeWitness(
+                    tuple(pts[r, k].tolist()), tuple(images[r, k].tolist()), float(c)
                 )
             elif first == stop:
                 empty.append(p)
@@ -741,9 +751,9 @@ def delta_bound(g: TransitionGraph, allow_uncertain: bool = False) -> float:
     consecutive cubes are never a provably-empty pair. With no empty pair at
     all, every delta works, encoded as the space diameter.
     """
-    if g.uncertain and not allow_uncertain:
+    if g.uncertain_count and not allow_uncertain:
         raise UncertainEdgesError(
-            f"{len(g.uncertain)} uncertain edges; refine further or pass "
+            f"{g.uncertain_count} uncertain edges; refine further or pass "
             "allow_uncertain to treat them as nonempty"
         )
     if math.isinf(g.min_empty_gap):
@@ -786,22 +796,14 @@ def strongly_connected(g: TransitionGraph) -> bool:
     """Connectivity of the CertifiedNonempty subgraph (mixing proxy for splicing)."""
     count = g.subdivision.count
     if count == 1:
-        return bool(g.witnesses.get((0, 0)))
+        return (0, 0) in g.witnesses
+    src, dst = np.divmod(g.witness_codes, count)
 
-    def reach(adjacency) -> int:
-        seen = {0}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            for j in adjacency(i):
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen)
+    def spans(a: np.ndarray, b: np.ndarray) -> bool:
+        """Whether edges a -> b reach every cube from cube 0."""
+        seen = np.arange(count) == 0
+        while not seen[b[seen[a]]].all():
+            seen[b[seen[a]]] = True
+        return bool(seen.all())
 
-    forward = reach(g.successors)
-    back: dict[int, list[int]] = {}
-    for (i, j) in g.witnesses:
-        back.setdefault(j, []).append(i)
-    backward = reach(lambda i: back.get(i, ()))
-    return forward == count and backward == count
+    return spans(src, dst) and spans(dst, src)

@@ -7,7 +7,10 @@ This is how the graph refinement worked before its kernels were batched;
 the tests compare the array kernels in ``cubeshadow.dynamics`` and
 ``cubeshadow.transition`` with it row for row, bit for bit, and check its
 own soundness.  ``step_error`` is the one-pair form of shadowing's step
-and window errors.
+and window errors, and ``cubes_containing_point`` the one-point form of
+the cube lookup.  ``materialised_graph`` builds the transition graph as
+dicts, every translated row written out pair by pair, the way the graph
+was stored before its rows became columns.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ import math
 
 import numpy as np
 
-from cubeshadow.dynamics import Direction, eval_point, eval_points, map_parts
+from cubeshadow import transition
+from cubeshadow.dynamics import Direction, eval_box, eval_point, eval_points, map_parts
 from cubeshadow.geometry import Box, Space
-from cubeshadow.transition import _NEAR_BAND, EdgeWitness, _witnesses
+from cubeshadow.transition import _NEAR_BAND, EdgeStatus, EdgeWitness, _witnesses
 
 TWO_PI = 2.0 * math.pi
 NUDGE_ULPS = 4
@@ -234,12 +238,13 @@ def refine_pair(f, s, i: int, j: int, offsets: np.ndarray, depth: int):
                 if image_gap(f, child, jbox) > 0.0:
                     continue
                 pts = child.lo_arr + offsets * (child.hi_arr - child.lo_arr)
-                (wit,) = _witnesses(
-                    pts, eval_points(f, pts), src_box.lo_arr, src_box.hi_arr,
+                images = eval_points(f, pts)
+                (hit,), (k,), (c,) = _witnesses(
+                    pts, images, src_box.lo_arr, src_box.hi_arr,
                     jbox.lo_arr[None, :], jbox.hi_arr[None, :], s.space,
                 )
-                if wit is not None:
-                    return wit
+                if hit:
+                    return EdgeWitness(tuple(pts[k]), tuple(images[k]), float(c))
                 surviving.append(child)
         if not surviving:
             return pair_distance_lb(f, src_box, jbox, s.cube_width / (1 << depth))
@@ -268,3 +273,153 @@ def sharpen_min_gap(f, s, empty_gaps, min_empty_gap, cubes, rel_tol=2.0 ** -12) 
             empty_gaps[pair] = fine
         best = min(best, empty_gaps[pair])
     return best
+
+
+def cubes_containing_point(subdivision, p):
+    """Flat indices, ascending, of all cubes whose closure contains p.
+
+    A coordinate on a grid hyperplane lies in both neighboring cubes (on
+    the torus 0 and 1 are the same hyperplane), so up to 2^n cubes qualify.
+    """
+    side = subdivision.side
+    per_axis = []
+    for x in p:
+        x = float(x)
+        if subdivision.space is Space.TORUS:
+            x = x - math.floor(x)
+        t = x * side  # exact: side is a power of two
+        j = math.floor(t)
+        if t == j:
+            if subdivision.space is Space.TORUS:
+                per_axis.append(sorted({(j - 1) % side, j % side}))
+            else:
+                per_axis.append([c for c in (j - 1, j) if 0 <= c < side])
+        else:
+            per_axis.append([min(max(int(j), 0), side - 1)])
+    return [subdivision.flat_index(combo) for combo in itertools.product(*per_axis)]
+
+
+def _row_dicts(f, s, i, offsets, cubes, e_lo, e_hi):
+    """One source cube: witnesses, uncertain targets, near-miss gaps, min gap."""
+    gaps = transition._norm_lb(transition._lift_gaps(e_lo, e_hi, *cubes, s.space))
+    row_wit, row_unc, row_gaps, row_min = {}, set(), {}, math.inf
+    empties = np.flatnonzero(gaps > 0.0)
+    if empties.size:
+        row_min = float(gaps[empties].min())
+        for j in empties[gaps[empties] <= _NEAR_BAND * s.cube_width]:
+            row_gaps[int(j)] = float(gaps[j])
+    candidates = np.flatnonzero(gaps == 0.0)
+    if candidates.size:
+        lo_all, hi_all = cubes
+        pts = lo_all[i] + offsets * (hi_all[i] - lo_all[i])
+        images = eval_points(f, pts)
+        hit, best, clear = _witnesses(
+            pts, images, lo_all[i], hi_all[i], lo_all[candidates], hi_all[candidates], s.space
+        )
+        for j, h, k, c in zip(candidates.tolist(), hit, best, clear):
+            if h:
+                row_wit[(i, j)] = EdgeWitness(tuple(pts[k]), tuple(images[k]), float(c))
+            else:
+                row_unc.add(j)
+    return row_wit, row_unc, row_gaps, row_min
+
+
+def _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps) -> None:
+    """Populate rows 1.. from row 0 by exact grid translation, pair by pair."""
+    w = s.cube_width
+    multis = s.multi_indices()
+    shifts = multis @ index_matrix.T
+
+    def row_targets(base_j):
+        return (multis[base_j][None, :, :] + shifts[:, None, :]) % s.side
+
+    base = sorted(witnesses.items())
+    base_unc = sorted({j for (_, j) in uncertain})
+    base_gaps = sorted({j: g for (_, j), g in empty_gaps.items()}.items())
+    if base:
+        tgt_multi = row_targets([j for (_, j), _ in base])
+        tgt_flat = s.flat_indices(tgt_multi)
+        base_pts = np.array([wit.point for _, wit in base])
+        pts = base_pts[None, :, :] + (multis * w)[:, None, :]
+        images = eval_points(f, pts.reshape(-1, s.n)).reshape(pts.shape)
+        src_lo = (multis * w)[:, None, :]
+        dst_lo = tgt_multi * w
+        clear = np.minimum(
+            transition._cube_clearances(pts, src_lo, src_lo + w, s.space),
+            transition._cube_clearances(images, dst_lo, dst_lo + w, s.space),
+        )
+        for i in range(1, s.count):
+            for k in range(len(base)):
+                pair = (i, int(tgt_flat[i, k]))
+                c = float(clear[i, k])
+                if c < 0.0:
+                    uncertain.add(pair)
+                    continue
+                witnesses[pair] = EdgeWitness(tuple(pts[i, k]), tuple(images[i, k]), c)
+    for j0 in base_unc:
+        targets = s.flat_indices(row_targets([j0]))[:, 0].tolist()
+        uncertain.update((i, targets[i]) for i in range(1, s.count))
+    for j0, gap in base_gaps:
+        targets = s.flat_indices(row_targets([j0]))[:, 0].tolist()
+        empty_gaps.update(((i, targets[i]), gap) for i in range(1, s.count))
+
+
+def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
+    """The transition graph as (witnesses, uncertain, empty_gaps,
+    min_empty_gap): dicts and a set holding every pair, the minimum gap
+    sharpened while building, translated rows written out pair by pair."""
+    offsets = transition._sample_offsets(s.n, samples_per_cube)
+    cubes = transition._cube_bounds(s)
+    witnesses, uncertain, empty_gaps, min_empty_gap = {}, set(), {}, math.inf
+    index_matrix = transition.equivariant_index_matrix(f, s)
+    rows = [0] if index_matrix is not None else list(range(s.count))
+    e_lo, e_hi = eval_box(f, Direction.FORWARD, cubes[0][rows], cubes[1][rows])
+    computed = [
+        (i, *_row_dicts(f, s, i, offsets, cubes, e_lo[r], e_hi[r])) for r, i in enumerate(rows)
+    ]
+    open_pairs = [(i, j) for i, _, row_unc, _, _ in computed for j in sorted(row_unc)]
+    refined = dict(zip(open_pairs, transition._refine_uncertain(
+        f, s, open_pairs, offsets, refine_depth, cubes)))
+    for i, row_wit, row_unc, row_gaps, row_min in computed:
+        for j in sorted(row_unc):
+            result = refined[(i, j)]
+            if result is None:
+                continue
+            row_unc.discard(j)
+            if isinstance(result, EdgeWitness):
+                row_wit[(i, j)] = result
+            else:
+                row_gaps[j] = result
+                row_min = min(row_min, result)
+        witnesses.update(row_wit)
+        uncertain.update((i, j) for j in row_unc)
+        empty_gaps.update({(i, j): gap for j, gap in row_gaps.items()})
+        min_empty_gap = min(min_empty_gap, row_min)
+    min_empty_gap = transition._sharpen_min_gap(f, s, empty_gaps, min_empty_gap, cubes)
+    if index_matrix is not None:
+        _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps)
+    return witnesses, uncertain, empty_gaps, min_empty_gap
+
+
+def graph_json(g, witnesses, uncertain, empty_gaps, min_empty_gap) -> dict:
+    """``TransitionGraph.to_json`` of the materialised dicts; the header
+    fields are g's."""
+    s = g.subdivision
+    edges = [
+        [i, j, EdgeStatus.NONEMPTY.value,
+         {"witness": list(w.point), "image": list(w.image), "clearance": w.clearance}]
+        for (i, j), w in sorted(witnesses.items())
+    ]
+    edges += [[i, j, EdgeStatus.UNCERTAIN.value, None] for i, j in sorted(uncertain)]
+    return {
+        "map_id": g.map_id,
+        "n": s.n,
+        "m": s.m,
+        "space": s.space.value,
+        "samples_per_cube": g.samples_per_cube,
+        "refine_depth": g.refine_depth,
+        "edges": edges,
+        "empty_pairs": "implicit",
+        "min_empty_gap": None if math.isinf(min_empty_gap) else min_empty_gap,
+        "near_empty_gaps": {f"{i},{j}": v for (i, j), v in sorted(empty_gaps.items())},
+    }

@@ -121,32 +121,58 @@ def _widen_strip(cert):
     c["h_range"] = [lo - (hi - lo) / 2, hi + (hi - lo) / 2]
 
 
+def _bool_class(cert):
+    # true == 1 and false == 0, so a lenient reader takes them as indices.
+    entries = cert["certificates"]
+    for k in (0, 1):
+        key = next(key for key in sorted(entries) if entries[key] == k)
+        entries[key] = bool(k)
+
+
+def _float_excluded(cert):
+    i, j = cert["excluded_boundary"][0]
+    cert["excluded_boundary"][0] = [i + 0.9, j + 0.5]
+
+
+def _float_pair(cert):
+    i, j = cert["classes"][0]["pair"]
+    cert["classes"][0]["pair"] = [i + 0.4, j]
+
+
 @pytest.mark.parametrize(
-    "tamper, reason",
+    "tamper, rc, reason",
     [
-        (_drop_half, "interior-witnessed but not certified"),
-        (_drop_one, "interior-witnessed but not certified"),
-        (_rekey, "certified but not an interior-witnessed graph edge"),
-        (_swap_class, "is not its translation class"),
-        (_move_class, "rectangles leave the cubes"),
-        (_inflate_margin, "covering fails re-checking"),
-        (_drop_excluded, "missing from excluded_boundary"),
-        (_widen_strip, "covering fails re-checking"),
+        (_drop_half, 2, "interior-witnessed but not certified"),
+        (_drop_one, 2, "interior-witnessed but not certified"),
+        (_rekey, 2, "certified but not an interior-witnessed graph edge"),
+        (_swap_class, 2, "is not its translation class"),
+        (_move_class, 2, "rectangles leave the cubes"),
+        (_inflate_margin, 2, "covering fails re-checking"),
+        (_drop_excluded, 2, "missing from excluded_boundary"),
+        (_widen_strip, 2, "covering fails re-checking"),
+        (_bool_class, 4, "must name a class index"),
+        (_float_excluded, 4, "excluded_boundary must hold pairs of integer indices"),
+        (_float_pair, 4, "class 0 must hold pairs of integer indices"),
     ],
     ids=["drop-half", "drop-one", "rekey", "swap-class", "move-class",
-         "inflate-margin", "drop-excluded", "widen-strip"],
+         "inflate-margin", "drop-excluded", "widen-strip", "bool-class",
+         "float-excluded", "float-pair"],
 )
 def test_verify_rejects_a_tampered_certificate(
-    tmp_path, capsys, cat_certificate, tamper, reason
+    tmp_path, capsys, cat_certificate, tamper, rc, reason
 ):
+    # Exit 2 is a certificate that audits wrong; exit 4 one that cannot be read.
     data = json.loads(json.dumps(cat_certificate))
     tamper(data["certificate"])
     path = tmp_path / "certificate.json"
     path.write_text(json.dumps(data))
-    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 2
-    out = capsys.readouterr().out
-    assert "REJECTED" in out
-    assert reason in out
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == rc
+    out, err = capsys.readouterr()
+    if rc == 2:
+        assert "REJECTED" in out
+        assert reason in out
+    else:
+        assert reason in err
 
 
 def test_verify_rejects_an_invalid_embedded_knob(tmp_path, capsys, cat_certificate):

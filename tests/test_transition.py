@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -9,13 +11,18 @@ from cubeshadow.errors import NoPathError, NotEndomorphismError, UncertainEdgesE
 from cubeshadow.geometry import (
     Space,
     cube_of_point,
-    cubes_containing_point,
     make_subdivision,
 )
 from cubeshadow import transition
-from scalar_reference import point_box_distance_lb
+import scalar_reference as ref
+from scalar_reference import cubes_containing_point, point_box_distance_lb
+from cubeshadow.cli import main
+from cubeshadow.covering import certify_chained
+from cubeshadow.geometry import chi
+from cubeshadow.shadowing import UniformNoise, generate_pseudo_orbit, shadow
 from cubeshadow.transition import (
     EdgeStatus,
+    EdgeWitness,
     build_graph,
     delta_bound,
     find_path,
@@ -102,6 +109,124 @@ def test_derived_rows_equal_computed_rows(monkeypatch, descriptor):
     for pair, w in derived.witnesses.items():
         assert w.interior == direct.witnesses[pair].interior, pair
     assert abs(derived.min_empty_gap - direct.min_empty_gap) <= 2.0 ** -12 * s.cube_width
+
+
+def _bits(mapping) -> tuple[list, list]:
+    """A pair -> float (or EdgeWitness) mapping as its sorted keys and the
+    bit patterns of their values, so that equal means equal in every bit."""
+    keys = sorted(mapping)
+    rows = [mapping[k] for k in keys]
+    if rows and isinstance(rows[0], EdgeWitness):
+        rows = [(*w.point, *w.image, w.clearance) for w in rows]
+    return keys, np.array(rows, dtype=float).view(np.int64).tolist()
+
+
+_TORAL = ["toral [[2,1],[1,1]]", "identity", "translation [0.3,0.1]",
+          "toral [[1,1],[1,2]]", "toral [[3,1],[2,1]]", "toral [[2,3],[1,2]]"]
+
+
+@pytest.mark.parametrize(
+    "descriptor, m",
+    [(d, m) for d in _TORAL for m in (2, 3, 4, 5)]
+    + [("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 2)],
+)
+def test_columnar_graph_matches_the_materialised_dicts(descriptor, m):
+    # The reference writes every translated row out pair by pair and
+    # sharpens the minimum gap while building; the columns must read back
+    # the same dicts, sets, adjacency and JSON, bit for bit.
+    f = builtin_map(descriptor)
+    s = make_subdivision(2, m, Space.TORUS)
+    g = build_graph(f, s)
+    witnesses, uncertain, gaps, min_gap = ref.materialised_graph(f, s)
+    assert _bits(g.witnesses) == _bits(witnesses)
+    assert set(g.uncertain) == uncertain and len(g.uncertain) == len(uncertain)
+    assert _bits(g.empty_gaps) == _bits(gaps)
+    succ: dict[int, list[int]] = {}
+    for a, j in sorted(witnesses):
+        succ.setdefault(a, []).append(j)
+    assert all(g.successors(i) == tuple(succ.get(i, ())) for i in range(s.count))
+    empty = np.ones(s.count ** 2, dtype=bool)
+    empty[[i * s.count + j for i, j in (*witnesses, *uncertain)]] = False
+    i, j = np.divmod(np.arange(s.count ** 2), s.count)
+    assert np.array_equal(g.certified_empty(i, j), empty)
+    assert g.min_empty_gap.hex() == min_gap.hex()
+    assert json.dumps(g.to_json()) == json.dumps(
+        ref.graph_json(g, witnesses, uncertain, gaps, min_gap)
+    )
+
+
+def test_a_derived_witness_pushed_out_of_its_cube_is_demoted(monkeypatch):
+    # Derived witnesses get their images recomputed; one that lands outside
+    # its target cube must become Uncertain, never a stored witness.
+    s = make_subdivision(2, 2, Space.TORUS)
+    g = cat_graph(2)
+    pair, w = next((p, w) for p, w in g.witnesses.items() if p[0] == 1 and w.interior)
+    real = transition.eval_points
+
+    def pushed(f, pts):
+        out = real(f, pts)
+        out[np.all(pts == w.point, axis=-1)] = (np.array(w.image) + 0.5) % 1.0
+        return out
+
+    monkeypatch.setattr(transition, "eval_points", pushed)
+    demoted = build_graph(CAT, s)
+    moved = {p for p, v in g.witnesses.items() if v.point == w.point}
+    assert pair in moved and all(p[0] == 1 for p in moved)
+    assert set(demoted.uncertain) == moved
+    assert set(demoted.witnesses) == set(g.witnesses) - moved
+    assert demoted.status(*pair) is EdgeStatus.UNCERTAIN
+
+
+def test_only_readers_of_the_gap_sharpen_it(monkeypatch, tmp_path, capsys):
+    calls = []
+    real = transition._sharpen_min_gap
+
+    def counted(*args):
+        calls.append(args[1].m)
+        return real(*args)
+
+    monkeypatch.setattr(transition, "_sharpen_min_gap", counted)
+    out = tmp_path / "c"
+    assert main(["certify", "--map", "toral [[2,1],[1,1]]", "--m", "4", "--out", str(out)]) == 0
+    assert main(["verify", str(out / "certificate.json"), "--out", str(tmp_path / "v")]) == 0
+    assert calls == []
+    for command in ("graph", "delta-bound"):
+        assert main([command, "--map", "toral [[2,1],[1,1]]", "--m", "4",
+                     "--out", str(tmp_path / command)]) == 0
+    assert calls == [4, 4]
+
+    g = cat_graph(3)
+    assert len(g.empty_gaps) > 0 and calls == [4, 4]
+    cert = certify_chained(CAT, g.subdivision, g)
+    for seed in (0, 1):
+        p = generate_pseudo_orbit(CAT, (0.2, 0.3), 1e-4, 20, UniformNoise(seed))
+        shadow(CAT, p, cert, chi(g.subdivision), g=g)
+    assert calls == [4, 4, 3]
+
+    # A gap read first sharpens exactly as a first read of the minimum.
+    gaps_first, min_first = cat_graph(3), cat_graph(3)
+    values = {pair: gaps_first.empty_gaps[pair] for pair in gaps_first.empty_gaps}
+    least = min_first.min_empty_gap
+    assert calls == [4, 4, 3, 3, 3]
+    assert _bits(values) == _bits(min_first.empty_gaps)
+    assert gaps_first.min_empty_gap.hex() == least.hex() == min(values.values()).hex()
+    assert calls == [4, 4, 3, 3, 3]
+
+
+def test_a_read_graph_is_freed_without_the_cycle_collector():
+    # The views built on lookup must not tie the graph into a reference
+    # cycle, or every dropped graph waits for the collector.
+    gc.disable()
+    try:
+        g = cat_graph(2)
+        g.to_json(), g.to_dot(), g.successors(0), len(g.empty_gaps), set(g.uncertain)
+        cert = certify_chained(CAT, g.subdivision, g)
+        cert.to_json(), len(cert.certificates), cert.edge_class[(0, 0)]
+        refs = weakref.ref(g), weakref.ref(cert)
+        del g, cert
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 # --- brute-force agreement --------------------------------------------------
