@@ -7,10 +7,11 @@ This is how the graph refinement worked before its kernels were batched;
 the tests compare the array kernels in ``cubeshadow.dynamics`` and
 ``cubeshadow.transition`` with it row for row, bit for bit, and check its
 own soundness.  ``step_error`` is the one-pair form of shadowing's step
-and window errors, and ``cubes_containing_point`` the one-point form of
-the cube lookup.  ``materialised_graph`` builds the transition graph as
-dicts, every translated row written out pair by pair, the way the graph
-was stored before its rows became columns.
+and window errors.  ``cubes_containing_point`` lists every cube whose
+closure holds a point: the reference for the smallest-index cube lookup.
+``materialised_graph`` builds the transition graph as dicts, every
+translated row written out pair by pair, the way the graph was stored
+before its rows became columns.
 """
 
 from __future__ import annotations

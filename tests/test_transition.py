@@ -10,6 +10,7 @@ from cubeshadow.dynamics import Direction, builtin_map, eval_point, eval_points
 from cubeshadow.errors import NoPathError, NotEndomorphismError, UncertainEdgesError
 from cubeshadow.geometry import (
     Space,
+    chi,
     cube_of_point,
     make_subdivision,
 )
@@ -18,7 +19,6 @@ import scalar_reference as ref
 from scalar_reference import cubes_containing_point, point_box_distance_lb
 from cubeshadow.cli import main
 from cubeshadow.covering import certify_chained
-from cubeshadow.geometry import chi
 from cubeshadow.shadowing import UniformNoise, generate_pseudo_orbit, shadow
 from cubeshadow.transition import (
     EdgeStatus,
