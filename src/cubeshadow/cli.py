@@ -58,7 +58,6 @@ from .shadowing import (
     ShadowConfig,
     UniformNoise,
     generate_pseudo_orbit,
-    itinerary,
     orbit_csv,
     periodic_shadow,
     pseudo_orbit,
@@ -410,13 +409,13 @@ def cmd_pseudo(run: Run, args: argparse.Namespace) -> int:
 
 
 def _shadow_tail(
-    run: Run, f: MapSpec, p: PseudoOrbit, s, g, solve, itin, artifact: str, line
+    run: Run, f: MapSpec, p: PseudoOrbit, s, g, solve, artifact: str, line
 ) -> int:
     """Certify, solve, verify and write one shadow request's artifacts.
 
-    ``solve`` is shadow or periodic_shadow, called with the checked
-    itinerary ``itin`` (or None); ``line(result, report, eps)`` is the
-    command's report line, to which the artifact path is appended.
+    ``solve`` is shadow or periodic_shadow, which checks p's itinerary;
+    ``line(result, report, eps)`` is the command's report line, to which
+    the artifact path is appended.
     """
     cfg = run.cfg
     cert = _certify(run, f, s, g)
@@ -424,7 +423,9 @@ def _shadow_tail(
         return EXIT_CERTIFICATION
     run.write_json("certificate.json", {"certificate": cert.to_json()})
     eps = _eps(cfg, s)
-    result = solve(f, p, cert, eps, g=g, itin=itin, cfg=_shadow_config(cfg))
+    result = solve(
+        f, p, cert, eps, g=g, allow_uncertain=cfg.allow_uncertain, cfg=_shadow_config(cfg)
+    )
     report = verify_shadow(f, result.point, p, eps)
     run.write_text("orbit.csv", orbit_csv(f, p, result))
     path = run.write_json(
@@ -448,9 +449,8 @@ def cmd_shadow(run: Run, args: argparse.Namespace) -> int:
     f = _make_map(cfg)
     p = _orbit(run, args, f)
     s, g = _graph(cfg, f)
-    itin = itinerary(p, s, g, allow_uncertain=cfg.allow_uncertain)
     return _shadow_tail(
-        run, f, p, s, g, shadow, itin, "shadow.json",
+        run, f, p, s, g, shadow, "shadow.json",
         lambda res, rep, eps: (
             f"shadow: eps_achieved {res.eps_achieved:.6g} <= eps {eps:.6g}, "
             f"verified max error {rep.max_err:.6g} at k={rep.argmax_k}"
@@ -515,9 +515,8 @@ def cmd_periodic(run: Run, args: argparse.Namespace) -> int:
         cycle = _closed_cycle(f, _x0(cfg, f), cfg.period)
         p = _noisy_cycle(f, cycle, cfg.delta, cfg.seed)
     s, g = _graph(cfg, f)
-    itin = itinerary(p, s, g, allow_uncertain=cfg.allow_uncertain)
     return _shadow_tail(
-        run, f, p, s, g, periodic_shadow, itin, "periodic.json",
+        run, f, p, s, g, periodic_shadow, "periodic.json",
         lambda res, rep, eps: (
             f"periodic: period {res.periodic} orbit (minimal {res.minimal_period}), "
             f"eps_achieved {res.eps_achieved:.6g} <= eps {eps:.6g}"
@@ -560,7 +559,7 @@ def cmd_splice(run: Run, args: argparse.Namespace) -> int:
         },
     )
     return _shadow_tail(
-        run, f, p, s, g, periodic_shadow, None, "periodic.json",
+        run, f, p, s, g, periodic_shadow, "periodic.json",
         lambda res, rep, eps: (
             f"splice: {len(segments)} segments + bridges -> period {len(p.points)} "
             f"pseudo-orbit (delta {p.delta:.3g}), shadowed with eps_achieved "

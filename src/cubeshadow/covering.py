@@ -53,36 +53,26 @@ def _frame_array(frame: tuple[tuple[float, ...], ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Rectangle:
-    """An oriented box, optionally rotated about its center.
+    """A box, optionally rotated about its center.
 
     ``box`` gives the side ranges; with a ``frame`` (orthonormal rows) the
     ambient set is the box rotated about its own center, the frame rows
-    acting as the rectangle's axes.  ``exit_axis`` is the coordinate that
-    plays the expanding role; its two end faces are the rectangle's
-    horizontal faces, labelled by ``orientation``.
+    acting as the rectangle's axes.  Axis 0 is the exit axis, the one that
+    plays the expanding role (``expansion_frame`` puts the expanding row
+    first); its two end faces are the rectangle's horizontal faces.
     """
 
     box: Box
-    exit_axis: int
-    orientation: int = 1
     frame: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
         n = self.box.n
-        if not (0 <= self.exit_axis < n):
-            raise ValueError(f"exit_axis {self.exit_axis} out of range for n={n}")
-        if self.orientation not in (-1, 1):
-            raise ValueError("orientation must be +1 or -1")
         if any(b <= a for a, b in zip(self.box.lo, self.box.hi)):
             raise ValueError("rectangle must have positive volume on every axis")
         if self.frame is not None:
             if len(self.frame) != n or any(len(row) != n for row in self.frame):
                 raise ValueError(f"frame must be {n}x{n}")
             _frame_array(self.frame)
-
-    @classmethod
-    def from_box(cls, box: Box, exit_axis: int, orientation: int = 1) -> "Rectangle":
-        return cls(box=box, exit_axis=exit_axis, orientation=orientation)
 
     @property
     def n(self) -> int:
@@ -97,7 +87,7 @@ class Rectangle:
     def shifted(self, t: np.ndarray) -> "Rectangle":
         """The same rectangle translated by the ambient vector t."""
         box = Box(tuple(self.box.lo_arr + t), tuple(self.box.hi_arr + t), self.box.space)
-        return Rectangle(box, self.exit_axis, self.orientation, self.frame)
+        return Rectangle(box, self.frame)
 
     @property
     def center(self) -> tuple[float, ...]:
@@ -127,43 +117,26 @@ class Rectangle:
         c = np.array(self.center)
         return c + u @ self.frame_arr
 
-    def face_points(
-        self, rng: np.random.Generator, k: int, side: int, h_range=None
-    ) -> np.ndarray:
-        """k ambient points on one exit-axis end face of the strip.
-
-        ``side`` -1/+1 picks the lower/upper end of ``h_range`` (defaults
-        to the full exit range); the remaining coordinates are uniform.
-        """
-        lo = self.box.lo_arr.copy()
-        hi = self.box.hi_arr.copy()
-        e = self.exit_axis
-        a, b = h_range if h_range is not None else (lo[e], hi[e])
-        val = a if side < 0 else b
-        coords = rng.uniform(lo, hi, size=(k, self.n))
-        coords[:, e] = val
-        return self.to_ambient(coords)
-
     def to_json(self) -> dict:
+        # The format still names the exit axis and face label: always 0 and +1.
         return {
             "box": {"lo": list(self.box.lo), "hi": list(self.box.hi),
                     "space": self.box.space.value},
-            "exit_axis": self.exit_axis,
-            "orientation": self.orientation,
+            "exit_axis": 0,
+            "orientation": 1,
             "frame": None if self.frame is None else [list(r) for r in self.frame],
         }
 
 
 def rectangle_from_json(data: dict) -> Rectangle:
+    for key, want in (("exit_axis", 0), ("orientation", 1)):
+        # JSON true, false and 0.0 are not integers.
+        if type(data[key]) is not int or data[key] != want:
+            raise ValueError(f"rectangle {key} must be the integer {want}, not {data[key]!r}")
     b = data["box"]
     box = Box(tuple(b["lo"]), tuple(b["hi"]), Space(b["space"]))
     frame = data.get("frame")
-    return Rectangle(
-        box=box,
-        exit_axis=int(data["exit_axis"]),
-        orientation=int(data["orientation"]),
-        frame=None if frame is None else tuple(tuple(r) for r in frame),
-    )
+    return Rectangle(box, None if frame is None else tuple(tuple(r) for r in frame))
 
 
 @dataclass(frozen=True)
@@ -190,7 +163,7 @@ class CoveringCertificate:
     h_range: tuple[float, float]
     exit_margin: float
     confinement_margin: float
-    orientation: int  # +1 when the labelled faces cross label-preserving
+    orientation: int  # +1 when the strip's low end face lands below the target
 
     def __post_init__(self) -> None:
         if not (self.exit_margin > 0.0 and self.confinement_margin > 0.0):
@@ -253,10 +226,7 @@ class _ChartImages:
         # Rectangle.center and .half_widths, row by row.
         self.c_src, c_dst = 0.5 * (lo + hi), 0.5 * (dst_lo + dst_hi)
         self.half, self.dst_half = 0.5 * (hi - lo), 0.5 * (dst_hi - dst_lo)
-        self.exit, self.dst_exit = (rows(rs, lambda r: r.exit_axis) for rs in (srcs, dsts))
-        self.flip = rows(srcs, lambda r: r.orientation < 0)
-        at = (np.arange(len(srcs)), self.exit)
-        self.lo_e, self.hi_e = lo[at], hi[at]
+        self.lo_e, self.hi_e = lo[:, 0], hi[:, 0]
         parts = map_parts(f)
         self.mat = np.matmul(np.matmul(self.fd, parts.a), self.fs.transpose(0, 2, 1))
         shift = lift_points(f, Direction.FORWARD, self.c_src) - c_dst
@@ -270,11 +240,10 @@ class _ChartImages:
 
     def strip_box(self, rows, h0, h1) -> tuple[np.ndarray, np.ndarray]:
         """Ambient bounding boxes of strips [h0, h1] of sources ``rows``."""
-        at = (np.arange(len(rows)), self.exit[rows])
         c = self.c_src[rows]
         mid, half = c.copy(), self.half[rows].copy()
-        mid[at] = 0.5 * (h0 + h1)
-        half[at] = 0.5 * (h1 - h0)
+        mid[:, 0] = 0.5 * (h0 + h1)
+        half[:, 0] = 0.5 * (h1 - h0)
         # Chart center of the strip, then rotate out to ambient extents.
         fs = self.fs[rows]
         amb_mid = c + np.matmul((mid - c)[:, None, :], fs)[:, 0, :]
@@ -296,28 +265,24 @@ class _ChartImages:
         every j: whether it certifies, its margin shortfall (the exit margin
         when the exit fails, else the smaller margin), and a maker of the
         certificate of strip j."""
-        at = (np.arange(len(rows)), self.exit[rows])
-        c_e = self.c_src[rows][at]
+        c_e = self.c_src[rows, 0]
         u_hi = self.half[rows].copy()
         u_lo = -u_hi
-        u_lo[at] = h0 - c_e
-        u_hi[at] = h1 - c_e
+        u_lo[:, 0] = h0 - c_e
+        u_hi[:, 0] = h1 - c_e
         amb_lo, amb_hi = self.strip_box(rows, h0, h1)
 
         def face(val: np.ndarray):
+            """The exit-coordinate range of the image of one end face."""
             lo, hi = u_lo.copy(), u_hi.copy()
-            lo[at] = hi[at] = val
-            return self.image_interval(rows, lo, hi, amb_lo, amb_hi)
+            lo[:, 0] = hi[:, 0] = val
+            return (b[:, 0] for b in self.image_interval(rows, lo, hi, amb_lo, amb_hi))
 
-        out = (np.arange(len(rows)), self.dst_exit[rows])
-        low, high = (b[out] for b in face(u_lo[at])), (b[out] for b in face(u_hi[at]))
-        # The minus face is the low end of the strip unless the source is flipped.
-        flip = self.flip[rows]
-        (minus_lo, plus_lo), (minus_hi, plus_hi) = (
-            (np.where(flip, h, l), np.where(flip, l, h)) for l, h in zip(low, high)
-        )
+        # The minus face is the low end of the strip, the plus face the high end.
+        minus_lo, minus_hi = face(u_lo[:, 0])
+        plus_lo, plus_hi = face(u_hi[:, 0])
         dst_half = self.dst_half[rows]
-        tgt = dst_half[out]
+        tgt = dst_half[:, 0]
         # straight: minus face strictly below the target, plus face above
         straight = np.minimum(-tgt - minus_hi, plus_lo - tgt)
         crossed = np.minimum(minus_lo - tgt, -tgt - plus_hi)
@@ -326,19 +291,18 @@ class _ChartImages:
 
         strip_lo, strip_hi = self.image_interval(rows, u_lo, u_hi, amb_lo, amb_hi)
         sides = np.minimum(strip_lo + dst_half, dst_half - strip_hi)
-        sides[out] = math.inf
+        sides[:, 0] = math.inf
         conf = sides.min(axis=1)
         conf = np.where(np.isinf(conf), exit_margin, conf)
         exits = ~(exit_margin < min_margin)
         shortfall = np.where(exits, np.minimum(exit_margin, conf), exit_margin)
 
         def cert(j: int) -> CoveringCertificate:
-            dst = self.dsts[rows[j]]
             return CoveringCertificate(
-                source=self.srcs[rows[j]], target=dst,
+                source=self.srcs[rows[j]], target=self.dsts[rows[j]],
                 h_range=(float(h0[j]), float(h1[j])),
                 exit_margin=float(exit_margin[j]), confinement_margin=float(conf[j]),
-                orientation=int(geo[j]) * dst.orientation,
+                orientation=int(geo[j]),
             )
 
         return exits & ~(conf < min_margin), shortfall, cert
@@ -529,7 +493,7 @@ class ChainedCertificate:
             return cert
         t_src = s.box(pair[0]).lo_arr - s.box(rep[0]).lo_arr
         t_dst = s.box(pair[1]).lo_arr - s.box(rep[1]).lo_arr
-        dh = float(t_src[cert.source.exit_axis])
+        dh = float(t_src[0])
         return replace(cert, source=cert.source.shifted(t_src), target=cert.target.shifted(t_dst),
                        h_range=(cert.h_range[0] + dh, cert.h_range[1] + dh))
 
@@ -612,7 +576,7 @@ def _anchored_pair(
         # clearance >= fit * rho keeps the ranges inside the cube, hence [0,1].
         lo = tuple(float(v) for v in center - rho)
         hi = tuple(float(v) for v in center + rho)
-        return Rectangle(Box(lo, hi, space), exit_axis=0, orientation=1, frame=tup)
+        return Rectangle(Box(lo, hi, space), tup)
 
     return rect(x0), rect(y0)
 
@@ -785,6 +749,8 @@ def audit_chained(
         if type(k) is not int:  # JSON true, false and 1.0 are not class indices
             raise ValueError(f"certificate entry {key!r} must name a class index")
         i, j = map(int, key.split(","))
+        if key != f"{i},{j}":  # "0, 0" or "00,0" would alias the edge (0, 0)
+            raise ValueError(f"certificate key {key!r} is not the canonical \"{i},{j}\"")
         stored[(i, j)] = k
     codes, strays = _pair_codes(list(stored), count, "certificates")
     for pair in code_pairs(np.setdiff1d(interior, codes, assume_unique=True), count):

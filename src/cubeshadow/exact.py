@@ -27,6 +27,9 @@ from operator import mul
 from .dynamics import Direction, MapSpec, adjugate, is_exactly_affine
 from .errors import InvalidMapError, NotHyperbolicError, NotInvertibleError
 
+# Decimal digits of the rational square root behind eigen_directions.
+_EIGEN_DIGITS = 60
+
 FracVec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
 IntMat = tuple[IntVec, ...]
@@ -171,8 +174,8 @@ class EigenDirections:
     """Rational near-eigenvectors of a 2x2 matrix with real split spectrum.
 
     Directions are unnormalized; lam_* are float approximations of the
-    eigenvalues.  The vectors are accurate to roughly 10^-digits, so a
-    power M^k applied to them stays eigen-aligned up to lam_u^k * 10^-digits.
+    eigenvalues.  The vectors are accurate to roughly 10^-_EIGEN_DIGITS, so a
+    power M^k applied to them stays eigen-aligned up to lam_u^k * 10^-_EIGEN_DIGITS.
     """
 
     row_u: FracVec
@@ -181,7 +184,7 @@ class EigenDirections:
     lam_s: float
 
 
-def eigen_directions(f: MapSpec, digits: int = 60) -> EigenDirections | None:
+def eigen_directions(f: MapSpec) -> EigenDirections | None:
     """Expanding/contracting directions of a 2x2 exact map, or None."""
     if not supports_exact(f) or f.n != 2:
         return None
@@ -191,7 +194,7 @@ def eigen_directions(f: MapSpec, digits: int = 60) -> EigenDirections | None:
     disc = tr * tr - 4 * det
     if disc <= 0:
         return None
-    root = _sqrt_fraction(disc, digits)
+    root = _sqrt_fraction(disc, _EIGEN_DIGITS)
     lam_u, lam_s = sorted(((tr + root) / 2, (tr - root) / 2), key=abs, reverse=True)
     if abs(lam_u) <= 1 or abs(lam_s) >= 1:
         return None

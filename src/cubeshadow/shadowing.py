@@ -353,14 +353,14 @@ def itinerary(
     if s.space is not p.space:
         raise ValueError("subdivision and pseudo-orbit live on different spaces")
     if p.known_itinerary is not None:
-        return _checked_itinerary(p, s, g, p.known_itinerary, declared=True)
+        return _checked_itinerary(p, s, g, p.known_itinerary)
     bound = delta_bound(g, allow_uncertain=allow_uncertain)
     if not p.delta < bound:
         raise DeltaTooLargeError(
             f"delta {p.delta} is not below the separation bound {bound}"
         )
     idx = tuple(cubes_of_points(s, p.points).tolist())
-    return _checked_itinerary(p, s, g, idx, declared=False)
+    return _checked_itinerary(p, s, g, idx)
 
 
 def _checked_itinerary(
@@ -368,15 +368,14 @@ def _checked_itinerary(
     s: Subdivision,
     g: TransitionGraph,
     idx: tuple[int, ...],
-    declared: bool,
 ) -> Itinerary:
     """The itinerary idx of p once no step crosses a certified-empty edge.
 
-    Declared indices (a known itinerary or one a caller supplies) must
-    also name cubes that hold their points; BrokenChainError otherwise.
+    A declared itinerary (p's known_itinerary) must also name cubes that
+    hold their points; BrokenChainError otherwise.
     """
     cubes = np.asarray(idx, dtype=int)
-    if declared:
+    if p.known_itinerary is not None:
         if len(idx) != len(p.points):
             raise ValueError("itinerary length mismatch")
         outside = ~_in_cubes(s, cubes, np.asarray(p.points, dtype=float), tol=1e-12)
@@ -430,13 +429,6 @@ class StepChain:
 
     rectangles: tuple[Rectangle, ...]
     certificates: tuple[CoveringCertificate, ...]
-    frame: tuple[tuple[float, ...], ...]
-
-    @property
-    def min_margin(self) -> float:
-        return min(
-            min(c.exit_margin, c.confinement_margin) for c in self.certificates
-        )
 
 
 def _chain_half_widths(
@@ -510,7 +502,7 @@ def step_chain(f: MapSpec, p: PseudoOrbit) -> StepChain:
     half = np.repeat(np.maximum(hu, hs)[:, None], p.n, axis=1)
     half[:, 0], half[:, -1] = hu, hs
     rects = [
-        Rectangle(Box(tuple(lo), tuple(hi), p.space), 0, 1, frame)
+        Rectangle(Box(tuple(lo), tuple(hi), p.space), frame)
         for lo, hi in zip((pts - half).tolist(), (pts + half).tolist())
     ]
     srcs, dsts = rects[:-1], rects[1:]
@@ -522,9 +514,7 @@ def step_chain(f: MapSpec, p: PseudoOrbit) -> StepChain:
             raise UncertifiedTransitionError(
                 f"step {p.lo + k}: covering of the next strip failed ({res.reason})"
             )
-    return StepChain(
-        rectangles=tuple(rects), certificates=tuple(certs), frame=frame
-    )
+    return StepChain(rectangles=tuple(rects), certificates=tuple(certs))
 
 
 # --- bisection localizer ----------------------------------------------------
@@ -983,14 +973,14 @@ def _localize(
     p: PseudoOrbit,
     cert: ChainedCertificate,
     g: TransitionGraph | None,
-    itin: Itinerary | None,
+    allow_uncertain: bool,
     cfg: ShadowConfig,
     seed_box: Box | None = None,
 ) -> tuple[Box, int, EigenDirections | None]:
     """Gate p against the certificate and graph, then bisect its time-0 cell.
 
     Checks that the certificate is for f on p's space, that p's itinerary
-    (computed, or the supplied itin re-checked as declared) crosses no
+    (see ``itinerary``, which ``allow_uncertain`` is passed to) crosses no
     certified-empty edge, and that the per-step covering chain closes;
     returns the surviving cell, the number of splits that carved it, and
     f's eigen frame (None without one), which decides the exact path.
@@ -1004,10 +994,7 @@ def _localize(
         )
     if g is None:
         g = build_graph(f, s)
-    if itin is None:
-        itinerary(p, s, g)
-    else:
-        _checked_itinerary(p, s, g, itin.indices, declared=True)
+    itinerary(p, s, g, allow_uncertain)
     step_chain(f, p)
     eig = eigen_directions(f)
     r = cfg.radius_factor * max(p.delta, _DELTA_FLOOR)
@@ -1036,7 +1023,7 @@ def shadow(
     cert: ChainedCertificate,
     eps: float,
     g: TransitionGraph | None = None,
-    itin: Itinerary | None = None,
+    allow_uncertain: bool = False,
     cfg: ShadowConfig | None = None,
     seed_box: Box | None = None,
 ) -> ShadowResult:
@@ -1047,10 +1034,12 @@ def shadow(
     orbit threads the delta-scale tubes; bisection against those tubes
     localizes it and yields the surviving cell; for exactly-affine maps
     the point is then pinned by an exact boundary-value solve and its
-    error profile is measured in rational arithmetic.
+    error profile is measured in rational arithmetic.  With
+    ``allow_uncertain`` the itinerary gate counts the graph's uncertain
+    edges as nonempty instead of refusing the graph.
     """
     cfg = cfg or ShadowConfig()
-    surviving, splits, eig = _localize(f, p, cert, g, itin, cfg, seed_box)
+    surviving, splits, eig = _localize(f, p, cert, g, allow_uncertain, cfg, seed_box)
 
     if eig is not None:
         nums, den = _bvp_point(f, p, _integer_shifts(f, p), eig)
@@ -1079,7 +1068,7 @@ def periodic_shadow(
     cert: ChainedCertificate,
     eps: float,
     g: TransitionGraph | None = None,
-    itin: Itinerary | None = None,
+    allow_uncertain: bool = False,
     cfg: ShadowConfig | None = None,
 ) -> ShadowResult:
     """Shadow a periodic pseudo-orbit by a genuinely periodic orbit.
@@ -1093,7 +1082,7 @@ def periodic_shadow(
     cfg = cfg or ShadowConfig()
     if p.periodic is None:
         raise ValueError("periodic_shadow needs a periodic pseudo-orbit")
-    surviving, splits, _ = _localize(f, p, cert, g, itin, cfg)
+    surviving, splits, _ = _localize(f, p, cert, g, allow_uncertain, cfg)
     P = len(p.points)
 
     if supports_exact(f):

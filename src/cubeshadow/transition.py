@@ -25,6 +25,8 @@ from .geometry import Space, Subdivision, space_diameter
 
 # Empty pairs within this many cube widths keep their gap in ``empty_gaps``.
 _NEAR_BAND = 2.0
+# The sharpened minimum gap is exact to this fraction of a cube width.
+_SHARPEN_REL_TOL = 2.0 ** -12
 
 
 class EdgeStatus(str, Enum):
@@ -490,9 +492,8 @@ def _sharpen_min_gap(
     empty_gaps: dict[tuple[int, int], float],
     min_empty_gap: float,
     cubes: tuple[np.ndarray, np.ndarray],
-    rel_tol: float = 2.0 ** -12,
 ) -> float:
-    """Tighten the minimum certified gap to within rel_tol * cube_width.
+    """Tighten the minimum certified gap to within _SHARPEN_REL_TOL * cube_width.
 
     Pairs are revisited in ascending order of their coarse bound; a pair
     whose coarse bound already beats the best refined value cannot lower
@@ -504,7 +505,7 @@ def _sharpen_min_gap(
     """
     if not empty_gaps:
         return min_empty_gap
-    tol = s.cube_width * rel_tol
+    tol = s.cube_width * _SHARPEN_REL_TOL
     # Pairs beyond the stored near band all have a larger gap, so any
     # refined value is capped there to keep the minimum a true lower bound.
     near_band = _NEAR_BAND * s.cube_width

@@ -203,9 +203,7 @@ def test_criterion_4_composition():
         f = affine_map([[lam, 0.0], [0.0, mu]], off, space=Space.CUBE)
 
         def rect(cx, cy, hx, hy):
-            return Rectangle.from_box(
-                Box((cx - hx, cy - hy), (cx + hx, cy + hy), Space.CUBE), 0
-            )
+            return Rectangle(Box((cx - hx, cy - hy), (cx + hx, cy + hy), Space.CUBE))
 
         c2x, c2y = 0.5 + rng.uniform(-0.01, 0.01, 2)
         a2, b2 = rng.uniform(0.05, 0.1, 2)

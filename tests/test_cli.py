@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import cubeshadow
+from cubeshadow import shadowing
 from cubeshadow.cli import main
 
 CAT = "toral [[2,1],[1,1]]"
@@ -139,6 +140,20 @@ def _float_pair(cert):
     cert["classes"][0]["pair"] = [i + 0.4, j]
 
 
+def _spaced_key(cert):
+    # "i, j" names the same edge as "i,j": a second, unchecked entry for it.
+    key = sorted(cert["certificates"])[0]
+    cert["certificates"][key.replace(",", ", ")] = cert["certificates"][key]
+
+
+def _exit_axis_one(cert):
+    cert["classes"][0]["certificate"]["source"]["exit_axis"] = 1
+
+
+def _flipped_orientation(cert):
+    cert["classes"][0]["certificate"]["target"]["orientation"] = -1
+
+
 @pytest.mark.parametrize(
     "tamper, rc, reason",
     [
@@ -153,10 +168,14 @@ def _float_pair(cert):
         (_bool_class, 4, "must name a class index"),
         (_float_excluded, 4, "excluded_boundary must hold pairs of integer indices"),
         (_float_pair, 4, "class 0 must hold pairs of integer indices"),
+        (_spaced_key, 4, "is not the canonical"),
+        (_exit_axis_one, 4, "rectangle exit_axis must be the integer 0, not 1"),
+        (_flipped_orientation, 4, "rectangle orientation must be the integer 1, not -1"),
     ],
     ids=["drop-half", "drop-one", "rekey", "swap-class", "move-class",
          "inflate-margin", "drop-excluded", "widen-strip", "bool-class",
-         "float-excluded", "float-pair"],
+         "float-excluded", "float-pair", "spaced-key", "exit-axis-one",
+         "flipped-orientation"],
 )
 def test_verify_rejects_a_tampered_certificate(
     tmp_path, capsys, cat_certificate, tamper, rc, reason
@@ -425,6 +444,24 @@ def test_allow_uncertain_reaches_the_itinerary_gate(tmp_path, command, extra, ar
     out = tmp_path / "allowed"
     assert main(base + ["--allow-uncertain", "--out", str(out)]) == 0
     assert main(["verify", str(out / artifact), "--out", str(tmp_path / "v")]) == 0
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [("shadow", []), ("periodic", ["--period", "1", "--x0", "0,0"])],
+    ids=["shadow", "periodic"],
+)
+def test_one_request_checks_its_itinerary_once(tmp_path, monkeypatch, command, extra):
+    calls = []
+    real = shadowing._checked_itinerary
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(shadowing, "_checked_itinerary", counted)
+    assert main([command, "--map", CAT, "--m", "3", *extra, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
 
 
 def test_subdivide_reports_mesh(tmp_path):

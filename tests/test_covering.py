@@ -17,6 +17,7 @@ from cubeshadow.covering import (
     check_covering,
     compose_chain,
     expansion_frame,
+    rectangle_from_json,
     verify_certificate,
 )
 from cubeshadow.dynamics import builtin_map, eval_point, Direction
@@ -28,8 +29,8 @@ CAT = builtin_map("toral [[2,1],[1,1]]")
 MODEL = builtin_map("affine [[2,0],[0,0.5]] offset=[-0.5,0.2]", space=Space.CUBE)
 
 
-def cube_rect(lo, hi, exit_axis=0, orientation=1, frame=None):
-    return Rectangle(Box(lo, hi, Space.CUBE), exit_axis, orientation, frame)
+def cube_rect(lo, hi):
+    return Rectangle(Box(lo, hi, Space.CUBE))
 
 
 # --- the linear model example ----------------------------------------------
@@ -66,7 +67,7 @@ def test_prescribed_strip_matches_search():
 
 
 def test_identity_and_translation_inconclusive():
-    r = Rectangle.from_box(Box((0.1, 0.1), (0.2, 0.25), Space.TORUS), 0)
+    r = Rectangle(Box((0.1, 0.1), (0.2, 0.25), Space.TORUS))
     res = check_covering(builtin_map("identity"), r, r)
     assert isinstance(res, Inconclusive)
     assert not res
@@ -87,19 +88,41 @@ def test_local_endomorphism_gate():
 def test_rectangle_validation():
     box = Box((0.1, 0.1), (0.3, 0.3), Space.CUBE)
     with pytest.raises(ValueError):
-        Rectangle(box, exit_axis=2)
+        Rectangle(Box((0.1, 0.2), (0.3, 0.2), Space.CUBE))
     with pytest.raises(ValueError):
-        Rectangle(box, exit_axis=0, orientation=0)
-    with pytest.raises(ValueError):
-        Rectangle(Box((0.1, 0.2), (0.3, 0.2), Space.CUBE), exit_axis=0)
-    with pytest.raises(ValueError):
-        Rectangle(box, exit_axis=0, frame=((1.0, 1.0), (0.0, 1.0)))
+        Rectangle(box, frame=((1.0, 1.0), (0.0, 1.0)))
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("exit_axis", 1), ("exit_axis", False), ("exit_axis", 0.0),
+     ("orientation", -1), ("orientation", True), ("orientation", 1.0)],
+)
+def test_rectangle_json_stores_exit_axis_0_and_orientation_1(key, value):
+    r = cube_rect((0.1, 0.1), (0.3, 0.3))
+    doc = r.to_json()
+    assert (doc["exit_axis"], doc["orientation"]) == (0, 1)
+    assert rectangle_from_json(doc) == r
+    doc[key] = value
+    with pytest.raises(ValueError, match=f"rectangle {key} must be the integer"):
+        rectangle_from_json(doc)
+
+
+def test_negative_expansion_certifies_crossed_coverings():
+    # The expanding eigenvalue of [[-2,1],[1,-1]] is negative, so the image
+    # of the low end face lands above the target: a crossed covering.
+    f = builtin_map("toral [[-2,1],[1,-1]]")
+    s = make_subdivision(2, 3, Space.TORUS)
+    chained = certify_chained(f, s, build_graph(f, s))
+    assert isinstance(chained, ChainedCertificate)
+    assert {c.orientation for _, c in chained.classes} == {-1}
+    assert all(verify_certificate(f, c) for _, c in chained.classes)
 
 
 def test_rotated_rectangle_membership():
     s = math.sqrt(0.5)
     frame = ((s, s), (-s, s))
-    r = Rectangle(Box((0.4, 0.4), (0.6, 0.6), Space.CUBE), 0, 1, frame)
+    r = Rectangle(Box((0.4, 0.4), (0.6, 0.6), Space.CUBE), frame)
     assert r.contains_point((0.5, 0.5))
     # The box corner is outside once the set is rotated 45 degrees.
     assert not r.contains_point((0.6, 0.6))
@@ -135,8 +158,7 @@ def test_cat_single_anchored_edge():
 
     def rect(c):
         return Rectangle(
-            Box(tuple(x - rho for x in c), tuple(x + rho for x in c), Space.TORUS),
-            0, 1, frame,
+            Box(tuple(x - rho for x in c), tuple(x + rho for x in c), Space.TORUS), frame
         )
 
     cert = check_covering(CAT, rect(w.point), rect(w.image))
@@ -240,32 +262,30 @@ def test_certificate_soundness_sampled(case):
         cert = chained.certificates[sorted(chained.certificates)[0]]
     rng = np.random.default_rng(11)
     half = cert.target.half_widths
-    e2 = cert.target.exit_axis
-    # Face points exit strictly beyond the target's exit faces, on opposite sides.
+    # Points on the strip's two end faces (chart axis 0 at each end of the
+    # strip) exit strictly beyond the target's exit faces, on opposite sides.
     signs = []
-    for side in (-1, 1):
-        pts = cert.source.face_points(rng, 10_000, side, cert.h_range)
+    for end in cert.h_range:
+        coords = rng.uniform(cert.source.box.lo_arr, cert.source.box.hi_arr, size=(10_000, 2))
+        coords[:, 0] = end
+        pts = cert.source.to_ambient(coords)
         imgs = np.array([eval_point(f, Direction.FORWARD, p) for p in pts])
         v = wrapped_chart_coords(cert, imgs)
-        beyond = np.abs(v[:, e2]) > half[e2]
+        beyond = np.abs(v[:, 0]) > half[0]
         assert np.all(beyond)
-        side_sign = np.sign(v[:, e2])
+        side_sign = np.sign(v[:, 0])
         assert np.all(side_sign == side_sign[0])
         signs.append(side_sign[0])
     assert signs[0] * signs[1] == -1
     # Strip points stay strictly inside the non-exit ranges.
     lo = cert.source.box.lo_arr.copy()
     hi = cert.source.box.hi_arr.copy()
-    e = cert.source.exit_axis
-    lo[e], hi[e] = cert.h_range
+    lo[0], hi[0] = cert.h_range
     coords = rng.uniform(lo, hi, size=(10_000, 2))
     pts = cert.source.to_ambient(coords)
     imgs = np.array([eval_point(f, Direction.FORWARD, p) for p in pts])
     v = wrapped_chart_coords(cert, imgs)
-    for a in range(2):
-        if a == e2:
-            continue
-        assert np.all(np.abs(v[:, a]) < half[a])
+    assert np.all(np.abs(v[:, 1]) < half[1])
 
 
 def test_robustness_reverify_under_perturbation():

@@ -56,7 +56,7 @@ from cubeshadow.shadowing import (
     step_defects,
     verify_shadow,
 )
-from cubeshadow.transition import build_graph, delta_bound
+from cubeshadow.transition import build_graph
 
 CAT = builtin_map("toral [[2,1],[1,1]]")
 S3 = make_subdivision(2, 3, Space.TORUS)
@@ -209,25 +209,6 @@ def test_known_itinerary_membership_is_checked():
     p = pseudo_orbit(CAT, [(0.1, 0.1)], 0.01, known_itinerary=[wrong])
     with pytest.raises(BrokenChainError):
         itinerary(p, S3, G3)
-
-
-def test_supplied_itinerary_is_checked():
-    p = generate_pseudo_orbit(
-        CAT, (0.1, 0.2), 0.5 * delta_bound(G3), 20, UniformNoise(seed=0)
-    )
-    good = itinerary(p, S3, G3)
-    bad = dataclasses.replace(
-        good, indices=tuple((i + 27) % S3.count for i in good.indices)
-    )
-    eps = chi(S3)
-    assert shadow(CAT, p, CERT3, eps, g=G3, itin=good).eps_achieved < eps
-    with pytest.raises(BrokenChainError):
-        shadow(CAT, p, CERT3, eps, g=G3, itin=bad)
-    cycle = pseudo_orbit(CAT, [(0.01, 0.01)], 0.023, periodic=1)
-    good = itinerary(cycle, S3, G3)
-    bad = dataclasses.replace(good, indices=((good.indices[0] + 27) % S3.count,))
-    with pytest.raises(BrokenChainError):
-        periodic_shadow(CAT, cycle, CERT3, eps=0.05, g=G3, itin=bad)
 
 
 # --- covering chains ---------------------------------------------------------
@@ -510,10 +491,9 @@ def _csv_columns(text, n):
 
 
 def test_float_shadow_csv_matches_a_stepwise_walk(perturbed_m2):
-    s, g, cert = perturbed_m2
+    _, g, cert = perturbed_m2
     p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 20, UniformNoise(3))
-    itin = itinerary(p, s, g, allow_uncertain=True)
-    res = shadow(PERTURBED, p, cert, 0.354, g=g, itin=itin)
+    res = shadow(PERTURBED, p, cert, 0.354, g=g, allow_uncertain=True)
     assert not res.exact
     rep = verify_shadow(PERTURBED, res.point, p, 0.354)
     assert rep.ok and rep.max_err == res.eps_achieved
@@ -532,7 +512,7 @@ def test_float_periodic_shadow_closes_the_cycle(perturbed_m2, cycle):
     # declares its cubes and itinerary() checks membership instead.
     cubes = [cube_of_point(s, y) for y in cycle]
     p = pseudo_orbit(PERTURBED, cycle, 0.01, periodic=len(cycle), known_itinerary=cubes)
-    res = periodic_shadow(PERTURBED, p, cert, 0.354, g=g, itin=itinerary(p, s, g))
+    res = periodic_shadow(PERTURBED, p, cert, 0.354, g=g)
     assert not res.exact and res.minimal_period is None
     walk = _float_walk(PERTURBED, res.point, len(cycle))
     gap = (walk[-1] - walk[0] + 0.5) % 1.0 - 0.5
@@ -564,10 +544,10 @@ def test_bisection_failures_name_the_empty_tube(perturbed_m2, kind, kwargs, mess
     if kind == "cat":
         f, p, cert, g = CAT, noisy_orbit(), CERT3, G3
     else:
-        s, g, cert = perturbed_m2
+        _, g, cert = perturbed_m2
         f = PERTURBED
         p = generate_pseudo_orbit(f, (0.2, 0.3), 1e-4, 20, UniformNoise(0))
-        kwargs = {**kwargs, "itin": itinerary(p, s, g, allow_uncertain=True)}
+        kwargs = {**kwargs, "allow_uncertain": True}
     with pytest.raises(NoSurvivingCellError, match=message) as info:
         shadow(f, p, cert, 1.0, g=g, **kwargs)
     assert info.value.deepest_surviving_depth == 0
@@ -591,13 +571,12 @@ def test_eigen_cell_survives_interval_propagation(n_steps, seed):
 def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2):
     # A radius of 1/2 or more once made each interval step build a torus
     # Box wider than one period and raise ValueError.
-    s, g, cert = perturbed_m2
+    _, g, cert = perturbed_m2
     p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 5, UniformNoise(0))
     lo, hi, splits = _bisect_cell(PERTURBED, p, 0.6, None, ShadowConfig())
     assert splits > 0
     assert all(0.0 <= b - a < 1e-9 for a, b in zip(lo, hi))
     Box(tuple(lo), tuple(hi), Space.TORUS)
     wide = ShadowConfig(radius_factor=6000.0)  # r = 0.6 at delta 1e-4
-    itin = itinerary(p, s, g, allow_uncertain=True)
     with pytest.raises(NoSurvivingCellError, match="best orbit achieves eps"):
-        shadow(PERTURBED, p, cert, 0.3, g=g, itin=itin, cfg=wide)
+        shadow(PERTURBED, p, cert, 0.3, g=g, allow_uncertain=True, cfg=wide)
