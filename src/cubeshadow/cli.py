@@ -18,10 +18,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -163,15 +166,20 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _load_json(path: str, inputs: dict[str, str]):
+    """Parse a JSON file, recording the sha256 of its bytes under its name."""
+    raw = Path(path).read_bytes()
+    inputs[Path(path).name] = hashlib.sha256(raw).hexdigest()
+    return json.loads(raw)
+
+
 def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]]:
     """Defaults, then the config file, then flags; returns config + hashes."""
     data: dict = {}
     inputs: dict[str, str] = {}
     path = getattr(args, "config", None)
     if path:
-        text = Path(path).read_text()
-        inputs[Path(path).name] = hashlib.sha256(text.encode()).hexdigest()
-        raw = json.loads(text)
+        raw = _load_json(path, inputs)
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a JSON object")
         unknown = sorted(set(raw) - _CONFIG_FIELDS)
@@ -206,15 +214,14 @@ class Run:
         self.artifacts: dict[str, str] = {}
 
     def read_json(self, path: str) -> dict:
-        text = Path(path).read_text()
-        self.inputs[Path(path).name] = hashlib.sha256(text.encode()).hexdigest()
-        return json.loads(text)
+        return _load_json(path, self.inputs)
 
     def _record(self, name: str, text: str) -> Path:
         self.outdir.mkdir(parents=True, exist_ok=True)
         target = self.outdir / name
-        target.write_text(text)
-        self.artifacts[name] = hashlib.sha256(text.encode()).hexdigest()
+        raw = text.encode()
+        target.write_bytes(raw)
+        self.artifacts[name] = hashlib.sha256(raw).hexdigest()
         return target
 
     def write_json(self, name: str, body: dict) -> Path:
@@ -225,10 +232,66 @@ class Run:
             "artifacts_sha256": dict(sorted(self.artifacts.items())),
             **body,
         }
-        return self._record(name, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        return self._record(name, _render(payload, "\n") + "\n")
 
     def write_text(self, name: str, text: str) -> Path:
         return self._record(name, text)
+
+
+# --- JSON writer --------------------------------------------------------------
+
+_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
+
+
+def _atom(o) -> str | None:
+    """The text of a str, None, bool, int or float, tested in the stdlib's
+    isinstance order, so np.float64 and str enums encode as their base type;
+    None for anything else."""
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None or o is True or o is False:
+        return "null" if o is None else "true" if o else "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return "NaN" if o != o else _INFINITIES.get(o) or float.__repr__(o)
+    return None
+
+
+def _render(o, nl: str) -> str:
+    """The text of json.dumps(o, sort_keys=True, indent=2), nested after the line
+    break nl.  CPython writes that with its pure-Python encoder; here runs of
+    plain ints, of plain int pairs and of plain int values join in one pass."""
+    text = _atom(o)
+    if text is not None:
+        return text
+    if not isinstance(o, (list, tuple, dict)):
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    if not o:
+        return "{}" if isinstance(o, dict) else "[]"
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(o, dict):
+        keys = sorted(o)
+        values = list(map(o.__getitem__, keys))
+        if not all(map(isinstance, keys, itertools.repeat(str))):
+            keys = map(_atom, keys)  # numbers, bools and None; other keys fail to quote
+        names = map(encode_basestring_ascii, keys)
+        if set(map(type, values)) == {int}:
+            body = sep.join(map("{}: {}".format, names, values))
+        else:
+            body = sep.join([f"{k}: {_render(v, inner)}" for k, v in zip(names, values)])
+        return f"{{{inner}{body}{nl}}}"
+    kinds = set(map(type, o))
+    if kinds == {int}:
+        body = sep.join(map(int.__repr__, o))
+    elif (kinds <= {list, tuple} and set(map(len, o)) == {2}
+          and set(map(type, itertools.chain.from_iterable(o))) == {int}):
+        pair = f"[{inner}  %d,{inner}  %d{inner}]"
+        body = sep.join([pair] * len(o)) % tuple(itertools.chain.from_iterable(o))
+    else:
+        body = sep.join([_render(v, inner) for v in o])
+    return f"[{inner}{body}{nl}]"
 
 
 # --- shared pipeline pieces -------------------------------------------------

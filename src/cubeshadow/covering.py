@@ -19,8 +19,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Set as AbstractSet
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -181,13 +180,21 @@ class CoveringCertificate:
 
 
 def certificate_from_json(data: dict) -> CoveringCertificate:
+    h, o = data["h_range"], data["orientation"]
+    # JSON true is not the integer 1, nor true or "0.5" a number.
+    if type(o) is not int or o not in (1, -1):
+        raise ValueError(f"certificate orientation must be the integer 1 or -1, not {o!r}")
+    numbers = [*(h if type(h) is list and len(h) == 2 else [h, h]),
+               data["exit_margin"], data["confinement_margin"]]
+    if set(map(type, numbers)) - {int, float}:
+        raise ValueError(f"certificate h_range and margins must be JSON numbers, not {numbers!r}")
     return CoveringCertificate(
         source=rectangle_from_json(data["source"]),
         target=rectangle_from_json(data["target"]),
-        h_range=(float(data["h_range"][0]), float(data["h_range"][1])),
+        h_range=(float(h[0]), float(h[1])),
         exit_margin=float(data["exit_margin"]),
         confinement_margin=float(data["confinement_margin"]),
-        orientation=int(data["orientation"]),
+        orientation=o,
     )
 
 
@@ -456,11 +463,11 @@ class ChainedCertificate:
     is the translate of (0, j - A i) and shares its class; otherwise each
     edge is its own class. ``certificates`` is the per-edge view.
 
-    ``excluded_boundary`` lists CertifiedNonempty edges whose cube
+    ``excluded_boundary`` holds the CertifiedNonempty edges whose cube
     intersection has no interior at this resolution (witness clearance 0,
     e.g. cubes touching at a corner): no rectangles inside the two cubes
     can have intersecting images, so they are excluded and reported rather
-    than certified.
+    than certified. Its keys are the pair set, its ``codes`` the sorted codes.
     """
 
     map_id: str
@@ -468,7 +475,7 @@ class ChainedCertificate:
     classes: tuple[tuple[Pair, CoveringCertificate], ...]
     edge_codes: np.ndarray
     edge_classes: np.ndarray
-    excluded_boundary: AbstractSet[Pair]
+    excluded_boundary: PairRows
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ChainedCertificate) and self.to_json() == other.to_json()
@@ -501,7 +508,7 @@ class ChainedCertificate:
         return min(certificate_margin(c) for _, c in self.classes)
 
     def to_json(self) -> dict:
-        ij = code_pairs(self.edge_codes, self.subdivision.count)
+        count = self.subdivision.count
         return {
             "map_id": self.map_id,
             "subdivision": self.subdivision.to_json(),
@@ -509,10 +516,21 @@ class ChainedCertificate:
             "classes": [
                 {"pair": list(rep), "certificate": c.to_json()} for rep, c in self.classes
             ],
-            "certificates": {f"{i},{j}": k for (i, j), k in zip(ij, self.edge_classes.tolist())},
-            "excluded_boundary": [[i, j] for i, j in self.excluded_boundary],
+            "certificates": dict(
+                zip(_pair_keys(self.edge_codes, count), self.edge_classes.tolist())
+            ),
+            "excluded_boundary": np.column_stack(
+                np.divmod(self.excluded_boundary.codes, count)
+            ).tolist(),
             "margin": self.margin(),
         }
+
+
+def _pair_keys(codes: np.ndarray, count: int) -> list[str]:
+    """The canonical key "i,j" of each code i * count + j."""
+    names = np.array(list(map(str, range(count))), dtype=object)
+    i, j = np.divmod(codes, count)
+    return ((names + ",")[i] + names[j]).tolist()
 
 
 @dataclass(frozen=True)
@@ -521,16 +539,17 @@ class FailureReport:
     total_edges: int
     certified: int
     failures: tuple[tuple[int, int, str], ...]
-    excluded_boundary: AbstractSet[Pair] = field(default_factory=frozenset)
+    excluded_boundary: PairRows
 
     def to_json(self) -> dict:
+        rows = self.excluded_boundary
         return {
             "map_id": self.map_id,
             "policy": _POLICY,
             "total_edges": self.total_edges,
             "certified": self.certified,
             "failures": [list(f) for f in self.failures],
-            "excluded_boundary": sorted(list(p) for p in self.excluded_boundary),
+            "excluded_boundary": np.column_stack(np.divmod(rows.codes, rows.count)).tolist(),
         }
 
 
@@ -648,7 +667,7 @@ def certify_chained(
         else:
             edge_codes.append(code)
             edge_classes.append(got)
-    excluded = PairRows(g.witness_codes[~is_interior], count).keys()
+    excluded = PairRows(g.witness_codes[~is_interior], count)
 
     if failures or not edge_codes:
         if not failures:
@@ -689,17 +708,14 @@ def _rect_in_cube(r: Rectangle, cube: Box) -> bool:
     return bool(np.all(c - half >= cube.lo_arr) and np.all(c + half <= cube.hi_arr))
 
 
-def _pair_codes(pairs: list, count: int, what: str) -> tuple[np.ndarray, list[Pair]]:
-    """Sorted unique codes i * count + j of stored cube pairs, and the sorted
-    pairs that name no cube.  Each pair must be two integers: JSON true,
-    false or 1.0 is not an index."""
-    if (set(map(type, pairs)) - {list, tuple} or set(map(len, pairs)) - {2}
-            or set(map(type, itertools.chain.from_iterable(pairs))) - {int}):
+def _flat_pairs(pairs: list, what: str) -> list[int]:
+    """The indices of stored cube pairs, pair after pair.  Each pair must be
+    two integers: JSON true, false or 1.0 is not an index."""
+    shaped = set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}
+    flat = list(itertools.chain.from_iterable(pairs)) if shaped else [None]
+    if set(map(type, flat)) - {int}:
         raise ValueError(f"{what} must hold pairs of integer indices")
-    cube = [0 <= i < count and 0 <= j < count for i, j in pairs]
-    strays = sorted({tuple(p) for p, ok in zip(pairs, cube) if not ok})
-    ij = np.array([p for p, ok in zip(pairs, cube) if ok], dtype=np.int64).reshape(-1, 2)
-    return np.unique(ij[:, 0] * count + ij[:, 1]), strays
+    return flat
 
 
 def audit_chained(
@@ -713,7 +729,9 @@ def audit_chained(
     edge names must be its translation class: the edge and the class's
     pair must share a class representative, derived here rather than read
     from the file. The excluded edges must be exactly the boundary-only
-    edges of g. Edges are compared as sorted pair codes.
+    edges of g. The stored keys and pairs are compared with the ones g's
+    columns give as whole sets and lists; only those that differ are
+    parsed one by one.
     """
     cfg = cfg or CoveringConfig()
     s = g.subdivision
@@ -725,8 +743,7 @@ def audit_chained(
     reps: list[int] = []  # each class's pair code; -1 when it is not a cube pair
     margins = []
     for k, entry in enumerate(body["classes"]):
-        _pair_codes([entry["pair"]], count, f"class {k}")
-        i, j = entry["pair"]
+        i, j = _flat_pairs([entry["pair"]], f"class {k}")
         cert = certificate_from_json(entry["certificate"])
         margins.append(certificate_margin(cert))
         if not (0 <= i < count and 0 <= j < count):
@@ -744,37 +761,47 @@ def audit_chained(
 
     is_interior = g.clearances > 0.0
     interior, boundary = g.witness_codes[is_interior], g.witness_codes[~is_interior]
-    stored: dict[Pair, int] = {}
-    for key, k in body["certificates"].items():
-        if type(k) is not int:  # JSON true, false and 1.0 are not class indices
-            raise ValueError(f"certificate entry {key!r} must name a class index")
-        i, j = map(int, key.split(","))
-        if key != f"{i},{j}":  # "0, 0" or "00,0" would alias the edge (0, 0)
-            raise ValueError(f"certificate key {key!r} is not the canonical \"{i},{j}\"")
-        stored[(i, j)] = k
-    codes, strays = _pair_codes(list(stored), count, "certificates")
-    for pair in code_pairs(np.setdiff1d(interior, codes, assume_unique=True), count):
+    entries = body["certificates"]
+    if not isinstance(entries, dict):
+        raise ValueError("certificates must be a JSON object of \"i,j\": class entries")
+    keys = _pair_keys(interior, count)
+    stored = np.fromiter(map(entries.__contains__, keys), bool, len(keys))
+    extra: list[Pair] = []  # stored edges that are not interior-witnessed
+    if len(entries) != stored.sum() or set(map(type, entries.values())) - {int}:
+        known = set(keys)
+        for key, k in entries.items():
+            if type(k) is not int:  # JSON true, false and 1.0 are not class indices
+                raise ValueError(f"certificate entry {key!r} must name a class index")
+            if key not in known:
+                i, j = map(int, key.split(","))
+                if key != f"{i},{j}":  # "0, 0" or "00,0" would alias the edge (0, 0)
+                    raise ValueError(f"certificate key {key!r} is not the canonical \"{i},{j}\"")
+                extra.append((i, j))
+    for pair in code_pairs(interior[~stored], count):
         problems.append(f"edge {pair}: interior-witnessed but not certified")
-    unknown = code_pairs(np.setdiff1d(codes, interior, assume_unique=True), count)
-    for pair in sorted([*unknown, *strays]):
+    for pair in sorted(extra):
         problems.append(f"edge {pair}: certified but not an interior-witnessed graph edge")
-    edges = np.intersect1d(codes, interior, assume_unique=True)
-    ks = [stored[p] for p in code_pairs(edges, count)]
-    named = np.array(reps + [-1])[[k if 0 <= k < len(reps) else -1 for k in ks]]
+    # The pair code of the class each edge names; -1 for none or a bad index.
+    ks = map(entries.get, keys, itertools.repeat(-1))
+    named = np.fromiter(map(dict(enumerate(reps)).get, ks, itertools.repeat(-1)), np.int64)
+    edges, named = interior[stored], named[stored]
     agree = (named >= 0) & (g.class_codes(edges) == g.class_codes(np.maximum(named, 0)))
-    for pair in code_pairs(edges[~agree], count):
-        problems.append(f"edge {pair}: class {stored[pair]} is not its translation class")
+    for i, j in code_pairs(edges[~agree], count):
+        problems.append(f"edge {(i, j)}: class {entries[f'{i},{j}']} is not its translation class")
 
-    listed, strays = _pair_codes(body["excluded_boundary"], count, "excluded_boundary")
-    unknown = code_pairs(np.setdiff1d(listed, boundary, assume_unique=True), count)
-    for pair in sorted([*unknown, *strays]):
-        problems.append(f"edge {pair}: listed as excluded but not a boundary-only graph edge")
-    for pair in code_pairs(np.setdiff1d(boundary, listed, assume_unique=True), count):
-        problems.append(f"edge {pair}: boundary-only graph edge missing from excluded_boundary")
+    listed = body["excluded_boundary"]
+    flat, excluded = _flat_pairs(listed, "excluded_boundary"), len(listed)
+    if flat != np.column_stack(np.divmod(boundary, count)).ravel().tolist():
+        want, have = set(code_pairs(boundary, count)), set(map(tuple, listed))
+        for pair in sorted(have - want):
+            problems.append(f"edge {pair}: listed as excluded but not a boundary-only graph edge")
+        for pair in sorted(want - have):
+            problems.append(f"edge {pair}: boundary-only graph edge missing from excluded_boundary")
+        excluded = len(have)
     return ChainedAudit(
         classes=len(reps),
         certified=int(agree.sum()),
-        excluded=len(listed) + len(strays),
+        excluded=excluded,
         problems=tuple(problems),
     )
 

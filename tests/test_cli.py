@@ -1,16 +1,22 @@
 """End-to-end CLI runs: exit codes, artifacts, provenance, re-verification."""
 
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cubeshadow
-from cubeshadow import shadowing
+from cubeshadow import cli, shadowing
 from cubeshadow.cli import main
+from cubeshadow.transition import EdgeStatus
 
 CAT = "toral [[2,1],[1,1]]"
 PERTURBED = "perturbed [[2,1],[1,1]] eta=0.001 freq=1"
@@ -18,6 +24,84 @@ PERTURBED = "perturbed [[2,1],[1,1]] eta=0.001 freq=1"
 
 def run_json(path):
     return json.loads(path.read_text())
+
+
+def _stdlib_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.fixture(autouse=True)
+def json_artifacts_are_stdlib_text(monkeypatch):
+    """Every JSON artifact a run in this module writes is, byte for byte, the
+    stdlib's sort_keys=True, indent=2 rendering of what it holds."""
+    record = cli.Run._record
+
+    def checked(run, name, text):
+        path = record(run, name, text)
+        if name.endswith(".json"):
+            raw = path.read_bytes().decode()
+            assert raw == _stdlib_text(json.loads(raw)) + "\n", path
+        return path
+
+    monkeypatch.setattr(cli.Run, "_record", checked)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-10**40, 10**40),
+    st.floats(), st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 2.2e-308, 1e308, math.nan, math.inf, -math.inf]),
+    st.sampled_from(list(EdgeStatus)),
+    st.text(), st.sampled_from(["\x00\x1f\"\\", "é∞😀\u2028"]),
+)
+_TREES = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids), st.lists(kids).map(tuple),
+        # One kind of key per dict: the stdlib cannot sort str and int keys together.
+        *(st.dictionaries(keys, kids) for keys in (
+            st.text(), st.sampled_from(list(EdgeStatus)), st.integers(), st.floats(),
+        )),
+        st.dictionaries(st.text(), st.integers()),
+        st.lists(st.lists(st.integers(), min_size=2, max_size=2)),
+        st.lists(st.tuples(st.integers(), st.one_of(st.integers(), st.booleans()))),
+        st.lists(st.one_of(st.integers(), st.booleans())),
+    ),
+    max_leaves=40,
+)
+
+
+@given(_TREES)
+def test_json_writer_is_the_stdlib_rendering(obj):
+    assert cli._render(obj, "\n") == _stdlib_text(obj)
+
+
+@pytest.mark.parametrize(
+    "obj", [{"a": 1, 2: 3}, {(1, 2): 0}, [object()], {"x": np.int64(1)}, {None: 0, "a": 1}],
+    ids=["str-and-int-keys", "tuple-key", "object", "numpy-int", "none-and-str-keys"],
+)
+def test_json_writer_refuses_what_the_stdlib_refuses(obj):
+    with pytest.raises(TypeError):
+        _stdlib_text(obj)
+    with pytest.raises(TypeError):
+        cli._render(obj, "\n")
+
+
+def test_digests_are_of_the_file_bytes(tmp_path):
+    # CRLF line endings: a digest of the decoded text would miss the \r bytes.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(json.dumps({"map": CAT, "m": 3, "window": 8}, indent=2)
+                    .replace("\n", "\r\n").encode())
+    assert main(["pseudo", "--config", str(cfg), "--out", str(tmp_path / "p")]) == 0
+    orbit = tmp_path / "orbit.json"
+    orbit.write_bytes((tmp_path / "p" / "orbit.json").read_bytes().replace(b"\n", b"\r\n"))
+    out = tmp_path / "s"
+    assert main(["shadow", "--config", str(cfg), "--orbit", str(orbit), "--out", str(out)]) == 0
+    data = run_json(out / "shadow.json")
+    for name, path in (("cfg.json", cfg), ("orbit.json", orbit)):
+        assert data["inputs_sha256"][name] == hashlib.sha256(path.read_bytes()).hexdigest()
+    for name in ("orbit.csv", "certificate.json"):
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert data["artifacts_sha256"][name] == digest
 
 
 def test_certify_cat_writes_certificate(tmp_path, capsys):
@@ -154,6 +238,25 @@ def _flipped_orientation(cert):
     cert["classes"][0]["certificate"]["target"]["orientation"] = -1
 
 
+def _bool_orientation(cert):
+    # true == 1, so a lenient reader takes it as the orientation +1.
+    cert["classes"][0]["certificate"]["orientation"] = True
+
+
+def _string_h_range(cert):
+    c = cert["classes"][0]["certificate"]
+    c["h_range"] = [repr(h) for h in c["h_range"]]
+
+
+def _string_margin(cert):
+    c = cert["classes"][0]["certificate"]
+    c["confinement_margin"] = repr(c["confinement_margin"])
+
+
+def _listed_certificates(cert):
+    cert["certificates"] = [[key, k] for key, k in cert["certificates"].items()]
+
+
 @pytest.mark.parametrize(
     "tamper, rc, reason",
     [
@@ -171,11 +274,16 @@ def _flipped_orientation(cert):
         (_spaced_key, 4, "is not the canonical"),
         (_exit_axis_one, 4, "rectangle exit_axis must be the integer 0, not 1"),
         (_flipped_orientation, 4, "rectangle orientation must be the integer 1, not -1"),
+        (_bool_orientation, 4, "certificate orientation must be the integer 1 or -1, not True"),
+        (_string_h_range, 4, "certificate h_range and margins must be JSON numbers"),
+        (_string_margin, 4, "certificate h_range and margins must be JSON numbers"),
+        (_listed_certificates, 4, "certificates must be a JSON object"),
     ],
     ids=["drop-half", "drop-one", "rekey", "swap-class", "move-class",
          "inflate-margin", "drop-excluded", "widen-strip", "bool-class",
          "float-excluded", "float-pair", "spaced-key", "exit-axis-one",
-         "flipped-orientation"],
+         "flipped-orientation", "bool-orientation", "string-h-range",
+         "string-margin", "listed-certificates"],
 )
 def test_verify_rejects_a_tampered_certificate(
     tmp_path, capsys, cat_certificate, tamper, rc, reason

@@ -6,6 +6,8 @@ the report line with the output directory stripped.  Maps whose interval
 evaluation is not exact in floats (the shear and translations by
 non-dyadic vectors) pin only the edge statuses, since their stored gaps
 may move in the last digits when an enclosure gains an outward rounding.
+Two runs also pin the raw file bytes, formatting included; the standard
+map's pin moves with any change to its sine enclosure.
 """
 
 import hashlib
@@ -42,6 +44,23 @@ def _sha(obj) -> str:
 def test_graph_artifact_bits(tmp_path, descriptor, m, digest):
     assert main(["graph", "--map", descriptor, "--m", str(m), "--out", str(tmp_path)]) == 0
     assert _sha(_body(tmp_path / "graph.json")) == digest
+
+
+@pytest.mark.parametrize(
+    "argv, artifact, digest",
+    [
+        (["certify", "--map", CAT], "certificate.json",
+         "7128144b285888623f73289bcb94c195d1f6c94225ac365e2da78c72e838a453"),
+        (["graph", "--map", "standard K=0.3"], "graph.json",
+         "102c4365e51b8453ef4cad45faa311d6c99695ab6f338b0c83690ad9f42d86c1"),
+    ],
+    ids=["cat-certificate", "standard-graph"],
+)
+def test_raw_artifact_bytes(tmp_path, monkeypatch, argv, artifact, digest):
+    # A relative --out keeps the embedded config the same in every checkout.
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--m", "3", "--out", "out"]) == 0
+    assert hashlib.sha256((tmp_path / "out" / artifact).read_bytes()).hexdigest() == digest
 
 
 def test_cat_certificate_bits(tmp_path):
