@@ -184,10 +184,11 @@ def certificate_from_json(data: dict) -> CoveringCertificate:
     # JSON true is not the integer 1, nor true or "0.5" a number.
     if type(o) is not int or o not in (1, -1):
         raise ValueError(f"certificate orientation must be the integer 1 or -1, not {o!r}")
-    numbers = [*(h if type(h) is list and len(h) == 2 else [h, h]),
+    numbers = [*(h if type(h) is list and len(h) == 2 else [None]),
                data["exit_margin"], data["confinement_margin"]]
     if set(map(type, numbers)) - {int, float}:
-        raise ValueError(f"certificate h_range and margins must be JSON numbers, not {numbers!r}")
+        raise ValueError("certificate h_range and margins must be JSON numbers, not "
+                         f"{h!r}, {numbers[-2]!r}, {numbers[-1]!r}")
     return CoveringCertificate(
         source=rectangle_from_json(data["source"]),
         target=rectangle_from_json(data["target"]),
