@@ -147,12 +147,22 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
-_INT_FIELDS = {
-    "n", "m", "window", "seed", "grid_order", "period", "grid",
-    "segment_length", "gap", "strip_depth", "bisection_depth",
-    "refine_depth", "samples_per_cube",
-}
-_FLOAT_FIELDS = {"delta", "eps", "min_margin", "fp_tol"}
+_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+# The JSON types a value may take for each annotated field type.
+_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
+def _config_value(name: str, value):
+    """A config value of its field's annotated type, never coerced: true is
+    not an int, 2.7 not an int, "3" not a number.  ValueError names the key."""
+    kind, _, optional = _FIELD_TYPES[name].partition(" | ")
+    if value is None and optional:
+        return None
+    if kind == "tuple[str, ...]" and type(value) is list and set(map(type, value)) <= {str}:
+        return tuple(value)
+    if type(value) in _JSON_TYPES.get(kind, ()):
+        return float(value) if kind == "float" else value
+    raise ValueError(f"config key {name!r} must be of type {_FIELD_TYPES[name]}, not {value!r}")
 
 
 class UsageError(Exception):
@@ -190,17 +200,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]
         value = getattr(args, name, None)
         if value is not None:
             data[name] = value
-    for name in list(data):
-        value = data[name]
-        if value is None:
-            continue
-        if name in _INT_FIELDS:
-            data[name] = int(value)
-        elif name in _FLOAT_FIELDS:
-            data[name] = float(value)
-    if isinstance(data.get("starts"), list):
-        data["starts"] = tuple(str(s) for s in data["starts"])
-    return RunConfig(**data), inputs
+    return RunConfig(**{name: _config_value(name, v) for name, v in data.items()}), inputs
 
 
 class Run:
@@ -375,7 +375,7 @@ def _print_failures(rep: FailureReport) -> None:
     for i, j, reason in rep.failures:
         print(f"  edge ({i}, {j}): {reason}")
     if rep.excluded_boundary:
-        print(f"  excluded boundary contacts: {sorted(rep.excluded_boundary)}")
+        print(f"  {len(rep.excluded_boundary)} excluded boundary contacts, listed in failure.json")
 
 
 def _certify(run: Run, f: MapSpec, s, g):

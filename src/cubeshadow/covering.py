@@ -34,7 +34,7 @@ from .dynamics import (
     residual_range,
 )
 from .errors import MismatchedChainError, NotEndomorphismError, UncertainEdgesError
-from .geometry import Box, Space, Subdivision
+from .geometry import Box, Space, Subdivision, check_bounds
 from .transition import PairRows, TransitionGraph, code_pairs
 
 _ORTHO_TOL = 1e-9
@@ -48,6 +48,17 @@ def _frame_array(frame: tuple[tuple[float, ...], ...]) -> np.ndarray:
         raise ValueError("frame rows must be orthonormal")
     m.setflags(write=False)
     return m
+
+
+def _check_rectangles(lo: np.ndarray, hi: np.ndarray, frame) -> np.ndarray:
+    """The Rectangle checks on stacked (k, n) bounds in one frame, which is
+    returned as an array: positive widths, orthonormal n x n frame rows."""
+    n = lo.shape[-1]
+    if np.any(hi <= lo):
+        raise ValueError("rectangle must have positive volume on every axis")
+    if frame is not None and (len(frame) != n or any(len(row) != n for row in frame)):
+        raise ValueError(f"frame must be {n}x{n}")
+    return np.eye(n) if frame is None else _frame_array(frame)
 
 
 @dataclass(frozen=True)
@@ -65,13 +76,7 @@ class Rectangle:
     frame: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        n = self.box.n
-        if any(b <= a for a, b in zip(self.box.lo, self.box.hi)):
-            raise ValueError("rectangle must have positive volume on every axis")
-        if self.frame is not None:
-            if len(self.frame) != n or any(len(row) != n for row in self.frame):
-                raise ValueError(f"frame must be {n}x{n}")
-            _frame_array(self.frame)
+        _check_rectangles(self.box.lo_arr[None], self.box.hi_arr[None], self.frame)
 
     @property
     def n(self) -> int:
@@ -213,7 +218,8 @@ def _mv(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 class _ChartImages:
     """Interval images of strip pieces in the targets' centered charts, for a
-    batch of source/target rectangle pairs.
+    batch of source/target rectangle pairs: boxes [lo[k], hi[k]] in frames
+    fs[k] onto boxes [dst_lo[k], dst_hi[k]] in frames fd[k].
 
     v = M u + o + Fd r, with u the source chart offsets, M = Fd A Fs^T,
     o covering the affine offset and the integer lift shift, r the
@@ -222,15 +228,8 @@ class _ChartImages:
     bits do not depend on the batch it is checked in.
     """
 
-    def __init__(self, f: MapSpec, srcs: list[Rectangle], dsts: list[Rectangle]):
-        self.f, self.srcs, self.dsts = f, srcs, dsts
-
-        def rows(rects, key) -> np.ndarray:
-            return np.array([key(r) for r in rects])
-
-        self.fs, self.fd = (rows(rs, lambda r: r.frame_arr) for rs in (srcs, dsts))
-        lo, dst_lo = (rows(rs, lambda r: r.box.lo) for rs in (srcs, dsts))
-        hi, dst_hi = (rows(rs, lambda r: r.box.hi) for rs in (srcs, dsts))
+    def __init__(self, f: MapSpec, lo, hi, fs, dst_lo, dst_hi, fd):
+        self.f, self.fs, self.fd = f, fs, fd
         # Rectangle.center and .half_widths, row by row.
         self.c_src, c_dst = 0.5 * (lo + hi), 0.5 * (dst_lo + dst_hi)
         self.half, self.dst_half = 0.5 * (hi - lo), 0.5 * (dst_hi - dst_lo)
@@ -240,6 +239,12 @@ class _ChartImages:
         shift = lift_points(f, Direction.FORWARD, self.c_src) - c_dst
         shift = np.round(shift) if f.space is Space.TORUS else np.zeros_like(shift)
         self.offset = _mv(self.fd, _mv(parts.a, self.c_src) + parts.b - shift - c_dst)
+
+    @classmethod
+    def of(cls, f: MapSpec, srcs: list[Rectangle], dsts: list[Rectangle]) -> "_ChartImages":
+        """The chart of rectangle pairs: their boxes and frames, stacked."""
+        keys = (lambda r: r.box.lo, lambda r: r.box.hi, lambda r: r.frame_arr)
+        return cls(f, *(np.array([key(r) for r in rs]) for rs in (srcs, dsts) for key in keys))
 
     def strips_on_exit_sides(self, h0, h1) -> bool:
         """Whether every [h0[k], h1[k]] is a nondegenerate sub-range of the
@@ -271,8 +276,8 @@ class _ChartImages:
     def verdicts(self, rows, h0, h1, min_margin: float):
         """Check strip [h0[j], h1[j]] of source rows[j] across its target, for
         every j: whether it certifies, its margin shortfall (the exit margin
-        when the exit fails, else the smaller margin), and a maker of the
-        certificate of strip j."""
+        when the exit fails, else the smaller margin), its exit and
+        confinement margins and its orientation."""
         c_e = self.c_src[rows, 0]
         u_hi = self.half[rows].copy()
         u_lo = -u_hi
@@ -304,32 +309,43 @@ class _ChartImages:
         conf = np.where(np.isinf(conf), exit_margin, conf)
         exits = ~(exit_margin < min_margin)
         shortfall = np.where(exits, np.minimum(exit_margin, conf), exit_margin)
-
-        def cert(j: int) -> CoveringCertificate:
-            return CoveringCertificate(
-                source=self.srcs[rows[j]], target=self.dsts[rows[j]],
-                h_range=(float(h0[j]), float(h1[j])),
-                exit_margin=float(exit_margin[j]), confinement_margin=float(conf[j]),
-                orientation=int(geo[j]),
-            )
-
-        return exits & ~(conf < min_margin), shortfall, cert
+        return exits & ~(conf < min_margin), shortfall, exit_margin, conf, geo
 
 
-def _check_inputs(f: MapSpec, srcs: list[Rectangle], dsts: list[Rectangle]) -> _ChartImages:
-    """The chart of the pairs, once each pair is fit for a covering check."""
-    for src, dst in zip(srcs, dsts):
-        if not (f.n == src.n == dst.n):
-            raise ValueError("map and rectangles must share a dimension")
-        if src.box.space is not dst.box.space:
-            raise ValueError("rectangles must live in the same space")
-    chart = _ChartImages(f, srcs, dsts)
+@dataclass(frozen=True)
+class StripRows:
+    """Covering verdicts as columns: pair k certifies on strip [h0[k], h1[k]]
+    with its margins and orientation, unless ``reasons[k]`` says why not."""
+
+    h0: np.ndarray
+    h1: np.ndarray
+    exit_margin: np.ndarray
+    confinement_margin: np.ndarray
+    orientation: np.ndarray
+    reasons: tuple[str | None, ...]
+
+    def results(self, srcs, dsts) -> list[CoveringCertificate | Inconclusive]:
+        """Row k as the certificate of srcs[k] covering dsts[k], or Inconclusive."""
+        columns = (self.h0, self.h1, self.exit_margin, self.confinement_margin, self.orientation)
+        return [
+            Inconclusive(why) if why else CoveringCertificate(src, dst, (h0, h1), e, c, int(o))
+            for src, dst, why, h0, h1, e, c, o in zip(srcs, dsts, self.reasons,
+                                                      *(x.tolist() for x in columns))
+        ]
+
+
+def _strip_rows(
+    f: MapSpec, chart: _ChartImages, cfg: CoveringConfig, strip: tuple[float, float] | None
+) -> StripRows:
+    """The covering core: the chart's fit checks, then the strip search
+    (or the pinned strip) for every pair, as in ``check_coverings``."""
+    count = len(chart.c_src)
     if f.space is Space.TORUS:
         for frames, half in ((chart.fs, chart.half), (chart.fd, chart.dst_half)):
             if np.any(2.0 * _mv(np.abs(frames).transpose(0, 2, 1), half) >= 0.5):
                 raise ValueError("rectangle too large for a single torus chart")
     else:
-        lo, hi = chart.strip_box(np.arange(len(srcs)), chart.lo_e, chart.hi_e)
+        lo, hi = chart.strip_box(np.arange(count), chart.lo_e, chart.hi_e)
         lo, hi = eval_box(
             f, Direction.FORWARD, np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
         )
@@ -338,7 +354,60 @@ def _check_inputs(f: MapSpec, srcs: list[Rectangle], dsts: list[Rectangle]) -> _
             raise NotEndomorphismError(
                 f"{f.descriptor} maps the source rectangle outside the unit cube"
             )
-    return chart
+    found = np.zeros((5, count))  # the StripRows columns, row by row
+    best = [(-math.inf, 0, 0)] * count
+    open_rows = np.arange(count)
+    for d in range(cfg.depth + 1 if strip is None else 1):
+        if not len(open_rows):
+            break
+        if strip is None:
+            pieces = 1 << d
+            ks = np.arange(pieces)
+            lo_e = chart.lo_e[open_rows, None]
+            step = (chart.hi_e[open_rows, None] - lo_e) / pieces
+            h0, h1 = lo_e + ks * step, lo_e + (ks + 1) * step
+            h1[:, -1] = chart.hi_e[open_rows]
+            h0, h1 = h0.ravel(), h1.ravel()
+        else:
+            pieces, (h0, h1) = 1, (np.full(count, float(v)) for v in strip)
+            if not chart.strips_on_exit_sides(h0, h1):
+                raise ValueError("strip must be a nondegenerate sub-range of the exit side")
+        ok, shortfall, *columns = chart.verdicts(
+            np.repeat(open_rows, pieces), h0, h1, cfg.min_margin
+        )
+        ok, shortfall = ok.reshape(-1, pieces), shortfall.reshape(-1, pieces)
+        done, first = ok.any(axis=1), ok.argmax(axis=1)
+        picks = np.flatnonzero(done) * pieces + first[done]
+        found[:, open_rows[done]] = np.array([h0, h1, *columns])[:, picks]
+        # The first strip of the row with the largest shortfall so far; a
+        # pinned strip reports its own.
+        worst = shortfall.argmax(axis=1)
+        for j in np.flatnonzero(~done):
+            r, k = open_rows[j], int(worst[j])
+            if shortfall[j, k] > best[r][0] or strip is not None:
+                best[r] = (float(shortfall[j, k]), d, k)
+        open_rows = open_rows[~done]
+    reasons: list[str | None] = [None] * count
+    for r in open_rows.tolist():
+        shortfall, d, k = best[r]
+        reasons[r] = (
+            f"prescribed strip failed; margin shortfall {shortfall:.3e}" if strip is not None
+            else f"no strip certified to depth {cfg.depth}; best margin shortfall "
+                 f"{shortfall:.3e} at depth {d} piece {k}"
+        )
+    return StripRows(*found, tuple(reasons))
+
+
+def check_chain(f: MapSpec, lo, hi, frame, space: Space, cyclic: bool, cfg) -> StripRows:
+    """check_coverings along a chain of boxes [lo[k], hi[k]] in one frame,
+    k covering k + 1 (and the last the first when ``cyclic``), without
+    building a Rectangle: the Box and Rectangle checks run on the arrays."""
+    check_bounds(lo, hi, space)
+    steps = len(lo) - (not cyclic)
+    frames = np.repeat(_check_rectangles(lo, hi, frame)[None], steps, axis=0)
+    ends = np.roll(np.arange(len(lo)), -1)[:steps]
+    chart = _ChartImages(f, lo[:steps], hi[:steps], frames, lo[ends], hi[ends], frames)
+    return _strip_rows(f, chart, cfg, None)
 
 
 def check_coverings(
@@ -363,51 +432,12 @@ def check_coverings(
     cfg = cfg or CoveringConfig()
     if not srcs:
         return []
-    chart = _check_inputs(f, srcs, dsts)
-    if strip is not None:
-        h0, h1 = np.full(len(srcs), float(strip[0])), np.full(len(srcs), float(strip[1]))
-        if not chart.strips_on_exit_sides(h0, h1):
-            raise ValueError("strip must be a nondegenerate sub-range of the exit side")
-        ok, shortfall, cert = chart.verdicts(np.arange(len(srcs)), h0, h1, cfg.min_margin)
-        return [
-            cert(j) if ok[j] else
-            Inconclusive(f"prescribed strip failed; margin shortfall {shortfall[j]:.3e}")
-            for j in range(len(srcs))
-        ]
-    found: list[CoveringCertificate | None] = [None] * len(srcs)
-    best = [(-math.inf, 0, 0)] * len(srcs)
-    open_rows = np.arange(len(srcs))
-    for d in range(cfg.depth + 1):
-        if not len(open_rows):
-            break
-        pieces = 1 << d
-        ks = np.arange(pieces)
-        lo_e = chart.lo_e[open_rows, None]
-        step = (chart.hi_e[open_rows, None] - lo_e) / pieces
-        h0 = lo_e + ks * step
-        h1 = lo_e + (ks + 1) * step
-        h1[:, -1] = chart.hi_e[open_rows]
-        ok, shortfall, cert = chart.verdicts(
-            np.repeat(open_rows, pieces), h0.ravel(), h1.ravel(), cfg.min_margin
-        )
-        ok, shortfall = ok.reshape(-1, pieces), shortfall.reshape(-1, pieces)
-        done, first = ok.any(axis=1), ok.argmax(axis=1)
-        for j in np.flatnonzero(done):
-            found[open_rows[j]] = cert(j * pieces + int(first[j]))
-        # The first strip of the row with the largest shortfall so far.
-        worst = shortfall.argmax(axis=1)
-        for j in np.flatnonzero(~done):
-            r, k = open_rows[j], int(worst[j])
-            if shortfall[j, k] > best[r][0]:
-                best[r] = (float(shortfall[j, k]), d, k)
-        open_rows = open_rows[~done]
-    return [
-        cert or Inconclusive(
-            f"no strip certified to depth {cfg.depth}; best margin shortfall "
-            f"{shortfall:.3e} at depth {d} piece {k}"
-        )
-        for cert, (shortfall, d, k) in zip(found, best)
-    ]
+    for src, dst in zip(srcs, dsts):
+        if not (f.n == src.n == dst.n):
+            raise ValueError("map and rectangles must share a dimension")
+        if src.box.space is not dst.box.space:
+            raise ValueError("rectangles must live in the same space")
+    return _strip_rows(f, _ChartImages.of(f, srcs, dsts), cfg, strip).results(srcs, dsts)
 
 
 def check_covering(
@@ -427,19 +457,17 @@ def verify_certificate(
     """Re-check a stored certificate from scratch on its recorded strip,
     which must lie on the source's exit side."""
     cfg = cfg or CoveringConfig()
-    chart = _ChartImages(f, [cert.source], [cert.target])
+    chart = _ChartImages.of(f, [cert.source], [cert.target])
     h0, h1 = np.array([cert.h_range]).T
     if not chart.strips_on_exit_sides(h0, h1):
         return False
-    ok, _, again = chart.verdicts([0], h0, h1, cfg.min_margin)
-    if not ok[0]:
-        return False
-    result = again(0)
+    ok, _, exit_margin, conf, geo = chart.verdicts([0], h0, h1, cfg.min_margin)
     tol = 1e-12
-    return (
-        result.orientation == cert.orientation
-        and result.exit_margin >= cert.exit_margin - tol
-        and result.confinement_margin >= cert.confinement_margin - tol
+    return bool(
+        ok[0]
+        and geo[0] == cert.orientation
+        and exit_margin[0] >= cert.exit_margin - tol
+        and conf[0] >= cert.confinement_margin - tol
     )
 
 
@@ -576,35 +604,28 @@ def expansion_frame(f: MapSpec) -> tuple[np.ndarray, np.ndarray] | None:
     return q.T, vals[order]
 
 
+def frame_coupling(f: MapSpec, rows: np.ndarray) -> float:
+    """c = |row_u . A . row_s|, the (Schur) frame's |u <- s| entry of A, zero
+    for a normal A; anchored pairs and step chains both size for it."""
+    return abs(float(rows[0] @ map_parts(f).a @ rows[-1]))
+
+
 def _anchored_pair(
-    f: MapSpec,
-    s: Subdivision,
-    witness,
-    frame: np.ndarray | None,
+    s: Subdivision, witness, frame: np.ndarray | None, shape: np.ndarray
 ) -> tuple[Rectangle, Rectangle]:
-    """Source/target rectangles centered on an interior witness and its image."""
-    fit = 1.0
-    if frame is not None:
-        fit = float(np.max(np.sum(np.abs(frame), axis=0)))
-    rho = 0.999 * witness.clearance / fit
-    x0 = np.array(witness.point)
-    y0 = np.array(witness.image)
-    tup = _frame_tuple(frame)
-    space = s.space
-
-    def rect(center: np.ndarray) -> Rectangle:
-        # clearance >= fit * rho keeps the ranges inside the cube, hence [0,1].
-        lo = tuple(float(v) for v in center - rho)
-        hi = tuple(float(v) for v in center + rho)
-        return Rectangle(Box(lo, hi, space), tup)
-
-    return rect(x0), rect(y0)
-
-
-def _frame_tuple(frame: np.ndarray | None):
-    if frame is None:
-        return None
-    return tuple(tuple(float(v) for v in row) for row in frame)
+    """Source/target rectangles centered on an interior witness and its
+    image, with chart half-widths rho * shape for the largest rho that
+    keeps both inside their cubes."""
+    arr = np.eye(len(shape)) if frame is None else frame
+    # clearance >= max(|F|^T shape) * rho keeps the ranges inside the cube, hence [0,1].
+    fit = float(np.max(np.sum(np.abs(arr) * shape[:, None], axis=0)))
+    half = 0.999 * witness.clearance / fit * shape
+    tup = None if frame is None else tuple(tuple(float(v) for v in row) for row in frame)
+    src, dst = (
+        Rectangle(Box(tuple(c - half), tuple(c + half), s.space), tup)
+        for c in (np.array(witness.point), np.array(witness.image))
+    )
+    return src, dst
 
 
 def certify_chained(
@@ -629,11 +650,15 @@ def certify_chained(
             f"{g.uncertain_count} uncertain edges; refine the graph or allow_uncertain"
         )
     hint = expansion_frame(f)
-    frame = None
+    frame, shape = None, np.ones(f.n)
     if hint is not None:
         rows, vals = hint
         if np.abs(vals[0]) > 1.0 + 1e-9 and f.n >= 2:
-            frame = rows
+            frame, coupling = rows, frame_coupling(f, rows)
+            # In the frame A is [[lam_u, c], [0, lam_s]]: this stable side
+            # keeps lam_u * h - c * h_s - h at (3/4)(lam_u - 1) h or more.
+            if coupling > 0.0:
+                shape[-1] = min(1.0, (abs(vals[0]) - 1.0) / (4.0 * coupling))
 
     count = s.count
     is_interior = g.clearances > 0.0
@@ -648,7 +673,7 @@ def certify_chained(
     def search(code: int) -> int | str:
         if code not in searched:
             pair = divmod(code, count)
-            src, dst = _anchored_pair(f, s, g.witnesses[pair], frame)
+            src, dst = _anchored_pair(s, g.witnesses[pair], frame, shape)
             result = check_covering(f, src, dst, cfg)
             if isinstance(result, CoveringCertificate):
                 searched[code] = len(classes)

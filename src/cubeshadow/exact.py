@@ -53,11 +53,6 @@ def to_fracs(nums: IntVec, den: int) -> FracVec:
     return tuple(Fraction(v, den) for v in nums)
 
 
-def _mat_mul(a: IntMat, b: IntMat) -> IntMat:
-    cols = list(zip(*b))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in a)
-
-
 def _apply(m: IntMat, v: IntVec) -> IntVec:
     return tuple(sum(map(mul, row, v)) for row in m)
 
@@ -83,11 +78,6 @@ class ExactAffine:
     offset: IntVec
     denom: int
     wrap: bool
-
-    @classmethod
-    def identity(cls, n: int, wrap: bool) -> "ExactAffine":
-        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-        return cls(eye, (0,) * n, 1, wrap)
 
     def apply(self, x: FracVec) -> FracVec:
         nums, dens = self.orbit(*to_ints(x), 1)
@@ -117,14 +107,23 @@ class ExactAffine:
             dens.append(den)
         return nums, dens
 
-    def compose(self, inner: "ExactAffine") -> "ExactAffine":
-        """self after inner.  Torus offsets are reduced to keep numbers small."""
-        d = self.denom * inner.denom
-        off = _apply(self.matrix, inner.offset)
-        off = tuple(a + b * inner.denom for a, b in zip(off, self.offset))
-        if self.wrap:
-            off = tuple(v % d for v in off)
-        return ExactAffine(_mat_mul(self.matrix, inner.matrix), off, d, self.wrap)
+    def pull_back(self, w: IntVec, offsets) -> tuple[IntVec, int, int]:
+        """(v, o, d) with w . X_N = (v . X_0 + o) / d for the N steps
+        X_{j+1} = (M X_j + offsets[j]) / D, never reduced mod 1: the one
+        exact lift walker, carrying the integer row functional w from time
+        N back to time 0 with one vector-times-matrix product per step."""
+        cols, v, o = tuple(zip(*self.matrix)), w, 0
+        for c in reversed(offsets):
+            o = sum(map(mul, v, c)) + o * self.denom
+            v = tuple([sum(map(mul, v, col)) for col in cols])
+        return v, o, self.denom ** len(offsets)
+
+    def along(self, offsets) -> "ExactAffine":
+        """The unreduced map X_0 -> X_N of those steps, row by row."""
+        n = len(self.matrix)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        matrix, offset, dens = zip(*(self.pull_back(row, offsets) for row in eye))
+        return ExactAffine(matrix, offset, dens[0], wrap=False)
 
     def inverse(self) -> "ExactAffine":
         """y -> M^-1 (D y - c) = adj(M) (D y - c) / det(M); NotInvertibleError
@@ -225,9 +224,7 @@ def periodic_points(f: MapSpec, period: int) -> list[FracVec]:
     if period < 1:
         raise ValueError("period must be >= 1")
     step = exact_step(f, Direction.FORWARD)
-    power = ExactAffine.identity(f.n, wrap=True)
-    for _ in range(period):
-        power = step.compose(power)
+    power = step.along([step.offset] * period)
     d = power.denom
     m = tuple(
         tuple(v - d * (i == j) for j, v in enumerate(row))

@@ -35,6 +35,21 @@ def parse_space(value) -> Space:
         raise ValueError(f"unknown space {value!r}; expected 'cube' or 'torus'") from None
 
 
+def check_bounds(lo: np.ndarray, hi: np.ndarray, space: Space) -> None:
+    """The bounds checks of every Box, on stacked (k, n) bounds at once:
+    ValueError unless lo <= hi on every axis, and the ranges lie in [0, 1]
+    on the cube, or have width <= 1 within [-1, 2] on the torus."""
+    unordered = ~(lo <= hi)  # NaN bounds included
+    if unordered.any():
+        at = int(np.argmax(unordered))
+        raise ValueError(f"box requires lo <= hi, got {float(lo.flat[at])} > {float(hi.flat[at])}")
+    if space is Space.TORUS:
+        if np.any((lo < -1.0 - _EQ_TOL) | (hi > 2.0 + _EQ_TOL) | (hi - lo > 1.0 + _EQ_TOL)):
+            raise ValueError("torus box must have width <= 1 with coordinates in [-1, 2]")
+    elif np.any((lo < -_EQ_TOL) | (hi > 1.0 + _EQ_TOL)):
+        raise ValueError("box coordinates must lie within [0, 1]")
+
+
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned closed box with canonical coordinates in [0,1]^n.
@@ -55,16 +70,7 @@ class Box:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not lo:
             raise ValueError("lo and hi must be equal-length, nonempty")
-        for a, b in zip(lo, hi):
-            if not (a <= b):
-                raise ValueError(f"box requires lo <= hi, got {a} > {b}")
-            if self.space is Space.TORUS:
-                if a < -1.0 - _EQ_TOL or b > 2.0 + _EQ_TOL or b - a > 1.0 + _EQ_TOL:
-                    raise ValueError(
-                        "torus box must have width <= 1 with coordinates in [-1, 2]"
-                    )
-            elif a < -_EQ_TOL or b > 1.0 + _EQ_TOL:
-                raise ValueError("box coordinates must lie within [0, 1]")
+        check_bounds(np.array([lo]), np.array([hi]), self.space)
 
     @property
     def n(self):

@@ -17,6 +17,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
@@ -25,8 +26,10 @@ from .covering import (
     CoveringCertificate,
     CoveringConfig,
     Rectangle,
-    check_coverings,
+    StripRows,
+    check_chain,
     expansion_frame,
+    frame_coupling,
 )
 from .dynamics import (
     Direction,
@@ -36,7 +39,6 @@ from .dynamics import (
     eval_points,
     jacobian,
     lift_points,
-    map_parts,
     wrap_points,
 )
 from .errors import (
@@ -423,12 +425,27 @@ _MARGIN_PAD = 0.2      # chain margin in units of the worst defect
 _MIN_MARGIN = 1e-12    # strictness of every step-chain covering inequality
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StepChain:
-    """Covering rectangles anchored at the pseudo-orbit points."""
+    """Covering rectangles anchored at the pseudo-orbit points, as arrays:
+    box [lo[k], hi[k]] in ``frame`` covers box k + 1 (cyclically when
+    periodic) on strip row k.  The objects are built only on request."""
 
-    rectangles: tuple[Rectangle, ...]
-    certificates: tuple[CoveringCertificate, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    frame: tuple[tuple[float, ...], ...]
+    space: Space
+    strips: StripRows
+
+    @property
+    def rectangles(self) -> tuple[Rectangle, ...]:
+        pairs = zip(self.lo.tolist(), self.hi.tolist())
+        return tuple(Rectangle(Box(a, b, self.space), self.frame) for a, b in pairs)
+
+    @property
+    def certificates(self) -> tuple[CoveringCertificate, ...]:
+        rects = self.rectangles  # an open chain has one strip row fewer
+        return tuple(self.strips.results(rects, rects[1:] + rects[:1]))
 
 
 def _chain_half_widths(
@@ -474,7 +491,8 @@ def step_chain(f: MapSpec, p: PseudoOrbit) -> StepChain:
 
     Rectangle k is eigen-aligned and centered at y_k; every consecutive
     pair (cyclically for periodic orbits) is re-checked with interval
-    arithmetic rather than trusted from the sizing recursion.
+    arithmetic rather than trusted from the sizing recursion, in one
+    ``check_chain`` call on the stacked bounds y_k -+ half-widths.
     """
     frame_info = expansion_frame(f)
     if frame_info is None:
@@ -488,33 +506,27 @@ def step_chain(f: MapSpec, p: PseudoOrbit) -> StepChain:
             f"{f.descriptor} is not hyperbolic, covering chains cannot close"
         )
     defects = _step_errors(f, p)
-    row_u, row_s = np.asarray(rows[0]), np.asarray(rows[-1])
-    du = [abs(float(row_u @ d)) for d in defects]
-    ds = [abs(float(row_s @ d)) for d in defects]
+    du, ds = np.abs(_project(np.asarray(rows)[[0, -1]], defects)).tolist()
     pad = _MARGIN_PAD * max(max(du + ds, default=0.0), _DELTA_FLOOR)
-    coupling = abs(float(row_u @ map_parts(f).a @ row_s))
     hu, hs = _chain_half_widths(
-        lam_u, lam_s, coupling, du, ds, pad, cyclic=p.periodic is not None
+        lam_u, lam_s, frame_coupling(f, rows), du, ds, pad, cyclic=p.periodic is not None
     )
     frame = tuple(tuple(float(v) for v in row) for row in np.asarray(rows))
     # Exit axis first: expansion_frame orders rows by |eigenvalue| desc.
     pts, hu, hs = np.asarray(p.points, dtype=float), np.array(hu), np.array(hs)
     half = np.repeat(np.maximum(hu, hs)[:, None], p.n, axis=1)
     half[:, 0], half[:, -1] = hu, hs
-    rects = [
-        Rectangle(Box(tuple(lo), tuple(hi), p.space), frame)
-        for lo, hi in zip((pts - half).tolist(), (pts + half).tolist())
-    ]
-    srcs, dsts = rects[:-1], rects[1:]
-    if p.periodic is not None:
-        srcs, dsts = rects, rects[1:] + rects[:1]
-    certs = check_coverings(f, srcs, dsts, CoveringConfig(min_margin=_MIN_MARGIN))
-    for k, res in enumerate(certs):
-        if not isinstance(res, CoveringCertificate):
+    lo, hi = pts - half, pts + half
+    found = check_chain(
+        f, lo, hi, frame, p.space, p.periodic is not None,
+        CoveringConfig(min_margin=_MIN_MARGIN),
+    )
+    for k, reason in enumerate(found.reasons):
+        if reason is not None:
             raise UncertifiedTransitionError(
-                f"step {p.lo + k}: covering of the next strip failed ({res.reason})"
+                f"step {p.lo + k}: covering of the next strip failed ({reason})"
             )
-    return StepChain(rectangles=tuple(rects), certificates=tuple(certs))
+    return StepChain(lo, hi, frame, p.space, found)
 
 
 # --- bisection localizer ----------------------------------------------------
@@ -529,19 +541,26 @@ def _window_times(f: MapSpec, p: PseudoOrbit) -> tuple[list[int], list[int]]:
     return list(range(1, p.hi + 1)), list(range(-1, p.lo - 1, -1))
 
 
-def _interval_dot(row: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    a = float(np.minimum(row * lo, row * hi).sum())
-    b = float(np.maximum(row * lo, row * hi).sum())
-    return a, b
+def _interval_dot(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Ranges of every row functional over every box [lo[k], hi[k]]."""
+    a, b = rows[:, None, :] * lo, rows[:, None, :] * hi
+    return np.minimum(a, b).sum(axis=-1), np.maximum(a, b).sum(axis=-1)
 
 
-def _tube(p: PseudoOrbit, r: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Deviation bounds from y_k at time k: [-r, r], cut to the unit cube."""
-    g_lo, g_hi = np.full(p.n, -r), np.full(p.n, r)
+def _tube(p: PseudoOrbit, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Deviation bounds from every y_k: [-r, r], cut to the unit cube; one
+    row per stored point, or one row for all of them on the torus."""
+    g_lo, g_hi = np.full((1, p.n), -r), np.full((1, p.n), r)
     if p.space is Space.CUBE:
-        tgt = np.asarray(p.point(k), dtype=float)
-        g_lo, g_hi = np.maximum(g_lo, -tgt), np.minimum(g_hi, 1.0 - tgt)
+        pts = np.asarray(p.points, dtype=float)
+        g_lo, g_hi = np.maximum(g_lo, -pts), np.minimum(g_hi, 1.0 - pts)
     return g_lo, g_hi
+
+
+def _project(rows: np.ndarray, defects: np.ndarray) -> np.ndarray:
+    """rows[i] @ defects[k] for all i, k: stacked 1 x n by n x 1 products,
+    each taking the vector-dot path of ``row @ d``, so with its bits."""
+    return np.matmul(defects[None, :, None, :], rows[:, None, :, None])[..., 0, 0]
 
 
 def _eigen_bands(
@@ -569,38 +588,36 @@ def _eigen_bands(
         [[float(v) for v in eig.row_u], [float(v) for v in eig.row_s]]
     ).T
     functionals = np.linalg.inv(basis)
-    defects = _step_errors(f, p)
-
-    def defect(k: int) -> np.ndarray:
-        # step defect e_k for the step k -> k+1, window- or cycle-indexed
-        if p.periodic is not None:
-            return defects[k % len(defects)]
-        return defects[k - p.lo]
-
     incompatible = NoSurvivingCellError(
         "tracking tube constraints are incompatible; no orbit survives",
         deepest_surviving_depth=0,
     )
     if np.any(g0_lo > g0_hi):
         raise incompatible
-    cell, band = [], []
+    # The stored slot of y_k and of the defect e_k of the step k -> k+1.
+    size = len(p.points)
+    slot = (lambda k: k % size) if p.periodic is not None else (lambda k: k - p.lo)
+    proj = _project(functionals, _step_errors(f, p)).tolist()
+    t_lo, t_hi = (np.broadcast_to(b, (2, size)).tolist()
+                  for b in _interval_dot(functionals, *_tube(p, r)))
+    cell = list(zip(*(b[:, 0].tolist()
+                      for b in _interval_dot(functionals, g0_lo[None], g0_hi[None]))))
+    band = []
     # u_k = lam_u^k u_0 + c_k with c_{k+1} = lam_u c_k + <l_u, e_k>;
     # s_{-k} = lam_s^-k s_0 + c_k with c_{k-1} = (c_k - <l_s, e_{k-1}>)/lam_s
     lams = (float(eig.lam_u), float(eig.lam_s))
-    for row, lam, times in zip(functionals, lams, _window_times(f, p)):
-        lo, hi = _interval_dot(row, g0_lo, g0_hi)
-        cell.append((lo, hi))
+    for i, ((lo, hi), lam, times) in enumerate(zip(cell, lams, _window_times(f, p))):
         coef, c = 1.0, 0.0
         for k in times:
             if k > 0:
-                c = lam * c + float(row @ defect(k - 1))
+                c = lam * c + proj[i][slot(k - 1)]
                 coef *= lam
             else:
-                c = (c - float(row @ defect(k))) / lam
+                c = (c - proj[i][slot(k)]) / lam
                 coef /= lam
             if not math.isfinite(coef) or abs(coef) > 1e120:
                 break
-            b_lo, b_hi = _interval_dot(row, *_tube(p, r, k))
+            b_lo, b_hi = t_lo[i][slot(k)], t_hi[i][slot(k)]
             lo_k, hi_k = sorted(((b_lo - c) / coef, (b_hi - c) / coef))
             pad = 1e-12 * (abs(lo_k) + abs(hi_k)) + 1e-17
             lo, hi = max(lo, lo_k - pad), min(hi, hi_k + pad)
@@ -691,7 +708,7 @@ def _bisect_cell(
     # The time-0 tube as deviations from y_0, cut to the seed box and the
     # unit cube once for both tests.
     y0 = np.asarray(p.point(0), dtype=float)
-    g_lo, g_hi = _tube(p, r, 0)
+    g_lo, g_hi = (np.broadcast_to(g, (len(p.points), p.n))[-p.lo] for g in _tube(p, r))
     if seed_box is not None:
         g_lo = np.maximum(g_lo, seed_box.lo_arr - y0)
         g_hi = np.minimum(g_hi, seed_box.hi_arr - y0)
@@ -741,31 +758,21 @@ def _integer_shifts(f: MapSpec, p: PseudoOrbit) -> np.ndarray:
     return np.round(lift_points(f, Direction.FORWARD, pts[: len(ends)]) - ends)
 
 
-def _lift_map(f: MapSpec, p: PseudoOrbit, shifts, a: int, b: int) -> ExactAffine:
-    """Exact map X_a -> X_b (a <= b) along the lift the shifts select.
-
-    Composes the lift steps X_{k+1} = M X_k + c - s_k unreduced: the
-    integer shifts keep every image on the branch nearest its pseudo-orbit
-    point, and reducing offsets mod 1 (as ExactAffine.compose does on the
-    torus) would move it.
-    """
-    step = exact_step(f, Direction.FORWARD)
-    acc = ExactAffine.identity(p.n, wrap=False)
-    for k in range(a, b):
-        off = tuple(
-            c - int(sk) * step.denom for c, sk in zip(step.offset, shifts[k - p.lo])
-        )
-        acc = ExactAffine(step.matrix, off, step.denom, wrap=False).compose(acc)
-    return acc
+def _lift_steps(f: MapSpec, p: PseudoOrbit, shifts, k: int) -> tuple[ExactAffine, list]:
+    """The exact step and step offsets of the lift from time 0 to time k:
+    X_{j+1} = (M X_j + c) / D - s_j for k >= 0, else the inverse steps
+    X_j = M^-1 (D (X_{j+1} + s_j) - c), walked unreduced by ``pull_back``."""
+    step, s = exact_step(f, Direction.FORWARD), np.asarray(shifts).astype(np.int64).astype(object)
+    if k >= 0:
+        return step, (step.offset - step.denom * s[-p.lo: k - p.lo]).tolist()
+    step = step.inverse()
+    mat = np.array(step.matrix, dtype=object)
+    return step, (step.offset + s[k - p.lo: -p.lo][::-1] @ mat.T).tolist()
 
 
 def _cross_row(v):
     # cross(d, v) == 0 picks out d parallel to v; as a row functional.
     return (v[1], -v[0])
-
-
-def _dot(a, b) -> int:
-    return sum(x * y for x, y in zip(a, b))
 
 
 def _bvp_point(
@@ -778,22 +785,20 @@ def _bvp_point(
     end and the contracting component at its start: the finite-window
     boundary conditions under which the deviation recursion
     d_{k+1} = M d_k + e_k stays geometrically bounded both ways.  Two
-    linear conditions on two unknown coordinates; one exact solve.
+    linear conditions on two unknown coordinates; one exact solve, whose
+    rows are w pulled back to time 0 from hi and from lo (``pull_back``).
     """
-    to_hi = _lift_map(f, p, shifts, 0, p.hi)
-    to_lo = _lift_map(f, p, shifts, p.lo, 0).inverse()
     # w_u annihilates the contracting direction, w_s the expanding one;
-    # each condition reads w . (M_k x + c_k) / D_k = w . y_k, y_k = a / b,
-    # with w scaled to integers (which keeps its kernel).
+    # each condition reads (v . x + o) / d = w . y_k, y_k = a / b, with w
+    # scaled to integers (which keeps its kernel).
     rows, rhs = [], []
-    for w, end, k in (
-        (_cross_row(eig.row_s), to_hi, p.hi),
-        (_cross_row(eig.row_u), to_lo, p.lo),
-    ):
+    for w, k in ((_cross_row(eig.row_s), p.hi), (_cross_row(eig.row_u), p.lo)):
         w = to_ints(w)[0]
+        step, offsets = _lift_steps(f, p, shifts, k)
+        v, o, d = step.pull_back(w, offsets)
         a, b = to_ints(p.point(k))
-        rows.append(tuple(b * _dot(w, col) for col in zip(*end.matrix)))
-        rhs.append(end.denom * _dot(w, a) - b * _dot(w, end.offset))
+        rows.append(tuple(b * x for x in v))
+        rhs.append(d * sum(map(mul, w, a)) - b * o)
     try:
         return solve(tuple(rows), tuple(rhs))
     except NotInvertibleError:
@@ -1086,8 +1091,9 @@ def periodic_shadow(
     P = len(p.points)
 
     if supports_exact(f):
+        step, offsets = _lift_steps(f, p, _integer_shifts(f, p), P)
         try:
-            nums, den = _lift_map(f, p, _integer_shifts(f, p), 0, P).fixed_point()
+            nums, den = step.along(offsets).fixed_point()
         except NotInvertibleError:
             raise FixedPointTolUnreachedError(
                 f"f^{P} has eigenvalue one; no isolated fixed point to converge to"

@@ -166,8 +166,10 @@ class TransitionGraph:
         return np.union1d(self.witness_codes, self.uncertain_codes)
 
     def certified_empty(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        """Whether each pair (i[k], j[k]) is certified empty, in one array pass."""
-        return ~np.isin(i * self.subdivision.count + j, self._live_codes)
+        """Whether each pair (i[k], j[k]) is certified empty: a binary search
+        of the sorted live codes (index clamped past the last) misses it."""
+        codes, live = i * self.subdivision.count + j, self._live_codes
+        return live[np.minimum(np.searchsorted(live, codes), len(live) - 1)] != codes
 
     def class_codes(self, codes: np.ndarray) -> np.ndarray:
         """The code of each pair's translation-class representative: when

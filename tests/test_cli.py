@@ -129,6 +129,9 @@ def test_certify_identity_fails_with_complete_report(tmp_path, capsys):
     assert len(rep["excluded_boundary"]) == 512
     out = capsys.readouterr().out
     assert out.count("edge (") == 64
+    # The excluded contacts are counted, not listed: failure.json has them.
+    assert "  512 excluded boundary contacts, listed in failure.json\n" in out
+    assert max(map(len, out.splitlines())) < 120
 
 
 def test_certify_translation_fails(tmp_path):
@@ -392,6 +395,28 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         rc = main(["certify", "--config", str(cfg), "--out", str(tmp_path)])
         assert rc == 4
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("m", 2.7), ("n", True), ("m", "3"), ("m", None), ("delta", "1e-4"), ("eps", False),
+     ("map", 3), ("allow_uncertain", 1), ("starts", "1/7,2/7"), ("starts", [1, 2])],
+)
+def test_mistyped_config_values_exit_4(tmp_path, capsys, key, value):
+    # Config-file values are type-checked, never coerced to their field.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["subdivide", "--config", str(cfg), "--out", str(tmp_path)]) == 4
+    assert f"config key {key!r}" in capsys.readouterr().err
+
+
+def test_well_typed_config_values_pass(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"m": 2, "delta": 1, "eps": None, "allow_uncertain": True,
+                               "starts": ["1/7,2/7"]}))
+    assert main(["subdivide", "--config", str(cfg), "--m", "3", "--out", str(tmp_path)]) == 0
+    config = run_json(tmp_path / "subdivision.json")["config"]
+    assert (config["m"], config["delta"], config["starts"]) == (3, 1.0, ["1/7,2/7"])
 
 
 def test_pseudo_orbit_file_feeds_shadow(tmp_path):

@@ -170,3 +170,30 @@ def test_integer_walk_matches_the_fraction_reference(case):
     assert true_orbit(f, x, p.lo, p.hi) == want
     assert _window_errors(p, *_orbit(f, x, p.lo, p.hi)) == ref.window_errors(p, want)
     assert exact_step(f).apply(x) == ref.step(f, Direction.FORWARD)(x)
+
+
+@settings(max_examples=40)
+@given(
+    entries=st.lists(st.integers(-5, 5), min_size=4, max_size=4),
+    denom=st.integers(1, 7),
+    offsets=st.lists(st.lists(st.integers(-9, 9), min_size=2, max_size=2), max_size=12),
+    x=st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=50), min_size=2,
+               max_size=2),
+)
+def test_pull_back_and_along_match_fraction_steps(entries, denom, offsets, x):
+    # Step x through X_{j+1} = (M X_j + offsets[j]) / D one Fraction step at
+    # a time, never reduced mod 1: the walker's functional and period map
+    # must give exactly these values.
+    m = (tuple(entries[:2]), tuple(entries[2:]))
+    step = ExactAffine(m, (0, 0), denom, wrap=True)
+    y = list(x)
+    for c in offsets:
+        y = [(sum(a * b for a, b in zip(row, y)) + cj) / denom for row, cj in zip(m, c)]
+    for w in ((1, 0), (0, 1), (3, -2)):
+        v, o, d = step.pull_back(w, offsets)
+        assert (sum(a * b for a, b in zip(v, x)) + o) / Fraction(d) == sum(
+            a * b for a, b in zip(w, y))
+    power = step.along(offsets)
+    assert not power.wrap and power.denom == denom ** len(offsets)
+    assert [(sum(a * b for a, b in zip(row, x)) + c) / power.denom
+            for row, c in zip(power.matrix, power.offset)] == y

@@ -133,6 +133,23 @@ SHADOW_RUNS = {
         "splice: 2 segments + bridges -> period 17 pseudo-orbit (delta 0.156), "
         "shadowed with eps_achieved 0.107092 <= eps 0.2 -> /periodic.json",
     ),
+    # The benchmark's request scale: an 801-point window and a 5-cycle on m=5.
+    "shadow-cat-m5-window400": (
+        ["shadow", "--map", CAT, "--m", "5", "--window", "400"],
+        "shadow.json",
+        "5b804b9aa405884285a9f804808bc886163bc73eb7f9c1cb2847054222ceee53",
+        "a94d8f1ecddfa169972a696370f26dae14ba13864b27c18c5bed686b74af49e5",
+        "shadow: eps_achieved 0.000143713 <= eps 0.0441942, verified max error "
+        "0.000143713 at k=351 -> /shadow.json",
+    ),
+    "periodic-cat-m5-period5": (
+        ["periodic", "--map", CAT, "--m", "5", "--period", "5", "--x0", "1/11,3/11"],
+        "periodic.json",
+        "04191df3e017f4229e31ce96b1c94585391f9b1fa0da883ae22dcd09af5ce8cb",
+        "14b2fc19c55bf944d53f776a9334f0d3b449c83972d65db6957740eacf258390",
+        "periodic: period 5 orbit (minimal 5), eps_achieved 1.18828e-05 <= eps "
+        "0.0441942 -> /periodic.json",
+    ),
     "shadow-perturbed-m2": (
         ["shadow", "--map", PERTURBED, "--m", "2", "--allow-uncertain"],
         "shadow.json",

@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from cubeshadow.covering import (
     ChainedCertificate,
     CoveringConfig,
+    Rectangle,
     certify_chained,
+    check_chain,
     check_covering,
     check_coverings,
+    expansion_frame,
 )
 import scalar_reference as ref
 from cubeshadow.dynamics import (
@@ -41,6 +44,8 @@ from cubeshadow.shadowing import (
     UniformNoise,
     PseudoOrbit,
     _bisect_cell,
+    _interval_dot,
+    _project,
     _tube_survival,
     _window_errors,
     generate_pseudo_orbit,
@@ -252,10 +257,96 @@ def test_batched_step_chain_rows_match_single_checks(kind, periodic, seed, steps
     assert flipped[len(pairs):] == list(chain.certificates)
 
 
-# Hyperbolic SL(2, Z) matrices with entries in 0..4, most of them not normal:
-# the chain's exit sizing must carry the Schur coupling of the frame.
-_SL2 = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(5), repeat=4)
-        if a * d - b * c == 1 and a + d > 2]
+@settings(max_examples=8)
+@given(
+    kind=st.sampled_from(["cat", "perturbed"]),
+    periodic=st.booleans(),
+    seed=st.integers(0, 2**16),
+    steps=st.integers(1, 12),
+)
+def test_step_chain_array_rows_match_rebuilt_rectangles(kind, periodic, seed, steps):
+    # The chain's columns must be exactly what check_covering finds for
+    # Rectangles rebuilt from its lo/hi rows and frame.
+    f = CAT if kind == "cat" else PERTURBED
+    rng = np.random.default_rng(seed)
+    if periodic:
+        points = [tuple(v + 1e-4 * rng.random() for v in q) for q in [(0.2, 0.4), (0.8, 0.6)]]
+        p = pseudo_orbit(f, points, 0.01, periodic=2)
+    else:
+        p = generate_pseudo_orbit(f, tuple(rng.random(2)), 1e-4, steps, UniformNoise(seed))
+    chain = step_chain(f, p)
+    rects = [Rectangle(Box(tuple(a), tuple(b), p.space), chain.frame)
+             for a, b in zip(chain.lo.tolist(), chain.hi.tolist())]
+    pairs = zip(rects, rects[1:] + rects[:1] if periodic else rects[1:])
+    singles = [check_covering(f, a, b, CoveringConfig(min_margin=1e-12)) for a, b in pairs]
+    rows = chain.strips
+    assert len(singles) == len(rows.h0) and not any(rows.reasons)
+    columns = (rows.h0, rows.h1, rows.exit_margin, rows.confinement_margin, rows.orientation)
+    assert [(*c.h_range, c.exit_margin, c.confinement_margin, c.orientation)
+            for c in singles] == list(zip(*(col.tolist() for col in columns)))
+
+
+def test_projections_have_the_bits_of_row_dot_defect():
+    # _project replaces one ``row @ d`` per row and defect; every entry must
+    # keep its bits, for frame rows (strided views) and eigen functionals.
+    rng = np.random.default_rng(11)
+    frame_rows = expansion_frame(CAT)[0]
+    for rows in (frame_rows, np.asarray(frame_rows)[[0, -1]],
+                 np.linalg.inv(rng.normal(size=(2, 2)))):
+        for scale in (1e-8, 1e-4, 1.0):
+            defects = rng.normal(size=(500, 2)) * scale
+            got = _project(rows, defects)
+            assert got.tolist() == [[float(row @ d) for d in defects] for row in rows]
+    # The tube bounds of every row and box in one pass, as one dot per row.
+    lo = rng.normal(size=(50, 2))
+    hi = lo + rng.random((50, 2))
+    b_lo, b_hi = _interval_dot(rows, lo, hi)
+    for i, row in enumerate(rows):
+        boxes = list(zip(lo, hi))
+        assert b_lo[i].tolist() == [float(np.minimum(row * a, row * b).sum()) for a, b in boxes]
+        assert b_hi[i].tolist() == [float(np.maximum(row * a, row * b).sum()) for a, b in boxes]
+
+
+_CORNER = "affine [[1.5,0.25],[0.25,0.5]] offset=[-0.499975,-0.249925]"
+
+
+def test_columnar_chain_off_the_cube_raises_the_box_error():
+    # Near the corner fixed point (0.9999, 0.0001) of this map the chain's
+    # rectangles leave [0, 1], and the columnar check says so as Box does.
+    f = builtin_map(_CORNER, "cube")
+    p = generate_pseudo_orbit(f, (0.9999, 0.0001), 1e-4, 3, UniformNoise(3))
+    with pytest.raises(ValueError, match=r"^box coordinates must lie within \[0, 1\]$"):
+        step_chain(f, p)
+
+
+@pytest.mark.parametrize(
+    "space, lo, hi, frame",
+    [
+        (Space.CUBE, [[0.1, 0.2], [0.3, -0.1]], [[0.2, 0.3], [0.4, 0.1]], None),
+        (Space.CUBE, [[0.1, 0.2], [0.3, 0.9]], [[0.2, 0.3], [0.4, 1.1]], None),
+        (Space.TORUS, [[0.1, 0.2], [-1.5, 0.3]], [[0.2, 0.3], [-1.4, 0.4]], None),
+        (Space.TORUS, [[0.1, 0.2], [0.3, 0.3]], [[0.2, 0.3], [1.4, 0.4]], None),
+        (Space.TORUS, [[0.1, 0.2], [0.3, 0.4]], [[0.2, 0.3], [0.2, 0.5]], None),
+        (Space.TORUS, [[0.1, 0.2], [0.3, 0.4]], [[0.2, 0.3], [0.4, 0.4]], None),
+        (Space.TORUS, [[0.1, 0.2]], [[0.2, 0.3]], ((1.0, 0.0), (0.0, 2.0))),
+        (Space.TORUS, [[0.1, 0.2]], [[0.2, 0.3]], ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))),
+    ],
+    ids=["cube-below", "cube-above", "torus-range", "torus-width", "lo-above-hi",
+         "zero-width", "not-orthonormal", "frame-shape"],
+)
+def test_columnar_checks_raise_what_box_and_rectangle_raise(space, lo, hi, frame):
+    with pytest.raises(ValueError) as one_by_one:
+        [Rectangle(Box(tuple(a), tuple(b), space), frame) for a, b in zip(lo, hi)]
+    with pytest.raises(ValueError) as columnar:
+        check_chain(CAT, np.array(lo), np.array(hi), frame, space, False, CoveringConfig())
+    assert str(columnar.value) == str(one_by_one.value)
+
+
+# The 72 hyperbolic SL(2, Z) matrices with entries in -4..4, most of them
+# not normal: the anchored pairs and the chain's exit sizing must carry the
+# Schur coupling of the frame.
+_SL2 = [((a, b), (c, d)) for a, b, c, d in itertools.product(range(-4, 5), repeat=4)
+        if a * d - b * c == 1 and abs(a + d) > 2]
 
 
 @settings(max_examples=6)

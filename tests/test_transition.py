@@ -155,6 +155,21 @@ def test_columnar_graph_matches_the_materialised_dicts(descriptor, m):
     )
 
 
+def test_certified_empty_outside_the_live_code_range():
+    # Pairs whose codes sort before the first and after the last live code
+    # must read as empty: the binary search clamps past-the-end indices.
+    s = make_subdivision(2, 3, Space.TORUS)
+    g = build_graph(builtin_map("translation [0.3,0.1]"), s)
+    live = np.union1d(g.witness_codes, g.uncertain_codes)
+    codes = np.arange(s.count ** 2)
+    assert 0 < live[0] and live[-1] < codes[-1]
+    i, j = np.divmod(codes, s.count)
+    empty = g.certified_empty(i, j)
+    assert np.array_equal(empty, ~np.isin(codes, live))
+    assert empty[: live[0]].all() and empty[live[-1] + 1:].all()
+    assert not empty[[live[0], live[-1]]].any()
+
+
 def test_a_derived_witness_pushed_out_of_its_cube_is_demoted(monkeypatch):
     # Derived witnesses get their images recomputed; one that lands outside
     # its target cube must become Uncertain, never a stored witness.
