@@ -41,10 +41,11 @@ _ORTHO_TOL = 1e-9
 
 
 @functools.lru_cache(maxsize=64)
-def _frame_array(frame: tuple[tuple[float, ...], ...]) -> np.ndarray:
-    """A square frame as a read-only array, checked orthonormal once per frame."""
-    m = np.array(frame, dtype=float)
-    if not np.allclose(m @ m.T, np.eye(len(frame)), atol=_ORTHO_TOL):
+def _frame_array(frame: tuple[tuple[float, ...], ...] | None, n: int) -> np.ndarray:
+    """A square frame (None: the n x n identity) as a read-only array,
+    checked orthonormal once per frame."""
+    m = np.eye(n) if frame is None else np.array(frame, dtype=float)
+    if not np.allclose(m @ m.T, np.eye(n), atol=_ORTHO_TOL):
         raise ValueError("frame rows must be orthonormal")
     m.setflags(write=False)
     return m
@@ -58,7 +59,7 @@ def _check_rectangles(lo: np.ndarray, hi: np.ndarray, frame) -> np.ndarray:
         raise ValueError("rectangle must have positive volume on every axis")
     if frame is not None and (len(frame) != n or any(len(row) != n for row in frame)):
         raise ValueError(f"frame must be {n}x{n}")
-    return np.eye(n) if frame is None else _frame_array(frame)
+    return _frame_array(frame, n)
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,7 @@ class Rectangle:
 
     @property
     def frame_arr(self) -> np.ndarray:
-        if self.frame is None:
-            return np.eye(self.n)
-        return _frame_array(self.frame)
+        return _frame_array(self.frame, self.n)
 
     def shifted(self, t: np.ndarray) -> "Rectangle":
         """The same rectangle translated by the ambient vector t."""
@@ -611,18 +610,16 @@ def frame_coupling(f: MapSpec, rows: np.ndarray) -> float:
 
 
 def _anchored_pair(
-    s: Subdivision, witness, frame: np.ndarray | None, shape: np.ndarray
+    s: Subdivision, witness, frame: tuple[tuple[float, ...], ...] | None, shape: np.ndarray
 ) -> tuple[Rectangle, Rectangle]:
     """Source/target rectangles centered on an interior witness and its
     image, with chart half-widths rho * shape for the largest rho that
     keeps both inside their cubes."""
-    arr = np.eye(len(shape)) if frame is None else frame
     # clearance >= max(|F|^T shape) * rho keeps the ranges inside the cube, hence [0,1].
-    fit = float(np.max(np.sum(np.abs(arr) * shape[:, None], axis=0)))
+    fit = float(np.max(np.sum(np.abs(_frame_array(frame, len(shape))) * shape[:, None], axis=0)))
     half = 0.999 * witness.clearance / fit * shape
-    tup = None if frame is None else tuple(tuple(float(v) for v in row) for row in frame)
     src, dst = (
-        Rectangle(Box(tuple(c - half), tuple(c + half), s.space), tup)
+        Rectangle(Box(tuple(c - half), tuple(c + half), s.space), frame)
         for c in (np.array(witness.point), np.array(witness.image))
     )
     return src, dst
@@ -654,7 +651,8 @@ def certify_chained(
     if hint is not None:
         rows, vals = hint
         if np.abs(vals[0]) > 1.0 + 1e-9 and f.n >= 2:
-            frame, coupling = rows, frame_coupling(f, rows)
+            frame = tuple(tuple(float(v) for v in row) for row in rows)
+            coupling = frame_coupling(f, rows)
             # In the frame A is [[lam_u, c], [0, lam_s]]: this stable side
             # keeps lam_u * h - c * h_s - h at (3/4)(lam_u - 1) h or more.
             if coupling > 0.0:
