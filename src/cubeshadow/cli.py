@@ -61,6 +61,7 @@ from .shadowing import (
     ShadowConfig,
     UniformNoise,
     generate_pseudo_orbit,
+    json_value,
     orbit_csv,
     periodic_shadow,
     pseudo_orbit,
@@ -713,9 +714,9 @@ def _verify_shadow_file(run: Run, data: dict) -> int:
     f = builtin_map(descriptor, Space(space))
     p = pseudo_orbit_from_json(data["orbit"])
     result = shadow_result_from_json(data["result"])
-    eps = float(data["eps"])
+    eps = json_value("eps", data["eps"])
     report = verify_shadow(f, result.point, p, eps)
-    stored_ok = bool(data["verify"]["ok"])
+    stored_ok = json_value("verify ok", data["verify"]["ok"], bool)
     if report.ok != stored_ok:
         print(
             f"verify: recomputed verdict {report.ok} DISAGREES with stored "

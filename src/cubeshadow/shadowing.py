@@ -171,15 +171,46 @@ class PseudoOrbit:
         return buf.getvalue()
 
 
+# What a read value's JSON type may be, by the type it is read as: true is
+# not a number, "0.5" not a number, 2.7 not an integer.
+_JSON_TYPES = {
+    float: ((int, float), "number"),
+    int: ((int,), "integer"),
+    str: ((str,), "string"),
+    bool: ((bool,), "bool"),
+}
+
+
+def json_value(key: str, value, kind: type = float, optional: bool = False):
+    """``value`` read as ``kind``, never coerced (None passes when
+    ``optional``); a mistyped value raises ValueError naming its key."""
+    types, name = _JSON_TYPES[kind]
+    if value is None and optional:
+        return None
+    if type(value) in types:
+        return kind(value)
+    raise ValueError(f"{key} must be a JSON {name}, not {value!r}")
+
+
+def json_values(key: str, values, kind: type = float, length: int | None = None) -> tuple:
+    """A JSON list read element by element as ``kind`` (of ``length`` items
+    when given); ValueError names the key."""
+    if type(values) is not list or length not in (None, len(values)):
+        size = "" if length is None else f" of {length}"
+        raise ValueError(f"{key} must be a JSON list{size}, not {values!r}")
+    return tuple(json_value(key, v, kind) for v in values)
+
+
 def pseudo_orbit_from_json(data: dict) -> PseudoOrbit:
+    """The inverse of ``PseudoOrbit.to_json``; every value is type-checked."""
     itin = data.get("known_itinerary")
     return PseudoOrbit(
-        points=tuple(tuple(float(v) for v in p) for p in data["points"]),
-        delta=float(data["delta"]),
+        points=tuple(json_values("points", p) for p in data["points"]),
+        delta=json_value("delta", data["delta"]),
         space=Space(data["space"]),
-        lo=int(data.get("lo", 0)),
-        periodic=data.get("periodic"),
-        known_itinerary=None if itin is None else tuple(itin),
+        lo=json_value("lo", data.get("lo", 0), int),
+        periodic=json_value("periodic", data.get("periodic"), int, optional=True),
+        known_itinerary=None if itin is None else json_values("known_itinerary", itin, int),
     )
 
 
@@ -917,22 +948,25 @@ class ShadowResult:
 
 
 def shadow_result_from_json(data: dict) -> ShadowResult:
+    """The inverse of ``ShadowResult.to_json``; every value is type-checked."""
     if data.get("point_exact"):
-        point = tuple(Fraction(v) for v in data["point_exact"])
+        point = tuple(map(Fraction, json_values("point_exact", data["point_exact"], str)))
     else:
-        point = tuple(float(v) for v in data["point"])
+        point = json_values("point", data["point"])
     sb = data["surviving_box"]
     return ShadowResult(
         point=point,
-        window=(int(data["window"][0]), int(data["window"][1])),
-        eps_achieved=float(data["eps_achieved"]),
+        window=json_values("window", data["window"], int, length=2),
+        eps_achieved=json_value("eps_achieved", data["eps_achieved"]),
         surviving_box=Box(
-            tuple(float(v) for v in sb["lo"]),
-            tuple(float(v) for v in sb["hi"]),
+            json_values("surviving_box lo", sb["lo"]),
+            json_values("surviving_box hi", sb["hi"]),
             Space(sb["space"]),
         ),
-        periodic=data.get("periodic"),
-        minimal_period=data.get("minimal_period"),
+        periodic=json_value("periodic", data.get("periodic"), int, optional=True),
+        minimal_period=json_value(
+            "minimal_period", data.get("minimal_period"), int, optional=True
+        ),
     )
 
 

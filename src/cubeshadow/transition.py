@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, KeysView, Mapping
 from dataclasses import dataclass
@@ -497,13 +498,15 @@ def _sharpen_min_gap(
 ) -> float:
     """Tighten the minimum certified gap to within _SHARPEN_REL_TOL * cube_width.
 
-    Pairs are revisited in ascending order of their coarse bound; a pair
+    Pairs are visited in ascending order of their coarse bound; a pair
     whose coarse bound already beats the best refined value cannot lower
     the minimum and is skipped, so only a handful get the deep search.
-    Candidates are searched in waves of 1, 2, 4, ... pairs, each wave in
-    one lockstep search, and the skip rule is replayed over each wave's
-    results, so the stored gaps are those of one pair at a time and the
-    speculative work is at most the rule's own.
+    Since the order is ascending and the best value only falls, the
+    visited pairs are a prefix of it.  All pairs go to one gap search,
+    and after every round the skip rule is replayed over its finished
+    prefix: the first pair the rule can no longer visit bounds the
+    search, which drops the searches at or past it and never starts the
+    rest.  The stored gaps are those of one pair at a time.
     """
     if not empty_gaps:
         return min_empty_gap
@@ -512,26 +515,30 @@ def _sharpen_min_gap(
     # refined value is capped there to keep the minimum a true lower bound.
     near_band = _NEAR_BAND * s.cube_width
     order = sorted(empty_gaps.items(), key=lambda kv: (kv[1], kv[0]))
-    best = math.inf
-    start, size = 0, 1
-    while start < len(order) and order[start][1] < best:
-        wave = [(pair, coarse) for pair, coarse in order[start : start + size] if coarse < best]
-        fines = _distance_lbs(f, s, [pair for pair, _ in wave], tol, cubes)
-        for (pair, coarse), fine in zip(wave, fines):
-            if coarse >= best:
-                break
-            fine = min(fine, near_band)
-            if fine > coarse:
+    coarse = [gap for _, gap in order]
+    best, visited = math.inf, 0
+
+    def wanted(fines: list[float | None]) -> int:
+        nonlocal best, visited
+        while visited < len(order) and coarse[visited] < best and fines[visited] is not None:
+            pair = order[visited][0]
+            fine = min(fines[visited], near_band)
+            if fine > coarse[visited]:
                 empty_gaps[pair] = fine
             best = min(best, empty_gaps[pair])
-        start += size
-        size *= 2
+            visited += 1
+        return bisect_left(coarse, best, lo=visited)
+
+    _distance_lbs(f, s, [pair for pair, _ in order], tol, cubes, wanted)
     return best
 
 
 # Live cells the refinement keeps at once, over all pairs, and the pops one
 # branch and bound may make.
 _MAX_CELLS = 4096
+# Cells the running branch and bounds may hold at once, each counted at its
+# worst case: 85 searches at once for n = 2, 36 for n = 3.
+_HELD_CELLS = 1 << 20
 
 # A branch-and-bound cell is packed into one int: its depth in the low
 # _DEPTH_BITS, then one _FIELD_BITS field per axis holding its dyadic
@@ -539,8 +546,8 @@ _MAX_CELLS = 4096
 # Deep searches hold tens of thousands of cells per heap, and one int per
 # cell keeps them small and cheap to push: heap entries of (depth, address
 # list) give the same bits on the 3-D perturbed cat map at m=2
-# (refine_depth 3) but peak at 371 MB against 215 MB and take about 3x the
-# time (219 s against 71 s on a 2-core VM).
+# (refine_depth 3) but peak at 386 MB against 223 MB and take about 4x the
+# time (226 s against 42 to 57 s on a shared 2-core VM).
 _DEPTH_BITS = 16
 _FIELD_BITS = 64
 
@@ -670,7 +677,8 @@ def _distance_lbs(
     pairs: list[tuple[int, int]],
     tol: float,
     cubes: tuple[np.ndarray, np.ndarray],
-) -> list[float]:
+    wanted: Callable[[list[float | None]], int] | None = None,
+) -> list[float | None]:
     """Certified lower bound on dist(f(C_i), C_j) for each pair (i, j),
     within ``tol`` of the truth.
 
@@ -678,10 +686,18 @@ def _distance_lbs(
     their image (a lower bound) against the gap at their center point (an
     upper bound); each pair refines its smallest lower bound until the two
     meet, or until it has split _MAX_CELLS cells.  The pairs run in
-    lockstep: each round pops one cell per pair, exactly the cell its own
-    search would pop next, and bounds the children of all popped cells in
-    one call.  One pair starts per round while the cells held in all heaps
-    stay under _MAX_CELLS.
+    lockstep: each round pops one cell per running search, exactly the
+    cell its own search would pop next, and bounds the children of all
+    popped cells, with the source cubes of the searches it starts, in one
+    call.  Searches start in order, as many per round as keep them at most
+    _HELD_CELLS // ((2^n - 1) * _MAX_CELLS + 1): each is charged the cells
+    its heap holds at its pop cap, so the heaps together stay within
+    _HELD_CELLS.
+
+    ``wanted``, if given, is called after every round with the bounds
+    found so far (None where unfinished) and returns how many leading
+    pairs are still needed, a count that never grows; the searches past
+    it are dropped and the pairs past it never start, their bounds None.
     """
     lo_all, hi_all = cubes
     n = s.n
@@ -691,8 +707,9 @@ def _distance_lbs(
     ]
     depth_mask = (1 << _DEPTH_BITS) - 1
     field_mask = (1 << _FIELD_BITS) - 1
-    out = [0.0] * len(pairs)
-    pending = iter(range(len(pairs)))
+    running = _HELD_CELLS // (((1 << n) - 1) * _MAX_CELLS + 1)
+    out: list[float | None] = [None] * len(pairs)
+    started = 0
     active: list[_Search] = []
     while True:
         popped: list[tuple[_Search, int]] = []
@@ -706,14 +723,14 @@ def _distance_lbs(
                 continue
             search.processed += 1
             popped.append((search, cell))
-        active = [search for search, _ in popped]
-        admitted = None
-        if sum(len(search.heap) for search in active) < _MAX_CELLS:
-            admitted = next(pending, None)
-        if not popped and admitted is None:
+        limit = len(pairs) if wanted is None else wanted(out)
+        popped = [(search, cell) for search, cell in popped if search.index < limit]
+        fresh = range(started, max(started, min(limit, started + running - len(popped))))
+        started = fresh.stop
+        if not popped and not fresh:
             break
-        # The children of every popped cell, then the source cube of the
-        # admitted pair, bounded in one call.
+        # The children of every popped cell, then the source cubes of the
+        # started pairs, bounded in one call.
         levels = [cell & depth_mask for _, cell in popped]
         k = np.array(
             [[(cell >> (_DEPTH_BITS + _FIELD_BITS * a)) & field_mask for a in range(n)]
@@ -728,10 +745,9 @@ def _distance_lbs(
             k,
             s.cube_width,
         )
-        if admitted is not None:
-            i, j = pairs[admitted]
-            lo, hi = np.vstack([lo, lo_all[i]]), np.vstack([hi, hi_all[i]])
-            t_lo, t_hi = np.vstack([t_lo, lo_all[j]]), np.vstack([t_hi, hi_all[j]])
+        src, tgt = [pairs[p][0] for p in fresh], [pairs[p][1] for p in fresh]
+        lo, hi = np.vstack([lo, lo_all[src]]), np.vstack([hi, hi_all[src]])
+        t_lo, t_hi = np.vstack([t_lo, lo_all[tgt]]), np.vstack([t_hi, hi_all[tgt]])
         lower = _image_gaps(f, lo, hi, t_lo, t_hi).tolist()
         upper = _center_bounds(f, lo, hi, t_lo, t_hi).tolist()
         row = 0
@@ -742,8 +758,8 @@ def _distance_lbs(
                 search.counter += 1
                 heapq.heappush(search.heap, (lower[row], search.counter, base | offset))
                 row += 1
-        if admitted is not None:
-            active.append(_Search(admitted, [(lower[row], 0, 0)], upper[row]))
+        active = [search for search, _ in popped]
+        active += [_Search(p, [(lower[r], 0, 0)], upper[r]) for r, p in enumerate(fresh, row)]
     return out
 
 

@@ -371,6 +371,58 @@ def test_verify_flags_tampered_shadow_result(tmp_path, capsys):
     assert "DISAGREES" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("delta", "0.0001"), ("lo", -10.9), ("lo", True), ("periodic", 1.0), ("points", "0.5")],
+)
+def test_mistyped_orbit_file_exits_4(tmp_path, capsys, key, value):
+    # An orbit file's values are type-checked, never coerced.
+    gen = tmp_path / "gen"
+    assert main(["pseudo", "--map", CAT, "--m", "3", "--window", "10", "--out", str(gen)]) == 0
+    data = run_json(gen / "orbit.json")
+    data["orbit"][key] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["shadow", "--m", "3", "--orbit", str(bad), "--out", str(tmp_path / "sh")])
+    assert rc == 4
+    assert f"{key} must be a JSON" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def shadow_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("shadow")
+    assert main(
+        ["shadow", "--map", CAT, "--m", "3", "--delta", "1e-4",
+         "--window", "10", "--seed", "5", "--out", str(out)]
+    ) == 0
+    return out / "shadow.json"
+
+
+@pytest.mark.parametrize(
+    "keys, value, name",
+    [(("result", "window"), [-10.5, 10], "window"), (("result", "window"), [-10], "window"),
+     (("result", "eps_achieved"), "0.1", "eps_achieved"),
+     (("result", "point"), [True, 0.5], "point"),
+     (("result", "minimal_period"), 2.0, "minimal_period"),
+     (("eps",), "0.1", "eps"), (("verify", "ok"), 0, "verify ok")],
+)
+def test_mistyped_shadow_file_exits_4(tmp_path, capsys, shadow_file, keys, value, name):
+    # verify reads a shadow.json's values type-checked, never coerced.
+    data = run_json(shadow_file)
+    data["result"]["point_exact"] = None
+    *parents, key = keys
+    node = data
+    for parent in parents:
+        node = node[parent]
+    node[key] = value
+    path = tmp_path / "shadow.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 4
+    assert f"{name} must be a JSON" in capsys.readouterr().err
+
+
 def test_config_file_reruns_reproduce_bytes(tmp_path):
     cfg = tmp_path / "run.json"
     out = tmp_path / "out"

@@ -8,6 +8,7 @@ evaluated at 60 digits.
 from __future__ import annotations
 
 import json
+import math
 
 import mpmath
 import numpy as np
@@ -231,12 +232,86 @@ def test_lockstep_gap_search_matches_one_pair_at_a_time(descriptor, n, m, space)
     assert any(g > 0.0 for g in got)
 
 
-@pytest.mark.parametrize("descriptor", ["standard K=0.3", "translation [0.3,0.1]"])
-def test_build_graph_matches_the_sequential_reference(monkeypatch, descriptor):
+def _cap_searches(monkeypatch, s, searches: int = 3) -> list[set]:
+    """Let ``searches`` gap searches run at once on subdivision s, and
+    record the (source, target) cube pairs bounded in each round."""
+    worst = ((1 << s.n) - 1) * transition._MAX_CELLS + 1
+    monkeypatch.setattr(transition, "_HELD_CELLS", searches * worst)
+    rounds: list[set] = []
+    real = transition._image_gaps
+
+    def recorded(f, lo, hi, t_lo, t_hi):
+        # Cells and cubes are dyadic, so these products are exact.
+        keys = np.hstack([np.floor(lo * s.side), t_lo * s.side])
+        rounds.append({tuple(row) for row in keys.tolist()})
+        return real(f, lo, hi, t_lo, t_hi)
+
+    monkeypatch.setattr(transition, "_image_gaps", recorded)
+    return rounds
+
+
+@pytest.mark.parametrize(
+    "descriptor, n, m",
+    [
+        ("perturbed [[1]] eta=0.02 freq=3", 1, 5),
+        ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 2, 3),
+        ("perturbed [[2,1,0],[1,1,0],[0,0,1]] eta=0.01 freq=2", 3, 2),
+    ],
+    ids=["1d", "2d", "3d"],
+)
+def test_capped_gap_search_matches_one_pair_at_a_time(monkeypatch, descriptor, n, m):
+    # With room for three searches, pairs start as searches finish; every
+    # pair's bound must still be the one its own search finds.
+    f = builtin_map(descriptor)
+    s = make_subdivision(n, m, Space.TORUS)
+    codes = np.random.default_rng(1).choice(s.count * s.count, 40, replace=False)
+    pairs = [divmod(int(c), s.count) for c in codes]
+    tol = s.cube_width / 16
+    rounds = _cap_searches(monkeypatch, s)
+    got = transition._distance_lbs(f, s, pairs, tol, transition._cube_bounds(s))
+    want = [ref.pair_distance_lb(f, s.box(i), s.box(j), tol) for i, j in pairs]
+    assert _bits(got) == _bits(want)
+    assert max(map(len, rounds)) == 3
+    assert len(set().union(*rounds)) == 40
+
+
+@pytest.mark.parametrize(
+    "descriptor", ["standard K=0.3", "perturbed [[2,1],[1,1]] eta=0.001 freq=1"]
+)
+def test_cancelled_sharpen_matches_the_skip_rule(monkeypatch, descriptor):
+    # One search over every coarse gap, cut where the skip rule stops: the
+    # same minimum and stored gaps as the pair-at-a-time rule, and no more
+    # than two searches started past the pairs it visits.
+    f = builtin_map(descriptor)
+    s = make_subdivision(2, 3, Space.TORUS)
+    cubes = transition._cube_bounds(s)
+    gaps = dict(transition.build_graph(f, s).computed_gaps)
+    visited = []
+    real = ref.pair_distance_lb
+    monkeypatch.setattr(ref, "pair_distance_lb", lambda *a: visited.append(a) or real(*a))
+    want = dict(gaps)
+    want_min = ref.sharpen_min_gap(f, s, want, math.inf, cubes)
+    rounds = _cap_searches(monkeypatch, s)
+    got_min = transition._sharpen_min_gap(f, s, gaps, math.inf, cubes)
+    assert _bits(got_min) == _bits(want_min)
+    assert list(gaps) == list(want) and _bits(list(gaps.values())) == _bits(list(want.values()))
+    assert max(map(len, rounds)) <= 3
+    assert len(visited) <= len(set().union(*rounds)) <= len(visited) + 2
+
+
+@pytest.mark.parametrize(
+    "descriptor, m",
+    [
+        pytest.param("standard K=0.3", 3, id="standard K=0.3"),
+        pytest.param("translation [0.3,0.1]", 3, id="translation [0.3,0.1]"),
+        pytest.param("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 2, id="perturbed m=2"),
+    ],
+)
+def test_build_graph_matches_the_sequential_reference(monkeypatch, descriptor, m):
     # Refinement and the sharpened minimum run one pair after another in
     # the reference, with the skip rule; the lockstep build must agree.
     f = builtin_map(descriptor)
-    s = make_subdivision(2, 3, Space.TORUS)
+    s = make_subdivision(2, m, Space.TORUS)
     lockstep = transition.build_graph(f, s)
     monkeypatch.setattr(transition, "_refine_uncertain", ref.refine_uncertain)
     monkeypatch.setattr(transition, "_sharpen_min_gap", ref.sharpen_min_gap)
