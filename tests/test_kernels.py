@@ -232,11 +232,11 @@ def test_lockstep_gap_search_matches_one_pair_at_a_time(descriptor, n, m, space)
     assert any(g > 0.0 for g in got)
 
 
-def _cap_searches(monkeypatch, s, searches: int = 3) -> list[set]:
-    """Let ``searches`` gap searches run at once on subdivision s, and
-    record the (source, target) cube pairs bounded in each round."""
+def _cap_searches(monkeypatch, s) -> list[set]:
+    """Let three gap searches run at once on subdivision s, and record the
+    (source, target) cube pairs bounded in each round."""
     worst = ((1 << s.n) - 1) * transition._MAX_CELLS + 1
-    monkeypatch.setattr(transition, "_HELD_CELLS", searches * worst)
+    monkeypatch.setattr(transition, "_HELD_CELLS", 3 * worst)
     rounds: list[set] = []
     real = transition._image_gaps
 
