@@ -504,9 +504,14 @@ def _sharpen_min_gap(
     Since the order is ascending and the best value only falls, the
     visited pairs are a prefix of it.  All pairs go to one gap search,
     and after every round the skip rule is replayed over its finished
-    prefix: the first pair the rule can no longer visit bounds the
-    search, which drops the searches at or past it and never starts the
-    rest.  The stored gaps are those of one pair at a time.
+    prefix.  The next pair the rule must visit will store no more than
+    the larger of its coarse bound and its search's upper bound plus tol:
+    its refined value is a lower bound on the distance, and the distance
+    of a computed image point bounds that from above up to rounding far
+    below tol.  So no pair whose coarse bound reaches that value, or the
+    best value, will be visited: the searches from the first such pair on
+    are dropped and the rest never start.  The stored gaps are those of
+    one pair at a time.
     """
     if not empty_gaps:
         return min_empty_gap
@@ -518,7 +523,7 @@ def _sharpen_min_gap(
     coarse = [gap for _, gap in order]
     best, visited = math.inf, 0
 
-    def wanted(fines: list[float | None]) -> int:
+    def wanted(fines: list[float | None], uppers: list[float]) -> int:
         nonlocal best, visited
         while visited < len(order) and coarse[visited] < best and fines[visited] is not None:
             pair = order[visited][0]
@@ -527,7 +532,10 @@ def _sharpen_min_gap(
                 empty_gaps[pair] = fine
             best = min(best, empty_gaps[pair])
             visited += 1
-        return bisect_left(coarse, best, lo=visited)
+        if visited == len(order) or coarse[visited] >= best:
+            return bisect_left(coarse, best, lo=visited)
+        most = max(coarse[visited], min(uppers[visited] + tol, near_band))
+        return bisect_left(coarse, min(best, most), lo=visited + 1)
 
     _distance_lbs(f, s, [pair for pair, _ in order], tol, cubes, wanted)
     return best
@@ -666,7 +674,6 @@ class _Search:
 
     index: int
     heap: list[tuple[float, int, int]]
-    best_ub: float
     counter: int = 0
     processed: int = 0
 
@@ -677,7 +684,7 @@ def _distance_lbs(
     pairs: list[tuple[int, int]],
     tol: float,
     cubes: tuple[np.ndarray, np.ndarray],
-    wanted: Callable[[list[float | None]], int] | None = None,
+    wanted: Callable[[list[float | None], list[float]], int] | None = None,
 ) -> list[float | None]:
     """Certified lower bound on dist(f(C_i), C_j) for each pair (i, j),
     within ``tol`` of the truth.
@@ -695,9 +702,10 @@ def _distance_lbs(
     _HELD_CELLS.
 
     ``wanted``, if given, is called after every round with the bounds
-    found so far (None where unfinished) and returns how many leading
-    pairs are still needed, a count that never grows; the searches past
-    it are dropped and the pairs past it never start, their bounds None.
+    found so far (None where unfinished) and each pair's upper bound so
+    far (inf before it starts), and returns how many leading pairs are
+    still needed, a count that never grows; the searches past it are
+    dropped and the pairs past it never start, their bounds None.
     """
     lo_all, hi_all = cubes
     n = s.n
@@ -709,6 +717,7 @@ def _distance_lbs(
     field_mask = (1 << _FIELD_BITS) - 1
     running = _HELD_CELLS // (((1 << n) - 1) * _MAX_CELLS + 1)
     out: list[float | None] = [None] * len(pairs)
+    uppers = [math.inf] * len(pairs)
     started = 0
     active: list[_Search] = []
     while True:
@@ -718,12 +727,12 @@ def _distance_lbs(
                 out[search.index] = search.heap[0][0]
                 continue
             lb, _, cell = heapq.heappop(search.heap)
-            if search.best_ub - lb <= tol:
+            if uppers[search.index] - lb <= tol:
                 out[search.index] = lb
                 continue
             search.processed += 1
             popped.append((search, cell))
-        limit = len(pairs) if wanted is None else wanted(out)
+        limit = len(pairs) if wanted is None else wanted(out, uppers)
         popped = [(search, cell) for search, cell in popped if search.index < limit]
         fresh = range(started, max(started, min(limit, started + running - len(popped))))
         started = fresh.stop
@@ -753,13 +762,15 @@ def _distance_lbs(
         row = 0
         for (search, cell), level in zip(popped, levels):
             base = ((cell >> _DEPTH_BITS) << (_DEPTH_BITS + 1)) | (level + 1)
+            uppers[search.index] = min(uppers[search.index], *upper[row : row + len(spread)])
             for offset in spread:
-                search.best_ub = min(search.best_ub, upper[row])
                 search.counter += 1
                 heapq.heappush(search.heap, (lower[row], search.counter, base | offset))
                 row += 1
         active = [search for search, _ in popped]
-        active += [_Search(p, [(lower[r], 0, 0)], upper[r]) for r, p in enumerate(fresh, row)]
+        for r, p in enumerate(fresh, row):
+            active.append(_Search(p, [(lower[r], 0, 0)]))
+            uppers[p] = upper[r]
     return out
 
 
