@@ -555,7 +555,7 @@ _HELD_CELLS = 1 << 20
 # cell keeps them small and cheap to push: heap entries of (depth, address
 # list) give the same bits on the 3-D perturbed cat map at m=2
 # (refine_depth 3) but peak at 386 MB against 223 MB and take about 4x the
-# time (226 s against 42 to 57 s on a shared 2-core VM).
+# time (226 s against 42 to 64 s on a shared 2-core VM).
 _DEPTH_BITS = 16
 _FIELD_BITS = 64
 
