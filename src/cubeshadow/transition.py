@@ -538,6 +538,10 @@ def _sharpen_min_gap(
         return bisect_left(coarse, min(best, most), lo=visited + 1)
 
     _distance_lbs(f, s, [pair for pair, _ in order], tol, cubes, wanted)
+    # The cut above holds only while rounding stays far below tol; a pair
+    # the rule must visit that was cut anyway would inflate the minimum.
+    if visited < len(order) and coarse[visited] < best:
+        raise RuntimeError(f"gap search dropped pair {order[visited][0]}, which sets the minimum")
     return best
 
 
@@ -545,7 +549,8 @@ def _sharpen_min_gap(
 # branch and bound may make.
 _MAX_CELLS = 4096
 # Cells the running branch and bounds may hold at once, each counted at its
-# worst case: 85 searches at once for n = 2, 36 for n = 3.
+# worst case: 85 searches at once for n = 2, 36 for n = 3, and from n = 9 on,
+# where one worst case exceeds it, one.
 _HELD_CELLS = 1 << 20
 
 # A branch-and-bound cell is packed into one int: its depth in the low
@@ -699,7 +704,8 @@ def _distance_lbs(
     call.  Searches start in order, as many per round as keep them at most
     _HELD_CELLS // ((2^n - 1) * _MAX_CELLS + 1): each is charged the cells
     its heap holds at its pop cap, so the heaps together stay within
-    _HELD_CELLS.
+    _HELD_CELLS.  At least one search runs, so from n = 9 on, where one
+    worst case alone exceeds _HELD_CELLS, that one search may too.
 
     ``wanted``, if given, is called after every round with the bounds
     found so far (None where unfinished) and each pair's upper bound so
@@ -715,7 +721,7 @@ def _distance_lbs(
     ]
     depth_mask = (1 << _DEPTH_BITS) - 1
     field_mask = (1 << _FIELD_BITS) - 1
-    running = _HELD_CELLS // (((1 << n) - 1) * _MAX_CELLS + 1)
+    running = max(1, _HELD_CELLS // (((1 << n) - 1) * _MAX_CELLS + 1))
     out: list[float | None] = [None] * len(pairs)
     uppers = [math.inf] * len(pairs)
     started = 0

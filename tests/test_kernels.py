@@ -209,34 +209,8 @@ def test_sin_range_contains_the_60_digit_sine(data):
                 assert mpmath.mpf(float(s_lo)) <= mpmath.sin(v) <= mpmath.mpf(float(s_hi))
 
 
-@pytest.mark.parametrize(
-    "descriptor, n, m, space",
-    [
-        ("perturbed [[1]] eta=0.02 freq=3", 1, 4, Space.TORUS),
-        ("perturbed [[2,1,0],[1,1,0],[0,0,1]] eta=0.01 freq=2", 3, 2, Space.TORUS),
-        ("affine [[0.3,0.1,0.2],[0.1,0.2,0.3],[0.1,0.3,0.1]]", 3, 2, Space.CUBE),
-    ],
-    ids=["1d", "3d", "3d-cube"],
-)
-def test_lockstep_gap_search_matches_one_pair_at_a_time(descriptor, n, m, space):
-    # Packed cell addresses for n != 2: every pair's bound must be the one
-    # its own search finds.
-    f = builtin_map(descriptor, space)
-    s = make_subdivision(n, m, space)
-    rng = np.random.default_rng(0)
-    pairs = [tuple(int(v) for v in rng.integers(0, s.count, 2)) for _ in range(12)]
-    tol = s.cube_width / 64
-    got = transition._distance_lbs(f, s, pairs, tol, transition._cube_bounds(s))
-    want = [ref.pair_distance_lb(f, s.box(i), s.box(j), tol) for i, j in pairs]
-    assert _bits(got) == _bits(want)
-    assert any(g > 0.0 for g in got)
-
-
-def _cap_searches(monkeypatch, s) -> list[set]:
-    """Let three gap searches run at once on subdivision s, and record the
-    (source, target) cube pairs bounded in each round."""
-    worst = ((1 << s.n) - 1) * transition._MAX_CELLS + 1
-    monkeypatch.setattr(transition, "_HELD_CELLS", 3 * worst)
+def _record_rounds(monkeypatch, s) -> list[set]:
+    """The (source, target) cube pairs bounded in each gap-search round."""
     rounds: list[set] = []
     real = transition._image_gaps
 
@@ -250,29 +224,42 @@ def _cap_searches(monkeypatch, s) -> list[set]:
     return rounds
 
 
+def _searches_at_once(s, held: int) -> int:
+    return max(1, held // (((1 << s.n) - 1) * transition._MAX_CELLS + 1))
+
+
 @pytest.mark.parametrize(
-    "descriptor, n, m",
+    "descriptor, n, m, space",
     [
-        ("perturbed [[1]] eta=0.02 freq=3", 1, 5),
-        ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 2, 3),
-        ("perturbed [[2,1,0],[1,1,0],[0,0,1]] eta=0.01 freq=2", 3, 2),
+        ("perturbed [[1]] eta=0.02 freq=3", 1, 4, Space.TORUS),
+        ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 2, 3, Space.TORUS),
+        ("perturbed [[2,1,0],[1,1,0],[0,0,1]] eta=0.01 freq=2", 3, 2, Space.TORUS),
+        ("affine [[0.3,0.1,0.2],[0.1,0.2,0.3],[0.1,0.3,0.1]]", 3, 2, Space.CUBE),
     ],
-    ids=["1d", "2d", "3d"],
+    ids=["1d", "2d", "3d", "3d-cube"],
 )
-def test_capped_gap_search_matches_one_pair_at_a_time(monkeypatch, descriptor, n, m):
-    # With room for three searches, pairs start as searches finish; every
-    # pair's bound must still be the one its own search finds.
-    f = builtin_map(descriptor)
-    s = make_subdivision(n, m, Space.TORUS)
-    codes = np.random.default_rng(1).choice(s.count * s.count, 40, replace=False)
+def test_lockstep_gap_search_matches_one_pair_at_a_time(monkeypatch, descriptor, n, m, space):
+    # Packed cell addresses for n != 2, and searches starting as others
+    # finish: with the full cell budget, with room for three searches, and
+    # with a budget below one search's worst case (as from n = 9 on), where
+    # one search still runs, every pair's bound must be the one its own
+    # search finds.
+    f = builtin_map(descriptor, space)
+    s = make_subdivision(n, m, space)
+    codes = np.random.default_rng(0).choice(s.count * s.count, 40, replace=False)
     pairs = [divmod(int(c), s.count) for c in codes]
     tol = s.cube_width / 16
-    rounds = _cap_searches(monkeypatch, s)
-    got = transition._distance_lbs(f, s, pairs, tol, transition._cube_bounds(s))
     want = [ref.pair_distance_lb(f, s.box(i), s.box(j), tol) for i, j in pairs]
-    assert _bits(got) == _bits(want)
-    assert max(map(len, rounds)) == 3
-    assert len(set().union(*rounds)) == 40
+    assert any(g > 0.0 for g in want)
+    rounds = _record_rounds(monkeypatch, s)
+    worst = ((1 << n) - 1) * transition._MAX_CELLS + 1
+    for held in (transition._HELD_CELLS, 3 * worst, 1):
+        monkeypatch.setattr(transition, "_HELD_CELLS", held)
+        rounds.clear()
+        got = transition._distance_lbs(f, s, pairs, tol, transition._cube_bounds(s))
+        assert _bits(got) == _bits(want), held
+        assert max(map(len, rounds)) == min(_searches_at_once(s, held), 40)
+        assert len(set().union(*rounds)) == 40
 
 
 @pytest.mark.parametrize(
@@ -281,7 +268,8 @@ def test_capped_gap_search_matches_one_pair_at_a_time(monkeypatch, descriptor, n
 def test_cancelled_sharpen_matches_the_skip_rule(monkeypatch, descriptor):
     # One search over every coarse gap, cut where the skip rule stops: the
     # same minimum and stored gaps as the pair-at-a-time rule, and no more
-    # than two searches started past the pairs it visits.
+    # searches started past the pairs it visits than can run beside the
+    # one it waits for (none when one search runs at a time).
     f = builtin_map(descriptor)
     s = make_subdivision(2, 3, Space.TORUS)
     cubes = transition._cube_bounds(s)
@@ -291,12 +279,17 @@ def test_cancelled_sharpen_matches_the_skip_rule(monkeypatch, descriptor):
     monkeypatch.setattr(ref, "pair_distance_lb", lambda *a: visited.append(a) or real(*a))
     want = dict(gaps)
     want_min = ref.sharpen_min_gap(f, s, want, math.inf, cubes)
-    rounds = _cap_searches(monkeypatch, s)
-    got_min = transition._sharpen_min_gap(f, s, gaps, math.inf, cubes)
-    assert _bits(got_min) == _bits(want_min)
-    assert list(gaps) == list(want) and _bits(list(gaps.values())) == _bits(list(want.values()))
-    assert max(map(len, rounds)) <= 3
-    assert len(visited) <= len(set().union(*rounds)) <= len(visited) + 2
+    rounds = _record_rounds(monkeypatch, s)
+    for held in (3 * (((1 << s.n) - 1) * transition._MAX_CELLS + 1), 1):
+        monkeypatch.setattr(transition, "_HELD_CELLS", held)
+        searches = _searches_at_once(s, held)
+        rounds.clear()
+        got = dict(gaps)
+        got_min = transition._sharpen_min_gap(f, s, got, math.inf, cubes)
+        assert _bits(got_min) == _bits(want_min)
+        assert list(got) == list(want) and _bits(list(got.values())) == _bits(list(want.values()))
+        assert max(map(len, rounds)) <= searches
+        assert len(visited) <= len(set().union(*rounds)) <= len(visited) + searches - 1
 
 
 @pytest.mark.parametrize(
