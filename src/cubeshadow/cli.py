@@ -62,6 +62,7 @@ from .shadowing import (
     UniformNoise,
     generate_pseudo_orbit,
     json_value,
+    json_values,
     orbit_csv,
     periodic_shadow,
     pseudo_orbit,
@@ -149,21 +150,19 @@ class RunConfig:
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(RunConfig)}
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-# The JSON types a value may take for each annotated field type.
-_JSON_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+_KINDS = {"int": int, "float": float, "str": str, "bool": bool}
 
 
 def _config_value(name: str, value):
-    """A config value of its field's annotated type, never coerced: true is
-    not an int, 2.7 not an int, "3" not a number.  ValueError names the key."""
+    """A config value of its field's annotated type, read as ``json_value``
+    reads it: never coerced, and ValueError names the key."""
     kind, _, optional = _FIELD_TYPES[name].partition(" | ")
+    key = f"config key {name!r}"
     if value is None and optional:
         return None
-    if kind == "tuple[str, ...]" and type(value) is list and set(map(type, value)) <= {str}:
-        return tuple(value)
-    if type(value) in _JSON_TYPES.get(kind, ()):
-        return float(value) if kind == "float" else value
-    raise ValueError(f"config key {name!r} must be of type {_FIELD_TYPES[name]}, not {value!r}")
+    if kind == "tuple[str, ...]":
+        return json_values(key, value, str)
+    return json_value(key, value, _KINDS[kind])
 
 
 class UsageError(Exception):
