@@ -47,7 +47,7 @@ from .errors import (
     UncertifiedTransitionError,
 )
 from .exact import minimal_period, supports_exact
-from .geometry import Box, Space, chi, make_subdivision
+from .geometry import Box, Space, chi, json_value, json_values, make_subdivision
 from .oracle import (
     brute_force_fixed_points,
     brute_force_shadow,
@@ -61,8 +61,6 @@ from .shadowing import (
     ShadowConfig,
     UniformNoise,
     generate_pseudo_orbit,
-    json_value,
-    json_values,
     orbit_csv,
     periodic_shadow,
     pseudo_orbit,
@@ -153,11 +151,12 @@ _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 _KINDS = {"int": int, "float": float, "str": str, "bool": bool}
 
 
-def _config_value(name: str, value):
+def _config_value(name: str, value, key: str | None = None):
     """A config value of its field's annotated type, read as ``json_value``
-    reads it: never coerced, and ValueError names the key."""
+    reads it: never coerced, and ValueError names the key (by default the
+    config key)."""
     kind, _, optional = _FIELD_TYPES[name].partition(" | ")
-    key = f"config key {name!r}"
+    key = key or f"config key {name!r}"
     if value is None and optional:
         return None
     if kind == "tuple[str, ...]":
@@ -189,9 +188,7 @@ def _resolve_config(args: argparse.Namespace) -> tuple[RunConfig, dict[str, str]
     inputs: dict[str, str] = {}
     path = getattr(args, "config", None)
     if path:
-        raw = _load_json(path, inputs)
-        if not isinstance(raw, dict):
-            raise ValueError("config file must hold a JSON object")
+        raw = json_value(path, _load_json(path, inputs), dict)
         unknown = sorted(set(raw) - _CONFIG_FIELDS)
         if unknown:
             raise ValueError(f"unknown config keys: {unknown}")
@@ -334,7 +331,7 @@ def _orbit(run: Run, args: argparse.Namespace, f: MapSpec) -> PseudoOrbit:
     """
     path = getattr(args, "orbit", None)
     if path:
-        data = run.read_json(path)
+        data = json_value(path, run.read_json(path), dict)
         p = pseudo_orbit_from_json(data.get("orbit", data))
         if p.space is not f.space:
             raise ValueError("pseudo-orbit and map live on different spaces")
@@ -590,11 +587,10 @@ def cmd_periodic(run: Run, args: argparse.Namespace) -> int:
 def _segments(run: Run, args: argparse.Namespace, f: MapSpec) -> list[list[tuple]]:
     path = getattr(args, "segments", None)
     if path:
-        data = run.read_json(path)
-        raw = data.get("segments", data)
-        if not isinstance(raw, list):
-            raise ValueError("segments file must hold a list of point lists")
-        return [[tuple(float(v) for v in q) for q in seg] for seg in raw]
+        data = run.read_json(path)  # a bare list, or an object holding it as "segments"
+        raw = data["segments"] if isinstance(data, dict) else data
+        return [[json_values("segments point", q) for q in json_values("segments", seg, list)]
+                for seg in json_values("segments", raw, list)]
     cfg = run.cfg
     if not cfg.starts:
         raise ValueError("need --start (repeatable) or --segments FILE")
@@ -679,17 +675,20 @@ _CERTIFY_KNOBS = (
 def _verify_chained(run: Run, data: dict) -> int:
     """Rebuild the graph from the embedded config and audit the certificate on it."""
     cert_data = data.get("certificate", data)
-    map_id = cert_data["map_id"]
     sub = cert_data["subdivision"]
     stored = data.get("config", {})
     cfg = dataclasses.replace(
-        run.cfg, map=map_id, space=sub["space"], m=int(sub["m"]),
-        **{k: stored[k] for k in _CERTIFY_KNOBS if k in stored},
+        run.cfg,
+        map=_config_value("map", cert_data["map_id"], "map_id"),
+        **{k: _config_value(k, sub[k], f"subdivision {k}") for k in ("n", "m", "space")},
+        **{k: _config_value(k, stored[k]) for k in _CERTIFY_KNOBS if k in stored},
     )
-    f = _make_map(cfg)
-    if int(sub["n"]) != f.n:
-        raise ValueError(f"subdivision dimension {sub['n']} != map dimension {f.n}")
-    _, g = _graph(cfg, f)
+    map_id, f = cfg.map, _make_map(cfg)
+    if cfg.n != f.n:
+        raise ValueError(f"subdivision dimension {cfg.n} != map dimension {f.n}")
+    s, g = _graph(cfg, f)
+    if json_value("subdivision count", sub["count"], int) != s.count:
+        raise ValueError(f"subdivision count {sub['count']} != {s.count} cubes")
     audit = audit_chained(f, g, cert_data, _covering_config(cfg))
     if audit.problems:
         print(f"verify: certificate for {map_id} REJECTED, {len(audit.problems)} problem(s):")
@@ -708,9 +707,10 @@ def _verify_chained(run: Run, data: dict) -> int:
 
 def _verify_shadow_file(run: Run, data: dict) -> int:
     stored = data.get("config", {})
-    descriptor = stored.get("map", run.cfg.map)
-    space = stored.get("space", run.cfg.space)
-    f = builtin_map(descriptor, Space(space))
+    cfg = dataclasses.replace(
+        run.cfg, **{k: _config_value(k, stored[k]) for k in ("map", "space") if k in stored}
+    )
+    descriptor, f = cfg.map, _make_map(cfg)
     p = pseudo_orbit_from_json(data["orbit"])
     result = shadow_result_from_json(data["result"])
     eps = json_value("eps", data["eps"])
@@ -731,7 +731,7 @@ def _verify_shadow_file(run: Run, data: dict) -> int:
 
 
 def cmd_verify(run: Run, args: argparse.Namespace) -> int:
-    data = run.read_json(args.artifact)
+    data = json_value(args.artifact, run.read_json(args.artifact), dict)
     if "certificate" in data or "certificates" in data:
         return _verify_chained(run, data)
     if "result" in data and "orbit" in data:

@@ -34,7 +34,7 @@ from .dynamics import (
     residual_range,
 )
 from .errors import MismatchedChainError, NotEndomorphismError, UncertainEdgesError
-from .geometry import Box, Space, Subdivision, check_bounds
+from .geometry import Box, Space, Subdivision, check_bounds, json_pairs, json_value, json_values
 from .transition import PairRows, TransitionGraph, code_pairs
 
 _ORTHO_TOL = 1e-9
@@ -133,13 +133,15 @@ class Rectangle:
 
 def rectangle_from_json(data: dict) -> Rectangle:
     for key, want in (("exit_axis", 0), ("orientation", 1)):
-        # JSON true, false and 0.0 are not integers.
-        if type(data[key]) is not int or data[key] != want:
+        if json_value(f"rectangle {key}", data[key], int) != want:
             raise ValueError(f"rectangle {key} must be the integer {want}, not {data[key]!r}")
-    b = data["box"]
-    box = Box(tuple(b["lo"]), tuple(b["hi"]), Space(b["space"]))
-    frame = data.get("frame")
-    return Rectangle(box, None if frame is None else tuple(tuple(r) for r in frame))
+    b, frame = data["box"], data.get("frame")
+    box = Box(json_values("rectangle lo", b["lo"]), json_values("rectangle hi", b["hi"]),
+              json_value("rectangle space", b["space"], Space))
+    if frame is not None:
+        frame = tuple(json_values("rectangle frame", r)
+                      for r in json_values("rectangle frame", frame, list))
+    return Rectangle(box, frame)
 
 
 @dataclass(frozen=True)
@@ -184,21 +186,15 @@ class CoveringCertificate:
 
 
 def certificate_from_json(data: dict) -> CoveringCertificate:
-    h, o = data["h_range"], data["orientation"]
-    # JSON true is not the integer 1, nor true or "0.5" a number.
-    if type(o) is not int or o not in (1, -1):
+    o = json_value("certificate orientation", data["orientation"], int)
+    if o not in (1, -1):
         raise ValueError(f"certificate orientation must be the integer 1 or -1, not {o!r}")
-    numbers = [*(h if type(h) is list and len(h) == 2 else [None]),
-               data["exit_margin"], data["confinement_margin"]]
-    if set(map(type, numbers)) - {int, float}:
-        raise ValueError("certificate h_range and margins must be JSON numbers, not "
-                         f"{h!r}, {numbers[-2]!r}, {numbers[-1]!r}")
     return CoveringCertificate(
         source=rectangle_from_json(data["source"]),
         target=rectangle_from_json(data["target"]),
-        h_range=(float(h[0]), float(h[1])),
-        exit_margin=float(data["exit_margin"]),
-        confinement_margin=float(data["confinement_margin"]),
+        h_range=json_values("certificate h_range", data["h_range"], length=2),
+        exit_margin=json_value("certificate exit_margin", data["exit_margin"]),
+        confinement_margin=json_value("certificate confinement_margin", data["confinement_margin"]),
         orientation=o,
     )
 
@@ -732,16 +728,6 @@ def _rect_in_cube(r: Rectangle, cube: Box) -> bool:
     return bool(np.all(c - half >= cube.lo_arr) and np.all(c + half <= cube.hi_arr))
 
 
-def _flat_pairs(pairs: list, what: str) -> list[int]:
-    """The indices of stored cube pairs, pair after pair.  Each pair must be
-    two integers: JSON true, false or 1.0 is not an index."""
-    shaped = set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) <= {2}
-    flat = list(itertools.chain.from_iterable(pairs)) if shaped else [None]
-    if set(map(type, flat)) - {int}:
-        raise ValueError(f"{what} must hold pairs of integer indices")
-    return flat
-
-
 def audit_chained(
     f: MapSpec, g: TransitionGraph, body: dict, cfg: CoveringConfig | None = None
 ) -> ChainedAudit:
@@ -767,7 +753,7 @@ def audit_chained(
     reps: list[int] = []  # each class's pair code; -1 when it is not a cube pair
     margins = []
     for k, entry in enumerate(body["classes"]):
-        i, j = _flat_pairs([entry["pair"]], f"class {k}")
+        i, j = json_values(f"class {k} pair", entry["pair"], int, length=2)
         cert = certificate_from_json(entry["certificate"])
         margins.append(certificate_margin(cert))
         if not (0 <= i < count and 0 <= j < count):
@@ -779,23 +765,20 @@ def audit_chained(
             problems.append(f"class {k}: rectangles leave the cubes of pair {(i, j)}")
         if not verify_certificate(f, cert, cfg):
             problems.append(f"class {k}: covering fails re-checking")
-    least = min(margins, default=None)
-    if body["margin"] != least:
-        problems.append(f"stored margin {body['margin']!r} != class minimum {least!r}")
+    least, margin = min(margins, default=None), json_value("margin", body["margin"])
+    if margin != least:
+        problems.append(f"stored margin {margin!r} != class minimum {least!r}")
 
     is_interior = g.clearances > 0.0
     interior, boundary = g.witness_codes[is_interior], g.witness_codes[~is_interior]
-    entries = body["certificates"]
-    if not isinstance(entries, dict):
-        raise ValueError("certificates must be a JSON object of \"i,j\": class entries")
+    entries = json_value("certificates", body["certificates"], dict)
+    json_values("certificates", list(entries.values()), int)
     keys = _pair_keys(interior, count)
     stored = np.fromiter(map(entries.__contains__, keys), bool, len(keys))
     extra: list[Pair] = []  # stored edges that are not interior-witnessed
-    if len(entries) != stored.sum() or set(map(type, entries.values())) - {int}:
+    if len(entries) != stored.sum():
         known = set(keys)
-        for key, k in entries.items():
-            if type(k) is not int:  # JSON true, false and 1.0 are not class indices
-                raise ValueError(f"certificate entry {key!r} must name a class index")
+        for key in entries:
             if key not in known:
                 i, j = map(int, key.split(","))
                 if key != f"{i},{j}":  # "0, 0" or "00,0" would alias the edge (0, 0)
@@ -814,8 +797,8 @@ def audit_chained(
         problems.append(f"edge {(i, j)}: class {entries[f'{i},{j}']} is not its translation class")
 
     listed = body["excluded_boundary"]
-    flat, excluded = _flat_pairs(listed, "excluded_boundary"), len(listed)
-    if flat != np.column_stack(np.divmod(boundary, count)).ravel().tolist():
+    flat, excluded = json_pairs("excluded_boundary", listed), len(listed)
+    if flat != tuple(np.column_stack(np.divmod(boundary, count)).ravel().tolist()):
         want, have = set(code_pairs(boundary, count)), set(map(tuple, listed))
         for pair in sorted(have - want):
             problems.append(f"edge {pair}: listed as excluded but not a boundary-only graph edge")

@@ -12,7 +12,7 @@ import numpy as np
 
 from ._intervals import NUDGE_ULPS, nudge_down, nudge_up, sin_range, widen
 from .errors import InvalidMapError, NotInvertibleError
-from .geometry import Space, parse_space
+from .geometry import Space
 
 TWO_PI = 2.0 * math.pi
 
@@ -271,7 +271,7 @@ def builtin_map(descriptor: str, space: Space | str = Space.TORUS) -> MapSpec:
         standard K=<real>
         perturbed [[a11,...],...] eta=<real> freq=<int>
     """
-    space = parse_space(space)
+    space = Space(space)
     tokens = _merge_brackets(descriptor.split())
     if not tokens:
         raise InvalidMapError("empty map descriptor")

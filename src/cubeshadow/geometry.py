@@ -9,7 +9,10 @@ outward rounding.
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
+from itertools import chain
 import math
+import reprlib
 
 import numpy as np
 
@@ -26,13 +29,56 @@ class Space(Enum):
     TORUS = "torus"
 
 
-def parse_space(value) -> Space:
-    if isinstance(value, Space):
-        return value
+# What a read value's JSON type may be, by the type it is read as: true is
+# not a number, "0.5" not a number, 2.7 not an integer.  A Fraction or a
+# Space is read from a string that must parse as one.
+_JSON_TYPES = {
+    float: ({int, float}, "number"),
+    int: ({int}, "integer"),
+    str: ({str}, "string"),
+    bool: ({bool}, "bool"),
+    list: ({list}, "list"),
+    dict: ({dict}, "object"),
+    Fraction: ({str}, "string of a rational"),
+    Space: ({str}, "string 'cube' or 'torus'"),
+}
+
+
+def json_value(key: str, value, kind: type = float, optional: bool = False):
+    """``value`` read as ``kind``, never coerced (None passes when
+    ``optional``); a mistyped value raises ValueError naming its key.
+    Every value of every JSON input is read here or in ``json_values``."""
+    types, name = _JSON_TYPES[kind]
+    if value is None and optional:
+        return None
     try:
-        return Space(str(value).strip().lower())
-    except ValueError:
-        raise ValueError(f"unknown space {value!r}; expected 'cube' or 'torus'") from None
+        if type(value) in types:
+            return value if type(value) is kind else kind(value)
+    except (ValueError, ArithmeticError):  # "1/0" is not a rational
+        pass
+    raise ValueError(f"{key} must be a JSON {name}, not {reprlib.repr(value)}")
+
+
+def json_values(key: str, values, kind: type = float, length: int | None = None) -> tuple:
+    """A JSON list read as ``kind`` items (``length`` of them when given).
+    A list whose items all are ``kind`` already passes by its set of item
+    types; any other is read item by item, to convert or to name the bad
+    item.  ValueError names the key."""
+    if type(values) is not list or length not in (None, len(values)):
+        size = "" if length is None else f" of {length}"
+        raise ValueError(f"{key} must be a JSON list{size}, not {reprlib.repr(values)}")
+    if set(map(type, values)) <= {kind}:
+        return tuple(values)
+    return tuple(json_value(key, v, kind) for v in values)
+
+
+def json_pairs(key: str, values) -> tuple:
+    """A JSON list of integer pairs [i, j], flattened to (i0, j0, i1, j1, ...)
+    and checked as whole lists, like ``json_values``."""
+    rows = json_values(key, values, list)
+    if set(map(len, rows)) <= {2}:
+        return json_values(key, list(chain.from_iterable(rows)), int)
+    raise ValueError(f"{key} must be a JSON list of [i, j] pairs, not {reprlib.repr(values)}")
 
 
 def check_bounds(lo: np.ndarray, hi: np.ndarray, space: Space) -> None:

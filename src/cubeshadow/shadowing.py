@@ -62,7 +62,7 @@ from .exact import (
     to_fracs,
     to_ints,
 )
-from .geometry import Box, Space, Subdivision, cubes_of_points
+from .geometry import Box, Space, Subdivision, cubes_of_points, json_value, json_values
 from .transition import TransitionGraph, build_graph, delta_bound, find_path
 
 
@@ -171,43 +171,13 @@ class PseudoOrbit:
         return buf.getvalue()
 
 
-# What a read value's JSON type may be, by the type it is read as: true is
-# not a number, "0.5" not a number, 2.7 not an integer.
-_JSON_TYPES = {
-    float: ((int, float), "number"),
-    int: ((int,), "integer"),
-    str: ((str,), "string"),
-    bool: ((bool,), "bool"),
-}
-
-
-def json_value(key: str, value, kind: type = float, optional: bool = False):
-    """``value`` read as ``kind``, never coerced (None passes when
-    ``optional``); a mistyped value raises ValueError naming its key."""
-    types, name = _JSON_TYPES[kind]
-    if value is None and optional:
-        return None
-    if type(value) in types:
-        return kind(value)
-    raise ValueError(f"{key} must be a JSON {name}, not {value!r}")
-
-
-def json_values(key: str, values, kind: type = float, length: int | None = None) -> tuple:
-    """A JSON list read element by element as ``kind`` (of ``length`` items
-    when given); ValueError names the key."""
-    if type(values) is not list or length not in (None, len(values)):
-        size = "" if length is None else f" of {length}"
-        raise ValueError(f"{key} must be a JSON list{size}, not {values!r}")
-    return tuple(json_value(key, v, kind) for v in values)
-
-
 def pseudo_orbit_from_json(data: dict) -> PseudoOrbit:
     """The inverse of ``PseudoOrbit.to_json``; every value is type-checked."""
-    itin = data.get("known_itinerary")
+    itin, rows = data.get("known_itinerary"), json_values("points", data["points"], list)
     return PseudoOrbit(
-        points=tuple(json_values("points", p) for p in data["points"]),
+        points=tuple(json_values("points", p) for p in rows),
         delta=json_value("delta", data["delta"]),
-        space=Space(data["space"]),
+        space=json_value("space", data["space"], Space),
         lo=json_value("lo", data.get("lo", 0), int),
         periodic=json_value("periodic", data.get("periodic"), int, optional=True),
         known_itinerary=None if itin is None else json_values("known_itinerary", itin, int),
@@ -949,10 +919,9 @@ class ShadowResult:
 
 def shadow_result_from_json(data: dict) -> ShadowResult:
     """The inverse of ``ShadowResult.to_json``; every value is type-checked."""
-    if data.get("point_exact"):
-        point = tuple(map(Fraction, json_values("point_exact", data["point_exact"], str)))
-    else:
-        point = json_values("point", data["point"])
+    point = json_values("point", data["point"])
+    if data.get("point_exact") is not None:
+        point = json_values("point_exact", data["point_exact"], Fraction)
     sb = data["surviving_box"]
     return ShadowResult(
         point=point,
@@ -961,7 +930,7 @@ def shadow_result_from_json(data: dict) -> ShadowResult:
         surviving_box=Box(
             json_values("surviving_box lo", sb["lo"]),
             json_values("surviving_box hi", sb["hi"]),
-            Space(sb["space"]),
+            json_value("surviving_box space", sb["space"], Space),
         ),
         periodic=json_value("periodic", data.get("periodic"), int, optional=True),
         minimal_period=json_value(

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubeshadow
-from cubeshadow import cli, shadowing
+from cubeshadow import cli, covering, geometry, shadowing
 from cubeshadow.cli import main
 from cubeshadow.transition import EdgeStatus
 
@@ -24,6 +24,14 @@ PERTURBED = "perturbed [[2,1],[1,1]] eta=0.001 freq=1"
 
 def run_json(path):
     return json.loads(path.read_text())
+
+
+def _set_leaf(data, keys, value):
+    """Set the value at a path of keys and list indices in a JSON document."""
+    *parents, key = keys
+    for parent in parents:
+        data = data[parent]
+    data[key] = value
 
 
 def _stdlib_text(obj) -> str:
@@ -271,15 +279,15 @@ def _listed_certificates(cert):
         (_inflate_margin, 2, "covering fails re-checking"),
         (_drop_excluded, 2, "missing from excluded_boundary"),
         (_widen_strip, 2, "covering fails re-checking"),
-        (_bool_class, 4, "must name a class index"),
-        (_float_excluded, 4, "excluded_boundary must hold pairs of integer indices"),
-        (_float_pair, 4, "class 0 must hold pairs of integer indices"),
+        (_bool_class, 4, "certificates must be a JSON integer, not False"),
+        (_float_excluded, 4, "excluded_boundary must be a JSON integer, not 0.9"),
+        (_float_pair, 4, "class 0 pair must be a JSON integer, not 0.4"),
         (_spaced_key, 4, "is not the canonical"),
         (_exit_axis_one, 4, "rectangle exit_axis must be the integer 0, not 1"),
         (_flipped_orientation, 4, "rectangle orientation must be the integer 1, not -1"),
-        (_bool_orientation, 4, "certificate orientation must be the integer 1 or -1, not True"),
-        (_string_h_range, 4, "certificate h_range and margins must be JSON numbers"),
-        (_string_margin, 4, "certificate h_range and margins must be JSON numbers"),
+        (_bool_orientation, 4, "certificate orientation must be a JSON integer, not True"),
+        (_string_h_range, 4, "certificate h_range must be a JSON number, not '0."),
+        (_string_margin, 4, "certificate confinement_margin must be a JSON number, not '0."),
         (_listed_certificates, 4, "certificates must be a JSON object"),
     ],
     ids=["drop-half", "drop-one", "rekey", "swap-class", "move-class",
@@ -303,6 +311,33 @@ def test_verify_rejects_a_tampered_certificate(
         assert reason in out
     else:
         assert reason in err
+
+
+_SOURCE = ("certificate", "classes", 0, "certificate", "source")
+
+
+@pytest.mark.parametrize(
+    "keys, value, name",
+    [(_SOURCE + ("box", "lo"), ["0.008568250453832638"] * 2, "rectangle lo"),
+     (_SOURCE + ("frame", 0), ["0.8506508083520399", "0.5257311121191335"], "rectangle frame"),
+     (("certificate", "subdivision", "m"), 3.9, "subdivision m"),
+     (("certificate", "subdivision", "n"), "2", "subdivision n"),
+     (("certificate", "subdivision", "count"), 64.0, "subdivision count"),
+     (("certificate", "map_id"), 5, "map_id"),
+     (("certificate", "margin"), "0.014018092143843912", "margin"),
+     (("config", "allow_uncertain"), 0, "config key 'allow_uncertain'"),
+     (("config", "samples_per_cube"), True, "config key 'samples_per_cube'")],
+)
+def test_mistyped_certificate_exits_4(tmp_path, capsys, cat_certificate, keys, value, name):
+    # The values of a class, of the subdivision and of the embedded knobs
+    # are read like every other: a string that float() would take, a float
+    # that int() would truncate or a 0 for false is refused, key named.
+    data = json.loads(json.dumps(cat_certificate))
+    _set_leaf(data, keys, value)
+    path = tmp_path / "certificate.json"
+    path.write_text(json.dumps(data))
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 4
+    assert f"{name} must be a JSON" in capsys.readouterr().err
 
 
 def test_verify_rejects_an_invalid_embedded_knob(tmp_path, capsys, cat_certificate):
@@ -405,22 +440,38 @@ def shadow_file(tmp_path_factory):
      (("result", "eps_achieved"), "0.1", "eps_achieved"),
      (("result", "point"), [True, 0.5], "point"),
      (("result", "minimal_period"), 2.0, "minimal_period"),
-     (("eps",), "0.1", "eps"), (("verify", "ok"), 0, "verify ok")],
+     (("eps",), "0.1", "eps"), (("verify", "ok"), 0, "verify ok"),
+     (("config", "map"), 5, "config key 'map'"),
+     (("result", "point_exact"), ["1/0", "1/3"], "point_exact"),
+     (("result", "point_exact"), ["one third", "1/3"], "point_exact"),
+     (("result", "point_exact"), False, "point_exact"),
+     (("result", "point_exact"), 0.0, "point_exact"),
+     (("result", "point_exact"), "", "point_exact")],
 )
 def test_mistyped_shadow_file_exits_4(tmp_path, capsys, shadow_file, keys, value, name):
-    # verify reads a shadow.json's values type-checked, never coerced.
+    # verify reads a shadow.json's values type-checked, never coerced; a
+    # null point_exact is absent, any other value must list rationals.
     data = run_json(shadow_file)
     data["result"]["point_exact"] = None
-    *parents, key = keys
-    node = data
-    for parent in parents:
-        node = node[parent]
-    node[key] = value
+    _set_leaf(data, keys, value)
     path = tmp_path / "shadow.json"
     path.write_text(json.dumps(data))
     capsys.readouterr()
     assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 4
     assert f"{name} must be a JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag, body",
+    [("shadow", "--orbit", [1, 2]), ("verify", None, "certificate"),
+     ("certify", "--config", [{"m": 3}])],
+)
+def test_an_input_file_that_is_not_a_json_object_exits_4(tmp_path, capsys, command, flag, body):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(body))
+    args = [command, str(path)] if flag is None else [command, flag, str(path)]
+    assert main([*args, "--m", "3", "--out", str(tmp_path / "out")]) == 4
+    assert f"{path} must be a JSON object, not {body!r}" in capsys.readouterr().err
 
 
 def test_config_file_reruns_reproduce_bytes(tmp_path):
@@ -551,6 +602,26 @@ def test_splice_shadows_periodically_and_reverifies(tmp_path, capsys):
     assert data["result"]["minimal_period"] == spliced["orbit"]["periodic"]
     assert main(["verify", str(out / "periodic.json"),
                  "--out", str(tmp_path / "v")]) == 0
+
+
+def test_splice_segments_file_is_a_list_or_holds_one(tmp_path, capsys):
+    # The segments file holds the list of point lists bare or as "segments";
+    # its points are read as numbers, never coerced.
+    segments = [[[0.1, 0.2]], [[0.6, 0.7]]]
+    results = []
+    for name, body in (("bare", segments), ("held", {"segments": segments})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(body))
+        assert main(["splice", "--map", CAT, "--m", "3", "--gap", "8", "--segments", str(path),
+                     "--out", str(tmp_path / name)]) == 0
+        results.append(run_json(tmp_path / name / "periodic.json")["result"])
+    assert results[0] == results[1]
+    segments[0][0][0] = "0.1"
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps({"segments": segments}))
+    assert main(["splice", "--map", CAT, "--m", "3", "--gap", "8", "--segments", str(path),
+                 "--out", str(tmp_path / "mistyped")]) == 4
+    assert "segments point must be a JSON number, not '0.1'" in capsys.readouterr().err
 
 
 def test_oracle_linear_shadow_artifact(tmp_path):
@@ -727,3 +798,93 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "subdivide" in proc.stdout and "verify" in proc.stdout
+
+
+# --- every JSON input through the shared readers ------------------------------
+
+def _leaves(node, path=()):
+    """(path, value) of every scalar leaf of a JSON document."""
+    if not isinstance(node, (dict, list)):
+        yield path, node
+        return
+    for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+        yield from _leaves(child, (*path, key))
+
+
+def _shape(path):
+    # Leaves that differ only in a list index or in an edge key "i,j" are read alike.
+    return tuple("*" if isinstance(k, int) or "," in k else k for k in path)
+
+
+@pytest.fixture(scope="module")
+def input_files(tmp_path_factory, cat_certificate, shadow_file):
+    """Each kind of JSON input: its document, the command reading it from a
+    path, and the leaves that command does not read, as shape prefixes."""
+    tmp, shadow = tmp_path_factory.mktemp("retype"), run_json(shadow_file)
+    out = ["--out", str(tmp / "out")]
+    assert main(["pseudo", "--map", CAT, "--window", "10", "--out", str(tmp / "gen")]) == 0
+    # Null config values are left out: null is a valid value of those fields.
+    config = {k: v for k, v in cat_certificate["config"].items() if v is not None}
+    config["out"] = str(tmp / "out")
+    # Provenance is recorded, not read; neither is the certificate's policy name.
+    unread = {("command",), ("inputs_sha256",), ("artifacts_sha256",), ("certificate", "policy")}
+    return tmp, {
+        # subdivide reads every key of a config file.
+        "config": (config, lambda p: ["subdivide", "--config", p], set()),
+        # shadow reads only the orbit of an orbit file; max_defect is recomputed.
+        "orbit": (run_json(tmp / "gen" / "orbit.json"),
+                  lambda p: ["shadow", "--m", "3", "--orbit", p, *out],
+                  unread | {("config",), ("max_defect",)}),
+        # verify rebuilds a certificate's graph with the embedded certify knobs only.
+        "certificate": (cat_certificate, lambda p: ["verify", p, *out],
+                        unread | {("config", k) for k in cat_certificate["config"]
+                                  if k not in cli._CERTIFY_KNOBS}),
+        # verify takes a shadow file's map and space, recomputes its report and
+        # compares the verdict: max_err, argmax_k and errors are not read.
+        "shadow": (shadow, lambda p: ["verify", p, *out],
+                   unread | {("config", k) for k in shadow["config"] if k not in ("map", "space")}
+                   | {("verify", k) for k in ("max_err", "argmax_k", "errors")}),
+    }
+
+
+@pytest.mark.parametrize("kind", ["config", "orbit", "certificate", "shadow"])
+@settings(max_examples=30)
+@given(data=st.data())
+def test_a_retyped_leaf_exits_4(input_files, kind, data):
+    # Any scalar leaf that a reader reads, given a bool, float, string or
+    # null of another JSON type, is refused with exit 4 and never a traceback.
+    tmp, files = input_files
+    doc, command, unread = files[kind]
+    leaves = [(path, value) for path, value in _leaves(doc)
+              if not any(_shape(path)[:len(u)] == u for u in unread)]
+    shape = data.draw(st.sampled_from(sorted({_shape(path) for path, _ in leaves})))
+    path, old = data.draw(st.sampled_from([leaf for leaf in leaves if _shape(leaf[0]) == shape]))
+    new = data.draw(st.sampled_from(
+        [v for v in (True, 0.5, "0.5", None) if type(v) is not type(old)]
+    ))
+    retyped = json.loads(json.dumps(doc))
+    _set_leaf(retyped, path, new)
+    file = tmp / f"{kind}.json"
+    file.write_text(json.dumps(retyped))
+    assert main(command(str(file))) == 4
+
+
+def test_verify_reads_the_edge_lists_whole(tmp_path, monkeypatch):
+    # A well-typed list passes by its set of item types: the item-by-item
+    # reads stay per class, so they do not grow with the 4x larger edge set.
+    read, calls = geometry.json_value, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return read(*args, **kwargs)
+
+    for module in (geometry, covering, shadowing, cli):
+        monkeypatch.setattr(module, "json_value", counted)
+    counts = []
+    for m in (3, 4):
+        out = tmp_path / f"m{m}"
+        assert main(["certify", "--map", CAT, "--m", str(m), "--out", str(out)]) == 0
+        calls.clear()
+        assert main(["verify", str(out / "certificate.json"), "--out", str(tmp_path / "v")]) == 0
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

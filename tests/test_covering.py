@@ -104,7 +104,7 @@ def test_rectangle_json_stores_exit_axis_0_and_orientation_1(key, value):
     assert (doc["exit_axis"], doc["orientation"]) == (0, 1)
     assert rectangle_from_json(doc) == r
     doc[key] = value
-    with pytest.raises(ValueError, match=f"rectangle {key} must be the integer"):
+    with pytest.raises(ValueError, match=f"rectangle {key} must be (the|a JSON) integer"):
         rectangle_from_json(doc)
 
 
