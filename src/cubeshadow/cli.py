@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -674,9 +675,9 @@ _CERTIFY_KNOBS = (
 
 def _verify_chained(run: Run, data: dict) -> int:
     """Rebuild the graph from the embedded config and audit the certificate on it."""
-    cert_data = data.get("certificate", data)
-    sub = cert_data["subdivision"]
-    stored = data.get("config", {})
+    cert_data = json_value("certificate", data.get("certificate", data), dict)
+    sub = json_value("subdivision", cert_data["subdivision"], dict)
+    stored = json_value("config", data.get("config", {}), dict)
     cfg = dataclasses.replace(
         run.cfg,
         map=_config_value("map", cert_data["map_id"], "map_id"),
@@ -706,7 +707,7 @@ def _verify_chained(run: Run, data: dict) -> int:
 
 
 def _verify_shadow_file(run: Run, data: dict) -> int:
-    stored = data.get("config", {})
+    stored = json_value("config", data.get("config", {}), dict)
     cfg = dataclasses.replace(
         run.cfg, **{k: _config_value(k, stored[k]) for k in ("map", "space") if k in stored}
     )
@@ -715,7 +716,7 @@ def _verify_shadow_file(run: Run, data: dict) -> int:
     result = shadow_result_from_json(data["result"])
     eps = json_value("eps", data["eps"])
     report = verify_shadow(f, result.point, p, eps)
-    stored_ok = json_value("verify ok", data["verify"]["ok"], bool)
+    stored_ok = json_value("verify ok", json_value("verify", data["verify"], dict)["ok"], bool)
     if report.ok != stored_ok:
         print(
             f"verify: recomputed verdict {report.ok} DISAGREES with stored "
@@ -780,37 +781,39 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--out", help="output directory")
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing fills a
+    fresh namespace each time and leaves the parser unchanged."""
     parser = _Parser(
         prog="cubeshadow",
         description="Certified shadowing of pseudo-orbits on dyadic cube subdivisions.",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add(name: str, func, help_text: str):
+    def add(name: str, help_text: str):
         p = sub.add_parser(name, help=help_text, description=help_text)
-        p.set_defaults(func=func)
         _add_config_flags(p)
         return p
 
-    add("subdivide", cmd_subdivide, "describe the dyadic subdivision and its mesh")
-    add("graph", cmd_graph, "build the transition graph; export JSON and DOT")
-    add("delta-bound", cmd_delta_bound, "largest defect the graph can absorb")
-    add("certify", cmd_certify, "certify every nonempty transition (exit 2 on failure)")
-    add("pseudo", cmd_pseudo, "generate a perturbed pseudo-orbit")
-    p = add("shadow", cmd_shadow, "certify and shadow a pseudo-orbit")
+    add("subdivide", "describe the dyadic subdivision and its mesh")
+    add("graph", "build the transition graph; export JSON and DOT")
+    add("delta-bound", "largest defect the graph can absorb")
+    add("certify", "certify every nonempty transition (exit 2 on failure)")
+    add("pseudo", "generate a perturbed pseudo-orbit")
+    p = add("shadow", "certify and shadow a pseudo-orbit")
     p.add_argument("--orbit", metavar="FILE", help="pseudo-orbit JSON to shadow")
-    p = add("periodic", cmd_periodic, "shadow a periodic pseudo-orbit periodically")
+    p = add("periodic", "shadow a periodic pseudo-orbit periodically")
     p.add_argument("--orbit", metavar="FILE", help="periodic pseudo-orbit JSON")
-    p = add("splice", cmd_splice, "join orbit segments and shadow periodically")
+    p = add("splice", "join orbit segments and shadow periodically")
     p.add_argument("--segments", metavar="FILE", help="JSON list of point lists")
-    p = add("oracle", cmd_oracle, "independent ground truth for cross-checking")
+    p = add("oracle", "independent ground truth for cross-checking")
     p.add_argument(
         "--task", choices=("linear", "brute-shadow", "fixed-points"),
         default="linear", help="which oracle to run",
     )
     p.add_argument("--orbit", metavar="FILE", help="pseudo-orbit JSON to shadow")
-    p = add("verify", cmd_verify, "re-check a stored certificate or shadow result")
+    p = add("verify", "re-check a stored certificate or shadow result")
     p.add_argument("artifact", help="JSON artifact to re-verify")
     return parser
 
@@ -838,7 +841,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg, inputs = _resolve_config(args)
         run = Run(args.command, cfg, inputs)
-        return args.func(run, args)
+        # Subcommand "delta-bound" runs cmd_delta_bound.  The handler is
+        # looked up per call: the parser is built once, and a handler
+        # wrapped on the module later must still be the one that runs.
+        return globals()["cmd_" + args.command.replace("-", "_")](run, args)
     except _EXHAUSTION as e:
         print(f"exhausted: {e}", file=sys.stderr)
         return EXIT_EXHAUSTED

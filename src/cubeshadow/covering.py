@@ -132,10 +132,11 @@ class Rectangle:
 
 
 def rectangle_from_json(data: dict) -> Rectangle:
+    data = json_value("rectangle", data, dict)
     for key, want in (("exit_axis", 0), ("orientation", 1)):
         if json_value(f"rectangle {key}", data[key], int) != want:
             raise ValueError(f"rectangle {key} must be the integer {want}, not {data[key]!r}")
-    b, frame = data["box"], data.get("frame")
+    b, frame = json_value("rectangle box", data["box"], dict), data.get("frame")
     box = Box(json_values("rectangle lo", b["lo"]), json_values("rectangle hi", b["hi"]),
               json_value("rectangle space", b["space"], Space))
     if frame is not None:
@@ -186,6 +187,7 @@ class CoveringCertificate:
 
 
 def certificate_from_json(data: dict) -> CoveringCertificate:
+    data = json_value("certificate", data, dict)
     o = json_value("certificate orientation", data["orientation"], int)
     if o not in (1, -1):
         raise ValueError(f"certificate orientation must be the integer 1 or -1, not {o!r}")
@@ -752,7 +754,8 @@ def audit_chained(
 
     reps: list[int] = []  # each class's pair code; -1 when it is not a cube pair
     margins = []
-    for k, entry in enumerate(body["classes"]):
+    for k, entry in enumerate(json_value("classes", body["classes"], list)):
+        entry = json_value(f"class {k}", entry, dict)
         i, j = json_values(f"class {k} pair", entry["pair"], int, length=2)
         cert = certificate_from_json(entry["certificate"])
         margins.append(certificate_margin(cert))
@@ -780,7 +783,10 @@ def audit_chained(
         known = set(keys)
         for key in entries:
             if key not in known:
-                i, j = map(int, key.split(","))
+                try:
+                    i, j = map(int, key.split(","))
+                except ValueError:
+                    raise ValueError(f"certificate key {key!r} is not a pair \"i,j\"") from None
                 if key != f"{i},{j}":  # "0, 0" or "00,0" would alias the edge (0, 0)
                     raise ValueError(f"certificate key {key!r} is not the canonical \"{i},{j}\"")
                 extra.append((i, j))

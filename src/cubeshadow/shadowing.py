@@ -173,6 +173,7 @@ class PseudoOrbit:
 
 def pseudo_orbit_from_json(data: dict) -> PseudoOrbit:
     """The inverse of ``PseudoOrbit.to_json``; every value is type-checked."""
+    data = json_value("orbit", data, dict)
     itin, rows = data.get("known_itinerary"), json_values("points", data["points"], list)
     return PseudoOrbit(
         points=tuple(json_values("points", p) for p in rows),
@@ -919,10 +920,11 @@ class ShadowResult:
 
 def shadow_result_from_json(data: dict) -> ShadowResult:
     """The inverse of ``ShadowResult.to_json``; every value is type-checked."""
+    data = json_value("result", data, dict)
     point = json_values("point", data["point"])
     if data.get("point_exact") is not None:
         point = json_values("point_exact", data["point_exact"], Fraction)
-    sb = data["surviving_box"]
+    sb = json_value("surviving_box", data["surviving_box"], dict)
     return ShadowResult(
         point=point,
         window=json_values("window", data["window"], int, length=2),

@@ -83,18 +83,36 @@ class PairRows(Mapping):
         return len(self.codes)
 
 
+@dataclass(frozen=True, slots=True)
+class GapStage:
+    """A graph's near-miss CertifiedEmpty pairs and their gaps, before the
+    minimum is sharpened.
+
+    ``computed_gaps`` maps each computed pair, in order, to its coarse gap;
+    the near-miss pairs are the sorted codes i * count + j in ``gap_codes``,
+    each sharing the gap of the computed pair at position ``gap_rows``;
+    ``sharpen`` tightens the minimum gap in place and returns it.
+    """
+
+    computed_gaps: dict[tuple[int, int], float]
+    gap_codes: np.ndarray
+    gap_rows: np.ndarray
+    sharpen: Callable[[], float]
+
+
 @dataclass(frozen=True, eq=False)
 class TransitionGraph:
     """Every ordered cube pair's status, held as columns.
 
     CertifiedNonempty pairs are the sorted codes i * count + j in
     ``witness_codes``, with their witness ``points``, ``images`` and
-    ``clearances``; Uncertain pairs are ``uncertain_codes``; near-miss
-    CertifiedEmpty pairs are ``gap_codes``, each sharing the gap of the
-    computed pair at position ``gap_rows`` of ``computed_gaps``; every other
+    ``clearances``; Uncertain pairs are ``uncertain_codes``; every other
     pair is CertifiedEmpty.  ``index_matrix`` is the index action of a map
-    that commutes with the grid translations.  The gaps stay coarse until
-    the first read of ``min_empty_gap`` or of a gap runs ``sharpen``.
+    that commutes with the grid translations.  The gap work waits for the
+    first read that needs it: reading ``empty_gaps``, ``min_empty_gap`` or
+    a ``GapStage`` field runs ``gap_stage`` once (a gap search of the
+    refined-empty pairs, then the near-miss codes), and reading
+    ``min_empty_gap`` or a gap value runs ``sharpen`` once.
     """
 
     subdivision: Subdivision
@@ -107,10 +125,7 @@ class TransitionGraph:
     images: np.ndarray
     clearances: np.ndarray
     uncertain_codes: np.ndarray
-    gap_codes: np.ndarray
-    gap_rows: np.ndarray
-    computed_gaps: dict[tuple[int, int], float]
-    sharpen: Callable[[], float]
+    gap_stage: Callable[[], GapStage]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TransitionGraph) and self.to_json() == other.to_json()
@@ -127,6 +142,26 @@ class TransitionGraph:
     @cached_property
     def uncertain(self) -> KeysView[tuple[int, int]]:
         return PairRows(self.uncertain_codes, self.subdivision.count).keys()
+
+    @cached_property
+    def _gaps(self) -> GapStage:
+        return self.gap_stage()
+
+    @property
+    def computed_gaps(self) -> dict[tuple[int, int], float]:
+        return self._gaps.computed_gaps
+
+    @property
+    def gap_codes(self) -> np.ndarray:
+        return self._gaps.gap_codes
+
+    @property
+    def gap_rows(self) -> np.ndarray:
+        return self._gaps.gap_rows
+
+    @property
+    def sharpen(self) -> Callable[[], float]:
+        return self._gaps.sharpen
 
     @cached_property
     def min_empty_gap(self) -> float:
@@ -346,7 +381,9 @@ def build_graph(
 
     Toral-linear maps on the torus commute with the grid translations, so
     their rows are exact translates of row 0, the one row computed; the rest
-    are derived in one array pass.  The minimum gap is sharpened on read.
+    are derived in one array pass.  No gap search runs here and no
+    near-miss code is derived: the refined-empty pairs are recorded, and
+    ``_gap_stage`` does that work on the first gap read.
     """
     if samples_per_cube < 1:
         raise ValueError("samples_per_cube must be >= 1")
@@ -365,25 +402,21 @@ def build_graph(
     ]
     witnesses = [tuple(np.concatenate(col) for col in zip(*(wit for wit, *_ in computed)))]
     open_pairs = [(i, j) for i, (_, unc, _, _) in zip(rows, computed) for j in unc]
-    gaps = {pair: gap for _, _, row_gaps, _ in computed for pair, gap in row_gaps.items()}
-    coarse_min = min((row_min for *_, row_min in computed), default=math.inf)
+    row_gaps = {pair: gap for _, _, gaps, _ in computed for pair, gap in gaps.items()}
+    row_min = min((least for *_, least in computed), default=math.inf)
     del computed  # its row arrays would stay alive through the refinement, the peak
-    uncertain = []
+    uncertain, empty = [], []
     refined = _refine_uncertain(f, s, open_pairs, offsets, refine_depth, cubes)
     for (i, j), result in zip(open_pairs, refined):
         if result is None:
             uncertain.append(i * count + j)
-        elif isinstance(result, EdgeWitness):
-            witnesses.append(([i * count + j], [result.point], [result.image], [result.clearance]))
+        elif result is EdgeStatus.EMPTY:
+            empty.append((i, j))
         else:
-            gaps[(i, j)] = result
-            coarse_min = min(coarse_min, result)
+            witnesses.append(([i * count + j], [result.point], [result.image], [result.clearance]))
     # Witness columns: codes i * count + j, points, images, clearances.
     cols = [np.concatenate(col) for col in zip(*witnesses)]
     uncertain = np.array(uncertain, dtype=np.int64)
-    gaps = dict(sorted(gaps.items()))
-    gap_codes = np.array([i * count + j for i, j in gaps], dtype=np.int64)
-    gap_rows = np.arange(len(gaps))
 
     if index_matrix is not None:
         # Pair (i, j) has the geometry of (0, j - A i).  Derived witness
@@ -407,12 +440,9 @@ def build_graph(
         derived = (moved, pts, imgs, clear)
         cols = [np.concatenate([c, d[1:][~bad]]) for c, d in zip(cols, derived)]
         uncertain = np.concatenate([translate(uncertain).ravel(), moved[1:][bad]])
-        gap_codes = translate(gap_codes).ravel()
-        gap_rows = np.tile(gap_rows, count)
 
     order = np.argsort(cols[0])
     codes, points, images, clearances = (c[order] for c in cols)
-    by_gap = np.argsort(gap_codes)
     return TransitionGraph(
         subdivision=s,
         map_id=f.descriptor,
@@ -424,10 +454,39 @@ def build_graph(
         images=images,
         clearances=clearances,
         uncertain_codes=np.sort(uncertain),
-        gap_codes=gap_codes[by_gap],
-        gap_rows=gap_rows[by_gap],
-        computed_gaps=gaps,
-        sharpen=partial(_sharpen_min_gap, f, s, gaps, coarse_min, cubes),
+        gap_stage=partial(
+            _gap_stage, f, s, cubes, index_matrix, row_gaps, row_min, empty,
+            s.cube_width / (1 << refine_depth),
+        ),
+    )
+
+
+def _gap_stage(
+    f: MapSpec,
+    s: Subdivision,
+    cubes: tuple[np.ndarray, np.ndarray],
+    index_matrix: np.ndarray | None,
+    row_gaps: dict[tuple[int, int], float],
+    row_min: float,
+    empty: list[tuple[int, int]],
+    tol: float,
+) -> GapStage:
+    """The gap work ``build_graph`` defers: a gap search, within ``tol``,
+    of the pairs the refinement proved empty, merged with the computed
+    rows' near-miss gaps (minimum ``row_min``); for an equivariant map
+    the computed pairs translated into every row."""
+    found = _distance_lbs(f, s, empty, tol, cubes)
+    gaps = dict(sorted([*row_gaps.items(), *zip(empty, found)]))
+    coarse_min = min([row_min, *found])
+    gap_codes = np.array([i * s.count + j for i, j in gaps], dtype=np.int64)
+    gap_rows = np.arange(len(gaps))
+    if index_matrix is not None:
+        gap_codes = _translates(s, index_matrix, gap_codes).ravel()
+        gap_rows = np.tile(gap_rows, s.count)
+    by_gap = np.argsort(gap_codes)
+    return GapStage(
+        gaps, gap_codes[by_gap], gap_rows[by_gap],
+        partial(_sharpen_min_gap, f, s, gaps, coarse_min, cubes),
     )
 
 
@@ -597,27 +656,24 @@ def _refine_uncertain(
     offsets: np.ndarray,
     depth: int,
     cubes: tuple[np.ndarray, np.ndarray],
-) -> list[EdgeWitness | float | None]:
+) -> list[EdgeWitness | EdgeStatus | None]:
     """Subdivide source cube i to settle each uncertain pair (i, j).
 
-    Status phase: all pairs advance level by level in lockstep, each round
-    splitting every open cell of every admitted pair in one enclosure
-    call.  A pair is nonempty when a child's sample grid finds a witness
-    (the first such child in split order wins), and empty when every
-    child keeps a positive enclosure gap to the target; children with gap
-    0 and no witness are the next level's cells.  Gap phase: the empty
-    pairs get a branch-and-bound distance lower bound (``_distance_lbs``),
-    so the recorded gap is close to the true set distance, not just the
-    first positive number encountered.  Returns, per pair, the witness,
-    the certified gap, or None when depth runs out first.
+    All pairs advance level by level in lockstep, each round splitting
+    every open cell of every admitted pair in one enclosure call.  A pair
+    is nonempty when a child's sample grid finds a witness (the first such
+    child in split order wins), and empty when every child keeps a
+    positive enclosure gap to the target; children with gap 0 and no
+    witness are the next level's cells.  Returns, per pair, the witness,
+    ``EdgeStatus.EMPTY``, or None when depth runs out first.  The empty
+    pairs' gaps are not computed here: ``_gap_stage`` searches them.
     """
-    results: list[EdgeWitness | float | None] = [None] * len(pairs)
+    results: list[EdgeWitness | EdgeStatus | None] = [None] * len(pairs)
     if depth == 0:
         return results
     lo_all, hi_all = cubes
     n = s.n
     root = np.zeros((1, n), dtype=int)
-    empty: list[int] = []
     fresh = deque(range(len(pairs)))
     # (pair index, level, (c, n) dyadic addresses of the open cells)
     queue: deque[tuple[int, int, np.ndarray]] = deque()
@@ -664,12 +720,9 @@ def _refine_uncertain(
                     tuple(pts[r, k].tolist()), tuple(images[r, k].tolist()), float(c)
                 )
             elif first == stop:
-                empty.append(p)
+                results[p] = EdgeStatus.EMPTY
             elif level + 1 < depth:
                 queue.append((p, level + 1, kids[open_rows[first:stop]]))
-    gaps = _distance_lbs(f, s, [pairs[p] for p in empty], s.cube_width / (1 << depth), cubes)
-    for p, gap in zip(empty, gaps):
-        results[p] = gap
     return results
 
 

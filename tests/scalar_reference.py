@@ -229,7 +229,7 @@ def pair_distance_lb(f, src: Box, target: Box, tol: float, max_cells: int = 4096
 
 
 def refine_pair(f, s, i: int, j: int, offsets: np.ndarray, depth: int):
-    """Settle one uncertain pair: the witness, the certified gap, or None."""
+    """Settle one uncertain pair: the witness, ``EdgeStatus.EMPTY``, or None."""
     src_box, jbox = s.box(i), s.box(j)
     cells = [src_box]
     for _level in range(depth):
@@ -248,14 +248,23 @@ def refine_pair(f, s, i: int, j: int, offsets: np.ndarray, depth: int):
                     return EdgeWitness(tuple(pts[k]), tuple(images[k]), float(c))
                 surviving.append(child)
         if not surviving:
-            return pair_distance_lb(f, src_box, jbox, s.cube_width / (1 << depth))
+            return EdgeStatus.EMPTY
         cells = surviving
     return None
 
 
-def refine_uncertain(f, s, pairs, offsets, depth, cubes) -> list[EdgeWitness | float | None]:
+def refine_uncertain(f, s, pairs, offsets, depth, cubes) -> list[EdgeWitness | EdgeStatus | None]:
     """Drop-in for ``transition._refine_uncertain``: one pair after another."""
     return [refine_pair(f, s, i, j, offsets, depth) for i, j in pairs]
+
+
+def refined_gaps(f, s, pairs, tol, cubes, depth: int = 6) -> list[float]:
+    """Drop-in for ``transition._distance_lbs`` over the refined-empty pairs:
+    one ``pair_distance_lb`` after another, to the refinement's tolerance
+    cube_width / 2^depth.  The ``tol`` passed in is not read, so the
+    build's choice of it is checked too."""
+    tol = s.cube_width / (1 << depth)
+    return [pair_distance_lb(f, s.box(i), s.box(j), tol) for i, j in pairs]
 
 
 def sharpen_min_gap(f, s, empty_gaps, min_empty_gap, cubes, rel_tol=2.0 ** -12) -> float:
@@ -367,8 +376,9 @@ def _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps) -> Non
 
 def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
     """The transition graph as (witnesses, uncertain, empty_gaps,
-    min_empty_gap): dicts and a set holding every pair, the minimum gap
-    sharpened while building, translated rows written out pair by pair."""
+    min_empty_gap): dicts and a set holding every pair, each refined-empty
+    pair's gap from its own ``pair_distance_lb``, the minimum gap sharpened
+    while building, translated rows written out pair by pair."""
     offsets = transition._sample_offsets(s.n, samples_per_cube)
     cubes = transition._cube_bounds(s)
     witnesses, uncertain, empty_gaps, min_empty_gap = {}, set(), {}, math.inf
@@ -381,6 +391,7 @@ def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
     open_pairs = [(i, j) for i, _, row_unc, _, _ in computed for j in sorted(row_unc)]
     refined = dict(zip(open_pairs, transition._refine_uncertain(
         f, s, open_pairs, offsets, refine_depth, cubes)))
+    tol = s.cube_width / (1 << refine_depth)
     for i, row_wit, row_unc, row_gaps, row_min in computed:
         for j in sorted(row_unc):
             result = refined[(i, j)]
@@ -390,8 +401,8 @@ def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
             if isinstance(result, EdgeWitness):
                 row_wit[(i, j)] = result
             else:
-                row_gaps[j] = result
-                row_min = min(row_min, result)
+                row_gaps[j] = pair_distance_lb(f, s.box(i), s.box(j), tol)
+                row_min = min(row_min, row_gaps[j])
         witnesses.update(row_wit)
         uncertain.update((i, j) for j in row_unc)
         empty_gaps.update({(i, j): gap for j, gap in row_gaps.items()})

@@ -268,6 +268,14 @@ def _listed_certificates(cert):
     cert["certificates"] = [[key, k] for key, k in cert["certificates"].items()]
 
 
+def _letter_key(cert):
+    cert["certificates"]["a,b"] = 0
+
+
+def _triple_key(cert):
+    cert["certificates"]["1,2,3"] = 0
+
+
 @pytest.mark.parametrize(
     "tamper, rc, reason",
     [
@@ -289,12 +297,14 @@ def _listed_certificates(cert):
         (_string_h_range, 4, "certificate h_range must be a JSON number, not '0."),
         (_string_margin, 4, "certificate confinement_margin must be a JSON number, not '0."),
         (_listed_certificates, 4, "certificates must be a JSON object"),
+        (_letter_key, 4, "certificate key 'a,b' is not a pair"),
+        (_triple_key, 4, "certificate key '1,2,3' is not a pair"),
     ],
     ids=["drop-half", "drop-one", "rekey", "swap-class", "move-class",
          "inflate-margin", "drop-excluded", "widen-strip", "bool-class",
          "float-excluded", "float-pair", "spaced-key", "exit-axis-one",
          "flipped-orientation", "bool-orientation", "string-h-range",
-         "string-margin", "listed-certificates"],
+         "string-margin", "listed-certificates", "letter-key", "triple-key"],
 )
 def test_verify_rejects_a_tampered_certificate(
     tmp_path, capsys, cat_certificate, tamper, rc, reason
@@ -326,12 +336,21 @@ _SOURCE = ("certificate", "classes", 0, "certificate", "source")
      (("certificate", "map_id"), 5, "map_id"),
      (("certificate", "margin"), "0.014018092143843912", "margin"),
      (("config", "allow_uncertain"), 0, "config key 'allow_uncertain'"),
-     (("config", "samples_per_cube"), True, "config key 'samples_per_cube'")],
+     (("config", "samples_per_cube"), True, "config key 'samples_per_cube'"),
+     (("certificate",), 5, "certificate"),
+     (("certificate", "subdivision"), [1], "subdivision"),
+     (("certificate", "classes"), {"0": 1}, "classes"),
+     (("certificate", "classes", 0), [1], "class 0"),
+     (("certificate", "classes", 0, "certificate"), [1], "certificate"),
+     (_SOURCE, 5, "rectangle"),
+     (_SOURCE + ("box",), [1], "rectangle box"),
+     (("config",), [1], "config")],
 )
 def test_mistyped_certificate_exits_4(tmp_path, capsys, cat_certificate, keys, value, name):
     # The values of a class, of the subdivision and of the embedded knobs
     # are read like every other: a string that float() would take, a float
-    # that int() would truncate or a 0 for false is refused, key named.
+    # that int() would truncate, a 0 for false or a list for an object is
+    # refused, key named.
     data = json.loads(json.dumps(cat_certificate))
     _set_leaf(data, keys, value)
     path = tmp_path / "certificate.json"
@@ -446,7 +465,10 @@ def shadow_file(tmp_path_factory):
      (("result", "point_exact"), ["one third", "1/3"], "point_exact"),
      (("result", "point_exact"), False, "point_exact"),
      (("result", "point_exact"), 0.0, "point_exact"),
-     (("result", "point_exact"), "", "point_exact")],
+     (("result", "point_exact"), "", "point_exact"),
+     (("result", "surviving_box"), [1], "surviving_box"),
+     (("result",), [1], "result"), (("verify",), [1], "verify"),
+     (("orbit",), [1], "orbit"), (("config",), 5, "config")],
 )
 def test_mistyped_shadow_file_exits_4(tmp_path, capsys, shadow_file, keys, value, name):
     # verify reads a shadow.json's values type-checked, never coerced; a
@@ -749,6 +771,41 @@ def test_usage_and_validation_errors_exit_four(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "invalid choice" in err
     assert "not periodic" in err
+
+
+def test_successive_calls_share_one_parser_and_no_option_value(tmp_path, monkeypatch):
+    # main parses every call with the one cached parser: an option set in
+    # one call, repeated or with a default of its own, is gone in the next.
+    seen, resolve = [], cli._resolve_config
+
+    def recorded(args):
+        seen.append(vars(args))
+        return resolve(args)
+
+    monkeypatch.setattr(cli, "_resolve_config", recorded)
+    out = ["--out", str(tmp_path / "o")]
+    assert main(["subdivide", "--m", "2", "--start", "0.1,0.2", "--start", "0.3,0.4",
+                 "--allow-uncertain", "--config", str(tmp_path / "none.json"), *out]) == 4
+    assert main(["oracle", "--task", "fixed-points", "--map", CAT, "--grid", "8", *out]) == 0
+    assert main(["subdivide", *out]) == 0
+    assert main(["oracle", "--map", CAT, "--window", "5", *out]) == 0
+    assert main(["pseudo", "--no-allow-uncertain", "--window", "5", *out]) == 0
+    assert main(["subdivide", "--n", "3", "--m", "1", *out]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    assert [a["command"] for a in seen] == [
+        "subdivide", "oracle", "subdivide", "oracle", "pseudo", "subdivide"]
+    first, bare = seen[0], seen[2]
+    assert first["starts"] == ["0.1,0.2", "0.3,0.4"] and first["allow_uncertain"] is True
+    assert {k: v for k, v in bare.items() if v is not None} == {
+        "command": "subdivide", "out": str(tmp_path / "o")}
+    assert (seen[1]["task"], seen[3]["task"]) == ("fixed-points", "linear")
+    assert seen[4]["allow_uncertain"] is False and seen[4]["window"] == 5
+    assert (seen[5]["n"], seen[5]["m"], seen[5]["window"]) == (3, 1, None)
+    assert run_json(tmp_path / "o" / "subdivision.json")["subdivision"]["n"] == 3
+
+    # A handler replaced after the parser was built is the one that runs.
+    monkeypatch.setattr(cli, "cmd_subdivide", lambda run, args: 7)
+    assert main(["subdivide", *out]) == 7
 
 
 def test_periodic_accepts_a_lift_of_a_periodic_point(tmp_path):

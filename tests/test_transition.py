@@ -193,39 +193,66 @@ def test_a_derived_witness_pushed_out_of_its_cube_is_demoted(monkeypatch):
 
 
 def test_only_readers_of_the_gap_sharpen_it(monkeypatch, tmp_path, capsys):
-    calls = []
-    real = transition._sharpen_min_gap
+    # ``calls`` holds the m of each sharpen, ``searches`` of each coarse gap
+    # search (a sharpen's search has a ``wanted``), ``translated`` of each
+    # code translation: a cat build translates its witness and its uncertain
+    # codes, and the gap stage its near-miss codes.
+    calls, searches, translated = [], [], []
+    real, search, translates = (
+        transition._sharpen_min_gap, transition._distance_lbs, transition._translates
+    )
 
     def counted(*args):
         calls.append(args[1].m)
         return real(*args)
 
+    def searched(f, s, pairs, tol, cubes, wanted=None):
+        if wanted is None:
+            searches.append(s.m)
+        return search(f, s, pairs, tol, cubes, wanted)
+
+    def translating(s, index_matrix, targets):
+        translated.append(s.m)
+        return translates(s, index_matrix, targets)
+
     monkeypatch.setattr(transition, "_sharpen_min_gap", counted)
+    monkeypatch.setattr(transition, "_distance_lbs", searched)
+    monkeypatch.setattr(transition, "_translates", translating)
     out = tmp_path / "c"
     assert main(["certify", "--map", "toral [[2,1],[1,1]]", "--m", "4", "--out", str(out)]) == 0
     assert main(["verify", str(out / "certificate.json"), "--out", str(tmp_path / "v")]) == 0
-    assert calls == []
+    assert calls == [] and searches == [] and translated == [4] * 4
     for command in ("graph", "delta-bound"):
         assert main([command, "--map", "toral [[2,1],[1,1]]", "--m", "4",
                      "--out", str(tmp_path / command)]) == 0
-    assert calls == [4, 4]
+    assert calls == [4, 4] and searches == [4, 4] and translated == [4] * 10
 
+    # The first shadow request runs the gap stage and the sharpen; the
+    # second request and a later gap read reuse them.
     g = cat_graph(3)
-    assert len(g.empty_gaps) > 0 and calls == [4, 4]
     cert = certify_chained(CAT, g.subdivision, g)
+    assert calls == [4, 4] and searches == [4, 4] and translated == [4] * 10 + [3] * 2
     for seed in (0, 1):
         p = generate_pseudo_orbit(CAT, (0.2, 0.3), 1e-4, 20, UniformNoise(seed))
         shadow(CAT, p, cert, chi(g.subdivision), g=g)
-    assert calls == [4, 4, 3]
+        assert calls == [4, 4, 3] and searches == [4, 4, 3]
+    assert len(g.empty_gaps) > 0 and g.empty_gaps[next(iter(g.empty_gaps))] > 0.0
+    assert calls == [4, 4, 3] and searches == [4, 4, 3]
+    assert translated == [4] * 10 + [3] * 3
+
+    # Counting the near-miss pairs runs the gap stage but not the sharpen.
+    counted_only = cat_graph(3)
+    assert len(counted_only.empty_gaps) > 0
+    assert calls == [4, 4, 3] and searches == [4, 4, 3, 3]
 
     # A gap read first sharpens exactly as a first read of the minimum.
     gaps_first, min_first = cat_graph(3), cat_graph(3)
     values = {pair: gaps_first.empty_gaps[pair] for pair in gaps_first.empty_gaps}
     least = min_first.min_empty_gap
-    assert calls == [4, 4, 3, 3, 3]
+    assert calls == [4, 4, 3, 3, 3] and searches == [4, 4, 3, 3, 3, 3]
     assert _bits(values) == _bits(min_first.empty_gaps)
     assert gaps_first.min_empty_gap.hex() == least.hex() == min(values.values()).hex()
-    assert calls == [4, 4, 3, 3, 3]
+    assert calls == [4, 4, 3, 3, 3] and searches == [4, 4, 3, 3, 3, 3]
 
 
 def test_a_read_graph_is_freed_without_the_cycle_collector():
