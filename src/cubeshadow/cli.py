@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .covering import CoveringConfig, FailureReport, audit_chained, certify_chained
-from .dynamics import MapSpec, builtin_map
+from .dynamics import MapSpec, builtin_map, wrap_points
 from .errors import (
     BrokenChainError,
     DeltaTooLargeError,
@@ -555,11 +555,7 @@ def _noisy_cycle(f: MapSpec, cycle: list[tuple], delta: float, seed: int) -> Pse
         vec = rng.normal(size=f.n)
         norm = float(np.linalg.norm(vec)) or 1.0
         shift = vec / norm * amp * rng.random() ** (1.0 / f.n)
-        point = np.asarray([float(v) for v in q]) + shift
-        if f.space is Space.TORUS:
-            point -= np.floor(point)
-            point[point == 1.0] = 0.0
-        noisy.append(tuple(point))
+        noisy.append(tuple(wrap_points(f.space, np.asarray([float(v) for v in q]) + shift)))
     return pseudo_orbit(f, noisy, delta, lo=0, periodic=len(noisy))
 
 

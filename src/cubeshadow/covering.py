@@ -35,7 +35,7 @@ from .dynamics import (
 )
 from .errors import MismatchedChainError, NotEndomorphismError, UncertainEdgesError
 from .geometry import Box, Space, Subdivision, check_bounds, json_pairs, json_value, json_values
-from .transition import PairRows, TransitionGraph, code_pairs
+from .transition import PairRows, TransitionGraph, code_pairs, pair_array
 
 _ORTHO_TOL = 1e-9
 
@@ -545,9 +545,7 @@ class ChainedCertificate:
             "certificates": dict(
                 zip(_pair_keys(self.edge_codes, count), self.edge_classes.tolist())
             ),
-            "excluded_boundary": np.column_stack(
-                np.divmod(self.excluded_boundary.codes, count)
-            ).tolist(),
+            "excluded_boundary": pair_array(self.excluded_boundary.codes, count).tolist(),
             "margin": self.margin(),
         }
 
@@ -575,7 +573,7 @@ class FailureReport:
             "total_edges": self.total_edges,
             "certified": self.certified,
             "failures": [list(f) for f in self.failures],
-            "excluded_boundary": np.column_stack(np.divmod(rows.codes, rows.count)).tolist(),
+            "excluded_boundary": pair_array(rows.codes, rows.count).tolist(),
         }
 
 
@@ -804,7 +802,7 @@ def audit_chained(
 
     listed = body["excluded_boundary"]
     flat, excluded = json_pairs("excluded_boundary", listed), len(listed)
-    if flat != tuple(np.column_stack(np.divmod(boundary, count)).ravel().tolist()):
+    if flat != tuple(pair_array(boundary, count).ravel().tolist()):
         want, have = set(code_pairs(boundary, count)), set(map(tuple, listed))
         for pair in sorted(have - want):
             problems.append(f"edge {pair}: listed as excluded but not a boundary-only graph edge")

@@ -60,6 +60,19 @@ def code_pairs(codes: np.ndarray, count: int) -> list[tuple[int, int]]:
     return list(zip(i.tolist(), j.tolist()))
 
 
+def pair_array(codes: np.ndarray, count: int) -> np.ndarray:
+    """The (k, 2) array of cube pairs [i, j] of the codes i * count + j."""
+    return np.column_stack(np.divmod(codes, count))
+
+
+def _check_cubes(count: int, *indices) -> None:
+    """Raise ValueError naming the first cube index outside 0..count-1."""
+    flat = np.concatenate([np.ravel(k) for k in indices])
+    bad = flat[(flat < 0) | (flat >= count)]
+    if bad.size:
+        raise ValueError(f"cube index {bad[0]} out of range")
+
+
 class PairRows(Mapping):
     """Cube pair -> its row's value, over sorted codes i * count + j;
     ``value(k)`` builds row k's value on lookup, ``keys()`` is the pair set."""
@@ -83,23 +96,6 @@ class PairRows(Mapping):
         return len(self.codes)
 
 
-@dataclass(frozen=True, slots=True)
-class GapStage:
-    """A graph's near-miss CertifiedEmpty pairs and their gaps, before the
-    minimum is sharpened.
-
-    ``computed_gaps`` maps each computed pair, in order, to its coarse gap;
-    the near-miss pairs are the sorted codes i * count + j in ``gap_codes``,
-    each sharing the gap of the computed pair at position ``gap_rows``;
-    ``sharpen`` tightens the minimum gap in place and returns it.
-    """
-
-    computed_gaps: dict[tuple[int, int], float]
-    gap_codes: np.ndarray
-    gap_rows: np.ndarray
-    sharpen: Callable[[], float]
-
-
 @dataclass(frozen=True, eq=False)
 class TransitionGraph:
     """Every ordered cube pair's status, held as columns.
@@ -108,11 +104,12 @@ class TransitionGraph:
     ``witness_codes``, with their witness ``points``, ``images`` and
     ``clearances``; Uncertain pairs are ``uncertain_codes``; every other
     pair is CertifiedEmpty.  ``index_matrix`` is the index action of a map
-    that commutes with the grid translations.  The gap work waits for the
-    first read that needs it: reading ``empty_gaps``, ``min_empty_gap`` or
-    a ``GapStage`` field runs ``gap_stage`` once (a gap search of the
-    refined-empty pairs, then the near-miss codes), and reading
-    ``min_empty_gap`` or a gap value runs ``sharpen`` once.
+    that commutes with the grid translations.  ``gap_pairs`` are the sorted
+    codes of the computed pairs that keep a gap.  Two independent cached
+    reads do the gap work: counting or listing ``empty_gaps`` derives the
+    near-miss codes from ``gap_pairs`` (translated into every row for an
+    equivariant map), and reading ``min_empty_gap`` or a gap value runs
+    ``gap_search``, which returns each ``gap_pairs`` gap and the minimum.
     """
 
     subdivision: Subdivision
@@ -125,7 +122,8 @@ class TransitionGraph:
     images: np.ndarray
     clearances: np.ndarray
     uncertain_codes: np.ndarray
-    gap_stage: Callable[[], GapStage]
+    gap_pairs: np.ndarray
+    gap_search: Callable[[], tuple[np.ndarray, float]]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TransitionGraph) and self.to_json() == other.to_json()
@@ -144,46 +142,35 @@ class TransitionGraph:
         return PairRows(self.uncertain_codes, self.subdivision.count).keys()
 
     @cached_property
-    def _gaps(self) -> GapStage:
-        return self.gap_stage()
-
-    @property
-    def computed_gaps(self) -> dict[tuple[int, int], float]:
-        return self._gaps.computed_gaps
-
-    @property
-    def gap_codes(self) -> np.ndarray:
-        return self._gaps.gap_codes
-
-    @property
-    def gap_rows(self) -> np.ndarray:
-        return self._gaps.gap_rows
-
-    @property
-    def sharpen(self) -> Callable[[], float]:
-        return self._gaps.sharpen
+    def _near(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sorted near-miss codes and, for each, the position in
+        ``gap_pairs`` of the computed pair whose gap it shares."""
+        codes, rows = self.gap_pairs, np.arange(len(self.gap_pairs))
+        if self.index_matrix is not None:
+            codes = _translates(self.subdivision, self.index_matrix, codes).ravel()
+            rows = np.tile(rows, self.subdivision.count)
+        by_code = np.argsort(codes)
+        return codes[by_code], rows[by_code]
 
     @cached_property
+    def _searched(self) -> tuple[np.ndarray, float]:
+        return self.gap_search()
+
+    @property
     def min_empty_gap(self) -> float:
-        """Min over CertifiedEmpty pairs (+inf if none); the first read sharpens."""
-        return self.sharpen()
-
-    @cached_property
-    def _gap_values(self) -> list[float]:
-        self.min_empty_gap
-        return np.array(list(self.computed_gaps.values()), dtype=float)[self.gap_rows].tolist()
+        """Min over CertifiedEmpty pairs (+inf if none); the first read searches."""
+        return self._searched[1]
 
     @property
     def empty_gaps(self) -> PairRows:
-        """Near-miss CertifiedEmpty pair -> its gap; reading a gap sharpens first."""
-        return PairRows(self.gap_codes, self.subdivision.count, lambda k: self._gap_values[k])
+        """Near-miss CertifiedEmpty pair -> its gap; only reading a gap searches."""
+        codes, rows = self._near
+        return PairRows(codes, self.subdivision.count, lambda k: float(self._searched[0][rows[k]]))
 
     def status(self, i: int, j: int) -> EdgeStatus:
-        if (i, j) in self.witnesses:
-            return EdgeStatus.NONEMPTY
-        if (i, j) in self.uncertain:
-            return EdgeStatus.UNCERTAIN
-        return EdgeStatus.EMPTY
+        if self.certified_empty(np.array([i]), np.array([j]))[0]:
+            return EdgeStatus.EMPTY
+        return EdgeStatus.NONEMPTY if (i, j) in self.witnesses else EdgeStatus.UNCERTAIN
 
     @cached_property
     def _adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -204,7 +191,9 @@ class TransitionGraph:
     def certified_empty(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         """Whether each pair (i[k], j[k]) is certified empty: a binary search
         of the sorted live codes (index clamped past the last) misses it."""
-        codes, live = i * self.subdivision.count + j, self._live_codes
+        _check_cubes(self.subdivision.count, i, j)
+        codes = np.asarray(i) * self.subdivision.count + np.asarray(j)
+        live = self._live_codes
         return live[np.minimum(np.searchsorted(live, codes), len(live) - 1)] != codes
 
     def class_codes(self, codes: np.ndarray) -> np.ndarray:
@@ -235,7 +224,8 @@ class TransitionGraph:
             for (i, j), (p, q, c) in zip(self.witnesses, rows)
         ]
         edges += [[i, j, EdgeStatus.UNCERTAIN.value, None] for i, j in self.uncertain]
-        near = {f"{i},{j}": g for (i, j), g in zip(self.empty_gaps, self._gap_values)}
+        gaps = self._searched[0][self._near[1]].tolist()
+        near = {f"{i},{j}": g for (i, j), g in zip(self.empty_gaps, gaps)}
         return {
             "map_id": self.map_id,
             "n": self.subdivision.n,
@@ -381,9 +371,9 @@ def build_graph(
 
     Toral-linear maps on the torus commute with the grid translations, so
     their rows are exact translates of row 0, the one row computed; the rest
-    are derived in one array pass.  No gap search runs here and no
-    near-miss code is derived: the refined-empty pairs are recorded, and
-    ``_gap_stage`` does that work on the first gap read.
+    are derived in one array pass.  No gap is searched and no near-miss
+    code derived here: the rows' near-miss pairs and the refined-empty
+    pairs are kept as ``gap_pairs``, with ``_gap_search`` bound to them.
     """
     if samples_per_cube < 1:
         raise ValueError("samples_per_cube must be >= 1")
@@ -401,8 +391,8 @@ def build_graph(
         _compute_row(f, s, i, offsets, cubes, e_lo[r], e_hi[r]) for r, i in enumerate(rows)
     ]
     witnesses = [tuple(np.concatenate(col) for col in zip(*(wit for wit, *_ in computed)))]
-    open_pairs = [(i, j) for i, (_, unc, _, _) in zip(rows, computed) for j in unc]
-    row_gaps = {pair: gap for _, _, gaps, _ in computed for pair, gap in gaps.items()}
+    open_pairs = [(i, j) for i, (_, unc, *_) in zip(rows, computed) for j in unc]
+    near_codes, near_gaps = (np.concatenate(col) for col in zip(*(c[2:4] for c in computed)))
     row_min = min((least for *_, least in computed), default=math.inf)
     del computed  # its row arrays would stay alive through the refinement, the peak
     uncertain, empty = [], []
@@ -411,7 +401,7 @@ def build_graph(
         if result is None:
             uncertain.append(i * count + j)
         elif result is EdgeStatus.EMPTY:
-            empty.append((i, j))
+            empty.append(i * count + j)
         else:
             witnesses.append(([i * count + j], [result.point], [result.image], [result.clearance]))
     # Witness columns: codes i * count + j, points, images, clearances.
@@ -443,6 +433,11 @@ def build_graph(
 
     order = np.argsort(cols[0])
     codes, points, images, clearances = (c[order] for c in cols)
+    # A refined-empty pair's gap is NaN until ``_gap_search`` finds it.
+    gap_pairs = np.concatenate([near_codes, np.array(empty, dtype=np.int64)])
+    gaps = np.concatenate([near_gaps, np.full(len(empty), np.nan)])
+    by_code = np.argsort(gap_pairs)
+    gap_pairs, gaps = gap_pairs[by_code], gaps[by_code]
     return TransitionGraph(
         subdivision=s,
         map_id=f.descriptor,
@@ -454,40 +449,26 @@ def build_graph(
         images=images,
         clearances=clearances,
         uncertain_codes=np.sort(uncertain),
-        gap_stage=partial(
-            _gap_stage, f, s, cubes, index_matrix, row_gaps, row_min, empty,
+        gap_pairs=gap_pairs,
+        gap_search=partial(
+            _gap_search, f, s, cubes, gap_pairs, gaps, row_min,
             s.cube_width / (1 << refine_depth),
         ),
     )
 
 
-def _gap_stage(
-    f: MapSpec,
-    s: Subdivision,
-    cubes: tuple[np.ndarray, np.ndarray],
-    index_matrix: np.ndarray | None,
-    row_gaps: dict[tuple[int, int], float],
-    row_min: float,
-    empty: list[tuple[int, int]],
-    tol: float,
-) -> GapStage:
-    """The gap work ``build_graph`` defers: a gap search, within ``tol``,
-    of the pairs the refinement proved empty, merged with the computed
-    rows' near-miss gaps (minimum ``row_min``); for an equivariant map
-    the computed pairs translated into every row."""
-    found = _distance_lbs(f, s, empty, tol, cubes)
-    gaps = dict(sorted([*row_gaps.items(), *zip(empty, found)]))
-    coarse_min = min([row_min, *found])
-    gap_codes = np.array([i * s.count + j for i, j in gaps], dtype=np.int64)
-    gap_rows = np.arange(len(gaps))
-    if index_matrix is not None:
-        gap_codes = _translates(s, index_matrix, gap_codes).ravel()
-        gap_rows = np.tile(gap_rows, s.count)
-    by_gap = np.argsort(gap_codes)
-    return GapStage(
-        gaps, gap_codes[by_gap], gap_rows[by_gap],
-        partial(_sharpen_min_gap, f, s, gaps, coarse_min, cubes),
-    )
+def _gap_search(f: MapSpec, s: Subdivision, cubes, codes, gaps, row_min: float, tol: float):
+    """The gap of each pair in ``codes`` and the sharpened minimum gap:
+    the pairs the refinement proved empty (NaN in ``gaps``) are searched
+    within ``tol``, merged with the rows' gaps (minimum ``row_min``), and
+    the minimum is sharpened in a dict that stays local."""
+    searched = np.isnan(gaps)
+    found = _distance_lbs(f, s, code_pairs(codes[searched], s.count), tol, cubes)
+    gaps = gaps.copy()
+    gaps[searched] = found
+    by_pair = dict(zip(code_pairs(codes, s.count), gaps.tolist()))
+    least = _sharpen_min_gap(f, s, by_pair, min([row_min, *found]), cubes)
+    return np.array(list(by_pair.values()), dtype=float), least
 
 
 def _witnesses(
@@ -513,13 +494,12 @@ def _witnesses(
 
 def _compute_row(f: MapSpec, s: Subdivision, i: int, offsets, cubes, e_lo, e_hi) -> tuple:
     """One source cube, given its image enclosure [e_lo, e_hi]: its witness
-    columns (codes, points, images, clearances), uncertain targets,
-    near-miss gaps and min gap."""
+    columns (codes, points, images, clearances), uncertain targets, the
+    codes and gaps of its near-miss pairs, and its min gap."""
     gaps = _norm_lb(_lift_gaps(e_lo, e_hi, *cubes, s.space))
     empties = np.flatnonzero(gaps > 0.0)
     row_min = float(gaps[empties].min()) if empties.size else math.inf
     near = empties[gaps[empties] <= _NEAR_BAND * s.cube_width]
-    row_gaps = {(i, j): g for j, g in zip(near.tolist(), gaps[near].tolist())}
 
     candidates = np.flatnonzero(gaps == 0.0)
     lo_all, hi_all = cubes
@@ -529,7 +509,7 @@ def _compute_row(f: MapSpec, s: Subdivision, i: int, offsets, cubes, e_lo, e_hi)
         pts, images, lo_all[i], hi_all[i], lo_all[candidates], hi_all[candidates], s.space
     )
     wit = (i * s.count + candidates[hit], pts[best[hit]], images[best[hit]], clear[hit])
-    return wit, candidates[~hit].tolist(), row_gaps, row_min
+    return wit, candidates[~hit].tolist(), i * s.count + near, gaps[near], row_min
 
 
 def equivariant_index_matrix(f: MapSpec, s: Subdivision) -> np.ndarray | None:
@@ -666,7 +646,7 @@ def _refine_uncertain(
     positive enclosure gap to the target; children with gap 0 and no
     witness are the next level's cells.  Returns, per pair, the witness,
     ``EdgeStatus.EMPTY``, or None when depth runs out first.  The empty
-    pairs' gaps are not computed here: ``_gap_stage`` searches them.
+    pairs' gaps are not computed here: ``_gap_search`` searches them.
     """
     results: list[EdgeWitness | EdgeStatus | None] = [None] * len(pairs)
     if depth == 0:
@@ -855,9 +835,7 @@ def find_path(
 ) -> list[int]:
     """Shortest CertifiedNonempty path, deterministic smallest-index tie-break."""
     count = g.subdivision.count
-    for idx in (start, goal):
-        if not (0 <= idx < count):
-            raise ValueError(f"cube index {idx} out of range")
+    _check_cubes(count, start, goal)
     if start == goal:
         return [start]
     limit = max_len if max_len is not None else count

@@ -273,7 +273,11 @@ def test_cancelled_sharpen_matches_the_skip_rule(monkeypatch, descriptor):
     f = builtin_map(descriptor)
     s = make_subdivision(2, 3, Space.TORUS)
     cubes = transition._cube_bounds(s)
-    gaps = dict(transition.build_graph(f, s).computed_gaps)
+    gaps = {}  # the coarse gaps the graph's gap search hands to the sharpen
+    with monkeypatch.context() as patch:
+        patch.setattr(transition, "_sharpen_min_gap", lambda f, s, g, *_: gaps.update(g))
+        transition.build_graph(f, s).min_empty_gap
+    assert gaps
     visited = []
     real = ref.pair_distance_lb
     monkeypatch.setattr(ref, "pair_distance_lb", lambda *a: visited.append(a) or real(*a))

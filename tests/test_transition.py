@@ -170,6 +170,20 @@ def test_certified_empty_outside_the_live_code_range():
     assert not empty[[live[0], live[-1]]].any()
 
 
+@pytest.mark.parametrize("i, j, bad", [(-1, 5, -1), (0, 16, 16), (99, 0, 99), (3, -7, -7)])
+def test_a_pair_with_a_cube_out_of_range_is_refused(i, j, bad):
+    # 16 cubes at m=2: a pair naming any other index does not exist, so it
+    # has no status, and neither lookup may call it certified empty.
+    g = cat_graph(2)
+    with pytest.raises(ValueError, match=rf"cube index {bad} out of range"):
+        g.status(i, j)
+    for pairs in (([i], [j]), (np.array([0, i]), np.array([1, j]))):
+        with pytest.raises(ValueError, match=rf"cube index {bad} out of range"):
+            g.certified_empty(*pairs)
+    row = [g.status(0, j) is EdgeStatus.EMPTY for j in range(16)]
+    assert g.certified_empty([0] * 16, list(range(16))).tolist() == row and any(row)
+
+
 def test_a_derived_witness_pushed_out_of_its_cube_is_demoted(monkeypatch):
     # Derived witnesses get their images recomputed; one that lands outside
     # its target cube must become Uncertain, never a stored witness.
@@ -193,10 +207,11 @@ def test_a_derived_witness_pushed_out_of_its_cube_is_demoted(monkeypatch):
 
 
 def test_only_readers_of_the_gap_sharpen_it(monkeypatch, tmp_path, capsys):
-    # ``calls`` holds the m of each sharpen, ``searches`` of each coarse gap
-    # search (a sharpen's search has a ``wanted``), ``translated`` of each
-    # code translation: a cat build translates its witness and its uncertain
-    # codes, and the gap stage its near-miss codes.
+    # ``calls`` holds the m of each sharpen, ``searches`` of each search of
+    # the refined-empty pairs (a sharpen's search has a ``wanted``),
+    # ``translated`` of each code translation: a cat build translates its
+    # witness and its uncertain codes, and the first count or listing of
+    # the near-miss pairs translates the gap codes.
     calls, searches, translated = [], [], []
     real, search, translates = (
         transition._sharpen_min_gap, transition._distance_lbs, transition._translates
@@ -218,41 +233,54 @@ def test_only_readers_of_the_gap_sharpen_it(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(transition, "_sharpen_min_gap", counted)
     monkeypatch.setattr(transition, "_distance_lbs", searched)
     monkeypatch.setattr(transition, "_translates", translating)
+    cat = ["--map", "toral [[2,1],[1,1]]", "--m", "4"]
     out = tmp_path / "c"
-    assert main(["certify", "--map", "toral [[2,1],[1,1]]", "--m", "4", "--out", str(out)]) == 0
+    assert main(["certify", *cat, "--out", str(out)]) == 0
     assert main(["verify", str(out / "certificate.json"), "--out", str(tmp_path / "v")]) == 0
     assert calls == [] and searches == [] and translated == [4] * 4
-    for command in ("graph", "delta-bound"):
-        assert main([command, "--map", "toral [[2,1],[1,1]]", "--m", "4",
-                     "--out", str(tmp_path / command)]) == 0
-    assert calls == [4, 4] and searches == [4, 4] and translated == [4] * 10
+    # graph.json lists the near-miss gaps: the search, the sharpen and the
+    # gap codes; delta_bound reads the minimum alone and derives no codes.
+    assert main(["graph", *cat, "--out", str(tmp_path / "graph")]) == 0
+    assert calls == [4] and searches == [4] and translated == [4] * 7
+    assert main(["delta-bound", *cat, "--out", str(tmp_path / "delta-bound")]) == 0
+    assert calls == [4, 4] and searches == [4, 4] and translated == [4] * 9
 
-    # The first shadow request runs the gap stage and the sharpen; the
-    # second request and a later gap read reuse them.
+    # The first shadow request runs the search and the sharpen; the second
+    # request reuses them, and a later gap read derives only the codes.
     g = cat_graph(3)
     cert = certify_chained(CAT, g.subdivision, g)
-    assert calls == [4, 4] and searches == [4, 4] and translated == [4] * 10 + [3] * 2
+    assert calls == [4, 4] and searches == [4, 4] and translated == [4] * 9 + [3] * 2
     for seed in (0, 1):
         p = generate_pseudo_orbit(CAT, (0.2, 0.3), 1e-4, 20, UniformNoise(seed))
         shadow(CAT, p, cert, chi(g.subdivision), g=g)
         assert calls == [4, 4, 3] and searches == [4, 4, 3]
+        assert translated == [4] * 9 + [3] * 2
     assert len(g.empty_gaps) > 0 and g.empty_gaps[next(iter(g.empty_gaps))] > 0.0
     assert calls == [4, 4, 3] and searches == [4, 4, 3]
-    assert translated == [4] * 10 + [3] * 3
+    assert translated == [4] * 9 + [3] * 3
 
-    # Counting the near-miss pairs runs the gap stage but not the sharpen.
+    # Counting the near-miss pairs derives their codes and searches nothing;
+    # a later gap read runs the search and the sharpen once, and further
+    # reads of gaps, the minimum or the codes reuse them.
     counted_only = cat_graph(3)
-    assert len(counted_only.empty_gaps) > 0
-    assert calls == [4, 4, 3] and searches == [4, 4, 3, 3]
+    assert len(counted_only.empty_gaps) > 0 and set(counted_only.empty_gaps)
+    assert calls == [4, 4, 3] and searches == [4, 4, 3]
+    assert translated == [4] * 9 + [3] * 6
+    pair = next(iter(counted_only.empty_gaps))
+    assert counted_only.empty_gaps[pair] > 0.0
+    assert calls == [4, 4, 3, 3] and searches == [4, 4, 3, 3]
+    counted_only.to_json(), counted_only.min_empty_gap, len(counted_only.empty_gaps)
+    assert calls == [4, 4, 3, 3] and searches == [4, 4, 3, 3]
+    assert translated == [4] * 9 + [3] * 6
 
     # A gap read first sharpens exactly as a first read of the minimum.
     gaps_first, min_first = cat_graph(3), cat_graph(3)
     values = {pair: gaps_first.empty_gaps[pair] for pair in gaps_first.empty_gaps}
     least = min_first.min_empty_gap
-    assert calls == [4, 4, 3, 3, 3] and searches == [4, 4, 3, 3, 3, 3]
+    assert calls == [4, 4, 3, 3, 3, 3] and searches == [4, 4, 3, 3, 3, 3]
     assert _bits(values) == _bits(min_first.empty_gaps)
     assert gaps_first.min_empty_gap.hex() == least.hex() == min(values.values()).hex()
-    assert calls == [4, 4, 3, 3, 3] and searches == [4, 4, 3, 3, 3, 3]
+    assert calls == [4, 4, 3, 3, 3, 3] and searches == [4, 4, 3, 3, 3, 3]
 
 
 def test_a_read_graph_is_freed_without_the_cycle_collector():
