@@ -534,8 +534,3 @@ def jacobian(f: MapSpec, point, step: float = 1e-6) -> np.ndarray:
     p = np.asarray(point, dtype=float)
     images = lift_points(f, Direction.FORWARD, np.concatenate([p + e, p - e]))
     return (images[: f.n] - images[f.n :]).T / (2 * step)
-
-
-def map_from_json(data: dict) -> MapSpec:
-    """Rebuild a MapSpec from its serialized form."""
-    return builtin_map(data["descriptor"], data.get("space", Space.TORUS.value))

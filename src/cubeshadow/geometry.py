@@ -245,11 +245,6 @@ def cubes_of_points(subdivision, points):
     return subdivision.flat_indices(np.clip(k, 0, side - 1).astype(int))
 
 
-def cube_of_point(subdivision, p):
-    """Flat index of the cube containing p; ties go to the smallest index."""
-    return int(cubes_of_points(subdivision, [p])[0])
-
-
 def chi(subdivision):
     """Largest cube diameter: the mesh of the subdivision.
 

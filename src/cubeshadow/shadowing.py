@@ -63,7 +63,7 @@ from .exact import (
     to_ints,
 )
 from .geometry import Box, Space, Subdivision, cubes_of_points, json_value, json_values
-from .transition import TransitionGraph, build_graph, delta_bound, find_path
+from .transition import TransitionGraph, _check_cubes, build_graph, delta_bound, find_path
 
 
 # --- perturbation modes -----------------------------------------------------
@@ -400,9 +400,7 @@ def _checked_itinerary(
 
 def _in_cubes(s: Subdivision, cubes: np.ndarray, points: np.ndarray, tol: float):
     """Whether each point lies in its closed cube (mod 1 on the torus), up to tol."""
-    bad = cubes[(cubes < 0) | (cubes >= s.count)]
-    if bad.size:
-        raise ValueError(f"flat index {bad[0]} out of range")
+    _check_cubes(s.count, cubes)
     lo = np.stack(np.unravel_index(cubes, (s.side,) * s.n), axis=-1) / float(s.side)
     hi = lo + s.cube_width
     if s.space is Space.CUBE:

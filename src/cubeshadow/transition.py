@@ -7,9 +7,7 @@ else stays Uncertain rather than being silently rounded either way.
 
 from __future__ import annotations
 
-import heapq
 import math
-from bisect import bisect_left
 from collections import deque
 from collections.abc import Callable, KeysView, Mapping
 from dataclasses import dataclass
@@ -26,7 +24,7 @@ from .geometry import Space, Subdivision, space_diameter
 
 # Empty pairs within this many cube widths keep their gap in ``empty_gaps``.
 _NEAR_BAND = 2.0
-# The sharpened minimum gap is exact to this fraction of a cube width.
+# The minimum gap is searched to within this fraction of a cube width.
 _SHARPEN_REL_TOL = 2.0 ** -12
 
 
@@ -109,7 +107,8 @@ class TransitionGraph:
     reads do the gap work: counting or listing ``empty_gaps`` derives the
     near-miss codes from ``gap_pairs`` (translated into every row for an
     equivariant map), and reading ``min_empty_gap`` or a gap value runs
-    ``gap_search``, which returns each ``gap_pairs`` gap and the minimum.
+    ``gap_search``, one search for the minimum gap that returns it and
+    each ``gap_pairs`` gap.
     """
 
     subdivision: Subdivision
@@ -371,9 +370,10 @@ def build_graph(
 
     Toral-linear maps on the torus commute with the grid translations, so
     their rows are exact translates of row 0, the one row computed; the rest
-    are derived in one array pass.  No gap is searched and no near-miss
-    code derived here: the rows' near-miss pairs and the refined-empty
-    pairs are kept as ``gap_pairs``, with ``_gap_search`` bound to them.
+    are derived in one array pass.  The rows' near-miss pairs keep their
+    row gap and the refined-empty pairs the gap that closed them, as
+    ``gap_pairs``; the minimum gap is not searched and no near-miss code
+    derived here: ``_min_gap_search`` is bound to the gap pairs.
     """
     if samples_per_cube < 1:
         raise ValueError("samples_per_cube must be >= 1")
@@ -395,13 +395,14 @@ def build_graph(
     near_codes, near_gaps = (np.concatenate(col) for col in zip(*(c[2:4] for c in computed)))
     row_min = min((least for *_, least in computed), default=math.inf)
     del computed  # its row arrays would stay alive through the refinement, the peak
-    uncertain, empty = [], []
+    uncertain, empty_codes, empty_gaps = [], [], []
     refined = _refine_uncertain(f, s, open_pairs, offsets, refine_depth, cubes)
     for (i, j), result in zip(open_pairs, refined):
         if result is None:
             uncertain.append(i * count + j)
-        elif result is EdgeStatus.EMPTY:
-            empty.append(i * count + j)
+        elif isinstance(result, float):
+            empty_codes.append(i * count + j)
+            empty_gaps.append(result)
         else:
             witnesses.append(([i * count + j], [result.point], [result.image], [result.clearance]))
     # Witness columns: codes i * count + j, points, images, clearances.
@@ -433,9 +434,8 @@ def build_graph(
 
     order = np.argsort(cols[0])
     codes, points, images, clearances = (c[order] for c in cols)
-    # A refined-empty pair's gap is NaN until ``_gap_search`` finds it.
-    gap_pairs = np.concatenate([near_codes, np.array(empty, dtype=np.int64)])
-    gaps = np.concatenate([near_gaps, np.full(len(empty), np.nan)])
+    gap_pairs = np.concatenate([near_codes, np.array(empty_codes, dtype=np.int64)])
+    gaps = np.concatenate([near_gaps, empty_gaps])
     by_code = np.argsort(gap_pairs)
     gap_pairs, gaps = gap_pairs[by_code], gaps[by_code]
     return TransitionGraph(
@@ -450,25 +450,8 @@ def build_graph(
         clearances=clearances,
         uncertain_codes=np.sort(uncertain),
         gap_pairs=gap_pairs,
-        gap_search=partial(
-            _gap_search, f, s, cubes, gap_pairs, gaps, row_min,
-            s.cube_width / (1 << refine_depth),
-        ),
+        gap_search=partial(_min_gap_search, f, s, cubes, gap_pairs, gaps, row_min),
     )
-
-
-def _gap_search(f: MapSpec, s: Subdivision, cubes, codes, gaps, row_min: float, tol: float):
-    """The gap of each pair in ``codes`` and the sharpened minimum gap:
-    the pairs the refinement proved empty (NaN in ``gaps``) are searched
-    within ``tol``, merged with the rows' gaps (minimum ``row_min``), and
-    the minimum is sharpened in a dict that stays local."""
-    searched = np.isnan(gaps)
-    found = _distance_lbs(f, s, code_pairs(codes[searched], s.count), tol, cubes)
-    gaps = gaps.copy()
-    gaps[searched] = found
-    by_pair = dict(zip(code_pairs(codes, s.count), gaps.tolist()))
-    least = _sharpen_min_gap(f, s, by_pair, min([row_min, *found]), cubes)
-    return np.array(list(by_pair.values()), dtype=float), least
 
 
 def _witnesses(
@@ -528,80 +511,11 @@ def _translates(s: Subdivision, index_matrix: np.ndarray, targets: np.ndarray) -
     return np.arange(s.count)[:, None] * s.count + s.flat_indices(moved)
 
 
-def _sharpen_min_gap(
-    f: MapSpec,
-    s: Subdivision,
-    empty_gaps: dict[tuple[int, int], float],
-    min_empty_gap: float,
-    cubes: tuple[np.ndarray, np.ndarray],
-) -> float:
-    """Tighten the minimum certified gap to within _SHARPEN_REL_TOL * cube_width.
-
-    Pairs are visited in ascending order of their coarse bound; a pair
-    whose coarse bound already beats the best refined value cannot lower
-    the minimum and is skipped, so only a handful get the deep search.
-    Since the order is ascending and the best value only falls, the
-    visited pairs are a prefix of it.  All pairs go to one gap search,
-    and after every round the skip rule is replayed over its finished
-    prefix.  The next pair the rule must visit will store no more than
-    the larger of its coarse bound and its search's upper bound plus tol:
-    its refined value is a lower bound on the distance, and the distance
-    of a computed image point bounds that from above up to rounding far
-    below tol.  So no pair whose coarse bound reaches that value, or the
-    best value, will be visited: the searches from the first such pair on
-    are dropped and the rest never start.  The stored gaps are those of
-    one pair at a time.
-    """
-    if not empty_gaps:
-        return min_empty_gap
-    tol = s.cube_width * _SHARPEN_REL_TOL
-    # Pairs beyond the stored near band all have a larger gap, so any
-    # refined value is capped there to keep the minimum a true lower bound.
-    near_band = _NEAR_BAND * s.cube_width
-    order = sorted(empty_gaps.items(), key=lambda kv: (kv[1], kv[0]))
-    coarse = [gap for _, gap in order]
-    best, visited = math.inf, 0
-
-    def wanted(fines: list[float | None], uppers: list[float]) -> int:
-        nonlocal best, visited
-        while visited < len(order) and coarse[visited] < best and fines[visited] is not None:
-            pair = order[visited][0]
-            fine = min(fines[visited], near_band)
-            if fine > coarse[visited]:
-                empty_gaps[pair] = fine
-            best = min(best, empty_gaps[pair])
-            visited += 1
-        if visited == len(order) or coarse[visited] >= best:
-            return bisect_left(coarse, best, lo=visited)
-        most = max(coarse[visited], min(uppers[visited] + tol, near_band))
-        return bisect_left(coarse, min(best, most), lo=visited + 1)
-
-    _distance_lbs(f, s, [pair for pair, _ in order], tol, cubes, wanted)
-    # The cut above holds only while rounding stays far below tol; a pair
-    # the rule must visit that was cut anyway would inflate the minimum.
-    if visited < len(order) and coarse[visited] < best:
-        raise RuntimeError(f"gap search dropped pair {order[visited][0]}, which sets the minimum")
-    return best
-
-
-# Live cells the refinement keeps at once, over all pairs, and the pops one
-# branch and bound may make.
+# Live cells the refinement keeps at once, over all pairs, and the cells one
+# round of the minimum-gap search splits.
 _MAX_CELLS = 4096
-# Cells the running branch and bounds may hold at once, each counted at its
-# worst case: 85 searches at once for n = 2, 36 for n = 3, and from n = 9 on,
-# where one worst case exceeds it, one.
+# The live cells the minimum-gap search may hold, and the cells it may split.
 _HELD_CELLS = 1 << 20
-
-# A branch-and-bound cell is packed into one int: its depth in the low
-# _DEPTH_BITS, then one _FIELD_BITS field per axis holding its dyadic
-# address k inside the source cube, the cell being lo + [k, k + 1] w / 2^depth.
-# Deep searches hold tens of thousands of cells per heap, and one int per
-# cell keeps them small and cheap to push: heap entries of (depth, address
-# list) give the same bits on the 3-D perturbed cat map at m=2
-# (refine_depth 3) but peak at 386 MB against 223 MB and take about 4x the
-# time (226 s against 42 to 64 s on a shared 2-core VM).
-_DEPTH_BITS = 16
-_FIELD_BITS = 64
 
 
 def _child_bits(n: int) -> np.ndarray:
@@ -636,7 +550,7 @@ def _refine_uncertain(
     offsets: np.ndarray,
     depth: int,
     cubes: tuple[np.ndarray, np.ndarray],
-) -> list[EdgeWitness | EdgeStatus | None]:
+) -> list[EdgeWitness | float | None]:
     """Subdivide source cube i to settle each uncertain pair (i, j).
 
     All pairs advance level by level in lockstep, each round splitting
@@ -645,12 +559,14 @@ def _refine_uncertain(
     child in split order wins), and empty when every child keeps a
     positive enclosure gap to the target; children with gap 0 and no
     witness are the next level's cells.  Returns, per pair, the witness,
-    ``EdgeStatus.EMPTY``, or None when depth runs out first.  The empty
-    pairs' gaps are not computed here: ``_gap_search`` searches them.
+    the least gap among the children that closed it when it is empty (they
+    cover C_i, so that gap bounds dist(f(C_i), C_j) from below), or None
+    when depth runs out first.
     """
-    results: list[EdgeWitness | EdgeStatus | None] = [None] * len(pairs)
+    results: list[EdgeWitness | float | None] = [None] * len(pairs)
     if depth == 0:
         return results
+    closing = [math.inf] * len(pairs)
     lo_all, hi_all = cubes
     n = s.n
     root = np.zeros((1, n), dtype=int)
@@ -678,16 +594,20 @@ def _refine_uncertain(
             np.concatenate([k for _, _, k in active]),
             s.cube_width,
         )
-        open_rows = np.flatnonzero(_image_gaps(f, lo, hi, t_lo, t_hi) == 0.0)
+        gaps = _image_gaps(f, lo, hi, t_lo, t_hi)
+        open_rows = np.flatnonzero(gaps == 0.0)
+        starts = np.cumsum([0] + cells) << n
+        least = np.minimum.reduceat(np.where(gaps > 0.0, gaps, math.inf), starts[:-1]).tolist()
         lo, hi = lo[open_rows, None, :], hi[open_rows, None, :]
         t_lo, t_hi = t_lo[open_rows], t_hi[open_rows]
         pts = lo + offsets * (hi - lo)
         images = eval_points(f, pts.reshape(-1, n)).reshape(pts.shape)
         clear = _cube_clearances(images, t_lo[:, None, :], t_hi[:, None, :], s.space)
         hit = np.any(clear >= 0.0, axis=1)
-        cuts = np.searchsorted(open_rows, np.cumsum([0] + cells) << n).tolist()
+        cuts = np.searchsorted(open_rows, starts).tolist()
         for a, (p, level, _) in enumerate(active):
             first, stop = cuts[a], cuts[a + 1]
+            closing[p] = min(closing[p], least[a])
             hits = np.flatnonzero(hit[first:stop])
             if hits.size:
                 r = first + int(hits[0])
@@ -700,117 +620,63 @@ def _refine_uncertain(
                     tuple(pts[r, k].tolist()), tuple(images[r, k].tolist()), float(c)
                 )
             elif first == stop:
-                results[p] = EdgeStatus.EMPTY
+                results[p] = closing[p]
             elif level + 1 < depth:
                 queue.append((p, level + 1, kids[open_rows[first:stop]]))
     return results
 
 
-@dataclass(slots=True)
-class _Search:
-    """One pair's branch and bound: its heap of (lower bound, counter, cell)."""
+def _min_gap_search(f: MapSpec, s: Subdivision, cubes, codes, gaps, row_min: float):
+    """The gap of each pair in ``codes`` and the minimum gap, from one
+    best-first search (Moore-Skelboe) over the cells of every pair.
 
-    index: int
-    heap: list[tuple[float, int, int]]
-    counter: int = 0
-    processed: int = 0
-
-
-def _distance_lbs(
-    f: MapSpec,
-    s: Subdivision,
-    pairs: list[tuple[int, int]],
-    tol: float,
-    cubes: tuple[np.ndarray, np.ndarray],
-    wanted: Callable[[list[float | None], list[float]], int] | None = None,
-) -> list[float | None]:
-    """Certified lower bound on dist(f(C_i), C_j) for each pair (i, j),
-    within ``tol`` of the truth.
-
-    Branch and bound: cells of C_i are scored by the enclosure gap of
-    their image (a lower bound) against the gap at their center point (an
-    upper bound); each pair refines its smallest lower bound until the two
-    meet, or until it has split _MAX_CELLS cells.  The pairs run in
-    lockstep: each round pops one cell per running search, exactly the
-    cell its own search would pop next, and bounds the children of all
-    popped cells, with the source cubes of the searches it starts, in one
-    call.  Searches start in order, as many per round as keep them at most
-    _HELD_CELLS // ((2^n - 1) * _MAX_CELLS + 1): each is charged the cells
-    its heap holds at its pop cap, so the heaps together stay within
-    _HELD_CELLS.  At least one search runs, so from n = 9 on, where one
-    worst case alone exceeds _HELD_CELLS, that one search may too.
-
-    ``wanted``, if given, is called after every round with the bounds
-    found so far (None where unfinished) and each pair's upper bound so
-    far (inf before it starts), and returns how many leading pairs are
-    still needed, a count that never grows; the searches past it are
-    dropped and the pairs past it never start, their bounds None.
+    The live cells are columns (pair, level, dyadic address, lower bound),
+    starting from each pair's source cube at its stored gap.  Each round
+    splits the _MAX_CELLS cells of least bound; a child's bound is the
+    larger of its own enclosure gap and its parent's, and the image of
+    its center lowers the best upper bound, above which cells are
+    dropped.  The search stops when that upper bound is within
+    2^-12 cube widths of the least live bound, or before the live cells
+    would exceed _HELD_CELLS, or once it has split _HELD_CELLS cells;
+    every stop is sound.  Pairs outside ``codes`` all have a row gap
+    above the near band, so the minimum is capped there; each pair stores
+    the least bound among its own cells, never below its coarse gap.
     """
-    lo_all, hi_all = cubes
-    n = s.n
-    spread = [
-        sum(int(b) << (_DEPTH_BITS + _FIELD_BITS * a) for a, b in enumerate(row))
-        for row in _child_bits(n)
-    ]
-    depth_mask = (1 << _DEPTH_BITS) - 1
-    field_mask = (1 << _FIELD_BITS) - 1
-    running = max(1, _HELD_CELLS // (((1 << n) - 1) * _MAX_CELLS + 1))
-    out: list[float | None] = [None] * len(pairs)
-    uppers = [math.inf] * len(pairs)
-    started = 0
-    active: list[_Search] = []
-    while True:
-        popped: list[tuple[_Search, int]] = []
-        for search in active:
-            if search.processed >= _MAX_CELLS:
-                out[search.index] = search.heap[0][0]
-                continue
-            lb, _, cell = heapq.heappop(search.heap)
-            if uppers[search.index] - lb <= tol:
-                out[search.index] = lb
-                continue
-            search.processed += 1
-            popped.append((search, cell))
-        limit = len(pairs) if wanted is None else wanted(out, uppers)
-        popped = [(search, cell) for search, cell in popped if search.index < limit]
-        fresh = range(started, max(started, min(limit, started + running - len(popped))))
-        started = fresh.stop
-        if not popped and not fresh:
+    if not len(codes):
+        return gaps, row_min
+    tol = s.cube_width * _SHARPEN_REL_TOL
+    near_band = _NEAR_BAND * s.cube_width
+    fan = 1 << s.n
+    src, tgt = np.divmod(codes, s.count)
+    pair = np.arange(len(codes))
+    level = np.zeros(len(codes), dtype=int)
+    k = np.zeros((len(codes), s.n), dtype=int)
+    lb = gaps
+    dropped = np.full(len(codes), math.inf)
+    upper, pops = math.inf, 0
+    while lb.size and upper - lb.min() > tol and pops < _HELD_CELLS:
+        take = min(_MAX_CELLS, lb.size)
+        if lb.size + take * (fan - 1) > _HELD_CELLS:
             break
-        # The children of every popped cell, then the source cubes of the
-        # started pairs, bounded in one call.
-        levels = [cell & depth_mask for _, cell in popped]
-        k = np.array(
-            [[(cell >> (_DEPTH_BITS + _FIELD_BITS * a)) & field_mask for a in range(n)]
-             for _, cell in popped],
-            dtype=float,
-        ).reshape(-1, n)
-        _, lo, hi, t_lo, t_hi = _split_cells(
-            cubes,
-            [pairs[search.index][0] for search, _ in popped],
-            [pairs[search.index][1] for search, _ in popped],
-            levels,
-            k,
-            s.cube_width,
+        best = np.argpartition(lb, take - 1)[:take]
+        rest = np.ones(lb.size, dtype=bool)
+        rest[best] = False
+        kids, lo, hi, t_lo, t_hi = _split_cells(
+            cubes, src[pair[best]], tgt[pair[best]], level[best], k[best], s.cube_width
         )
-        src, tgt = [pairs[p][0] for p in fresh], [pairs[p][1] for p in fresh]
-        lo, hi = np.vstack([lo, lo_all[src]]), np.vstack([hi, hi_all[src]])
-        t_lo, t_hi = np.vstack([t_lo, lo_all[tgt]]), np.vstack([t_hi, hi_all[tgt]])
-        lower = _image_gaps(f, lo, hi, t_lo, t_hi).tolist()
-        upper = _center_bounds(f, lo, hi, t_lo, t_hi).tolist()
-        row = 0
-        for (search, cell), level in zip(popped, levels):
-            base = ((cell >> _DEPTH_BITS) << (_DEPTH_BITS + 1)) | (level + 1)
-            uppers[search.index] = min(uppers[search.index], *upper[row : row + len(spread)])
-            for offset in spread:
-                search.counter += 1
-                heapq.heappush(search.heap, (lower[row], search.counter, base | offset))
-                row += 1
-        active = [search for search, _ in popped]
-        for r, p in enumerate(fresh, row):
-            active.append(_Search(p, [(lower[r], 0, 0)]))
-            uppers[p] = upper[r]
-    return out
+        bound = np.maximum(_image_gaps(f, lo, hi, t_lo, t_hi), np.repeat(lb[best], fan))
+        upper = min(upper, float(_center_bounds(f, lo, hi, t_lo, t_hi).min()))
+        pops += take
+        pair = np.concatenate([pair[rest], np.repeat(pair[best], fan)])
+        level = np.concatenate([level[rest], np.repeat(level[best] + 1, fan)])
+        k = np.concatenate([k[rest], kids])
+        lb = np.concatenate([lb[rest], bound])
+        live = lb <= upper
+        np.minimum.at(dropped, pair[~live], lb[~live])
+        pair, level, k, lb = pair[live], level[live], k[live], lb[live]
+    own = dropped.copy()
+    np.minimum.at(own, pair, lb)
+    return np.maximum(gaps, np.minimum(own, near_band)), min(float(own.min()), near_band)
 
 
 def delta_bound(g: TransitionGraph, allow_uncertain: bool = False) -> float:

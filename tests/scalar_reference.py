@@ -2,13 +2,15 @@
 
 One box at a time in Python floats: an enclosure summed column by column
 with the same outward nudges, lifts reduced to canonical ``Box`` pieces,
-one ``set_distance_lb`` per piece, and one sequential search per pair.
-This is how the graph refinement worked before its kernels were batched;
+one ``set_distance_lb`` per piece, one sequential refinement per pair,
+and one plain heap for the minimum gap.  This is how the graph
+refinement worked before its kernels were batched;
 the tests compare the array kernels in ``cubeshadow.dynamics`` and
 ``cubeshadow.transition`` with it row for row, bit for bit, and check its
 own soundness.  ``step_error`` is the one-pair form of shadowing's step
 and window errors.  ``cubes_containing_point`` lists every cube whose
-closure holds a point: the reference for the smallest-index cube lookup.
+closure holds a point: the reference for the smallest-index cube lookup,
+of which ``cube_of_point`` is the one-point call.
 ``materialised_graph`` builds the transition graph as dicts, every
 translated row written out pair by pair, the way the graph was stored
 before its rows became columns.
@@ -24,7 +26,7 @@ import numpy as np
 
 from cubeshadow import transition
 from cubeshadow.dynamics import Direction, eval_box, eval_point, eval_points, map_parts
-from cubeshadow.geometry import Box, Space
+from cubeshadow.geometry import Box, Space, cubes_of_points
 from cubeshadow.transition import _NEAR_BAND, EdgeStatus, EdgeWitness, _witnesses
 
 TWO_PI = 2.0 * math.pi
@@ -210,33 +212,40 @@ def split_box(box: Box) -> list[Box]:
     return out
 
 
-def pair_distance_lb(f, src: Box, target: Box, tol: float, max_cells: int = 4096) -> float:
-    """One pair's best-first branch and bound on dist(f(src), target)."""
-    best_ub = center_bound(f, src, target)
-    counter = 0
-    heap = [(image_gap(f, src, target), counter, src)]
-    processed = 0
-    while heap and processed < max_cells:
-        lb, _, cell = heapq.heappop(heap)
-        if best_ub - lb <= tol:
-            return lb
-        processed += 1
+def min_gap(f, s, gaps: dict, rel_tol: float = 2.0 ** -12) -> float:
+    """The minimum of dist(f(C_i), C_j) over the pairs (i, j) of ``gaps``,
+    from below: one heap of (lower bound, counter, cell, target) over the
+    cells of every pair, each pair starting from C_i at its coarse gap.
+    The least cell is popped and its children pushed at the larger of
+    their image gap and its bound, until the least center bound is within
+    ``rel_tol`` cube widths of the least bound in the heap; the result is
+    capped at the near band, as ``min_empty_gap`` is."""
+    tol = s.cube_width * rel_tol
+    counter = itertools.count()
+    heap = [(gap, next(counter), s.box(i), s.box(j)) for (i, j), gap in gaps.items()]
+    heapq.heapify(heap)
+    best_ub = math.inf
+    while best_ub - heap[0][0] > tol:
+        lb, _, cell, target = heapq.heappop(heap)
         for child in split_box(cell):
             best_ub = min(best_ub, center_bound(f, child, target))
-            counter += 1
-            heapq.heappush(heap, (image_gap(f, child, target), counter, child))
-    return heap[0][0]
+            bound = max(image_gap(f, child, target), lb)
+            heapq.heappush(heap, (bound, next(counter), child, target))
+    return min(heap[0][0], _NEAR_BAND * s.cube_width)
 
 
 def refine_pair(f, s, i: int, j: int, offsets: np.ndarray, depth: int):
-    """Settle one uncertain pair: the witness, ``EdgeStatus.EMPTY``, or None."""
+    """Settle one uncertain pair: the witness; when it is empty, the least
+    gap among the cells that closed it; or None."""
     src_box, jbox = s.box(i), s.box(j)
-    cells = [src_box]
+    cells, closing = [src_box], math.inf
     for _level in range(depth):
         surviving = []
         for cell in cells:
             for child in split_box(cell):
-                if image_gap(f, child, jbox) > 0.0:
+                gap = image_gap(f, child, jbox)
+                if gap > 0.0:
+                    closing = min(closing, gap)
                     continue
                 pts = child.lo_arr + offsets * (child.hi_arr - child.lo_arr)
                 images = eval_points(f, pts)
@@ -248,41 +257,20 @@ def refine_pair(f, s, i: int, j: int, offsets: np.ndarray, depth: int):
                     return EdgeWitness(tuple(pts[k]), tuple(images[k]), float(c))
                 surviving.append(child)
         if not surviving:
-            return EdgeStatus.EMPTY
+            return closing
         cells = surviving
     return None
 
 
-def refine_uncertain(f, s, pairs, offsets, depth, cubes) -> list[EdgeWitness | EdgeStatus | None]:
+def refine_uncertain(f, s, pairs, offsets, depth, cubes) -> list[EdgeWitness | float | None]:
     """Drop-in for ``transition._refine_uncertain``: one pair after another."""
     return [refine_pair(f, s, i, j, offsets, depth) for i, j in pairs]
 
 
-def refined_gaps(f, s, pairs, tol, cubes, depth: int = 6) -> list[float]:
-    """Drop-in for ``transition._distance_lbs`` over the refined-empty pairs:
-    one ``pair_distance_lb`` after another, to the refinement's tolerance
-    cube_width / 2^depth.  The ``tol`` passed in is not read, so the
-    build's choice of it is checked too."""
-    tol = s.cube_width / (1 << depth)
-    return [pair_distance_lb(f, s.box(i), s.box(j), tol) for i, j in pairs]
-
-
-def sharpen_min_gap(f, s, empty_gaps, min_empty_gap, cubes, rel_tol=2.0 ** -12) -> float:
-    """Drop-in for ``transition._sharpen_min_gap``: the skip rule, one pair at a time."""
-    if not empty_gaps:
-        return min_empty_gap
-    tol = s.cube_width * rel_tol
-    near_band = _NEAR_BAND * s.cube_width
-    best = math.inf
-    for pair, coarse in sorted(empty_gaps.items(), key=lambda kv: (kv[1], kv[0])):
-        if coarse >= best:
-            continue
-        fine = pair_distance_lb(f, s.box(pair[0]), s.box(pair[1]), tol)
-        fine = min(fine, near_band)
-        if fine > coarse:
-            empty_gaps[pair] = fine
-        best = min(best, empty_gaps[pair])
-    return best
+def cube_of_point(subdivision, p):
+    """Flat index of the cube containing p; ties go to the smallest index:
+    the one-point call of ``geometry.cubes_of_points``."""
+    return int(cubes_of_points(subdivision, [p])[0])
 
 
 def cubes_containing_point(subdivision, p):
@@ -377,8 +365,8 @@ def _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps) -> Non
 def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
     """The transition graph as (witnesses, uncertain, empty_gaps,
     min_empty_gap): dicts and a set holding every pair, each refined-empty
-    pair's gap from its own ``pair_distance_lb``, the minimum gap sharpened
-    while building, translated rows written out pair by pair."""
+    pair's gap the one that closed it, and the minimum gap searched by
+    the graph's own search, translated rows written out pair by pair."""
     offsets = transition._sample_offsets(s.n, samples_per_cube)
     cubes = transition._cube_bounds(s)
     witnesses, uncertain, empty_gaps, min_empty_gap = {}, set(), {}, math.inf
@@ -391,7 +379,6 @@ def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
     open_pairs = [(i, j) for i, _, row_unc, _, _ in computed for j in sorted(row_unc)]
     refined = dict(zip(open_pairs, transition._refine_uncertain(
         f, s, open_pairs, offsets, refine_depth, cubes)))
-    tol = s.cube_width / (1 << refine_depth)
     for i, row_wit, row_unc, row_gaps, row_min in computed:
         for j in sorted(row_unc):
             result = refined[(i, j)]
@@ -401,13 +388,17 @@ def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
             if isinstance(result, EdgeWitness):
                 row_wit[(i, j)] = result
             else:
-                row_gaps[j] = pair_distance_lb(f, s.box(i), s.box(j), tol)
-                row_min = min(row_min, row_gaps[j])
+                row_gaps[j] = result
         witnesses.update(row_wit)
         uncertain.update((i, j) for j in row_unc)
         empty_gaps.update({(i, j): gap for j, gap in row_gaps.items()})
         min_empty_gap = min(min_empty_gap, row_min)
-    min_empty_gap = transition._sharpen_min_gap(f, s, empty_gaps, min_empty_gap, cubes)
+    pairs = sorted(empty_gaps)
+    gaps, min_empty_gap = transition._min_gap_search(
+        f, s, cubes, np.array([i * s.count + j for i, j in pairs], dtype=np.int64),
+        np.array([empty_gaps[pair] for pair in pairs]), min_empty_gap,
+    )
+    empty_gaps.update(zip(pairs, gaps.tolist()))
     if index_matrix is not None:
         _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps)
     return witnesses, uncertain, empty_gaps, min_empty_gap

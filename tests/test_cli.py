@@ -696,7 +696,7 @@ def test_delta_bound_artifact(tmp_path):
     rc = main(["delta-bound", "--map", CAT, "--m", "3", "--out", str(out)])
     assert rc == 0
     data = run_json(out / "delta_bound.json")
-    assert data["delta_bound"] == pytest.approx(0.05587461037041208, abs=1e-15)
+    assert data["delta_bound"] == pytest.approx(0.05588122929034626, abs=1e-15)
 
 
 def test_delta_bound_uncertain_edges_exhaust(tmp_path, capsys):

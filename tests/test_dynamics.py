@@ -14,7 +14,6 @@ from cubeshadow.dynamics import (
     eval_points,
     identity_map,
     jacobian,
-    map_from_json,
     map_parts,
     perturbed_map,
     residual_range,
@@ -119,7 +118,8 @@ def test_descriptor_round_trip():
     ]
     for f in specs:
         assert builtin_map(f.descriptor, f.space) == f
-        assert map_from_json(f.to_json()) == f
+        d = f.to_json()
+        assert builtin_map(d["descriptor"], d["space"]) == f
 
 
 def _sample_family():

@@ -12,12 +12,17 @@ from cubeshadow.geometry import (
     Box,
     Space,
     chi,
-    cube_of_point,
     cubes_of_points,
     make_subdivision,
     space_diameter,
 )
-from scalar_reference import cubes_containing_point, point_distance, set_distance_lb, split_lift
+from scalar_reference import (
+    cube_of_point,
+    cubes_containing_point,
+    point_distance,
+    set_distance_lb,
+    split_lift,
+)
 
 
 def test_subdivision_counts():

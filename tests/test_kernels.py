@@ -7,6 +7,7 @@ evaluated at 60 digits.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 
@@ -209,25 +210,6 @@ def test_sin_range_contains_the_60_digit_sine(data):
                 assert mpmath.mpf(float(s_lo)) <= mpmath.sin(v) <= mpmath.mpf(float(s_hi))
 
 
-def _record_rounds(monkeypatch, s) -> list[set]:
-    """The (source, target) cube pairs bounded in each gap-search round."""
-    rounds: list[set] = []
-    real = transition._image_gaps
-
-    def recorded(f, lo, hi, t_lo, t_hi):
-        # Cells and cubes are dyadic, so these products are exact.
-        keys = np.hstack([np.floor(lo * s.side), t_lo * s.side])
-        rounds.append({tuple(row) for row in keys.tolist()})
-        return real(f, lo, hi, t_lo, t_hi)
-
-    monkeypatch.setattr(transition, "_image_gaps", recorded)
-    return rounds
-
-
-def _searches_at_once(s, held: int) -> int:
-    return max(1, held // (((1 << s.n) - 1) * transition._MAX_CELLS + 1))
-
-
 @pytest.mark.parametrize(
     "descriptor, n, m, space",
     [
@@ -238,62 +220,29 @@ def _searches_at_once(s, held: int) -> int:
     ],
     ids=["1d", "2d", "3d", "3d-cube"],
 )
-def test_lockstep_gap_search_matches_one_pair_at_a_time(monkeypatch, descriptor, n, m, space):
-    # Packed cell addresses for n != 2, and searches starting as others
-    # finish: with the full cell budget, with room for three searches, and
-    # with a budget below one search's worst case (as from n = 9 on), where
-    # one search still runs, every pair's bound must be the one its own
-    # search finds.
+def test_min_gap_search_matches_the_one_heap_reference(descriptor, n, m, space):
+    # Round by round over columns, the search must find the minimum the
+    # plain one-heap reference finds, to within its tolerance, and never
+    # store a pair's gap below its coarse gap.
     f = builtin_map(descriptor, space)
     s = make_subdivision(n, m, space)
-    codes = np.random.default_rng(0).choice(s.count * s.count, 40, replace=False)
-    pairs = [divmod(int(c), s.count) for c in codes]
-    tol = s.cube_width / 16
-    want = [ref.pair_distance_lb(f, s.box(i), s.box(j), tol) for i, j in pairs]
-    assert any(g > 0.0 for g in want)
-    rounds = _record_rounds(monkeypatch, s)
-    worst = ((1 << n) - 1) * transition._MAX_CELLS + 1
-    for held in (transition._HELD_CELLS, 3 * worst, 1):
-        monkeypatch.setattr(transition, "_HELD_CELLS", held)
-        rounds.clear()
-        got = transition._distance_lbs(f, s, pairs, tol, transition._cube_bounds(s))
-        assert _bits(got) == _bits(want), held
-        assert max(map(len, rounds)) == min(_searches_at_once(s, held), 40)
-        assert len(set().union(*rounds)) == 40
-
-
-@pytest.mark.parametrize(
-    "descriptor", ["standard K=0.3", "perturbed [[2,1],[1,1]] eta=0.001 freq=1"]
-)
-def test_cancelled_sharpen_matches_the_skip_rule(monkeypatch, descriptor):
-    # One search over every coarse gap, cut where the skip rule stops: the
-    # same minimum and stored gaps as the pair-at-a-time rule, and no more
-    # searches started past the pairs it visits than can run beside the
-    # one it waits for (none when one search runs at a time).
-    f = builtin_map(descriptor)
-    s = make_subdivision(2, 3, Space.TORUS)
-    cubes = transition._cube_bounds(s)
-    gaps = {}  # the coarse gaps the graph's gap search hands to the sharpen
-    with monkeypatch.context() as patch:
-        patch.setattr(transition, "_sharpen_min_gap", lambda f, s, g, *_: gaps.update(g))
-        transition.build_graph(f, s).min_empty_gap
-    assert gaps
-    visited = []
-    real = ref.pair_distance_lb
-    monkeypatch.setattr(ref, "pair_distance_lb", lambda *a: visited.append(a) or real(*a))
-    want = dict(gaps)
-    want_min = ref.sharpen_min_gap(f, s, want, math.inf, cubes)
-    rounds = _record_rounds(monkeypatch, s)
-    for held in (3 * (((1 << s.n) - 1) * transition._MAX_CELLS + 1), 1):
-        monkeypatch.setattr(transition, "_HELD_CELLS", held)
-        searches = _searches_at_once(s, held)
-        rounds.clear()
-        got = dict(gaps)
-        got_min = transition._sharpen_min_gap(f, s, got, math.inf, cubes)
-        assert _bits(got_min) == _bits(want_min)
-        assert list(got) == list(want) and _bits(list(got.values())) == _bits(list(want.values()))
-        assert max(map(len, rounds)) <= searches
-        assert len(visited) <= len(set().union(*rounds)) <= len(visited) + searches - 1
+    rng = np.random.default_rng(0)
+    coarse = {}
+    for code in sorted(rng.choice(s.count * s.count, 40, replace=False).tolist()):
+        i, j = divmod(code, s.count)
+        gap = ref.image_gap(f, s.box(i), s.box(j))
+        if gap > 0.0:
+            coarse[(i, j)] = gap
+    assert len(coarse) >= 5
+    codes = np.array([i * s.count + j for i, j in coarse], dtype=np.int64)
+    gaps = np.array(list(coarse.values()))
+    stored, least = transition._min_gap_search(
+        f, s, transition._cube_bounds(s), codes, gaps, math.inf
+    )
+    want = ref.min_gap(f, s, coarse)
+    assert abs(least - want) <= s.cube_width * 2.0 ** -12
+    near_band = transition._NEAR_BAND * s.cube_width
+    assert np.all(stored >= gaps) and least == min(stored.min(), near_band)
 
 
 @pytest.mark.parametrize(
@@ -305,18 +254,94 @@ def test_cancelled_sharpen_matches_the_skip_rule(monkeypatch, descriptor):
     ],
 )
 def test_build_graph_matches_the_sequential_reference(monkeypatch, descriptor, m):
-    # Refinement, the refined-empty gaps and the sharpened minimum run one
-    # pair after another in the reference, with the skip rule; the lockstep
-    # build must agree.  Its gaps are deferred, so they are read before the
-    # reference takes over the searches.
+    # The refinement and its closing gaps run one pair after another in
+    # the reference; the lockstep build must agree, bit for bit, and so
+    # must the one search for the minimum gap that both bind.
     f = builtin_map(descriptor)
     s = make_subdivision(2, m, Space.TORUS)
     lockstep = transition.build_graph(f, s)
     want = json.dumps(lockstep.to_json())
     monkeypatch.setattr(transition, "_refine_uncertain", ref.refine_uncertain)
-    monkeypatch.setattr(transition, "_distance_lbs", ref.refined_gaps)
-    monkeypatch.setattr(transition, "_sharpen_min_gap", ref.sharpen_min_gap)
     sequential = transition.build_graph(f, s)
+    codes, gaps = lockstep.gap_search.args[3:5]
+    assert np.array_equal(codes, sequential.gap_search.args[3])
+    assert _bits(gaps) == _bits(sequential.gap_search.args[4])
     assert lockstep == sequential
     assert want == json.dumps(lockstep.to_json()) == json.dumps(sequential.to_json())
     assert lockstep.empty_gaps and (lockstep.uncertain or descriptor.startswith("translation"))
+
+
+_GAP_GRAPHS = {
+    "standard-m3": ("standard K=0.3", 3),
+    "perturbed-m2": ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 2),
+    "cat-m3": ("toral [[2,1],[1,1]]", 3),
+}
+
+
+@functools.cache
+def _gap_graph(name: str):
+    descriptor, m = _GAP_GRAPHS[name]
+    f = builtin_map(descriptor)
+    return f, transition.build_graph(f, make_subdivision(2, m, Space.TORUS))
+
+
+def _exact_distance(y, box: Box):
+    """dist(y, box) on the torus at the working precision."""
+    total = mpmath.mpf(0)
+    for v, a, b in zip(y, box.lo, box.hi):
+        v = v - mpmath.floor(v)
+        gap = min(
+            max(mpmath.mpf(a) - (v + t), (v + t) - mpmath.mpf(b), 0) for t in (-1, 0, 1)
+        )
+        total += gap * gap
+    return mpmath.sqrt(total)
+
+
+@pytest.mark.parametrize("name", sorted(_GAP_GRAPHS))
+@given(data=st.data())
+def test_stored_gaps_are_at_most_the_sampled_distance(name, data):
+    # Every stored gap, and the minimum, bounds from below the distance of
+    # the 60-digit image of any point of the source cube to the target.
+    f, g = _gap_graph(name)
+    s = g.subdivision
+    i, j = data.draw(st.sampled_from(sorted(g.empty_gaps)))
+    local = data.draw(st.lists(_coord, min_size=s.n, max_size=s.n))
+    x = [a + u * s.cube_width for a, u in zip(s.box(i).lo, local)]
+    with mpmath.workdps(60):
+        d = _exact_distance(_exact_image(f, Direction.FORWARD, x), s.box(j))
+        assert mpmath.mpf(g.empty_gaps[(i, j)]) <= d, (i, j, x)
+        assert mpmath.mpf(g.min_empty_gap) <= d, (i, j, x)
+
+
+@pytest.mark.parametrize("name", sorted(_GAP_GRAPHS))
+def test_min_empty_gap_is_at_most_the_dense_sampled_distance(name):
+    # The pair that sets the minimum, sampled on a closed 33 x 33 grid.
+    f, g = _gap_graph(name)
+    s = g.subdivision
+    (i, j), least = min(g.empty_gaps.items(), key=lambda kv: kv[1])
+    assert least == g.min_empty_gap
+    axis = np.linspace(0.0, 1.0, 33)
+    grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    with mpmath.workdps(60):
+        for x in (np.array(s.box(i).lo) + grid * s.cube_width).tolist():
+            d = _exact_distance(_exact_image(f, Direction.FORWARD, x), s.box(j))
+            assert mpmath.mpf(least) <= d, x
+
+
+def test_a_small_cell_budget_stops_the_gap_search_soundly(monkeypatch):
+    # Out of live cells or pops, the search stops early: still positive,
+    # and no gap above the converged one, since the rounds it runs are the
+    # first rounds of the converged search.  A larger budget runs more of
+    # them, so its minimum is no smaller.
+    f, g = _gap_graph("cat-m3")
+    coarse = g.gap_search.args[4]
+    converged, converged_min = g.gap_search()
+    found = []
+    for held in (1, 1 << 8, 1 << 9, 1 << 10):
+        monkeypatch.setattr(transition, "_HELD_CELLS", held)
+        stored, least = g.gap_search()
+        assert 0.0 < least <= converged_min and least == min(stored)
+        assert np.all(coarse <= stored) and np.all(stored <= converged)
+        found.append(least)
+    assert found[0] == coarse.min()
+    assert found == sorted(set(found)) and found[-1] < converged_min

@@ -36,8 +36,8 @@ def _sha(obj) -> str:
 @pytest.mark.parametrize(
     "descriptor, m, digest",
     [
-        (CAT, 3, "0c6bfd54f060857020bf4c2f9986b215377a408a7a3eb365af3a2118cbaf852a"),
-        (PERTURBED, 2, "e67d558178c78eebffd835f2f0da1567ad95c2fa19683c843b00fd5e9870d46a"),
+        (CAT, 3, "9ce67c3306f771056ea26c1748d49ecf56c73b3622afb46a0204cdd5934ca3a7"),
+        (PERTURBED, 2, "c700f3b73db0c898a500b8d212fb924d153b4a71f9f937363e02588c2a6d981e"),
     ],
     ids=["cat-m3", "perturbed-m2"],
 )
@@ -52,7 +52,7 @@ def test_graph_artifact_bits(tmp_path, descriptor, m, digest):
         (["certify", "--map", CAT], "certificate.json",
          "7128144b285888623f73289bcb94c195d1f6c94225ac365e2da78c72e838a453"),
         (["graph", "--map", "standard K=0.3"], "graph.json",
-         "102c4365e51b8453ef4cad45faa311d6c99695ab6f338b0c83690ad9f42d86c1"),
+         "1171a069cefdc0a0c865cd009d1128ae9cdeaad3673f04dff4ba831babd99372"),
     ],
     ids=["cat-certificate", "standard-graph"],
 )

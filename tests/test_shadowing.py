@@ -36,7 +36,7 @@ from cubeshadow.errors import (
     UncertifiedTransitionError,
 )
 from cubeshadow.exact import eigen_directions, exact_step
-from cubeshadow.geometry import Box, Space, chi, cube_of_point, make_subdivision
+from cubeshadow.geometry import Box, Space, chi, make_subdivision
 from cubeshadow.shadowing import (
     Drift,
     RoundToGrid,
@@ -200,7 +200,7 @@ def test_itinerary_follows_the_cubes():
     assert len(itin.indices) == 61
     assert itin.lo == -30
     for y, i in zip(p.points, itin.indices):
-        assert cube_of_point(S3, y) == i
+        assert ref.cube_of_point(S3, y) == i
 
 
 def test_itinerary_delta_gate():
@@ -210,9 +210,18 @@ def test_itinerary_delta_gate():
 
 
 def test_known_itinerary_membership_is_checked():
-    wrong = cube_of_point(S3, (0.9, 0.9))
+    wrong = ref.cube_of_point(S3, (0.9, 0.9))
     p = pseudo_orbit(CAT, [(0.1, 0.1)], 0.01, known_itinerary=[wrong])
     with pytest.raises(BrokenChainError):
+        itinerary(p, S3, G3)
+
+
+@pytest.mark.parametrize("bad", [S3.count, -1])
+def test_known_itinerary_naming_no_cube_is_refused(bad):
+    # A declared cube outside 0..count-1 is refused by name before any
+    # point is checked against it.
+    p = pseudo_orbit(CAT, [(0.1, 0.1), (0.3, 0.2)], 0.01, known_itinerary=[0, bad])
+    with pytest.raises(ValueError, match=rf"^cube index {bad} out of range$"):
         itinerary(p, S3, G3)
 
 
@@ -601,7 +610,7 @@ def test_float_periodic_shadow_closes_the_cycle(perturbed_m2, cycle):
     s, g, cert = perturbed_m2
     # The two-cycle's defect exceeds the m=2 separation bound, so the cycle
     # declares its cubes and itinerary() checks membership instead.
-    cubes = [cube_of_point(s, y) for y in cycle]
+    cubes = [ref.cube_of_point(s, y) for y in cycle]
     p = pseudo_orbit(PERTURBED, cycle, 0.01, periodic=len(cycle), known_itinerary=cubes)
     res = periodic_shadow(PERTURBED, p, cert, 0.354, g=g)
     assert not res.exact and res.minimal_period is None

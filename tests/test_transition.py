@@ -11,12 +11,11 @@ from cubeshadow.errors import NoPathError, NotEndomorphismError, UncertainEdgesE
 from cubeshadow.geometry import (
     Space,
     chi,
-    cube_of_point,
     make_subdivision,
 )
 from cubeshadow import transition
 import scalar_reference as ref
-from scalar_reference import cubes_containing_point, point_box_distance_lb
+from scalar_reference import cube_of_point, cubes_containing_point, point_box_distance_lb
 from cubeshadow.cli import main
 from cubeshadow.covering import certify_chained
 from cubeshadow.shadowing import UniformNoise, generate_pseudo_orbit, shadow
@@ -207,80 +206,68 @@ def test_a_derived_witness_pushed_out_of_its_cube_is_demoted(monkeypatch):
 
 
 def test_only_readers_of_the_gap_sharpen_it(monkeypatch, tmp_path, capsys):
-    # ``calls`` holds the m of each sharpen, ``searches`` of each search of
-    # the refined-empty pairs (a sharpen's search has a ``wanted``),
-    # ``translated`` of each code translation: a cat build translates its
-    # witness and its uncertain codes, and the first count or listing of
-    # the near-miss pairs translates the gap codes.
-    calls, searches, translated = [], [], []
-    real, search, translates = (
-        transition._sharpen_min_gap, transition._distance_lbs, transition._translates
-    )
+    # ``calls`` holds the m of each minimum-gap search, ``translated`` of
+    # each code translation: a cat build translates its witness and its
+    # uncertain codes, and the first count or listing of the near-miss
+    # pairs translates the gap codes.
+    calls, translated = [], []
+    real, translates = transition._min_gap_search, transition._translates
 
-    def counted(*args):
-        calls.append(args[1].m)
-        return real(*args)
-
-    def searched(f, s, pairs, tol, cubes, wanted=None):
-        if wanted is None:
-            searches.append(s.m)
-        return search(f, s, pairs, tol, cubes, wanted)
+    def counted(f, s, *args):
+        calls.append(s.m)
+        return real(f, s, *args)
 
     def translating(s, index_matrix, targets):
         translated.append(s.m)
         return translates(s, index_matrix, targets)
 
-    monkeypatch.setattr(transition, "_sharpen_min_gap", counted)
-    monkeypatch.setattr(transition, "_distance_lbs", searched)
+    monkeypatch.setattr(transition, "_min_gap_search", counted)
     monkeypatch.setattr(transition, "_translates", translating)
     cat = ["--map", "toral [[2,1],[1,1]]", "--m", "4"]
     out = tmp_path / "c"
     assert main(["certify", *cat, "--out", str(out)]) == 0
     assert main(["verify", str(out / "certificate.json"), "--out", str(tmp_path / "v")]) == 0
-    assert calls == [] and searches == [] and translated == [4] * 4
-    # graph.json lists the near-miss gaps: the search, the sharpen and the
-    # gap codes; delta_bound reads the minimum alone and derives no codes.
+    assert calls == [] and translated == [4] * 4
+    # graph.json lists the near-miss gaps: the search and the gap codes;
+    # delta_bound reads the minimum alone and derives no codes.
     assert main(["graph", *cat, "--out", str(tmp_path / "graph")]) == 0
-    assert calls == [4] and searches == [4] and translated == [4] * 7
+    assert calls == [4] and translated == [4] * 7
     assert main(["delta-bound", *cat, "--out", str(tmp_path / "delta-bound")]) == 0
-    assert calls == [4, 4] and searches == [4, 4] and translated == [4] * 9
+    assert calls == [4, 4] and translated == [4] * 9
 
-    # The first shadow request runs the search and the sharpen; the second
-    # request reuses them, and a later gap read derives only the codes.
+    # The first shadow request runs the search; the second request reuses
+    # it, and a later gap read derives only the codes.
     g = cat_graph(3)
     cert = certify_chained(CAT, g.subdivision, g)
-    assert calls == [4, 4] and searches == [4, 4] and translated == [4] * 9 + [3] * 2
+    assert calls == [4, 4] and translated == [4] * 9 + [3] * 2
     for seed in (0, 1):
         p = generate_pseudo_orbit(CAT, (0.2, 0.3), 1e-4, 20, UniformNoise(seed))
         shadow(CAT, p, cert, chi(g.subdivision), g=g)
-        assert calls == [4, 4, 3] and searches == [4, 4, 3]
-        assert translated == [4] * 9 + [3] * 2
+        assert calls == [4, 4, 3] and translated == [4] * 9 + [3] * 2
     assert len(g.empty_gaps) > 0 and g.empty_gaps[next(iter(g.empty_gaps))] > 0.0
-    assert calls == [4, 4, 3] and searches == [4, 4, 3]
-    assert translated == [4] * 9 + [3] * 3
+    assert calls == [4, 4, 3] and translated == [4] * 9 + [3] * 3
 
     # Counting the near-miss pairs derives their codes and searches nothing;
-    # a later gap read runs the search and the sharpen once, and further
-    # reads of gaps, the minimum or the codes reuse them.
+    # a later gap read runs the search once, and further reads of gaps, the
+    # minimum or the codes reuse it.
     counted_only = cat_graph(3)
     assert len(counted_only.empty_gaps) > 0 and set(counted_only.empty_gaps)
-    assert calls == [4, 4, 3] and searches == [4, 4, 3]
-    assert translated == [4] * 9 + [3] * 6
+    assert calls == [4, 4, 3] and translated == [4] * 9 + [3] * 6
     pair = next(iter(counted_only.empty_gaps))
     assert counted_only.empty_gaps[pair] > 0.0
-    assert calls == [4, 4, 3, 3] and searches == [4, 4, 3, 3]
+    assert calls == [4, 4, 3, 3]
     counted_only.to_json(), counted_only.min_empty_gap, len(counted_only.empty_gaps)
-    assert calls == [4, 4, 3, 3] and searches == [4, 4, 3, 3]
-    assert translated == [4] * 9 + [3] * 6
+    assert calls == [4, 4, 3, 3] and translated == [4] * 9 + [3] * 6
 
-    # A gap read first sharpens exactly as a first read of the minimum.
+    # A gap read first searches exactly as a first read of the minimum,
+    # and the minimum is the least stored gap.
     gaps_first, min_first = cat_graph(3), cat_graph(3)
     values = {pair: gaps_first.empty_gaps[pair] for pair in gaps_first.empty_gaps}
     least = min_first.min_empty_gap
-    assert calls == [4, 4, 3, 3, 3, 3] and searches == [4, 4, 3, 3, 3, 3]
+    assert calls == [4, 4, 3, 3, 3, 3]
     assert _bits(values) == _bits(min_first.empty_gaps)
     assert gaps_first.min_empty_gap.hex() == least.hex() == min(values.values()).hex()
-    assert calls == [4, 4, 3, 3, 3, 3] and searches == [4, 4, 3, 3, 3, 3]
+    assert calls == [4, 4, 3, 3, 3, 3]
 
 
 def test_a_read_graph_is_freed_without_the_cycle_collector():
