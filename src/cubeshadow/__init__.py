@@ -60,7 +60,6 @@ from cubeshadow.oracle import (
 )
 from cubeshadow.shadowing import (
     Drift,
-    Itinerary,
     PseudoOrbit,
     ShadowConfig,
     ShadowResult,
@@ -95,7 +94,7 @@ __all__ = [
     "ChainedCertificate", "FailureReport", "ChainValidity", "check_covering",
     "certify_chained", "compose_chain", "verify_certificate",
     "PseudoOrbit", "pseudo_orbit", "generate_pseudo_orbit", "UniformNoise",
-    "Drift", "Itinerary", "itinerary", "ShadowConfig", "ShadowResult",
+    "Drift", "itinerary", "ShadowConfig", "ShadowResult",
     "VerifyReport", "shadow", "periodic_shadow", "specification_splice",
     "verify_shadow",
     "hyperbolic_splitting", "linear_shadow", "brute_force_fixed_points",

@@ -61,6 +61,7 @@ from .shadowing import (
     RoundToGrid,
     ShadowConfig,
     UniformNoise,
+    _ball_point,
     generate_pseudo_orbit,
     orbit_csv,
     periodic_shadow,
@@ -552,9 +553,7 @@ def _noisy_cycle(f: MapSpec, cycle: list[tuple], delta: float, seed: int) -> Pse
     rng = np.random.default_rng(seed)
     noisy = []
     for q in cycle:
-        vec = rng.normal(size=f.n)
-        norm = float(np.linalg.norm(vec)) or 1.0
-        shift = vec / norm * amp * rng.random() ** (1.0 / f.n)
+        shift = _ball_point(rng, f.n, amp)
         noisy.append(tuple(wrap_points(f.space, np.asarray([float(v) for v in q]) + shift)))
     return pseudo_orbit(f, noisy, delta, lo=0, periodic=len(noisy))
 

@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import Direction, MapSpec, eval_points, lift_points, map_parts, wrap_points
 from .errors import NotHyperbolicError
 from .geometry import Box, Space
-from .shadowing import PseudoOrbit
+from .shadowing import PseudoOrbit, _profile_csv
 
 _UNIT_GAP = 1e-9
 
@@ -153,27 +153,7 @@ class LinearShadow:
         }
 
     def to_csv(self, p: PseudoOrbit) -> str:
-        import csv
-        import io
-
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        n = len(self.points[0])
-        writer.writerow(
-            ["k"]
-            + [f"y_{d + 1}" for d in range(n)]
-            + [f"x_{d + 1}" for d in range(n)]
-            + ["err"]
-        )
-        errs = self.errors
-        for j, k in enumerate(range(self.lo, self.hi + 1)):
-            writer.writerow(
-                [k]
-                + [repr(v) for v in p.point(k)]
-                + [repr(v) for v in self.points[j]]
-                + [repr(errs[j])]
-            )
-        return buf.getvalue()
+        return _profile_csv(self.lo, p.points, self.points, self.errors)
 
 
 def linear_shadow(split: HyperbolicSplitting, p: PseudoOrbit) -> LinearShadow:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -63,7 +64,7 @@ from .exact import (
     to_ints,
 )
 from .geometry import Box, Space, Subdivision, cubes_of_points, json_value, json_values
-from .transition import TransitionGraph, _check_cubes, build_graph, delta_bound, find_path
+from .transition import TransitionGraph, _check_cubes, delta_bound, find_path
 
 
 # --- perturbation modes -----------------------------------------------------
@@ -239,6 +240,14 @@ def pseudo_orbit(
     return p
 
 
+def _ball_point(rng: np.random.Generator, n: int, radius: float) -> np.ndarray:
+    """A uniform draw from the n-ball of the given radius: a normal
+    direction, scaled by radius * rng.random() ** (1/n)."""
+    vec = rng.normal(size=n)
+    norm = float(np.linalg.norm(vec)) or 1.0
+    return vec / norm * radius * rng.random() ** (1.0 / n)
+
+
 def _unit(direction) -> np.ndarray:
     v = np.asarray(direction, dtype=float)
     norm = float(np.linalg.norm(v))
@@ -276,17 +285,13 @@ def generate_pseudo_orbit(
     def noise_vec() -> np.ndarray:
         if isinstance(mode, Drift):
             return delta_eff * _unit(mode.direction)
-        vec = rng.normal(size=f.n)
-        norm = float(np.linalg.norm(vec))
-        if norm == 0.0:
-            return np.zeros(f.n)
-        return vec / norm * delta_eff * rng.random() ** (1.0 / f.n)
+        return _ball_point(rng, f.n, delta_eff)
 
     def snap(q: np.ndarray) -> np.ndarray:
         grid = float(2 ** mode.m)
         return np.round(q * grid) / grid
 
-    forward = [tuple(x0)]
+    forward = [tuple(x0.tolist())]
     y = x0
     for _ in range(N):
         img = eval_point(f, Direction.FORWARD, y)
@@ -296,7 +301,7 @@ def generate_pseudo_orbit(
             y = wrap_points(f.space, snap(img))
         else:
             y = wrap_points(f.space, img + noise_vec())
-        forward.append(tuple(y))
+        forward.append(tuple(y.tolist()))
 
     backward: list[tuple[float, ...]] = []
     if f.invertible and delta > 0.0:
@@ -307,7 +312,7 @@ def generate_pseudo_orbit(
             else:
                 prev = eval_point(f, Direction.INVERSE, y - noise_vec())
             prev = wrap_points(f.space, np.asarray(prev, dtype=float))
-            backward.append(tuple(prev))
+            backward.append(tuple(prev.tolist()))
             y = prev
         backward.reverse()
 
@@ -329,23 +334,11 @@ def generate_pseudo_orbit(
 
 # --- itineraries ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Itinerary:
-    """Cube indices visited by a pseudo-orbit, aligned with its window."""
-
-    indices: tuple[int, ...]
-    subdivision: Subdivision
-    lo: int = 0
-    periodic: int | None = None
-
-
 def itinerary(
-    p: PseudoOrbit,
-    s: Subdivision,
-    g: TransitionGraph,
-    allow_uncertain: bool = False,
-) -> Itinerary:
-    """Cube sequence of the pseudo-orbit, validated against the graph.
+    p: PseudoOrbit, g: TransitionGraph, allow_uncertain: bool = False
+) -> tuple[int, ...]:
+    """Cube sequence of the pseudo-orbit in g's subdivision, validated
+    against the graph.
 
     With delta below the graph's separation bound, consecutive cubes
     cannot form a provably-empty pair; if one does anyway the graph is
@@ -354,25 +347,22 @@ def itinerary(
     ``allow_uncertain`` is passed to delta_bound: uncertain edges then
     count as nonempty instead of stopping the gate.
     """
-    if s.space is not p.space:
-        raise ValueError("subdivision and pseudo-orbit live on different spaces")
+    if g.subdivision.space is not p.space:
+        raise ValueError("graph and pseudo-orbit live on different spaces")
     if p.known_itinerary is not None:
-        return _checked_itinerary(p, s, g, p.known_itinerary)
+        return _checked_itinerary(p, g, p.known_itinerary)
     bound = delta_bound(g, allow_uncertain=allow_uncertain)
     if not p.delta < bound:
         raise DeltaTooLargeError(
             f"delta {p.delta} is not below the separation bound {bound}"
         )
-    idx = tuple(cubes_of_points(s, p.points).tolist())
-    return _checked_itinerary(p, s, g, idx)
+    idx = tuple(cubes_of_points(g.subdivision, p.points).tolist())
+    return _checked_itinerary(p, g, idx)
 
 
 def _checked_itinerary(
-    p: PseudoOrbit,
-    s: Subdivision,
-    g: TransitionGraph,
-    idx: tuple[int, ...],
-) -> Itinerary:
+    p: PseudoOrbit, g: TransitionGraph, idx: tuple[int, ...]
+) -> tuple[int, ...]:
     """The itinerary idx of p once no step crosses a certified-empty edge.
 
     A declared itinerary (p's known_itinerary) must also name cubes that
@@ -382,7 +372,8 @@ def _checked_itinerary(
     if p.known_itinerary is not None:
         if len(idx) != len(p.points):
             raise ValueError("itinerary length mismatch")
-        outside = ~_in_cubes(s, cubes, np.asarray(p.points, dtype=float), tol=1e-12)
+        points = np.asarray(p.points, dtype=float)
+        outside = ~_in_cubes(g.subdivision, cubes, points, tol=1e-12)
         if outside.any():
             j = int(np.argmax(outside))
             raise BrokenChainError(f"point {j} is not in its declared cube {idx[j]}")
@@ -393,9 +384,7 @@ def _checked_itinerary(
         raise BrokenChainError(
             f"itinerary step {j} crosses edge ({idx[j]}, {ends[j]}) certified empty"
         )
-    return Itinerary(
-        indices=tuple(idx), subdivision=s, lo=p.lo, periodic=p.periodic
-    )
+    return tuple(idx)
 
 
 def _in_cubes(s: Subdivision, cubes: np.ndarray, points: np.ndarray, tol: float):
@@ -416,11 +405,11 @@ def _in_cubes(s: Subdivision, cubes: np.ndarray, points: np.ndarray, tol: float)
 class ShadowConfig:
     depth: int = 96               # max bisection splits at the window center
     fp_tol: float = 1e-9          # periodic fixed-point residual tolerance
-    radius_factor: float = 2.5    # tracking tube radius in units of delta
 
 
 _CELL_FLOOR = 1e-12    # stop splitting below this cell width
 _DELTA_FLOOR = 1e-7    # effective delta for near-exact orbits
+_RADIUS_FACTOR = 2.5   # tracking tube radius in units of the effective delta
 _MARGIN_PAD = 0.2      # chain margin in units of the worst defect
 _MIN_MARGIN = 1e-12    # strictness of every step-chain covering inequality
 
@@ -692,7 +681,6 @@ def _bisect_cell(
     r: float,
     eig: EigenDirections | None,
     cfg: ShadowConfig,
-    seed_box: Box | None = None,
 ) -> tuple[list[float], list[float], int]:
     """Refine the time-0 cell against the window's tracking tubes.
 
@@ -705,24 +693,17 @@ def _bisect_cell(
     to its axis hull; other kinds fall back to stepwise interval
     propagation, whose wrapping blurs but never unsoundly prunes.
     """
-    # The time-0 tube as deviations from y_0, cut to the seed box and the
-    # unit cube once for both tests.
+    # The time-0 tube as deviations from y_0, cut to the unit cube once
+    # for both tests.
     y0 = np.asarray(p.point(0), dtype=float)
     g_lo, g_hi = (np.broadcast_to(g, (len(p.points), p.n))[-p.lo] for g in _tube(p, r))
-    if seed_box is not None:
-        g_lo = np.maximum(g_lo, seed_box.lo_arr - y0)
-        g_hi = np.minimum(g_hi, seed_box.hi_arr - y0)
     if eig is None:
         if p.space is Space.TORUS:
             # A tube of radius 1/2 or more wraps the circle; one period
             # around y_0 holds a lift of every point in it.
             g_lo, g_hi = np.maximum(g_lo, -0.5), np.minimum(g_hi, 0.5)
-        t_lo, t_hi = y0 + g_lo, y0 + g_hi
-        if seed_box is not None and np.any(t_lo > t_hi):
-            raise NoSurvivingCellError(
-                "seed box excludes the tracking tube", deepest_surviving_depth=0
-            )
-        return _bisect(t_lo.tolist(), t_hi.tolist(), _tube_survival(f, p, r), cfg)
+        t_lo, t_hi = (y0 + g_lo).tolist(), (y0 + g_hi).tolist()
+        return _bisect(t_lo, t_hi, _tube_survival(f, p, r), cfg)
     basis, (f_lo, f_hi), (lo, hi) = _eigen_bands(f, p, r, eig, g_lo, g_hi)
 
     def meets(c_lo: list[float], c_hi: list[float]) -> bool:
@@ -734,8 +715,8 @@ def _bisect_cell(
     corners = [
         y0 + basis @ np.array([u, s]) for u in (lo[0], hi[0]) for s in (lo[1], hi[1])
     ]
-    # The eigen cell's axis hull can poke past the constraint boxes it was
-    # carved from; clamp so seeded surviving boxes nest.
+    # The eigen cell's axis hull can poke past the tube it was carved from;
+    # clamp it to the tube.
     lo = np.maximum(np.min(corners, axis=0), y0 + g_lo)
     hi = np.minimum(np.max(corners, axis=0), y0 + g_hi)
     return np.minimum(lo, hi).tolist(), hi.tolist(), splits
@@ -980,33 +961,34 @@ def _localize(
     f: MapSpec,
     p: PseudoOrbit,
     cert: ChainedCertificate,
-    g: TransitionGraph | None,
+    g: TransitionGraph,
     allow_uncertain: bool,
     cfg: ShadowConfig,
-    seed_box: Box | None = None,
 ) -> tuple[Box, int, EigenDirections | None]:
     """Gate p against the certificate and graph, then bisect its time-0 cell.
 
-    Checks that the certificate is for f on p's space, that p's itinerary
-    (see ``itinerary``, which ``allow_uncertain`` is passed to) crosses no
-    certified-empty edge, and that the per-step covering chain closes;
-    returns the surviving cell, the number of splits that carved it, and
-    f's eigen frame (None without one), which decides the exact path.
+    Checks that the certificate is for f, that g is the graph it was built
+    on (same map and subdivision, else ValueError), that p's itinerary
+    (see ``itinerary``, which ``allow_uncertain`` is passed to and which
+    checks p's space) crosses no certified-empty edge, and that the
+    per-step covering chain closes; returns the surviving cell, the number
+    of splits that carved it, and f's eigen frame (None without one),
+    which decides the exact path.
     """
-    s = cert.subdivision
-    if s.space is not p.space:
-        raise ValueError("certificate and pseudo-orbit live on different spaces")
     if cert.map_id != f.descriptor:
         raise ValueError(
             f"certificate is for {cert.map_id!r}, not {f.descriptor!r}"
         )
-    if g is None:
-        g = build_graph(f, s)
-    itinerary(p, s, g, allow_uncertain)
+    if (g.map_id, g.subdivision) != (cert.map_id, cert.subdivision):
+        built = lambda x: f"{x.map_id!r} on {x.subdivision.space.value} m={x.subdivision.m}"
+        raise ValueError(
+            f"graph of {built(g)} is not the certificate's graph of {built(cert)}"
+        )
+    itinerary(p, g, allow_uncertain)
     step_chain(f, p)
     eig = eigen_directions(f)
-    r = cfg.radius_factor * max(p.delta, _DELTA_FLOOR)
-    lo, hi, splits = _bisect_cell(f, p, r, eig, cfg, seed_box)
+    r = _RADIUS_FACTOR * max(p.delta, _DELTA_FLOOR)
+    lo, hi, splits = _bisect_cell(f, p, r, eig, cfg)
     return Box(tuple(lo), tuple(hi), p.space), splits, eig
 
 
@@ -1030,10 +1012,9 @@ def shadow(
     p: PseudoOrbit,
     cert: ChainedCertificate,
     eps: float,
-    g: TransitionGraph | None = None,
+    g: TransitionGraph,
     allow_uncertain: bool = False,
     cfg: ShadowConfig | None = None,
-    seed_box: Box | None = None,
 ) -> ShadowResult:
     """Find a true orbit point whose distance to p stays below eps windowwide.
 
@@ -1042,23 +1023,16 @@ def shadow(
     orbit threads the delta-scale tubes; bisection against those tubes
     localizes it and yields the surviving cell; for exactly-affine maps
     the point is then pinned by an exact boundary-value solve and its
-    error profile is measured in rational arithmetic.  With
-    ``allow_uncertain`` the itinerary gate counts the graph's uncertain
-    edges as nonempty instead of refusing the graph.
+    error profile is measured in rational arithmetic.  ``g`` is the
+    graph ``cert`` was built on and the one source of the subdivision.
+    With ``allow_uncertain`` the itinerary gate counts the graph's
+    uncertain edges as nonempty instead of refusing the graph.
     """
     cfg = cfg or ShadowConfig()
-    surviving, splits, eig = _localize(f, p, cert, g, allow_uncertain, cfg, seed_box)
+    surviving, splits, eig = _localize(f, p, cert, g, allow_uncertain, cfg)
 
     if eig is not None:
         nums, den = _bvp_point(f, p, _integer_shifts(f, p), eig)
-        if seed_box is not None and not seed_box.contains_point(
-            [v / den for v in nums], tol=1e-15
-        ):
-            # The free boundary-value point can sit a hair outside a seed
-            # box inherited from a longer window; the cell center keeps
-            # the nesting contract, and its (slightly larger) error
-            # profile is measured honestly below.
-            nums, den = to_ints(surviving.center)
         if p.space is Space.TORUS:
             nums = tuple(v % den for v in nums)
         point: tuple = to_fracs(nums, den)
@@ -1075,7 +1049,7 @@ def periodic_shadow(
     p: PseudoOrbit,
     cert: ChainedCertificate,
     eps: float,
-    g: TransitionGraph | None = None,
+    g: TransitionGraph,
     allow_uncertain: bool = False,
     cfg: ShadowConfig | None = None,
 ) -> ShadowResult:
@@ -1085,7 +1059,7 @@ def periodic_shadow(
     rectangle under f^P, which forces a fixed point of f^P inside the
     tube.  For exactly-affine maps that point solves a linear system over
     the rationals, making dist(f^P(x*), x*) exactly zero; other kinds
-    refine by damped Newton down to cfg.fp_tol.
+    refine by damped Newton down to cfg.fp_tol.  ``g`` is as in shadow.
     """
     cfg = cfg or ShadowConfig()
     if p.periodic is None:
@@ -1204,20 +1178,18 @@ def orbit_csv(f: MapSpec, p: PseudoOrbit, result: ShadowResult) -> str:
     errors = _window_errors(p, orbit, dens)
     if dens is not None:
         orbit = [tuple(v / d for v in y) for y, d in zip(orbit, dens)]
+    return _profile_csv(p.lo, p.points, orbit, errors)
+
+
+def _profile_csv(lo: int, ys, xs, errors) -> str:
+    """CSV rows k, y_d, x_d, err from time lo: the pseudo-orbit points ys,
+    the shadow orbit points xs and their errors, each as a float's repr."""
+    n = len(ys[0])
     buf = io.StringIO()
     writer = csv.writer(buf)
-    n = p.n
     writer.writerow(
-        ["k"]
-        + [f"y_{d + 1}" for d in range(n)]
-        + [f"x_{d + 1}" for d in range(n)]
-        + ["err"]
+        ["k", *(f"y_{d + 1}" for d in range(n)), *(f"x_{d + 1}" for d in range(n)), "err"]
     )
-    for k, err, x in zip(range(p.lo, p.hi + 1), errors, orbit):
-        writer.writerow(
-            [k]
-            + [repr(float(v)) for v in p.point(k)]
-            + [repr(v) for v in x]
-            + [repr(err)]
-        )
+    for k, y, x, err in zip(itertools.count(lo), ys, xs, errors):
+        writer.writerow([k, *(repr(float(v)) for v in (*y, *x, err))])
     return buf.getvalue()

@@ -724,19 +724,3 @@ def find_path(
         frontier = sorted(next_frontier)
     raise NoPathError(f"no CertifiedNonempty path {start} -> {goal} within {limit} steps")
 
-
-def strongly_connected(g: TransitionGraph) -> bool:
-    """Connectivity of the CertifiedNonempty subgraph (mixing proxy for splicing)."""
-    count = g.subdivision.count
-    if count == 1:
-        return (0, 0) in g.witnesses
-    src, dst = np.divmod(g.witness_codes, count)
-
-    def spans(a: np.ndarray, b: np.ndarray) -> bool:
-        """Whether edges a -> b reach every cube from cube 0."""
-        seen = np.arange(count) == 0
-        while not seen[b[seen[a]]].all():
-            seen[b[seen[a]]] = True
-        return bool(seen.all())
-
-    return spans(src, dst) and spans(dst, src)

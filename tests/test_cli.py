@@ -659,6 +659,21 @@ def test_oracle_linear_shadow_artifact(tmp_path):
     assert (out / "oracle.csv").read_text().startswith("k,y_1,y_2,x_1,x_2,err")
 
 
+@pytest.mark.parametrize(
+    "argv, artifact",
+    [(["pseudo"], "orbit.csv"), (["oracle", "--seed", "3"], "oracle.csv")],
+    ids=["pseudo", "oracle"],
+)
+def test_profile_csv_cells_are_plain_numbers(tmp_path, argv, artifact):
+    # Every cell is the text of an int or a float, never a NumPy scalar's repr.
+    assert main([*argv, "--map", CAT, "--m", "3", "--window", "30", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / artifact).read_text().splitlines()[1:]
+    assert len(rows) == 61
+    for row in rows:
+        for cell in row.split(","):
+            float(cell)
+
+
 def test_oracle_fixed_point_census(tmp_path, capsys):
     out = tmp_path / "fp"
     rc = main(

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cubeshadow import shadowing
 from cubeshadow.covering import (
     ChainedCertificate,
     CoveringConfig,
@@ -196,24 +197,23 @@ def test_zero_delta_generates_a_true_forward_orbit():
 
 def test_itinerary_follows_the_cubes():
     p = noisy_orbit()
-    itin = itinerary(p, S3, G3)
-    assert len(itin.indices) == 61
-    assert itin.lo == -30
-    for y, i in zip(p.points, itin.indices):
+    itin = itinerary(p, G3)
+    assert len(itin) == 61
+    for y, i in zip(p.points, itin):
         assert ref.cube_of_point(S3, y) == i
 
 
 def test_itinerary_delta_gate():
     p = pseudo_orbit(CAT, [(0.1, 0.1), (0.35, 0.25)], 0.08)
     with pytest.raises(DeltaTooLargeError):
-        itinerary(p, S3, G3)
+        itinerary(p, G3)
 
 
 def test_known_itinerary_membership_is_checked():
     wrong = ref.cube_of_point(S3, (0.9, 0.9))
     p = pseudo_orbit(CAT, [(0.1, 0.1)], 0.01, known_itinerary=[wrong])
     with pytest.raises(BrokenChainError):
-        itinerary(p, S3, G3)
+        itinerary(p, G3)
 
 
 @pytest.mark.parametrize("bad", [S3.count, -1])
@@ -222,7 +222,7 @@ def test_known_itinerary_naming_no_cube_is_refused(bad):
     # point is checked against it.
     p = pseudo_orbit(CAT, [(0.1, 0.1), (0.3, 0.2)], 0.01, known_itinerary=[0, bad])
     with pytest.raises(ValueError, match=rf"^cube index {bad} out of range$"):
-        itinerary(p, S3, G3)
+        itinerary(p, G3)
 
 
 # --- covering chains ---------------------------------------------------------
@@ -423,17 +423,24 @@ def test_shadow_of_a_true_orbit_is_the_orbit():
     assert res.point_floats == (0.2, 0.3)
 
 
-def test_windows_nest():
-    p = noisy_orbit()
-    long_res = shadow(CAT, p, CERT3, eps=0.01, g=G3)
-    short = pseudo_orbit(CAT, p.points[30 - 10 : 30 + 11], p.delta, lo=-10)
-    short_res = shadow(
-        CAT, short, CERT3, eps=0.01, g=G3, seed_box=long_res.surviving_box
-    )
-    box = long_res.surviving_box
-    for v, a, b in zip(short_res.point_floats, box.lo, box.hi):
-        assert a - 1e-9 <= v <= b + 1e-9
-    assert verify_shadow(CAT, short_res.point, short, 0.01).ok
+@pytest.mark.parametrize(
+    "graph",
+    [
+        lambda: build_graph(CAT, make_subdivision(2, 4, Space.TORUS)),
+        lambda: build_graph(toral_map([[1, 1], [1, 2]]), S3),
+    ],
+    ids=["other-subdivision", "other-map"],
+)
+@pytest.mark.parametrize("periodic", [False, True], ids=["shadow", "periodic"])
+def test_a_graph_the_certificate_was_not_built_on_is_refused(graph, periodic):
+    # The itinerary would be read in the graph's subdivision and gated on
+    # its pair codes, so a mismatch is bad input, not a broken chain.
+    if periodic:
+        p, solve = pseudo_orbit(CAT, [(0.01, 0.01)], 0.023, periodic=1), periodic_shadow
+    else:
+        p, solve = noisy_orbit(), shadow
+    with pytest.raises(ValueError, match="is not the certificate's graph"):
+        solve(CAT, p, CERT3, chi(S3), g=graph())
 
 
 # --- periodic shadowing ------------------------------------------------------
@@ -488,7 +495,7 @@ def test_splice_builds_a_periodic_pseudo_orbit():
     for k in range(5, j):
         cube = s4.box(p.known_itinerary[k])
         assert p.points[k] == cube.center
-    itinerary(p, s4, g4)  # declared chain is valid; membership holds
+    itinerary(p, g4)  # declared chain is valid; membership holds
     res = periodic_shadow(CAT, p, certify_chained(CAT, s4, g4), eps=0.2, g=g4)
     assert res.minimal_period == p.periodic
     assert verify_shadow(CAT, res.point, p, 0.2).ok
@@ -624,32 +631,26 @@ def test_float_periodic_shadow_closes_the_cycle(perturbed_m2, cycle):
     assert errs == list(rep.errors)
 
 
-FAR_SEED = Box((0.7, 0.7), (0.71, 0.71), Space.TORUS)
-NARROW = ShadowConfig(radius_factor=0.05)
-
-
 @pytest.mark.parametrize(
-    "kind, kwargs, message",
+    "kind, message",
     [
-        ("cat", {"seed_box": FAR_SEED}, "tracking tube constraints are incompatible"),
-        ("cat", {"cfg": NARROW}, "tracking tube constraints are incompatible"),
-        ("perturbed", {"seed_box": FAR_SEED}, "seed box excludes the tracking tube"),
-        ("perturbed", {"cfg": NARROW}, "tracking tube is empty at the requested radius"),
+        ("cat", "tracking tube constraints are incompatible"),
+        ("perturbed", "tracking tube is empty at the requested radius"),
     ],
-    ids=["eigen-seed", "eigen-radius", "axis-seed", "axis-radius"],
+    ids=["eigen-radius", "axis-radius"],
 )
-def test_bisection_failures_name_the_empty_tube(perturbed_m2, kind, kwargs, message):
+def test_bisection_failures_name_the_empty_tube(perturbed_m2, monkeypatch, kind, message):
     # The cat map bisects in its eigenframe, the perturbed map by interval
-    # propagation; both refuse before the first split.
+    # propagation; both refuse a narrow tube before the first split.
+    monkeypatch.setattr(shadowing, "_RADIUS_FACTOR", 0.05)
     if kind == "cat":
         f, p, cert, g = CAT, noisy_orbit(), CERT3, G3
     else:
         _, g, cert = perturbed_m2
         f = PERTURBED
         p = generate_pseudo_orbit(f, (0.2, 0.3), 1e-4, 20, UniformNoise(0))
-        kwargs = {**kwargs, "allow_uncertain": True}
     with pytest.raises(NoSurvivingCellError, match=message) as info:
-        shadow(f, p, cert, 1.0, g=g, **kwargs)
+        shadow(f, p, cert, 1.0, g=g, allow_uncertain=kind != "cat")
     assert info.value.deepest_surviving_depth == 0
 
 
@@ -660,7 +661,7 @@ def test_eigen_cell_survives_interval_propagation(n_steps, seed):
     # the cat map's eigenframe also survives stepwise interval propagation
     # of the same window through eval_box.
     p = noisy_orbit(n_steps, seed=seed)
-    r = ShadowConfig().radius_factor * p.delta
+    r = shadowing._RADIUS_FACTOR * p.delta
     eig = eigen_directions(CAT)
     assert eig is not None
     lo, hi, splits = _bisect_cell(CAT, p, r, eig, ShadowConfig())
@@ -668,7 +669,7 @@ def test_eigen_cell_survives_interval_propagation(n_steps, seed):
     assert _tube_survival(CAT, p, r)(lo, hi)
 
 
-def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2):
+def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2, monkeypatch):
     # A radius of 1/2 or more once made each interval step build a torus
     # Box wider than one period and raise ValueError.
     _, g, cert = perturbed_m2
@@ -677,6 +678,6 @@ def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2):
     assert splits > 0
     assert all(0.0 <= b - a < 1e-9 for a, b in zip(lo, hi))
     Box(tuple(lo), tuple(hi), Space.TORUS)
-    wide = ShadowConfig(radius_factor=6000.0)  # r = 0.6 at delta 1e-4
+    monkeypatch.setattr(shadowing, "_RADIUS_FACTOR", 6000.0)  # r = 0.6 at delta 1e-4
     with pytest.raises(NoSurvivingCellError, match="best orbit achieves eps"):
-        shadow(PERTURBED, p, cert, 0.3, g=g, allow_uncertain=True, cfg=wide)
+        shadow(PERTURBED, p, cert, 0.3, g=g, allow_uncertain=True)

@@ -25,7 +25,6 @@ from cubeshadow.transition import (
     build_graph,
     delta_bound,
     find_path,
-    strongly_connected,
 )
 
 CAT = builtin_map("toral [[2,1],[1,1]]")
@@ -365,15 +364,10 @@ def test_translation_on_cube_rejected():
         build_graph(f, make_subdivision(2, 2, Space.CUBE))
 
 
-def test_contraction_on_cube_accepted_but_not_strongly_connected():
+def test_contraction_on_cube_accepted():
     f = builtin_map("affine [[0.5,0],[0,0.5]]", space=Space.CUBE)
     g = build_graph(f, make_subdivision(2, 2, Space.CUBE))
     assert g.nonempty_count > 0
-    assert not strongly_connected(g)
-
-
-def test_cat_strongly_connected():
-    assert strongly_connected(cat_graph(2))
 
 
 # --- paths ------------------------------------------------------------------
