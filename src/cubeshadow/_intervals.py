@@ -5,6 +5,14 @@ round toward the interval interior is followed by a fixed number of ULP
 nudges outward (NUDGE_ULPS).  Dyadic grid data is exact in binary floating
 point, so the nudges only matter for genuinely inexact quantities; they are
 one-sided, hence always conservative.
+
+A nudge steps on integers: consecutive doubles have consecutive images
+under the ordered-integer map (the bits of x >= 0, INT64_MIN minus the
+bits of x < 0, which sends both zeros to 0), so k ulps are one integer
+add.  The result has the bits of k calls of ``np.nextafter``, the sign
+of a step that lands on zero included.  Small arrays, and arrays with a
+value outside +-1e300 (where a step could reach the inf and NaN
+patterns), take the ``np.nextafter`` loop itself.
 """
 
 import numpy as np
@@ -15,20 +23,36 @@ NUDGE_ULPS = 4
 _TWO_PI = 2.0 * np.pi
 
 
+# Below this many elements a loop of np.nextafter beats the integer step.
+_SMALL_NUDGE = 256
+_INT64_MIN = np.iinfo(np.int64).min
+
+
+def _step_ulps(x, ulps: int, toward: float):
+    """x stepped ``ulps`` representable doubles toward +-inf, as a new array."""
+    out = np.array(x, dtype=float)  # a copy in the input's memory order
+    # With no step, the integer path would turn -0.0 into +0.0.
+    if ulps == 0 or out.size < _SMALL_NUDGE or not (-1e300 <= out.min() and out.max() <= 1e300):
+        for _ in range(ulps):
+            out = np.nextafter(out, toward)
+        return out
+    bits = out.view(np.int64)  # in place on the copy, whatever its memory order
+    np.subtract(_INT64_MIN, bits, out=bits, where=bits < 0)
+    bits += ulps if toward > 0 else -ulps
+    np.subtract(_INT64_MIN, bits, out=bits, where=bits < 0)
+    if toward > 0:  # landing on zero from below gives -0.0, as nextafter does
+        bits[bits == 0] = _INT64_MIN
+    return out
+
+
 def nudge_down(x, ulps=NUDGE_ULPS):
     """Largest-representable lower bound: x nudged `ulps` steps toward -inf."""
-    out = np.asarray(x, dtype=float).copy()
-    for _ in range(ulps):
-        out = np.nextafter(out, -np.inf)
-    return out
+    return _step_ulps(x, ulps, -np.inf)
 
 
 def nudge_up(x, ulps=NUDGE_ULPS):
     """Smallest-representable upper bound: x nudged `ulps` steps toward +inf."""
-    out = np.asarray(x, dtype=float).copy()
-    for _ in range(ulps):
-        out = np.nextafter(out, np.inf)
-    return out
+    return _step_ulps(x, ulps, np.inf)
 
 
 def widen(lo, hi, ulps=NUDGE_ULPS):

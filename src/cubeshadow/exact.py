@@ -22,6 +22,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .dynamics import Direction, MapSpec, adjugate, is_exactly_affine
@@ -146,8 +147,10 @@ class ExactAffine:
         return solve(eye_minus, self.offset)
 
 
+@lru_cache(maxsize=64)
 def exact_step(f: MapSpec, direction: Direction = Direction.FORWARD) -> ExactAffine:
-    """The map (or its inverse) as one exact affine step."""
+    """The map (or its inverse) as one exact affine step, cached per map
+    and direction (both are immutable, and so is the step)."""
     if not supports_exact(f):
         raise InvalidMapError(f"map kind {f.kind.value!r} has no exact affine form")
     n = f.n

@@ -8,7 +8,6 @@ else stays Uncertain rather than being silently rounded either way.
 from __future__ import annotations
 
 import math
-from collections import deque
 from collections.abc import Callable, KeysView, Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -361,12 +360,12 @@ def build_graph(
 ) -> TransitionGraph:
     """Classify every ordered cube pair as nonempty / empty / uncertain.
 
-    Per source cube: one rigorous image enclosure decides emptiness with a
-    gap, all computed rows being enclosed in one call; a closed sample grid
-    hunts for witnesses among the surviving candidates; the still-open
-    pairs of all rows then go through one bounded refinement pass that
-    subdivides their source cubes up to ``refine_depth`` times, all pairs
-    in lockstep.
+    One rigorous image enclosure per source cube, all computed rows in one
+    call, decides emptiness with a gap; each source cube's closed sample
+    grid hunts for witnesses among the surviving candidates, the rows
+    settled in blocks of at most _MAX_CELLS pairs; the still-open pairs of
+    all rows then go through one bounded refinement pass that subdivides
+    their source cubes up to ``refine_depth`` times, all pairs in lockstep.
 
     Toral-linear maps on the torus commute with the grid translations, so
     their rows are exact translates of row 0, the one row computed; the rest
@@ -383,21 +382,42 @@ def build_graph(
 
     offsets = _sample_offsets(s.n, samples_per_cube)
     cubes = _cube_bounds(s)
+    lo_all, hi_all = cubes
     count = s.count
     index_matrix = equivariant_index_matrix(f, s)
-    rows = [0] if index_matrix is not None else list(range(count))
-    e_lo, e_hi = eval_box(f, Direction.FORWARD, cubes[0][rows], cubes[1][rows])
-    computed = [
-        _compute_row(f, s, i, offsets, cubes, e_lo[r], e_hi[r]) for r, i in enumerate(rows)
-    ]
-    witnesses = [tuple(np.concatenate(col) for col in zip(*(wit for wit, *_ in computed)))]
-    open_pairs = [(i, j) for i, (_, unc, *_) in zip(rows, computed) for j in unc]
-    near_codes, near_gaps = (np.concatenate(col) for col in zip(*(c[2:4] for c in computed)))
-    row_min = min((least for *_, least in computed), default=math.inf)
-    del computed  # its row arrays would stay alive through the refinement, the peak
+    rows = np.arange(1 if index_matrix is not None else count)
+    e_lo, e_hi = eval_box(f, Direction.FORWARD, lo_all[rows], hi_all[rows])
+    witnesses, open_pairs, near, row_min = [], [], [], math.inf
+    per_block = max(1, _MAX_CELLS // count)
+    for first in range(0, len(rows), per_block):
+        block = rows[first:first + per_block]
+        gaps = _norm_lb(_lift_gaps(
+            e_lo[block, None, :], e_hi[block, None, :], lo_all, hi_all, s.space
+        ))
+        r, j = np.nonzero(gaps > 0.0)
+        empty = gaps[r, j]
+        row_min = min(row_min, float(empty.min(initial=math.inf)))
+        close = empty <= _NEAR_BAND * s.cube_width
+        near.append((block[r[close]] * count + j[close], empty[close]))
+        # Each candidate pair (row, target) tries its source cube's samples.
+        r, j = np.nonzero(gaps == 0.0)
+        src_lo, src_hi = lo_all[block, None, :], hi_all[block, None, :]
+        pts = src_lo + offsets * (src_hi - src_lo)
+        images = eval_points(f, pts.reshape(-1, s.n)).reshape(pts.shape)
+        hit, best, clear = _witnesses(
+            pts[r], images[r], src_lo[r], src_hi[r], lo_all[j], hi_all[j], s.space
+        )
+        r_hit, best = r[hit], best[hit]
+        witnesses.append((
+            block[r_hit] * count + j[hit], pts[r_hit, best], images[r_hit, best], clear[hit]
+        ))
+        open_pairs.append(np.column_stack([block[r[~hit]], j[~hit]]))
+    del gaps, pts, images  # the block arrays would stay alive through the refinement
+    near_codes, near_gaps = (np.concatenate(col) for col in zip(*near))
+    open_pairs = np.concatenate(open_pairs)
     uncertain, empty_codes, empty_gaps = [], [], []
     refined = _refine_uncertain(f, s, open_pairs, offsets, refine_depth, cubes)
-    for (i, j), result in zip(open_pairs, refined):
+    for (i, j), result in zip(open_pairs.tolist(), refined):
         if result is None:
             uncertain.append(i * count + j)
         elif isinstance(result, float):
@@ -475,26 +495,6 @@ def _witnesses(
     return inside[rows, best], best, np.where(0.0 > clear, 0.0, clear)
 
 
-def _compute_row(f: MapSpec, s: Subdivision, i: int, offsets, cubes, e_lo, e_hi) -> tuple:
-    """One source cube, given its image enclosure [e_lo, e_hi]: its witness
-    columns (codes, points, images, clearances), uncertain targets, the
-    codes and gaps of its near-miss pairs, and its min gap."""
-    gaps = _norm_lb(_lift_gaps(e_lo, e_hi, *cubes, s.space))
-    empties = np.flatnonzero(gaps > 0.0)
-    row_min = float(gaps[empties].min()) if empties.size else math.inf
-    near = empties[gaps[empties] <= _NEAR_BAND * s.cube_width]
-
-    candidates = np.flatnonzero(gaps == 0.0)
-    lo_all, hi_all = cubes
-    pts = lo_all[i] + offsets * (hi_all[i] - lo_all[i])
-    images = eval_points(f, pts)
-    hit, best, clear = _witnesses(
-        pts, images, lo_all[i], hi_all[i], lo_all[candidates], hi_all[candidates], s.space
-    )
-    wit = (i * s.count + candidates[hit], pts[best[hit]], images[best[hit]], clear[hit])
-    return wit, candidates[~hit].tolist(), i * s.count + near, gaps[near], row_min
-
-
 def equivariant_index_matrix(f: MapSpec, s: Subdivision) -> np.ndarray | None:
     """Integer index action when f commutes with grid translations exactly."""
     if s.space is not Space.TORUS:
@@ -546,12 +546,13 @@ def _split_cells(cubes, src, tgt, level, k: np.ndarray, width: float):
 def _refine_uncertain(
     f: MapSpec,
     s: Subdivision,
-    pairs: list[tuple[int, int]],
+    pairs: np.ndarray,
     offsets: np.ndarray,
     depth: int,
     cubes: tuple[np.ndarray, np.ndarray],
 ) -> list[EdgeWitness | float | None]:
-    """Subdivide source cube i to settle each uncertain pair (i, j).
+    """Subdivide source cube i to settle each uncertain pair (i, j) of the
+    (P, 2) ``pairs``.
 
     All pairs advance level by level in lockstep, each round splitting
     every open cell of every admitted pair in one enclosure call.  A pair
@@ -563,66 +564,71 @@ def _refine_uncertain(
     cover C_i, so that gap bounds dist(f(C_i), C_j) from below), or None
     when depth runs out first.
     """
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     results: list[EdgeWitness | float | None] = [None] * len(pairs)
     if depth == 0:
         return results
-    closing = [math.inf] * len(pairs)
+    closing = np.full(len(pairs), math.inf)
     lo_all, hi_all = cubes
-    n = s.n
-    root = np.zeros((1, n), dtype=int)
-    fresh = deque(range(len(pairs)))
-    # (pair index, level, (c, n) dyadic addresses of the open cells)
-    queue: deque[tuple[int, int, np.ndarray]] = deque()
-    while queue or fresh:
+    n, fan = s.n, 1 << s.n
+    # The queue of pairs in progress, one row per open cell, each pair's
+    # cells together: pair index, level, (c, n) dyadic addresses.
+    q_pair = np.zeros(0, dtype=np.int64)
+    q_level = np.zeros(0, dtype=np.int64)
+    q_k = np.zeros((0, n), dtype=np.int64)
+    fresh = 0
+    while q_pair.size or fresh < len(pairs):
         # Pairs in progress first, then new ones, while the round's
         # children stay within _MAX_CELLS (one pair always goes).
-        active: list[tuple[int, int, np.ndarray]] = []
-        cost = 0
-        while queue or fresh:
-            p, level, k = queue[0] if queue else (fresh[0], 0, root)
-            if active and cost + (len(k) << n) > _MAX_CELLS:
-                break
-            (queue if queue else fresh).popleft()
-            active.append((p, level, k))
-            cost += len(k) << n
-        cells = [len(k) for _, _, k in active]
-        kids, lo, hi, t_lo, t_hi = _split_cells(
-            cubes,
-            np.repeat([pairs[p][0] for p, _, _ in active], cells),
-            np.repeat([pairs[p][1] for p, _, _ in active], cells),
-            np.repeat([level for _, level, _ in active], cells),
-            np.concatenate([k for _, _, k in active]),
-            s.cube_width,
-        )
+        heads = np.flatnonzero(np.diff(q_pair, prepend=-1))  # each queued pair's first cell
+        cells = np.append(np.diff(heads, append=q_pair.size), np.ones(len(pairs) - fresh, int))
+        taken = max(int(np.searchsorted(np.cumsum(cells * fan), _MAX_CELLS, side="right")), 1)
+        cut = heads[taken] if taken < heads.size else q_pair.size
+        new = max(taken - heads.size, 0)
+        cell_pair = np.concatenate([q_pair[:cut], np.arange(fresh, fresh + new)])
+        level = np.concatenate([q_level[:cut], np.zeros(new, dtype=np.int64)])
+        k = np.concatenate([q_k[:cut], np.zeros((new, n), dtype=np.int64)])
+        q_pair, q_level, q_k, fresh = q_pair[cut:], q_level[cut:], q_k[cut:], fresh + new
+        src, tgt = pairs[cell_pair].T
+        kids, lo, hi, t_lo, t_hi = _split_cells(cubes, src, tgt, level, k, s.cube_width)
         gaps = _image_gaps(f, lo, hi, t_lo, t_hi)
+        # The round's pairs and where their children start.
+        active = cell_pair[np.flatnonzero(np.diff(cell_pair, prepend=-1))]
+        starts = np.flatnonzero(np.diff(np.repeat(cell_pair, fan), prepend=-1))
+        least = np.minimum.reduceat(np.where(gaps > 0.0, gaps, math.inf), starts)
+        closing[active] = np.minimum(closing[active], least)
         open_rows = np.flatnonzero(gaps == 0.0)
-        starts = np.cumsum([0] + cells) << n
-        least = np.minimum.reduceat(np.where(gaps > 0.0, gaps, math.inf), starts[:-1]).tolist()
         lo, hi = lo[open_rows, None, :], hi[open_rows, None, :]
         t_lo, t_hi = t_lo[open_rows], t_hi[open_rows]
         pts = lo + offsets * (hi - lo)
         images = eval_points(f, pts.reshape(-1, n)).reshape(pts.shape)
         clear = _cube_clearances(images, t_lo[:, None, :], t_hi[:, None, :], s.space)
-        hit = np.any(clear >= 0.0, axis=1)
-        cuts = np.searchsorted(open_rows, starts).tolist()
-        for a, (p, level, _) in enumerate(active):
-            first, stop = cuts[a], cuts[a + 1]
-            closing[p] = min(closing[p], least[a])
-            hits = np.flatnonzero(hit[first:stop])
-            if hits.size:
-                r = first + int(hits[0])
-                i = pairs[p][0]
-                _, (k,), (c,) = _witnesses(
-                    pts[r], images[r], lo_all[i], hi_all[i],
-                    t_lo[r : r + 1], t_hi[r : r + 1], s.space,
-                )
-                results[p] = EdgeWitness(
-                    tuple(pts[r, k].tolist()), tuple(images[r, k].tolist()), float(c)
-                )
-            elif first == stop:
-                results[p] = closing[p]
-            elif level + 1 < depth:
-                queue.append((p, level + 1, kids[open_rows[first:stop]]))
+        hit_rows = np.flatnonzero(np.any(clear >= 0.0, axis=1))
+        # Active pair a owns the open rows cuts[a]:cuts[a + 1]; the first
+        # hit row at or after cuts[a] is its witness row when it is below
+        # cuts[a + 1].
+        cuts = np.searchsorted(open_rows, np.append(starts, len(gaps)))
+        first = np.searchsorted(hit_rows, cuts[:-1])
+        hits = first < np.searchsorted(hit_rows, cuts[1:])
+        r, winners = hit_rows[first[hits]], active[hits]
+        _, best, w_clear = _witnesses(
+            pts[r], images[r], lo_all[pairs[winners, 0], None, :],
+            hi_all[pairs[winners, 0], None, :], t_lo[r], t_hi[r], s.space,
+        )
+        for p, q, y, c in zip(
+            winners.tolist(), pts[r, best].tolist(), images[r, best].tolist(), w_clear.tolist()
+        ):
+            results[p] = EdgeWitness(tuple(q), tuple(y), c)
+        closed = active[cuts[:-1] == cuts[1:]]
+        for p, gap in zip(closed.tolist(), closing[closed].tolist()):
+            results[p] = gap
+        # Open children of the pairs with no hit go one level down, if depth allows.
+        row_level = np.repeat(level, fan)[open_rows] + 1
+        on = np.repeat(~hits, np.diff(cuts)) & (row_level < depth)
+        row_pair = np.repeat(cell_pair, fan)[open_rows]
+        q_pair = np.concatenate([q_pair, row_pair[on]])
+        q_level = np.concatenate([q_level, row_level[on]])
+        q_k = np.concatenate([q_k, kids[open_rows[on]]])
     return results
 
 

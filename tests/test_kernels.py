@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import scalar_reference as ref
 from cubeshadow import transition
-from cubeshadow._intervals import sin_range
+from cubeshadow._intervals import _SMALL_NUDGE, nudge_down, nudge_up, sin_range
 from cubeshadow.dynamics import Direction, builtin_map, eval_box, map_parts
 from cubeshadow.geometry import Box, Space, make_subdivision
 
@@ -80,6 +80,67 @@ def _cells(draw, n):
     return tuple(np.array([r[x] for r in part]) for part in (cells, targets) for x in (0, 1))
 
 
+def _tiles(rows: int) -> int:
+    """Copies of a batch of ``rows`` rows that give every nudged array,
+    which holds at least one value per row, the integer ulp step."""
+    return -(-_SMALL_NUDGE // rows)
+
+
+def _nextafter_steps(x, ulps: int, toward: float):
+    out = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(ulps):
+            out = np.nextafter(out, toward)
+    return np.asarray(out)
+
+
+_SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+            1.7976931348623157e308, -1.7976931348623157e308, 1e300, -1e300,
+            math.inf, -math.inf, math.nan]
+
+
+@given(
+    patterns=st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1), min_size=1, max_size=12),
+    size=st.sampled_from([1, 7, _SMALL_NUDGE - 1, _SMALL_NUDGE, 3 * _SMALL_NUDGE]),
+    finite=st.booleans(),
+)
+def test_ulp_steps_match_nextafter_bit_for_bit(patterns, size, finite):
+    # Any bit pattern, as a float; with ``finite`` the values outside
+    # +-1e300 (inf and NaN included) are replaced, so that big arrays take
+    # the integer step.  Every shape and memory order must come back
+    # stepped, with the bits (and zero signs) of repeated np.nextafter.
+    values = np.array(patterns, dtype=np.int64).view(np.float64)
+    if finite:
+        values = np.where(np.abs(values) <= 1e300, values, 0.5)
+    flat = np.resize(values, size)
+    shapes = [flat, flat[None, :].T, np.asfortranarray(np.resize(flat, (size, 3))),
+              np.resize(flat, (2, size, 3)).transpose(1, 0, 2), flat[:1].reshape(())]
+    for x in shapes:
+        for ulps in (0, 1, 2, 4):
+            for nudge, toward in ((nudge_down, -math.inf), (nudge_up, math.inf)):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = np.asarray(nudge(x, ulps))
+                want = _nextafter_steps(x, ulps, toward)
+                assert got.shape == want.shape == x.shape
+                assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("size", [1, _SMALL_NUDGE - 1, _SMALL_NUDGE, 4 * _SMALL_NUDGE])
+@pytest.mark.parametrize("value", _SPECIAL, ids=repr)
+def test_ulp_steps_of_special_values(size, value):
+    # Zeros of both signs (a step that lands on zero takes nextafter's
+    # sign: +0 going down, -0 going up), subnormals, the largest finite
+    # values, infinities and NaN, alone and next to ordinary values.
+    for x in (np.full(size, value), np.resize([value, 0.25, -3.0], size)):
+        for ulps in (0, 1, 2, 4):
+            for nudge, toward in ((nudge_down, -math.inf), (nudge_up, math.inf)):
+                for start in (x, _nextafter_steps(x, 1, -toward)):
+                    want = _nextafter_steps(start, ulps, toward)
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        got = np.asarray(nudge(start, ulps))
+                    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
 @pytest.mark.parametrize("descriptor, space", MAPS, ids=[m[0] for m in MAPS])
 @given(data=st.data())
 def test_enclosure_rows_match_scalar_reference(descriptor, space, data):
@@ -93,6 +154,11 @@ def test_enclosure_rows_match_scalar_reference(descriptor, space, data):
             assert _bits(out_hi[r]) == _bits(want_hi)
             one_lo, one_hi = eval_box(f, direction, lo[r], hi[r])
             assert _bits(one_lo) == _bits(want_lo) and _bits(one_hi) == _bits(want_hi)
+        # Tiled past the nudge crossover, every row still has the reference's bits.
+        reps = _tiles(len(lo))
+        big_lo, big_hi = eval_box(f, direction, np.tile(lo, (reps, 1)), np.tile(hi, (reps, 1)))
+        assert _bits(big_lo) == _bits(np.tile(out_lo, (reps, 1)))
+        assert _bits(big_hi) == _bits(np.tile(out_hi, (reps, 1)))
 
 
 @pytest.mark.parametrize("descriptor, space", MAPS, ids=[m[0] for m in MAPS])
@@ -107,6 +173,10 @@ def test_image_gap_and_center_bound_match_scalar_reference(descriptor, space, da
         target = Box(tuple(t_lo[r]), tuple(t_hi[r]), space)
         assert _bits(gaps[r]) == _bits(ref.image_gap(f, cell, target))
         assert _bits(centers[r]) == _bits(ref.center_bound(f, cell, target))
+    reps = _tiles(len(lo))
+    big = [np.tile(a, (reps, 1)) for a in (lo, hi, t_lo, t_hi)]
+    assert _bits(transition._image_gaps(f, *big)) == _bits(np.tile(gaps, reps))
+    assert _bits(transition._center_bounds(f, *big)) == _bits(np.tile(centers, reps))
 
 
 @given(

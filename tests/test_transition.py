@@ -126,14 +126,30 @@ _TORAL = ["toral [[2,1],[1,1]]", "identity", "translation [0.3,0.1]",
 @pytest.mark.parametrize(
     "descriptor, m",
     [(d, m) for d in _TORAL for m in (2, 3, 4, 5)]
-    + [("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 2)],
+    + [("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 2), ("standard K=0.3", 4),
+       ("affine [[0.5,0.1],[0.05,0.45]] offset=[0.2,0.3]", 4),
+       ("affine [[0.3,0.1,0.2],[0.1,0.2,0.3],[0.1,0.3,0.1]]", 2)],
 )
 def test_columnar_graph_matches_the_materialised_dicts(descriptor, m):
-    # The reference writes every translated row out pair by pair and
-    # sharpens the minimum gap while building; the columns must read back
-    # the same dicts, sets, adjacency and JSON, bit for bit.
-    f = builtin_map(descriptor)
-    s = make_subdivision(2, m, Space.TORUS)
+    # The reference writes every translated row out pair by pair, settles
+    # computed rows one at a time (the build settles them in blocks of
+    # _MAX_CELLS // count) and sharpens the minimum gap while building;
+    # the columns must read back the same dicts, sets, adjacency and JSON,
+    # bit for bit.  The affine maps run on the cube.
+    space = Space.CUBE if descriptor.startswith("affine") else Space.TORUS
+    f = builtin_map(descriptor, space)
+    _assert_matches_materialised(f, make_subdivision(f.n, m, space))
+
+
+def test_a_ragged_last_row_block_matches_the_materialised_dicts(monkeypatch):
+    # Blocks of 3 rows over 64 rows leave a last block of one row.
+    s = make_subdivision(2, 3, Space.TORUS)
+    monkeypatch.setattr(transition, "_MAX_CELLS", 3 * s.count)
+    assert max(1, transition._MAX_CELLS // s.count) == 3 and s.count % 3 == 1
+    _assert_matches_materialised(builtin_map("standard K=0.3"), s)
+
+
+def _assert_matches_materialised(f, s):
     g = build_graph(f, s)
     witnesses, uncertain, gaps, min_gap = ref.materialised_graph(f, s)
     assert _bits(g.witnesses) == _bits(witnesses)
