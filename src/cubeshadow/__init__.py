@@ -61,7 +61,6 @@ from cubeshadow.oracle import (
 from cubeshadow.shadowing import (
     Drift,
     PseudoOrbit,
-    ShadowConfig,
     ShadowResult,
     UniformNoise,
     VerifyReport,
@@ -94,7 +93,7 @@ __all__ = [
     "ChainedCertificate", "FailureReport", "ChainValidity", "check_covering",
     "certify_chained", "compose_chain", "verify_certificate",
     "PseudoOrbit", "pseudo_orbit", "generate_pseudo_orbit", "UniformNoise",
-    "Drift", "itinerary", "ShadowConfig", "ShadowResult",
+    "Drift", "itinerary", "ShadowResult",
     "VerifyReport", "shadow", "periodic_shadow", "specification_splice",
     "verify_shadow",
     "hyperbolic_splitting", "linear_shadow", "brute_force_fixed_points",

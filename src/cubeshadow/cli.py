@@ -2,9 +2,11 @@
 
 Every subcommand resolves one RunConfig (defaults, then an optional JSON
 config file, then explicit flags), performs its pipeline, and writes
-deterministic artifacts under the output directory.  JSON payloads embed
-the resolved config plus content hashes of every file read, so re-running
-the same config against the same inputs reproduces the bytes.
+deterministic artifacts under the output directory.  JSON payloads are
+the standard library's compact sort_keys text; they embed the resolved
+config, all but the output directory, plus content hashes of every file
+read, so re-running the same config against the same inputs reproduces the
+bytes in any output directory.
 
 Exit codes separate kinds of "no":
     0  success
@@ -19,13 +21,10 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +58,6 @@ from .shadowing import (
     Drift,
     PseudoOrbit,
     RoundToGrid,
-    ShadowConfig,
     UniformNoise,
     _ball_point,
     generate_pseudo_orbit,
@@ -87,11 +85,11 @@ _SPACES = ("torus", "cube")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved knobs for one run, embedded verbatim in every JSON output.
+    """Resolved knobs for one run, embedded in every JSON output but ``out``.
 
-    Input and output *paths* live on the command line, not here: the
-    config describes the computation, the embedded content hashes pin
-    down which files fed it.
+    Input paths live on the command line, not here, and the output
+    directory is not embedded: the config describes the computation, the
+    embedded content hashes pin down which files fed it.
     """
 
     map: str = "toral [[2,1],[1,1]]"
@@ -112,11 +110,9 @@ class RunConfig:
     segment_length: int = 10
     gap: int = 6
     strip_depth: int = 6
-    bisection_depth: int = 96
     refine_depth: int = 6
     samples_per_cube: int = 5
     min_margin: float = 1e-9
-    fp_tol: float = 1e-9
     allow_uncertain: bool = False
     out: str = "out"
 
@@ -137,11 +133,9 @@ class RunConfig:
             (self.segment_length >= 1, "segment_length must be >= 1"),
             (self.gap >= 1, "gap must be >= 1"),
             (self.strip_depth >= 1, "strip_depth must be >= 1"),
-            (self.bisection_depth >= 1, "bisection_depth must be >= 1"),
             (self.refine_depth >= 0, "refine_depth must be >= 0"),
             (self.samples_per_cube >= 1, "samples_per_cube must be >= 1"),
             (self.min_margin > 0.0, "min_margin must be > 0"),
-            (self.fp_tol > 0.0, "fp_tol must be > 0"),
         ]
         for ok, message in checks:
             if not ok:
@@ -224,73 +218,19 @@ class Run:
         return target
 
     def write_json(self, name: str, body: dict) -> Path:
+        config = dataclasses.asdict(self.cfg)
+        del config["out"]
         payload = {
             "command": self.command,
-            "config": dataclasses.asdict(self.cfg),
-            "inputs_sha256": dict(sorted(self.inputs.items())),
-            "artifacts_sha256": dict(sorted(self.artifacts.items())),
+            "config": config,
+            "inputs_sha256": self.inputs,
+            "artifacts_sha256": self.artifacts,
             **body,
         }
-        return self._record(name, _render(payload, "\n") + "\n")
+        return self._record(name, json.dumps(payload, sort_keys=True) + "\n")
 
     def write_text(self, name: str, text: str) -> Path:
         return self._record(name, text)
-
-
-# --- JSON writer --------------------------------------------------------------
-
-_INFINITIES = {math.inf: "Infinity", -math.inf: "-Infinity"}
-
-
-def _atom(o) -> str | None:
-    """The text of a str, None, bool, int or float, tested in the stdlib's
-    isinstance order, so np.float64 and str enums encode as their base type;
-    None for anything else."""
-    if isinstance(o, str):
-        return encode_basestring_ascii(o)
-    if o is None or o is True or o is False:
-        return "null" if o is None else "true" if o else "false"
-    if isinstance(o, int):
-        return int.__repr__(o)
-    if isinstance(o, float):
-        return "NaN" if o != o else _INFINITIES.get(o) or float.__repr__(o)
-    return None
-
-
-def _render(o, nl: str) -> str:
-    """The text of json.dumps(o, sort_keys=True, indent=2), nested after the line
-    break nl.  CPython writes that with its pure-Python encoder; here runs of
-    plain ints, of plain int pairs and of plain int values join in one pass."""
-    text = _atom(o)
-    if text is not None:
-        return text
-    if not isinstance(o, (list, tuple, dict)):
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-    if not o:
-        return "{}" if isinstance(o, dict) else "[]"
-    inner = nl + "  "
-    sep = "," + inner
-    if isinstance(o, dict):
-        keys = sorted(o)
-        values = list(map(o.__getitem__, keys))
-        if not all(map(isinstance, keys, itertools.repeat(str))):
-            keys = map(_atom, keys)  # numbers, bools and None; other keys fail to quote
-        names = map(encode_basestring_ascii, keys)
-        if set(map(type, values)) == {int}:
-            body = sep.join(map("{}: {}".format, names, values))
-        else:
-            body = sep.join([f"{k}: {_render(v, inner)}" for k, v in zip(names, values)])
-        return f"{{{inner}{body}{nl}}}"
-    kinds = set(map(type, o))
-    if kinds == {int}:
-        body = sep.join(map(int.__repr__, o))
-    elif (kinds <= {list, tuple} and set(map(len, o)) == {2}
-          and set(map(type, itertools.chain.from_iterable(o))) == {int}):
-        pair = f"[{inner}  %d,{inner}  %d{inner}]"
-        body = sep.join([pair] * len(o)) % tuple(itertools.chain.from_iterable(o))
-    else:
-        body = sep.join([_render(v, inner) for v in o])
-    return f"[{inner}{body}{nl}]"
 
 
 # --- shared pipeline pieces -------------------------------------------------
@@ -354,10 +294,6 @@ def _covering_config(cfg: RunConfig) -> CoveringConfig:
         min_margin=cfg.min_margin,
         allow_uncertain=cfg.allow_uncertain,
     )
-
-
-def _shadow_config(cfg: RunConfig) -> ShadowConfig:
-    return ShadowConfig(depth=cfg.bisection_depth, fp_tol=cfg.fp_tol)
 
 
 def _graph(cfg: RunConfig, f: MapSpec):
@@ -485,9 +421,7 @@ def _shadow_tail(
         return EXIT_CERTIFICATION
     run.write_json("certificate.json", {"certificate": cert.to_json()})
     eps = _eps(cfg, s)
-    result = solve(
-        f, p, cert, eps, g=g, allow_uncertain=cfg.allow_uncertain, cfg=_shadow_config(cfg)
-    )
+    result = solve(f, p, cert, eps, g=g, allow_uncertain=cfg.allow_uncertain)
     report = verify_shadow(f, result.point, p, eps)
     run.write_text("orbit.csv", orbit_csv(f, p, result))
     path = run.write_json(
@@ -764,11 +698,9 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
     g.add_argument("--segment-length", type=int, help="points per splice segment")
     g.add_argument("--gap", type=int, help="max bridge length for splice")
     g.add_argument("--strip-depth", type=int, help="covering strip search depth")
-    g.add_argument("--bisection-depth", type=int, help="shadow cell bisection depth")
     g.add_argument("--refine-depth", type=int, help="transition refinement depth")
     g.add_argument("--samples-per-cube", type=int, help="witness samples per axis")
     g.add_argument("--min-margin", type=float, help="strict inequality margin")
-    g.add_argument("--fp-tol", type=float, help="periodic point residual tolerance")
     g.add_argument(
         "--allow-uncertain", action=argparse.BooleanOptionalAction, default=None,
         help="treat uncertain transitions as nonempty",

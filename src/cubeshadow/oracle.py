@@ -58,10 +58,6 @@ class HyperbolicSplitting:
         return self.eigenvalues[-1] if self.n > 1 else 0.0
 
     @property
-    def v_u(self) -> tuple[float, ...]:
-        return tuple(row[0] for row in self.basis)
-
-    @property
     def v_s(self) -> tuple[float, ...] | None:
         if self.n < 2:
             return None

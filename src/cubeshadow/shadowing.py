@@ -401,13 +401,9 @@ def _in_cubes(s: Subdivision, cubes: np.ndarray, points: np.ndarray, tol: float)
 
 # --- per-step covering chains -----------------------------------------------
 
-@dataclass(frozen=True)
-class ShadowConfig:
-    depth: int = 96               # max bisection splits at the window center
-    fp_tol: float = 1e-9          # periodic fixed-point residual tolerance
-
-
+_BISECTION_DEPTH = 96  # max bisection splits at the window center
 _CELL_FLOOR = 1e-12    # stop splitting below this cell width
+_FP_TOL = 1e-9         # periodic fixed-point residual tolerance
 _DELTA_FLOOR = 1e-7    # effective delta for near-exact orbits
 _RADIUS_FACTOR = 2.5   # tracking tube radius in units of the effective delta
 _MARGIN_PAD = 0.2      # chain margin in units of the worst defect
@@ -646,7 +642,7 @@ def _tube_survival(f: MapSpec, p: PseudoOrbit, r: float):
     return survives
 
 
-def _bisect(lo: list[float], hi: list[float], survives, cfg: ShadowConfig):
+def _bisect(lo: list[float], hi: list[float], survives):
     """Halve the widest axis of [lo, hi], keeping a half that survives."""
     if not survives(lo, hi):
         raise NoSurvivingCellError(
@@ -654,7 +650,7 @@ def _bisect(lo: list[float], hi: list[float], survives, cfg: ShadowConfig):
             deepest_surviving_depth=0,
         )
     splits = 0
-    for _ in range(cfg.depth):
+    for _ in range(_BISECTION_DEPTH):
         widths = [b - a for a, b in zip(lo, hi)]
         axis = widths.index(max(widths))
         if widths[axis] <= _CELL_FLOOR:
@@ -680,7 +676,6 @@ def _bisect_cell(
     p: PseudoOrbit,
     r: float,
     eig: EigenDirections | None,
-    cfg: ShadowConfig,
 ) -> tuple[list[float], list[float], int]:
     """Refine the time-0 cell against the window's tracking tubes.
 
@@ -703,7 +698,7 @@ def _bisect_cell(
             # around y_0 holds a lift of every point in it.
             g_lo, g_hi = np.maximum(g_lo, -0.5), np.minimum(g_hi, 0.5)
         t_lo, t_hi = (y0 + g_lo).tolist(), (y0 + g_hi).tolist()
-        return _bisect(t_lo, t_hi, _tube_survival(f, p, r), cfg)
+        return _bisect(t_lo, t_hi, _tube_survival(f, p, r))
     basis, (f_lo, f_hi), (lo, hi) = _eigen_bands(f, p, r, eig, g_lo, g_hi)
 
     def meets(c_lo: list[float], c_hi: list[float]) -> bool:
@@ -711,7 +706,7 @@ def _bisect_cell(
             a >= b for a, b in zip(c_hi, f_lo)
         )
 
-    lo, hi, splits = _bisect(list(lo), list(hi), meets, cfg)
+    lo, hi, splits = _bisect(list(lo), list(hi), meets)
     corners = [
         y0 + basis @ np.array([u, s]) for u in (lo[0], hi[0]) for s in (lo[1], hi[1])
     ]
@@ -963,7 +958,6 @@ def _localize(
     cert: ChainedCertificate,
     g: TransitionGraph,
     allow_uncertain: bool,
-    cfg: ShadowConfig,
 ) -> tuple[Box, int, EigenDirections | None]:
     """Gate p against the certificate and graph, then bisect its time-0 cell.
 
@@ -988,7 +982,7 @@ def _localize(
     step_chain(f, p)
     eig = eigen_directions(f)
     r = _RADIUS_FACTOR * max(p.delta, _DELTA_FLOOR)
-    lo, hi, splits = _bisect_cell(f, p, r, eig, cfg)
+    lo, hi, splits = _bisect_cell(f, p, r, eig)
     return Box(tuple(lo), tuple(hi), p.space), splits, eig
 
 
@@ -1014,7 +1008,6 @@ def shadow(
     eps: float,
     g: TransitionGraph,
     allow_uncertain: bool = False,
-    cfg: ShadowConfig | None = None,
 ) -> ShadowResult:
     """Find a true orbit point whose distance to p stays below eps windowwide.
 
@@ -1028,8 +1021,7 @@ def shadow(
     With ``allow_uncertain`` the itinerary gate counts the graph's
     uncertain edges as nonempty instead of refusing the graph.
     """
-    cfg = cfg or ShadowConfig()
-    surviving, splits, eig = _localize(f, p, cert, g, allow_uncertain, cfg)
+    surviving, splits, eig = _localize(f, p, cert, g, allow_uncertain)
 
     if eig is not None:
         nums, den = _bvp_point(f, p, _integer_shifts(f, p), eig)
@@ -1051,7 +1043,6 @@ def periodic_shadow(
     eps: float,
     g: TransitionGraph,
     allow_uncertain: bool = False,
-    cfg: ShadowConfig | None = None,
 ) -> ShadowResult:
     """Shadow a periodic pseudo-orbit by a genuinely periodic orbit.
 
@@ -1059,12 +1050,11 @@ def periodic_shadow(
     rectangle under f^P, which forces a fixed point of f^P inside the
     tube.  For exactly-affine maps that point solves a linear system over
     the rationals, making dist(f^P(x*), x*) exactly zero; other kinds
-    refine by damped Newton down to cfg.fp_tol.  ``g`` is as in shadow.
+    refine by damped Newton down to _FP_TOL.  ``g`` is as in shadow.
     """
-    cfg = cfg or ShadowConfig()
     if p.periodic is None:
         raise ValueError("periodic_shadow needs a periodic pseudo-orbit")
-    surviving, splits, _ = _localize(f, p, cert, g, allow_uncertain, cfg)
+    surviving, splits, _ = _localize(f, p, cert, g, allow_uncertain)
     P = len(p.points)
 
     if supports_exact(f):
@@ -1084,7 +1074,7 @@ def periodic_shadow(
         for _ in range(80):
             orbit = true_orbit(f, x, 0, P)
             residual = _nearest_lift(p.space, np.subtract(orbit[P], x))
-            if float(np.linalg.norm(residual)) <= cfg.fp_tol:
+            if float(np.linalg.norm(residual)) <= _FP_TOL:
                 break
             jac = np.eye(f.n)
             for y in orbit[:P]:
@@ -1098,7 +1088,7 @@ def periodic_shadow(
             x = wrap_points(p.space, x + dx)
         else:
             raise FixedPointTolUnreachedError(
-                f"Newton left residual above fp_tol {cfg.fp_tol}"
+                f"Newton left residual above tolerance {_FP_TOL}"
             )
         point = orbit[0]
         mp = None

@@ -1,8 +1,9 @@
 """Pinned artifact bits: refactors of the pipeline must not move these outputs.
 
-Hashes cover each JSON artifact with the run-specific ``config.out`` and
-the sha256 digest maps removed; shadow runs also pin ``orbit.csv`` and
-the report line with the output directory stripped.  Maps whose interval
+Hashes cover each JSON artifact with the sha256 digest maps removed (the
+output directory is not embedded, so nothing run-specific is left); shadow
+runs also pin ``orbit.csv`` and the report line with the output directory
+stripped.  Maps whose interval
 evaluation is not exact in floats (the shear and translations by
 non-dyadic vectors) pin only the edge statuses, since their stored gaps
 may move in the last digits when an enclosure gains an outward rounding.
@@ -23,7 +24,6 @@ PERTURBED = "perturbed [[2,1],[1,1]] eta=0.001 freq=1"
 
 def _body(path) -> dict:
     data = json.loads(path.read_text())
-    del data["config"]["out"]
     del data["inputs_sha256"]
     del data["artifacts_sha256"]
     return data
@@ -36,8 +36,8 @@ def _sha(obj) -> str:
 @pytest.mark.parametrize(
     "descriptor, m, digest",
     [
-        (CAT, 3, "9ce67c3306f771056ea26c1748d49ecf56c73b3622afb46a0204cdd5934ca3a7"),
-        (PERTURBED, 2, "c700f3b73db0c898a500b8d212fb924d153b4a71f9f937363e02588c2a6d981e"),
+        (CAT, 3, "92636b46dcae01dc9268ff71838848584efe5f6a691ca00c20e847bba53d6a9c"),
+        (PERTURBED, 2, "3857f6b811de5e85559ef132341858dcc8dcabc333c37623891da981dec8b76a"),
     ],
     ids=["cat-m3", "perturbed-m2"],
 )
@@ -50,17 +50,16 @@ def test_graph_artifact_bits(tmp_path, descriptor, m, digest):
     "argv, artifact, digest",
     [
         (["certify", "--map", CAT], "certificate.json",
-         "7128144b285888623f73289bcb94c195d1f6c94225ac365e2da78c72e838a453"),
+         "c566d8028ef3e37498601a24a14bd1dccc07719620d25a470f216a49add0b4eb"),
         (["graph", "--map", "standard K=0.3"], "graph.json",
-         "1171a069cefdc0a0c865cd009d1128ae9cdeaad3673f04dff4ba831babd99372"),
+         "3d00d543e76637abe82244e2748e8d5432784bde0cca935f0bf5ae6362e460cb"),
     ],
     ids=["cat-certificate", "standard-graph"],
 )
-def test_raw_artifact_bytes(tmp_path, monkeypatch, argv, artifact, digest):
-    # A relative --out keeps the embedded config the same in every checkout.
-    monkeypatch.chdir(tmp_path)
-    assert main(argv + ["--m", "3", "--out", "out"]) == 0
-    assert hashlib.sha256((tmp_path / "out" / artifact).read_bytes()).hexdigest() == digest
+def test_raw_artifact_bytes(tmp_path, argv, artifact, digest):
+    # The output directory is not embedded, so any --out gives these bytes.
+    assert main(argv + ["--m", "3", "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / artifact).read_bytes()).hexdigest() == digest
 
 
 def test_cat_certificate_bits(tmp_path):
@@ -72,9 +71,9 @@ def test_cat_certificate_bits(tmp_path):
 @pytest.mark.parametrize(
     "descriptor, digest",
     [
-        ("identity", "7235f36456048c25ffa4d8394f8dd382ee78d4b5a0b813e3c164cd963f1fa911"),
+        ("identity", "50d782cddbb2edb840a89feefb601d693cbea9aff88edde3e5fc8661dc62c3cb"),
         ("translation [0.3,0.1]",
-         "d7eb5efa063bf1a2bc5c4ad6217cff252317e1d247f1832628cbbeb33ca360bc"),
+         "f7ef78d06ec9a39d1c5505e3748b7b9c2fcc4fde4aacaf02759c8b855cacd2f3"),
     ],
     ids=["identity", "translation"],
 )
@@ -103,7 +102,7 @@ SHADOW_RUNS = {
     "shadow-cat-m3-seed0": (
         ["shadow", "--map", CAT, "--m", "3", "--seed", "0", "--window", "100"],
         "shadow.json",
-        "24afca7c10345f0221a6de946b65c98bd0923709a268f52abfa93fdf7a7e441c",
+        "b0ee12ca757fc1c531514afae793147f24944265472ad4460009b819fa69114d",
         "e3d41ca7a5e09e6336dff96a41079f3c5162aab223cd222af5ab62d176844691",
         "shadow: eps_achieved 0.000119381 <= eps 0.176777, verified max error "
         "0.000119381 at k=-18 -> /shadow.json",
@@ -111,7 +110,7 @@ SHADOW_RUNS = {
     "shadow-cat-m3-seed7": (
         ["shadow", "--map", CAT, "--m", "3", "--seed", "7", "--window", "100"],
         "shadow.json",
-        "3c07f8bbbf25ac386d09cb920395f3aca88a26186c3d3fdbbedeeb99d1157518",
+        "62e0551ac03313e7c7074f5ae15fb630750bce71a9e6017c3e683d5572788415",
         "54c6eb06aea5a3acf1592621879782545015f31b5815f58dc22f0dfc82d1d192",
         "shadow: eps_achieved 0.000122099 <= eps 0.176777, verified max error "
         "0.000122099 at k=28 -> /shadow.json",
@@ -119,7 +118,7 @@ SHADOW_RUNS = {
     "periodic-cat-m3": (
         ["periodic", "--map", CAT, "--m", "3", "--period", "2", "--x0", "1/5,2/5"],
         "periodic.json",
-        "24c5a55feff2470354d4fda1b43bbae0665efc0153ea5a033fe5c585b485b12f",
+        "1cefd2cee79c622aa7ea5afab7eedc2118ef2c78a29f303ddce9622d6a1f825d",
         "cfb97426d1e16c279c3af50cdda17f61efdd40c194d1731de97dbe86da8ae0d7",
         "periodic: period 2 orbit (minimal 2), eps_achieved 1.18828e-05 <= eps "
         "0.176777 -> /periodic.json",
@@ -128,7 +127,7 @@ SHADOW_RUNS = {
         ["splice", "--map", CAT, "--m", "4", "--eps", "0.2", "--start", "1/7,2/7",
          "--start", "5/9,7/9", "--segment-length", "5", "--gap", "8"],
         "periodic.json",
-        "d8599ef82bcfc2041f2090896a42dd5e11628addffcac9b7fd7e64641dc2d1b9",
+        "a117214203a5cf05bb31b98c0719b05c275f4b4bdc065ec4ce02d263aebabf30",
         "736c3931ef3c4dd6adf9f6b8eb5dd0aba90203d281e33773f02df32e1f9863f2",
         "splice: 2 segments + bridges -> period 17 pseudo-orbit (delta 0.156), "
         "shadowed with eps_achieved 0.107092 <= eps 0.2 -> /periodic.json",
@@ -137,7 +136,7 @@ SHADOW_RUNS = {
     "shadow-cat-m5-window400": (
         ["shadow", "--map", CAT, "--m", "5", "--window", "400"],
         "shadow.json",
-        "5b804b9aa405884285a9f804808bc886163bc73eb7f9c1cb2847054222ceee53",
+        "10c05deb572b0d9303986afed28c524f3427ab7e1ba8f97ae922b28d1e63e27d",
         "a94d8f1ecddfa169972a696370f26dae14ba13864b27c18c5bed686b74af49e5",
         "shadow: eps_achieved 0.000143713 <= eps 0.0441942, verified max error "
         "0.000143713 at k=351 -> /shadow.json",
@@ -145,7 +144,7 @@ SHADOW_RUNS = {
     "periodic-cat-m5-period5": (
         ["periodic", "--map", CAT, "--m", "5", "--period", "5", "--x0", "1/11,3/11"],
         "periodic.json",
-        "04191df3e017f4229e31ce96b1c94585391f9b1fa0da883ae22dcd09af5ce8cb",
+        "278c2542a8cfd7270acba687eebc0b862da3a4c437e237239ef86efb3f2d4198",
         "14b2fc19c55bf944d53f776a9334f0d3b449c83972d65db6957740eacf258390",
         "periodic: period 5 orbit (minimal 5), eps_achieved 1.18828e-05 <= eps "
         "0.0441942 -> /periodic.json",
@@ -153,7 +152,7 @@ SHADOW_RUNS = {
     "shadow-perturbed-m2": (
         ["shadow", "--map", PERTURBED, "--m", "2", "--allow-uncertain"],
         "shadow.json",
-        "ab992b13a907890d358728ab2ff2185d979159568ccac2d5f52fdbff14aeecf4",
+        "5f93339c1f0b854ff1793df4e1c81a958abb8169a404b3a711a82256fd2b1023",
         "f6863b5f24f76a1f12f5cb6c6c6c85ed347740297fdb1cafb1f10e8030a60f6e",
         "shadow: eps_achieved 0.000438453 <= eps 0.353553, verified max error "
         "0.000438453 at k=20 -> /shadow.json",
@@ -162,7 +161,7 @@ SHADOW_RUNS = {
         ["periodic", "--map", PERTURBED, "--m", "2", "--period", "1", "--x0", "0,0",
          "--allow-uncertain"],
         "periodic.json",
-        "c80accd0c3978ff77bca9ac2b76e78a67183eb1d251bb12e10935755460154d7",
+        "1a78ae46d36665306401669c2abb227c8719a0f1b5cd6db33d57b836db814a57",
         "031a1cd35361036cf5b5ffa8cc5b7fde0bc5d4f34a3efb1ec1ec5c532cc52e51",
         "periodic: period 1 orbit (minimal None), eps_achieved 2.51763e-06 <= eps "
         "0.353553 -> /periodic.json",

@@ -41,7 +41,6 @@ from cubeshadow.geometry import Box, Space, chi, make_subdivision
 from cubeshadow.shadowing import (
     Drift,
     RoundToGrid,
-    ShadowConfig,
     UniformNoise,
     PseudoOrbit,
     _bisect_cell,
@@ -664,7 +663,7 @@ def test_eigen_cell_survives_interval_propagation(n_steps, seed):
     r = shadowing._RADIUS_FACTOR * p.delta
     eig = eigen_directions(CAT)
     assert eig is not None
-    lo, hi, splits = _bisect_cell(CAT, p, r, eig, ShadowConfig())
+    lo, hi, splits = _bisect_cell(CAT, p, r, eig)
     assert splits > 0
     assert _tube_survival(CAT, p, r)(lo, hi)
 
@@ -674,7 +673,7 @@ def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2, monkeypatch):
     # Box wider than one period and raise ValueError.
     _, g, cert = perturbed_m2
     p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 5, UniformNoise(0))
-    lo, hi, splits = _bisect_cell(PERTURBED, p, 0.6, None, ShadowConfig())
+    lo, hi, splits = _bisect_cell(PERTURBED, p, 0.6, None)
     assert splits > 0
     assert all(0.0 <= b - a < 1e-9 for a, b in zip(lo, hi))
     Box(tuple(lo), tuple(hi), Space.TORUS)
