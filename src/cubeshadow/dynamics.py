@@ -1,4 +1,16 @@
-"""Builtin map family: pointwise, inverse, and rigorous box-enclosure evaluation."""
+"""Builtin map family: pointwise, inverse, and rigorous box-enclosure evaluation.
+
+Layout: the batch kernels work coordinate-major.  A batch of k points or
+boxes is held as (n, k) arrays, one contiguous row per coordinate, and
+the map's constants as (n, 1) columns, so every numpy loop runs over the
+k points and none over the n coordinates: with n = 2, a broadcast or a
+reduction along the coordinate axis of a (k, n) C-order array runs an
+inner loop of length 2, which costs more than the arithmetic.  The public
+evaluators keep their (k, n) and (n,) shapes; they transpose on the way
+in and hand back the transpose of the (n, k) result, which is free, so a
+(k, n) batch that is the transpose of an (n, k) array goes through
+without a copy.
+"""
 
 from __future__ import annotations
 
@@ -335,28 +347,29 @@ class SineResidual:
     ulps: int
 
     @cached_property
-    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self.coef), np.array(self.src)
+    def _columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The coefficients as an (n, 1) column, the source coordinates, and
+        the columns of the positive and of the zero coefficients."""
+        coef = np.array(self.coef)[:, None]
+        return coef, np.array(self.src), coef >= 0.0, coef == 0.0
 
     def at(self, v: np.ndarray) -> np.ndarray:
-        """r at every row of a (k, n) batch."""
-        coef, src = self._columns
-        return coef * np.sin(self.angular * v[:, src])
+        """r at every point of a coordinate-major (n, k) batch."""
+        coef, src, _, _ = self._columns
+        return coef * np.sin(self.angular * v[src])
 
     def over(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Componentwise range of r over every box [lo, hi] along the last axis."""
-        coef, src = self._columns
+        """Componentwise range of r over every box of coordinate-major (n, k) bounds."""
+        coef, src, up, zero = self._columns
         s_lo, s_hi = sin_range(
-            nudge_down(self.angular * lo[..., src], 1),
-            nudge_up(self.angular * hi[..., src], 1),
+            nudge_down(self.angular * lo[src], 1),
+            nudge_up(self.angular * hi[src], 1),
         )
-        up = coef >= 0.0
         r_lo, r_hi = widen(
             np.where(up, coef * s_lo, coef * s_hi),
             np.where(up, coef * s_hi, coef * s_lo),
             self.ulps,
         )
-        zero = coef == 0.0
         return np.where(zero, 0.0, r_lo), np.where(zero, 0.0, r_hi)
 
 
@@ -374,6 +387,15 @@ class MapParts:
     pos: np.ndarray
     neg: np.ndarray
     residual: SineResidual | None
+
+    @cached_property
+    def columns(self) -> tuple:
+        """The (n, 1) columns of a, of pos and of neg, and b as an (n, 1)
+        column: the forms the coordinate-major kernels broadcast."""
+        a, pos, neg = (
+            tuple(m[:, j:j + 1] for j in range(m.shape[1])) for m in (self.a, self.pos, self.neg)
+        )
+        return a, pos, neg, self.b[:, None]
 
 
 def _parts(a, b, residual: SineResidual | None) -> MapParts:
@@ -426,29 +448,39 @@ def wrap_points(space: Space, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _apply_matrix(m: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """m x for every vector along the last axis of x.
+def _apply_matrix(cols: tuple[np.ndarray, ...], x: np.ndarray) -> np.ndarray:
+    """m x for every point of a coordinate-major (n, k) batch x, from the
+    (n, 1) columns of m (``MapParts.columns``), as an (n, k) array.
 
-    The product is summed column by column rather than by a matrix
-    product, so the bits of each row do not depend on how many rows are
-    evaluated.
+    The product is summed column by column, each column scaling one
+    coordinate row, rather than by a matrix product, so the bits of each
+    point do not depend on how many points are evaluated.
     """
-    y = x[..., :1] * m[:, 0]
-    for j in range(1, m.shape[1]):
-        y = y + x[..., j : j + 1] * m[:, j]
+    y = cols[0] * x[0]
+    for j in range(1, len(cols)):
+        y = y + cols[j] * x[j]
+    return y
+
+
+def _lift(parts: MapParts, direction: Direction, x: np.ndarray) -> np.ndarray:
+    """A x + b + r(.) at every point of a coordinate-major (n, k) batch."""
+    a, _, _, b = parts.columns
+    y = _apply_matrix(a, x) + b
+    if parts.residual is not None:
+        y = y + parts.residual.at(y if direction is Direction.INVERSE else x)
     return y
 
 
 def lift_points(f: MapSpec, direction: Direction, points) -> np.ndarray:
-    """Images of a (k, n) batch under f or its inverse, not reduced mod 1."""
+    """Images of a (k, n) batch under f or its inverse, not reduced mod 1.
+
+    The result is the transpose of a coordinate-major (n, k) array.
+    """
     parts = map_parts(f, direction)
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[1] != f.n:
         raise InvalidMapError(f"batch has shape {x.shape}, expected (k, {f.n})")
-    y = _apply_matrix(parts.a, x) + parts.b
-    if parts.residual is not None:
-        y = y + parts.residual.at(y if direction is Direction.INVERSE else x)
-    return y
+    return _lift(parts, direction, x.T).T
 
 
 def eval_point(f: MapSpec, direction: Direction, point) -> np.ndarray:
@@ -456,7 +488,7 @@ def eval_point(f: MapSpec, direction: Direction, point) -> np.ndarray:
     p = np.asarray(point, dtype=float)
     if p.shape != (f.n,):
         raise InvalidMapError(f"point has shape {p.shape}, map expects ({f.n},)")
-    return wrap_points(f.space, lift_points(f, direction, p[None, :]))[0]
+    return wrap_points(f.space, _lift(map_parts(f, direction), direction, p[:, None]))[:, 0]
 
 
 def eval_points(f: MapSpec, points: np.ndarray) -> np.ndarray:
@@ -465,16 +497,18 @@ def eval_points(f: MapSpec, points: np.ndarray) -> np.ndarray:
 
 
 def _affine_box(parts: MapParts, lo: np.ndarray, hi: np.ndarray):
-    """Outward enclosure of A [lo, hi] + b, per box along the last axis."""
+    """Outward enclosure of A [lo, hi] + b for coordinate-major (n, k) bounds."""
+    _, pos, neg, b = parts.columns
     out_lo, out_hi = widen(
-        _apply_matrix(parts.pos, lo) + _apply_matrix(parts.neg, hi),
-        _apply_matrix(parts.pos, hi) + _apply_matrix(parts.neg, lo),
+        _apply_matrix(pos, lo) + _apply_matrix(neg, hi),
+        _apply_matrix(pos, hi) + _apply_matrix(neg, lo),
     )
-    return out_lo + parts.b, out_hi + parts.b
+    return out_lo + b, out_hi + b
 
 
 def _residual_box(parts: MapParts, direction: Direction, lo, hi):
-    """Range of r over the box [lo, hi]; the inverse's r reads the affine image.
+    """Range of r over the boxes [lo, hi], coordinate-major; the inverse's r
+    reads the affine image.
 
     Only the shear has an inverse residual, and its b is zero, so the
     image it reads is outward-rounded.
@@ -482,6 +516,21 @@ def _residual_box(parts: MapParts, direction: Direction, lo, hi):
     if direction is Direction.INVERSE:
         lo, hi = _affine_box(parts, lo, hi)
     return parts.residual.over(lo, hi)
+
+
+def _boxes(f: MapSpec, lo, hi, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """``kernel`` on the coordinate-major transposes of (k, n) or (n,)
+    bounds, its (n, k) results handed back in the bounds' shape."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    for x in (lo, hi):
+        if x.ndim not in (1, 2) or x.shape[-1] != f.n:
+            raise InvalidMapError(
+                f"bounds have shape {x.shape}, expected (k, {f.n}) or ({f.n},)"
+            )
+    out_lo, out_hi = kernel(lo.reshape(-1, f.n).T, hi.reshape(-1, f.n).T)
+    if lo.ndim == hi.ndim == 1:
+        return out_lo[:, 0], out_hi[:, 0]
+    return out_lo.T, out_hi.T
 
 
 def eval_box(
@@ -492,14 +541,19 @@ def eval_box(
     ``lo`` and ``hi`` hold one box per row of a (k, n) batch, or a single
     (n,) box; each may be any lift, wider than one period included.  A
     row's bounds do not depend on the other rows.  Torus wrapping is left
-    to the caller so the enclosure itself stays tight.
+    to the caller so the enclosure itself stays tight.  Batch results
+    are transposes of coordinate-major (n, k) arrays.
     """
     parts = map_parts(f, direction)
-    out_lo, out_hi = _affine_box(parts, lo, hi)
-    if parts.residual is not None:
-        r_lo, r_hi = _residual_box(parts, direction, lo, hi)
-        out_lo, out_hi = out_lo + r_lo, out_hi + r_hi
-    return widen(out_lo, out_hi)
+
+    def enclose(lo, hi):
+        out_lo, out_hi = _affine_box(parts, lo, hi)
+        if parts.residual is not None:
+            r_lo, r_hi = _residual_box(parts, direction, lo, hi)
+            out_lo, out_hi = out_lo + r_lo, out_hi + r_hi
+        return widen(out_lo, out_hi)
+
+    return _boxes(f, lo, hi, enclose)
 
 
 def residual_range(
@@ -513,7 +567,7 @@ def residual_range(
     parts = map_parts(f, direction)
     if parts.residual is None:
         return np.zeros(f.n), np.zeros(f.n)
-    return _residual_box(parts, direction, lo, hi)
+    return _boxes(f, lo, hi, lambda lo, hi: _residual_box(parts, direction, lo, hi))
 
 
 def is_exactly_affine(f: MapSpec) -> bool:

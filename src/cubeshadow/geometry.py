@@ -194,14 +194,19 @@ class Subdivision:
         return tuple(reversed(out))
 
     def multi_indices(self):
-        """(count, n) array of every cube's multi-index, in flat-index order."""
-        shape = (self.side,) * self.n
-        return np.stack(np.unravel_index(np.arange(self.count), shape), axis=-1)
+        """(n, count) array of every cube's multi-index, in flat-index order:
+        coordinate-major, one row per axis."""
+        return np.array(np.unravel_index(np.arange(self.count), (self.side,) * self.n))
 
     def flat_indices(self, multis):
-        """Flat index of every multi-index along the last axis of ``multis``."""
-        shape = (self.side,) * self.n
-        return np.ravel_multi_index(np.moveaxis(np.asarray(multis), -1, 0), shape)
+        """Flat index of every multi-index of the coordinate-major (n, ...)
+        integer array ``multis``, each entry in [0, side); the inverse of
+        ``multi_indices``."""
+        multis = np.asarray(multis)
+        flat = multis[0]
+        for axis in range(1, self.n):
+            flat = flat * self.side + multis[axis]
+        return flat
 
     def box(self, flat):
         """The closed cube with this flat index, bounds exact dyadics."""
@@ -242,7 +247,7 @@ def cubes_of_points(subdivision, points):
     k = np.where(t == j, j - 1, j)
     if subdivision.space is Space.TORUS:
         k[(t == j) & (j % side == 0)] = 0
-    return subdivision.flat_indices(np.clip(k, 0, side - 1).astype(int))
+    return subdivision.flat_indices(np.clip(k, 0, side - 1).astype(int).T)
 
 
 def chi(subdivision):

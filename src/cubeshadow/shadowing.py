@@ -194,17 +194,25 @@ def _nearest_lift(space: Space, d: np.ndarray) -> np.ndarray:
     return d
 
 
-def _step_errors(f: MapSpec, p: PseudoOrbit) -> np.ndarray:
-    """Nearest-lift errors f(y_k) - y_{k+1} of every stored step (cyclic
-    when periodic), one row per step, in one batch evaluation."""
+def _step_lift(f: MapSpec, p: PseudoOrbit) -> tuple[np.ndarray, np.ndarray]:
+    """The unreduced images f(y_k) of every stored step (cyclic when
+    periodic), from one batch evaluation, and the step ends y_{k+1}: the
+    one lift a shadow request makes of its pseudo-orbit."""
     pts = np.asarray(p.points, dtype=float)
     ends = np.roll(pts, -1, axis=0)[: len(pts) - (p.periodic is None)]
-    return _nearest_lift(p.space, eval_points(f, pts[: len(ends)]) - ends)
+    return lift_points(f, Direction.FORWARD, pts[: len(ends)]), ends
+
+
+def _step_errors(f: MapSpec, p: PseudoOrbit, lift) -> np.ndarray:
+    """Nearest-lift errors f(y_k) - y_{k+1} of the steps of ``_step_lift``,
+    one row per step; wrapping the lift gives the bits of eval_points."""
+    images, ends = lift
+    return _nearest_lift(p.space, wrap_points(f.space, images) - ends)
 
 
 def step_defects(f: MapSpec, p: PseudoOrbit) -> list[float]:
     """dist(f(y_k), y_{k+1}) for every stored step (cyclic if periodic)."""
-    return [float(np.linalg.norm(d)) for d in _step_errors(f, p)]
+    return [float(np.linalg.norm(d)) for d in _step_errors(f, p, _step_lift(f, p))]
 
 
 def _worst_defect_above(f: MapSpec, p: PseudoOrbit, delta: float) -> float | None:
@@ -471,13 +479,14 @@ def _chain_half_widths(
     return hu, hs
 
 
-def step_chain(f: MapSpec, p: PseudoOrbit) -> StepChain:
+def step_chain(f: MapSpec, p: PseudoOrbit, errors: np.ndarray) -> StepChain:
     """Build and verify the covering chain along the pseudo-orbit.
 
     Rectangle k is eigen-aligned and centered at y_k; every consecutive
     pair (cyclically for periodic orbits) is re-checked with interval
     arithmetic rather than trusted from the sizing recursion, in one
-    ``check_chain`` call on the stacked bounds y_k -+ half-widths.
+    ``check_chain`` call on the stacked bounds y_k -+ half-widths.  The
+    chain is sized by p's step ``errors`` (see ``_step_errors``).
     """
     frame_info = expansion_frame(f)
     if frame_info is None:
@@ -490,8 +499,7 @@ def step_chain(f: MapSpec, p: PseudoOrbit) -> StepChain:
         raise UncertifiedTransitionError(
             f"{f.descriptor} is not hyperbolic, covering chains cannot close"
         )
-    defects = _step_errors(f, p)
-    du, ds = np.abs(_project(np.asarray(rows)[[0, -1]], defects)).tolist()
+    du, ds = np.abs(_project(np.asarray(rows)[[0, -1]], errors)).tolist()
     pad = _MARGIN_PAD * max(max(du + ds, default=0.0), _DELTA_FLOOR)
     hu, hs = _chain_half_widths(
         lam_u, lam_s, frame_coupling(f, rows), du, ds, pad, cyclic=p.periodic is not None
@@ -553,6 +561,7 @@ def _eigen_bands(
     p: PseudoOrbit,
     r: float,
     eig: EigenDirections,
+    errors: np.ndarray,
     g0_lo: np.ndarray,
     g0_hi: np.ndarray,
 ) -> tuple:
@@ -564,7 +573,8 @@ def _eigen_bands(
     coordinates: no interval wrapping, pruning stays informative at
     every depth.  Forward constraints pin the expanding coordinate,
     backward ones the contracting coordinate; the opposite pullbacks
-    only widen and are dropped.  [g0_lo, g0_hi] is the time-0 tube as
+    only widen and are dropped.  ``errors`` are p's step errors (see
+    ``_step_errors``), and [g0_lo, g0_hi] is the time-0 tube as
     deviations from y_0.  Returns the basis, the feasible box and the
     initial cell, both as (lo, hi) in (u, s) coordinates;
     NoSurvivingCellError when nothing is feasible.
@@ -582,7 +592,7 @@ def _eigen_bands(
     # The stored slot of y_k and of the defect e_k of the step k -> k+1.
     size = len(p.points)
     slot = (lambda k: k % size) if p.periodic is not None else (lambda k: k - p.lo)
-    proj = _project(functionals, _step_errors(f, p)).tolist()
+    proj = _project(functionals, errors).tolist()
     t_lo, t_hi = (np.broadcast_to(b, (2, size)).tolist()
                   for b in _interval_dot(functionals, *_tube(p, r)))
     cell = list(zip(*(b[:, 0].tolist()
@@ -676,6 +686,7 @@ def _bisect_cell(
     p: PseudoOrbit,
     r: float,
     eig: EigenDirections | None,
+    errors: np.ndarray,
 ) -> tuple[list[float], list[float], int]:
     """Refine the time-0 cell against the window's tracking tubes.
 
@@ -684,7 +695,8 @@ def _bisect_cell(
     (cyclically extended twice over for periodic orbits, which pins both
     eigendirections around the loop).  One bisection, two survival
     tests: maps with an eigen frame ``eig`` (the exactly-affine 2D maps)
-    get the sharp eigenframe test, and the final eigen cell is mapped back
+    get the sharp eigenframe test, which reads p's step ``errors``, and
+    the final eigen cell is mapped back
     to its axis hull; other kinds fall back to stepwise interval
     propagation, whose wrapping blurs but never unsoundly prunes.
     """
@@ -699,7 +711,7 @@ def _bisect_cell(
             g_lo, g_hi = np.maximum(g_lo, -0.5), np.minimum(g_hi, 0.5)
         t_lo, t_hi = (y0 + g_lo).tolist(), (y0 + g_hi).tolist()
         return _bisect(t_lo, t_hi, _tube_survival(f, p, r))
-    basis, (f_lo, f_hi), (lo, hi) = _eigen_bands(f, p, r, eig, g_lo, g_hi)
+    basis, (f_lo, f_hi), (lo, hi) = _eigen_bands(f, p, r, eig, errors, g_lo, g_hi)
 
     def meets(c_lo: list[float], c_hi: list[float]) -> bool:
         return all(a <= b for a, b in zip(c_lo, f_hi)) and all(
@@ -719,19 +731,19 @@ def _bisect_cell(
 
 # --- exact boundary-value solve ---------------------------------------------
 
-def _integer_shifts(f: MapSpec, p: PseudoOrbit) -> np.ndarray:
-    """Lattice shift of each lifted step: s_k = round(M y_k + c - y_{k+1}).
+def _integer_shifts(p: PseudoOrbit, lift) -> np.ndarray:
+    """Lattice shift of each lifted step of ``_step_lift``:
+    s_k = round(M y_k + c - y_{k+1}).
 
     The true shadow satisfies M x_k + c - x_{k+1} = s_k exactly with the
     same s_k, because both orbits stay within a few delta of each other,
     far below the rounding threshold of 1/2.  Cyclic orbits get the wrap
     step appended.
     """
-    pts = np.asarray(p.points, dtype=float)
-    ends = np.roll(pts, -1, axis=0)[: len(pts) - (p.periodic is None)]
+    images, ends = lift
     if p.space is not Space.TORUS:
         return np.zeros_like(ends)
-    return np.round(lift_points(f, Direction.FORWARD, pts[: len(ends)]) - ends)
+    return np.round(images - ends)
 
 
 def _lift_steps(f: MapSpec, p: PseudoOrbit, shifts, k: int) -> tuple[ExactAffine, list]:
@@ -958,7 +970,7 @@ def _localize(
     cert: ChainedCertificate,
     g: TransitionGraph,
     allow_uncertain: bool,
-) -> tuple[Box, int, EigenDirections | None]:
+) -> tuple[Box, int, EigenDirections | None, tuple[np.ndarray, np.ndarray]]:
     """Gate p against the certificate and graph, then bisect its time-0 cell.
 
     Checks that the certificate is for f, that g is the graph it was built
@@ -966,8 +978,10 @@ def _localize(
     (see ``itinerary``, which ``allow_uncertain`` is passed to and which
     checks p's space) crosses no certified-empty edge, and that the
     per-step covering chain closes; returns the surviving cell, the number
-    of splits that carved it, and f's eigen frame (None without one),
-    which decides the exact path.
+    of splits that carved it, f's eigen frame (None without one), which
+    decides the exact path, and the request's one ``_step_lift`` of p,
+    from which the chain, the eigenframe bands and the exact path's
+    shifts all read.
     """
     if cert.map_id != f.descriptor:
         raise ValueError(
@@ -979,11 +993,13 @@ def _localize(
             f"graph of {built(g)} is not the certificate's graph of {built(cert)}"
         )
     itinerary(p, g, allow_uncertain)
-    step_chain(f, p)
+    lift = _step_lift(f, p)
+    errors = _step_errors(f, p, lift)
+    step_chain(f, p, errors)
     eig = eigen_directions(f)
     r = _RADIUS_FACTOR * max(p.delta, _DELTA_FLOOR)
-    lo, hi, splits = _bisect_cell(f, p, r, eig)
-    return Box(tuple(lo), tuple(hi), p.space), splits, eig
+    lo, hi, splits = _bisect_cell(f, p, r, eig, errors)
+    return Box(tuple(lo), tuple(hi), p.space), splits, eig, lift
 
 
 def _measured(
@@ -1021,10 +1037,10 @@ def shadow(
     With ``allow_uncertain`` the itinerary gate counts the graph's
     uncertain edges as nonempty instead of refusing the graph.
     """
-    surviving, splits, eig = _localize(f, p, cert, g, allow_uncertain)
+    surviving, splits, eig, lift = _localize(f, p, cert, g, allow_uncertain)
 
     if eig is not None:
-        nums, den = _bvp_point(f, p, _integer_shifts(f, p), eig)
+        nums, den = _bvp_point(f, p, _integer_shifts(p, lift), eig)
         if p.space is Space.TORUS:
             nums = tuple(v % den for v in nums)
         point: tuple = to_fracs(nums, den)
@@ -1054,11 +1070,11 @@ def periodic_shadow(
     """
     if p.periodic is None:
         raise ValueError("periodic_shadow needs a periodic pseudo-orbit")
-    surviving, splits, _ = _localize(f, p, cert, g, allow_uncertain)
+    surviving, splits, _, lift = _localize(f, p, cert, g, allow_uncertain)
     P = len(p.points)
 
     if supports_exact(f):
-        step, offsets = _lift_steps(f, p, _integer_shifts(f, p), P)
+        step, offsets = _lift_steps(f, p, _integer_shifts(p, lift), P)
         try:
             nums, den = step.along(offsets).fixed_point()
         except NotInvertibleError:

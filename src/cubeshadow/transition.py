@@ -3,6 +3,16 @@
 Edges are three-valued: an interval enclosure can prove emptiness with a
 positive gap, a checked witness point proves nonemptiness, and everything
 else stays Uncertain rather than being silently rounded either way.
+
+Layout: every batch on the graph path is coordinate-major, with the
+coordinate as the first axis: cube bounds, sample grids, cells, witness
+points and images are (n, ...) arrays, and per-coordinate data gathers
+along the later axes.  Numpy's inner loops then run over the cubes, cells
+or samples, never over the n coordinates, which for n = 2 would cost more
+than the arithmetic.  Reductions over the coordinates are explicit
+``np.minimum`` and ``+`` chains from coordinate 0 up.  The maps are
+evaluated through the (k, n) public evaluators on transposed views, which
+``dynamics`` takes and returns without a copy.
 """
 
 from __future__ import annotations
@@ -146,7 +156,7 @@ class TransitionGraph:
         codes, rows = self.gap_pairs, np.arange(len(self.gap_pairs))
         if self.index_matrix is not None:
             codes = _translates(self.subdivision, self.index_matrix, codes).ravel()
-            rows = np.tile(rows, self.subdivision.count)
+            rows = np.repeat(rows, self.subdivision.count)
         by_code = np.argsort(codes)
         return codes[by_code], rows[by_code]
 
@@ -203,7 +213,9 @@ class TransitionGraph:
         s = self.subdivision
         multis = s.multi_indices()
         i, j = np.divmod(codes, s.count)
-        return s.flat_indices((multis[j] - multis[i] @ self.index_matrix.T) % s.side)
+        # & (side - 1) reduces mod the side, a power of two.
+        moved = multis.take(j, axis=1) - self.index_matrix @ multis.take(i, axis=1)
+        return s.flat_indices(moved & (s.side - 1))
 
     @property
     def nonempty_count(self) -> int:
@@ -244,7 +256,8 @@ class TransitionGraph:
 
 
 def _sample_offsets(n: int, samples_per_cube: int) -> np.ndarray:
-    """Regular closed grid in [0,1]^n cube-local coordinates, corners included.
+    """Regular closed grid in [0,1]^n cube-local coordinates, corners
+    included, as an (n, samples) array.
 
     Closed sampling matters: subdivision cubes are closed, so two cubes that
     only share boundary still intersect and their shared points are the only
@@ -255,11 +268,11 @@ def _sample_offsets(n: int, samples_per_cube: int) -> np.ndarray:
     else:
         axis = np.linspace(0.0, 1.0, samples_per_cube)
     grids = np.meshgrid(*([axis] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return np.stack([g.ravel() for g in grids])
 
 
 def _cube_bounds(s: Subdivision) -> tuple[np.ndarray, np.ndarray]:
-    """(count, n) lower and upper corners of every cube, in flat-index order."""
+    """(n, count) lower and upper corners of every cube, in flat-index order."""
     lo = s.multi_indices() * s.cube_width
     return lo, lo + s.cube_width
 
@@ -278,11 +291,12 @@ def _axis_gaps(lo, hi, t_lo, t_hi, space: Space) -> np.ndarray:
 
 
 def _norm_lb(gaps: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, nudged down 2 ulps so it stays a
-    lower bound under rounding; exactly 0 where every axis gap is 0."""
-    total = gaps[..., 0] * gaps[..., 0]
-    for axis in range(1, gaps.shape[-1]):
-        total = total + gaps[..., axis] * gaps[..., axis]
+    """Euclidean norm over the first (coordinate) axis, nudged down 2 ulps
+    so it stays a lower bound under rounding; exactly 0 where every axis
+    gap is 0."""
+    total = gaps[0] * gaps[0]
+    for axis in range(1, len(gaps)):
+        total = total + gaps[axis] * gaps[axis]
     return np.where(total > 0.0, nudge_down(np.sqrt(total), 2), 0.0)
 
 
@@ -307,16 +321,17 @@ def _lift_gaps(e_lo, e_hi, t_lo, t_hi, space: Space) -> np.ndarray:
 
 
 def _image_gaps(f: MapSpec, lo: np.ndarray, hi: np.ndarray, t_lo, t_hi) -> np.ndarray:
-    """Certified lower bound on dist(f(cell), target) for every row of a
-    (k, n) batch of cells [lo, hi], from one enclosure of the batch."""
-    e_lo, e_hi = eval_box(f, Direction.FORWARD, lo, hi)
-    return _norm_lb(_lift_gaps(e_lo, e_hi, t_lo, t_hi, f.space))
+    """Certified lower bound on dist(f(cell), target) for every cell of
+    (n, k) bounds [lo, hi], from one enclosure of the batch."""
+    e_lo, e_hi = eval_box(f, Direction.FORWARD, lo.T, hi.T)
+    return _norm_lb(_lift_gaps(e_lo.T, e_hi.T, t_lo, t_hi, f.space))
 
 
 def _center_bounds(f: MapSpec, lo: np.ndarray, hi: np.ndarray, t_lo, t_hi) -> np.ndarray:
-    """Upper bound on dist(f(cell), target) for every row: the distance
-    from the image of the cell's center to the target, plus 1e-15."""
-    x = eval_points(f, 0.5 * (lo + hi))
+    """Upper bound on dist(f(cell), target) for every cell of (n, k) bounds:
+    the distance from the image of the cell's center to the target, plus
+    1e-15."""
+    x = eval_points(f, (0.5 * (lo + hi)).T).T
     if f.space is Space.TORUS:
         x = x - np.floor(x)
     x = np.clip(x, 0.0, 1.0)
@@ -327,16 +342,18 @@ def _cube_clearances(points: np.ndarray, lo, hi, space: Space) -> np.ndarray:
     """Min distance of each point to the boundary of box [lo, hi]; negative outside.
 
     On the torus a point can sit in the box only after an integer shift, so
-    each axis takes the best shift.  The box bounds broadcast against the
-    points along the last axis.
+    each axis takes the best shift.  Points and bounds are (n, ...) arrays
+    that broadcast against each other.
     """
-    best = np.full(points.shape, -np.inf)
-    shifts = (-1.0, 0.0, 1.0) if space is Space.TORUS else (0.0,)
-    for shift in shifts:
+    best = None
+    for shift in (-1.0, 0.0, 1.0) if space is Space.TORUS else (0.0,):
         q = points + shift
         clear = np.minimum(q - lo, hi - q)
-        best = np.maximum(best, clear)
-    return best.min(axis=-1)
+        best = clear if best is None else np.maximum(best, clear)
+    least = best[0]
+    for axis in range(1, len(best)):
+        least = np.minimum(least, best[axis])
+    return least
 
 
 def _endomorphism_check(f: MapSpec, s: Subdivision) -> None:
@@ -383,16 +400,18 @@ def build_graph(
     offsets = _sample_offsets(s.n, samples_per_cube)
     cubes = _cube_bounds(s)
     lo_all, hi_all = cubes
-    count = s.count
+    n, count = s.n, s.count
     index_matrix = equivariant_index_matrix(f, s)
     rows = np.arange(1 if index_matrix is not None else count)
-    e_lo, e_hi = eval_box(f, Direction.FORWARD, lo_all[rows], hi_all[rows])
+    e_lo, e_hi = (e.T for e in eval_box(
+        f, Direction.FORWARD, lo_all.take(rows, axis=1).T, hi_all.take(rows, axis=1).T
+    ))
     witnesses, open_pairs, near, row_min = [], [], [], math.inf
     per_block = max(1, _MAX_CELLS // count)
     for first in range(0, len(rows), per_block):
         block = rows[first:first + per_block]
         gaps = _norm_lb(_lift_gaps(
-            e_lo[block, None, :], e_hi[block, None, :], lo_all, hi_all, s.space
+            e_lo[:, block, None], e_hi[:, block, None], lo_all[:, None], hi_all[:, None], s.space
         ))
         r, j = np.nonzero(gaps > 0.0)
         empty = gaps[r, j]
@@ -401,15 +420,16 @@ def build_graph(
         near.append((block[r[close]] * count + j[close], empty[close]))
         # Each candidate pair (row, target) tries its source cube's samples.
         r, j = np.nonzero(gaps == 0.0)
-        src_lo, src_hi = lo_all[block, None, :], hi_all[block, None, :]
-        pts = src_lo + offsets * (src_hi - src_lo)
-        images = eval_points(f, pts.reshape(-1, s.n)).reshape(pts.shape)
+        src_lo, src_hi = (c.take(block, axis=1)[..., None] for c in cubes)
+        pts = src_lo + offsets[:, None] * (src_hi - src_lo)
+        images = eval_points(f, pts.reshape(n, -1).T).T.reshape(pts.shape)
         hit, best, clear = _witnesses(
-            pts[r], images[r], src_lo[r], src_hi[r], lo_all[j], hi_all[j], s.space
+            *(a.take(r, axis=1) for a in (pts, images, src_lo, src_hi)),
+            lo_all.take(j, axis=1), hi_all.take(j, axis=1), s.space,
         )
         r_hit, best = r[hit], best[hit]
         witnesses.append((
-            block[r_hit] * count + j[hit], pts[r_hit, best], images[r_hit, best], clear[hit]
+            block[r_hit] * count + j[hit], pts[:, r_hit, best], images[:, r_hit, best], clear[hit]
         ))
         open_pairs.append(np.column_stack([block[r[~hit]], j[~hit]]))
     del gaps, pts, images  # the block arrays would stay alive through the refinement
@@ -424,36 +444,42 @@ def build_graph(
             empty_codes.append(i * count + j)
             empty_gaps.append(result)
         else:
-            witnesses.append(([i * count + j], [result.point], [result.image], [result.clearance]))
-    # Witness columns: codes i * count + j, points, images, clearances.
-    cols = [np.concatenate(col) for col in zip(*witnesses)]
+            witnesses.append((
+                [i * count + j], np.array([result.point]).T, np.array([result.image]).T,
+                [result.clearance],
+            ))
+    # Witness columns: codes i * count + j, (n, k) points and images, clearances.
+    codes, points, images, clearances = zip(*witnesses)
+    codes, clearances = np.concatenate(codes), np.concatenate(clearances)
+    points, images = np.concatenate(points, axis=1), np.concatenate(images, axis=1)
     uncertain = np.array(uncertain, dtype=np.int64)
 
     if index_matrix is not None:
         # Pair (i, j) has the geometry of (0, j - A i).  Derived witness
         # points are exact dyadic shifts of row 0's; their images and
         # clearances are recomputed, so the stored data stays verifiable.
-        order = np.argsort(cols[0])
-        cols = [c[order] for c in cols]
+        # The derived arrays are (n, witness, source cube 1..).
         translate = partial(_translates, s, index_matrix)
-        moved = translate(cols[0])
-        lo = s.multi_indices() * s.cube_width
-        pts = cols[1][None, :, :] + lo[:, None, :]  # stays in [0, 1]: no wrap
-        imgs = eval_points(f, pts.reshape(-1, s.n)).reshape(pts.shape)
-        dst = lo[moved % count]
+        moved = translate(codes)[:, 1:]
+        lo, hi = lo_all[:, None, 1:], hi_all[:, None, 1:]
+        pts = points[:, :, None] + lo  # stays in [0, 1]: no wrap
+        imgs = eval_points(f, pts.reshape(n, -1).T).T.reshape(pts.shape)
+        dst = lo_all.take(moved % count, axis=1)
         clear = np.minimum(
-            _cube_clearances(pts, lo[:, None, :], lo[:, None, :] + s.cube_width, s.space),
+            _cube_clearances(pts, lo, hi, s.space),
             _cube_clearances(imgs, dst, dst + s.cube_width, s.space),
         )
         # Rounding can push a boundary witness out of its cube: demote it
         # rather than store an invalid witness.
-        bad = clear[1:] < 0.0
-        derived = (moved, pts, imgs, clear)
-        cols = [np.concatenate([c, d[1:][~bad]]) for c, d in zip(cols, derived)]
-        uncertain = np.concatenate([translate(uncertain).ravel(), moved[1:][bad]])
+        bad = clear < 0.0
+        kept = ~bad.ravel()
+        codes = np.concatenate([codes, moved[~bad]])
+        points = np.concatenate([points, pts.reshape(n, -1).compress(kept, axis=1)], axis=1)
+        images = np.concatenate([images, imgs.reshape(n, -1).compress(kept, axis=1)], axis=1)
+        clearances = np.concatenate([clearances, clear[~bad]])
+        uncertain = np.concatenate([translate(uncertain).ravel(), moved[bad]])
 
-    order = np.argsort(cols[0])
-    codes, points, images, clearances = (c[order] for c in cols)
+    order = np.argsort(codes)
     gap_pairs = np.concatenate([near_codes, np.array(empty_codes, dtype=np.int64)])
     gaps = np.concatenate([near_gaps, empty_gaps])
     by_code = np.argsort(gap_pairs)
@@ -464,10 +490,10 @@ def build_graph(
         samples_per_cube=samples_per_cube,
         refine_depth=refine_depth,
         index_matrix=index_matrix,
-        witness_codes=codes,
-        points=points,
-        images=images,
-        clearances=clearances,
+        witness_codes=codes[order],
+        points=points.take(order, axis=1).T,
+        images=images.take(order, axis=1).T,
+        clearances=clearances[order],
         uncertain_codes=np.sort(uncertain),
         gap_pairs=gap_pairs,
         gap_search=partial(_min_gap_search, f, s, cubes, gap_pairs, gaps, row_min),
@@ -477,15 +503,17 @@ def build_graph(
 def _witnesses(
     pts: np.ndarray, images: np.ndarray, src_lo, src_hi, t_lo, t_hi, space: Space
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The best sample witnessing C_i -> C_j for each target row of
-    [t_lo, t_hi]: whether any image lands there, its index, its clearance.
+    """The best sample witnessing C_i -> C_j for each target column of
+    (n, targets) bounds [t_lo, t_hi]: whether any image lands there, its
+    index, its clearance.
 
-    ``pts`` are the samples of one source cell [src_lo, src_hi] and
-    ``images`` their images.  A sample counts when its image lies in the
-    closed target cube; the winner maximizes min(source clearance, image
-    clearance), and a boundary-only winner is recorded with clearance 0.
+    ``pts`` are (n, ..., samples) samples of the source cells [src_lo,
+    src_hi] and ``images`` their images.  A sample counts when its image
+    lies in the closed target cube; the winner maximizes min(source
+    clearance, image clearance), and a boundary-only winner is recorded
+    with clearance 0.
     """
-    img_clear = _cube_clearances(images, t_lo[:, None, :], t_hi[:, None, :], space)
+    img_clear = _cube_clearances(images, t_lo[..., None], t_hi[..., None], space)
     inside = img_clear >= 0.0
     src_clear = _cube_clearances(pts, src_lo, src_hi, space)
     score = np.where(inside, np.minimum(src_clear, img_clear), -np.inf)
@@ -505,42 +533,45 @@ def equivariant_index_matrix(f: MapSpec, s: Subdivision) -> np.ndarray | None:
 
 
 def _translates(s: Subdivision, index_matrix: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """(count, len(targets)) codes of the translates (i, j0 + A i mod 2^m) of (0, j0)."""
+    """(len(targets), count) codes of the translates (i, j0 + A i mod 2^m)
+    of each (0, j0), one column per source cube i."""
     multis = s.multi_indices()
-    moved = (multis[targets][None, :, :] + (multis @ index_matrix.T)[:, None, :]) % s.side
-    return np.arange(s.count)[:, None] * s.count + s.flat_indices(moved)
+    moved = multis[:, targets, None] + (index_matrix @ multis)[:, None, :]
+    return np.arange(s.count) * s.count + s.flat_indices(moved & (s.side - 1))
 
 
-# Live cells the refinement keeps at once, over all pairs, and the cells one
-# round of the minimum-gap search splits.
+# Live cells the refinement keeps at once, over all pairs, the cells one
+# round of the minimum-gap search splits, and the children it bounds at once.
 _MAX_CELLS = 4096
 # The live cells the minimum-gap search may hold, and the cells it may split.
 _HELD_CELLS = 1 << 20
 
 
 def _child_bits(n: int) -> np.ndarray:
-    """(2^n, n) offsets of a cell's children: child ``mask`` takes the upper
+    """(n, 2^n) offsets of a cell's children: child ``mask`` takes the upper
     half on axis a when bit a of ``mask`` is set."""
-    return (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    return (np.arange(1 << n) >> np.arange(n)[:, None]) & 1
 
 
 def _split_cells(cubes, src, tgt, level, k: np.ndarray, width: float):
-    """The children of dyadic cells, one level down, 2^n rows per cell in
-    ``_child_bits`` order.
+    """The children of dyadic cells, one level down, 2^n per cell in
+    ``_child_bits`` order, coordinate-major.
 
-    Cell r is address k[r] at depth level[r] inside source cube src[r],
+    Cell r is address k[:, r] at depth level[r] inside source cube src[r],
     the box lo + [k, k + 1] width / 2^level; its target is cube tgt[r].
-    Returns the children's addresses, their bounds, and their targets'
-    bounds.  Dyadic bounds make every step exact.
+    Returns the children's (n, 2^n cells) addresses, their bounds, and
+    their targets' bounds.  Dyadic bounds make every step exact.
     """
     lo_all, hi_all = cubes
-    n = k.shape[1]
+    n = len(k)
     fan = 1 << n
-    src, tgt, level = (np.repeat(np.asarray(v, dtype=int), fan) for v in (src, tgt, level))
-    kids = (2 * k[:, None, :] + _child_bits(n)).reshape(-1, n)
-    size = np.ldexp(width, -1 - level)[:, None]
-    lo = lo_all[src] + kids * size
-    return kids, lo, lo + size, lo_all[tgt], hi_all[tgt]
+    src, tgt = (np.repeat(np.asarray(v, dtype=int), fan) for v in (src, tgt))
+    kids = (2 * k[:, :, None] + _child_bits(n)[:, None, :]).reshape(n, -1)
+    # C int exponents: numpy's ldexp has no int64 loop, and the cast costs
+    # more than the call.
+    size = np.ldexp(width, -1 - np.repeat(np.asarray(level, dtype=np.intc), fan))
+    lo = lo_all.take(src, axis=1) + kids * size
+    return kids, lo, lo + size, lo_all.take(tgt, axis=1), hi_all.take(tgt, axis=1)
 
 
 def _refine_uncertain(
@@ -552,7 +583,8 @@ def _refine_uncertain(
     cubes: tuple[np.ndarray, np.ndarray],
 ) -> list[EdgeWitness | float | None]:
     """Subdivide source cube i to settle each uncertain pair (i, j) of the
-    (P, 2) ``pairs``.
+    (P, 2) ``pairs``, sampling each open cell on the (n, samples) grid
+    ``offsets``.
 
     All pairs advance level by level in lockstep, each round splitting
     every open cell of every admitted pair in one enclosure call.  A pair
@@ -571,11 +603,11 @@ def _refine_uncertain(
     closing = np.full(len(pairs), math.inf)
     lo_all, hi_all = cubes
     n, fan = s.n, 1 << s.n
-    # The queue of pairs in progress, one row per open cell, each pair's
-    # cells together: pair index, level, (c, n) dyadic addresses.
+    # The queue of pairs in progress, one entry per open cell, each pair's
+    # cells together: pair index, level, (n, c) dyadic addresses.
     q_pair = np.zeros(0, dtype=np.int64)
     q_level = np.zeros(0, dtype=np.int64)
-    q_k = np.zeros((0, n), dtype=np.int64)
+    q_k = np.zeros((n, 0), dtype=np.int64)
     fresh = 0
     while q_pair.size or fresh < len(pairs):
         # Pairs in progress first, then new ones, while the round's
@@ -587,8 +619,8 @@ def _refine_uncertain(
         new = max(taken - heads.size, 0)
         cell_pair = np.concatenate([q_pair[:cut], np.arange(fresh, fresh + new)])
         level = np.concatenate([q_level[:cut], np.zeros(new, dtype=np.int64)])
-        k = np.concatenate([q_k[:cut], np.zeros((new, n), dtype=np.int64)])
-        q_pair, q_level, q_k, fresh = q_pair[cut:], q_level[cut:], q_k[cut:], fresh + new
+        k = np.concatenate([q_k[:, :cut], np.zeros((n, new), dtype=np.int64)], axis=1)
+        q_pair, q_level, q_k, fresh = q_pair[cut:], q_level[cut:], q_k[:, cut:], fresh + new
         src, tgt = pairs[cell_pair].T
         kids, lo, hi, t_lo, t_hi = _split_cells(cubes, src, tgt, level, k, s.cube_width)
         gaps = _image_gaps(f, lo, hi, t_lo, t_hi)
@@ -598,11 +630,11 @@ def _refine_uncertain(
         least = np.minimum.reduceat(np.where(gaps > 0.0, gaps, math.inf), starts)
         closing[active] = np.minimum(closing[active], least)
         open_rows = np.flatnonzero(gaps == 0.0)
-        lo, hi = lo[open_rows, None, :], hi[open_rows, None, :]
-        t_lo, t_hi = t_lo[open_rows], t_hi[open_rows]
-        pts = lo + offsets * (hi - lo)
-        images = eval_points(f, pts.reshape(-1, n)).reshape(pts.shape)
-        clear = _cube_clearances(images, t_lo[:, None, :], t_hi[:, None, :], s.space)
+        lo, hi, t_lo, t_hi = (a.take(open_rows, axis=1) for a in (lo, hi, t_lo, t_hi))
+        lo, hi = lo[..., None], hi[..., None]
+        pts = lo + offsets[:, None] * (hi - lo)
+        images = eval_points(f, pts.reshape(n, -1).T).T.reshape(pts.shape)
+        clear = _cube_clearances(images, t_lo[..., None], t_hi[..., None], s.space)
         hit_rows = np.flatnonzero(np.any(clear >= 0.0, axis=1))
         # Active pair a owns the open rows cuts[a]:cuts[a + 1]; the first
         # hit row at or after cuts[a] is its witness row when it is below
@@ -611,12 +643,15 @@ def _refine_uncertain(
         first = np.searchsorted(hit_rows, cuts[:-1])
         hits = first < np.searchsorted(hit_rows, cuts[1:])
         r, winners = hit_rows[first[hits]], active[hits]
+        owner = pairs[winners, 0]
         _, best, w_clear = _witnesses(
-            pts[r], images[r], lo_all[pairs[winners, 0], None, :],
-            hi_all[pairs[winners, 0], None, :], t_lo[r], t_hi[r], s.space,
+            pts.take(r, axis=1), images.take(r, axis=1), lo_all.take(owner, axis=1)[..., None],
+            hi_all.take(owner, axis=1)[..., None], t_lo.take(r, axis=1), t_hi.take(r, axis=1),
+            s.space,
         )
         for p, q, y, c in zip(
-            winners.tolist(), pts[r, best].tolist(), images[r, best].tolist(), w_clear.tolist()
+            winners.tolist(), pts[:, r, best].T.tolist(), images[:, r, best].T.tolist(),
+            w_clear.tolist(),
         ):
             results[p] = EdgeWitness(tuple(q), tuple(y), c)
         closed = active[cuts[:-1] == cuts[1:]]
@@ -628,7 +663,7 @@ def _refine_uncertain(
         row_pair = np.repeat(cell_pair, fan)[open_rows]
         q_pair = np.concatenate([q_pair, row_pair[on]])
         q_level = np.concatenate([q_level, row_level[on]])
-        q_k = np.concatenate([q_k, kids[open_rows[on]]])
+        q_k = np.concatenate([q_k, kids.take(open_rows[on], axis=1)], axis=1)
     return results
 
 
@@ -656,7 +691,7 @@ def _min_gap_search(f: MapSpec, s: Subdivision, cubes, codes, gaps, row_min: flo
     src, tgt = np.divmod(codes, s.count)
     pair = np.arange(len(codes))
     level = np.zeros(len(codes), dtype=int)
-    k = np.zeros((len(codes), s.n), dtype=int)
+    k = np.zeros((s.n, len(codes)), dtype=int)
     lb = gaps
     dropped = np.full(len(codes), math.inf)
     upper, pops = math.inf, 0
@@ -667,19 +702,26 @@ def _min_gap_search(f: MapSpec, s: Subdivision, cubes, codes, gaps, row_min: flo
         best = np.argpartition(lb, take - 1)[:take]
         rest = np.ones(lb.size, dtype=bool)
         rest[best] = False
-        kids, lo, hi, t_lo, t_hi = _split_cells(
-            cubes, src[pair[best]], tgt[pair[best]], level[best], k[best], s.cube_width
+        kids, *cells = _split_cells(
+            cubes, src[pair[best]], tgt[pair[best]], level[best], k.take(best, axis=1),
+            s.cube_width,
         )
-        bound = np.maximum(_image_gaps(f, lo, hi, t_lo, t_hi), np.repeat(lb[best], fan))
-        upper = min(upper, float(_center_bounds(f, lo, hi, t_lo, t_hi).min()))
+        # The take * 2^n children are bounded _MAX_CELLS at a time; rows
+        # are independent, so the chunks give the bits of one call.
+        image = []
+        for c in range(0, kids.shape[1], _MAX_CELLS):
+            chunk = [a[:, c:c + _MAX_CELLS] for a in cells]
+            image.append(_image_gaps(f, *chunk))
+            upper = min(upper, float(_center_bounds(f, *chunk).min()))
+        bound = np.maximum(np.concatenate(image), np.repeat(lb[best], fan))
         pops += take
         pair = np.concatenate([pair[rest], np.repeat(pair[best], fan)])
         level = np.concatenate([level[rest], np.repeat(level[best] + 1, fan)])
-        k = np.concatenate([k[rest], kids])
+        k = np.concatenate([k.compress(rest, axis=1), kids], axis=1)
         lb = np.concatenate([lb[rest], bound])
         live = lb <= upper
         np.minimum.at(dropped, pair[~live], lb[~live])
-        pair, level, k, lb = pair[live], level[live], k[live], lb[live]
+        pair, level, k, lb = pair[live], level[live], k.compress(live, axis=1), lb[live]
     own = dropped.copy()
     np.minimum.at(own, pair, lb)
     return np.maximum(gaps, np.minimum(own, near_band)), min(float(own.min()), near_band)

@@ -3,7 +3,9 @@
 One box at a time in Python floats: an enclosure summed column by column
 with the same outward nudges, lifts reduced to canonical ``Box`` pieces,
 one ``set_distance_lb`` per piece, one sequential refinement per pair,
-and one plain heap for the minimum gap.  This is how the graph
+and one plain heap for the minimum gap; ``lift``, ``clearance`` and
+``witness`` are the one-point forms of the map, of a point's clearance
+in a box and of the best sample witness.  This is how the graph
 refinement worked before its kernels were batched;
 the tests compare the array kernels in ``cubeshadow.dynamics`` and
 ``cubeshadow.transition`` with it row for row, bit for bit, and check its
@@ -38,6 +40,17 @@ def widen_float(lo: float, hi: float, ulps: int = NUDGE_ULPS) -> tuple[float, fl
         lo = math.nextafter(lo, -math.inf)
         hi = math.nextafter(hi, math.inf)
     return lo, hi
+
+
+def _column(x) -> np.ndarray:
+    """An (n,) point or bound as the (n, 1) column of a coordinate-major batch."""
+    return np.asarray(x, dtype=float)[:, None]
+
+
+def _grid(lo, hi, offsets: np.ndarray) -> np.ndarray:
+    """The (n, samples) sample points lo + offsets * (hi - lo) of one box."""
+    lo, hi = _column(lo), _column(hi)
+    return lo + offsets * (hi - lo)
 
 
 def sin_range(lo: float, hi: float) -> tuple[float, float]:
@@ -98,6 +111,49 @@ def enclose(f, direction: Direction, lo, hi) -> tuple[list[float], list[float]]:
         out_hi = [a + e for a, e in zip(a_hi, r_hi)]
     widened = [widen_float(a, b) for a, b in zip(out_lo, out_hi)]
     return [w[0] for w in widened], [w[1] for w in widened]
+
+
+def lift(f, direction: Direction, x) -> list[float]:
+    """f (or its inverse) at one point, not reduced: A x + b summed column
+    by column, then the sine term, which the inverse reads off A x + b."""
+    parts = map_parts(f, direction)
+    x = [float(v) for v in x]
+    y = [p + c for p, c in zip(_product(parts.a, x), parts.b.tolist())]
+    r = parts.residual
+    if r is not None:
+        u = y if direction is Direction.INVERSE else x
+        y = [v + c * float(np.sin(r.angular * u[src])) for v, c, src in zip(y, r.coef, r.src)]
+    return y
+
+
+def wrap(space: Space, y) -> list[float]:
+    """A lifted point reduced mod 1 into [0, 1) on the torus."""
+    if space is Space.CUBE:
+        return [float(v) for v in y]
+    return [0.0 if v - math.floor(v) == 1.0 else v - math.floor(v) for v in map(float, y)]
+
+
+def clearance(p, lo, hi, space: Space) -> float:
+    """Min distance of p to the boundary of the box [lo, hi], negative
+    outside; on the torus each axis takes its best integer shift."""
+    shifts = (-1.0, 0.0, 1.0) if space is Space.TORUS else (0.0,)
+    return min(
+        max(min((x + t) - a, b - (x + t)) for t in shifts)
+        for x, a, b in zip(map(float, p), map(float, lo), map(float, hi))
+    )
+
+
+def witness(pts, images, src_lo, src_hi, t_lo, t_hi, space: Space) -> tuple[bool, int, float]:
+    """Whether a sample's image lands in the target [t_lo, t_hi], the first
+    sample of greatest min(source clearance, image clearance) among those,
+    and that clearance (0 when none lands or the winner is on a face)."""
+    best, score = 0, -math.inf
+    for k, (p, y) in enumerate(zip(pts, images)):
+        img = clearance(y, t_lo, t_hi, space)
+        value = min(clearance(p, src_lo, src_hi, space), img) if img >= 0.0 else -math.inf
+        if value > score:
+            best, score = k, value
+    return score > -math.inf, best, max(score, 0.0)
 
 
 def split_lift(lift_lo, lift_hi, space: Space) -> list[Box]:
@@ -247,14 +303,15 @@ def refine_pair(f, s, i: int, j: int, offsets: np.ndarray, depth: int):
                 if gap > 0.0:
                     closing = min(closing, gap)
                     continue
-                pts = child.lo_arr + offsets * (child.hi_arr - child.lo_arr)
-                images = eval_points(f, pts)
+                pts = _grid(child.lo_arr, child.hi_arr, offsets)
+                images = eval_points(f, pts.T).T
                 (hit,), (k,), (c,) = _witnesses(
-                    pts, images, src_box.lo_arr, src_box.hi_arr,
-                    jbox.lo_arr[None, :], jbox.hi_arr[None, :], s.space,
+                    pts[:, None], images[:, None], _column(src_box.lo_arr)[:, None],
+                    _column(src_box.hi_arr)[:, None], _column(jbox.lo_arr),
+                    _column(jbox.hi_arr), s.space,
                 )
                 if hit:
-                    return EdgeWitness(tuple(pts[k]), tuple(images[k]), float(c))
+                    return EdgeWitness(tuple(pts[:, k]), tuple(images[:, k]), float(c))
                 surviving.append(child)
         if not surviving:
             return closing
@@ -299,7 +356,9 @@ def cubes_containing_point(subdivision, p):
 
 def _row_dicts(f, s, i, offsets, cubes, e_lo, e_hi):
     """One source cube: witnesses, uncertain targets, near-miss gaps, min gap."""
-    gaps = transition._norm_lb(transition._lift_gaps(e_lo, e_hi, *cubes, s.space))
+    gaps = transition._norm_lb(
+        transition._lift_gaps(_column(e_lo), _column(e_hi), *cubes, s.space)
+    )
     row_wit, row_unc, row_gaps, row_min = {}, set(), {}, math.inf
     empties = np.flatnonzero(gaps > 0.0)
     if empties.size:
@@ -309,14 +368,15 @@ def _row_dicts(f, s, i, offsets, cubes, e_lo, e_hi):
     candidates = np.flatnonzero(gaps == 0.0)
     if candidates.size:
         lo_all, hi_all = cubes
-        pts = lo_all[i] + offsets * (hi_all[i] - lo_all[i])
-        images = eval_points(f, pts)
+        pts = _grid(lo_all[:, i], hi_all[:, i], offsets)
+        images = eval_points(f, pts.T).T
         hit, best, clear = _witnesses(
-            pts, images, lo_all[i], hi_all[i], lo_all[candidates], hi_all[candidates], s.space
+            pts[:, None], images[:, None], lo_all[:, i, None, None], hi_all[:, i, None, None],
+            lo_all[:, candidates], hi_all[:, candidates], s.space,
         )
         for j, h, k, c in zip(candidates.tolist(), hit, best, clear):
             if h:
-                row_wit[(i, j)] = EdgeWitness(tuple(pts[k]), tuple(images[k]), float(c))
+                row_wit[(i, j)] = EdgeWitness(tuple(pts[:, k]), tuple(images[:, k]), float(c))
             else:
                 row_unc.add(j)
     return row_wit, row_unc, row_gaps, row_min
@@ -325,11 +385,13 @@ def _row_dicts(f, s, i, offsets, cubes, e_lo, e_hi):
 def _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps) -> None:
     """Populate rows 1.. from row 0 by exact grid translation, pair by pair."""
     w = s.cube_width
+    # Coordinate-major (n, count) multi-indices and their shifts A i.
     multis = s.multi_indices()
-    shifts = multis @ index_matrix.T
+    shifts = index_matrix @ multis
 
     def row_targets(base_j):
-        return (multis[base_j][None, :, :] + shifts[:, None, :]) % s.side
+        """(n, count, len(base_j)) multi-indices of the targets j0 + A i."""
+        return (multis[:, None, base_j] + shifts[:, :, None]) % s.side
 
     base = sorted(witnesses.items())
     base_unc = sorted({j for (_, j) in uncertain})
@@ -338,9 +400,10 @@ def _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps) -> Non
         tgt_multi = row_targets([j for (_, j), _ in base])
         tgt_flat = s.flat_indices(tgt_multi)
         base_pts = np.array([wit.point for _, wit in base])
-        pts = base_pts[None, :, :] + (multis * w)[:, None, :]
-        images = eval_points(f, pts.reshape(-1, s.n)).reshape(pts.shape)
-        src_lo = (multis * w)[:, None, :]
+        # Coordinate-major (n, count, len(base)) points, images and bounds.
+        src_lo = (multis * w)[:, :, None]
+        pts = base_pts.T[:, None, :] + src_lo
+        images = eval_points(f, pts.reshape(s.n, -1).T).T.reshape(pts.shape)
         dst_lo = tgt_multi * w
         clear = np.minimum(
             transition._cube_clearances(pts, src_lo, src_lo + w, s.space),
@@ -353,7 +416,7 @@ def _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps) -> Non
                 if c < 0.0:
                     uncertain.add(pair)
                     continue
-                witnesses[pair] = EdgeWitness(tuple(pts[i, k]), tuple(images[i, k]), c)
+                witnesses[pair] = EdgeWitness(tuple(pts[:, i, k]), tuple(images[:, i, k]), c)
     for j0 in base_unc:
         targets = s.flat_indices(row_targets([j0]))[:, 0].tolist()
         uncertain.update((i, targets[i]) for i in range(1, s.count))
@@ -372,7 +435,7 @@ def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
     witnesses, uncertain, empty_gaps, min_empty_gap = {}, set(), {}, math.inf
     index_matrix = transition.equivariant_index_matrix(f, s)
     rows = [0] if index_matrix is not None else list(range(s.count))
-    e_lo, e_hi = eval_box(f, Direction.FORWARD, cubes[0][rows], cubes[1][rows])
+    e_lo, e_hi = eval_box(f, Direction.FORWARD, cubes[0][:, rows].T, cubes[1][:, rows].T)
     computed = [
         (i, *_row_dicts(f, s, i, offsets, cubes, e_lo[r], e_hi[r])) for r, i in enumerate(rows)
     ]

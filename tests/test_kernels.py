@@ -1,8 +1,8 @@
 """The batched interval kernels against the scalar reference and mpmath.
 
 Each array kernel must give, row for row, the bits of the one-box-at-a-time
-reference in ``scalar_reference``; the enclosure must also contain the map
-evaluated at 60 digits.
+reference in ``scalar_reference``, from C-order, F-order and strided inputs
+alike; the enclosure must also contain the map evaluated at 60 digits.
 """
 
 from __future__ import annotations
@@ -20,7 +20,17 @@ from hypothesis import strategies as st
 import scalar_reference as ref
 from cubeshadow import transition
 from cubeshadow._intervals import _SMALL_NUDGE, nudge_down, nudge_up, sin_range
-from cubeshadow.dynamics import Direction, builtin_map, eval_box, map_parts
+from cubeshadow.dynamics import (
+    Direction,
+    builtin_map,
+    eval_box,
+    eval_point,
+    eval_points,
+    lift_points,
+    map_parts,
+    residual_range,
+)
+from cubeshadow.errors import InvalidMapError
 from cubeshadow.geometry import Box, Space, make_subdivision
 
 MAPS = [
@@ -166,15 +176,15 @@ def test_enclosure_rows_match_scalar_reference(descriptor, space, data):
 def test_image_gap_and_center_bound_match_scalar_reference(descriptor, space, data):
     f = builtin_map(descriptor, space)
     lo, hi, t_lo, t_hi = data.draw(_cells(f.n))
-    gaps = transition._image_gaps(f, lo, hi, t_lo, t_hi)
-    centers = transition._center_bounds(f, lo, hi, t_lo, t_hi)
+    gaps = transition._image_gaps(f, lo.T, hi.T, t_lo.T, t_hi.T)
+    centers = transition._center_bounds(f, lo.T, hi.T, t_lo.T, t_hi.T)
     for r in range(len(lo)):
         cell = Box(tuple(lo[r]), tuple(hi[r]), space)
         target = Box(tuple(t_lo[r]), tuple(t_hi[r]), space)
         assert _bits(gaps[r]) == _bits(ref.image_gap(f, cell, target))
         assert _bits(centers[r]) == _bits(ref.center_bound(f, cell, target))
     reps = _tiles(len(lo))
-    big = [np.tile(a, (reps, 1)) for a in (lo, hi, t_lo, t_hi)]
+    big = [np.tile(a, (reps, 1)).T for a in (lo, hi, t_lo, t_hi)]
     assert _bits(transition._image_gaps(f, *big)) == _bits(np.tile(gaps, reps))
     assert _bits(transition._center_bounds(f, *big)) == _bits(np.tile(centers, reps))
 
@@ -195,12 +205,128 @@ def test_child_split_matches_scalar_reference(n, m, depth, data):
     lo = [a + kk * size for a, kk in zip(src.lo, k)]
     cell = Box(tuple(lo), tuple(a + size for a in lo), Space.TORUS)
     kids, c_lo, c_hi, t_lo, t_hi = transition._split_cells(
-        transition._cube_bounds(s), [i], [j], [depth], np.array([k]), s.cube_width
+        transition._cube_bounds(s), [i], [j], [depth], np.array([k]).T, s.cube_width
     )
     for r, child in enumerate(ref.split_box(cell)):
-        assert _bits(c_lo[r]) == _bits(child.lo) and _bits(c_hi[r]) == _bits(child.hi)
-        assert list(kids[r]) == [2 * kk + ((r >> a) & 1) for a, kk in enumerate(k)]
-        assert _bits(t_lo[r]) == _bits(s.box(j).lo) and _bits(t_hi[r]) == _bits(s.box(j).hi)
+        assert _bits(c_lo[:, r]) == _bits(child.lo) and _bits(c_hi[:, r]) == _bits(child.hi)
+        assert list(kids[:, r]) == [2 * kk + ((r >> a) & 1) for a, kk in enumerate(k)]
+        assert _bits(t_lo[:, r]) == _bits(s.box(j).lo) and _bits(t_hi[:, r]) == _bits(s.box(j).hi)
+
+
+def _layouts(x) -> list[np.ndarray]:
+    """x as a C-order array, an F-order array and a strided view, the
+    three memory layouts every batch kernel must take."""
+    x = np.asarray(x)
+    every_other = tuple(slice(None, None, 2) for _ in x.shape)
+    big = np.zeros(tuple(2 * d for d in x.shape), dtype=x.dtype)
+    big[every_other] = x
+    return [np.ascontiguousarray(x), np.asfortranarray(x), big[every_other]]
+
+
+@pytest.mark.parametrize("descriptor, space", MAPS, ids=[m[0] for m in MAPS])
+@given(data=st.data())
+def test_evaluators_take_every_layout(descriptor, space, data):
+    # eval_box, lift_points and eval_points give the scalar reference's
+    # rows whatever the memory layout of their (k, n) inputs, and
+    # eval_point gives the bits of the batch row of its point.
+    f = builtin_map(descriptor, space)
+    lo, hi = data.draw(_lifts(f.n))
+    for direction in _directions(f):
+        boxes = [ref.enclose(f, direction, a, b) for a, b in zip(lo, hi)]
+        lifts = [ref.lift(f, direction, x) for x in lo]
+        for x_lo, x_hi in zip(_layouts(lo), _layouts(hi)):
+            out_lo, out_hi = eval_box(f, direction, x_lo, x_hi)
+            assert out_lo.shape == out_hi.shape == lo.shape
+            assert _bits(out_lo) == _bits([b[0] for b in boxes])
+            assert _bits(out_hi) == _bits([b[1] for b in boxes])
+            out = lift_points(f, direction, x_lo)
+            assert out.shape == lo.shape and _bits(out) == _bits(lifts)
+        for x, y in zip(lo, lifts):
+            assert _bits(eval_point(f, direction, x)) == _bits(ref.wrap(space, y))
+    forward = [ref.wrap(space, ref.lift(f, Direction.FORWARD, y)) for y in lo]
+    for x in _layouts(lo):
+        batch = eval_points(f, x)
+        assert _bits(batch) == _bits(forward)
+        for r in range(len(lo)):
+            assert _bits(eval_point(f, Direction.FORWARD, lo[r])) == _bits(batch[r])
+    # Bounds of any other shape are refused, not read as other boxes: a
+    # (k, m, n) stack, rows of the wrong width, and (for n > 1) the
+    # coordinates of the batch as one column.
+    bad = [lo[None], np.zeros((2, f.n + 1)), np.zeros(f.n + 1)]
+    bad += [lo.reshape(-1, 1)] if f.n > 1 else []
+    for x in bad:
+        with pytest.raises(InvalidMapError):
+            eval_box(f, Direction.FORWARD, x, x)
+        if map_parts(f, Direction.FORWARD).residual is not None:
+            with pytest.raises(InvalidMapError):
+                residual_range(f, Direction.FORWARD, x, x)
+
+
+@pytest.mark.parametrize("descriptor, space", MAPS, ids=[m[0] for m in MAPS])
+@given(data=st.data())
+def test_graph_kernels_take_every_layout(descriptor, space, data):
+    # The coordinate-major (n, ...) kernels of the graph path give the
+    # scalar reference's rows from C-order, F-order and strided inputs:
+    # image gaps and center bounds per cell, then a 3 x ... x 3 sample
+    # grid of every cell, its images' clearances to the cell's target,
+    # and the best witness among them.
+    f = builtin_map(descriptor, space)
+    lo, hi, t_lo, t_hi = data.draw(_cells(f.n))
+    cells = [Box(tuple(a), tuple(b), space) for a, b in zip(lo, hi)]
+    targets = [Box(tuple(a), tuple(b), space) for a, b in zip(t_lo, t_hi)]
+    offsets = transition._sample_offsets(f.n, 3)
+    pts = lo.T[:, :, None] + offsets[:, None, :] * (hi - lo).T[:, :, None]
+    images = eval_points(f, pts.reshape(f.n, -1).T).T.reshape(pts.shape)
+    clear = [[ref.clearance(y, a, b, space) for y in ys.T] for ys, a, b in
+             zip(images.transpose(1, 0, 2), t_lo, t_hi)]
+    best = [ref.witness(ps.T, ys.T, a, b, c, d, space) for ps, ys, a, b, c, d in
+            zip(pts.transpose(1, 0, 2), images.transpose(1, 0, 2), lo, hi, t_lo, t_hi)]
+    for c_lo, c_hi, g_lo, g_hi, ps, ys in zip(*(_layouts(a) for a in (
+        lo.T, hi.T, t_lo.T, t_hi.T, pts, images
+    ))):
+        gaps = transition._image_gaps(f, c_lo, c_hi, g_lo, g_hi)
+        centers = transition._center_bounds(f, c_lo, c_hi, g_lo, g_hi)
+        assert _bits(gaps) == _bits([ref.image_gap(f, c, t) for c, t in zip(cells, targets)])
+        assert _bits(centers) == _bits([ref.center_bound(f, c, t) for c, t in zip(cells, targets)])
+        got = transition._cube_clearances(ys, g_lo[..., None], g_hi[..., None], space)
+        assert _bits(got) == _bits(clear)
+        hit, k, c = transition._witnesses(
+            ps, ys, c_lo[..., None], c_hi[..., None], g_lo, g_hi, space
+        )
+        assert [(bool(h), int(i), v) for h, i, v in zip(hit, k, _bits(c))] == [
+            (h, i, float(v).hex()) for h, i, v in best
+        ]
+
+
+@given(n=st.integers(1, 3), data=st.data())
+def test_child_split_takes_every_layout(n, data):
+    # Cells at mixed depths, addressed by (n, cells) arrays in each
+    # layout, from cube bounds in each layout, split into the scalar
+    # reference's halves.
+    s = make_subdivision(n, 2, Space.TORUS)
+    count = data.draw(st.integers(1, 4))
+    src = [data.draw(st.integers(0, s.count - 1)) for _ in range(count)]
+    tgt = [data.draw(st.integers(0, s.count - 1)) for _ in range(count)]
+    level = [data.draw(st.integers(0, 8)) for _ in range(count)]
+    k = np.array([[data.draw(st.integers(0, (1 << d) - 1)) for _ in range(n)] for d in level]).T
+    halves = []
+    for r in range(count):
+        size = s.cube_width / (1 << level[r])
+        a = [c + kk * size for c, kk in zip(s.box(src[r]).lo, k[:, r])]
+        halves += ref.split_box(Box(tuple(a), tuple(c + size for c in a), Space.TORUS))
+    cube_lo, cube_hi = transition._cube_bounds(s)
+    for c_lo, c_hi, addresses in zip(_layouts(cube_lo), _layouts(cube_hi), _layouts(k)):
+        kids, lo, hi, t_lo, t_hi = transition._split_cells(
+            (c_lo, c_hi), src, tgt, level, addresses, s.cube_width
+        )
+        assert _bits(lo.T) == _bits([h.lo for h in halves])
+        assert _bits(hi.T) == _bits([h.hi for h in halves])
+        fan = 1 << n
+        want = [2 * k[a, r // fan] + ((r % fan) >> a & 1)
+                for r in range(count * fan) for a in range(n)]
+        assert kids.T.ravel().tolist() == want
+        assert _bits(t_lo.T) == _bits([s.box(j).lo for j in tgt for _ in range(fan)])
+        assert _bits(t_hi.T) == _bits([s.box(j).hi for j in tgt for _ in range(fan)])
 
 
 def _exact_image(f, direction: Direction, x) -> list:

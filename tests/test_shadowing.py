@@ -226,9 +226,14 @@ def test_known_itinerary_naming_no_cube_is_refused(bad):
 
 # --- covering chains ---------------------------------------------------------
 
+def _errors(f, p):
+    """p's step errors from one lift, as a shadow request passes them."""
+    return shadowing._step_errors(f, p, shadowing._step_lift(f, p))
+
+
 def test_step_chain_certifies_every_step():
     p = noisy_orbit()
-    chain = step_chain(CAT, p)
+    chain = step_chain(CAT, p, _errors(CAT, p))
     assert len(chain.rectangles) == 61
     assert len(chain.certificates) == 60
     for cert in chain.certificates:
@@ -254,7 +259,7 @@ def test_batched_step_chain_rows_match_single_checks(kind, periodic, seed, steps
         p = pseudo_orbit(f, points, 0.01, periodic=2)
     else:
         p = generate_pseudo_orbit(f, tuple(rng.random(2)), 1e-4, steps, UniformNoise(seed))
-    chain = step_chain(f, p)
+    chain = step_chain(f, p, _errors(f, p))
     rects = chain.rectangles
     pairs = list(zip(rects, rects[1:] + rects[:1] if periodic else rects[1:]))
     cfg = CoveringConfig(min_margin=1e-12)
@@ -282,7 +287,7 @@ def test_step_chain_array_rows_match_rebuilt_rectangles(kind, periodic, seed, st
         p = pseudo_orbit(f, points, 0.01, periodic=2)
     else:
         p = generate_pseudo_orbit(f, tuple(rng.random(2)), 1e-4, steps, UniformNoise(seed))
-    chain = step_chain(f, p)
+    chain = step_chain(f, p, _errors(f, p))
     rects = [Rectangle(Box(tuple(a), tuple(b), p.space), chain.frame)
              for a, b in zip(chain.lo.tolist(), chain.hi.tolist())]
     pairs = zip(rects, rects[1:] + rects[:1] if periodic else rects[1:])
@@ -324,7 +329,7 @@ def test_columnar_chain_off_the_cube_raises_the_box_error():
     f = builtin_map(_CORNER, "cube")
     p = generate_pseudo_orbit(f, (0.9999, 0.0001), 1e-4, 3, UniformNoise(3))
     with pytest.raises(ValueError, match=r"^box coordinates must lie within \[0, 1\]$"):
-        step_chain(f, p)
+        step_chain(f, p, _errors(f, p))
 
 
 @pytest.mark.parametrize(
@@ -384,7 +389,7 @@ def test_step_chain_needs_hyperbolicity():
     ident = identity_map(2)
     p = generate_pseudo_orbit(ident, (0.5, 0.5), 0.01, 10, Drift((1.0, 0.0)))
     with pytest.raises(UncertifiedTransitionError):
-        step_chain(ident, p)
+        step_chain(ident, p, _errors(ident, p))
 
 
 # --- shadowing a noisy orbit -------------------------------------------------
@@ -663,7 +668,8 @@ def test_eigen_cell_survives_interval_propagation(n_steps, seed):
     r = shadowing._RADIUS_FACTOR * p.delta
     eig = eigen_directions(CAT)
     assert eig is not None
-    lo, hi, splits = _bisect_cell(CAT, p, r, eig)
+    errors = _errors(CAT, p)
+    lo, hi, splits = _bisect_cell(CAT, p, r, eig, errors)
     assert splits > 0
     assert _tube_survival(CAT, p, r)(lo, hi)
 
@@ -673,7 +679,8 @@ def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2, monkeypatch):
     # Box wider than one period and raise ValueError.
     _, g, cert = perturbed_m2
     p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 5, UniformNoise(0))
-    lo, hi, splits = _bisect_cell(PERTURBED, p, 0.6, None)
+    errors = _errors(PERTURBED, p)
+    lo, hi, splits = _bisect_cell(PERTURBED, p, 0.6, None, errors)
     assert splits > 0
     assert all(0.0 <= b - a < 1e-9 for a, b in zip(lo, hi))
     Box(tuple(lo), tuple(hi), Space.TORUS)
