@@ -577,12 +577,14 @@ class FailureReport:
         }
 
 
+@functools.lru_cache(maxsize=64)
 def expansion_frame(f: MapSpec) -> tuple[np.ndarray, np.ndarray] | None:
     """Orthonormal frame rows sorted by decreasing |eigenvalue| of Df.
 
     None when the spectrum is complex: the restricted rectangle charts
     have nothing to align to. For non-symmetric derivatives the rows are
     the orthonormalized eigenbasis, expansion direction kept exact.
+    Cached per map, so both arrays are read-only.
     """
     d = jacobian(f, (0.5,) * f.n)
     vals, vecs = np.linalg.eig(d)
@@ -596,7 +598,9 @@ def expansion_frame(f: MapSpec) -> tuple[np.ndarray, np.ndarray] | None:
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     q = q * signs
-    return q.T, vals[order]
+    rows, vals = q.T, vals[order]
+    rows.flags.writeable = vals.flags.writeable = False
+    return rows, vals
 
 
 def frame_coupling(f: MapSpec, rows: np.ndarray) -> float:

@@ -143,6 +143,11 @@ def test_expansion_frame_of_cat():
     a = np.array([[2, 1], [1, 1]], dtype=float)
     for row, lam in zip(rows, vals):
         assert np.allclose(a @ row, lam * row, atol=1e-12)
+    # Cached per map: the same read-only arrays on every call.
+    assert expansion_frame(CAT) is expansion_frame(CAT)
+    for arr in (rows, vals):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_cat_single_anchored_edge():

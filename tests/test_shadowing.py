@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 from fractions import Fraction
 
@@ -21,6 +23,7 @@ from cubeshadow.covering import (
     check_coverings,
     expansion_frame,
 )
+import fraction_reference
 import scalar_reference as ref
 from cubeshadow.dynamics import (
     Direction,
@@ -570,6 +573,95 @@ def test_exact_shadow_artifacts_are_pinned():
     assert hashlib.sha256(body.encode()).hexdigest() == (
         "db303aec84284fe29aff9da77b6d540c4870de55fada5cc1deca1bfca31c8047"
     )
+
+
+def _two_cycle():
+    p = pseudo_orbit(CAT, [(0.2 + 8e-4, 0.4 - 5e-4), (0.8 - 3e-4, 0.6 + 6e-4)], 0.01, periodic=2)
+    return p, periodic_shadow(CAT, p, CERT3, eps=0.05, g=G3)
+
+
+def _splice():
+    step = exact_step(CAT, Direction.FORWARD)
+
+    def segment(x0, length):
+        seg, x = [], x0
+        for _ in range(length):
+            seg.append(tuple(float(v) for v in x))
+            x = step.apply(x)
+        return seg
+
+    segments = [segment((Fraction(1, 7), Fraction(2, 7)), 4),
+                segment((Fraction(5, 9), Fraction(7, 9)), 4)]
+    p = specification_splice(CAT, G3, segments, gap=8)
+    return p, periodic_shadow(CAT, p, CERT3, eps=0.2, g=G3)
+
+
+def _noisy_shadow():
+    p = noisy_orbit()
+    return p, shadow(CAT, p, CERT3, eps=0.01, g=G3)
+
+
+def _reference_csv(p, point):
+    # csv.writer's rendering of an independent Fraction walk of point.
+    orbit = fraction_reference.true_orbit(CAT, point, p.lo, p.hi)
+    errors = fraction_reference.window_errors(p, orbit)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["k", "y_1", "y_2", "x_1", "x_2", "err"])
+    for k, y, x, err in zip(itertools.count(p.lo), p.points, orbit, errors):
+        writer.writerow([k, *(repr(float(v)) for v in (*y, *x, err))])
+    return buf.getvalue()
+
+
+def _count_walks(monkeypatch):
+    calls = []
+    for name in ("_orbit", "_window_errors"):
+        real = getattr(shadowing, name)
+        monkeypatch.setattr(
+            shadowing, name, lambda *a, _n=name, _f=real: calls.append(_n) or _f(*a)
+        )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "request_", [_noisy_shadow, _two_cycle, _splice], ids=["shadow", "periodic", "splice"]
+)
+def test_orbit_csv_is_the_fraction_reference_profile(request_, monkeypatch):
+    # The CSV is the profile the request measured, written without a walk;
+    # it must equal, byte for byte, the rendering of the Fraction walk.
+    p, res = request_()
+    assert res.exact
+    calls = _count_walks(monkeypatch)
+    text = orbit_csv(CAT, p, res)
+    assert calls == []
+    assert text == _reference_csv(p, res.point)
+
+
+def test_verify_shadow_walks_once_and_never_reads_the_measured_profile(monkeypatch):
+    p, res = _noisy_shadow()
+    orbit, errors = shadowing._profile(CAT, p, res.point)
+    edited = (orbit, tuple(2.0 * e for e in errors))
+    monkeypatch.setattr(shadowing, "_MEASURED", [((CAT, p, res.point), edited)])
+    assert orbit_csv(CAT, p, res) != _reference_csv(p, res.point)  # reads the edit
+    calls = _count_walks(monkeypatch)
+    rep = verify_shadow(CAT, res.point, p, 0.01)
+    assert calls == ["_orbit", "_window_errors"]
+    assert list(rep.errors) == fraction_reference.window_errors(
+        p, fraction_reference.true_orbit(CAT, res.point, p.lo, p.hi)
+    )
+    assert rep.errors == errors
+
+
+def test_orbit_csv_walks_for_a_profile_no_request_measured(monkeypatch):
+    # A result read back from JSON, or another window of the pseudo-orbit,
+    # is not what the request measured: orbit_csv walks it afresh.
+    p, res = _noisy_shadow()
+    back = shadow_result_from_json(json.loads(json.dumps(res.to_json())))
+    shorter = pseudo_orbit(CAT, p.points[1:-1], p.delta, lo=p.lo + 1)
+    calls = _count_walks(monkeypatch)
+    assert orbit_csv(CAT, p, back) == _reference_csv(p, res.point)
+    assert orbit_csv(CAT, shorter, res) == _reference_csv(shorter, res.point)
+    assert calls == ["_orbit", "_window_errors"] * 2
 
 
 # --- the float path (trigonometric kinds) ------------------------------------
