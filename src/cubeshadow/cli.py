@@ -60,6 +60,7 @@ from .shadowing import (
     RoundToGrid,
     UniformNoise,
     _ball_point,
+    chain_box,
     generate_pseudo_orbit,
     orbit_csv,
     periodic_shadow,
@@ -644,8 +645,15 @@ def _verify_shadow_file(run: Run, data: dict) -> int:
     p = pseudo_orbit_from_json(data["orbit"])
     result = shadow_result_from_json(data["result"])
     eps = json_value("eps", data["eps"])
-    report = verify_shadow(f, result.point, p, eps)
     stored_ok = json_value("verify ok", json_value("verify", data["verify"], dict)["ok"], bool)
+    box, stored_box = chain_box(f, p), result.surviving_box
+    if repr(box) != repr(stored_box):  # a float's repr tells every bit apart
+        print(
+            f"verify: rebuilt surviving box {box.lo} .. {box.hi} DISAGREES with "
+            f"stored {stored_box.lo} .. {stored_box.hi}"
+        )
+        return EXIT_CERTIFICATION
+    report = verify_shadow(f, result.point, p, eps)
     if report.ok != stored_ok:
         print(
             f"verify: recomputed verdict {report.ok} DISAGREES with stored "

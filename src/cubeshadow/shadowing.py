@@ -23,6 +23,7 @@ from operator import mul
 
 import numpy as np
 
+from ._intervals import widen
 from .covering import (
     ChainedCertificate,
     CoveringCertificate,
@@ -431,15 +432,24 @@ class StepChain:
     space: Space
     strips: StripRows
 
+    def rectangle(self, k: int) -> Rectangle:
+        """The rectangle of stored point k."""
+        return Rectangle(Box(self.lo[k].tolist(), self.hi[k].tolist(), self.space), self.frame)
+
     @property
     def rectangles(self) -> tuple[Rectangle, ...]:
-        pairs = zip(self.lo.tolist(), self.hi.tolist())
-        return tuple(Rectangle(Box(a, b, self.space), self.frame) for a, b in pairs)
+        return tuple(self.rectangle(k) for k in range(len(self.lo)))
 
     @property
     def certificates(self) -> tuple[CoveringCertificate, ...]:
         rects = self.rectangles  # an open chain has one strip row fewer
         return tuple(self.strips.results(rects, rects[1:] + rects[:1]))
+
+
+def _project(rows: np.ndarray, defects: np.ndarray) -> np.ndarray:
+    """rows[i] @ defects[k] for all i, k: stacked 1 x n by n x 1 products,
+    each taking the vector-dot path of ``row @ d``, so with its bits."""
+    return np.matmul(defects[None, :, None, :], rows[:, None, :, None])[..., 0, 0]
 
 
 def _chain_half_widths(
@@ -523,7 +533,25 @@ def step_chain(f: MapSpec, p: PseudoOrbit, errors: np.ndarray) -> StepChain:
     return StepChain(lo, hi, frame, p.space, found)
 
 
-# --- bisection localizer ----------------------------------------------------
+# --- the surviving box and the float localizer ------------------------------
+
+def chain_box(f: MapSpec, p: PseudoOrbit, lift=None) -> Box:
+    """The surviving box of a shadow request: the axis hull of its verified
+    step chain's time-0 rectangle, widened outward and, on the cube, cut
+    to [0, 1].
+
+    The chain (``step_chain``, sized by the step errors of ``lift``, the
+    request's ``_step_lift`` of p, made here when not given) forces a true
+    orbit through every one of its rectangles.
+    """
+    lift = _step_lift(f, p) if lift is None else lift
+    rect = step_chain(f, p, _step_errors(f, p, lift)).rectangle(-p.lo)
+    centre, half = np.array(rect.center), rect.ambient_bounding_halfwidths()
+    lo, hi = widen(centre - half, centre + half)
+    if p.space is Space.CUBE:
+        lo, hi = np.clip(lo, 0.0, 1.0), np.clip(hi, 0.0, 1.0)
+    return Box(lo.tolist(), hi.tolist(), p.space)
+
 
 def _window_times(f: MapSpec, p: PseudoOrbit) -> tuple[list[int], list[int]]:
     """Constraint times for localization around time 0 (cyclic twice over)."""
@@ -533,94 +561,6 @@ def _window_times(f: MapSpec, p: PseudoOrbit) -> tuple[list[int], list[int]]:
         bwd = list(range(-1, -span - 1, -1)) if f.invertible else []
         return fwd, bwd
     return list(range(1, p.hi + 1)), list(range(-1, p.lo - 1, -1))
-
-
-def _interval_dot(rows: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Ranges of every row functional over every box [lo[k], hi[k]]."""
-    a, b = rows[:, None, :] * lo, rows[:, None, :] * hi
-    return np.minimum(a, b).sum(axis=-1), np.maximum(a, b).sum(axis=-1)
-
-
-def _tube(p: PseudoOrbit, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Deviation bounds from every y_k: [-r, r], cut to the unit cube; one
-    row per stored point, or one row for all of them on the torus."""
-    g_lo, g_hi = np.full((1, p.n), -r), np.full((1, p.n), r)
-    if p.space is Space.CUBE:
-        pts = np.asarray(p.points, dtype=float)
-        g_lo, g_hi = np.maximum(g_lo, -pts), np.minimum(g_hi, 1.0 - pts)
-    return g_lo, g_hi
-
-
-def _project(rows: np.ndarray, defects: np.ndarray) -> np.ndarray:
-    """rows[i] @ defects[k] for all i, k: stacked 1 x n by n x 1 products,
-    each taking the vector-dot path of ``row @ d``, so with its bits."""
-    return np.matmul(defects[None, :, None, :], rows[:, None, :, None])[..., 0, 0]
-
-
-def _eigen_bands(
-    f: MapSpec,
-    p: PseudoOrbit,
-    r: float,
-    eig: EigenDirections,
-    errors: np.ndarray,
-    g0_lo: np.ndarray,
-    g0_hi: np.ndarray,
-) -> tuple:
-    """Sharp survival test in the eigenframe of an exactly-affine 2D map.
-
-    In eigen coordinates the deviation from the pseudo-orbit obeys two
-    decoupled scalar affine recursions, so the tube constraint at each
-    time pulls back to an exact interval condition on the time-0
-    coordinates: no interval wrapping, pruning stays informative at
-    every depth.  Forward constraints pin the expanding coordinate,
-    backward ones the contracting coordinate; the opposite pullbacks
-    only widen and are dropped.  ``errors`` are p's step errors (see
-    ``_step_errors``), and [g0_lo, g0_hi] is the time-0 tube as
-    deviations from y_0.  Returns the basis, the feasible box and the
-    initial cell, both as (lo, hi) in (u, s) coordinates;
-    NoSurvivingCellError when nothing is feasible.
-    """
-    basis = np.array(
-        [[float(v) for v in eig.row_u], [float(v) for v in eig.row_s]]
-    ).T
-    functionals = np.linalg.inv(basis)
-    incompatible = NoSurvivingCellError(
-        "tracking tube constraints are incompatible; no orbit survives",
-        deepest_surviving_depth=0,
-    )
-    if np.any(g0_lo > g0_hi):
-        raise incompatible
-    # The stored slot of y_k and of the defect e_k of the step k -> k+1.
-    size = len(p.points)
-    slot = (lambda k: k % size) if p.periodic is not None else (lambda k: k - p.lo)
-    proj = _project(functionals, errors).tolist()
-    t_lo, t_hi = (np.broadcast_to(b, (2, size)).tolist()
-                  for b in _interval_dot(functionals, *_tube(p, r)))
-    cell = list(zip(*(b[:, 0].tolist()
-                      for b in _interval_dot(functionals, g0_lo[None], g0_hi[None]))))
-    band = []
-    # u_k = lam_u^k u_0 + c_k with c_{k+1} = lam_u c_k + <l_u, e_k>;
-    # s_{-k} = lam_s^-k s_0 + c_k with c_{k-1} = (c_k - <l_s, e_{k-1}>)/lam_s
-    lams = (float(eig.lam_u), float(eig.lam_s))
-    for i, ((lo, hi), lam, times) in enumerate(zip(cell, lams, _window_times(f, p))):
-        coef, c = 1.0, 0.0
-        for k in times:
-            if k > 0:
-                c = lam * c + proj[i][slot(k - 1)]
-                coef *= lam
-            else:
-                c = (c - proj[i][slot(k)]) / lam
-                coef /= lam
-            if not math.isfinite(coef) or abs(coef) > 1e120:
-                break
-            b_lo, b_hi = t_lo[i][slot(k)], t_hi[i][slot(k)]
-            lo_k, hi_k = sorted(((b_lo - c) / coef, (b_hi - c) / coef))
-            pad = 1e-12 * (abs(lo_k) + abs(hi_k)) + 1e-17
-            lo, hi = max(lo, lo_k - pad), min(hi, hi_k + pad)
-            if lo > hi:
-                raise incompatible
-        band.append((lo, hi))
-    return basis, tuple(zip(*band)), tuple(zip(*cell))
 
 
 def _tube_survival(f: MapSpec, p: PseudoOrbit, r: float):
@@ -653,8 +593,30 @@ def _tube_survival(f: MapSpec, p: PseudoOrbit, r: float):
     return survives
 
 
-def _bisect(lo: list[float], hi: list[float], survives):
-    """Halve the widest axis of [lo, hi], keeping a half that survives."""
+def _tube_radius(p: PseudoOrbit) -> float:
+    """The tracking tube radius that the float localizer bisects against."""
+    return _RADIUS_FACTOR * max(p.delta, _DELTA_FLOOR)
+
+
+def _bisect_cell(f: MapSpec, p: PseudoOrbit, r: float) -> tuple[list[float], list[float], int]:
+    """Refine the time-0 tube [y_0 +- r] against the window's tracking tubes.
+
+    A cell survives while its interval orbit meets every tube [y_k +- r]
+    (``_tube_survival``: forward images for k > 0, inverse images for
+    k < 0, cyclically extended twice over for periodic orbits); interval
+    wrapping blurs that test but never unsoundly prunes.  Each split
+    halves the widest axis and keeps a surviving half.  Returns the cell
+    and the number of splits that carved it; only the float shadow points
+    start from it.
+    """
+    y0 = np.asarray(p.point(0), dtype=float)
+    if p.space is Space.CUBE:  # the tube cut to the unit cube
+        lo, hi = y0 + np.maximum(-r, -y0), y0 + np.minimum(r, 1.0 - y0)
+    else:
+        # A tube of radius 1/2 or more wraps the circle; one period
+        # around y_0 holds a lift of every point in it.
+        lo, hi = y0 - min(r, 0.5), y0 + min(r, 0.5)
+    lo, hi, survives = lo.tolist(), hi.tolist(), _tube_survival(f, p, r)
     if not survives(lo, hi):
         raise NoSurvivingCellError(
             "tracking tube is empty at the requested radius",
@@ -680,54 +642,6 @@ def _bisect(lo: list[float], hi: list[float], survives):
             break
         splits += 1
     return lo, hi, splits
-
-
-def _bisect_cell(
-    f: MapSpec,
-    p: PseudoOrbit,
-    r: float,
-    eig: EigenDirections | None,
-    errors: np.ndarray,
-) -> tuple[list[float], list[float], int]:
-    """Refine the time-0 cell against the window's tracking tubes.
-
-    A cell survives while its orbit enclosure meets every tube
-    [y_k +- r]: forward images for k > 0, inverse images for k < 0
-    (cyclically extended twice over for periodic orbits, which pins both
-    eigendirections around the loop).  One bisection, two survival
-    tests: maps with an eigen frame ``eig`` (the exactly-affine 2D maps)
-    get the sharp eigenframe test, which reads p's step ``errors``, and
-    the final eigen cell is mapped back
-    to its axis hull; other kinds fall back to stepwise interval
-    propagation, whose wrapping blurs but never unsoundly prunes.
-    """
-    # The time-0 tube as deviations from y_0, cut to the unit cube once
-    # for both tests.
-    y0 = np.asarray(p.point(0), dtype=float)
-    g_lo, g_hi = (np.broadcast_to(g, (len(p.points), p.n))[-p.lo] for g in _tube(p, r))
-    if eig is None:
-        if p.space is Space.TORUS:
-            # A tube of radius 1/2 or more wraps the circle; one period
-            # around y_0 holds a lift of every point in it.
-            g_lo, g_hi = np.maximum(g_lo, -0.5), np.minimum(g_hi, 0.5)
-        t_lo, t_hi = (y0 + g_lo).tolist(), (y0 + g_hi).tolist()
-        return _bisect(t_lo, t_hi, _tube_survival(f, p, r))
-    basis, (f_lo, f_hi), (lo, hi) = _eigen_bands(f, p, r, eig, errors, g_lo, g_hi)
-
-    def meets(c_lo: list[float], c_hi: list[float]) -> bool:
-        return all(a <= b for a, b in zip(c_lo, f_hi)) and all(
-            a >= b for a, b in zip(c_hi, f_lo)
-        )
-
-    lo, hi, splits = _bisect(list(lo), list(hi), meets)
-    corners = [
-        y0 + basis @ np.array([u, s]) for u in (lo[0], hi[0]) for s in (lo[1], hi[1])
-    ]
-    # The eigen cell's axis hull can poke past the tube it was carved from;
-    # clamp it to the tube.
-    lo = np.maximum(np.min(corners, axis=0), y0 + g_lo)
-    hi = np.minimum(np.max(corners, axis=0), y0 + g_hi)
-    return np.minimum(lo, hi).tolist(), hi.tolist(), splits
 
 
 # --- exact boundary-value solve ---------------------------------------------
@@ -891,6 +805,9 @@ class ShadowResult:
 
     ``point`` holds exact rationals for the exactly-affine kinds, floats
     otherwise.  eps_achieved is the max of the profile ``orbit_csv`` writes.
+    ``surviving_box`` is ``chain_box``: the widened axis hull of the
+    verified step chain's time-0 rectangle, through which the chain
+    forces a true orbit.
     """
 
     point: tuple
@@ -995,18 +912,16 @@ def _localize(
     cert: ChainedCertificate,
     g: TransitionGraph,
     allow_uncertain: bool,
-) -> tuple[Box, int, EigenDirections | None, tuple[np.ndarray, np.ndarray]]:
-    """Gate p against the certificate and graph, then bisect its time-0 cell.
+) -> tuple[Box, tuple[np.ndarray, np.ndarray]]:
+    """Gate p against the certificate and graph, then verify its step chain.
 
     Checks that the certificate is for f, that g is the graph it was built
     on (same map and subdivision, else ValueError), that p's itinerary
     (see ``itinerary``, which ``allow_uncertain`` is passed to and which
     checks p's space) crosses no certified-empty edge, and that the
-    per-step covering chain closes; returns the surviving cell, the number
-    of splits that carved it, f's eigen frame (None without one), which
-    decides the exact path, and the request's one ``_step_lift`` of p,
-    from which the chain, the eigenframe bands and the exact path's
-    shifts all read.
+    per-step covering chain closes; returns the chain's surviving box
+    (``chain_box``) and the request's one ``_step_lift`` of p, from which
+    the chain and the exact path's shifts both read.
     """
     if cert.map_id != f.descriptor:
         raise ValueError(
@@ -1019,12 +934,7 @@ def _localize(
         )
     itinerary(p, g, allow_uncertain)
     lift = _step_lift(f, p)
-    errors = _step_errors(f, p, lift)
-    step_chain(f, p, errors)
-    eig = eigen_directions(f)
-    r = _RADIUS_FACTOR * max(p.delta, _DELTA_FLOOR)
-    lo, hi, splits = _bisect_cell(f, p, r, eig, errors)
-    return Box(tuple(lo), tuple(hi), p.space), splits, eig, lift
+    return chain_box(f, p, lift), lift
 
 
 def _measured(
@@ -1054,23 +964,26 @@ def shadow(
 
     The chained certificate vouches that the map is coverable at cube
     scale; the per-step chain anchored on the pseudo-orbit proves an
-    orbit threads the delta-scale tubes; bisection against those tubes
-    localizes it and yields the surviving cell; for exactly-affine maps
-    the point is then pinned by an exact boundary-value solve and its
-    error profile is measured in rational arithmetic.  ``g`` is the
+    orbit threads the delta-scale tubes, and its time-0 rectangle is the
+    result's surviving box.  Maps with an eigen frame (the exactly-affine
+    2D maps) pin the point by an exact boundary-value solve and measure
+    its error profile in rational arithmetic; other kinds take the centre
+    of the cell that ``_bisect_cell`` carves from the tubes.  ``g`` is the
     graph ``cert`` was built on and the one source of the subdivision.
     With ``allow_uncertain`` the itinerary gate counts the graph's
     uncertain edges as nonempty instead of refusing the graph.
     """
-    surviving, splits, eig, lift = _localize(f, p, cert, g, allow_uncertain)
-
+    surviving, lift = _localize(f, p, cert, g, allow_uncertain)
+    eig = eigen_directions(f)
     if eig is not None:
         nums, den = _bvp_point(f, p, _integer_shifts(p, lift), eig)
         if p.space is Space.TORUS:
             nums = tuple(v % den for v in nums)
         point: tuple = to_fracs(nums, den)
+        splits = 0
     else:
-        point = tuple(wrap_points(p.space, np.array(surviving.center)).tolist())
+        lo, hi, splits = _bisect_cell(f, p, _tube_radius(p))
+        point = tuple(wrap_points(p.space, 0.5 * np.add(lo, hi)).tolist())
     return _measured(
         f, p, point, eps, "best orbit achieves eps {}, not below requested {}",
         splits, surviving,
@@ -1088,14 +1001,16 @@ def periodic_shadow(
     """Shadow a periodic pseudo-orbit by a genuinely periodic orbit.
 
     The cyclic covering chain composes to a self-covering of its first
-    rectangle under f^P, which forces a fixed point of f^P inside the
-    tube.  For exactly-affine maps that point solves a linear system over
-    the rationals, making dist(f^P(x*), x*) exactly zero; other kinds
-    refine by damped Newton down to _FP_TOL.  ``g`` is as in shadow.
+    rectangle under f^P, which forces a fixed point of f^P inside it, and
+    that rectangle is the result's surviving box.  For exactly-affine
+    maps the point solves a linear system over the rationals, making
+    dist(f^P(x*), x*) exactly zero; other kinds run Newton's method on
+    f^P(x) - x from the centre of the ``_bisect_cell`` cell, down to
+    residual _FP_TOL.  ``g`` is as in shadow.
     """
     if p.periodic is None:
         raise ValueError("periodic_shadow needs a periodic pseudo-orbit")
-    surviving, splits, _, lift = _localize(f, p, cert, g, allow_uncertain)
+    surviving, lift = _localize(f, p, cert, g, allow_uncertain)
     P = len(p.points)
 
     if supports_exact(f):
@@ -1109,9 +1024,10 @@ def periodic_shadow(
         if p.space is Space.TORUS:
             nums = tuple(v % den for v in nums)
         point = to_fracs(nums, den)
-        mp = minimal_period(f, point, P)
+        mp, splits = minimal_period(f, point, P), 0
     else:
-        x = np.array(surviving.center)
+        lo, hi, splits = _bisect_cell(f, p, _tube_radius(p))
+        x = 0.5 * np.add(lo, hi)
         for _ in range(80):
             orbit = true_orbit(f, x, 0, P)
             residual = _nearest_lift(p.space, np.subtract(orbit[P], x))

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -434,6 +435,41 @@ def test_mistyped_shadow_file_exits_4(tmp_path, capsys, shadow_file, keys, value
     capsys.readouterr()
     assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 4
     assert f"{name} must be a JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper", [None, "lo", "hi"])
+def test_verify_replays_the_surviving_box(tmp_path, capsys, shadow_file, tamper):
+    # verify rebuilds the step chain from the stored orbit: the untouched
+    # file passes, and a box coordinate one ulp off is refused.
+    data = run_json(shadow_file)
+    if tamper is not None:
+        box = data["result"]["surviving_box"]
+        box[tamper][1] = math.nextafter(box[tamper][1], math.inf)
+    path = tmp_path / "shadow.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["verify", str(path), "--out", str(tmp_path / "v")])
+    out = capsys.readouterr().out
+    if tamper is None:
+        assert rc == 0 and "matching the stored verdict" in out
+    else:
+        assert rc == 2 and "surviving box" in out and "DISAGREES" in out
+
+
+@pytest.mark.parametrize("how", ["parabolic-map", "margin"])
+def test_verify_refuses_a_chain_that_does_not_close(tmp_path, capsys, monkeypatch,
+                                                    shadow_file, how):
+    # The rebuilt chain's failure is a certification failure, exit 2.
+    data = run_json(shadow_file)
+    if how == "parabolic-map":
+        data["config"]["map"] = "toral [[1,1],[0,1]]"
+    else:
+        monkeypatch.setattr(shadowing, "_MIN_MARGIN", 1.0)
+    path = tmp_path / "shadow.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 2
+    assert "covering" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

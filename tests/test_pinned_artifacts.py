@@ -102,7 +102,7 @@ SHADOW_RUNS = {
     "shadow-cat-m3-seed0": (
         ["shadow", "--map", CAT, "--m", "3", "--seed", "0", "--window", "100"],
         "shadow.json",
-        "b0ee12ca757fc1c531514afae793147f24944265472ad4460009b819fa69114d",
+        "911b44e6d40c61a39cb8fe4c27ba1026b6d3dba69544d4eb07431901dffe5e88",
         "e3d41ca7a5e09e6336dff96a41079f3c5162aab223cd222af5ab62d176844691",
         "shadow: eps_achieved 0.000119381 <= eps 0.176777, verified max error "
         "0.000119381 at k=-18 -> /shadow.json",
@@ -110,7 +110,7 @@ SHADOW_RUNS = {
     "shadow-cat-m3-seed7": (
         ["shadow", "--map", CAT, "--m", "3", "--seed", "7", "--window", "100"],
         "shadow.json",
-        "62e0551ac03313e7c7074f5ae15fb630750bce71a9e6017c3e683d5572788415",
+        "18614bd6a7a4d74a6419747c1dbbbfe380233a5431e4514bf12bff3194b68fea",
         "54c6eb06aea5a3acf1592621879782545015f31b5815f58dc22f0dfc82d1d192",
         "shadow: eps_achieved 0.000122099 <= eps 0.176777, verified max error "
         "0.000122099 at k=28 -> /shadow.json",
@@ -118,7 +118,7 @@ SHADOW_RUNS = {
     "periodic-cat-m3": (
         ["periodic", "--map", CAT, "--m", "3", "--period", "2", "--x0", "1/5,2/5"],
         "periodic.json",
-        "1cefd2cee79c622aa7ea5afab7eedc2118ef2c78a29f303ddce9622d6a1f825d",
+        "59757e618133a38b2468a18d16221436b9582ff1a92a0077cee7aed34bdf0e47",
         "cfb97426d1e16c279c3af50cdda17f61efdd40c194d1731de97dbe86da8ae0d7",
         "periodic: period 2 orbit (minimal 2), eps_achieved 1.18828e-05 <= eps "
         "0.176777 -> /periodic.json",
@@ -127,7 +127,7 @@ SHADOW_RUNS = {
         ["splice", "--map", CAT, "--m", "4", "--eps", "0.2", "--start", "1/7,2/7",
          "--start", "5/9,7/9", "--segment-length", "5", "--gap", "8"],
         "periodic.json",
-        "a117214203a5cf05bb31b98c0719b05c275f4b4bdc065ec4ce02d263aebabf30",
+        "841431457cd30a7a453b0779918a80b295842057a18b1562e0a73233eaedd7a1",
         "736c3931ef3c4dd6adf9f6b8eb5dd0aba90203d281e33773f02df32e1f9863f2",
         "splice: 2 segments + bridges -> period 17 pseudo-orbit (delta 0.156), "
         "shadowed with eps_achieved 0.107092 <= eps 0.2 -> /periodic.json",
@@ -136,7 +136,7 @@ SHADOW_RUNS = {
     "shadow-cat-m5-window400": (
         ["shadow", "--map", CAT, "--m", "5", "--window", "400"],
         "shadow.json",
-        "10c05deb572b0d9303986afed28c524f3427ab7e1ba8f97ae922b28d1e63e27d",
+        "a98bbf249333c0c626b779670d04f5db1c14653f69518cfac6063d40f7609cce",
         "a94d8f1ecddfa169972a696370f26dae14ba13864b27c18c5bed686b74af49e5",
         "shadow: eps_achieved 0.000143713 <= eps 0.0441942, verified max error "
         "0.000143713 at k=351 -> /shadow.json",
@@ -144,7 +144,7 @@ SHADOW_RUNS = {
     "periodic-cat-m5-period5": (
         ["periodic", "--map", CAT, "--m", "5", "--period", "5", "--x0", "1/11,3/11"],
         "periodic.json",
-        "278c2542a8cfd7270acba687eebc0b862da3a4c437e237239ef86efb3f2d4198",
+        "19c79b56b9aa7dedd48129fd890252aa949888ae6ad77426c9e988a1a5430f1d",
         "14b2fc19c55bf944d53f776a9334f0d3b449c83972d65db6957740eacf258390",
         "periodic: period 5 orbit (minimal 5), eps_achieved 1.18828e-05 <= eps "
         "0.0441942 -> /periodic.json",
@@ -152,7 +152,7 @@ SHADOW_RUNS = {
     "shadow-perturbed-m2": (
         ["shadow", "--map", PERTURBED, "--m", "2", "--allow-uncertain"],
         "shadow.json",
-        "5f93339c1f0b854ff1793df4e1c81a958abb8169a404b3a711a82256fd2b1023",
+        "fa52fd61c69cbd1c9c05cd7e008b0309433ff29d77ab27ba78251ea38b322f0e",
         "f6863b5f24f76a1f12f5cb6c6c6c85ed347740297fdb1cafb1f10e8030a60f6e",
         "shadow: eps_achieved 0.000438453 <= eps 0.353553, verified max error "
         "0.000438453 at k=20 -> /shadow.json",
@@ -161,7 +161,7 @@ SHADOW_RUNS = {
         ["periodic", "--map", PERTURBED, "--m", "2", "--period", "1", "--x0", "0,0",
          "--allow-uncertain"],
         "periodic.json",
-        "1a78ae46d36665306401669c2abb227c8719a0f1b5cd6db33d57b836db814a57",
+        "e3f326ab6ae9d79900292316a69e6f436b79c0f2c85cc982c9af8f6a753a5aee",
         "031a1cd35361036cf5b5ffa8cc5b7fde0bc5d4f34a3efb1ec1ec5c532cc52e51",
         "periodic: period 1 orbit (minimal None), eps_achieved 2.51763e-06 <= eps "
         "0.353553 -> /periodic.json",

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cubeshadow import shadowing
+from cubeshadow._intervals import widen
 from cubeshadow.covering import (
     ChainedCertificate,
     CoveringConfig,
@@ -39,7 +40,7 @@ from cubeshadow.errors import (
     NoSurvivingCellError,
     UncertifiedTransitionError,
 )
-from cubeshadow.exact import eigen_directions, exact_step
+from cubeshadow.exact import exact_step, minimal_period, periodic_points
 from cubeshadow.geometry import Box, Space, chi, make_subdivision
 from cubeshadow.shadowing import (
     Drift,
@@ -47,9 +48,7 @@ from cubeshadow.shadowing import (
     UniformNoise,
     PseudoOrbit,
     _bisect_cell,
-    _interval_dot,
     _project,
-    _tube_survival,
     _window_errors,
     generate_pseudo_orbit,
     itinerary,
@@ -304,7 +303,7 @@ def test_step_chain_array_rows_match_rebuilt_rectangles(kind, periodic, seed, st
 
 def test_projections_have_the_bits_of_row_dot_defect():
     # _project replaces one ``row @ d`` per row and defect; every entry must
-    # keep its bits, for frame rows (strided views) and eigen functionals.
+    # keep its bits, for frame rows (strided views) and other functionals.
     rng = np.random.default_rng(11)
     frame_rows = expansion_frame(CAT)[0]
     for rows in (frame_rows, np.asarray(frame_rows)[[0, -1]],
@@ -313,14 +312,6 @@ def test_projections_have_the_bits_of_row_dot_defect():
             defects = rng.normal(size=(500, 2)) * scale
             got = _project(rows, defects)
             assert got.tolist() == [[float(row @ d) for d in defects] for row in rows]
-    # The tube bounds of every row and box in one pass, as one dot per row.
-    lo = rng.normal(size=(50, 2))
-    hi = lo + rng.random((50, 2))
-    b_lo, b_hi = _interval_dot(rows, lo, hi)
-    for i, row in enumerate(rows):
-        boxes = list(zip(lo, hi))
-        assert b_lo[i].tolist() == [float(np.minimum(row * a, row * b).sum()) for a, b in boxes]
-        assert b_hi[i].tolist() == [float(np.maximum(row * a, row * b).sum()) for a, b in boxes]
 
 
 _CORNER = "affine [[1.5,0.25],[0.25,0.5]] offset=[-0.499975,-0.249925]"
@@ -571,7 +562,7 @@ def test_exact_shadow_artifacts_are_pinned():
         "7d657438d73e38fd16314ec482fe2181d40076f4e547541b767ae87bf2933c06"
     )
     assert hashlib.sha256(body.encode()).hexdigest() == (
-        "db303aec84284fe29aff9da77b6d540c4870de55fada5cc1deca1bfca31c8047"
+        "1ec359395f8700975eb03a223e72b2a67c44ae8267e6014429d2a3f49611da85"
     )
 
 
@@ -727,43 +718,15 @@ def test_float_periodic_shadow_closes_the_cycle(perturbed_m2, cycle):
     assert errs == list(rep.errors)
 
 
-@pytest.mark.parametrize(
-    "kind, message",
-    [
-        ("cat", "tracking tube constraints are incompatible"),
-        ("perturbed", "tracking tube is empty at the requested radius"),
-    ],
-    ids=["eigen-radius", "axis-radius"],
-)
-def test_bisection_failures_name_the_empty_tube(perturbed_m2, monkeypatch, kind, message):
-    # The cat map bisects in its eigenframe, the perturbed map by interval
-    # propagation; both refuse a narrow tube before the first split.
-    monkeypatch.setattr(shadowing, "_RADIUS_FACTOR", 0.05)
-    if kind == "cat":
-        f, p, cert, g = CAT, noisy_orbit(), CERT3, G3
-    else:
-        _, g, cert = perturbed_m2
-        f = PERTURBED
-        p = generate_pseudo_orbit(f, (0.2, 0.3), 1e-4, 20, UniformNoise(0))
-    with pytest.raises(NoSurvivingCellError, match=message) as info:
-        shadow(f, p, cert, 1.0, g=g, allow_uncertain=kind != "cat")
+@pytest.mark.parametrize("factor", [0.05], ids=["axis-radius"])
+def test_bisection_failures_name_the_empty_tube(perturbed_m2, monkeypatch, factor):
+    # The float localizer refuses a narrow tube before the first split.
+    monkeypatch.setattr(shadowing, "_RADIUS_FACTOR", factor)
+    _, g, cert = perturbed_m2
+    p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 20, UniformNoise(0))
+    with pytest.raises(NoSurvivingCellError, match="tube is empty at the requested radius") as info:
+        shadow(PERTURBED, p, cert, 1.0, g=g, allow_uncertain=True)
     assert info.value.deepest_surviving_depth == 0
-
-
-@pytest.mark.parametrize("n_steps", [30, 100])
-@pytest.mark.parametrize("seed", range(7))
-def test_eigen_cell_survives_interval_propagation(n_steps, seed):
-    # The two survival tests of one bisection agree: the cell carved in
-    # the cat map's eigenframe also survives stepwise interval propagation
-    # of the same window through eval_box.
-    p = noisy_orbit(n_steps, seed=seed)
-    r = shadowing._RADIUS_FACTOR * p.delta
-    eig = eigen_directions(CAT)
-    assert eig is not None
-    errors = _errors(CAT, p)
-    lo, hi, splits = _bisect_cell(CAT, p, r, eig, errors)
-    assert splits > 0
-    assert _tube_survival(CAT, p, r)(lo, hi)
 
 
 def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2, monkeypatch):
@@ -771,11 +734,76 @@ def test_a_tube_wider_than_the_torus_gets_a_verdict(perturbed_m2, monkeypatch):
     # Box wider than one period and raise ValueError.
     _, g, cert = perturbed_m2
     p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 5, UniformNoise(0))
-    errors = _errors(PERTURBED, p)
-    lo, hi, splits = _bisect_cell(PERTURBED, p, 0.6, None, errors)
+    lo, hi, splits = _bisect_cell(PERTURBED, p, 0.6)
     assert splits > 0
     assert all(0.0 <= b - a < 1e-9 for a, b in zip(lo, hi))
     Box(tuple(lo), tuple(hi), Space.TORUS)
     monkeypatch.setattr(shadowing, "_RADIUS_FACTOR", 6000.0)  # r = 0.6 at delta 1e-4
     with pytest.raises(NoSurvivingCellError, match="best orbit achieves eps"):
         shadow(PERTURBED, p, cert, 0.3, g=g, allow_uncertain=True)
+
+
+# --- the surviving box --------------------------------------------------------
+
+def _noisy_true_cycle(period, delta=1e-4, seed=0):
+    # A cycle of minimal period ``period`` from the exact periodic points,
+    # each point moved by at most delta / 8 per axis, so every step's
+    # defect stays below delta.
+    x = next(q for q in periodic_points(CAT, period) if minimal_period(CAT, q, period) == period)
+    rng = np.random.default_rng(seed)
+    noisy = [(np.array([float(v) for v in q]) + rng.uniform(-delta / 8, delta / 8, 2)) % 1.0
+             for q in shadowing.true_orbit(CAT, x, 0, period - 1)]
+    return pseudo_orbit(CAT, noisy, delta, periodic=period)
+
+
+def _box_case(name, perturbed_m2):
+    if name.startswith("cat-"):
+        seed, n_steps = (int(v[1:]) for v in name.split("-")[1:])
+        p = noisy_orbit(n_steps, seed=seed)
+        return CAT, p, shadow(CAT, p, CERT3, eps=0.01, g=G3)
+    if name.startswith("period-"):
+        p = _noisy_true_cycle(int(name.split("-")[1]))
+        return CAT, p, periodic_shadow(CAT, p, CERT3, eps=0.05, g=G3)
+    if name == "splice":
+        return (CAT, *_splice())
+    _, g, cert = perturbed_m2
+    if name == "perturbed-shadow":
+        p = generate_pseudo_orbit(PERTURBED, (0.2, 0.3), 1e-4, 20, UniformNoise(3))
+        return PERTURBED, p, shadow(PERTURBED, p, cert, 0.354, g=g, allow_uncertain=True)
+    p = pseudo_orbit(PERTURBED, [(0.0, 0.0)], 0.01, periodic=1, known_itinerary=[0])
+    return PERTURBED, p, periodic_shadow(PERTURBED, p, cert, 0.354, g=g)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [f"cat-s{seed}-n{n}" for seed in range(7) for n in (30, 100)]
+    + ["period-1", "period-2", "period-5", "splice", "perturbed-shadow", "perturbed-periodic"],
+)
+def test_surviving_box_is_the_chain_time0_hull(perturbed_m2, name):
+    # Every result reports the verified step chain's time-0 rectangle as
+    # its axis hull, widened outward, and that box holds the result's point.
+    f, p, res = _box_case(name, perturbed_m2)
+    rect = step_chain(f, p, _errors(f, p)).rectangles[-p.lo]
+    centre, half = np.array(rect.center), rect.ambient_bounding_halfwidths()
+    lo, hi = widen(centre - half, centre + half)
+    assert [v.hex() for v in res.surviving_box.lo] == [v.hex() for v in lo.tolist()]
+    assert [v.hex() for v in res.surviving_box.hi] == [v.hex() for v in hi.tolist()]
+    assert res.surviving_box.space is p.space
+    assert res.surviving_box.contains_point(res.point_floats)
+
+
+@pytest.mark.parametrize("kind", ["shadow", "periodic"])
+def test_a_request_lifts_and_chains_once(monkeypatch, kind):
+    # One _step_lift feeds the request's one step chain, which is called
+    # through the module global (so a wrapper of shadowing.step_chain sees it).
+    if kind == "shadow":
+        p, solve = noisy_orbit(), shadow
+    else:
+        p, solve = _noisy_true_cycle(2), periodic_shadow
+    calls = []
+    for name in ("_step_lift", "step_chain"):
+        real = getattr(shadowing, name)
+        monkeypatch.setattr(shadowing, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    solve(CAT, p, CERT3, eps=0.05, g=G3)
+    assert calls == ["_step_lift", "step_chain"]
