@@ -112,12 +112,12 @@ class TransitionGraph:
     ``clearances``; Uncertain pairs are ``uncertain_codes``; every other
     pair is CertifiedEmpty.  ``index_matrix`` is the index action of a map
     that commutes with the grid translations.  ``gap_pairs`` are the sorted
-    codes of the computed pairs that keep a gap.  Two independent cached
-    reads do the gap work: counting or listing ``empty_gaps`` derives the
-    near-miss codes from ``gap_pairs`` (translated into every row for an
-    equivariant map), and reading ``min_empty_gap`` or a gap value runs
-    ``gap_search``, one search for the minimum gap that returns it and
-    each ``gap_pairs`` gap.
+    codes of the computed pairs that keep a gap, ``gaps`` their sound
+    build-time gaps and ``min_empty_gap`` the build's least gap.  Counting
+    or listing ``empty_gaps`` derives the near-miss codes from ``gap_pairs``
+    (translated into every row for an equivariant map) in one cached read.
+    No gap read searches: only ``sharpened_min_gap``, read by
+    ``delta_bound``, runs ``gap_search``, which sharpens the minimum.
     """
 
     subdivision: Subdivision
@@ -131,7 +131,9 @@ class TransitionGraph:
     clearances: np.ndarray
     uncertain_codes: np.ndarray
     gap_pairs: np.ndarray
-    gap_search: Callable[[], tuple[np.ndarray, float]]
+    gaps: np.ndarray
+    min_empty_gap: float
+    gap_search: Callable[[], float]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TransitionGraph) and self.to_json() == other.to_json()
@@ -161,19 +163,15 @@ class TransitionGraph:
         return codes[by_code], rows[by_code]
 
     @cached_property
-    def _searched(self) -> tuple[np.ndarray, float]:
+    def sharpened_min_gap(self) -> float:
+        """The minimum gap as ``gap_search`` sharpens it; the first read searches."""
         return self.gap_search()
 
     @property
-    def min_empty_gap(self) -> float:
-        """Min over CertifiedEmpty pairs (+inf if none); the first read searches."""
-        return self._searched[1]
-
-    @property
     def empty_gaps(self) -> PairRows:
-        """Near-miss CertifiedEmpty pair -> its gap; only reading a gap searches."""
+        """Near-miss CertifiedEmpty pair -> its build-time gap."""
         codes, rows = self._near
-        return PairRows(codes, self.subdivision.count, lambda k: float(self._searched[0][rows[k]]))
+        return PairRows(codes, self.subdivision.count, lambda k: float(self.gaps[rows[k]]))
 
     def status(self, i: int, j: int) -> EdgeStatus:
         if self.certified_empty(np.array([i]), np.array([j]))[0]:
@@ -234,7 +232,7 @@ class TransitionGraph:
             for (i, j), (p, q, c) in zip(self.witnesses, rows)
         ]
         edges += [[i, j, EdgeStatus.UNCERTAIN.value, None] for i, j in self.uncertain]
-        gaps = self._searched[0][self._near[1]].tolist()
+        gaps = self.gaps[self._near[1]].tolist()
         near = {f"{i},{j}": g for (i, j), g in zip(self.empty_gaps, gaps)}
         return {
             "map_id": self.map_id,
@@ -388,8 +386,8 @@ def build_graph(
     their rows are exact translates of row 0, the one row computed; the rest
     are derived in one array pass.  The rows' near-miss pairs keep their
     row gap and the refined-empty pairs the gap that closed them, as
-    ``gap_pairs``; the minimum gap is not searched and no near-miss code
-    derived here: ``_min_gap_search`` is bound to the gap pairs.
+    ``gap_pairs`` and ``gaps``; ``min_empty_gap`` is the least row or stored
+    gap.  No near-miss code is derived and no gap searched here.
     """
     if samples_per_cube < 1:
         raise ValueError("samples_per_cube must be >= 1")
@@ -484,6 +482,7 @@ def build_graph(
     gaps = np.concatenate([near_gaps, empty_gaps])
     by_code = np.argsort(gap_pairs)
     gap_pairs, gaps = gap_pairs[by_code], gaps[by_code]
+    min_gap = min(row_min, float(gaps.min(initial=math.inf)))
     return TransitionGraph(
         subdivision=s,
         map_id=f.descriptor,
@@ -496,7 +495,9 @@ def build_graph(
         clearances=clearances[order],
         uncertain_codes=np.sort(uncertain),
         gap_pairs=gap_pairs,
-        gap_search=partial(_min_gap_search, f, s, cubes, gap_pairs, gaps, row_min),
+        gaps=gaps,
+        min_empty_gap=min_gap,
+        gap_search=partial(_min_gap_search, f, s, cubes, gap_pairs, gaps, min_gap),
     )
 
 
@@ -667,9 +668,9 @@ def _refine_uncertain(
     return results
 
 
-def _min_gap_search(f: MapSpec, s: Subdivision, cubes, codes, gaps, row_min: float):
-    """The gap of each pair in ``codes`` and the minimum gap, from one
-    best-first search (Moore-Skelboe) over the cells of every pair.
+def _min_gap_search(f: MapSpec, s: Subdivision, cubes, codes, gaps, least: float) -> float:
+    """The minimum gap from one best-first search (Moore-Skelboe) over the
+    cells of every pair in ``codes``, or ``least``, the build's, if none.
 
     The live cells are columns (pair, level, dyadic address, lower bound),
     starting from each pair's source cube at its stored gap.  Each round
@@ -679,22 +680,20 @@ def _min_gap_search(f: MapSpec, s: Subdivision, cubes, codes, gaps, row_min: flo
     dropped.  The search stops when that upper bound is within
     2^-12 cube widths of the least live bound, or before the live cells
     would exceed _HELD_CELLS, or once it has split _HELD_CELLS cells;
-    every stop is sound.  Pairs outside ``codes`` all have a row gap
-    above the near band, so the minimum is capped there; each pair stores
-    the least bound among its own cells, never below its coarse gap.
+    every stop is sound.  The minimum is the least bound of the dropped and
+    the live cells; pairs outside ``codes`` all have a row gap above the
+    near band, so it is capped there.
     """
     if not len(codes):
-        return gaps, row_min
+        return least
     tol = s.cube_width * _SHARPEN_REL_TOL
-    near_band = _NEAR_BAND * s.cube_width
     fan = 1 << s.n
     src, tgt = np.divmod(codes, s.count)
     pair = np.arange(len(codes))
     level = np.zeros(len(codes), dtype=int)
     k = np.zeros((s.n, len(codes)), dtype=int)
     lb = gaps
-    dropped = np.full(len(codes), math.inf)
-    upper, pops = math.inf, 0
+    dropped, upper, pops = math.inf, math.inf, 0
     while lb.size and upper - lb.min() > tol and pops < _HELD_CELLS:
         take = min(_MAX_CELLS, lb.size)
         if lb.size + take * (fan - 1) > _HELD_CELLS:
@@ -720,11 +719,9 @@ def _min_gap_search(f: MapSpec, s: Subdivision, cubes, codes, gaps, row_min: flo
         k = np.concatenate([k.compress(rest, axis=1), kids], axis=1)
         lb = np.concatenate([lb[rest], bound])
         live = lb <= upper
-        np.minimum.at(dropped, pair[~live], lb[~live])
+        dropped = min(dropped, float(lb[~live].min(initial=math.inf)))
         pair, level, k, lb = pair[live], level[live], k.compress(live, axis=1), lb[live]
-    own = dropped.copy()
-    np.minimum.at(own, pair, lb)
-    return np.maximum(gaps, np.minimum(own, near_band)), min(float(own.min()), near_band)
+    return min(dropped, float(lb.min(initial=math.inf)), _NEAR_BAND * s.cube_width)
 
 
 def delta_bound(g: TransitionGraph, allow_uncertain: bool = False) -> float:
@@ -732,7 +729,8 @@ def delta_bound(g: TransitionGraph, allow_uncertain: bool = False) -> float:
 
     Any delta-pseudo-orbit with delta below this value has an itinerary whose
     consecutive cubes are never a provably-empty pair. With no empty pair at
-    all, every delta works, encoded as the space diameter.
+    all, every delta works, encoded as the space diameter.  Otherwise it is
+    the graph's ``sharpened_min_gap``: the one reader of the gap search.
     """
     if g.uncertain_count and not allow_uncertain:
         raise UncertainEdgesError(
@@ -741,7 +739,7 @@ def delta_bound(g: TransitionGraph, allow_uncertain: bool = False) -> float:
         )
     if math.isinf(g.min_empty_gap):
         return space_diameter(g.subdivision.n, g.subdivision.space)
-    return g.min_empty_gap
+    return g.sharpened_min_gap
 
 
 def find_path(

@@ -427,9 +427,10 @@ def _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps) -> Non
 
 def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
     """The transition graph as (witnesses, uncertain, empty_gaps,
-    min_empty_gap): dicts and a set holding every pair, each refined-empty
-    pair's gap the one that closed it, and the minimum gap searched by
-    the graph's own search, translated rows written out pair by pair."""
+    min_empty_gap): dicts and a set holding every pair, each near-miss
+    pair's gap its row gap and each refined-empty pair's the one that
+    closed it, and the least of the row gaps and those stored gaps,
+    translated rows written out pair by pair."""
     offsets = transition._sample_offsets(s.n, samples_per_cube)
     cubes = transition._cube_bounds(s)
     witnesses, uncertain, empty_gaps, min_empty_gap = {}, set(), {}, math.inf
@@ -456,12 +457,7 @@ def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
         uncertain.update((i, j) for j in row_unc)
         empty_gaps.update({(i, j): gap for j, gap in row_gaps.items()})
         min_empty_gap = min(min_empty_gap, row_min)
-    pairs = sorted(empty_gaps)
-    gaps, min_empty_gap = transition._min_gap_search(
-        f, s, cubes, np.array([i * s.count + j for i, j in pairs], dtype=np.int64),
-        np.array([empty_gaps[pair] for pair in pairs]), min_empty_gap,
-    )
-    empty_gaps.update(zip(pairs, gaps.tolist()))
+    min_empty_gap = min([min_empty_gap, *empty_gaps.values()])
     if index_matrix is not None:
         _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps)
     return witnesses, uncertain, empty_gaps, min_empty_gap

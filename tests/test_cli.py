@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cubeshadow
-from cubeshadow import cli, covering, geometry, shadowing
+from cubeshadow import cli, covering, geometry, shadowing, transition
 from cubeshadow.cli import main
 
 CAT = "toral [[2,1],[1,1]]"
@@ -456,6 +456,50 @@ def test_verify_replays_the_surviving_box(tmp_path, capsys, shadow_file, tamper)
         assert rc == 2 and "surviving box" in out and "DISAGREES" in out
 
 
+@pytest.mark.parametrize("axis, by", [(0, 0.3), (1, 0.18)], ids=["x", "y"])
+def test_verify_refuses_a_chain_that_outgrows_a_torus_chart(tmp_path, capsys, shadow_file,
+                                                            axis, by):
+    # An orbit point moved this far sizes the rebuilt chain past a torus
+    # chart: the stored claim does not close, exit 2, not invalid input.
+    data = run_json(shadow_file)
+    data["orbit"]["points"][12][axis] += by
+    path = tmp_path / "shadow.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 2
+    assert "step chain rebuilt from the stored orbit DISAGREES" in capsys.readouterr().out
+
+
+def test_verify_refuses_an_orbit_of_the_wrong_dimension(tmp_path, capsys, shadow_file):
+    # A malformed file is still invalid input, exit 4.
+    data = run_json(shadow_file)
+    for point in data["orbit"]["points"]:
+        point.append(0.5)
+    path = tmp_path / "shadow.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 4
+    assert "orbit dimension 3 != map dimension 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, shown",
+    [("eps_achieved", 1e-9, "1e-09"), ("window", [-3, 99], "(-3, 99)")],
+)
+def test_verify_replays_the_achieved_eps_and_the_window(tmp_path, capsys, shadow_file,
+                                                        key, value, shown):
+    # eps_achieved must be the recomputed max error, bit for bit, and the
+    # window the orbit's.
+    data = run_json(shadow_file)
+    data["result"][key] = value
+    path = tmp_path / "shadow.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith(f"verify: recomputed {key} ") and f"DISAGREES with stored {shown}" in out
+
+
 @pytest.mark.parametrize("how", ["parabolic-map", "margin"])
 def test_verify_refuses_a_chain_that_does_not_close(tmp_path, capsys, monkeypatch,
                                                     shadow_file, how):
@@ -704,6 +748,17 @@ def test_graph_exports_dot_and_json(tmp_path):
     data = run_json(out / "graph.json")
     assert data["graph"]["m"] == 2
     assert len(data["graph"]["edges"]) > 0
+
+
+@pytest.mark.parametrize("descriptor", [CAT, PERTURBED])
+def test_graph_runs_no_gap_search(tmp_path, monkeypatch, descriptor):
+    # graph.json holds the build-time gaps; only delta_bound searches.
+    def refused(*args):
+        raise AssertionError("graph ran the minimum-gap search")
+
+    monkeypatch.setattr(transition, "_min_gap_search", refused)
+    assert main(["graph", "--map", descriptor, "--m", "3", "--out", str(tmp_path)]) == 0
+    assert run_json(tmp_path / "graph.json")["graph"]["min_empty_gap"] > 0.0
 
 
 def test_delta_bound_artifact(tmp_path):

@@ -418,8 +418,8 @@ def test_sin_range_contains_the_60_digit_sine(data):
 )
 def test_min_gap_search_matches_the_one_heap_reference(descriptor, n, m, space):
     # Round by round over columns, the search must find the minimum the
-    # plain one-heap reference finds, to within its tolerance, and never
-    # store a pair's gap below its coarse gap.
+    # plain one-heap reference finds, to within its tolerance, never below
+    # the least coarse gap and never above the near band.
     f = builtin_map(descriptor, space)
     s = make_subdivision(n, m, space)
     rng = np.random.default_rng(0)
@@ -432,13 +432,11 @@ def test_min_gap_search_matches_the_one_heap_reference(descriptor, n, m, space):
     assert len(coarse) >= 5
     codes = np.array([i * s.count + j for i, j in coarse], dtype=np.int64)
     gaps = np.array(list(coarse.values()))
-    stored, least = transition._min_gap_search(
-        f, s, transition._cube_bounds(s), codes, gaps, math.inf
-    )
+    least = transition._min_gap_search(f, s, transition._cube_bounds(s), codes, gaps, math.inf)
     want = ref.min_gap(f, s, coarse)
     assert abs(least - want) <= s.cube_width * 2.0 ** -12
-    near_band = transition._NEAR_BAND * s.cube_width
-    assert np.all(stored >= gaps) and least == min(stored.min(), near_band)
+    assert min(gaps.min(), transition._NEAR_BAND * s.cube_width) <= least
+    assert least <= transition._NEAR_BAND * s.cube_width
 
 
 @pytest.mark.parametrize(
@@ -452,17 +450,17 @@ def test_min_gap_search_matches_the_one_heap_reference(descriptor, n, m, space):
 def test_build_graph_matches_the_sequential_reference(monkeypatch, descriptor, m):
     # The refinement and its closing gaps run one pair after another in
     # the reference; the lockstep build must agree, bit for bit, and so
-    # must the one search for the minimum gap that both bind.
+    # must the gaps it stores and the sharpened minimum.
     f = builtin_map(descriptor)
     s = make_subdivision(2, m, Space.TORUS)
     lockstep = transition.build_graph(f, s)
     want = json.dumps(lockstep.to_json())
     monkeypatch.setattr(transition, "_refine_uncertain", ref.refine_uncertain)
     sequential = transition.build_graph(f, s)
-    codes, gaps = lockstep.gap_search.args[3:5]
-    assert np.array_equal(codes, sequential.gap_search.args[3])
-    assert _bits(gaps) == _bits(sequential.gap_search.args[4])
+    assert np.array_equal(lockstep.gap_pairs, sequential.gap_pairs)
+    assert _bits(lockstep.gaps) == _bits(sequential.gaps)
     assert lockstep == sequential
+    assert lockstep.sharpened_min_gap.hex() == sequential.sharpened_min_gap.hex()
     assert want == json.dumps(lockstep.to_json()) == json.dumps(sequential.to_json())
     assert lockstep.empty_gaps and (lockstep.uncertain or descriptor.startswith("translation"))
 
@@ -496,8 +494,9 @@ def _exact_distance(y, box: Box):
 @pytest.mark.parametrize("name", sorted(_GAP_GRAPHS))
 @given(data=st.data())
 def test_stored_gaps_are_at_most_the_sampled_distance(name, data):
-    # Every stored gap, and the minimum, bounds from below the distance of
-    # the 60-digit image of any point of the source cube to the target.
+    # Every stored gap, the minimum and the sharpened minimum bound from
+    # below the distance of the 60-digit image of any point of the source
+    # cube to the target.
     f, g = _gap_graph(name)
     s = g.subdivision
     i, j = data.draw(st.sampled_from(sorted(g.empty_gaps)))
@@ -507,6 +506,7 @@ def test_stored_gaps_are_at_most_the_sampled_distance(name, data):
         d = _exact_distance(_exact_image(f, Direction.FORWARD, x), s.box(j))
         assert mpmath.mpf(g.empty_gaps[(i, j)]) <= d, (i, j, x)
         assert mpmath.mpf(g.min_empty_gap) <= d, (i, j, x)
+        assert mpmath.mpf(g.sharpened_min_gap) <= d, (i, j, x)
 
 
 @pytest.mark.parametrize("name", sorted(_GAP_GRAPHS))
@@ -526,18 +526,17 @@ def test_min_empty_gap_is_at_most_the_dense_sampled_distance(name):
 
 def test_a_small_cell_budget_stops_the_gap_search_soundly(monkeypatch):
     # Out of live cells or pops, the search stops early: still positive,
-    # and no gap above the converged one, since the rounds it runs are the
-    # first rounds of the converged search.  A larger budget runs more of
-    # them, so its minimum is no smaller.
+    # never below the stored gaps and never above the converged minimum,
+    # since the rounds it runs are the first rounds of the converged
+    # search.  A larger budget runs more of them, so its minimum is no
+    # smaller.
     f, g = _gap_graph("cat-m3")
-    coarse = g.gap_search.args[4]
-    converged, converged_min = g.gap_search()
+    converged = g.gap_search()
     found = []
     for held in (1, 1 << 8, 1 << 9, 1 << 10):
         monkeypatch.setattr(transition, "_HELD_CELLS", held)
-        stored, least = g.gap_search()
-        assert 0.0 < least <= converged_min and least == min(stored)
-        assert np.all(coarse <= stored) and np.all(stored <= converged)
+        least = g.gap_search()
+        assert 0.0 < g.min_empty_gap <= least <= converged
         found.append(least)
-    assert found[0] == coarse.min()
-    assert found == sorted(set(found)) and found[-1] < converged_min
+    assert found[0] == g.gaps.min() == g.min_empty_gap
+    assert found == sorted(set(found)) and found[-1] < converged

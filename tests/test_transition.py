@@ -220,7 +220,7 @@ def test_a_derived_witness_pushed_out_of_its_cube_is_demoted(monkeypatch):
     assert demoted.status(*pair) is EdgeStatus.UNCERTAIN
 
 
-def test_only_readers_of_the_gap_sharpen_it(monkeypatch, tmp_path, capsys):
+def test_only_delta_bound_sharpens_the_gap(monkeypatch, tmp_path, capsys):
     # ``calls`` holds the m of each minimum-gap search, ``translated`` of
     # each code translation: a cat build translates its witness and its
     # uncertain codes, and the first count or listing of the near-miss
@@ -243,46 +243,34 @@ def test_only_readers_of_the_gap_sharpen_it(monkeypatch, tmp_path, capsys):
     assert main(["certify", *cat, "--out", str(out)]) == 0
     assert main(["verify", str(out / "certificate.json"), "--out", str(tmp_path / "v")]) == 0
     assert calls == [] and translated == [4] * 4
-    # graph.json lists the near-miss gaps: the search and the gap codes;
-    # delta_bound reads the minimum alone and derives no codes.
+    # graph.json lists the build-time gaps: the gap codes and no search;
+    # delta_bound searches and derives no codes.
     assert main(["graph", *cat, "--out", str(tmp_path / "graph")]) == 0
-    assert calls == [4] and translated == [4] * 7
+    assert calls == [] and translated == [4] * 7
     assert main(["delta-bound", *cat, "--out", str(tmp_path / "delta-bound")]) == 0
-    assert calls == [4, 4] and translated == [4] * 9
+    assert calls == [4] and translated == [4] * 9
 
     # The first shadow request runs the search; the second request reuses
     # it, and a later gap read derives only the codes.
     g = cat_graph(3)
     cert = certify_chained(CAT, g.subdivision, g)
-    assert calls == [4, 4] and translated == [4] * 9 + [3] * 2
+    assert calls == [4] and translated == [4] * 9 + [3] * 2
     for seed in (0, 1):
         p = generate_pseudo_orbit(CAT, (0.2, 0.3), 1e-4, 20, UniformNoise(seed))
         shadow(CAT, p, cert, chi(g.subdivision), g=g)
-        assert calls == [4, 4, 3] and translated == [4] * 9 + [3] * 2
+        assert calls == [4, 3] and translated == [4] * 9 + [3] * 2
     assert len(g.empty_gaps) > 0 and g.empty_gaps[next(iter(g.empty_gaps))] > 0.0
-    assert calls == [4, 4, 3] and translated == [4] * 9 + [3] * 3
+    assert calls == [4, 3] and translated == [4] * 9 + [3] * 3
 
-    # Counting the near-miss pairs derives their codes and searches nothing;
-    # a later gap read runs the search once, and further reads of gaps, the
-    # minimum or the codes reuse it.
-    counted_only = cat_graph(3)
-    assert len(counted_only.empty_gaps) > 0 and set(counted_only.empty_gaps)
-    assert calls == [4, 4, 3] and translated == [4] * 9 + [3] * 6
-    pair = next(iter(counted_only.empty_gaps))
-    assert counted_only.empty_gaps[pair] > 0.0
-    assert calls == [4, 4, 3, 3]
-    counted_only.to_json(), counted_only.min_empty_gap, len(counted_only.empty_gaps)
-    assert calls == [4, 4, 3, 3] and translated == [4] * 9 + [3] * 6
-
-    # A gap read first searches exactly as a first read of the minimum,
-    # and the minimum is the least stored gap.
-    gaps_first, min_first = cat_graph(3), cat_graph(3)
-    values = {pair: gaps_first.empty_gaps[pair] for pair in gaps_first.empty_gaps}
-    least = min_first.min_empty_gap
-    assert calls == [4, 4, 3, 3, 3, 3]
-    assert _bits(values) == _bits(min_first.empty_gaps)
-    assert gaps_first.min_empty_gap.hex() == least.hex() == min(values.values()).hex()
-    assert calls == [4, 4, 3, 3, 3, 3]
+    # Gaps, the minimum, the JSON and equality read the stored gaps and
+    # search nothing; only the sharpened minimum searches, once.
+    other = cat_graph(3)
+    assert len(other.empty_gaps) > 0 and other.empty_gaps[next(iter(other.empty_gaps))] > 0.0
+    assert other.to_json() == g.to_json() and other == g
+    assert other.min_empty_gap == min(other.empty_gaps.values())
+    assert calls == [4, 3] and translated == [4] * 9 + [3] * 6
+    assert other.sharpened_min_gap == delta_bound(other) == delta_bound(g)
+    assert calls == [4, 3, 3] and translated == [4] * 9 + [3] * 6
 
 
 def test_a_read_graph_is_freed_without_the_cycle_collector():
@@ -359,6 +347,28 @@ def test_delta_bound_never_exceeds_sampled_minimum():
         tgt = s.box(j)
         observed = min(point_box_distance_lb(p, tgt) for p in imgs)
         assert db <= observed + 1e-12
+
+
+_BUILT_GAPS = {
+    "cat-m3": ("toral [[2,1],[1,1]]", 3, None),
+    "standard-m4": ("standard K=0.3", 4, "0x1.c79bc37e57223p-7"),
+    "perturbed-m3": ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 3, "0x1.72b12a89adffep-11"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILT_GAPS))
+def test_graph_json_holds_the_build_time_gaps(name):
+    # graph.json's minimum is the least stored gap, which the search can
+    # only sharpen; delta_bound keeps the sharpened bits (0.013904066520518182
+    # and 0.0007070389849195278 for the nonlinear maps).
+    descriptor, m, want = _BUILT_GAPS[name]
+    g = build_graph(builtin_map(descriptor), make_subdivision(2, m, Space.TORUS))
+    doc = g.to_json()
+    assert doc["min_empty_gap"] == min(doc["near_empty_gaps"].values()) == g.min_empty_gap
+    bound = delta_bound(g, allow_uncertain=True)
+    assert doc["min_empty_gap"] <= bound
+    if want is not None:
+        assert bound.hex() == want
 
 
 def test_delta_bound_uncertain_strictness():
@@ -445,7 +455,8 @@ def test_json_export_shape():
     assert doc["m"] == 2 and doc["n"] == 2
     assert doc["empty_pairs"] == "implicit"
     assert len(doc["edges"]) == g.nonempty_count + g.uncertain_count
-    assert doc["min_empty_gap"] == pytest.approx(delta_bound(g))
+    gaps = doc["near_empty_gaps"].values()
+    assert doc["min_empty_gap"] == min(gaps) <= delta_bound(g)
     json.dumps(doc)  # must be serializable as-is
 
 

@@ -6,7 +6,11 @@ Times ``eval_point`` (one point) and, at k = 1, 201 and 16 384 rows,
 ``eval_points``, ``eval_box``, ``transition._image_gaps``,
 ``transition._center_bounds`` and ``transition._cube_clearances`` of
 ``MAP`` on random cells of the torus, and prints one table of median
-microseconds per call over ``REPEAT`` samples.  It times the package of
+microseconds per call over ``REPEAT`` samples.  A last row times the
+gap branch-and-bound, which no benchmark operation runs since ``graph``
+writes its build-time gaps: ``delta_bound`` on a freshly built m=4 graph
+of ``MAP`` (the graph caches its search), the median over ``REPEAT``
+graphs, without their builds.  It times the package of
 the checkout it sits in; to compare two checkouts, run each one's copy
 in alternating runs, since the machine's speed drifts between runs made
 apart.  The inputs come from a fixed seed, so both time the same calls.
@@ -25,11 +29,12 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from cubeshadow import dynamics, transition  # noqa: E402
+from cubeshadow import dynamics, geometry, transition  # noqa: E402
 
 MAP = "standard K=0.3"
 ROWS = (1, 201, 16384)
 REPEAT = 7
+SEARCH_M = 4
 
 
 def _median_us(call) -> float:
@@ -73,6 +78,19 @@ def _cases(f, k: int):
     ]
 
 
+def _delta_bound_us(f) -> float:
+    """Median over ``REPEAT`` fresh m = ``SEARCH_M`` graphs of one
+    ``delta_bound`` call, the graph's one minimum-gap search."""
+    s = geometry.make_subdivision(f.n, SEARCH_M, geometry.Space.TORUS)
+    samples = []
+    for _ in range(REPEAT):
+        g = transition.build_graph(f, s)
+        start = time.perf_counter()
+        transition.delta_bound(g, allow_uncertain=True)
+        samples.append(time.perf_counter() - start)
+    return statistics.median(samples) * 1e6
+
+
 def main() -> int:
     f = dynamics.builtin_map(MAP)
     point = np.array([0.3, 0.7][: f.n] + [0.5] * max(f.n - 2, 0))
@@ -87,6 +105,7 @@ def main() -> int:
     for name, times in rows.items():
         cells = "".join(f"{times[k]:12.1f}" if k in times else f"{'-':>12}" for k in ROWS)
         print(f"{name:<18}{cells}")
+    print(f"{'delta_bound':<18}{_delta_bound_us(f):12.1f}  (one search, fresh m={SEARCH_M} graph)")
     return 0
 
 
