@@ -654,9 +654,19 @@ def _verify_shadow_file(run: Run, data: dict) -> int:
         print(f"verify: the step chain rebuilt from the stored orbit DISAGREES: {e}")
         return EXIT_CERTIFICATION
     report = verify_shadow(f, result.point, p, eps)
+    # A periodic claim is the orbit's period; an exact periodic point's
+    # minimal period is re-solved, and a float point claims none.
+    period = None if result.periodic is None else p.periodic
+    minimal = None
+    if period is not None and result.exact:
+        try:
+            minimal = minimal_period(f, result.point, period)
+        except ValueError as e:
+            minimal = f"none ({e})"
     claims = (
         ("surviving box", box, result.surviving_box), ("window", p.window, result.window),
         ("eps_achieved", report.max_err, result.eps_achieved), ("verdict", report.ok, stored_ok),
+        ("periodic", period, result.periodic), ("minimal_period", minimal, result.minimal_period),
     )
     for name, rebuilt, claimed in claims:
         if repr(rebuilt) != repr(claimed):  # a float's repr tells every bit apart

@@ -35,7 +35,7 @@ from .dynamics import (
 )
 from .errors import MismatchedChainError, NotEndomorphismError, UncertainEdgesError
 from .geometry import Box, Space, Subdivision, check_bounds, json_pairs, json_value, json_values
-from .transition import PairRows, TransitionGraph, code_pairs, pair_array
+from .transition import PairRows, TransitionGraph, code_pairs, pair_array, pair_keys
 
 _ORTHO_TOL = 1e-9
 
@@ -543,18 +543,11 @@ class ChainedCertificate:
                 {"pair": list(rep), "certificate": c.to_json()} for rep, c in self.classes
             ],
             "certificates": dict(
-                zip(_pair_keys(self.edge_codes, count), self.edge_classes.tolist())
+                zip(pair_keys(self.edge_codes, count), self.edge_classes.tolist())
             ),
             "excluded_boundary": pair_array(self.excluded_boundary.codes, count).tolist(),
             "margin": self.margin(),
         }
-
-
-def _pair_keys(codes: np.ndarray, count: int) -> list[str]:
-    """The canonical key "i,j" of each code i * count + j."""
-    names = np.array(list(map(str, range(count))), dtype=object)
-    i, j = np.divmod(codes, count)
-    return ((names + ",")[i] + names[j]).tolist()
 
 
 @dataclass(frozen=True)
@@ -665,50 +658,44 @@ def certify_chained(
     # representative when that has an interior witness, else itself.
     reps = g.class_codes(interior)
     reps = np.where(np.isin(reps, interior), reps, interior)
-    classes: list[tuple[Pair, CoveringCertificate]] = []
-    searched: dict[int, int | str] = {}  # class index, or the failure reason
 
-    def search(code: int) -> int | str:
-        if code not in searched:
-            pair = divmod(code, count)
-            src, dst = _anchored_pair(s, g.witnesses[pair], frame, shape)
-            result = check_covering(f, src, dst, cfg)
-            if isinstance(result, CoveringCertificate):
-                searched[code] = len(classes)
-                classes.append((pair, result))
-            else:
-                searched[code] = result.reason
-        return searched[code]
+    def search(code: int) -> CoveringCertificate | Inconclusive:
+        src, dst = _anchored_pair(s, g.witnesses[divmod(code, count)], frame, shape)
+        return check_covering(f, src, dst, cfg)
 
-    edge_codes, edge_classes = [], []
+    # Each distinct representative is searched once, in order of first
+    # use, and numbered as a class in that order.  A representative is an
+    # edge of its own class, so when one fails the result is a failure
+    # report, and only then do the other edges of its class search alone.
+    uniq, first_use, rep_of = np.unique(reps, return_index=True, return_inverse=True)
+    by_use = np.argsort(first_use)
+    classes = [(divmod(code, count), search(code)) for code in uniq[by_use].tolist()]
+    rank = np.empty(len(uniq), dtype=np.int64)
+    rank[by_use] = np.arange(len(uniq))
+    edge_classes = rank[rep_of]
+    failed = np.flatnonzero([not cert for _, cert in classes])
     failures: list[tuple[int, int, str]] = []
-    for pair, code, rep in zip(code_pairs(interior, count), interior.tolist(), reps.tolist()):
-        got = search(rep)
-        if isinstance(got, str) and rep != code:
-            got = search(code)
-        if isinstance(got, str):
-            failures.append((*pair, got))
-        else:
-            edge_codes.append(code)
-            edge_classes.append(got)
+    for k in np.flatnonzero(np.isin(edge_classes, failed)).tolist():
+        code, rep = int(interior[k]), int(reps[k])
+        result = classes[edge_classes[k]][1] if rep == code else search(code)
+        if not result:
+            failures.append((*divmod(code, count), result.reason))
     excluded = PairRows(g.witness_codes[~is_interior], count)
 
-    if failures or not edge_codes:
-        if not failures:
-            failures = [(-1, -1, "no interior-witnessed edges to certify")]
+    if failures or not len(interior):
         return FailureReport(
             map_id=f.descriptor,
             total_edges=g.nonempty_count,
-            certified=len(edge_codes),
-            failures=tuple(failures),
+            certified=len(interior) - len(failures),
+            failures=tuple(failures or [(-1, -1, "no interior-witnessed edges to certify")]),
             excluded_boundary=excluded,
         )
     return ChainedCertificate(
         map_id=f.descriptor,
         subdivision=s,
         classes=tuple(classes),
-        edge_codes=np.array(edge_codes, dtype=np.int64),
-        edge_classes=np.array(edge_classes, dtype=np.int64),
+        edge_codes=interior,
+        edge_classes=edge_classes,
         excluded_boundary=excluded,
     )
 
@@ -778,7 +765,7 @@ def audit_chained(
     interior, boundary = g.witness_codes[is_interior], g.witness_codes[~is_interior]
     entries = json_value("certificates", body["certificates"], dict)
     json_values("certificates", list(entries.values()), int)
-    keys = _pair_keys(interior, count)
+    keys = pair_keys(interior, count)
     stored = np.fromiter(map(entries.__contains__, keys), bool, len(keys))
     extra: list[Pair] = []  # stored edges that are not interior-witnessed
     if len(entries) != stored.sum():

@@ -35,6 +35,10 @@ from .geometry import Space, Subdivision, space_diameter
 _NEAR_BAND = 2.0
 # The minimum gap is searched to within this fraction of a cube width.
 _SHARPEN_REL_TOL = 2.0 ** -12
+# A torus lift this close to half a turn from a box's center ties, up to
+# rounding, with the lift on the other side: far more than the rounding of
+# a clearance in [0, 1], far less than any gap between the two lifts.
+_TIE = 2.0 ** -40
 
 
 class EdgeStatus(str, Enum):
@@ -70,6 +74,13 @@ def code_pairs(codes: np.ndarray, count: int) -> list[tuple[int, int]]:
 def pair_array(codes: np.ndarray, count: int) -> np.ndarray:
     """The (k, 2) array of cube pairs [i, j] of the codes i * count + j."""
     return np.column_stack(np.divmod(codes, count))
+
+
+def pair_keys(codes: np.ndarray, count: int) -> list[str]:
+    """The canonical key "i,j" of each code i * count + j."""
+    names = np.array(list(map(str, range(count))), dtype=object)
+    i, j = np.divmod(codes, count)
+    return ((names + ",")[i] + names[j]).tolist()
 
 
 def _check_cubes(count: int, *indices) -> None:
@@ -232,8 +243,8 @@ class TransitionGraph:
             for (i, j), (p, q, c) in zip(self.witnesses, rows)
         ]
         edges += [[i, j, EdgeStatus.UNCERTAIN.value, None] for i, j in self.uncertain]
-        gaps = self.gaps[self._near[1]].tolist()
-        near = {f"{i},{j}": g for (i, j), g in zip(self.empty_gaps, gaps)}
+        codes, rows = self._near
+        near = dict(zip(pair_keys(codes, self.subdivision.count), self.gaps[rows].tolist()))
         return {
             "map_id": self.map_id,
             "n": self.subdivision.n,
@@ -298,6 +309,57 @@ def _norm_lb(gaps: np.ndarray) -> np.ndarray:
     return np.where(total > 0.0, nudge_down(np.sqrt(total), 2), 0.0)
 
 
+def _row_windows(e_lo, e_hi, s: Subdivision) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's near-band window: for (n, rows) lifted enclosures
+    [e_lo, e_hi], the (n, rows) first target index and index count of
+    each axis.
+
+    An axis takes the indices of the cubes within _NEAR_BAND cube widths
+    of the enclosure, plus one cube of margin, so a target left out of a
+    window lies more than the band away on that axis, whatever the
+    rounding of its gap.  On the torus the indices run on mod the side,
+    and an axis whose range would cover the side takes all of it, from 0;
+    on the cube the range is clipped to the cubes.  No index repeats.
+    """
+    side = s.side
+    reach = math.ceil(_NEAR_BAND) + 1
+    if s.space is Space.CUBE:
+        e_lo, e_hi = np.clip(e_lo, 0.0, 1.0), np.clip(e_hi, 0.0, 1.0)
+    first = np.floor(e_lo * side) - reach
+    last = np.floor(e_hi * side) + reach
+    if s.space is Space.CUBE:
+        first = np.maximum(first, 0.0)
+        size = np.minimum(last, side - 1.0) - first + 1.0
+    else:
+        size = np.minimum(last - first + 1.0, side)
+        first = np.where(size == side, 0.0, first % side)
+    return first.astype(np.int64), size.astype(np.int64)
+
+
+def _window_gaps(e_lo, e_hi, first, size, s: Subdivision) -> tuple[np.ndarray, ...]:
+    """The windowed pairs of the rows of (n, rows) lifted enclosures
+    [e_lo, e_hi] whose windows are ``first`` and ``size`` (as
+    ``_row_windows`` gives them): each pair's row position, flat target
+    and gap, row by row, the last axis running fastest.
+
+    A pair's per-axis gaps depend only on its row and its target's index
+    on the axis, so they are bounded once per (axis, row, index) and
+    gathered; the gaps carry the bits of ``_lift_gaps`` on the pairs.
+    """
+    n, side = len(size), s.side
+    per_row = size.prod(axis=0)
+    row = np.repeat(np.arange(per_row.size), per_row)
+    k = np.arange(row.size) - np.repeat(np.cumsum(per_row) - per_row, per_row)
+    index = np.empty((n, row.size), dtype=np.int64)
+    for axis in range(n - 1, -1, -1):
+        k, step = np.divmod(k, size[axis].take(row))
+        index[axis] = (first[axis].take(row) + step) % side
+    t_lo = np.arange(side) * s.cube_width  # each axis's cube bounds
+    axis_gaps = _lift_gaps(e_lo[..., None], e_hi[..., None], t_lo, t_lo + s.cube_width, s.space)
+    gaps = np.take_along_axis(axis_gaps.reshape(n, -1), row * side + index, axis=1)
+    return row, s.flat_indices(index), _norm_lb(gaps)
+
+
 def _lift_gaps(e_lo, e_hi, t_lo, t_hi, space: Space) -> np.ndarray:
     """Per-axis gap from a lifted enclosure [e_lo, e_hi] to target boxes.
 
@@ -339,18 +401,32 @@ def _center_bounds(f: MapSpec, lo: np.ndarray, hi: np.ndarray, t_lo, t_hi) -> np
 def _cube_clearances(points: np.ndarray, lo, hi, space: Space) -> np.ndarray:
     """Min distance of each point to the boundary of box [lo, hi]; negative outside.
 
-    On the torus a point can sit in the box only after an integer shift, so
-    each axis takes the best shift.  Points and bounds are (n, ...) arrays
-    that broadcast against each other.
+    Points and boxes lie in [0, 1] and are (n, ...) arrays that broadcast
+    against each other.  On the torus a point can sit in the box only
+    after an integer shift, and the best of the shifts -1, 0 and 1 is the
+    lift q + rint(c - q) nearest the box's center c.  Where that lift lies
+    within 2^-40 of half a turn from the center the other near lift ties
+    with it, up to rounding: there both are computed and combined in the
+    order of their shifts, so every bit is that of the best of the three.
     """
-    best = None
-    for shift in (-1.0, 0.0, 1.0) if space is Space.TORUS else (0.0,):
+    if space is Space.TORUS:
+        shift = np.rint(0.5 * (lo + hi) - points)
         q = points + shift
         clear = np.minimum(q - lo, hi - q)
-        best = clear if best is None else np.maximum(best, clear)
-    least = best[0]
-    for axis in range(1, len(best)):
-        least = np.minimum(least, best[axis])
+        # clear is (hi - lo) / 2 - |q - c| up to rounding, so a lift within
+        # _TIE of half a turn from the center has this clearance or less.
+        tie = clear <= 0.5 * (hi - lo) - (0.5 - _TIE)
+        if tie.any():
+            at = np.nonzero(tie)
+            x, a, b, t = (np.broadcast_to(v, clear.shape)[at] for v in (points, lo, hi, shift))
+            other = t + np.where(x + t < 0.5 * (a + b), 1.0, -1.0)
+            lifts = (x + np.minimum(t, other), x + np.maximum(t, other))
+            clear[at] = np.maximum(*(np.minimum(y - a, b - y) for y in lifts))
+    else:
+        clear = np.minimum(points - lo, hi - points)
+    least = clear[0]
+    for axis in range(1, len(clear)):
+        least = np.minimum(least, clear[axis])
     return least
 
 
@@ -376,18 +452,23 @@ def build_graph(
     """Classify every ordered cube pair as nonempty / empty / uncertain.
 
     One rigorous image enclosure per source cube, all computed rows in one
-    call, decides emptiness with a gap; each source cube's closed sample
+    call, decides emptiness with a gap to each target of the row's
+    near-band window (``_row_windows``); the targets outside it lie more
+    than the band away and are empty.  Each source cube's closed sample
     grid hunts for witnesses among the surviving candidates, the rows
-    settled in blocks of at most _MAX_CELLS pairs; the still-open pairs of
-    all rows then go through one bounded refinement pass that subdivides
-    their source cubes up to ``refine_depth`` times, all pairs in lockstep.
+    settled in blocks whose windowed pairs times the samples stay within
+    _GATHERED; the still-open pairs of all rows then go through one
+    bounded refinement pass that subdivides their source cubes up to
+    ``refine_depth`` times, all pairs in lockstep.
 
     Toral-linear maps on the torus commute with the grid translations, so
     their rows are exact translates of row 0, the one row computed; the rest
     are derived in one array pass.  The rows' near-miss pairs keep their
     row gap and the refined-empty pairs the gap that closed them, as
-    ``gap_pairs`` and ``gaps``; ``min_empty_gap`` is the least row or stored
-    gap.  No near-miss code is derived and no gap searched here.
+    ``gap_pairs`` and ``gaps``; ``min_empty_gap`` is the least windowed row
+    gap or stored gap, and at most _NEAR_BAND cube widths when a window
+    left a target out (as the minimum-gap search is).  No near-miss code
+    is derived and no gap searched here.
     """
     if samples_per_cube < 1:
         raise ValueError("samples_per_cube must be >= 1")
@@ -404,32 +485,40 @@ def build_graph(
     e_lo, e_hi = (e.T for e in eval_box(
         f, Direction.FORWARD, lo_all.take(rows, axis=1).T, hi_all.take(rows, axis=1).T
     ))
-    witnesses, open_pairs, near, row_min = [], [], [], math.inf
-    per_block = max(1, _MAX_CELLS // count)
-    for first in range(0, len(rows), per_block):
-        block = rows[first:first + per_block]
-        gaps = _norm_lb(_lift_gaps(
-            e_lo[:, block, None], e_hi[:, block, None], lo_all[:, None], hi_all[:, None], s.space
-        ))
-        r, j = np.nonzero(gaps > 0.0)
-        empty = gaps[r, j]
-        row_min = min(row_min, float(empty.min(initial=math.inf)))
-        close = empty <= _NEAR_BAND * s.cube_width
-        near.append((block[r[close]] * count + j[close], empty[close]))
-        # Each candidate pair (row, target) tries its source cube's samples.
-        r, j = np.nonzero(gaps == 0.0)
+    first, size = _row_windows(e_lo, e_hi, s)
+    pairs = size.prod(axis=0)
+    witnesses, open_pairs, near = [], [], []
+    row_min = _NEAR_BAND * s.cube_width if np.any(pairs < count) else math.inf
+    # load[k]: the (pair, sample) rows of the first k rows.
+    load = np.concatenate([[0], np.cumsum(pairs * offsets.shape[1])])
+    start = 0
+    while start < len(rows):
+        # Rows while their windowed pairs times the samples stay within
+        # _GATHERED (one row always goes).
+        stop = int(np.searchsorted(load, load[start] + _GATHERED, side="right")) - 1
+        block, start = rows[start:max(stop, start + 1)], max(stop, start + 1)
+        row, j, gaps = _window_gaps(*(a[:, block] for a in (e_lo, e_hi, first, size)), s)
+        codes = block[row] * count + j
+        empty = gaps > 0.0
+        row_min = min(row_min, float(gaps[empty].min(initial=math.inf)))
+        close = empty & (gaps <= _NEAR_BAND * s.cube_width)
+        near.append((codes[close], gaps[close]))
+        # Each candidate pair (row, target) tries its source cube's samples,
+        # whose clearances in the source cube are computed once.
+        r, j, codes = row[~empty], j[~empty], codes[~empty]
         src_lo, src_hi = (c.take(block, axis=1)[..., None] for c in cubes)
         pts = src_lo + offsets[:, None] * (src_hi - src_lo)
         images = eval_points(f, pts.reshape(n, -1).T).T.reshape(pts.shape)
         hit, best, clear = _witnesses(
-            *(a.take(r, axis=1) for a in (pts, images, src_lo, src_hi)),
-            lo_all.take(j, axis=1), hi_all.take(j, axis=1), s.space,
+            _cube_clearances(pts, src_lo, src_hi, s.space).take(r, axis=0),
+            _cube_clearances(
+                images.take(r, axis=1), lo_all.take(j, axis=1)[..., None],
+                hi_all.take(j, axis=1)[..., None], s.space,
+            ),
         )
         r_hit, best = r[hit], best[hit]
-        witnesses.append((
-            block[r_hit] * count + j[hit], pts[:, r_hit, best], images[:, r_hit, best], clear[hit]
-        ))
-        open_pairs.append(np.column_stack([block[r[~hit]], j[~hit]]))
+        witnesses.append((codes[hit], pts[:, r_hit, best], images[:, r_hit, best], clear[hit]))
+        open_pairs.append(np.column_stack(np.divmod(codes[~hit], count)))
     del gaps, pts, images  # the block arrays would stay alive through the refinement
     near_codes, near_gaps = (np.concatenate(col) for col in zip(*near))
     open_pairs = np.concatenate(open_pairs)
@@ -501,22 +590,16 @@ def build_graph(
     )
 
 
-def _witnesses(
-    pts: np.ndarray, images: np.ndarray, src_lo, src_hi, t_lo, t_hi, space: Space
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The best sample witnessing C_i -> C_j for each target column of
-    (n, targets) bounds [t_lo, t_hi]: whether any image lands there, its
-    index, its clearance.
+def _witnesses(src_clear: np.ndarray, img_clear: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The best sample witnessing C_i -> C_j for each candidate pair, from
+    the (pairs, samples) clearances of its samples in C_i and of their
+    images in C_j: whether any image lands there, its index, its clearance.
 
-    ``pts`` are (n, ..., samples) samples of the source cells [src_lo,
-    src_hi] and ``images`` their images.  A sample counts when its image
-    lies in the closed target cube; the winner maximizes min(source
-    clearance, image clearance), and a boundary-only winner is recorded
-    with clearance 0.
+    A sample counts when its image lies in the closed target cube; the
+    winner maximizes min(source clearance, image clearance), and a
+    boundary-only winner is recorded with clearance 0.
     """
-    img_clear = _cube_clearances(images, t_lo[..., None], t_hi[..., None], space)
     inside = img_clear >= 0.0
-    src_clear = _cube_clearances(pts, src_lo, src_hi, space)
     score = np.where(inside, np.minimum(src_clear, img_clear), -np.inf)
     best = np.argmax(score, axis=1)
     rows = np.arange(len(best))
@@ -544,6 +627,9 @@ def _translates(s: Subdivision, index_matrix: np.ndarray, targets: np.ndarray) -
 # Live cells the refinement keeps at once, over all pairs, the cells one
 # round of the minimum-gap search splits, and the children it bounds at once.
 _MAX_CELLS = 4096
+# The (pair, sample) rows one row block may gather: its windowed pairs
+# times the samples per cube bound its candidates' sample arrays.
+_GATHERED = 1 << 17
 # The live cells the minimum-gap search may hold, and the cells it may split.
 _HELD_CELLS = 1 << 20
 
@@ -646,9 +732,11 @@ def _refine_uncertain(
         r, winners = hit_rows[first[hits]], active[hits]
         owner = pairs[winners, 0]
         _, best, w_clear = _witnesses(
-            pts.take(r, axis=1), images.take(r, axis=1), lo_all.take(owner, axis=1)[..., None],
-            hi_all.take(owner, axis=1)[..., None], t_lo.take(r, axis=1), t_hi.take(r, axis=1),
-            s.space,
+            _cube_clearances(
+                pts.take(r, axis=1), lo_all.take(owner, axis=1)[..., None],
+                hi_all.take(owner, axis=1)[..., None], s.space,
+            ),
+            clear.take(r, axis=0),
         )
         for p, q, y, c in zip(
             winners.tolist(), pts[:, r, best].T.tolist(), images[:, r, best].T.tolist(),

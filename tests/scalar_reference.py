@@ -15,7 +15,9 @@ closure holds a point: the reference for the smallest-index cube lookup,
 of which ``cube_of_point`` is the one-point call.
 ``materialised_graph`` builds the transition graph as dicts, every
 translated row written out pair by pair, the way the graph was stored
-before its rows became columns.
+before its rows became columns: each computed row against every target,
+and every clearance and witness by the three-shift ``clearance`` and
+``witness`` here, not by the kernels it is compared with.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from cubeshadow import transition
 from cubeshadow.dynamics import Direction, eval_box, eval_point, eval_points, map_parts
 from cubeshadow.geometry import Box, Space, cubes_of_points
-from cubeshadow.transition import _NEAR_BAND, EdgeStatus, EdgeWitness, _witnesses
+from cubeshadow.transition import _NEAR_BAND, EdgeStatus, EdgeWitness
 
 TWO_PI = 2.0 * math.pi
 NUDGE_ULPS = 4
@@ -305,10 +307,8 @@ def refine_pair(f, s, i: int, j: int, offsets: np.ndarray, depth: int):
                     continue
                 pts = _grid(child.lo_arr, child.hi_arr, offsets)
                 images = eval_points(f, pts.T).T
-                (hit,), (k,), (c,) = _witnesses(
-                    pts[:, None], images[:, None], _column(src_box.lo_arr)[:, None],
-                    _column(src_box.hi_arr)[:, None], _column(jbox.lo_arr),
-                    _column(jbox.hi_arr), s.space,
+                hit, k, c = witness(
+                    pts.T, images.T, src_box.lo, src_box.hi, jbox.lo, jbox.hi, s.space
                 )
                 if hit:
                     return EdgeWitness(tuple(pts[:, k]), tuple(images[:, k]), float(c))
@@ -370,11 +370,10 @@ def _row_dicts(f, s, i, offsets, cubes, e_lo, e_hi):
         lo_all, hi_all = cubes
         pts = _grid(lo_all[:, i], hi_all[:, i], offsets)
         images = eval_points(f, pts.T).T
-        hit, best, clear = _witnesses(
-            pts[:, None], images[:, None], lo_all[:, i, None, None], hi_all[:, i, None, None],
-            lo_all[:, candidates], hi_all[:, candidates], s.space,
-        )
-        for j, h, k, c in zip(candidates.tolist(), hit, best, clear):
+        for j in candidates.tolist():
+            h, k, c = witness(
+                pts.T, images.T, lo_all[:, i], hi_all[:, i], lo_all[:, j], hi_all[:, j], s.space
+            )
             if h:
                 row_wit[(i, j)] = EdgeWitness(tuple(pts[:, k]), tuple(images[:, k]), float(c))
             else:
@@ -405,14 +404,13 @@ def _translate_rows(f, s, index_matrix, witnesses, uncertain, empty_gaps) -> Non
         pts = base_pts.T[:, None, :] + src_lo
         images = eval_points(f, pts.reshape(s.n, -1).T).T.reshape(pts.shape)
         dst_lo = tgt_multi * w
-        clear = np.minimum(
-            transition._cube_clearances(pts, src_lo, src_lo + w, s.space),
-            transition._cube_clearances(images, dst_lo, dst_lo + w, s.space),
-        )
         for i in range(1, s.count):
             for k in range(len(base)):
                 pair = (i, int(tgt_flat[i, k]))
-                c = float(clear[i, k])
+                c = min(
+                    clearance(pts[:, i, k], src_lo[:, i, 0], src_lo[:, i, 0] + w, s.space),
+                    clearance(images[:, i, k], dst_lo[:, i, k], dst_lo[:, i, k] + w, s.space),
+                )
                 if c < 0.0:
                     uncertain.add(pair)
                     continue

@@ -500,6 +500,64 @@ def test_verify_replays_the_achieved_eps_and_the_window(tmp_path, capsys, shadow
     assert out.startswith(f"verify: recomputed {key} ") and f"DISAGREES with stored {shown}" in out
 
 
+def test_verify_refuses_a_periodicity_claim_on_an_aperiodic_orbit(tmp_path, capsys, shadow_file):
+    # The orbit of this shadow is not periodic, so a file edited to claim
+    # period 3 with minimal period 7 is refused.
+    data = run_json(shadow_file)
+    data["result"]["periodic"], data["result"]["minimal_period"] = 3, 7
+    path = tmp_path / "shadow.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(path), "--out", str(tmp_path / "v")]) == 2
+    assert "recomputed periodic None DISAGREES with stored 3" in capsys.readouterr().out
+
+
+@pytest.fixture(scope="module")
+def periodic_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("periodic")
+    assert main(["periodic", "--map", CAT, "--m", "3", "--period", "2", "--x0", "1/5,2/5",
+                 "--out", str(out)]) == 0
+    return out / "periodic.json"
+
+
+@pytest.mark.parametrize(
+    "periodic, minimal, shown",
+    [(2, 2, None), (2, 1, "minimal_period 2 DISAGREES with stored 1"),
+     (4, 2, "periodic 2 DISAGREES with stored 4"),
+     (None, 2, "minimal_period None DISAGREES with stored 2"),
+     (2, None, "minimal_period 2 DISAGREES with stored None")],
+)
+def test_verify_replays_the_periodicity_claim(tmp_path, capsys, periodic_file, periodic,
+                                              minimal, shown):
+    # A periodic claim must be the orbit's period, and the exact point's
+    # minimal period is solved again; the untouched file passes.
+    data = run_json(periodic_file)
+    assert (data["result"]["periodic"], data["result"]["minimal_period"]) == (2, 2)
+    data["result"]["periodic"], data["result"]["minimal_period"] = periodic, minimal
+    path = tmp_path / "periodic.json"
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    rc = main(["verify", str(path), "--out", str(tmp_path / "v")])
+    out = capsys.readouterr().out
+    if shown is None:
+        assert rc == 0 and "matching the stored verdict" in out
+    else:
+        assert rc == 2 and f"verify: recomputed {shown}" in out
+
+
+def test_verify_refuses_a_minimal_period_for_a_float_point(tmp_path, capsys):
+    # Newton's periodic points are floats, whose minimal period is not
+    # claimed: a file that claims one is refused.
+    assert main(["periodic", "--map", PERTURBED, "--m", "2", "--period", "1", "--x0", "0,0",
+                 "--allow-uncertain", "--out", str(tmp_path)]) == 0
+    data = run_json(tmp_path / "periodic.json")
+    data["result"]["minimal_period"] = 1
+    (tmp_path / "periodic.json").write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["verify", str(tmp_path / "periodic.json"), "--out", str(tmp_path / "v")]) == 2
+    assert "recomputed minimal_period None DISAGREES with stored 1" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("how", ["parabolic-map", "margin"])
 def test_verify_refuses_a_chain_that_does_not_close(tmp_path, capsys, monkeypatch,
                                                     shadow_file, how):

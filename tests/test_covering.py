@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cubeshadow import covering
 from cubeshadow.covering import (
     ChainedCertificate,
     CoveringCertificate,
@@ -17,13 +18,14 @@ from cubeshadow.covering import (
     check_covering,
     compose_chain,
     expansion_frame,
+    frame_coupling,
     rectangle_from_json,
     verify_certificate,
 )
 from cubeshadow.dynamics import builtin_map, eval_point, Direction
 from cubeshadow.errors import MismatchedChainError, NotEndomorphismError
 from cubeshadow.geometry import Box, Space, make_subdivision
-from cubeshadow.transition import build_graph
+from cubeshadow.transition import build_graph, code_pairs
 
 CAT = builtin_map("toral [[2,1],[1,1]]")
 MODEL = builtin_map("affine [[2,0],[0,0.5]] offset=[-0.5,0.2]", space=Space.CUBE)
@@ -214,6 +216,78 @@ def test_cat_class_translates_verify_in_their_cubes():
         assert (cert.exit_margin, cert.confinement_margin) == (
             stored.exit_margin, stored.confinement_margin)
         assert (cert == stored) == ((i, j) == rep)
+
+
+def _per_edge_walk(f, s, g):
+    """certify_chained as an edge-by-edge walk in code order: each edge
+    searches its class representative (each search once), then itself
+    when that fails; classes are numbered as their searches succeed."""
+    rows, vals = expansion_frame(f)
+    frame = tuple(tuple(float(v) for v in row) for row in rows)
+    shape = np.ones(f.n)
+    shape[-1] = min(1.0, (abs(vals[0]) - 1.0) / (4.0 * frame_coupling(f, rows)))
+    interior = g.witness_codes[g.clearances > 0.0]
+    reps = g.class_codes(interior)
+    reps = np.where(np.isin(reps, interior), reps, interior)
+    classes, searched, edge_codes, edge_classes, failures = [], {}, [], [], []
+
+    def search(code):
+        if code not in searched:
+            pair = divmod(code, s.count)
+            src, dst = covering._anchored_pair(s, g.witnesses[pair], frame, shape)
+            result = covering.check_covering(f, src, dst)
+            searched[code] = len(classes) if result else result.reason
+            if result:
+                classes.append((pair, result))
+        return searched[code]
+
+    for pair, code, rep in zip(code_pairs(interior, s.count), interior.tolist(), reps.tolist()):
+        got = search(rep)
+        if isinstance(got, str) and rep != code:
+            got = search(code)
+        if isinstance(got, str):
+            failures.append((*pair, got))
+        else:
+            edge_codes.append(code)
+            edge_classes.append(got)
+    excluded = covering.PairRows(g.witness_codes[g.clearances == 0.0], s.count)
+    if failures:
+        return FailureReport(f.descriptor, g.nonempty_count, len(edge_codes), tuple(failures),
+                             excluded)
+    return ChainedCertificate(f.descriptor, s, tuple(classes), np.array(edge_codes),
+                              np.array(edge_classes), excluded)
+
+
+@pytest.mark.parametrize("fails", [(), (8,), (8, 9)], ids=["none", "rep", "rep-and-own"])
+def test_certify_by_class_matches_the_per_edge_walk(monkeypatch, fails):
+    # With every search certifying, the four representatives are searched
+    # once each and numbered in order of first use.  When representative
+    # (0, 8) fails, so does its own edge, and each other edge of its class
+    # searches alone: they all certify, or those from cube 9 fail too.
+    # Either way the result is the edge-by-edge walk's, byte for byte.
+    s = make_subdivision(2, 3, Space.TORUS)
+    g = build_graph(CAT, s)
+    searches = []
+    check = covering.check_covering
+
+    def flaky(f, src, dst, cfg=None, strip=None):
+        searches.append(src)
+        rep = 8 in fails and s.box(0).contains_point(src.center) and s.box(8).contains_point(
+            dst.center)
+        if rep or (9 in fails and s.box(9).contains_point(src.center)):
+            return Inconclusive("forced")
+        return check(f, src, dst, cfg, strip)
+
+    monkeypatch.setattr(covering, "check_covering", flaky)
+    got = certify_chained(CAT, s, g)
+    assert len(searches) == 4 + 63 * bool(fails)
+    want = _per_edge_walk(CAT, s, g)
+    assert type(got) is type(want)
+    assert json.dumps(got.to_json()) == json.dumps(want.to_json())
+    if fails:
+        assert got.failures[0] == (0, 8, "forced") and got.certified == 256 - len(fails)
+    else:
+        assert [rep for rep, _ in got.classes] == [(0, 0), (0, 8), (0, 9), (0, 17)]
 
 
 def test_nonequivariant_kinds_have_one_class_per_edge():

@@ -268,8 +268,9 @@ def test_graph_kernels_take_every_layout(descriptor, space, data):
     # The coordinate-major (n, ...) kernels of the graph path give the
     # scalar reference's rows from C-order, F-order and strided inputs:
     # image gaps and center bounds per cell, then a 3 x ... x 3 sample
-    # grid of every cell, its images' clearances to the cell's target,
-    # and the best witness among them.
+    # grid of every cell, its images' clearances to the cell's target
+    # (negative ones and half-turn ties included), and the best witness
+    # among them.
     f = builtin_map(descriptor, space)
     lo, hi, t_lo, t_hi = data.draw(_cells(f.n))
     cells = [Box(tuple(a), tuple(b), space) for a, b in zip(lo, hi)]
@@ -277,6 +278,12 @@ def test_graph_kernels_take_every_layout(descriptor, space, data):
     offsets = transition._sample_offsets(f.n, 3)
     pts = lo.T[:, :, None] + offsets[:, None, :] * (hi - lo).T[:, :, None]
     images = eval_points(f, pts.reshape(f.n, -1).T).T.reshape(pts.shape)
+    # The middle sample's image sits half a turn from its target's center,
+    # give or take a few ulps, where two torus lifts of it tie.
+    half = (0.5 * (t_lo + t_hi).T + 0.5) % 1.0
+    for _ in range(data.draw(st.integers(0, 3))):
+        half = np.nextafter(half, data.draw(st.sampled_from([0.0, 1.0])))
+    images[:, :, len(offsets.T) // 2] = half
     clear = [[ref.clearance(y, a, b, space) for y in ys.T] for ys, a, b in
              zip(images.transpose(1, 0, 2), t_lo, t_hi)]
     best = [ref.witness(ps.T, ys.T, a, b, c, d, space) for ps, ys, a, b, c, d in
@@ -290,9 +297,8 @@ def test_graph_kernels_take_every_layout(descriptor, space, data):
         assert _bits(centers) == _bits([ref.center_bound(f, c, t) for c, t in zip(cells, targets)])
         got = transition._cube_clearances(ys, g_lo[..., None], g_hi[..., None], space)
         assert _bits(got) == _bits(clear)
-        hit, k, c = transition._witnesses(
-            ps, ys, c_lo[..., None], c_hi[..., None], g_lo, g_hi, space
-        )
+        src = transition._cube_clearances(ps, c_lo[..., None], c_hi[..., None], space)
+        hit, k, c = transition._witnesses(src, got)
         assert [(bool(h), int(i), v) for h, i, v in zip(hit, k, _bits(c))] == [
             (h, i, float(v).hex()) for h, i, v in best
         ]
@@ -327,6 +333,51 @@ def test_child_split_takes_every_layout(n, data):
         assert kids.T.ravel().tolist() == want
         assert _bits(t_lo.T) == _bits([s.box(j).lo for j in tgt for _ in range(fan)])
         assert _bits(t_hi.T) == _bits([s.box(j).hi for j in tgt for _ in range(fan)])
+
+
+@given(
+    n=st.integers(1, 3),
+    m=st.integers(1, 5),
+    space=st.sampled_from([Space.TORUS, Space.CUBE]),
+    data=st.data(),
+)
+def test_row_windows_keep_every_pair_within_the_band(n, m, space, data):
+    # For lifted enclosures anywhere and of any width, the windows list no
+    # target twice, leave out only targets whose all-pairs gap exceeds the
+    # near band, and give the windowed pairs the all-pairs gaps' bits.
+    s = make_subdivision(n, m, space)
+    lo, hi = data.draw(_lifts(n))
+    e_lo, e_hi = lo.T, hi.T
+    row, j, gaps = transition._window_gaps(e_lo, e_hi, *transition._row_windows(e_lo, e_hi, s), s)
+    cube_lo, cube_hi = transition._cube_bounds(s)
+    every = transition._norm_lb(transition._lift_gaps(
+        e_lo[:, :, None], e_hi[:, :, None], cube_lo[:, None], cube_hi[:, None], space
+    ))
+    codes = row * s.count + j
+    assert np.unique(codes).size == codes.size
+    assert _bits(gaps) == _bits(every[row, j])
+    skipped = np.ones(every.shape, dtype=bool)
+    skipped[row, j] = False
+    assert np.all(every[skipped] > transition._NEAR_BAND * s.cube_width)
+
+
+def test_a_band_below_every_gap_caps_the_minimum_gap(monkeypatch):
+    # With the near band below every gap, the rows keep no near miss and
+    # leave pairs out of their windows, so min_empty_gap is the band: a
+    # lower bound still, and delta_bound stays finite there.  The verdicts
+    # do not depend on the band.
+    f = builtin_map("standard K=0.3")
+    s = make_subdivision(2, 3, Space.TORUS)
+    full = transition.build_graph(f, s)
+    cap = 0.5 * full.min_empty_gap
+    monkeypatch.setattr(transition, "_NEAR_BAND", cap / s.cube_width)
+    g = transition.build_graph(f, s)
+    assert g.min_empty_gap == cap < g.gaps.min()
+    assert transition.delta_bound(g, allow_uncertain=True) == cap
+    assert np.array_equal(g.witness_codes, full.witness_codes)
+    assert np.array_equal(g.uncertain_codes, full.uncertain_codes)
+    # The stored gaps are the refined-empty pairs' alone.
+    assert set(g.empty_gaps) < set(full.empty_gaps)
 
 
 def _exact_image(f, direction: Direction, x) -> list:

@@ -132,21 +132,42 @@ _TORAL = ["toral [[2,1],[1,1]]", "identity", "translation [0.3,0.1]",
 )
 def test_columnar_graph_matches_the_materialised_dicts(descriptor, m):
     # The reference writes every translated row out pair by pair, settles
-    # computed rows one at a time (the build settles them in blocks of
-    # _MAX_CELLS // count) and sharpens the minimum gap while building;
-    # the columns must read back the same dicts, sets, adjacency and JSON,
-    # bit for bit.  The affine maps run on the cube.
+    # computed rows one at a time against every target (the build settles
+    # blocks of rows against their windows), with its own three-shift
+    # clearances and witness rule; the columns must read back the same
+    # dicts, sets, adjacency and JSON, bit for bit.  The affine maps run on
+    # the cube.
     space = Space.CUBE if descriptor.startswith("affine") else Space.TORUS
     f = builtin_map(descriptor, space)
     _assert_matches_materialised(f, make_subdivision(f.n, m, space))
 
 
+def _blocks_match_materialised(monkeypatch, gathered) -> list[int]:
+    """The rows of each row block of the standard map at m=3 under a
+    budget of ``gathered`` (pair, sample) rows, the graph checked against
+    the materialised dicts."""
+    blocks = []
+    window_gaps = transition._window_gaps
+
+    def spy(e_lo, *rest):
+        blocks.append(e_lo.shape[1])
+        return window_gaps(e_lo, *rest)
+
+    monkeypatch.setattr(transition, "_GATHERED", gathered)
+    monkeypatch.setattr(transition, "_window_gaps", spy)
+    _assert_matches_materialised(builtin_map("standard K=0.3"), make_subdivision(2, 3, Space.TORUS))
+    return blocks
+
+
 def test_a_ragged_last_row_block_matches_the_materialised_dicts(monkeypatch):
-    # Blocks of 3 rows over 64 rows leave a last block of one row.
-    s = make_subdivision(2, 3, Space.TORUS)
-    monkeypatch.setattr(transition, "_MAX_CELLS", 3 * s.count)
-    assert max(1, transition._MAX_CELLS // s.count) == 3 and s.count % 3 == 1
-    _assert_matches_materialised(builtin_map("standard K=0.3"), s)
+    # At m=3 every window of the standard map is whole, 64 pairs of 25
+    # samples each: a budget of 3 rows' leaves a last block of one row.
+    assert _blocks_match_materialised(monkeypatch, 3 * 64 * 25) == [3] * 21 + [1]
+
+
+def test_a_row_block_takes_a_row_past_the_budget(monkeypatch):
+    # A budget below one row's (pair, sample) rows still settles a row a block.
+    assert _blocks_match_materialised(monkeypatch, 1) == [1] * 64
 
 
 def _assert_matches_materialised(f, s):

@@ -10,7 +10,11 @@ microseconds per call over ``REPEAT`` samples.  A last row times the
 gap branch-and-bound, which no benchmark operation runs since ``graph``
 writes its build-time gaps: ``delta_bound`` on a freshly built m=4 graph
 of ``MAP`` (the graph caches its search), the median over ``REPEAT``
-graphs, without their builds.  It times the package of
+graphs, without their builds.  A second table times ``build_graph`` of
+each of ``BUILDS`` whole and its row phase alone (the build at
+``refine_depth=0``, which settles no pair by refinement), and prints next
+to the times the pairs the rows bound, those in the rows' near-band
+windows, against all pairs of the computed rows.  It times the package of
 the checkout it sits in; to compare two checkouts, run each one's copy
 in alternating runs, since the machine's speed drifts between runs made
 apart.  The inputs come from a fixed seed, so both time the same calls.
@@ -35,6 +39,11 @@ MAP = "standard K=0.3"
 ROWS = (1, 201, 16384)
 REPEAT = 7
 SEARCH_M = 4
+BUILDS = (
+    ("standard K=0.3", 4),
+    ("standard K=0.3", 5),
+    ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 3),
+)
 
 
 def _median_us(call) -> float:
@@ -91,6 +100,27 @@ def _delta_bound_us(f) -> float:
     return statistics.median(samples) * 1e6
 
 
+def _pair_counts(f, s) -> tuple[int, int]:
+    """The windowed pairs of the computed rows of ``build_graph`` and all
+    their pairs."""
+    lo, hi = transition._cube_bounds(s)
+    rows = 1 if transition.equivariant_index_matrix(f, s) is not None else s.count
+    e_lo, e_hi = dynamics.eval_box(f, dynamics.Direction.FORWARD, lo[:, :rows].T, hi[:, :rows].T)
+    _, size = transition._row_windows(e_lo.T, e_hi.T, s)
+    return int(size.prod(axis=0).sum()), rows * s.count
+
+
+def _builds() -> None:
+    print(f"{'build_graph, median us':<48}{'rows':>10}{'whole':>10}{'windowed':>10}{'all':>10}")
+    for descriptor, m in BUILDS:
+        f = dynamics.builtin_map(descriptor)
+        s = geometry.make_subdivision(f.n, m, geometry.Space.TORUS)
+        rows = _median_us(lambda: transition.build_graph(f, s, refine_depth=0))
+        whole = _median_us(lambda: transition.build_graph(f, s))
+        windowed, every = _pair_counts(f, s)
+        print(f"{descriptor + f' m={m}':<48}{rows:10.0f}{whole:10.0f}{windowed:10d}{every:10d}")
+
+
 def main() -> int:
     f = dynamics.builtin_map(MAP)
     point = np.array([0.3, 0.7][: f.n] + [0.5] * max(f.n - 2, 0))
@@ -106,6 +136,8 @@ def main() -> int:
         cells = "".join(f"{times[k]:12.1f}" if k in times else f"{'-':>12}" for k in ROWS)
         print(f"{name:<18}{cells}")
     print(f"{'delta_bound':<18}{_delta_bound_us(f):12.1f}  (one search, fresh m={SEARCH_M} graph)")
+    print()
+    _builds()
     return 0
 
 
