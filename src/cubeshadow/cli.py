@@ -47,7 +47,7 @@ from .errors import (
     UncertifiedTransitionError,
 )
 from .exact import minimal_period, supports_exact
-from .geometry import Box, Space, chi, json_value, json_values, make_subdivision
+from .geometry import Box, Space, chi, json_object, json_value, json_values, make_subdivision
 from .oracle import (
     brute_force_fixed_points,
     brute_force_shadow,
@@ -218,7 +218,12 @@ class Run:
         self.artifacts[name] = hashlib.sha256(raw).hexdigest()
         return target
 
-    def write_json(self, name: str, body: dict) -> Path:
+    def write_json(self, name: str, body: dict, encoded: dict[str, str] | None = None) -> Path:
+        """Write the run's header, ``body`` and the ``encoded`` sections,
+        which are JSON text already, as one object: the bytes of
+        ``json.dumps(payload, sort_keys=True)`` for the payload they
+        decode to, plus a newline.  The payloads hold no cycles, so the
+        encoder does not look for them."""
         config = dataclasses.asdict(self.cfg)
         del config["out"]
         payload = {
@@ -228,7 +233,11 @@ class Run:
             "artifacts_sha256": self.artifacts,
             **body,
         }
-        return self._record(name, json.dumps(payload, sort_keys=True) + "\n")
+        sections = {
+            key: json.dumps(value, sort_keys=True, check_circular=False)
+            for key, value in payload.items()
+        }
+        return self._record(name, json_object({**sections, **(encoded or {})}) + "\n")
 
     def write_text(self, name: str, text: str) -> Path:
         return self._record(name, text)
@@ -346,7 +355,7 @@ def cmd_graph(run: Run, args: argparse.Namespace) -> int:
     s, g = _graph(run.cfg, f)
     dot = f"// command: graph\n// map: {f.descriptor}\n" + g.to_dot()
     run.write_text("graph.dot", dot)
-    run.write_json("graph.json", {"graph": g.to_json()})
+    run.write_json("graph.json", {}, encoded={"graph": g.to_json()})
     print(
         f"graph: {g.nonempty_count} nonempty edges, {g.uncertain_count} uncertain "
         f"over {s.count} cubes -> {run.outdir / 'graph.json'}"

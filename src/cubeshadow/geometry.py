@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
+import json
 import math
 import reprlib
 
@@ -79,6 +80,13 @@ def json_pairs(key: str, values) -> tuple:
     if set(map(len, rows)) <= {2}:
         return json_values(key, list(chain.from_iterable(rows)), int)
     raise ValueError(f"{key} must be a JSON list of [i, j] pairs, not {reprlib.repr(values)}")
+
+
+def json_object(sections: dict[str, str]) -> str:
+    """The JSON object whose values are the already-encoded ``sections``,
+    keys in sorted order: the text ``json.dumps(..., sort_keys=True)``
+    writes for the object the sections decode to."""
+    return "{" + ", ".join(f"{json.dumps(k)}: {v}" for k, v in sorted(sections.items())) + "}"
 
 
 def check_bounds(lo: np.ndarray, hi: np.ndarray, space: Space) -> None:

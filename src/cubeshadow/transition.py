@@ -17,6 +17,7 @@ evaluated through the (k, n) public evaluators on transposed views, which
 
 from __future__ import annotations
 
+import json
 import math
 from collections.abc import Callable, KeysView, Mapping
 from dataclasses import dataclass
@@ -28,7 +29,7 @@ import numpy as np
 from ._intervals import nudge_down
 from .dynamics import Direction, MapKind, MapSpec, eval_box, eval_points
 from .errors import NoPathError, NotEndomorphismError, UncertainEdgesError
-from .geometry import Space, Subdivision, space_diameter
+from .geometry import Space, Subdivision, json_object, space_diameter
 
 
 # Empty pairs within this many cube widths keep their gap in ``empty_gaps``.
@@ -76,11 +77,36 @@ def pair_array(codes: np.ndarray, count: int) -> np.ndarray:
     return np.column_stack(np.divmod(codes, count))
 
 
+def _names(count: int) -> np.ndarray:
+    """The decimal text of each cube index 0..count-1, as an object array."""
+    return np.array(list(map(str, range(count))), dtype=object)
+
+
 def pair_keys(codes: np.ndarray, count: int) -> list[str]:
     """The canonical key "i,j" of each code i * count + j."""
-    names = np.array(list(map(str, range(count))), dtype=object)
+    names = _names(count)
     i, j = np.divmod(codes, count)
     return ((names + ",")[i] + names[j]).tolist()
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The JSON text of each float of a 1-D array, as an object array.
+
+    Each distinct bit pattern is formatted once, by one ``json.dumps`` of
+    their list, so every text (-0.0, NaN and the infinities included) is
+    the stdlib's, and is gathered back by index.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    return np.array(texts, dtype=object)[inverse]
+
+
+def _joined(columns: np.ndarray) -> np.ndarray:
+    """Each row of a (k, n) object array of texts joined by ", "."""
+    out = columns[:, 0]
+    for axis in range(1, columns.shape[1]):
+        out = out + ", " + columns[:, axis]
+    return out
 
 
 def _check_cubes(count: int, *indices) -> None:
@@ -234,34 +260,60 @@ class TransitionGraph:
     def uncertain_count(self) -> int:
         return len(self.uncertain_codes)
 
-    def to_json(self) -> dict:
-        # Empty pairs are implicit: at order m there are 2^{2nm} ordered
-        # pairs, almost all of them empty, so only the exceptions are listed.
-        rows = zip(self.points.tolist(), self.images.tolist(), self.clearances.tolist())
-        edges = [
-            [i, j, EdgeStatus.NONEMPTY.value, {"witness": p, "image": q, "clearance": c}]
-            for (i, j), (p, q, c) in zip(self.witnesses, rows)
-        ]
-        edges += [[i, j, EdgeStatus.UNCERTAIN.value, None] for i, j in self.uncertain]
+    def to_json(self) -> str:
+        """The ``graph`` section of graph.json, as the JSON text that
+        ``json.dumps(section, sort_keys=True)`` writes for it, assembled
+        from the columns.
+
+        Empty pairs are implicit: at order m there are 2^{2nm} ordered
+        pairs, almost all of them empty, so only the exceptions are listed.
+        Edges are the witnessed pairs, then the uncertain ones, each in code
+        order; ``near_empty_gaps`` maps each near-miss pair's key "i,j" to
+        its gap, and ``min_empty_gap`` is null when no pair is empty.
+        """
+        s = self.subdivision
+        names = _names(s.count)
+        k, n = len(self.witness_codes), s.n
         codes, rows = self._near
-        near = dict(zip(pair_keys(codes, self.subdivision.count), self.gaps[rows].tolist()))
-        return {
+        floats = _float_texts(np.concatenate(
+            [self.points.ravel(), self.images.ravel(), self.clearances, self.gaps]
+        ))
+        points, images, clear, gaps = np.split(floats, [k * n, 2 * k * n, 2 * k * n + k])
+        i, j = np.divmod(self.witness_codes, s.count)
+        edges = (
+            "[" + names[i] + ", " + names[j] + f', "{EdgeStatus.NONEMPTY.value}", '
+            + '{"clearance": ' + clear + ', "image": [' + _joined(images.reshape(k, n))
+            + '], "witness": [' + _joined(points.reshape(k, n)) + "]}]"
+        ).tolist()
+        i, j = np.divmod(self.uncertain_codes, s.count)
+        uncertain = f', "{EdgeStatus.UNCERTAIN.value}", null]'
+        edges += ("[" + names[i] + ", " + names[j] + uncertain).tolist()
+        i, j = np.divmod(codes, s.count)
+        keys = (names + ",")[i] + names[j]
+        # sort_keys order: the keys sorted as strings.
+        order = np.argsort(keys.astype(str))
+        near = ('"' + keys + '": ' + gaps[rows]).take(order).tolist()
+        header = {
             "map_id": self.map_id,
-            "n": self.subdivision.n,
-            "m": self.subdivision.m,
-            "space": self.subdivision.space.value,
+            "n": n,
+            "m": s.m,
+            "space": s.space.value,
             "samples_per_cube": self.samples_per_cube,
             "refine_depth": self.refine_depth,
-            "edges": edges,
             "empty_pairs": "implicit",
             "min_empty_gap": None if math.isinf(self.min_empty_gap) else self.min_empty_gap,
-            "near_empty_gaps": near,
         }
+        return json_object({
+            **{key: json.dumps(value) for key, value in header.items()},
+            "edges": "[" + ", ".join(edges) + "]",
+            "near_empty_gaps": "{" + ", ".join(near) + "}",
+        })
 
     def to_dot(self) -> str:
-        return "\n".join(
-            ["digraph transitions {", *(f"  {i} -> {j};" for i, j in self.witnesses), "}"]
-        )
+        names = _names(self.subdivision.count)
+        i, j = np.divmod(self.witness_codes, self.subdivision.count)
+        edges = ("  " + names[i] + " -> " + names[j] + ";").tolist()
+        return "\n".join(["digraph transitions {", *edges, "}"])
 
 
 def _sample_offsets(n: int, samples_per_cube: int) -> np.ndarray:
@@ -627,8 +679,9 @@ def _translates(s: Subdivision, index_matrix: np.ndarray, targets: np.ndarray) -
 # Live cells the refinement keeps at once, over all pairs, the cells one
 # round of the minimum-gap search splits, and the children it bounds at once.
 _MAX_CELLS = 4096
-# The (pair, sample) rows one row block may gather: its windowed pairs
-# times the samples per cube bound its candidates' sample arrays.
+# The (pair, sample) rows one row block or refinement round may gather:
+# its windowed pairs, or its children, times the samples per cube bound
+# its sample arrays.
 _GATHERED = 1 << 17
 # The live cells the minimum-gap search may hold, and the cells it may split.
 _HELD_CELLS = 1 << 20
@@ -696,12 +749,15 @@ def _refine_uncertain(
     q_level = np.zeros(0, dtype=np.int64)
     q_k = np.zeros((n, 0), dtype=np.int64)
     fresh = 0
+    # A round's children: at most _MAX_CELLS, and their (child, sample)
+    # rows within _GATHERED, as a row block's.
+    budget = min(_MAX_CELLS, _GATHERED // offsets.shape[1])
     while q_pair.size or fresh < len(pairs):
         # Pairs in progress first, then new ones, while the round's
-        # children stay within _MAX_CELLS (one pair always goes).
+        # children stay within the budget (one pair always goes).
         heads = np.flatnonzero(np.diff(q_pair, prepend=-1))  # each queued pair's first cell
         cells = np.append(np.diff(heads, append=q_pair.size), np.ones(len(pairs) - fresh, int))
-        taken = max(int(np.searchsorted(np.cumsum(cells * fan), _MAX_CELLS, side="right")), 1)
+        taken = max(int(np.searchsorted(np.cumsum(cells * fan), budget, side="right")), 1)
         cut = heads[taken] if taken < heads.size else q_pair.size
         new = max(taken - heads.size, 0)
         cell_pair = np.concatenate([q_pair[:cut], np.arange(fresh, fresh + new)])

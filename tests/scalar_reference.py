@@ -462,8 +462,9 @@ def materialised_graph(f, s, samples_per_cube: int = 5, refine_depth: int = 6):
 
 
 def graph_json(g, witnesses, uncertain, empty_gaps, min_empty_gap) -> dict:
-    """``TransitionGraph.to_json`` of the materialised dicts; the header
-    fields are g's."""
+    """The graph section of the materialised dicts, whose
+    ``json.dumps(..., sort_keys=True)`` text ``TransitionGraph.to_json``
+    must write; the header fields are g's."""
     s = g.subdivision
     edges = [
         [i, j, EdgeStatus.NONEMPTY.value,

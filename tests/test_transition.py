@@ -1,10 +1,13 @@
 import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubeshadow.dynamics import Direction, builtin_map, eval_point, eval_points
 from cubeshadow.errors import NoPathError, NotEndomorphismError, UncertainEdgesError
@@ -13,7 +16,7 @@ from cubeshadow.geometry import (
     chi,
     make_subdivision,
 )
-from cubeshadow import transition
+from cubeshadow import cli, transition
 import scalar_reference as ref
 from scalar_reference import cube_of_point, cubes_containing_point, point_box_distance_lb
 from cubeshadow.cli import main
@@ -170,6 +173,60 @@ def test_a_row_block_takes_a_row_past_the_budget(monkeypatch):
     assert _blocks_match_materialised(monkeypatch, 1) == [1] * 64
 
 
+def _refinement(samples, gathered):
+    """The perturbed cat map's graph at m=3 with ``samples`` per axis
+    under a budget of ``gathered`` (pair, sample) rows, the children of
+    each refinement round, and the refinement's traced peak in bytes."""
+    rounds, peaks = [], []
+    split, refine = transition._split_cells, transition._refine_uncertain
+
+    def spy_split(*args):
+        out = split(*args)
+        rounds.append(out[0].shape[1])
+        return out
+
+    def spy_refine(*args):
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = refine(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        return out
+
+    f = builtin_map("perturbed [[2,1],[1,1]] eta=0.001 freq=1")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(transition, "_GATHERED", gathered)
+        mp.setattr(transition, "_split_cells", spy_split)
+        mp.setattr(transition, "_refine_uncertain", spy_refine)
+        tracemalloc.start()
+        try:
+            g = build_graph(f, make_subdivision(2, 3, Space.TORUS), samples_per_cube=samples)
+        finally:
+            tracemalloc.stop()
+    return g, rounds, max(peaks)
+
+
+@pytest.mark.parametrize("samples", [3, 5, 9])
+def test_refinement_rounds_keep_their_samples_within_the_budget(samples):
+    # Each round's children times the samples per cube stay within
+    # _GATHERED, as a row block's do, and the graph does not depend on the
+    # budget.  At 3 and 5 samples per axis the _MAX_CELLS cap alone decides
+    # the rounds; at 9 the budget cuts them (2 208 children of 81 samples
+    # each would be 178 848 rows) and lowers the refinement's peak.
+    unbounded = _refinement(samples, 1 << 40)
+    capped = _refinement(samples, transition._GATHERED)
+    tight = _refinement(samples, 1 << 14)
+    per_child = samples ** 2
+    for g, rounds, _ in (capped, tight):
+        assert g.to_json() == unbounded[0].to_json()
+        assert g.gaps.tobytes() == unbounded[0].gaps.tobytes()
+    assert max(capped[1]) * per_child <= transition._GATHERED
+    assert max(tight[1]) * per_child <= 1 << 14
+    assert (capped[1] == unbounded[1]) == (samples < 9)
+    if samples == 9:
+        assert max(unbounded[1]) * per_child > transition._GATHERED
+        assert capped[2] < unbounded[2] and 4 * tight[2] < unbounded[2]
+
+
 def _assert_matches_materialised(f, s):
     g = build_graph(f, s)
     witnesses, uncertain, gaps, min_gap = ref.materialised_graph(f, s)
@@ -185,8 +242,8 @@ def _assert_matches_materialised(f, s):
     i, j = np.divmod(np.arange(s.count ** 2), s.count)
     assert np.array_equal(g.certified_empty(i, j), empty)
     assert g.min_empty_gap.hex() == min_gap.hex()
-    assert json.dumps(g.to_json()) == json.dumps(
-        ref.graph_json(g, witnesses, uncertain, gaps, min_gap)
+    assert g.to_json() == json.dumps(
+        ref.graph_json(g, witnesses, uncertain, gaps, min_gap), sort_keys=True
     )
 
 
@@ -384,7 +441,7 @@ def test_graph_json_holds_the_build_time_gaps(name):
     # and 0.0007070389849195278 for the nonlinear maps).
     descriptor, m, want = _BUILT_GAPS[name]
     g = build_graph(builtin_map(descriptor), make_subdivision(2, m, Space.TORUS))
-    doc = g.to_json()
+    doc = json.loads(g.to_json())
     assert doc["min_empty_gap"] == min(doc["near_empty_gaps"].values()) == g.min_empty_gap
     bound = delta_bound(g, allow_uncertain=True)
     assert doc["min_empty_gap"] <= bound
@@ -465,20 +522,18 @@ def test_build_is_deterministic():
     a = cat_graph(2)
     b = cat_graph(2)
     assert a == b
-    assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(
-        b.to_json(), sort_keys=True
-    )
+    assert a.to_json() == b.to_json()
 
 
 def test_json_export_shape():
     g = cat_graph(2)
-    doc = g.to_json()
+    doc = json.loads(g.to_json())
     assert doc["m"] == 2 and doc["n"] == 2
     assert doc["empty_pairs"] == "implicit"
     assert len(doc["edges"]) == g.nonempty_count + g.uncertain_count
     gaps = doc["near_empty_gaps"].values()
     assert doc["min_empty_gap"] == min(gaps) <= delta_bound(g)
-    json.dumps(doc)  # must be serializable as-is
+    assert json.dumps(doc, sort_keys=True) == g.to_json()  # the stdlib's text
 
 
 def test_dot_export_mentions_edges():
@@ -486,3 +541,134 @@ def test_dot_export_mentions_edges():
     dot = g.to_dot()
     assert dot.startswith("digraph")
     assert "0 -> 0;" in dot
+
+
+def _dict_json(g) -> dict:
+    """g's graph section as the dict path writes it, read through the
+    graph's mapping views, not its text."""
+    return ref.graph_json(
+        g, dict(g.witnesses.items()), set(g.uncertain), dict(g.empty_gaps.items()),
+        g.min_empty_gap,
+    )
+
+
+def _dict_dot(g) -> str:
+    """g's DOT text written edge by edge from its witness mapping."""
+    return "\n".join(["digraph transitions {", *(f"  {i} -> {j};" for i, j in g.witnesses), "}"])
+
+
+# Every map kind, n = 1, 2 and 3, both spaces and the equivariant maps,
+# whose near gaps are translated into every row; the orders m <= 3 at 3, 5
+# and 9 samples per axis.
+_EXPORTS = [
+    ("standard K=0.3", 3, "torus"), ("standard K=0.3", 4, "torus"),
+    ("standard K=0.3", 5, "torus"), ("standard K=7", 3, "torus"),
+    ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 2, "torus"),
+    ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 3, "torus"),
+    ("perturbed [[2,1],[1,1]] eta=0.05 freq=1", 3, "torus"),
+    ("toral [[2,1],[1,1]]", 3, "torus"), ("toral [[2,1],[1,1]]", 6, "torus"),
+    ("translation [0.3,0.1]", 4, "torus"), ("identity", 2, "torus"),
+    ("affine [[0.5,0.1],[0.05,0.45]] offset=[0.2,0.3]", 4, "cube"),
+    ("affine [[0.3,0.1,0.2],[0.1,0.2,0.3],[0.1,0.3,0.1]]", 2, "cube"),
+    ("perturbed [[1]] eta=0.02 freq=3", 5, "torus"),
+    ("perturbed [[2,1,0],[1,1,0],[0,0,1]] eta=0.01 freq=2", 1, "torus"),
+]
+
+
+@pytest.mark.parametrize(
+    "descriptor, m, space, samples",
+    [(d, m, sp, k) for d, m, sp in _EXPORTS for k in ((3, 5, 9) if m <= 3 else (5,))],
+)
+def test_graph_json_is_the_stdlib_text_of_the_dict(monkeypatch, tmp_path, descriptor, m, space,
+                                                    samples):
+    # graph.json, header included, must be byte for byte what
+    # json.dumps(payload, sort_keys=True) writes when the graph section is
+    # the dict of the graph's own mappings, and graph.dot the edges of its
+    # witness mapping.
+    built = []
+
+    def spy(f, *args):
+        built.append(build_graph(f, *args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_graph", spy)
+    argv = ["graph", "--map", descriptor, "--m", str(m), "--space", space,
+            "--samples-per-cube", str(samples), "--out", str(tmp_path)]
+    assert main(argv) == 0
+    raw = (tmp_path / "graph.json").read_text()
+    want = {**json.loads(raw), "graph": _dict_json(built[0])}
+    assert raw == json.dumps(want, sort_keys=True) + "\n"
+    dot = (tmp_path / "graph.dot").read_text()
+    assert dot == f"// command: graph\n// map: {built[0].map_id}\n" + _dict_dot(built[0])
+
+
+def _hand_graph(witnesses=(), uncertain=(), gaps=(), min_gap=math.inf, m=2):
+    """A graph on the 2-D torus of order m, from (code, point, image,
+    clearance) witnesses, uncertain codes and (code, gap) pairs."""
+    s = make_subdivision(2, m, Space.TORUS)
+    codes, points, images, clear = zip(*witnesses) if witnesses else ((), (), (), ())
+    gap_pairs, gap_values = zip(*sorted(gaps)) if gaps else ((), ())
+    return transition.TransitionGraph(
+        subdivision=s, map_id="hand", samples_per_cube=5, refine_depth=6, index_matrix=None,
+        witness_codes=np.array(codes, dtype=np.int64),
+        points=np.array(points, dtype=float).reshape(-1, 2),
+        images=np.array(images, dtype=float).reshape(-1, 2),
+        clearances=np.array(clear, dtype=float),
+        uncertain_codes=np.array(sorted(uncertain), dtype=np.int64),
+        gap_pairs=np.array(gap_pairs, dtype=np.int64), gaps=np.array(gap_values, dtype=float),
+        min_empty_gap=min_gap, gap_search=lambda: min_gap,
+    )
+
+
+_HAND = {
+    # -0.0 and 0.0 are formatted apart; the near keys of 16 cubes sort as
+    # strings ("1,10" < "1,2" < "10,3" < "2,0"), not as codes.
+    "signed zeros": _hand_graph(
+        [(18, (0.0, -0.0), (-0.0, 0.25), -0.0), (33, (0.5, 0.0), (0.0, 0.0), 0.0)],
+        [40], [(26, -0.0), (163, 0.0), (32, 0.125), (17, 0.0625)], 0.0,
+    ),
+    "infinite gap": _hand_graph([(5, (0.1, 0.2), (0.3, 0.4), 0.05)], (), [(7, math.inf),
+                                                                          (9, 0.5)], 0.5),
+    "no near gaps": _hand_graph([(5, (0.1, 0.2), (0.3, 0.4), 0.05)], [6], (), 0.75),
+    "no witnesses": _hand_graph((), [3, 17, 200], [(1, 0.25)], 0.25),
+    "nothing empty": _hand_graph([(0, (0.5, 0.5), (0.5, 0.5), 0.125)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HAND))
+def test_hand_built_graph_json_is_the_stdlib_text_of_the_dict(name):
+    g = _HAND[name]
+    text = g.to_json()
+    assert text == json.dumps(_dict_json(g), sort_keys=True)
+    assert g.to_dot() == _dict_dot(g)
+    if name == "signed zeros":
+        assert '"clearance": -0.0' in text and '"clearance": 0.0' in text
+        assert '"1,10": -0.0' in text and '"10,3": 0.0' in text
+    if name == "infinite gap":
+        assert '"0,7": Infinity' in text
+    if name == "nothing empty":
+        assert '"min_empty_gap": null' in text and '"near_empty_gaps": {}' in text
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([0.0, -0.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 5))
+def test_any_graph_json_is_the_stdlib_text_of_the_dict(data, m):
+    # Any floats (NaN, the infinities and both zeros among them, repeated
+    # or not) and any pair codes, over 4 to 1 024 cubes, whose names run
+    # from one to four digits.
+    pairs = st.integers(0, 4 ** (2 * m) - 1)
+    codes = data.draw(st.lists(pairs, unique=True, max_size=30))
+    cut = data.draw(st.integers(0, len(codes)))
+    few = st.sampled_from([0.5, 0.25, -0.0])  # repeated values share one text
+    value = _ANY_FLOAT | few
+    witnesses = [
+        (c, data.draw(st.tuples(value, value)), data.draw(st.tuples(value, value)), data.draw(value))
+        for c in sorted(codes[:cut])
+    ]
+    gaps = [(c, data.draw(value)) for c in data.draw(st.lists(pairs, unique=True, max_size=30))]
+    g = _hand_graph(witnesses, codes[cut:], gaps, data.draw(value), m)
+    assert g.to_json() == json.dumps(_dict_json(g), sort_keys=True)
+    assert g.to_dot() == _dict_dot(g)

@@ -14,7 +14,13 @@ graphs, without their builds.  A second table times ``build_graph`` of
 each of ``BUILDS`` whole and its row phase alone (the build at
 ``refine_depth=0``, which settles no pair by refinement), and prints next
 to the times the pairs the rows bound, those in the rows' near-band
-windows, against all pairs of the computed rows.  It times the package of
+windows, against all pairs of the computed rows.  A third table times
+the artifact encoders and ``json.loads`` of their text: the ``graph``
+section of graph.json (``TransitionGraph.to_json``) for each of
+``ARTIFACT_GRAPHS``, and the ``json.dumps`` that ``Run.write_json`` runs on
+the certificate section of the ``CERTIFICATE`` map's certificate.json,
+with the text's bytes and its floats, all and distinct by bit pattern,
+next to the times.  It times the package of
 the checkout it sits in; to compare two checkouts, run each one's copy
 in alternating runs, since the machine's speed drifts between runs made
 apart.  The inputs come from a fixed seed, so both time the same calls.
@@ -24,6 +30,7 @@ the script cannot time a checkout whose kernels take (k, n) rows.
 
 from __future__ import annotations
 
+import json
 import statistics
 import sys
 import time
@@ -33,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 
-from cubeshadow import dynamics, geometry, transition  # noqa: E402
+from cubeshadow import covering, dynamics, geometry, transition  # noqa: E402
 
 MAP = "standard K=0.3"
 ROWS = (1, 201, 16384)
@@ -44,6 +51,8 @@ BUILDS = (
     ("standard K=0.3", 5),
     ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 3),
 )
+ARTIFACT_GRAPHS = (("standard K=0.3", 4), ("perturbed [[2,1],[1,1]] eta=0.001 freq=1", 3))
+CERTIFICATE = ("toral [[2,1],[1,1]]", 6)
 
 
 def _median_us(call) -> float:
@@ -121,6 +130,40 @@ def _builds() -> None:
         print(f"{descriptor + f' m={m}':<48}{rows:10.0f}{whole:10.0f}{windowed:10d}{every:10d}")
 
 
+def _floats(doc):
+    """Every float of a decoded JSON document."""
+    if isinstance(doc, float):
+        yield doc
+    elif isinstance(doc, (dict, list)):
+        for value in doc.values() if isinstance(doc, dict) else doc:
+            yield from _floats(value)
+
+
+def _artifact_row(label: str, encode) -> None:
+    text = encode()
+    floats = np.array(list(_floats(json.loads(text))), dtype=float)
+    distinct = len(np.unique(floats.view(np.int64)))
+    times = f"{_median_us(encode):10.0f}{_median_us(lambda: json.loads(text)):10.0f}"
+    print(f"{label:<56}{times}{len(text):10d}{floats.size:10d}{distinct:10d}")
+
+
+def _artifacts() -> None:
+    print(f"{'artifact, median us':<56}{'encode':>10}{'decode':>10}{'bytes':>10}"
+          f"{'floats':>10}{'distinct':>10}")
+    for descriptor, m in ARTIFACT_GRAPHS:
+        f = dynamics.builtin_map(descriptor)
+        g = transition.build_graph(f, geometry.make_subdivision(f.n, m, geometry.Space.TORUS))
+        _artifact_row(f"graph.json {descriptor} m={m}", g.to_json)
+    descriptor, m = CERTIFICATE
+    f = dynamics.builtin_map(descriptor)
+    s = geometry.make_subdivision(f.n, m, geometry.Space.TORUS)
+    body = covering.certify_chained(f, s, transition.build_graph(f, s)).to_json()
+    _artifact_row(
+        f"certificate.json {descriptor} m={m}",
+        lambda: json.dumps(body, sort_keys=True, check_circular=False),
+    )
+
+
 def main() -> int:
     f = dynamics.builtin_map(MAP)
     point = np.array([0.3, 0.7][: f.n] + [0.5] * max(f.n - 2, 0))
@@ -138,6 +181,8 @@ def main() -> int:
     print(f"{'delta_bound':<18}{_delta_bound_us(f):12.1f}  (one search, fresh m={SEARCH_M} graph)")
     print()
     _builds()
+    print()
+    _artifacts()
     return 0
 
 
